@@ -11,7 +11,7 @@ edge-support layer the paper pairs with MBP enumeration as pre-pruning:
 * **bitruss-number** — repeated peeling, the full decomposition;
 * **enumeration** — iTraversal on a dense Erdős–Rényi configuration, where
   the enumeration-side batch predicates (whole-side Γ / δ̄ scoring in the
-  traversal engine and the maximal-extension step) apply.
+  traversal engine) apply.
 
 Every row asserts three-way output equality (identical support dicts,
 bitruss edge sets / numbers, and solution sets across ``set`` / ``bitset``

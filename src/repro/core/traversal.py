@@ -36,6 +36,7 @@ from ..prep import PREP_MODES, default_prep, prepare
 from .biplex import (
     Biplex,
     arbitrary_initial_solution,
+    can_add_right,
     can_add_right_masked,
     extend_to_maximal,
     initial_solution_left_anchored,
@@ -394,6 +395,9 @@ class ReverseSearchEngine:
         # fallback below REVISIT_FALLBACK_MIN may have disabled it mid-way
         # through the previous shard.
         self._inherit_exclusions_requested = False
+        # (epoch, order) of the right side by descending degree, the mask
+        # right-extensibility probe's scan order (_right_degree_order).
+        self._right_order = None
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -891,10 +895,14 @@ class ReverseSearchEngine:
                 u: len(left - self.graph.neighbors_of_right(u)) for u in right
             }
         # Γ(v, R) sizes for the Section 5 almost-satisfying-graph pruning are
-        # likewise solution-level: score every left candidate in one sweep.
+        # likewise solution-level: score every left candidate in one sweep,
+        # or pack R once for a per-candidate mask popcount.
         gamma_sizes = None
-        if self._batch_score_left and theta_right:
-            gamma_sizes = self.graph.popcount_rows("left", mask_of(right)).tolist()
+        right_mask = None
+        if theta_right and self._masked:
+            right_mask = mask_of(right)
+            if self._batch_score_left:
+                gamma_sizes = self.graph.popcount_rows("left", right_mask).tolist()
 
         processed: List[int] = list(processed_base) if processed_base is not None else []
         candidate_vertices = (
@@ -908,11 +916,12 @@ class ReverseSearchEngine:
             # Section 5, almost-satisfying-graph pruning (with the merged
             # bound-implied threshold in solver modes).
             if theta_right and side == "L":
-                gamma_size = (
-                    gamma_sizes[vertex]
-                    if gamma_sizes is not None
-                    else len(self.graph.gamma_left(vertex, right))
-                )
+                if gamma_sizes is not None:
+                    gamma_size = gamma_sizes[vertex]
+                elif right_mask is not None:
+                    gamma_size = (self.graph.adj_left_mask(vertex) & right_mask).bit_count()
+                else:
+                    gamma_size = len(self.graph.gamma_left(vertex, right))
                 if gamma_size + self.k < theta_right:
                     if not (
                         config.theta_right
@@ -1101,65 +1110,82 @@ class ReverseSearchEngine:
     def _right_extensible(self, local: Biplex) -> bool:
         """Right-shrinking test (Line 7): can any right vertex of G be added?
 
-        Candidate right vertices must be adjacent to at least ``|L| - k``
-        left vertices of the local solution, so when ``|L| > k`` they are
-        found by counting adjacencies from the local solution's left side
-        (proportional to its incident edges) rather than scanning all of R.
+        A right vertex can only be added if it is adjacent to at least
+        ``|L| - k`` vertices of the local solution's left side ``L``.
         When ``|L| <= k`` even a right vertex with *no* neighbour in ``L``
         may be addable (it misses all of ``L``, which the slack allows), but
         all such vertices pass or fail the addability test identically — so
-        one representative stands in for them and the scan stays proportional
-        to the local solution's incident edges instead of to ``|R|``.
+        one representative stands in for them.
 
-        On a vectorized batch substrate the per-edge counting dict is
-        replaced by one ``popcount_rows`` sweep that scores ``|Γ(u) ∩ L|``
-        for the whole right side at once; the candidate pre-filter is
-        otherwise backend-independent, and only the final addability probe
-        dispatches on the mask capability.
+        Mask substrates scan the right side by descending degree
+        (:meth:`_right_degree_order`) and stop at the first degree below
+        ``|L| - k``; each vertex scanned costs one ``&`` and a popcount
+        before the exact probe.  The scan beats a whole-side
+        ``popcount_rows`` sweep on every side size measured, so the packed
+        substrate takes it too.  The set backend counts adjacencies from
+        ``L``, proportional to the local solution's incident edges.
         """
         graph = self.graph
         k = self.k
         left = local.left
         right = local.right
+        if self._masked:
+            left_mask = mask_of(left)
+            right_mask = mask_of(right)
+            need = len(left) - k
+            representative = need <= 0
+            adj_right_mask = graph.adj_right_mask
+            for u, degree in self._right_degree_order():
+                if degree < need:
+                    return False
+                if (right_mask >> u) & 1:
+                    continue
+                hits = (adj_right_mask(u) & left_mask).bit_count()
+                if hits < need:
+                    continue
+                if not hits:
+                    if not representative:
+                        continue
+                    representative = False
+                if can_add_right_masked(graph, left_mask, right_mask, u, k):
+                    return True
+            return False
+        counts: dict = {}
+        for v in left:
+            for u in graph.neighbors_of_left(v):
+                counts[u] = counts.get(u, 0) + 1
         threshold = max(len(left) - k, 1)
-        if self._batch_score_right:
-            hits = graph.popcount_rows("right", mask_of(left))
-            candidates = [
-                u for u in (hits >= threshold).nonzero()[0].tolist() if u not in right
-            ]
-            if len(left) <= k:
-                representative_pool = iter((hits == 0).nonzero()[0].tolist())
-        else:
-            counts: dict = {}
-            for v in left:
-                for u in graph.neighbors_of_left(v):
-                    counts[u] = counts.get(u, 0) + 1
-            candidates = [
-                u for u, count in counts.items() if count >= threshold and u not in right
-            ]
-            if len(left) <= k:
-                representative_pool = (
-                    u for u in graph.right_vertices() if u not in counts
-                )
+        candidates = [
+            u for u, count in counts.items() if count >= threshold and u not in right
+        ]
         if len(left) <= k:
             representative = next(
-                (u for u in representative_pool if u not in right),
+                (u for u in graph.right_vertices() if u not in counts and u not in right),
                 None,
             )
             if representative is not None:
                 candidates.append(representative)
-        if self._masked:
-            left_mask = mask_of(left)
-            right_mask = mask_of(right)
-            return any(
-                can_add_right_masked(graph, left_mask, right_mask, u, k)
-                for u in candidates
-            )
-        from .biplex import can_add_right
-
         left_set = set(left)
         right_set = set(right)
         return any(can_add_right(graph, left_set, right_set, u, k) for u in candidates)
+
+    def _right_degree_order(self) -> List[Tuple[int, int]]:
+        """``(u, deg(u))`` for every right vertex, by descending degree.
+
+        Built on a run's first mask probe rather than in the constructor,
+        and rebuilt whenever the graph's ``epoch`` changes, so an in-place
+        edge update can never leave a stale degree cutoff.
+        """
+        graph = self.graph
+        cached = self._right_order
+        if cached is None or cached[0] != graph.epoch:
+            adj_right_mask = graph.adj_right_mask
+            order = sorted(
+                ((u, adj_right_mask(u).bit_count()) for u in range(graph.n_right)),
+                key=lambda pair: -pair[1],
+            )
+            cached = self._right_order = (graph.epoch, order)
+        return cached[1]
 
 
 def run_with_stats(

@@ -39,7 +39,11 @@ backend     representation        requires                 batch coverage
 ``packed``  + ``uint64`` rows     nothing — numpy >= 2.0   full when numpy is
             per vertex            enables vectorization    present (butterfly,
                                                            bitruss, cores, Γ/δ̄
-                                                           predicates); the
+                                                           scoring) except the
+                                                           per-local extension
+                                                           and right probe,
+                                                           which are
+                                                           mask-only; the
                                                            ``array('Q')``
                                                            fallback keeps the
                                                            surface and rides
@@ -182,12 +186,15 @@ def supports_batch(graph: object) -> bool:
 
 
 #: Minimum side size for which a whole-side ``popcount_rows`` sweep beats
-#: the per-member Python-int mask loop it replaces inside the enumeration
-#: hot paths.  Below this the fixed numpy dispatch overhead (~10 µs per
-#: sweep) outweighs the handful of bigint operations saved; measured on
-#: dense Erdős–Rényi workloads (the crossover sits between 80 and 120
-#: vertices per side).  Whole-graph kernels (butterfly, bitruss, cores) are
-#: per-call, not per-candidate, and ignore this threshold.
+#: the per-member Python-int mask loop it replaces in the enumeration's
+#: Γ / δ̄ scoring (the k-biplex predicates and the traversal engine's
+#: per-solution scores).  Below this the fixed numpy dispatch overhead
+#: (~10 µs per sweep) outweighs the handful of bigint operations saved;
+#: measured on dense Erdős–Rényi workloads (the crossover sits between 80
+#: and 120 vertices per side).  Whole-graph kernels (butterfly, bitruss,
+#: cores) are per-call, not per-candidate, and ignore this threshold.  The
+#: per-local-solution steps (greedy extension, right-extensibility probe)
+#: never sweep: their mask passes touch only a few vertices.
 BATCH_SWEEP_MIN_SIDE = 96
 
 

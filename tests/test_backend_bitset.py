@@ -143,19 +143,95 @@ class TestMaskedPrimitives:
                     graph, left, right, k
                 )
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @staticmethod
+    def _extension_seeds(graph, k, rng):
+        """k-biplex seeds reaching every shortcut of the masked greedy pass.
+
+        Yields the empty other side (every left candidate joins in bulk),
+        random greedy k-biplexes, ones with ``|R| <= k``, and ones whose
+        right vertices all miss at least ``k`` seed vertices (saturated).
+        """
+        lefts = list(graph.left_vertices())
+        rights = list(graph.right_vertices())
+        yield set(), set()
+        yield set(rng.sample(lefts, len(lefts) // 3)), set()
+        for _ in range(6):
+            left, right = set(), set()
+            for _ in range(rng.randint(1, 12)):
+                if rng.random() < 0.5:
+                    v = rng.choice(lefts)
+                    if can_add_left(graph, left, right, v, k):
+                        left.add(v)
+                else:
+                    u = rng.choice(rights)
+                    if can_add_right(graph, left, right, u, k):
+                        right.add(u)
+            yield left, right
+        for size in (1, k + 1, k + 2):
+            right = set(rng.sample(rights, min(size, len(rights))))
+            left = set()
+            for v in rng.sample(lefts, len(lefts)):
+                unsaturated = [u for u in right if graph.missing_right(u, left) < k]
+                if not unsaturated:
+                    break
+                if not graph.has_edge(v, unsaturated[0]) and can_add_left(
+                    graph, left, right, v, k
+                ):
+                    left.add(v)
+            yield left, right
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_extend_to_maximal_identical(self, k):
-        for graph in random_graphs(4, max_side=6, seed=7):
-            bitset = graph.to_bitset()
-            for left, right in self._subset_pairs(graph):
-                if not is_k_biplex(graph, left, right, k):
-                    continue
-                assert extend_to_maximal(bitset, left, right, k) == extend_to_maximal(
-                    graph, left, right, k
-                )
-                assert extend_to_maximal(
-                    bitset, left, right, k, candidate_right=()
-                ) == extend_to_maximal(graph, left, right, k, candidate_right=())
+        """The masked extension equals the set path bit for bit.
+
+        Runs bitset and packed on small graphs, on a multi-word graph below
+        the 96-vertex sweep crossover and on one above it, with full,
+        restricted and empty candidate pools.
+        """
+        import random
+
+        rng = random.Random(k)
+        graphs = random_graphs(4, max_side=6, seed=7) + [
+            erdos_renyi_bipartite(70, 80, edge_density=24.0, seed=k),
+            erdos_renyi_bipartite(100, 110, edge_density=40.0, seed=k),
+        ]
+        reached = set()
+        for graph in graphs:
+            substrates = [as_backend(graph, "bitset"), as_backend(graph, "packed")]
+            lefts = list(graph.left_vertices())
+            rights = list(graph.right_vertices())
+            seeds = list(self._extension_seeds(graph, k, rng))
+            seeds += [
+                (left, right)
+                for left, right in self._subset_pairs(graph)
+                if is_k_biplex(graph, left, right, k)
+            ]
+            for left, right in seeds:
+                assert is_k_biplex(graph, left, right, k)
+                if not right:
+                    reached.add("bulk")
+                elif len(right) <= k:
+                    reached.add("small")
+                if right and all(graph.missing_right(u, left) >= k for u in right):
+                    reached.add("saturated")
+                pools = [
+                    (None, None),
+                    (None, ()),
+                    ((), None),
+                    (
+                        rng.sample(lefts, len(lefts) // 2),
+                        rng.sample(rights, len(rights) // 2),
+                    ),
+                ]
+                for candidate_left, candidate_right in pools:
+                    expected = extend_to_maximal(
+                        graph, left, right, k, candidate_left, candidate_right
+                    )
+                    for substrate in substrates:
+                        assert extend_to_maximal(
+                            substrate, left, right, k, candidate_left, candidate_right
+                        ) == expected
+        assert reached == {"bulk", "small", "saturated"}
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_initial_solutions_identical(self, k):
@@ -203,12 +279,21 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_stats_counters_identical(self, example_graph, backend):
-        _, set_stats = run_with_stats(example_graph, 1, TraversalConfig(backend="set"))
-        _, stats = run_with_stats(example_graph, 1, TraversalConfig(backend=backend))
-        assert set_stats.num_solutions == stats.num_solutions
-        assert set_stats.num_links == stats.num_links
-        assert set_stats.num_almost_sat_graphs == stats.num_almost_sat_graphs
-        assert set_stats.num_local_solutions == stats.num_local_solutions
+        # The θ run on the unreduced graph reaches the Γ(v, R) anchor prune,
+        # whose count must not depend on how the backend scores Γ.
+        for overrides in ({}, {"theta_left": 4, "theta_right": 4, "prep": "off"}):
+            _, set_stats = run_with_stats(
+                example_graph, 1, TraversalConfig(backend="set", **overrides)
+            )
+            _, stats = run_with_stats(
+                example_graph, 1, TraversalConfig(backend=backend, **overrides)
+            )
+            assert set_stats.num_solutions == stats.num_solutions
+            assert set_stats.num_links == stats.num_links
+            assert set_stats.num_almost_sat_graphs == stats.num_almost_sat_graphs
+            assert set_stats.num_local_solutions == stats.num_local_solutions
+            assert set_stats.num_pruned_anchor == stats.num_pruned_anchor
+            assert stats.num_pruned_anchor > 0 or not overrides
 
     def test_config_rejects_unknown_backend(self):
         with pytest.raises(ValueError):

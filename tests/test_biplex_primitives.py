@@ -158,6 +158,34 @@ class TestExtension:
         result = extend_to_maximal(example_graph, [0, 4], [0, 1, 2, 3], 1)
         assert result == Biplex.of([0, 1, 4], [0, 1, 2, 3])
 
+    @pytest.mark.parametrize("backend", ["set", "bitset", "packed"])
+    def test_duplicate_candidates_are_tried_once(self, backend):
+        # Regression: a vertex listed twice in a candidate pool had its
+        # misses counted twice, which could leave the result non-maximal
+        # within the pool (7x7, 22 edges, seed 0, k=2: L={4}, not {4, 6}).
+        from repro.graph import as_backend, erdos_renyi_bipartite
+
+        for seed in range(4):
+            for num_edges in (14, 22, 30):
+                graph = erdos_renyi_bipartite(7, 7, num_edges=num_edges, seed=seed)
+                substrate = as_backend(graph, backend)
+                for k in (1, 2):
+                    twice = extend_to_maximal(
+                        substrate, (), range(5), k,
+                        candidate_left=list(range(7)) * 2,
+                        candidate_right=[5, 6, 6, 5],
+                    )
+                    once = extend_to_maximal(
+                        substrate, (), range(5), k,
+                        candidate_left=range(7),
+                        candidate_right=[5, 6],
+                    )
+                    assert twice == once
+                    assert is_maximal_k_biplex(
+                        graph, twice.left, twice.right, k,
+                        candidate_left=range(7), candidate_right=[5, 6],
+                    )
+
 
 class TestInitialSolutions:
     def test_left_anchored_initial_solution(self, example_graph):

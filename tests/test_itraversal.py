@@ -156,12 +156,21 @@ class TestRightExtensible:
     representative, which must not change any answer.
     """
 
+    @staticmethod
+    def _bruteforce(graph, local, k):
+        from repro.core import can_add_right
+
+        return any(
+            can_add_right(graph, set(local.left), set(local.right), u, k)
+            for u in graph.right_vertices()
+            if u not in local.right
+        )
+
     @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("backend", ["set", "bitset"])
+    @pytest.mark.parametrize("backend", ["set", "bitset", "packed"])
     def test_matches_bruteforce_scan(self, k, backend):
         import random
 
-        from repro.core import can_add_right
         from repro.core.traversal import ReverseSearchEngine, TraversalConfig
         from repro.graph.bipartite import subsets_within_budget
 
@@ -177,12 +186,43 @@ class TestRightExtensible:
             for left in subsets_within_budget(list(graph.left_vertices()), k + 1):
                 for right in subsets_within_budget(list(graph.right_vertices()), 2):
                     local = Biplex.of(left, right)
-                    expected = any(
-                        can_add_right(graph, set(left), set(right), u, k)
-                        for u in graph.right_vertices()
-                        if u not in right
-                    )
+                    expected = self._bruteforce(graph, local, k)
                     assert engine._right_extensible(local) == expected
+        # Multi-word masks: more than 64 right vertices (below and above
+        # the 96-vertex sweep crossover), with |L| on both sides of k.
+        for n_right in (80, 110):
+            graph = erdos_renyi_bipartite(12, n_right, num_edges=4 * n_right, seed=n_right)
+            engine = ReverseSearchEngine(graph, k, TraversalConfig(backend=backend))
+            outcomes = set()
+            for _ in range(150):
+                left = rng.sample(range(12), rng.randint(1, 12))
+                right = rng.sample(range(n_right), rng.randint(0, 3))
+                local = Biplex.of(left, right)
+                expected = self._bruteforce(graph, local, k)
+                assert engine._right_extensible(local) == expected
+                outcomes.add(expected)
+            assert outcomes == {False, True}
+
+    @pytest.mark.parametrize("backend", ["set", "bitset", "packed"])
+    def test_probe_follows_in_place_updates(self, backend):
+        # An edge insertion lifts u3 from degree 1 to 2 = |L| - k, past the
+        # degree cutoff of the mask probe's scan order: an order cached
+        # before the update would stop before u3.
+        from repro.core.traversal import ReverseSearchEngine, TraversalConfig
+        from repro.graph import BipartiteGraph, as_backend
+
+        graph = as_backend(
+            BipartiteGraph(3, 4, edges=[(0, 0), (1, 0), (2, 0), (0, 1), (1, 2), (0, 3)]),
+            backend,
+        )
+        engine = ReverseSearchEngine(graph, 1, TraversalConfig(backend=backend, prep="off"))
+        assert engine.graph is graph
+        local = Biplex.of([0, 1, 2], [0])
+        assert engine._right_extensible(local) is False
+        assert self._bruteforce(graph, local, 1) is False
+        graph.add_edge(1, 3)
+        assert self._bruteforce(graph, local, 1) is True
+        assert engine._right_extensible(local) is True
 
 
 class TestSizeThresholds:
@@ -205,6 +245,60 @@ class TestOutputOrder:
         pre = set(ITraversal(example_graph, 1, output_order="pre").enumerate())
         alternate = set(ITraversal(example_graph, 1, output_order="alternate").enumerate())
         assert pre == alternate
+
+
+class TestPinnedWork:
+    """A hot-path rewrite must do the same work, only faster.
+
+    Two capped k=1 runs on the paper's stand-in graphs pin the ordered
+    output (a digest of the serial DFS order) and the ``TraversalStats``
+    work counters: the first 300 MBPs on opsahl (the Fig. 7a first-N
+    protocol) and the first 500 on writer at θ_L = θ_R = 4, which reaches
+    the Section 5 anchor prune.  The figures are the same on every backend.
+    """
+
+    COUNTERS = (
+        "num_reported",
+        "num_links",
+        "num_almost_sat_graphs",
+        "num_local_solutions",
+        "num_pruned_size_filter",
+        "num_pruned_subtree",
+        "num_pruned_anchor",
+        "num_pruned_exclusion",
+        "num_pruned_right_extensible",
+    )
+
+    @pytest.mark.parametrize(
+        "dataset, kwargs, digest, counters",
+        [
+            (
+                "opsahl",
+                {"max_results": 300},
+                "abe3ef6d79203079",
+                (300, 10509, 17065, 39310, 0, 0, 0, 14874, 13927),
+            ),
+            (
+                "writer",
+                {"max_results": 500, "theta_left": 4, "theta_right": 4},
+                "da3f54d3867ce26a",
+                (500, 2472, 3493, 7169, 2, 0, 5668, 2768, 1929),
+            ),
+        ],
+    )
+    def test_ordered_output_and_counters(self, dataset, kwargs, digest, counters):
+        import hashlib
+
+        from repro.analysis.datasets import load_dataset
+
+        # prep and jobs pinned: REPRO_PREP=core+order reorders candidates
+        # and REPRO_JOBS=2 switches to sorted parallel output.
+        algorithm = ITraversal(load_dataset(dataset), 1, prep="core", jobs=1, **kwargs)
+        hasher = hashlib.sha256()
+        for solution in algorithm.run():
+            hasher.update(repr(solution.key()).encode())
+        assert hasher.hexdigest()[:16] == digest
+        assert tuple(getattr(algorithm.stats, name) for name in self.COUNTERS) == counters
 
 
 class TestFunctionalWrappers:
