@@ -10,8 +10,7 @@ cost a caller pays.
 The full-size run additionally asserts the ISSUE 5 acceptance target: a
 wall-clock speedup of at least 1.5x at ``jobs=4`` on at least one dense ER
 configuration.  The assertion is gated on the machine actually having 4
-CPU cores (mirroring how the packed benchmark gates on numpy): on fewer
-cores the workers time-share and the equality checks are still exercised,
+CPU cores: on fewer cores the workers time-share and the equality checks are still exercised,
 but no speedup can physically materialise.
 
 The module also carries the *left-heavy sparse* regression: on graphs with

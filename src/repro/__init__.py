@@ -31,7 +31,6 @@ from .core import (
 )
 from .graph import (
     BipartiteGraph,
-    BitsetBipartiteGraph,
     Side,
     erdos_renyi_bipartite,
     paper_example_graph,
@@ -48,7 +47,6 @@ __all__ = [
     "__version__",
     "Biplex",
     "BipartiteGraph",
-    "BitsetBipartiteGraph",
     "Side",
     "ITraversal",
     "BTraversal",

@@ -25,7 +25,6 @@ from typing import List, Optional
 from ..core.biplex import Biplex
 from ..graph.bipartite import BipartiteGraph
 from ..graph.inflate import inflate, inflated_edge_count, split_vertex_set
-from ..graph.protocol import BACKENDS, default_backend
 from .kplex import enumerate_maximal_kplexes_with_status
 
 
@@ -62,12 +61,6 @@ class FaPlexenPipeline:
         Optional limits forwarded to the plex enumerator.  When either cuts
         the search short, ``stats.truncated`` is set — capped runs never
         masquerade as complete enumerations.
-    backend:
-        Adjacency substrate of the *inflated* graph: ``"bitset"`` (the
-        default, see :func:`repro.graph.protocol.default_backend`) and
-        ``"packed"`` (numpy bit-matrix rows) give the plex enumerator its
-        word-parallel non-neighbour-mask fast path; ``"set"`` is the
-        plain-set fallback.
     """
 
     def __init__(
@@ -77,16 +70,12 @@ class FaPlexenPipeline:
         memory_edge_budget: int = 5_000_000,
         max_results: Optional[int] = None,
         time_limit: Optional[float] = None,
-        backend: Optional[str] = None,
     ) -> None:
         self.graph = graph
         self.k = k
         self.memory_edge_budget = memory_edge_budget
         self.max_results = max_results
         self.time_limit = time_limit
-        self.backend = default_backend() if backend is None else backend
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
         self.stats = InflationStats()
 
     def enumerate(self) -> List[Biplex]:
@@ -98,7 +87,7 @@ class FaPlexenPipeline:
             self.stats.truncated = True
             return []
         start = time.perf_counter()
-        inflated = inflate(self.graph, backend=self.backend)
+        inflated = inflate(self.graph)
         self.stats.inflation_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
@@ -126,7 +115,6 @@ def enumerate_mbps_inflation(
     max_results: Optional[int] = None,
     time_limit: Optional[float] = None,
     memory_edge_budget: int = 5_000_000,
-    backend: Optional[str] = None,
 ) -> List[Biplex]:
     """Functional wrapper around :class:`FaPlexenPipeline`."""
     pipeline = FaPlexenPipeline(
@@ -135,6 +123,5 @@ def enumerate_mbps_inflation(
         memory_edge_budget=memory_edge_budget,
         max_results=max_results,
         time_limit=time_limit,
-        backend=backend,
     )
     return pipeline.enumerate()

@@ -19,12 +19,10 @@ This implementation follows that design: a binary include/exclude search
 over the combined vertex universe with hereditary candidate filtering,
 maximality verification against the excluded set, and size-based pruning.
 
-On a mask-capable backend (``bitset``, the default, or the numpy-backed
-``packed``; ``backend="set"`` falls back to plain sets) the ``_fits`` /
-``_add`` hot loop uses per-vertex non-neighbour masks: the members of the
-current biplex a candidate misses are found with one word-parallel ``&``
-plus a popcount, and only their (at most ``k``) bits are walked for the
-per-member miss-budget checks.
+The ``_fits`` / ``_add`` hot loop uses per-vertex non-neighbour masks: the
+members of the current biplex a candidate misses are found with one
+word-parallel ``&`` plus a popcount, and only their (at most ``k``) bits
+are walked for the per-member miss-budget checks.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core.biplex import Biplex
 from ..graph.bipartite import BipartiteGraph
-from ..graph.protocol import as_backend, default_backend, supports_masks
 
 
 class _SearchLimit(Exception):
@@ -56,11 +53,6 @@ class IMB:
         constraint (and most of the pruning, as in the paper).
     max_results, time_limit:
         Optional limits; the search stops when either is reached.
-    backend:
-        Adjacency substrate (``"bitset"`` by default, see
-        :func:`repro.graph.protocol.default_backend`; ``"packed"`` and
-        ``"set"`` are the alternatives); all backends enumerate identical
-        solution sets.
     prep:
         Preprocessing pipeline (:mod:`repro.prep`), sharing the traversal
         engines' semantics: ``None`` resolves via ``REPRO_PREP`` (default
@@ -84,35 +76,24 @@ class IMB:
         theta_right: int = 0,
         max_results: Optional[int] = None,
         time_limit: Optional[float] = None,
-        backend: Optional[str] = None,
         prep: Optional[str] = None,
     ) -> None:
         if k < 0:
             raise ValueError("k must be non-negative")
         from ..prep import prepare
 
-        converted = as_backend(graph, default_backend() if backend is None else backend)
         # The reduction bounds hold for k = 0 (bicliques) too: every vertex
         # of a θ-large biclique is adjacent to *all* of the other side.
         self._prep_plan = prepare(
-            converted, k, prep, theta_left=theta_left, theta_right=theta_right
+            graph, k, prep, theta_left=theta_left, theta_right=theta_right
         )
-        self.graph = self._prep_plan.graph
+        self.graph = g = self._prep_plan.graph
         self.k = k
-        # Masked fast path: per-vertex non-neighbour masks over the other side.
-        if supports_masks(self.graph):
-            g = self.graph
-            full_left = (1 << g.n_left) - 1
-            full_right = (1 << g.n_right) - 1
-            self._non_adj_left: Optional[List[int]] = [
-                full_right & ~g.adj_left_mask(v) for v in g.left_vertices()
-            ]
-            self._non_adj_right: Optional[List[int]] = [
-                full_left & ~g.adj_right_mask(u) for u in g.right_vertices()
-            ]
-        else:
-            self._non_adj_left = None
-            self._non_adj_right = None
+        # Per-vertex non-neighbour masks over the other side.
+        full_left = (1 << g.n_left) - 1
+        full_right = (1 << g.n_right) - 1
+        self._non_adj_left = [full_right & ~g.adj_left_mask(v) for v in g.left_vertices()]
+        self._non_adj_right = [full_left & ~g.adj_right_mask(u) for u in g.right_vertices()]
         self.theta_left = theta_left
         self.theta_right = theta_right
         self.max_results = max_results
@@ -176,7 +157,7 @@ class IMB:
             return
         local_excluded = list(excluded)
         for index, candidate in enumerate(candidates):
-            if self._fits(left_mask, right_mask, left, right, left_misses, right_misses, candidate):
+            if self._fits(left_mask, right_mask, left_misses, right_misses, candidate):
                 new_left, new_right = set(left), set(right)
                 new_left_misses, new_right_misses = dict(left_misses), dict(right_misses)
                 self._add(
@@ -191,16 +172,14 @@ class IMB:
                     c
                     for c in remaining
                     if self._fits(
-                        new_left_mask, new_right_mask,
-                        new_left, new_right, new_left_misses, new_right_misses, c,
+                        new_left_mask, new_right_mask, new_left_misses, new_right_misses, c
                     )
                 ]
                 new_excluded = [
                     x
                     for x in local_excluded
                     if self._fits(
-                        new_left_mask, new_right_mask,
-                        new_left, new_right, new_left_misses, new_right_misses, x,
+                        new_left_mask, new_right_mask, new_left_misses, new_right_misses, x
                     )
                 ]
                 self._branch(
@@ -219,7 +198,7 @@ class IMB:
         if len(left) < self.theta_left or len(right) < self.theta_right:
             return
         if not any(
-            self._fits(left_mask, right_mask, left, right, left_misses, right_misses, x)
+            self._fits(left_mask, right_mask, left_misses, right_misses, x)
             for x in local_excluded
         ):
             self._emit(Biplex.of(left, right))
@@ -242,43 +221,23 @@ class IMB:
         self,
         left_mask: int,
         right_mask: int,
-        left: Set[int],
-        right: Set[int],
         left_misses: Dict[int, int],
         right_misses: Dict[int, int],
         candidate: Tuple[str, int],
     ) -> bool:
         """Whether adding ``candidate`` keeps the current subgraph a k-biplex."""
         side, vertex = candidate
-        if self._non_adj_left is not None:
-            if side == "L":
-                missed, other_misses = right_mask & self._non_adj_left[vertex], right_misses
-            else:
-                missed, other_misses = left_mask & self._non_adj_right[vertex], left_misses
-            if missed.bit_count() > self.k:
-                return False
-            while missed:
-                low = missed & -missed
-                if other_misses[low.bit_length() - 1] + 1 > self.k:
-                    return False
-                missed ^= low
-            return True
         if side == "L":
-            adjacency = self.graph.neighbors_of_left(vertex)
-            own_misses = 0
-            for u in right:
-                if u not in adjacency:
-                    own_misses += 1
-                    if own_misses > self.k or right_misses[u] + 1 > self.k:
-                        return False
-            return True
-        adjacency = self.graph.neighbors_of_right(vertex)
-        own_misses = 0
-        for v in left:
-            if v not in adjacency:
-                own_misses += 1
-                if own_misses > self.k or left_misses[v] + 1 > self.k:
-                    return False
+            missed, other_misses = right_mask & self._non_adj_left[vertex], right_misses
+        else:
+            missed, other_misses = left_mask & self._non_adj_right[vertex], left_misses
+        if missed.bit_count() > self.k:
+            return False
+        while missed:
+            low = missed & -missed
+            if other_misses[low.bit_length() - 1] + 1 > self.k:
+                return False
+            missed ^= low
         return True
 
     def _add(
@@ -292,40 +251,20 @@ class IMB:
         candidate: Tuple[str, int],
     ) -> None:
         side, vertex = candidate
-        if self._non_adj_left is not None:
-            if side == "L":
-                missed = right_mask & self._non_adj_left[vertex]
-                own_misses, other_misses = missed.bit_count(), right_misses
-                left.add(vertex)
-                left_misses[vertex] = own_misses
-            else:
-                missed = left_mask & self._non_adj_right[vertex]
-                own_misses, other_misses = missed.bit_count(), left_misses
-                right.add(vertex)
-                right_misses[vertex] = own_misses
-            while missed:
-                low = missed & -missed
-                other_misses[low.bit_length() - 1] += 1
-                missed ^= low
-            return
         if side == "L":
-            adjacency = self.graph.neighbors_of_left(vertex)
-            own_misses = 0
-            for u in right:
-                if u not in adjacency:
-                    own_misses += 1
-                    right_misses[u] += 1
+            missed = right_mask & self._non_adj_left[vertex]
+            own_misses, other_misses = missed.bit_count(), right_misses
             left.add(vertex)
             left_misses[vertex] = own_misses
         else:
-            adjacency = self.graph.neighbors_of_right(vertex)
-            own_misses = 0
-            for v in left:
-                if v not in adjacency:
-                    own_misses += 1
-                    left_misses[v] += 1
+            missed = left_mask & self._non_adj_right[vertex]
+            own_misses, other_misses = missed.bit_count(), left_misses
             right.add(vertex)
             right_misses[vertex] = own_misses
+        while missed:
+            low = missed & -missed
+            other_misses[low.bit_length() - 1] += 1
+            missed ^= low
 
     def _emit(self, solution: Biplex) -> None:
         self.results.append(self._prep_plan.translate(solution))
@@ -344,7 +283,6 @@ def enumerate_mbps_imb(
     theta_right: int = 0,
     max_results: Optional[int] = None,
     time_limit: Optional[float] = None,
-    backend: Optional[str] = None,
     prep: Optional[str] = None,
 ) -> List[Biplex]:
     """Functional wrapper around :class:`IMB`."""
@@ -355,6 +293,5 @@ def enumerate_mbps_imb(
         theta_right=theta_right,
         max_results=max_results,
         time_limit=time_limit,
-        backend=backend,
         prep=prep,
     ).enumerate()

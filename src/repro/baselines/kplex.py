@@ -13,14 +13,10 @@ engine of its graph-inflation baseline: our enumerator plays the same
 algorithmic role (and has the same exponential worst case on the dense
 inflated graphs, which is the behaviour the evaluation demonstrates).
 
-When the input graph advertises adjacency bitmasks (a
-:class:`repro.graph.general.BitsetGraph` or
-:class:`repro.graph.packed.PackedGraph`, e.g. from ``Graph.to_bitset()``
-or ``inflate(..., backend="bitset")`` / ``backend="packed"``), the
-``_fits`` / ``_add`` hot loop
-switches to per-vertex *non-neighbour masks*: the vertices of the current
-plex missed by a candidate are found with one ``&`` and a popcount instead
-of a membership scan, and only their (at most ``k``) bits are walked.
+The ``_fits`` / ``_add`` hot loop runs on per-vertex *non-neighbour masks*
+built from the graph's adjacency masks: the vertices of the current plex
+missed by a candidate are found with one ``&`` and a popcount instead of a
+membership scan, and only their (at most ``k``) bits are walked.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ import time
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..graph.general import Graph
-from ..graph.protocol import supports_masks
 
 
 class _SearchLimit(Exception):
@@ -108,16 +103,11 @@ class _KPlexEnumerator:
         self.results: List[Set[int]] = []
         self.truncated = False
         self._start = 0.0
-        # Masked fast path: one precomputed non-neighbour mask per vertex
-        # (excluding the vertex itself) turns the ``_fits`` / ``_add`` scans
-        # into ``current_mask & non_adj[v]`` plus a popcount.
-        if supports_masks(graph):
-            full = graph.full_mask
-            self._non_adj: Optional[List[int]] = [
-                full & ~graph.adj_mask(v) & ~(1 << v) for v in graph.vertices()
-            ]
-        else:
-            self._non_adj = None
+        # One precomputed non-neighbour mask per vertex (excluding the
+        # vertex itself) turns the ``_fits`` / ``_add`` scans into
+        # ``current_mask & non_adj[v]`` plus a popcount.
+        full = graph.full_mask
+        self._non_adj = [full & ~graph.adj_mask(v) & ~(1 << v) for v in graph.vertices()]
 
     def run(self, must_contain: Optional[int] = None) -> List[Set[int]]:
         self.results = []
@@ -138,7 +128,7 @@ class _KPlexEnumerator:
             candidates = [
                 v
                 for v in vertices
-                if v != must_contain and self._fits(current, current_mask, misses, v)
+                if v != must_contain and self._fits(current_mask, misses, v)
             ]
         try:
             self._branch(current, current_mask, misses, candidates, [])
@@ -164,69 +154,46 @@ class _KPlexEnumerator:
         self._check_limits()
         local_excluded = list(excluded)
         for index, pivot in enumerate(candidates):
-            if self._fits(current, current_mask, misses, pivot):
+            if self._fits(current_mask, misses, pivot):
                 new_current = set(current)
                 new_mask = current_mask | (1 << pivot)
                 new_misses = dict(misses)
                 self._add(new_current, current_mask, new_misses, pivot)
                 remaining = candidates[index + 1 :]
                 new_candidates = [
-                    v for v in remaining if self._fits(new_current, new_mask, new_misses, v)
+                    v for v in remaining if self._fits(new_mask, new_misses, v)
                 ]
                 new_excluded = [
-                    x for x in local_excluded if self._fits(new_current, new_mask, new_misses, x)
+                    x for x in local_excluded if self._fits(new_mask, new_misses, x)
                 ]
                 self._branch(new_current, new_mask, new_misses, new_candidates, new_excluded)
             local_excluded.append(pivot)
         # All candidates excluded: ``current`` is maximal unless an excluded
         # vertex could still join it.
-        if not any(self._fits(current, current_mask, misses, x) for x in local_excluded):
+        if not any(self._fits(current_mask, misses, x) for x in local_excluded):
             self._emit(set(current))
 
-    def _fits(
-        self, current: Set[int], current_mask: int, misses: Dict[int, int], vertex: int
-    ) -> bool:
+    def _fits(self, current_mask: int, misses: Dict[int, int], vertex: int) -> bool:
         """Whether ``current ∪ {vertex}`` is still a k-plex."""
-        if self._non_adj is not None:
-            missed = current_mask & self._non_adj[vertex]
-            if missed.bit_count() + 1 > self.k:  # + the vertex itself
+        missed = current_mask & self._non_adj[vertex]
+        if missed.bit_count() + 1 > self.k:  # + the vertex itself
+            return False
+        while missed:
+            low = missed & -missed
+            if misses[low.bit_length() - 1] + 1 > self.k:
                 return False
-            while missed:
-                low = missed & -missed
-                if misses[low.bit_length() - 1] + 1 > self.k:
-                    return False
-                missed ^= low
-            return True
-        adjacency = self.graph.neighbors(vertex)
-        vertex_misses = 1  # itself
-        for member in current:
-            if member not in adjacency:
-                vertex_misses += 1
-                if vertex_misses > self.k:
-                    return False
-                if misses[member] + 1 > self.k:
-                    return False
+            missed ^= low
         return True
 
     def _add(
         self, current: Set[int], current_mask: int, misses: Dict[int, int], vertex: int
     ) -> None:
-        if self._non_adj is not None:
-            missed = current_mask & self._non_adj[vertex]
-            vertex_misses = 1 + missed.bit_count()
-            while missed:
-                low = missed & -missed
-                misses[low.bit_length() - 1] += 1
-                missed ^= low
-            current.add(vertex)
-            misses[vertex] = vertex_misses
-            return
-        adjacency = self.graph.neighbors(vertex)
-        vertex_misses = 1
-        for member in current:
-            if member not in adjacency:
-                vertex_misses += 1
-                misses[member] += 1
+        missed = current_mask & self._non_adj[vertex]
+        vertex_misses = 1 + missed.bit_count()
+        while missed:
+            low = missed & -missed
+            misses[low.bit_length() - 1] += 1
+            missed ^= low
         current.add(vertex)
         misses[vertex] = vertex_misses
 

@@ -26,7 +26,7 @@ from typing import Iterable, List, Optional, Set
 
 from ..core.biplex import Biplex
 from ..graph.bipartite import BipartiteGraph
-from ..graph.protocol import as_backend, default_backend, iter_bits, mask_of, supports_masks
+from ..graph.protocol import iter_bits, mask_of
 
 
 def is_quasi_biclique(
@@ -34,31 +34,18 @@ def is_quasi_biclique(
 ) -> bool:
     """Whether ``(left, right)`` is a δ-quasi-biclique.
 
-    Empty sides are accepted (the constraints hold vacuously).  On a
-    mask-capable substrate the per-vertex miss counts are word-parallel
-    popcounts instead of set differences.
+    Empty sides are accepted (the constraints hold vacuously).  The
+    per-vertex miss counts are word-parallel popcounts.
     """
-    if supports_masks(graph):
-        left_mask = mask_of(left)
-        right_mask = mask_of(right)
-        left_budget = delta * right_mask.bit_count()
-        right_budget = delta * left_mask.bit_count()
-        for v in iter_bits(left_mask):
-            if (right_mask & ~graph.adj_left_mask(v)).bit_count() > left_budget:
-                return False
-        for u in iter_bits(right_mask):
-            if (left_mask & ~graph.adj_right_mask(u)).bit_count() > right_budget:
-                return False
-        return True
-    left_set = set(left)
-    right_set = set(right)
-    left_budget = delta * len(right_set)
-    right_budget = delta * len(left_set)
-    for v in left_set:
-        if graph.missing_left(v, right_set) > left_budget:
+    left_mask = mask_of(left)
+    right_mask = mask_of(right)
+    left_budget = delta * right_mask.bit_count()
+    right_budget = delta * left_mask.bit_count()
+    for v in iter_bits(left_mask):
+        if (right_mask & ~graph.adj_left_mask(v)).bit_count() > left_budget:
             return False
-    for u in right_set:
-        if graph.missing_right(u, left_set) > right_budget:
+    for u in iter_bits(right_mask):
+        if (left_mask & ~graph.adj_right_mask(u)).bit_count() > right_budget:
             return False
     return True
 
@@ -68,7 +55,6 @@ def enumerate_maximal_quasi_bicliques(
     delta: float,
     theta_left: int = 1,
     theta_right: int = 1,
-    backend: Optional[str] = None,
 ) -> List[Biplex]:
     """Exact enumeration of maximal δ-QBs meeting the size thresholds.
 
@@ -76,7 +62,6 @@ def enumerate_maximal_quasi_bicliques(
     and sanity checks).  Maximality is with respect to set inclusion among
     δ-QBs satisfying the thresholds.
     """
-    graph = as_backend(graph, default_backend() if backend is None else backend)
     left_pool = list(graph.left_vertices())
     right_pool = list(graph.right_vertices())
     found: List[Biplex] = []
@@ -116,7 +101,6 @@ def find_quasi_bicliques_greedy(
     theta_right: int,
     seeds: Optional[List[Biplex]] = None,
     max_structures: int = 200,
-    backend: Optional[str] = None,
 ) -> List[Biplex]:
     """Greedy seed-and-expand δ-QB finder for case-study scale graphs.
 
@@ -128,7 +112,6 @@ def find_quasi_bicliques_greedy(
     further addition is possible.  Structures below the size thresholds are
     discarded, duplicates removed.
     """
-    graph = as_backend(graph, default_backend() if backend is None else backend)
     if seeds is None:
         from ..core.itraversal import ITraversal
 

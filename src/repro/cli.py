@@ -14,22 +14,17 @@ Five subcommands cover the library's day-to-day uses:
   and print the paper-style table;
 * ``repro-mbp datasets``   — list the dataset registry (the Table 1 stand-ins).
 
-``enumerate`` accepts ``--backend {bitset,set,packed}`` to pick the
-adjacency substrate; ``bitset`` (word-parallel bitmasks) is the default,
-``set`` is the plain-set fallback and ``packed`` adds ``uint64`` bit-matrix
-rows — numpy-vectorized when numpy >= 2.0 is installed, an ``array('Q')``
-fallback with identical results otherwise.  All backends enumerate
-identical solution sets.  The ``REPRO_BACKEND`` environment variable
-overrides the default globally.  ``--jobs N`` (or ``REPRO_JOBS=N``) runs
-the enumeration on the sharded parallel engine (:mod:`repro.parallel`)
-with ``N`` worker processes — the same solution set for uncapped runs
-(a ``--max-results`` cap keeps the first N unique arrivals, which may
-differ from serial's first N), one merged stats line.  ``--prep
-{off,core,core+order}`` (or ``REPRO_PREP``) selects the preprocessing
-pipeline (:mod:`repro.prep`): ``core`` (default) shrinks the graph with
-the threshold-driven core/bitruss reduction before enumerating — a no-op
-without ``--theta`` — and ``core+order`` additionally anchors the
-traversal in degeneracy order; the summary line reports how many
+``enumerate`` runs on :class:`repro.graph.BipartiteGraph`, whose adjacency
+sets and word-parallel bitmasks are the one substrate.  ``--jobs N`` (or
+``REPRO_JOBS=N``) runs the enumeration on the sharded parallel engine
+(:mod:`repro.parallel`) with ``N`` worker processes — the same solution
+set for uncapped runs (a ``--max-results`` cap keeps the first N unique
+arrivals, which may differ from serial's first N), one merged stats line.
+``--prep {off,core,core+order}`` (or ``REPRO_PREP``) selects the
+preprocessing pipeline (:mod:`repro.prep`): ``core`` (default) shrinks the
+graph with the threshold-driven core/bitruss reduction before enumerating
+— a no-op without ``--theta`` — and ``core+order`` additionally anchors
+the traversal in degeneracy order; the summary line reports how many
 vertices/edges the reduction removed.
 
 Run ``repro-mbp <subcommand> --help`` for the full option list.
@@ -51,8 +46,6 @@ from .core.itraversal import ITraversal
 from .core.objective import resolve_objective
 from .core.verify import summarize_solutions
 from .graph.io import read_edge_list
-from .graph.packed import PackedBackendUnavailable
-from .graph.protocol import BACKENDS, default_backend
 from .parallel import resolve_jobs
 from .prep import resolve_prep
 
@@ -76,18 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="full",
         choices=("full", "no-exclusion", "left-anchored-only"),
         help="iTraversal variant",
-    )
-    enumerate_parser.add_argument(
-        "--backend",
-        default=None,
-        choices=BACKENDS,
-        help=(
-            "adjacency substrate: 'bitset' (word-parallel bitmasks, the default), "
-            "'packed' (uint64 bit-matrix rows; vectorized with numpy >= 2.0, "
-            "numpy-free array('Q') fallback otherwise) or 'set' (plain "
-            "adjacency sets); all enumerate identical solution sets, and the "
-            "REPRO_BACKEND environment variable overrides the default"
-        ),
     )
     enumerate_parser.add_argument("--theta", type=int, default=0, help="min size of both sides")
     enumerate_parser.add_argument(
@@ -183,7 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("full", "no-exclusion", "left-anchored-only"),
         help="iTraversal variant",
     )
-    run_parser.add_argument("--backend", default=None, choices=BACKENDS)
     run_parser.add_argument("--theta", type=int, default=0, help="min size of both sides")
     run_parser.add_argument("--prep", default=None, help="preprocessing mode (see enumerate --help)")
     run_parser.add_argument(
@@ -292,14 +272,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _command_enumerate(args: argparse.Namespace) -> int:
-    # Resolved here (not at parser-build time) so an invalid REPRO_BACKEND
-    # only affects the subcommand that uses it, with a clean error message.
-    # `--prep` deliberately has no argparse `choices`: resolving it here
-    # funnels both the flag and the REPRO_PREP environment variable through
-    # the same validation and error message.  `--mode` / `--top` follow the
+    # Resolved here (not at parser-build time) so an invalid REPRO_JOBS or
+    # REPRO_PREP only affects the subcommand that uses it, with a clean
+    # error message.  `--prep` deliberately has no argparse `choices`:
+    # resolving it here funnels both the flag and the REPRO_PREP
+    # environment variable through the same validation and error message.  `--mode` / `--top` follow the
     # same pattern via resolve_objective, shared with the query service.
     try:
-        backend = args.backend if args.backend is not None else default_backend()
         jobs = resolve_jobs(args.jobs)
         prep = resolve_prep(args.prep)
         mode, top = resolve_objective(args.mode, args.top)
@@ -317,29 +296,20 @@ def _command_enumerate(args: argparse.Namespace) -> int:
                 graph = load_dataset(args.dataset)
             else:
                 graph = read_edge_list(args.input)
-        try:
-            with obs_span("plan"):
-                algorithm = ITraversal(
-                    graph,
-                    args.k,
-                    variant=args.variant,
-                    theta_left=args.theta,
-                    theta_right=args.theta,
-                    max_results=args.max_results,
-                    time_limit=args.time_limit,
-                    backend=backend,
-                    jobs=jobs,
-                    prep=prep,
-                    mode=mode,
-                    top=top,
-                )
-        except PackedBackendUnavailable as error:
-            # Defensive: conversions auto-select the array('Q') fallback when
-            # numpy is absent, so only a direct construction of the numpy
-            # classes can land here; other RuntimeErrors are real bugs and keep
-            # their traceback.
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        with obs_span("plan"):
+            algorithm = ITraversal(
+                graph,
+                args.k,
+                variant=args.variant,
+                theta_left=args.theta,
+                theta_right=args.theta,
+                max_results=args.max_results,
+                time_limit=args.time_limit,
+                jobs=jobs,
+                prep=prep,
+                mode=mode,
+                top=top,
+            )
         with obs_span("traverse"):
             solutions = algorithm.enumerate()
     stats = algorithm.stats
@@ -395,15 +365,7 @@ def _command_enumerate(args: argparse.Namespace) -> int:
 
 
 def _command_experiment(args: argparse.Namespace) -> int:
-    driver = EXPERIMENTS[args.name]
-    try:
-        rows = driver()
-    except PackedBackendUnavailable as error:
-        # Defensive, as in `enumerate`: the packed conversions degrade to
-        # the fallback on their own; any other RuntimeError keeps its
-        # traceback.
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    rows = EXPERIMENTS[args.name]()
     print(format_table(rows, title=f"Experiment {args.name}"))
     return 0
 
@@ -450,7 +412,6 @@ def _query_document(args: argparse.Namespace) -> dict:
         "variant": args.variant,
         "theta_left": args.theta,
         "theta_right": args.theta,
-        "backend": args.backend,
         "prep": args.prep,
         "order_strategy": args.order,
         "jobs": args.jobs,

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Iterator, Optional, Sequence, Set, Tuple
 
 from ..graph.bipartite import BipartiteGraph
-from ..graph.protocol import (
-    BATCH_SWEEP_MIN_SIDE,
-    iter_bits,
-    mask_of,
-    supports_masks,
-    supports_vector_batch,
-)
+from ..graph.protocol import iter_bits, mask_of
 
 
 @dataclass(frozen=True, order=True)
@@ -80,35 +74,9 @@ def is_k_biplex(
     ``right`` and every right vertex misses at most ``k`` vertices of
     ``left``.  Empty sides are allowed (``(∅, R)`` is always a k-biplex).
 
-    On a vectorized batch substrate, each side large enough to clear the
-    sweep crossover gets its miss counts from one ``popcount_rows`` sweep
-    (``δ̄(v, S) = |S| − |Γ(v) ∩ S|``) instead of a per-vertex mask loop.
+    A set-query predicate: it is an oracle for the mask-based enumeration
+    code, so it stays independent of the adjacency masks.
     """
-    if supports_masks(graph):
-        left_set = set(left)
-        right_set = set(right)
-        left_mask = mask_of(left_set)
-        right_mask = mask_of(right_set)
-        batch = supports_vector_batch(graph)
-        if batch and left_set and graph.n_left >= BATCH_SWEEP_MIN_SIDE:
-            hits = graph.popcount_rows("left", right_mask).tolist()
-            size = len(right_set)
-            if any(size - hits[v] > k for v in left_set):
-                return False
-        else:
-            for v in left_set:
-                if (right_mask & ~graph.adj_left_mask(v)).bit_count() > k:
-                    return False
-        if batch and right_set and graph.n_right >= BATCH_SWEEP_MIN_SIDE:
-            hits = graph.popcount_rows("right", left_mask).tolist()
-            size = len(left_set)
-            if any(size - hits[u] > k for u in right_set):
-                return False
-        else:
-            for u in right_set:
-                if (left_mask & ~graph.adj_right_mask(u)).bit_count() > k:
-                    return False
-        return True
     left_set = set(left)
     right_set = set(right)
     for v in left_set:
@@ -178,7 +146,7 @@ def can_add_left_masked(
     candidate: int,
     k: int,
 ) -> bool:
-    """Bitmask twin of :func:`can_add_left` for mask-capable substrates.
+    """Bitmask form of :func:`can_add_left`, used by the enumeration hot paths.
 
     ``left_mask`` / ``right_mask`` are the packed vertex sets of a k-biplex;
     the decision is identical to the set version, but the "missed" vertices
@@ -234,7 +202,8 @@ def is_maximal_k_biplex(
     When ``candidate_left`` / ``candidate_right`` are given, maximality is
     only checked against those candidate pools — this is how *local*
     maximality w.r.t. an almost-satisfying graph is tested (Step 2 of
-    ThreeStep).  Otherwise all vertices of ``graph`` are candidates.
+    ThreeStep).  Otherwise all vertices of ``graph`` are candidates.  Like
+    :func:`is_k_biplex` it only asks set queries.
     """
     left_set = set(left)
     right_set = set(right)
@@ -242,20 +211,6 @@ def is_maximal_k_biplex(
         return False
     left_pool = graph.left_vertices() if candidate_left is None else list(candidate_left)
     right_pool = graph.right_vertices() if candidate_right is None else list(candidate_right)
-    if supports_vector_batch(graph):
-        # One popcount sweep per side scores every candidate at once: a
-        # vertex missing more than k vertices of the other side can never be
-        # added, so only the (few) survivors reach the exact probe.  Each
-        # sweep is gated on its pool clearing the crossover — the restricted
-        # pools of the local-maximality checks stay on the direct probes.
-        if len(left_pool) >= BATCH_SWEEP_MIN_SIDE:
-            hits = graph.popcount_rows("left", mask_of(right_set)).tolist()
-            budget = len(right_set) - k
-            left_pool = [v for v in left_pool if hits[v] >= budget]
-        if len(right_pool) >= BATCH_SWEEP_MIN_SIDE:
-            hits = graph.popcount_rows("right", mask_of(left_set)).tolist()
-            budget = len(left_set) - k
-            right_pool = [u for u in right_pool if hits[u] >= budget]
     for v in left_pool:
         if v not in left_set and can_add_left(graph, left_set, right_set, v, k):
             return False
@@ -288,67 +243,11 @@ def extend_to_maximal(
     be added — e.g. iTraversal extends with left-side vertices only
     (Line 8 of Algorithm 2 excludes ``R``).  ``None`` means "all vertices of
     that side".  The pools are sets: a vertex listed twice is tried once.
-    """
-    if supports_masks(graph):
-        return _extend_to_maximal_masked(graph, left, right, k, candidate_left, candidate_right)
-    left_set = set(left)
-    right_set = set(right)
-    if candidate_left is None:
-        left_pool: Sequence[int] = range(graph.n_left)
-    else:
-        left_pool = sorted(set(candidate_left))
-    if candidate_right is None:
-        right_pool: Sequence[int] = range(graph.n_right)
-    else:
-        right_pool = sorted(set(candidate_right))
 
-    # Adding a vertex only ever tightens the constraints (miss counts never
-    # decrease), so a candidate rejected once can never become addable later.
-    # A single deterministic pass — left side first, then right side — is
-    # therefore enough to reach a maximal k-biplex.
-    left_miss = {v: len(right_set - graph.neighbors_of_left(v)) for v in left_set}
-    right_miss = {u: len(left_set - graph.neighbors_of_right(u)) for u in right_set}
-
-    for v in _extension_candidates(left_pool, left_set, right_set, k, graph.neighbors_of_right):
-        missed = right_set - graph.neighbors_of_left(v)
-        if len(missed) > k:
-            continue
-        if any(right_miss[u] + 1 > k for u in missed):
-            continue
-        left_set.add(v)
-        left_miss[v] = len(missed)
-        for u in missed:
-            right_miss[u] += 1
-
-    for u in _extension_candidates(right_pool, right_set, left_set, k, graph.neighbors_of_left):
-        missed = left_set - graph.neighbors_of_right(u)
-        if len(missed) > k:
-            continue
-        if any(left_miss[v] + 1 > k for v in missed):
-            continue
-        right_set.add(u)
-        right_miss[u] = len(missed)
-        for v in missed:
-            left_miss[v] += 1
-
-    return Biplex.of(left_set, right_set)
-
-
-def _extend_to_maximal_masked(
-    graph,
-    left: Iterable[int],
-    right: Iterable[int],
-    k: int,
-    candidate_left: Optional[Sequence[int]] = None,
-    candidate_right: Optional[Sequence[int]] = None,
-) -> Biplex:
-    """Bitmask implementation of :func:`extend_to_maximal`.
-
-    Each side runs one :func:`_greedy_pass_masked` over a candidate mask,
-    left side first.  Ascending bit order is the set version's ascending id
-    order, and a mask holds each vertex once, so the resulting maximal
-    k-biplex is bit-for-bit identical.  Two invariants let a pass decide
-    most candidates without visiting them, and neither changes a decision:
+    Each side runs one :func:`_greedy_pass_masked` over a candidate mask;
+    ascending bit order is ascending id order.  Two invariants let a pass
+    decide most candidates without visiting them, and neither changes a
+    decision:
 
     * *bulk add* — a candidate adjacent to the whole other side misses
       nothing, so it always joins and changes no miss count: those
@@ -359,7 +258,7 @@ def _extend_to_maximal_masked(
       (miss counts never fall), so its adjacency is ANDed into the pool and
       a surviving candidate is rejected only for missing more than ``k``.
 
-    The child is built as the input sides plus the added vertices.
+    The result is built as the input sides plus the added vertices.
     """
     left = left if isinstance(left, frozenset) else frozenset(left)
     right = right if isinstance(right, frozenset) else frozenset(right)
@@ -390,8 +289,8 @@ def _greedy_pass_masked(pool, own_mask, other_mask, own_adj, other_adj, k):
 
     ``own_adj`` / ``other_adj`` are the adjacency-mask accessors of the side
     being extended and of the opposite side.  ``(own_mask, other_mask)``
-    must be a k-biplex; see :func:`_extend_to_maximal_masked` for why the
-    bulk add and the saturation prune keep the greedy result unchanged.
+    must be a k-biplex; see :func:`extend_to_maximal` for why the bulk add
+    and the saturation prune keep the greedy result unchanged.
     """
     # One walk over the other side scores its miss counts, prunes the pool
     # by the saturated vertices and collects the candidates adjacent to all.
@@ -429,36 +328,6 @@ def _greedy_pass_masked(pool, own_mask, other_mask, own_adj, other_adj, k):
             if count >= k:
                 pool &= other_adj(u)
     return added
-
-
-def _extension_candidates(pool, own_side, other_side, k, other_neighbors):
-    """Candidates from ``pool`` that could possibly join the current biplex.
-
-    A vertex can only be added if it is adjacent to at least
-    ``|other_side| - k`` vertices of the other side.  When the other side is
-    larger than ``k`` we find those vertices by counting adjacencies *from*
-    the other side, which is proportional to the edges incident to the
-    current biplex instead of to ``|pool| × |other_side|`` — a large win on
-    sparse graphs where most pool vertices have no neighbour in the biplex.
-    The returned candidates preserve the ascending order of ``pool`` so the
-    extension stays deterministic.
-    """
-    if not pool:
-        return []
-    if len(other_side) <= k:
-        return [v for v in pool if v not in own_side]
-    counts: dict = {}
-    for u in other_side:
-        for v in other_neighbors(u):
-            counts[v] = counts.get(v, 0) + 1
-    threshold = len(other_side) - k
-    eligible = [v for v, count in counts.items() if count >= threshold and v not in own_side]
-    if isinstance(pool, range) and pool.start == 0 and pool.step == 1:
-        # The pool is "every vertex of the side": the eligible set is already
-        # the answer; sort it to keep the deterministic ascending order.
-        return sorted(v for v in eligible if v < pool.stop)
-    eligible_set = set(eligible)
-    return [v for v in pool if v in eligible_set]
 
 
 def initial_solution_left_anchored(graph: BipartiteGraph, k: int) -> Biplex:

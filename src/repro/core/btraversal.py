@@ -24,7 +24,6 @@ def btraversal_config(
     time_limit: Optional[float] = None,
     output_order: str = "pre",
     local_enumeration: str = "refined",
-    backend: Optional[str] = None,
     jobs: Optional[int] = None,
     prep: Optional[str] = None,
 ) -> TraversalConfig:
@@ -35,10 +34,7 @@ def btraversal_config(
     almost-satisfying graph and enumerating local maximal (k+1)-plexes;
     ``"refined"`` (default) uses the same Section 4 implementation as
     iTraversal, which is the "fair comparison" setting of Figure 11.
-    ``backend=None`` resolves to
-    :func:`repro.graph.protocol.default_backend` (``bitset`` unless the
-    ``REPRO_BACKEND`` environment variable says otherwise); ``jobs=None``
-    resolves via ``REPRO_JOBS`` (default 1 = serial).  Note that without
+    ``jobs=None`` resolves via ``REPRO_JOBS`` (default 1 = serial).  Note that without
     the exclusion strategy bTraversal's parallel shards overlap heavily —
     the run stays correct (the coordinator deduplicates) but the
     duplicated traversal work limits the speedup (see
@@ -47,11 +43,8 @@ def btraversal_config(
     thresholds — only ``"core+order"`` changes its traversal order);
     ``"off"`` pins raw canonical order.
     """
-    from ..graph.protocol import default_backend
     from ..prep import resolve_prep
 
-    if backend is None:
-        backend = default_backend()
     return TraversalConfig(
         prep=resolve_prep(prep),
         left_anchored=False,
@@ -63,7 +56,6 @@ def btraversal_config(
         time_limit=time_limit,
         output_order=output_order,
         local_enumeration=local_enumeration,
-        backend=backend,
         jobs=jobs,
     )
 
@@ -89,7 +81,6 @@ class BTraversal:
         time_limit: Optional[float] = None,
         output_order: str = "pre",
         local_enumeration: str = "refined",
-        backend: Optional[str] = None,
         jobs: Optional[int] = None,
         prep: Optional[str] = None,
     ) -> None:
@@ -104,7 +95,6 @@ class BTraversal:
                 time_limit=time_limit,
                 output_order=output_order,
                 local_enumeration=local_enumeration,
-                backend=backend,
                 jobs=jobs,
                 prep=prep,
             ),

@@ -38,12 +38,10 @@ from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..graph.bipartite import BipartiteGraph
-from ..graph.protocol import iter_bits, mask_of, supports_masks, supports_vector_batch
+from ..graph.protocol import iter_bits, mask_of
 from .biplex import (
     Biplex,
-    can_add_left,
     can_add_left_masked,
-    can_add_right,
     can_add_right_masked,
     is_k_biplex,
     is_maximal_k_biplex,
@@ -119,9 +117,9 @@ def enum_local_solutions(
         that forms many almost-satisfying graphs from the same solution (the
         traversal engines) computes them once and passes them in.
     solution_left_mask:
-        Optional packed form of ``left`` for mask-capable substrates; like
-        ``solution_right_missing`` it depends only on the solution, so the
-        traversal engines compute it once per solution.
+        Optional packed form of ``left``; like ``solution_right_missing`` it
+        depends only on the solution, so the traversal engines compute it
+        once per solution.
 
     Yields
     ------
@@ -134,34 +132,21 @@ def enum_local_solutions(
     if v in left:
         raise ValueError("the new vertex must not already belong to the solution")
 
-    # Packed left side, used by the word-parallel fast paths below when the
-    # substrate exposes adjacency masks; ``None`` selects the set paths.
-    if solution_left_mask is not None:
-        left_mask: Optional[int] = solution_left_mask
-    else:
-        left_mask = mask_of(left) if supports_masks(graph) else None
+    left_mask = mask_of(left) if solution_left_mask is None else solution_left_mask
 
     v_adjacency = graph.neighbors_of_left(v)
     r_keep = right & v_adjacency
     r_enum = sorted(right - v_adjacency)
 
     # Miss counts of the enumerable right vertices w.r.t. the *current* left
-    # side.  A vectorized batch substrate scores the whole right side in one
-    # popcount sweep (δ̄(u, L) = |L| − |Γ(u) ∩ L|); the traversal engines
-    # normally pass the counts in precomputed, so this path serves direct
-    # callers.
+    # side; the traversal engines normally pass them in precomputed, so
+    # this path serves direct callers.
     if solution_right_missing is not None:
         right_missing = solution_right_missing
-    elif left_mask is not None and supports_vector_batch(graph):
-        hits = graph.popcount_rows("right", left_mask).tolist()
-        size = len(left)
-        right_missing = {u: size - hits[u] for u in r_enum}
-    elif left_mask is not None:
+    else:
         right_missing = {
             u: (left_mask & ~graph.adj_right_mask(u)).bit_count() for u in r_enum
         }
-    else:
-        right_missing: Dict[int, int] = {u: graph.missing_right(u, left) for u in r_enum}
     r1_enum = [u for u in r_enum if right_missing[u] <= k - 1]
     r2_enum = [u for u in r_enum if right_missing[u] >= k]
     r_enum_set = set(r_enum)
@@ -219,65 +204,42 @@ def _enumerate_left_removals(
     v: int,
     k: int,
     left_refinement: int,
-    left_mask: Optional[int] = None,
+    left_mask: int,
 ) -> Iterator[Biplex]:
     """Enumerate removal sets from ``L`` for a fixed right side ``R'``.
 
     ``r2_selected`` are the chosen right vertices that currently miss ``k``
     vertices of ``L`` (and also miss ``v``), i.e. the vertices that force at
     least one left removal each.  The verification of each candidate is
-    incremental (see :func:`_is_local_solution`): only the vertices whose
-    constraints can actually have changed are re-checked.  When ``left_mask``
-    is given the substrate exposes adjacency masks and the verification runs
-    on packed vertex sets instead.
+    incremental (see :func:`_is_local_solution_masked`): only the vertices
+    whose constraints can actually have changed are re-checked, on packed
+    vertex sets (``left_mask`` is ``left`` packed).
     """
-    r_prime_mask = mask_of(r_prime) if left_mask is not None else None
+    r_prime_mask = mask_of(r_prime)
 
     if not r2_selected:
         # (L ∪ {v}, R') is already a k-biplex; the only candidate removal is ∅.
-        candidate_left = set(left)
-        candidate_left.add(v)
-        if left_mask is not None:
-            accepted = _is_local_solution_masked(
-                graph,
-                left_mask | (1 << v),
-                r_prime_mask,
-                0,
-                r_double_prime,
-                r_enum_set,
-                right_missing,
-                k,
-            )
-        else:
-            accepted = _is_local_solution(
-                graph,
-                candidate_left,
-                r_prime,
-                frozenset(),
-                r_double_prime,
-                r_enum_set,
-                right_missing,
-                v,
-                k,
-            )
-        if accepted:
-            yield Biplex.of(candidate_left, r_prime)
+        if _is_local_solution_masked(
+            graph,
+            left_mask | (1 << v),
+            r_prime_mask,
+            0,
+            r_double_prime,
+            r_enum_set,
+            right_missing,
+            k,
+        ):
+            yield Biplex.of(left | {v}, r_prime)
         return
 
     r2_set = set(r2_selected)
     # L_remo: left vertices with at least one non-neighbour in R''₂
     # (Section 4.3).  Collected from the R''₂ side, which is at most k
     # vertices, instead of scanning all of L.
-    if left_mask is not None:
-        removal_candidates_mask = 0
-        for u in r2_set:
-            removal_candidates_mask |= left_mask & ~graph.adj_right_mask(u)
-        removal_pool = list(iter_bits(removal_candidates_mask))
-    else:
-        removal_candidates: Set[int] = set()
-        for u in r2_set:
-            removal_candidates |= left - graph.neighbors_of_right(u)
-        removal_pool = sorted(removal_candidates)
+    removal_candidates_mask = 0
+    for u in r2_set:
+        removal_candidates_mask |= left_mask & ~graph.adj_right_mask(u)
+    removal_pool = list(iter_bits(removal_candidates_mask))
     budget = min(len(r2_selected), k, len(removal_pool))
     successful_removals: List[Set[int]] = []
     for size in range(budget + 1):
@@ -287,46 +249,29 @@ def _enumerate_left_removals(
                 prior <= removal_set for prior in successful_removals
             ):
                 continue
-            if left_mask is not None:
-                removal_mask = mask_of(removal)
-                accepted = _is_local_solution_masked(
-                    graph,
-                    (left_mask & ~removal_mask) | (1 << v),
-                    r_prime_mask,
-                    removal_mask,
-                    r_double_prime,
-                    r_enum_set,
-                    right_missing,
-                    k,
-                )
-                candidate_left = (left - removal_set) | {v} if accepted else None
-            else:
-                candidate_left = (left - removal_set) | {v}
-                accepted = _is_local_solution(
-                    graph,
-                    candidate_left,
-                    r_prime,
-                    removal_set,
-                    r_double_prime,
-                    r_enum_set,
-                    right_missing,
-                    v,
-                    k,
-                )
-            if accepted:
+            removal_mask = mask_of(removal)
+            if _is_local_solution_masked(
+                graph,
+                (left_mask & ~removal_mask) | (1 << v),
+                r_prime_mask,
+                removal_mask,
+                r_double_prime,
+                r_enum_set,
+                right_missing,
+                k,
+            ):
                 successful_removals.append(removal_set)
-                yield Biplex.of(candidate_left, r_prime)
+                yield Biplex.of((left - removal_set) | {v}, r_prime)
 
 
-def _is_local_solution(
-    graph: BipartiteGraph,
-    candidate_left: Set[int],
-    candidate_right: Set[int],
-    removal_set: Set[int],
+def _is_local_solution_masked(
+    graph,
+    candidate_left_mask: int,
+    candidate_right_mask: int,
+    removal_mask: int,
     r_double_prime: Set[int],
     r_enum_set: Set[int],
     right_missing: Dict[int, int],
-    v: int,
     k: int,
 ) -> bool:
     """Incremental check that a candidate ``(L' ∪ {v}, R')`` is a local solution.
@@ -340,46 +285,14 @@ def _is_local_solution(
       and the ``R_keep`` vertices are below their budgets by heredity, so it
       suffices to check ``δ̄(u, L') + 1 ≤ k`` for ``u ∈ R''``;
     * on the left, only the *removed* vertices can possibly be added back, so
-      local maximality on the left is checked against ``removal_set`` only;
+      local maximality on the left is checked against ``removal_mask`` only;
     * on the right, any vertex of ``R \\ R'`` would push ``v`` to
       ``|R''| + 1`` misses, so the right-side maximality check is needed only
       when ``|R''| < k``.
 
-    The reference (naive) implementation performs the full quadratic check;
-    the property-based tests compare the two on random inputs.
-    """
-    # (1) k-biplex predicate, restricted to the vertices that can violate it.
-    for u in r_double_prime:
-        removed_non_neighbors = len(removal_set - graph.neighbors_of_right(u)) if removal_set else 0
-        if right_missing[u] - removed_non_neighbors + 1 > k:
-            return False
-    # (2) Left-side local maximality: no removed vertex can be added back.
-    for w in removal_set:
-        if can_add_left(graph, candidate_left, candidate_right, w, k):
-            return False
-    # (3) Right-side local maximality: only possible when v has slack.
-    if len(r_double_prime) < k:
-        for u in r_enum_set - r_double_prime:
-            if can_add_right(graph, candidate_left, candidate_right, u, k):
-                return False
-    return True
-
-
-def _is_local_solution_masked(
-    graph,
-    candidate_left_mask: int,
-    candidate_right_mask: int,
-    removal_mask: int,
-    r_double_prime: Set[int],
-    r_enum_set: Set[int],
-    right_missing: Dict[int, int],
-    k: int,
-) -> bool:
-    """Bitmask twin of :func:`_is_local_solution` (same three checks).
-
-    The removed-non-neighbour counts and the two maximality sweeps operate
-    on packed vertex sets, so each per-vertex probe is a handful of
-    word-parallel bitwise operations instead of Python set arithmetic.
+    Every probe is a handful of word-parallel operations on packed vertex
+    sets.  The reference (naive) implementation performs the full quadratic
+    set-query check; the tests compare the two on random inputs.
     """
     adj_right_mask = graph.adj_right_mask
     # (1) k-biplex predicate, restricted to the vertices that can violate it.
@@ -466,21 +379,17 @@ def enum_local_solutions_inflation(
     """
     # Imported lazily to keep the baselines package optional at import time.
     from ..baselines.kplex import enumerate_maximal_kplexes
-    from ..graph.general import BitsetGraph, Graph
-    from ..graph.protocol import supports_masks
+    from ..graph.general import Graph
 
     v = new_left_vertex
     left_ids = sorted(left)
     right_ids = sorted(right)
     # Build the inflated graph of the almost-satisfying subgraph with compact
     # ids: left vertices (including v) come first, then the right vertices.
-    # A mask-capable input gets a mask-capable inflation, so the k-plex
-    # enumerator keeps its word-parallel fast path on the bitset backend.
     local_left = left_ids + [v]
     left_index = {vertex: index for index, vertex in enumerate(local_left)}
     right_index = {vertex: len(local_left) + index for index, vertex in enumerate(right_ids)}
-    graph_class = BitsetGraph if supports_masks(graph) else Graph
-    inflated = graph_class(len(local_left) + len(right_ids))
+    inflated = Graph(len(local_left) + len(right_ids))
     for i in range(len(local_left)):
         for j in range(i + 1, len(local_left)):
             inflated.add_edge(i, j)

@@ -29,7 +29,6 @@ def itraversal_config(
     max_results: Optional[int] = None,
     time_limit: Optional[float] = None,
     output_order: str = "pre",
-    backend: Optional[str] = None,
     jobs: Optional[int] = None,
     prep: Optional[str] = None,
     objective: str = "enumerate",
@@ -37,23 +36,17 @@ def itraversal_config(
 ) -> TraversalConfig:
     """Build the :class:`TraversalConfig` of iTraversal or one of its ablations.
 
-    ``backend=None`` (the default) resolves to
-    :func:`repro.graph.protocol.default_backend` — ``bitset`` unless
-    overridden via the ``REPRO_BACKEND`` environment variable.  ``jobs``
-    follows the same pattern for the sharded parallel engine: ``None``
-    resolves via ``REPRO_JOBS`` (default 1 = serial), ``0`` means one
-    worker per CPU core.  ``prep=None`` resolves via ``REPRO_PREP``
+    ``jobs`` selects the sharded parallel engine: ``None`` resolves via
+    ``REPRO_JOBS`` (default 1 = serial), ``0`` means one worker per CPU
+    core.  ``prep=None`` resolves via ``REPRO_PREP``
     (default ``"core"``, see :mod:`repro.prep`); ``"off"`` restores
     raw-graph canonical-order traversal exactly.  ``objective`` / ``top``
     select the solver objective (:mod:`repro.core.objective`):
     ``"enumerate"`` (default), ``"maximum"``, or ``"top-k"`` with
     ``top=N``.
     """
-    from ..graph.protocol import default_backend
     from ..prep import resolve_prep
 
-    if backend is None:
-        backend = default_backend()
     prep = resolve_prep(prep)
     return TraversalConfig(
         left_anchored=True,
@@ -66,7 +59,6 @@ def itraversal_config(
         max_results=max_results,
         time_limit=time_limit,
         output_order=output_order,
-        backend=backend,
         jobs=jobs,
         prep=prep,
         objective=objective,
@@ -92,11 +84,8 @@ class ITraversal:
         symmetric ``H0' = (L, R0)`` by mirroring the graph.
     theta_left, theta_right:
         Large-MBP size thresholds (Section 5); 0 disables them.
-    max_results, time_limit, output_order, enum_config, backend:
-        Passed through to the traversal engine.  ``backend`` defaults to
-        ``"bitset"`` (the graph is converted to the bitmask substrate for
-        the word-parallel hot paths); pass ``"set"`` — or export
-        ``REPRO_BACKEND=set`` — for plain-set adjacency.
+    max_results, time_limit, output_order, enum_config:
+        Passed through to the traversal engine.
     jobs:
         Worker processes for the sharded parallel engine
         (:mod:`repro.parallel`).  ``None`` resolves via ``REPRO_JOBS``
@@ -149,7 +138,6 @@ class ITraversal:
         max_results: Optional[int] = None,
         time_limit: Optional[float] = None,
         output_order: str = "pre",
-        backend: Optional[str] = None,
         jobs: Optional[int] = None,
         prep: Optional[str] = None,
         mode: str = "enumerate",
@@ -178,7 +166,6 @@ class ITraversal:
             max_results=max_results,
             time_limit=time_limit,
             output_order=output_order,
-            backend=backend,
             jobs=jobs,
             prep=prep,
             objective=mode,
@@ -259,7 +246,6 @@ def enumerate_mbps(
     variant: str = "full",
     max_results: Optional[int] = None,
     time_limit: Optional[float] = None,
-    backend: Optional[str] = None,
     jobs: Optional[int] = None,
     prep: Optional[str] = None,
     mode: str = "enumerate",
@@ -277,7 +263,6 @@ def enumerate_mbps(
         variant=variant,
         max_results=max_results,
         time_limit=time_limit,
-        backend=backend,
         jobs=jobs,
         prep=prep,
         mode=mode,
@@ -294,7 +279,6 @@ def enumerate_large_mbps(
     use_core_preprocessing: bool = True,
     max_results: Optional[int] = None,
     time_limit: Optional[float] = None,
-    backend: Optional[str] = None,
     jobs: Optional[int] = None,
     prep: Optional[str] = None,
 ) -> Tuple[List[Biplex], TraversalStats]:
@@ -315,7 +299,6 @@ def enumerate_large_mbps(
         use_core_preprocessing=use_core_preprocessing,
         max_results=max_results,
         time_limit=time_limit,
-        backend=backend,
         jobs=jobs,
         prep=prep,
     )

@@ -56,12 +56,6 @@ class LargeMBPEnumerator:
         ``None`` resolves via ``REPRO_PREP`` (default ``"core"``).
         ``"core+order"`` adds degeneracy candidate ordering on top of the
         reduction.
-    backend:
-        Adjacency substrate (``"set"``, ``"bitset"`` or ``"packed"``);
-        ``None`` resolves to :func:`repro.graph.protocol.default_backend`
-        (``bitset`` by default).  The conversion happens *before* the
-        reduction, so the peeling also runs on the word-parallel masked
-        path — fully vectorized on the ``packed`` backend.
     jobs:
         Worker processes for the sharded parallel engine
         (:mod:`repro.parallel`); ``None`` resolves via ``REPRO_JOBS``
@@ -89,7 +83,6 @@ class LargeMBPEnumerator:
         enum_config: EnumAlmostSatConfig = DEFAULT_CONFIG,
         max_results: Optional[int] = None,
         time_limit: Optional[float] = None,
-        backend: Optional[str] = None,
         jobs: Optional[int] = None,
         prep: Optional[str] = None,
         mode: str = "enumerate",
@@ -111,7 +104,6 @@ class LargeMBPEnumerator:
             theta_right=self.theta_right,
             max_results=max_results,
             time_limit=time_limit,
-            backend=backend,
             jobs=jobs,
             prep=prep,
             mode=mode,

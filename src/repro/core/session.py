@@ -8,14 +8,14 @@ that into the unit the service layer (and any paginating caller) works
 with:
 
 * a session owns one :class:`~repro.core.traversal.ReverseSearchEngine`
-  — graph (backend-converted), :class:`~repro.prep.plan.PrepPlan`,
+  — graph, :class:`~repro.prep.plan.PrepPlan`,
   :class:`~repro.core.traversal.TraversalConfig` — and exposes
   :meth:`next_batch` to pull the next ``n`` solutions;
 * :meth:`cursor` captures a **serializable resume token** between batches,
   and :meth:`resume` reconstructs a session from the token against the
   same graph — the resumed stream is the exact suffix of the
-  uninterrupted run (pinned by ``tests/test_session.py`` across backends,
-  job counts and prep modes);
+  uninterrupted run (pinned by ``tests/test_session.py`` across job counts
+  and prep modes);
 * :meth:`stream` is the classic lazy full enumeration, which is how the
   one-shot front ends (``ITraversal`` / ``BTraversal`` /
   ``LargeMBPEnumerator`` / ``enumerate_mbps``) now run: their ``run()`` is
@@ -71,12 +71,9 @@ exact schema is documented in ``ARCHITECTURE.md``).  Two cursor modes:
 Tokens carry a fingerprint of the reduced graph, ``k`` and every
 order-relevant configuration knob; resuming against a different graph or
 an incompatible configuration raises :class:`CursorError` instead of
-silently enumerating garbage.  The *backend* is deliberately not part of
-the fingerprint: all backends enumerate identical solution sets in
-identical order (the cross-backend differential harness pins this), so a
-cursor captured on ``bitset`` resumes fine on ``packed``.  Budget knobs
-(``max_results`` / ``time_limit`` / ``jobs``) are also excluded — a
-service may legitimately re-issue a resumed query with fresh budgets.
+silently enumerating garbage.  Budget knobs (``max_results`` /
+``time_limit`` / ``jobs``) are deliberately excluded — a service may
+legitimately re-issue a resumed query with fresh budgets.
 """
 
 from __future__ import annotations
@@ -145,9 +142,8 @@ class EnumerationSession:
     Parameters
     ----------
     graph:
-        Input bipartite graph (any backend; converted per the config).
-        Ignored when ``prep_plan`` is given — the plan's graph is already
-        converted and reduced.
+        Input bipartite graph.  Ignored when ``prep_plan`` is given — the
+        plan's graph is already reduced.
     k:
         Biplex parameter.
     config:
@@ -156,7 +152,7 @@ class EnumerationSession:
         the module docstring).
     prep_plan:
         Optional precomputed :class:`~repro.prep.plan.PrepPlan` — the
-        hot-graph registry's fast path (skip conversion + reduction).
+        hot-graph registry's fast path (skip the reduction).
 
     A session is a forward-only stream: :meth:`next_batch` and
     :meth:`stream` share one underlying iterator, and a consumed solution
@@ -328,10 +324,10 @@ class EnumerationSession:
         """Fingerprint of the prepared graph + order-relevant configuration.
 
         Hashes the engine's *reduced* adjacency (deterministic for a given
-        input graph + thresholds + prep mode, whatever the backend), ``k``,
+        input graph + thresholds + prep mode), ``k``,
         the traversal-shaping config fields and the plan's candidate
         orderings.  See the module docstring for what is deliberately
-        excluded (backend, budgets).
+        excluded (budgets).
         """
         if self._fingerprint is not None:
             return self._fingerprint
@@ -436,7 +432,7 @@ class EnumerationSession:
 
         ``graph`` / ``k`` / ``config`` must describe the same enumeration
         the cursor was captured from (validated via the fingerprint);
-        budget knobs and the backend may differ.  For ``offset`` cursors
+        budget knobs may differ.  For ``offset`` cursors
         the emitted prefix is skipped eagerly here — the call returns once
         the stream is positioned at the suffix.
         """

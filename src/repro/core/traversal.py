@@ -23,20 +23,13 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..graph.bipartite import BipartiteGraph, MirrorView
-from ..graph.protocol import (
-    BACKENDS,
-    BATCH_SWEEP_MIN_SIDE,
-    as_backend,
-    default_backend,
-    mask_of,
-    supports_masks,
-    supports_vector_batch,
-)
+# ``as_backend`` is an identity kept importable here: benchmark tracers wrap
+# it by module attribute.
+from ..graph.protocol import as_backend, mask_of  # noqa: F401
 from ..prep import PREP_MODES, default_prep, prepare
 from .biplex import (
     Biplex,
     arbitrary_initial_solution,
-    can_add_right,
     can_add_right_masked,
     extend_to_maximal,
     initial_solution_left_anchored,
@@ -120,18 +113,6 @@ class TraversalConfig:
         order varies run to run).  Ignored by serial runs, including the
         degenerate-plan fallback (fewer than two shards), which preserves
         the serial DFS order.
-    backend:
-        Adjacency substrate the engine runs on: ``"bitset"`` (the default —
-        the graph is converted to a
-        :class:`~repro.graph.bitset.BitsetBipartiteGraph` and the
-        word-parallel bitmask fast paths kick in), ``"packed"`` (a
-        :class:`~repro.graph.packed.PackedBipartiteGraph`, masks plus
-        ``uint64`` batch rows — vectorized with numpy, ``array('Q')``
-        fallback without) or ``"set"`` (the input
-        graph as-is).  All backends enumerate identical solution sets in
-        identical order; the default follows
-        :func:`repro.graph.protocol.default_backend` and can be flipped
-        globally with the ``REPRO_BACKEND`` environment variable.
     objective, top:
         What the traversal is searching *for*: ``"enumerate"`` (the
         default — every maximal k-biplex, streamed), ``"maximum"`` (the
@@ -144,7 +125,7 @@ class TraversalConfig:
         thresholds and the (α, β)-core subtree upper bound in
         ``_children``); the pruning is guarded by ``right_shrinking``,
         which every solver-capable variant enables.  The answer set is
-        deterministic across backends, job counts and prep modes; the
+        deterministic across job counts and prep modes; the
         solver-mode *work* counters are not (pruning depends on incumbent
         timing).
     prep:
@@ -174,7 +155,6 @@ class TraversalConfig:
     output_order: str = "pre"
     jobs: Optional[int] = None
     parallel_order: str = "sorted"
-    backend: str = field(default_factory=default_backend)
     prep: str = field(default_factory=default_prep)
     objective: str = "enumerate"
     top: Optional[int] = None
@@ -193,8 +173,6 @@ class TraversalConfig:
             raise ValueError("size thresholds must be non-negative")
         if self.local_enumeration not in ("refined", "inflation"):
             raise ValueError("local_enumeration must be 'refined' or 'inflation'")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
         if self.prep not in PREP_MODES:
             raise ValueError(f"prep must be one of {PREP_MODES}")
         if self.jobs is not None and self.jobs < 0:
@@ -305,15 +283,13 @@ class ReverseSearchEngine:
             raise ValueError("k must be a positive integer")
         self.config = config or TraversalConfig()
         if prep_plan is not None:
-            # A precomputed plan (the hot-graph registry's device: convert
-            # and prep once, hand the same plan to every engine over the
-            # same graph+thresholds).  The plan's graph is already on the
-            # requested backend; reduction and ordering are deterministic
+            # A precomputed plan (the hot-graph registry's device: prep once,
+            # hand the same plan to every engine over the same
+            # graph+thresholds).  Reduction and ordering are deterministic
             # fixpoints, so a shared plan reproduces exactly what this
             # constructor would have built from scratch.
             self.prep_plan = prep_plan
         else:
-            converted = as_backend(graph, self.config.backend)
             # The prep plan owns the reduced graph, the id maps back to the
             # caller's coordinate space (applied around run()) and the
             # candidate orderings (_candidate_vertices).  Reduction and
@@ -321,24 +297,19 @@ class ReverseSearchEngine:
             # re-prepares the already-reduced graph it receives reproduces the
             # coordinator's graph and order exactly.
             self.prep_plan = prepare(
-                converted,
+                graph,
                 k,
                 self.config.prep,
                 theta_left=self.config.theta_left,
                 theta_right=self.config.theta_right,
             )
         self.graph = self.prep_plan.graph
-        self._masked = supports_masks(self.graph)
-        self._batch = supports_vector_batch(self.graph)
-        # Whole-side scoring sweeps every row of one side per call; below
-        # the crossover the per-member mask loops are cheaper, so each
-        # sweep direction is gated on its side's size.
-        self._batch_score_left = (
-            self._batch and self.graph.n_left >= BATCH_SWEEP_MIN_SIDE
-        )
-        self._batch_score_right = (
-            self._batch and self.graph.n_right >= BATCH_SWEEP_MIN_SIDE
-        )
+        # The graph epoch this engine enumerates.  Without a reduction the
+        # plan's graph *is* the caller's object, so an edit made while a
+        # traversal is suspended would silently mix two epochs into one
+        # answer; every traversal entry point and every DFS step compares
+        # against this and raises instead (_check_epoch).
+        self.epoch = self.graph.epoch
         self.k = k
         self.stats = TraversalStats()
         # The objective strategy (enumerate-all / maximum / top-k): the
@@ -435,6 +406,7 @@ class ReverseSearchEngine:
 
     def _run_serial(self) -> Iterator[Biplex]:
         """The single-process DFS; also the fallback of degenerate parallel runs."""
+        self._check_epoch()
         self._start_time = time.perf_counter()
         self.stats = TraversalStats()
         self._visited = {}
@@ -496,6 +468,7 @@ class ReverseSearchEngine:
         # cascade fallback may have switched it off inside an earlier
         # shard, and each shard's traversal must stay a pure function of
         # its own (root, anchor, exclusion).
+        self._check_epoch()
         self._inherit_exclusions = self._inherit_exclusions_requested
         self.stats = TraversalStats()
         self._visited = {root: frozenset()}
@@ -566,6 +539,7 @@ class ReverseSearchEngine:
         are exact.  A configured ``time_limit`` budgets each resumed leg
         afresh (``elapsed_seconds`` still accumulates across legs).
         """
+        self._check_epoch()
         self.stats = stats
         # Budget flags are per-leg: the resumed leg runs under its own
         # (possibly different) caps, so a previous leg's truncation must
@@ -651,6 +625,9 @@ class ReverseSearchEngine:
             frame = stack[-1]
             solution, children, already_output, depth, _exclusion = frame
             child = next(children, None)
+            # After the step, before anything it produced is reported: a
+            # step that overlapped an edit of the graph is discarded.
+            self._check_epoch()
             if child is None:
                 # Pop before the (post-order) report so a cursor captured
                 # at that yield no longer carries the exhausted frame.
@@ -765,6 +742,22 @@ class ReverseSearchEngine:
         self._bound_core_cache = (bound, left, right)
         return left, right
 
+    def _check_epoch(self) -> None:
+        """Raise if the graph was edited since this engine was built.
+
+        The error is a :class:`~repro.core.session.StaleCursorError`: like a
+        cursor minted before an update, a suspended traversal cannot
+        continue on the new epoch.  Build a new engine to enumerate it.
+        """
+        if self.graph.epoch != self.epoch:
+            from .session import StaleCursorError
+
+            raise StaleCursorError(
+                "stale_cursor: the graph was mutated during this enumeration "
+                f"(enumeration epoch {self.epoch}, graph epoch "
+                f"{self.graph.epoch}); re-run the query to get fresh results"
+            )
+
     def _check_time(self) -> None:
         if self._cancel is not None and self._cancel():
             raise _LimitReached
@@ -877,32 +870,15 @@ class ReverseSearchEngine:
         # δ̄(u, L) for every u ∈ R and the packed left side depend only on
         # the solution, not on the candidate vertex; computing them once here
         # saves a factor |L| inside EnumAlmostSat (see enum_local_solutions'
-        # solution_right_missing / solution_left_mask).  A vectorized batch
-        # substrate scores the whole right side with one popcount sweep
-        # (δ̄(u, L) = |L| − |Γ(u) ∩ L|) instead of a per-vertex mask loop.
-        left_mask = mask_of(left) if self._masked else None
-        if left_mask is not None and self._batch_score_right:
-            hits = self.graph.popcount_rows("right", left_mask).tolist()
-            size = len(left)
-            right_missing = {u: size - hits[u] for u in right}
-        elif left_mask is not None:
-            adj_right_mask = self.graph.adj_right_mask
-            right_missing = {
-                u: (left_mask & ~adj_right_mask(u)).bit_count() for u in right
-            }
-        else:
-            right_missing = {
-                u: len(left - self.graph.neighbors_of_right(u)) for u in right
-            }
-        # Γ(v, R) sizes for the Section 5 almost-satisfying-graph pruning are
-        # likewise solution-level: score every left candidate in one sweep,
-        # or pack R once for a per-candidate mask popcount.
-        gamma_sizes = None
-        right_mask = None
-        if theta_right and self._masked:
-            right_mask = mask_of(right)
-            if self._batch_score_left:
-                gamma_sizes = self.graph.popcount_rows("left", right_mask).tolist()
+        # solution_right_missing / solution_left_mask).
+        left_mask = mask_of(left)
+        adj_right_mask = self.graph.adj_right_mask
+        right_missing = {
+            u: (left_mask & ~adj_right_mask(u)).bit_count() for u in right
+        }
+        # R packed once for the Section 5 almost-satisfying-graph pruning,
+        # which scores Γ(v, R) per left candidate with a mask popcount.
+        right_mask = mask_of(right) if theta_right else None
 
         processed: List[int] = list(processed_base) if processed_base is not None else []
         candidate_vertices = (
@@ -916,12 +892,7 @@ class ReverseSearchEngine:
             # Section 5, almost-satisfying-graph pruning (with the merged
             # bound-implied threshold in solver modes).
             if theta_right and side == "L":
-                if gamma_sizes is not None:
-                    gamma_size = gamma_sizes[vertex]
-                elif right_mask is not None:
-                    gamma_size = (self.graph.adj_left_mask(vertex) & right_mask).bit_count()
-                else:
-                    gamma_size = len(self.graph.gamma_left(vertex, right))
+                gamma_size = (self.graph.adj_left_mask(vertex) & right_mask).bit_count()
                 if gamma_size + self.k < theta_right:
                     if not (
                         config.theta_right
@@ -1117,62 +1088,39 @@ class ReverseSearchEngine:
         all such vertices pass or fail the addability test identically — so
         one representative stands in for them.
 
-        Mask substrates scan the right side by descending degree
-        (:meth:`_right_degree_order`) and stop at the first degree below
+        The probe scans the right side by descending degree
+        (:meth:`_right_degree_order`) and stops at the first degree below
         ``|L| - k``; each vertex scanned costs one ``&`` and a popcount
-        before the exact probe.  The scan beats a whole-side
-        ``popcount_rows`` sweep on every side size measured, so the packed
-        substrate takes it too.  The set backend counts adjacencies from
-        ``L``, proportional to the local solution's incident edges.
+        before the exact probe.
         """
         graph = self.graph
         k = self.k
         left = local.left
-        right = local.right
-        if self._masked:
-            left_mask = mask_of(left)
-            right_mask = mask_of(right)
-            need = len(left) - k
-            representative = need <= 0
-            adj_right_mask = graph.adj_right_mask
-            for u, degree in self._right_degree_order():
-                if degree < need:
-                    return False
-                if (right_mask >> u) & 1:
+        left_mask = mask_of(left)
+        right_mask = mask_of(local.right)
+        need = len(left) - k
+        representative = need <= 0
+        adj_right_mask = graph.adj_right_mask
+        for u, degree in self._right_degree_order():
+            if degree < need:
+                return False
+            if (right_mask >> u) & 1:
+                continue
+            hits = (adj_right_mask(u) & left_mask).bit_count()
+            if hits < need:
+                continue
+            if not hits:
+                if not representative:
                     continue
-                hits = (adj_right_mask(u) & left_mask).bit_count()
-                if hits < need:
-                    continue
-                if not hits:
-                    if not representative:
-                        continue
-                    representative = False
-                if can_add_right_masked(graph, left_mask, right_mask, u, k):
-                    return True
-            return False
-        counts: dict = {}
-        for v in left:
-            for u in graph.neighbors_of_left(v):
-                counts[u] = counts.get(u, 0) + 1
-        threshold = max(len(left) - k, 1)
-        candidates = [
-            u for u, count in counts.items() if count >= threshold and u not in right
-        ]
-        if len(left) <= k:
-            representative = next(
-                (u for u in graph.right_vertices() if u not in counts and u not in right),
-                None,
-            )
-            if representative is not None:
-                candidates.append(representative)
-        left_set = set(left)
-        right_set = set(right)
-        return any(can_add_right(graph, left_set, right_set, u, k) for u in candidates)
+                representative = False
+            if can_add_right_masked(graph, left_mask, right_mask, u, k):
+                return True
+        return False
 
     def _right_degree_order(self) -> List[Tuple[int, int]]:
         """``(u, deg(u))`` for every right vertex, by descending degree.
 
-        Built on a run's first mask probe rather than in the constructor,
+        Built on a run's first probe rather than in the constructor,
         and rebuilt whenever the graph's ``epoch`` changes, so an in-place
         edge update can never leave a stale degree cutoff.
         """

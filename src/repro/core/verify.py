@@ -23,9 +23,10 @@ def check_solution(
 ) -> None:
     """Raise :class:`AssertionError` unless ``solution`` is a maximal k-biplex.
 
-    ``label`` names the producer of the solution (an algorithm, a backend)
-    and is prefixed to the failure message, so harnesses that sweep many
-    algorithm × backend combinations report *which* one broke.
+    ``label`` names the producer of the solution (an algorithm, a
+    configuration) and is prefixed to the failure message, so harnesses
+    that sweep many algorithm × configuration combinations report *which*
+    one broke.
     """
     if not is_k_biplex(graph, solution.left, solution.right, k):
         raise AssertionError(f"{_prefix(label)}{solution!r} is not a {k}-biplex")

@@ -1,7 +1,6 @@
 """Graph substrates: bipartite graphs, general graphs, generators, cores, I/O."""
 
 from .bipartite import BipartiteGraph, Side, freeze, paper_example_graph, sorted_tuple
-from .bitset import BitsetBipartiteGraph
 from .cores import alpha_beta_core, alpha_beta_core_subgraph, theta_core_for_large_mbps
 from .dynamic import (
     AlphaBetaCoreIndex,
@@ -9,7 +8,7 @@ from .dynamic import (
     DynamicGraphIndex,
     recomputed_oracle,
 )
-from .general import BitsetGraph, Graph
+from .general import Graph
 from .generators import (
     FraudInjection,
     erdos_renyi_bipartite,
@@ -20,57 +19,15 @@ from .generators import (
 )
 from .inflate import inflate, inflated_edge_count, join_vertex_sets, split_vertex_set
 from .io import read_edge_list, read_konect, write_edge_list, write_konect
-from .packed import (
-    ArrayPackedBipartiteGraph,
-    ArrayPackedGraph,
-    PackedBackendUnavailable,
-    PackedBipartiteGraph,
-    PackedGraph,
-    packed_available,
-    packed_bipartite_class,
-    packed_graph_class,
-)
-from .protocol import (
-    BACKEND_ENV_VAR,
-    BACKENDS,
-    BipartiteSubstrate,
-    MaskedBipartiteSubstrate,
-    as_backend,
-    available_backends,
-    default_backend,
-    iter_bits,
-    mask_of,
-    supports_batch,
-    supports_masks,
-    supports_vector_batch,
-)
+from .protocol import BipartiteSubstrate, iter_bits, mask_of
 
 __all__ = [
     "BipartiteGraph",
-    "BitsetBipartiteGraph",
     "BipartiteSubstrate",
-    "MaskedBipartiteSubstrate",
-    "BACKENDS",
-    "BACKEND_ENV_VAR",
-    "as_backend",
-    "available_backends",
-    "default_backend",
     "iter_bits",
     "mask_of",
-    "supports_batch",
-    "supports_masks",
-    "supports_vector_batch",
     "Side",
     "Graph",
-    "BitsetGraph",
-    "ArrayPackedBipartiteGraph",
-    "ArrayPackedGraph",
-    "PackedBackendUnavailable",
-    "PackedBipartiteGraph",
-    "PackedGraph",
-    "packed_available",
-    "packed_bipartite_class",
-    "packed_graph_class",
     "FraudInjection",
     "freeze",
     "sorted_tuple",

@@ -15,12 +15,17 @@ algorithms:
 * induced subgraph reasoning without materialising subgraph copies,
 * cheap iteration over both sides.
 
-Adjacency is stored as one ``set`` per vertex per side, which makes the
-membership tests that dominate the k-biplex predicates O(1).  A bitmask
-backend with word-parallel intersections lives in
-:class:`repro.graph.bitset.BitsetBipartiteGraph`; see
-:mod:`repro.graph.protocol` for the substrate protocol both implement and
-:meth:`BipartiteGraph.to_bitset` for the conversion.
+Adjacency is stored twice per vertex per side, kept in lockstep by every
+mutation: one ``set`` (O(1) membership, the set-query predicates) and one
+Python-int bitmask whose set bits are the neighbour ids.  The masks make the
+predicates that dominate the enumeration word-parallel:
+
+* ``Γ(v, S)`` becomes ``adj_left_mask(v) & mask_of(S)``,
+* ``δ̄(v, S)`` becomes ``(mask_of(S) & ~adj_left_mask(v)).bit_count()``,
+* the ``can_add_left/right`` checks walk only the set bits of a small
+  "missed" mask instead of scanning a Python set per candidate.
+
+See :mod:`repro.graph.protocol` for the substrate protocol.
 """
 
 from __future__ import annotations
@@ -62,9 +67,20 @@ class BipartiteGraph:
     [0, 1]
     >>> g.has_edge(1, 0)
     False
+    >>> bin(g.adj_left_mask(0))
+    '0b11'
     """
 
-    __slots__ = ("_n_left", "_n_right", "_adj_left", "_adj_right", "_num_edges", "_epoch")
+    __slots__ = (
+        "_n_left",
+        "_n_right",
+        "_adj_left",
+        "_adj_right",
+        "_left_masks",
+        "_right_masks",
+        "_num_edges",
+        "_epoch",
+    )
 
     def __init__(
         self,
@@ -78,6 +94,8 @@ class BipartiteGraph:
         self._n_right = n_right
         self._adj_left: List[Set[int]] = [set() for _ in range(n_left)]
         self._adj_right: List[Set[int]] = [set() for _ in range(n_right)]
+        self._left_masks: List[int] = [0] * n_left
+        self._right_masks: List[int] = [0] * n_right
         self._num_edges = 0
         self._epoch = 0
         for left_vertex, right_vertex in edges:
@@ -160,6 +178,8 @@ class BipartiteGraph:
             return False
         self._adj_left[left_vertex].add(right_vertex)
         self._adj_right[right_vertex].add(left_vertex)
+        self._left_masks[left_vertex] |= 1 << right_vertex
+        self._right_masks[right_vertex] |= 1 << left_vertex
         self._num_edges += 1
         self._epoch += 1
         return True
@@ -172,6 +192,8 @@ class BipartiteGraph:
             return False
         self._adj_left[left_vertex].discard(right_vertex)
         self._adj_right[right_vertex].discard(left_vertex)
+        self._left_masks[left_vertex] &= ~(1 << right_vertex)
+        self._right_masks[right_vertex] &= ~(1 << left_vertex)
         self._num_edges -= 1
         self._epoch += 1
         return True
@@ -202,18 +224,15 @@ class BipartiteGraph:
         self._epoch = saved + 1 if (added or removed) else saved
         return added, removed
 
-    def reset_epoch(self, epoch: int = 0) -> None:
-        """Overwrite the mutation counter (default: re-zero it).
+    def reset_epoch(self) -> None:
+        """Re-zero the mutation counter.
 
         For builders (the random-graph generators) that assemble a graph
         through ``add_edge`` and then hand it out as a *fresh* object: the
         assembly edges are construction, not mutation, so the published
-        graph should start at epoch 0 like a constructor-built one.  The
-        hot-graph registry passes an explicit ``epoch`` to stamp a backend
-        conversion with its source graph's counter, keeping the two in
-        lockstep under later batches.
+        graph should start at epoch 0 like a constructor-built one.
         """
-        self._epoch = epoch
+        self._epoch = 0
 
     def add_left_vertex(self) -> int:
         """Grow the left side by one isolated vertex; returns its new id.
@@ -223,6 +242,7 @@ class BipartiteGraph:
         so cached results over the smaller graph are stale.
         """
         self._adj_left.append(set())
+        self._left_masks.append(0)
         self._n_left += 1
         self._epoch += 1
         return self._n_left - 1
@@ -230,6 +250,7 @@ class BipartiteGraph:
     def add_right_vertex(self) -> int:
         """Grow the right side by one isolated vertex; returns its new id."""
         self._adj_right.append(set())
+        self._right_masks.append(0)
         self._n_right += 1
         self._epoch += 1
         return self._n_right - 1
@@ -258,6 +279,27 @@ class BipartiteGraph:
         if side is Side.LEFT:
             return self.neighbors_of_left(vertex)
         return self.neighbors_of_right(vertex)
+
+    def adj_left_mask(self, left_vertex: int) -> int:
+        """Bitmask over right ids: bit ``u`` is set iff ``(v, u)`` is an edge.
+
+        Hot path: no bounds check beyond list indexing.
+        """
+        return self._left_masks[left_vertex]
+
+    def adj_right_mask(self, right_vertex: int) -> int:
+        """Bitmask over left ids: bit ``v`` is set iff ``(v, u)`` is an edge."""
+        return self._right_masks[right_vertex]
+
+    @property
+    def full_left_mask(self) -> int:
+        """Mask with one bit per left vertex (the left universe ``L``)."""
+        return (1 << self._n_left) - 1
+
+    @property
+    def full_right_mask(self) -> int:
+        """Mask with one bit per right vertex (the right universe ``R``)."""
+        return (1 << self._n_right) - 1
 
     def degree_of_left(self, left_vertex: int) -> int:
         """Degree of a left vertex."""
@@ -334,7 +376,7 @@ class BipartiteGraph:
         right_ids = sorted(set(right_subset))
         left_index = {original: new for new, original in enumerate(left_ids)}
         right_index = {original: new for new, original in enumerate(right_ids)}
-        subgraph = type(self)(len(left_ids), len(right_ids))
+        subgraph = BipartiteGraph(len(left_ids), len(right_ids))
         for original_left in left_ids:
             adjacency = self._adj_left[original_left]
             for original_right in right_ids:
@@ -349,47 +391,19 @@ class BipartiteGraph:
                 yield (left_vertex, right_vertex)
 
     def copy(self) -> "BipartiteGraph":
-        """Return a deep copy of the graph (preserving the backend)."""
-        return type(self)(self._n_left, self._n_right, self.edges())
+        """Return a deep copy of the graph."""
+        return BipartiteGraph(self._n_left, self._n_right, self.edges())
 
     def swap_sides(self) -> "BipartiteGraph":
-        """Return a graph with the two sides exchanged (preserving the backend).
+        """Return a graph with the two sides exchanged.
 
         Used by the *right-anchored* traversal variant, which is the mirror
         image of the left-anchored traversal described in the paper.
         """
-        swapped = type(self)(self._n_right, self._n_left)
+        swapped = BipartiteGraph(self._n_right, self._n_left)
         for left_vertex, right_vertex in self.edges():
             swapped.add_edge(right_vertex, left_vertex)
         return swapped
-
-    def to_bitset(self) -> "BipartiteGraph":
-        """Return a bitset-backed copy of this graph.
-
-        The returned :class:`repro.graph.bitset.BitsetBipartiteGraph`
-        compares equal to ``self`` and answers every set query identically,
-        but additionally exposes per-vertex adjacency bitmasks that the core
-        algorithms exploit for word-parallel fast paths.
-        """
-        from .bitset import BitsetBipartiteGraph
-
-        return BitsetBipartiteGraph(self._n_left, self._n_right, self.edges())
-
-    def to_packed(self) -> "BipartiteGraph":
-        """Return a packed copy of this graph.
-
-        With numpy available the returned
-        :class:`repro.graph.packed.PackedBipartiteGraph` exposes contiguous
-        ``uint64`` bit-matrix rows for whole-side vectorized predicates;
-        without numpy the ``array('Q')``-backed
-        :class:`repro.graph.packed.ArrayPackedBipartiteGraph` provides the
-        same batch surface (bit-identical results, no vectorization).
-        Either way the copy compares equal to ``self`` and answers every set
-        and mask query identically.
-        """
-        from .packed import packed_bipartite_class
-
-        return packed_bipartite_class()(self._n_left, self._n_right, self.edges())
 
     # ------------------------------------------------------------------ #
     # Dunder / helpers
@@ -539,45 +553,12 @@ class MirrorView:
     def missing_right(self, right_vertex: int, left_subset: Iterable[int]) -> int:
         return self._graph.missing_left(right_vertex, left_subset)
 
-    # -- adjacency-mask capability, forwarded with the sides exchanged ---- #
-    @property
-    def supports_masks(self) -> bool:
-        return bool(getattr(self._graph, "supports_masks", False))
-
+    # -- adjacency masks, forwarded with the sides exchanged -------------- #
     def adj_left_mask(self, left_vertex: int) -> int:
         return self._graph.adj_right_mask(left_vertex)
 
     def adj_right_mask(self, right_vertex: int) -> int:
         return self._graph.adj_left_mask(right_vertex)
-
-    # -- batch-row capability, forwarded with the sides exchanged --------- #
-    @property
-    def supports_batch(self) -> bool:
-        return bool(getattr(self._graph, "supports_batch", False))
-
-    @property
-    def batch_vectorized(self) -> bool:
-        return bool(getattr(self._graph, "batch_vectorized", False))
-
-    @staticmethod
-    def _flipped(side):
-        if isinstance(side, Side):
-            return Side.RIGHT if side is Side.LEFT else Side.LEFT
-        if side in ("left", "right"):
-            return "right" if side == "left" else "left"
-        raise ValueError(f"side must be 'left', 'right' or a Side enum, got {side!r}")
-
-    def rows(self, side):
-        return self._graph.rows(self._flipped(side))
-
-    def row_bits(self, side) -> int:
-        return self._graph.row_bits(self._flipped(side))
-
-    def popcount_rows(self, side, mask=None):
-        return self._graph.popcount_rows(self._flipped(side), mask)
-
-    def common_neighbors_matrix(self, side, anchors=None, others=None):
-        return self._graph.common_neighbors_matrix(self._flipped(side), anchors, others)
 
 
 VertexSet = FrozenSet[int]

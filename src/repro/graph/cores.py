@@ -14,14 +14,8 @@ uses it in two places:
 
 The implementation is the standard peeling algorithm: repeatedly delete any
 vertex violating its degree constraint; the result is order-independent.
-On a mask-capable substrate the alive sets are bitmasks and the degree
-updates walk only the set bits of ``adjacency & alive``.  On a vectorized
-batch substrate (the numpy ``packed`` classes) peeling is *round-based
-and whole-side vectorized*: every violating vertex of a round is removed at
-once and both degree vectors are recomputed with one
-``np.bitwise_and`` + popcount sweep against the packed removal rows.  All
-paths peel the same vertices (the (α, β)-core is unique), so ``set``,
-``bitset`` and ``packed`` graphs stay drop-in equivalent.
+The alive sets are bitmasks and the degree updates walk only the set bits
+of ``adjacency & alive``.
 """
 
 from __future__ import annotations
@@ -30,7 +24,6 @@ from collections import deque
 from typing import Set, Tuple
 
 from .bipartite import BipartiteGraph
-from .protocol import supports_masks, supports_vector_batch
 
 
 def alpha_beta_core(graph: BipartiteGraph, alpha: int, beta: int) -> Tuple[Set[int], Set[int]]:
@@ -39,93 +32,6 @@ def alpha_beta_core(graph: BipartiteGraph, alpha: int, beta: int) -> Tuple[Set[i
     ``alpha`` constrains left-vertex degrees and ``beta`` constrains
     right-vertex degrees.  Either set may be empty.  Values of 0 or below
     impose no constraint on that side.
-    """
-    if supports_vector_batch(graph):
-        return _alpha_beta_core_packed(graph, alpha, beta)
-    if supports_masks(graph):
-        return _alpha_beta_core_masked(graph, alpha, beta)
-    left_degree = {v: graph.degree_of_left(v) for v in graph.left_vertices()}
-    right_degree = {u: graph.degree_of_right(u) for u in graph.right_vertices()}
-    left_alive: Set[int] = set(graph.left_vertices())
-    right_alive: Set[int] = set(graph.right_vertices())
-
-    queue = deque()
-    for v, degree in left_degree.items():
-        if degree < alpha:
-            queue.append(("L", v))
-    for u, degree in right_degree.items():
-        if degree < beta:
-            queue.append(("R", u))
-
-    while queue:
-        side, vertex = queue.popleft()
-        if side == "L":
-            if vertex not in left_alive:
-                continue
-            left_alive.discard(vertex)
-            for u in graph.neighbors_of_left(vertex):
-                if u in right_alive:
-                    right_degree[u] -= 1
-                    if right_degree[u] < beta:
-                        queue.append(("R", u))
-        else:
-            if vertex not in right_alive:
-                continue
-            right_alive.discard(vertex)
-            for v in graph.neighbors_of_right(vertex):
-                if v in left_alive:
-                    left_degree[v] -= 1
-                    if left_degree[v] < alpha:
-                        queue.append(("L", v))
-    return left_alive, right_alive
-
-
-def _alpha_beta_core_packed(graph, alpha: int, beta: int) -> Tuple[Set[int], Set[int]]:
-    """Round-based, whole-side vectorized twin of the peeling loop.
-
-    Each round removes *every* currently violating vertex on both sides at
-    once; the surviving degrees are then adjusted by one batched
-    ``popcount(adjacency & removed)`` per side.  Simultaneous removal
-    reaches the same fixpoint as one-at-a-time peeling because the
-    (α, β)-core is unique and peeling is monotone.
-    """
-    import numpy as np
-
-    from .packed import pack_indices
-
-    left_deg = graph.popcount_rows("left")
-    right_deg = graph.popcount_rows("right")
-    left_alive = np.ones(graph.n_left, dtype=bool)
-    right_alive = np.ones(graph.n_right, dtype=bool)
-    while True:
-        drop_left = left_alive & (left_deg < alpha)
-        drop_right = right_alive & (right_deg < beta)
-        if not drop_left.any() and not drop_right.any():
-            break
-        # Degrees of removed vertices go stale, but they are masked out of
-        # every later round by the alive filters above.
-        if drop_left.any():
-            left_alive &= ~drop_left
-            removed = pack_indices(drop_left, graph.n_left)
-            right_deg = right_deg - graph.popcount_rows("right", removed)
-        if drop_right.any():
-            right_alive &= ~drop_right
-            removed = pack_indices(drop_right, graph.n_right)
-            left_deg = left_deg - graph.popcount_rows("left", removed)
-    return (
-        set(np.nonzero(left_alive)[0].tolist()),
-        set(np.nonzero(right_alive)[0].tolist()),
-    )
-
-
-def _alpha_beta_core_masked(graph, alpha: int, beta: int) -> Tuple[Set[int], Set[int]]:
-    """Bitmask twin of the peeling loop.
-
-    Alive sets are bitmasks, so the per-neighbour "is it still alive?" test
-    is a single shift instead of a set lookup, and the surviving-degree
-    recount after a removal walks only ``adjacency & alive`` bits.  Initial
-    degrees come from the adjacency sets (a masked substrate always answers
-    set queries too), which is O(1) per vertex.
     """
     left_alive = (1 << graph.n_left) - 1
     right_alive = (1 << graph.n_right) - 1

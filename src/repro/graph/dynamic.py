@@ -29,7 +29,7 @@ Three indices, one facade:
 
 From-scratch recomputation stays the differential oracle: the mutation test
 suite asserts every maintained quantity equals its recomputed twin after
-random update sequences on all three backends.
+random update sequences.
 """
 
 from __future__ import annotations

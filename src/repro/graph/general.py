@@ -7,12 +7,10 @@ maximal k-biplexes of the original bipartite graph (Section 1 and Section 6
 of the paper).  The maximal k-plex enumerator in
 :mod:`repro.baselines.kplex` operates on this class.
 
-:class:`BitsetGraph` is the mask-capable sibling (the general-graph analogue
-of :class:`repro.graph.bitset.BitsetBipartiteGraph`): it additionally keeps
-one adjacency bitmask per vertex, which the k-plex enumerator's ``_fits`` /
-``_add`` hot loop turns into word-parallel non-neighbour popcounts.  The
-numpy-backed :class:`repro.graph.packed.PackedGraph` extends it with packed
-``uint64`` rows (``inflate(..., backend="packed")``).
+Like :class:`~repro.graph.bipartite.BipartiteGraph`, the graph keeps one
+adjacency set and one adjacency bitmask per vertex in lockstep; the k-plex
+enumerator's ``_fits`` / ``_add`` hot loop turns the masks into
+word-parallel non-neighbour popcounts.
 """
 
 from __future__ import annotations
@@ -38,15 +36,18 @@ class Graph:
     2
     >>> g.has_edge(0, 2)
     False
+    >>> bin(g.adj_mask(1))
+    '0b101'
     """
 
-    __slots__ = ("_n", "_adj", "_num_edges")
+    __slots__ = ("_n", "_adj", "_masks", "_num_edges")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()) -> None:
         if n < 0:
             raise ValueError("number of vertices must be non-negative")
         self._n = n
         self._adj: List[Set[int]] = [set() for _ in range(n)]
+        self._masks: List[int] = [0] * n
         self._num_edges = 0
         for u, v in edges:
             self.add_edge(u, v)
@@ -75,6 +76,8 @@ class Graph:
             return False
         self._adj[u].add(v)
         self._adj[v].add(u)
+        self._masks[u] |= 1 << v
+        self._masks[v] |= 1 << u
         self._num_edges += 1
         return True
 
@@ -88,6 +91,15 @@ class Graph:
         """The neighbour set of ``u`` (the stored set; do not mutate)."""
         self._check(u)
         return self._adj[u]
+
+    def adj_mask(self, u: int) -> int:
+        """Bitmask over vertex ids of the neighbours of ``u``."""
+        return self._masks[u]
+
+    @property
+    def full_mask(self) -> int:
+        """Mask with one bit per vertex (the whole vertex universe)."""
+        return (1 << self._n) - 1
 
     def degree(self, u: int) -> int:
         """Degree of ``u``."""
@@ -126,20 +138,6 @@ class Graph:
                 return False
         return True
 
-    def to_bitset(self) -> "BitsetGraph":
-        """Return a mask-capable copy of this graph (see :class:`BitsetGraph`)."""
-        return BitsetGraph(self._n, self.edges())
-
-    def to_packed(self) -> "Graph":
-        """Return a packed copy (see :class:`repro.graph.packed.PackedGraph`).
-
-        Falls back to the numpy-free
-        :class:`repro.graph.packed.ArrayPackedGraph` when numpy is absent.
-        """
-        from .packed import packed_graph_class
-
-        return packed_graph_class()(self._n, self.edges())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self._n}, num_edges={self._num_edges})"
 
@@ -147,55 +145,3 @@ class Graph:
         if not 0 <= u < self._n:
             raise IndexError(f"vertex {u} out of range [0, {self._n})")
 
-
-class BitsetGraph(Graph):
-    """A :class:`Graph` that also maintains one adjacency bitmask per vertex.
-
-    Bit ``v`` of ``adj_mask(u)`` is set iff ``{u, v}`` is an edge.  The class
-    keeps the exact public API of ``Graph`` (it *is* one); the k-plex
-    enumerator detects the capability via
-    :func:`repro.graph.protocol.supports_masks` and switches its hot
-    predicates to word-parallel bitwise operations.
-
-    Examples
-    --------
-    >>> g = BitsetGraph(3, edges=[(0, 1), (1, 2)])
-    >>> bin(g.adj_mask(1))
-    '0b101'
-    >>> g.to_bitset() is g
-    True
-    """
-
-    __slots__ = ("_masks",)
-
-    #: Capability flag: tells the algorithms the bitwise fast paths apply.
-    supports_masks = True
-
-    def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()) -> None:
-        # The masks must exist before the base constructor replays ``edges``
-        # through our ``add_edge`` override.
-        self._masks: List[int] = [0] * max(n, 0)
-        super().__init__(n, edges)
-
-    def adj_mask(self, u: int) -> int:
-        """Bitmask over vertex ids of the neighbours of ``u``."""
-        return self._masks[u]
-
-    @property
-    def full_mask(self) -> int:
-        """Mask with one bit per vertex (the whole vertex universe)."""
-        return (1 << self._n) - 1
-
-    def add_edge(self, u: int, v: int) -> bool:
-        if not super().add_edge(u, v):
-            return False
-        self._masks[u] |= 1 << v
-        self._masks[v] |= 1 << u
-        return True
-
-    def to_bitset(self) -> "BitsetGraph":
-        """Already bitset-backed: return ``self`` (no copy)."""
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BitsetGraph(n={self._n}, num_edges={self._num_edges})"

@@ -17,38 +17,23 @@ from __future__ import annotations
 from typing import FrozenSet, Tuple
 
 from .bipartite import BipartiteGraph
-from .general import BitsetGraph, Graph
-from .protocol import BACKENDS
+from .general import Graph
 
 
-def inflate(graph: BipartiteGraph, backend: str = "set") -> Graph:
+def inflate(graph: BipartiteGraph) -> Graph:
     """Return the inflated general graph of ``graph``.
 
     The output has ``n_left + n_right`` vertices.  Within-side edges form
     two cliques; cross-side edges are copied from the bipartite graph.
-    ``backend="bitset"`` builds a mask-capable :class:`BitsetGraph`, which
-    lets the k-plex enumerator running on the inflation use its
-    word-parallel fast paths; ``backend="packed"`` builds a
-    :class:`repro.graph.packed.PackedGraph` (masks plus numpy ``uint64``
-    rows) or, when numpy is absent, the ``array('Q')``-backed
-    :class:`repro.graph.packed.ArrayPackedGraph` fallback.
 
     Warning: the inflated graph has ``Θ(|L|² + |R|²)`` edges, which is the
     very reason the inflation baseline does not scale (the paper reports
     96 k bipartite edges inflating to more than 200 M general edges on the
     Marvel dataset).
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     n_left = graph.n_left
     n_right = graph.n_right
-    if backend == "packed":
-        from .packed import packed_graph_class
-
-        graph_class = packed_graph_class()
-    else:
-        graph_class = BitsetGraph if backend == "bitset" else Graph
-    inflated = graph_class(n_left + n_right)
+    inflated = Graph(n_left + n_right)
     for u in range(n_left):
         for v in range(u + 1, n_left):
             inflated.add_edge(u, v)

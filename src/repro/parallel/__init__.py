@@ -78,7 +78,7 @@ import os
 from typing import Optional
 
 #: Environment variable supplying the default worker count when
-#: ``TraversalConfig.jobs`` is ``None`` (mirrors ``REPRO_BACKEND``).
+#: ``TraversalConfig.jobs`` is ``None`` (mirrors ``REPRO_PREP``).
 JOBS_ENV_VAR = "REPRO_JOBS"
 
 

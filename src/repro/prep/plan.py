@@ -15,8 +15,7 @@ solutions back, and the candidate orderings.  Three modes:
   traversal order.
 
 The ``REPRO_PREP`` environment variable flips the default globally (CI
-runs a tier-1 leg with ``REPRO_PREP=core+order``), mirroring how
-``REPRO_BACKEND`` selects the adjacency substrate.
+runs a tier-1 leg with ``REPRO_PREP=core+order``).
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ def default_order_strategy() -> str:
 
     ``degeneracy`` by default (the paper's BBK-style peel); set
     ``REPRO_ORDER`` to ``degree``, ``gamma`` or ``auto`` to flip it
-    globally, mirroring ``REPRO_PREP`` / ``REPRO_BACKEND``.
+    globally, mirroring ``REPRO_PREP``.
     """
     strategy = os.environ.get(ORDER_ENV_VAR, "degeneracy")
     if strategy not in ORDER_STRATEGIES:

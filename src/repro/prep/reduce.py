@@ -29,9 +29,8 @@ maximal k-biplex meeting the ``(θ_L, θ_R)`` size thresholds:
   maximal in ``G`` stays maximal in the peeled graph because any blocking
   extension would itself sit inside a (surviving) qualifying biplex.
 
-The reduction returns a compacted graph of the *same substrate class* as
-its input (``induced_subgraph_with_mapping`` preserves the backend) plus
-``new id → original id`` maps for both sides.
+The reduction returns a compacted graph plus ``new id → original id`` maps
+for both sides.
 """
 
 from __future__ import annotations

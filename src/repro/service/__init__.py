@@ -10,7 +10,7 @@ layering (bottom up; ``ARCHITECTURE.md`` has the full picture):
 * **service** (this package) — everything a daemon needs on top:
 
   - :class:`~repro.service.registry.HotGraphRegistry` keeps graphs *hot*:
-    load / backend-convert / prep-reduce once, keyed by graph source and
+    load / prep-reduce once, keyed by graph source and
     prep fingerprint, LRU-bounded, with hit counters so tests (and the
     ``/v1/stats`` endpoint) can assert that a repeated query skipped the
     cold path;

@@ -1,6 +1,6 @@
 """A stdlib-asyncio HTTP/JSON front end for :class:`~repro.service.query.QueryService`.
 
-No web framework — the container policy is stdlib + numpy — so this is a
+No web framework — the package depends on the standard library only — so this is a
 deliberately small HTTP/1.1 server on ``asyncio.start_server``: parse one
 request, dispatch, write one JSON response, close.  Enumeration work is
 synchronous CPU-bound Python, so handlers run it on a thread pool via

@@ -4,7 +4,7 @@
 ``repro-mbp query`` CLI family) call into.  It owns the composition:
 normalize the query document, resolve the graph and prep plan through the
 :class:`~repro.service.registry.HotGraphRegistry` (the hot path skips
-load + conversion + reduction entirely), build the
+load + reduction entirely), build the
 :class:`~repro.core.traversal.TraversalConfig` with budget-clamped
 limits, and run either a one-shot enumeration (with result caching) or a
 paginated one through the :class:`~repro.service.sessions.SessionTable`.
@@ -18,7 +18,7 @@ A query is a JSON-shaped dict::
      "k": 1,
      "variant": "full",              # ITraversal.VARIANTS
      "theta_left": 0, "theta_right": 0,
-     "backend": null, "prep": null,  # null → REPRO_* defaults
+     "prep": null,                   # null → REPRO_PREP default
      "order_strategy": null,         # null → REPRO_ORDER default
      "jobs": null,                   # null → REPRO_JOBS default
      "max_results": null, "time_limit": null,
@@ -27,7 +27,9 @@ A query is a JSON-shaped dict::
 
 Normalization resolves every ``null`` against the environment defaults,
 so the normalized document is self-contained: it is the result-cache key,
-and it is embedded verbatim in service cursors.
+and it is embedded in service cursors.  A cursor is client-held and
+unsigned, so resuming runs its embedded query through normalization again:
+the current budgets clamp it and a malformed one answers 400.
 
 Service cursors
 ---------------
@@ -64,7 +66,6 @@ from ..core.objective import resolve_objective
 from ..core.session import CursorError, EnumerationSession, StaleCursorError
 from ..graph.bipartite import BipartiteGraph
 from ..graph.io import read_edge_list
-from ..graph.protocol import BACKENDS, default_backend
 from ..obs import SlowQueryLog, get_registry, new_trace_id, span, trace
 from ..parallel import resolve_jobs
 from ..prep import resolve_order_strategy, resolve_prep
@@ -247,7 +248,6 @@ class QueryService:
             "variant",
             "theta_left",
             "theta_right",
-            "backend",
             "prep",
             "order_strategy",
             "jobs",
@@ -262,6 +262,12 @@ class QueryService:
         k = query.get("k")
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise QueryError("k must be a positive integer")
+        for name in ("variant", "prep", "order_strategy", "mode"):
+            if query.get(name) is not None and not isinstance(query[name], str):
+                raise QueryError(f"{name} must be a string or null")
+        jobs = query.get("jobs")
+        if jobs is not None and (not isinstance(jobs, int) or isinstance(jobs, bool)):
+            raise QueryError("jobs must be a non-negative integer or null")
         variant = query.get("variant", "full")
         if variant not in ITraversal.VARIANTS:
             raise QueryError(
@@ -269,13 +275,6 @@ class QueryService:
             )
         theta_left = self._int_field(query, "theta_left", 0)
         theta_right = self._int_field(query, "theta_right", 0)
-        backend = query.get("backend")
-        if backend is None:
-            backend = default_backend()
-        if backend not in BACKENDS:
-            raise QueryError(
-                f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}"
-            )
         try:
             prep = resolve_prep(query.get("prep"))
             order_strategy = (
@@ -283,7 +282,7 @@ class QueryService:
                 if prep == "core+order"
                 else None
             )
-            jobs = resolve_jobs(query.get("jobs"))
+            jobs = resolve_jobs(jobs)
             mode, top = resolve_objective(query.get("mode"), query.get("top"))
         except ValueError as error:
             raise QueryError(str(error)) from None
@@ -303,7 +302,6 @@ class QueryService:
             "variant": variant,
             "theta_left": theta_left,
             "theta_right": theta_right,
-            "backend": backend,
             "prep": prep,
             "order_strategy": order_strategy,
             "jobs": jobs,
@@ -414,12 +412,11 @@ class QueryService:
             key,
             graph,
             normalized["k"],
-            normalized["backend"],
             normalized["prep"],
             normalized["theta_left"],
             normalized["theta_right"],
             order_strategy=normalized["order_strategy"],
-            mode=normalized.get("mode", "enumerate"),
+            mode=normalized["mode"],
         )
 
     def _config_for(self, normalized: dict):
@@ -431,12 +428,10 @@ class QueryService:
             theta_right=normalized["theta_right"],
             max_results=normalized["max_results"],
             time_limit=normalized["time_limit"],
-            backend=normalized["backend"],
             jobs=normalized["jobs"],
             prep=normalized["prep"],
-            # .get for cursors minted before the objective fields existed.
-            objective=normalized.get("mode", "enumerate"),
-            top=normalized.get("top"),
+            objective=normalized["mode"],
+            top=normalized["top"],
         )
 
     def _open(self, normalized: dict, resolved=None) -> EnumerationSession:
@@ -484,6 +479,9 @@ class QueryService:
         try:
             with span("traverse"):
                 raw = list(session.stream())
+        except StaleCursorError as error:
+            # An update landed mid-run on the graph this run traverses.
+            raise ServiceStaleCursorError(str(error)) from None
         finally:
             session.close()
         with span("serialize"):
@@ -492,7 +490,7 @@ class QueryService:
             "solutions": solutions,
             "num_solutions": len(solutions),
             "status": status_block(
-                session.stats, session.prep, mode=normalized.get("mode", "enumerate")
+                session.stats, session.prep, mode=normalized["mode"]
             ),
             "cached": False,
         }
@@ -661,10 +659,16 @@ class QueryService:
 
     def _resume_record(self, cursor: str):
         data = _decode_service_cursor(cursor)
-        normalized = data.get("query")
+        embedded = data.get("query")
         token = data.get("cursor")
-        if not isinstance(normalized, dict) or not isinstance(token, str):
+        if not isinstance(embedded, dict) or not isinstance(token, str):
             raise ServiceCursorError("service cursor is missing its query or engine token")
+        # The token is client-held and unsigned: its query gets the same
+        # validation and budget clamps as a fresh one.
+        try:
+            normalized = self.normalize(embedded)
+        except QueryError as error:
+            raise ServiceCursorError(f"service cursor carries an invalid query: {error}") from None
         plan = self._plan_for(normalized)
         config = self._config_for(normalized)
         try:
@@ -682,7 +686,13 @@ class QueryService:
     def _page(self, record, size: int) -> dict:
         session = record.session
         with span("traverse"):
-            batch = session.next_batch(size)
+            try:
+                batch = session.next_batch(size)
+            except StaleCursorError as error:
+                # The graph was updated under this live session; it can
+                # never continue on one epoch, so it is dropped.
+                self.sessions.remove(record.session_id)
+                raise ServiceStaleCursorError(str(error)) from None
         with span("serialize"):
             solutions = [_serialize_solution(s) for s in batch]
         with self._lock:
@@ -709,7 +719,7 @@ class QueryService:
             "status": status_block(
                 session.stats,
                 session.prep,
-                mode=record.query.get("mode", "enumerate"),
+                mode=record.query["mode"],
             ),
         }
 

@@ -1,31 +1,32 @@
-"""The hot-graph registry: load, convert and prep once; serve many queries.
+"""The hot-graph registry: load and prep once; serve many queries.
 
-Every query through the one-shot library entry points pays three cold
+Every query through the one-shot library entry points pays two cold
 costs before the first solution: reading the graph (file parse /
-generator), converting it to the configured adjacency backend, and the
-prep pipeline (core/bitruss reduction + ordering).  The registry
-memoizes all three:
+generator) and the prep pipeline (core/bitruss reduction + ordering).  The
+registry memoizes both:
 
 * **graphs** are keyed by their *source* — a file path, a registry
   dataset name, or a content hash for inline edge lists — and kept in an
   LRU of ``capacity`` entries;
-* **prep plans** are keyed by ``(graph key, backend, k, prep mode,
-  θ_L, θ_R, …, epoch)`` — everything the deterministic conversion +
-  reduction + ordering depends on — in their own, larger LRU (evicting a
-  graph also drops its plans: a plan holds the converted graph alive).
+* **prep plans** are keyed by ``(graph key, k, prep mode, θ_L, θ_R, …,
+  epoch)`` — everything the deterministic reduction + ordering depends
+  on — in their own, larger LRU (evicting a graph also drops its plans).
 
 Hit/miss counters are part of the contract: the acceptance test (and the
 ``/v1/stats`` endpoint) assert that the *second* identical query performs
-zero loads, zero conversions and zero reductions — ``graph_hits`` and
-``plan_hits`` move instead.  All methods are thread-safe.
+zero loads and zero reductions — ``graph_hits`` and ``plan_hits`` move
+instead.  All methods are thread-safe.
 
 Mutable epochs
 --------------
 Hot graphs are mutable: :meth:`HotGraphRegistry.apply_update` applies one
 edge batch (:meth:`repro.graph.BipartiteGraph.apply_batch`) to the resident
-graph *and* to every cached backend conversion of it, bumping their shared
-epoch counter by one.  Because the epoch is part of the plan key, the
-update invalidates exactly the stale plans — the graph itself stays hot.
+graph, bumping its epoch counter by one.  Because the epoch is part of the
+plan key, the update invalidates exactly the stale plans — the graph itself
+stays hot.  A live session whose traversal runs on the resident graph
+itself (an unreduced plan) fails with a stale-cursor error at its next
+step instead of mixing the two epochs (see
+:meth:`repro.core.traversal.ReverseSearchEngine._check_epoch`).
 The registry also keeps a short per-graph log of applied batches so that
 the next ``get_plan`` miss can hand the superseded plan plus the batches
 to :func:`repro.prep.reprepare`, which repairs the reduction locally
@@ -40,7 +41,9 @@ import threading
 from collections import OrderedDict, deque
 from typing import Callable, Iterable, List, Optional, Tuple
 
-from ..graph.protocol import as_backend
+# ``as_backend`` is an identity kept importable here: benchmark tracers wrap
+# it by module attribute.
+from ..graph.protocol import as_backend  # noqa: F401
 from ..obs import get_registry
 from ..prep import prepare, reprepare
 
@@ -81,10 +84,6 @@ class HotGraphRegistry:
         self._lock = threading.RLock()
         self._graphs: "OrderedDict[Tuple[str, str], object]" = OrderedDict()
         self._plans: "OrderedDict[tuple, object]" = OrderedDict()
-        # Cached backend conversions of resident graphs, keyed by
-        # (graph key, backend).  Kept in epoch lockstep with their source
-        # by apply_update; dropped together with the graph.
-        self._converted: "OrderedDict[Tuple[Tuple[str, str], str], object]" = OrderedDict()
         # Per-graph log of applied batches: (from_epoch, inserts, deletes),
         # each entry advancing the epoch by exactly one.
         self._updates: dict = {}
@@ -137,7 +136,6 @@ class HotGraphRegistry:
         key: Tuple[str, str],
         graph,
         k: int,
-        backend: str,
         prep: str,
         theta_left: int,
         theta_right: int,
@@ -146,9 +144,9 @@ class HotGraphRegistry:
     ):
         """The prepared :class:`~repro.prep.plan.PrepPlan` for one parameterization.
 
-        Builds (backend conversion + reduction + ordering) on a miss; a hit
-        skips all three — that is the "hot graph" fast path the acceptance
-        test pins via :attr:`plan_hits`.
+        Builds (reduction + ordering) on a miss; a hit skips both — that is
+        the "hot graph" fast path the acceptance test pins via
+        :attr:`plan_hits`.
 
         ``mode`` (the solver objective) is part of the key even though the
         prep pipeline itself is objective-blind today: a plan cached for an
@@ -164,7 +162,7 @@ class HotGraphRegistry:
         hints), then the superseded entry is dropped.
         """
         epoch = getattr(graph, "epoch", 0)
-        params = (key, backend, k, prep, theta_left, theta_right, order_strategy, mode)
+        params = (key, k, prep, theta_left, theta_right, order_strategy, mode)
         plan_key = params + (epoch,)
         metrics = get_registry()
         with self._lock:
@@ -180,10 +178,9 @@ class HotGraphRegistry:
             )
         if metrics.enabled:
             metrics.inc("registry_cache_total", cache="plan", outcome="miss")
-        converted = self._converted_graph(key, graph, backend)
         if previous is not None:
             plan = reprepare(
-                converted,
+                graph,
                 k,
                 previous,
                 inserts=inserts,
@@ -197,7 +194,7 @@ class HotGraphRegistry:
                 metrics.inc("registry_plan_builds_total", path="repair")
         else:
             plan = prepare(
-                converted,
+                graph,
                 k,
                 prep,
                 theta_left=theta_left,
@@ -218,24 +215,6 @@ class HotGraphRegistry:
                 self._plans.popitem(last=False)
                 self.plan_evictions += 1
         return plan
-
-    def _converted_graph(self, key: Tuple[str, str], graph, backend: str):
-        """The backend conversion of ``graph``, cached and epoch-stamped.
-
-        Conversions are fresh objects whose counters restart at 0, so a
-        conversion made *after* updates landed is stamped with the source's
-        epoch; from then on :meth:`apply_update` mutates source and
-        conversions together, keeping them in lockstep.
-        """
-        with self._lock:
-            converted = self._converted.get((key, backend))
-            if converted is not None:
-                return converted
-        converted = as_backend(graph, backend)
-        if converted is not graph and hasattr(converted, "reset_epoch"):
-            converted.reset_epoch(getattr(graph, "epoch", 0))
-        with self._lock:
-            return self._converted.setdefault((key, backend), converted)
 
     def _repair_basis(self, params: tuple, epoch: int):
         """The newest superseded plan for ``params`` plus its covering batches.
@@ -274,7 +253,7 @@ class HotGraphRegistry:
         inserts: Iterable[Tuple[int, int]] = (),
         deletes: Iterable[Tuple[int, int]] = (),
     ) -> dict:
-        """Apply one edge batch to the hot graph ``key`` (and its conversions).
+        """Apply one edge batch to the hot graph ``key``.
 
         Raises :class:`KeyError` when the graph is not resident — an update
         targets a *hot* graph; loading one just to mutate it would silently
@@ -289,18 +268,8 @@ class HotGraphRegistry:
             graph = self._graphs.get(key)
             if graph is None:
                 raise KeyError(f"graph {key!r} is not resident in the registry")
-            # The source graph and its conversions are distinct objects in
-            # lockstep — except backends where as_backend was a no-op and
-            # the "conversion" IS the source.  Dedupe by identity so the
-            # batch lands exactly once per object.
-            targets = {id(graph): graph}
-            for (graph_key, _backend), converted in self._converted.items():
-                if graph_key == key:
-                    targets.setdefault(id(converted), converted)
             from_epoch = getattr(graph, "epoch", 0)
-            added = removed = 0
-            for target in targets.values():
-                added, removed = target.apply_batch(inserts, deletes)
+            added, removed = graph.apply_batch(inserts, deletes)
             new_epoch = getattr(graph, "epoch", 0)
             invalidated = 0
             if new_epoch != from_epoch:
@@ -332,8 +301,6 @@ class HotGraphRegistry:
         for k in stale:
             del self._plans[k]
             self.plan_evictions += 1
-        for conv_key in [ck for ck in self._converted if ck[0] == graph_key]:
-            del self._converted[conv_key]
         self._updates.pop(graph_key, None)
 
     def invalidate(self, key: Tuple[str, str]) -> bool:
@@ -347,7 +314,6 @@ class HotGraphRegistry:
         with self._lock:
             self._graphs.clear()
             self._plans.clear()
-            self._converted.clear()
             self._updates.clear()
 
     def counters(self) -> dict:

@@ -42,5 +42,5 @@ def empty_graph() -> BipartiteGraph:
     return BipartiteGraph(3, 4)
 
 
-# The shared random-graph helper lives in backend_matrix.py (importable from
+# The shared random-graph helper lives in graph_samples.py (importable from
 # test modules without colliding with the benchmarks' conftest).

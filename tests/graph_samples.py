@@ -1,24 +1,13 @@
-"""The adjacency-backend matrix shared by the parametrized equivalence tests.
+"""The seeded random graphs shared by the differential and property tests.
 
 Lives in its own module (not ``conftest``) so test files can import it
 without colliding with the benchmarks' ``conftest`` when pytest collects
 both directories in one run.
 """
 
-#: The full backend matrix for parametrized equivalence tests.  All three
-#: backends are always exercised: without a capable numpy the ``packed``
-#: entry runs on the ``array('Q')`` fallback substrate, which is exactly
-#: the degradation path the suite must pin.
-ALL_BACKENDS = ("set", "bitset", "packed")
-
 
 def random_graphs(count: int, max_side: int = 6, seed: int = 0):
-    """A deterministic collection of small random graphs for exhaustive checks.
-
-    Shared by the cross-backend equivalence and differential tests; lives
-    here (not in ``conftest``) for the same import-collision reason as
-    :data:`ALL_BACKENDS`.
-    """
+    """A deterministic collection of small random graphs for exhaustive checks."""
     import random
 
     from repro.graph import erdos_renyi_bipartite

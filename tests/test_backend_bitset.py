@@ -1,12 +1,16 @@
-"""Tests for the bitset substrate and the set/bitset/packed backend matrix."""
+"""Tests for the adjacency masks that every graph keeps next to its sets.
+
+The enumeration hot paths run on the masks; the set-query predicates of
+``repro.core.biplex`` are the independent oracles they are checked
+against.
+"""
 
 import pytest
 
-from backend_matrix import ALL_BACKENDS, random_graphs
+from graph_samples import random_graphs
 
 from repro.core import (
-    BTraversal,
-    ITraversal,
+    Biplex,
     TraversalConfig,
     can_add_left,
     can_add_left_masked,
@@ -16,43 +20,28 @@ from repro.core import (
     initial_solution_left_anchored,
     initial_solution_right_anchored,
     is_k_biplex,
-    run_with_stats,
 )
-from repro.graph import (
-    BitsetBipartiteGraph,
-    as_backend,
-    iter_bits,
-    mask_of,
-    supports_masks,
-)
-from repro.graph import erdos_renyi_bipartite
+from repro.graph import BipartiteGraph, Graph, erdos_renyi_bipartite, iter_bits, mask_of
 from repro.graph.bipartite import MirrorView
+
+
+def _assert_masks_match_sets(graph):
+    if isinstance(graph, Graph):
+        for u in graph.vertices():
+            assert set(iter_bits(graph.adj_mask(u))) == graph.neighbors(u)
+        return
+    for v in graph.left_vertices():
+        assert set(iter_bits(graph.adj_left_mask(v))) == graph.neighbors_of_left(v)
+    for u in graph.right_vertices():
+        assert set(iter_bits(graph.adj_right_mask(u))) == graph.neighbors_of_right(u)
 
 
 class TestBitsetGraph:
     def test_masks_match_sets(self, example_graph):
-        graph = example_graph.to_bitset()
-        for v in graph.left_vertices():
-            assert set(iter_bits(graph.adj_left_mask(v))) == graph.neighbors_of_left(v)
-        for u in graph.right_vertices():
-            assert set(iter_bits(graph.adj_right_mask(u))) == graph.neighbors_of_right(u)
-
-    def test_to_bitset_preserves_graph(self, example_graph):
-        bitset = example_graph.to_bitset()
-        assert isinstance(bitset, BitsetBipartiteGraph)
-        assert bitset == example_graph
-        assert bitset.num_edges == example_graph.num_edges
-        assert supports_masks(bitset) and not supports_masks(example_graph)
-
-    def test_to_bitset_on_bitset_is_identity(self, example_graph):
-        bitset = example_graph.to_bitset()
-        assert bitset.to_bitset() is bitset
-
-    def test_to_setgraph_roundtrip(self, example_graph):
-        assert example_graph.to_bitset().to_setgraph() == example_graph
+        _assert_masks_match_sets(example_graph)
 
     def test_add_and_remove_edge_update_masks(self):
-        graph = BitsetBipartiteGraph(2, 3)
+        graph = BipartiteGraph(2, 3)
         assert graph.add_edge(0, 2) is True
         assert graph.add_edge(0, 2) is False
         assert graph.adj_left_mask(0) == 0b100
@@ -64,27 +53,24 @@ class TestBitsetGraph:
         assert graph.num_edges == 0
 
     def test_universe_masks(self):
-        graph = BitsetBipartiteGraph(3, 5)
+        graph = BipartiteGraph(3, 5)
         assert graph.full_left_mask == 0b111
         assert graph.full_right_mask == 0b11111
 
     def test_derived_graphs_stay_bitset(self, example_graph):
-        graph = example_graph.to_bitset()
-        assert isinstance(graph.copy(), BitsetBipartiteGraph)
-        assert isinstance(graph.swap_sides(), BitsetBipartiteGraph)
-        assert isinstance(graph.induced_subgraph([0, 4], [0, 1]), BitsetBipartiteGraph)
-        assert graph.swap_sides() == example_graph.swap_sides()
-        assert graph.induced_subgraph([0, 4], [0, 1]) == example_graph.induced_subgraph(
-            [0, 4], [0, 1]
-        )
+        """Copies, mirrors and induced subgraphs carry correct masks too."""
+        for derived in (
+            example_graph.copy(),
+            example_graph.swap_sides(),
+            example_graph.induced_subgraph([0, 4], [0, 1]),
+        ):
+            _assert_masks_match_sets(derived)
 
     def test_as_backend(self, example_graph):
+        from repro.graph.protocol import as_backend
+
+        assert as_backend(example_graph) is example_graph
         assert as_backend(example_graph, "set") is example_graph
-        converted = as_backend(example_graph, "bitset")
-        assert supports_masks(converted)
-        assert as_backend(converted, "bitset") is converted
-        with pytest.raises(ValueError):
-            as_backend(example_graph, "numpy")
 
     def test_mask_helpers_roundtrip(self):
         assert mask_of([0, 2, 5]) == 0b100101
@@ -92,14 +78,50 @@ class TestBitsetGraph:
         assert list(iter_bits(0)) == []
 
 
-class TestMirrorViewMasks:
-    def test_mirror_forwards_capability(self, example_graph):
-        assert not supports_masks(MirrorView(example_graph))
-        mirror = MirrorView(example_graph.to_bitset())
-        assert supports_masks(mirror)
+class TestMaskLockstep:
+    """Sets and masks agree after every kind of mutation, on both graph classes."""
 
+    def test_bipartite_graph_mutations(self):
+        import random
+
+        rng = random.Random(3)
+        graph = erdos_renyi_bipartite(70, 66, num_edges=900, seed=3)
+        for _ in range(300):
+            v, u = rng.randrange(graph.n_left), rng.randrange(graph.n_right)
+            if rng.random() < 0.5:
+                graph.add_edge(v, u)
+            else:
+                graph.remove_edge(v, u)
+        _assert_masks_match_sets(graph)
+        edges = list(graph.edges())
+        inserts = [(rng.randrange(70), rng.randrange(66)) for _ in range(40)]
+        graph.apply_batch(inserts=inserts, deletes=rng.sample(edges, 40))
+        _assert_masks_match_sets(graph)
+        new_left = graph.add_left_vertex()
+        new_right = graph.add_right_vertex()
+        assert graph.adj_left_mask(new_left) == 0 and graph.adj_right_mask(new_right) == 0
+        graph.add_edge(new_left, new_right)
+        graph.add_edge(new_left, 65)
+        graph.add_edge(0, new_right)
+        _assert_masks_match_sets(graph)
+        assert graph.full_left_mask == (1 << 71) - 1
+        assert graph.full_right_mask == (1 << 67) - 1
+
+    def test_general_graph_mutations(self):
+        import random
+
+        rng = random.Random(4)
+        graph = Graph(80)
+        for _ in range(600):
+            u, v = rng.sample(range(80), 2)
+            graph.add_edge(u, v)
+        _assert_masks_match_sets(graph)
+        assert graph.full_mask == (1 << 80) - 1
+
+
+class TestMirrorViewMasks:
     def test_mirror_swaps_masks(self, example_graph):
-        graph = example_graph.to_bitset()
+        graph = example_graph
         mirror = MirrorView(graph)
         for u in graph.right_vertices():
             assert mirror.adj_left_mask(u) == graph.adj_right_mask(u)
@@ -107,8 +129,25 @@ class TestMirrorViewMasks:
             assert mirror.adj_right_mask(v) == graph.adj_left_mask(v)
 
 
+def _reference_extension(graph, left, right, k, candidate_left=None, candidate_right=None):
+    """The greedy extension by definition: ascending ids, left side first,
+    each candidate added when the set-query ``can_add_left/right`` allows."""
+    left, right = set(left), set(right)
+    left_pool = graph.left_vertices() if candidate_left is None else sorted(set(candidate_left))
+    for v in left_pool:
+        if v not in left and can_add_left(graph, left, right, v, k):
+            left.add(v)
+    right_pool = (
+        graph.right_vertices() if candidate_right is None else sorted(set(candidate_right))
+    )
+    for u in right_pool:
+        if u not in right and can_add_right(graph, left, right, u, k):
+            right.add(u)
+    return Biplex.of(left, right)
+
+
 class TestMaskedPrimitives:
-    """The masked twins must agree with the set-based primitives everywhere."""
+    """The mask primitives against the set-query oracles."""
 
     def _subset_pairs(self, graph):
         import random
@@ -122,26 +161,16 @@ class TestMaskedPrimitives:
     @pytest.mark.parametrize("k", [1, 2])
     def test_can_add_agrees(self, k):
         for graph in random_graphs(4, max_side=6, seed=5):
-            bitset = graph.to_bitset()
             for left, right in self._subset_pairs(graph):
                 left_mask, right_mask = mask_of(left), mask_of(right)
                 for v in graph.left_vertices():
                     assert can_add_left_masked(
-                        bitset, left_mask, right_mask, v, k
+                        graph, left_mask, right_mask, v, k
                     ) == can_add_left(graph, set(left), set(right), v, k)
                 for u in graph.right_vertices():
                     assert can_add_right_masked(
-                        bitset, left_mask, right_mask, u, k
+                        graph, left_mask, right_mask, u, k
                     ) == can_add_right(graph, set(left), set(right), u, k)
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_is_k_biplex_agrees(self, k):
-        for graph in random_graphs(4, max_side=6, seed=6):
-            bitset = graph.to_bitset()
-            for left, right in self._subset_pairs(graph):
-                assert is_k_biplex(bitset, left, right, k) == is_k_biplex(
-                    graph, left, right, k
-                )
 
     @staticmethod
     def _extension_seeds(graph, k, rng):
@@ -182,11 +211,10 @@ class TestMaskedPrimitives:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_extend_to_maximal_identical(self, k):
-        """The masked extension equals the set path bit for bit.
+        """The mask extension equals the reference greedy bit for bit.
 
-        Runs bitset and packed on small graphs, on a multi-word graph below
-        the 96-vertex sweep crossover and on one above it, with full,
-        restricted and empty candidate pools.
+        Small graphs and two multi-word graphs (over 64 vertices a side),
+        with full, restricted, empty and duplicated candidate pools.
         """
         import random
 
@@ -197,7 +225,6 @@ class TestMaskedPrimitives:
         ]
         reached = set()
         for graph in graphs:
-            substrates = [as_backend(graph, "bitset"), as_backend(graph, "packed")]
             lefts = list(graph.left_vertices())
             rights = list(graph.right_vertices())
             seeds = list(self._extension_seeds(graph, k, rng))
@@ -214,126 +241,46 @@ class TestMaskedPrimitives:
                     reached.add("small")
                 if right and all(graph.missing_right(u, left) >= k for u in right):
                     reached.add("saturated")
+                half_left = rng.sample(lefts, len(lefts) // 2)
+                half_right = rng.sample(rights, len(rights) // 2)
                 pools = [
                     (None, None),
                     (None, ()),
                     ((), None),
-                    (
-                        rng.sample(lefts, len(lefts) // 2),
-                        rng.sample(rights, len(rights) // 2),
-                    ),
+                    (half_left, half_right),
+                    (half_left * 2, half_right + half_right[::-1]),
                 ]
                 for candidate_left, candidate_right in pools:
-                    expected = extend_to_maximal(
+                    assert extend_to_maximal(
+                        graph, left, right, k, candidate_left, candidate_right
+                    ) == _reference_extension(
                         graph, left, right, k, candidate_left, candidate_right
                     )
-                    for substrate in substrates:
-                        assert extend_to_maximal(
-                            substrate, left, right, k, candidate_left, candidate_right
-                        ) == expected
         assert reached == {"bulk", "small", "saturated"}
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_initial_solutions_identical(self, k):
         for graph in random_graphs(6, max_side=6, seed=8):
-            bitset = graph.to_bitset()
-            assert initial_solution_left_anchored(bitset, k) == initial_solution_left_anchored(
-                graph, k
+            assert initial_solution_left_anchored(graph, k) == _reference_extension(
+                graph, (), graph.right_vertices(), k, candidate_right=()
             )
-            assert initial_solution_right_anchored(bitset, k) == initial_solution_right_anchored(
-                graph, k
+            assert initial_solution_right_anchored(graph, k) == _reference_extension(
+                graph, graph.left_vertices(), (), k, candidate_left=()
             )
-
-
-class TestBackendEquivalence:
-    """Property-style check: every backend enumerates the identical MBP *list*
-    (same solutions in the same order) as the plain-set reference."""
-
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_itraversal_backends_agree(self, k, backend):
-        for graph in random_graphs(6, max_side=6, seed=1):
-            expected = [s.key() for s in ITraversal(graph, k, backend="set").enumerate()]
-            got = [s.key() for s in ITraversal(graph, k, backend=backend).enumerate()]
-            assert got == expected
-
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_btraversal_backends_agree(self, k, backend):
-        for graph in random_graphs(6, max_side=6, seed=2):
-            expected = [s.key() for s in BTraversal(graph, k, backend="set").enumerate()]
-            got = [s.key() for s in BTraversal(graph, k, backend=backend).enumerate()]
-            assert got == expected
-
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    @pytest.mark.parametrize("variant", ["full", "no-exclusion", "left-anchored-only"])
-    def test_variants_agree_on_example(self, example_graph, variant, backend):
-        expected = set(ITraversal(example_graph, 1, variant=variant, backend="set").enumerate())
-        got = set(ITraversal(example_graph, 1, variant=variant, backend=backend).enumerate())
-        assert got == expected
-
-    def test_bitset_input_graph_used_directly(self, example_graph):
-        bitset = example_graph.to_bitset()
-        expected = set(ITraversal(example_graph, 1).enumerate())
-        assert set(ITraversal(bitset, 1).enumerate()) == expected
-
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_stats_counters_identical(self, example_graph, backend):
-        # The θ run on the unreduced graph reaches the Γ(v, R) anchor prune,
-        # whose count must not depend on how the backend scores Γ.
-        for overrides in ({}, {"theta_left": 4, "theta_right": 4, "prep": "off"}):
-            _, set_stats = run_with_stats(
-                example_graph, 1, TraversalConfig(backend="set", **overrides)
-            )
-            _, stats = run_with_stats(
-                example_graph, 1, TraversalConfig(backend=backend, **overrides)
-            )
-            assert set_stats.num_solutions == stats.num_solutions
-            assert set_stats.num_links == stats.num_links
-            assert set_stats.num_almost_sat_graphs == stats.num_almost_sat_graphs
-            assert set_stats.num_local_solutions == stats.num_local_solutions
-            assert set_stats.num_pruned_anchor == stats.num_pruned_anchor
-            assert stats.num_pruned_anchor > 0 or not overrides
-
-    def test_config_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            TraversalConfig(backend="gpu")
 
 
 class TestDefaultBackend:
-    def test_bitset_is_the_default(self, monkeypatch):
-        from repro.graph import BACKEND_ENV_VAR, default_backend
-        from repro.graph.bipartite import paper_example_graph
+    def test_bitset_is_the_default(self):
+        from repro.graph.protocol import default_backend
 
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         assert default_backend() == "bitset"
-        assert TraversalConfig().backend == "bitset"
-        engine_graph = ITraversal(paper_example_graph(), 1)._engine.graph
-        assert supports_masks(engine_graph)
 
-    def test_env_var_overrides_default(self, monkeypatch):
-        from repro.graph import BACKEND_ENV_VAR, default_backend
+    def test_legacy_env_var_is_ignored(self, monkeypatch, example_graph):
+        from repro.core import ITraversal
 
-        monkeypatch.setenv(BACKEND_ENV_VAR, "set")
-        assert default_backend() == "set"
-        assert TraversalConfig().backend == "set"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "packed")
-        assert default_backend() == "packed"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        with pytest.raises(ValueError):
-            default_backend()
-
-
-class TestCliBackend:
-    def test_enumerate_with_bitset_backend(self, tmp_path, capsys, example_graph):
-        from repro.cli import main
-        from repro.graph import write_edge_list
-
-        path = tmp_path / "graph.txt"
-        write_edge_list(example_graph, path)
-        assert main(["enumerate", "--input", str(path), "--backend", "bitset", "--quiet"]) == 0
-        bitset_out = capsys.readouterr().out
-        assert main(["enumerate", "--input", str(path), "--quiet"]) == 0
-        set_out = capsys.readouterr().out
-        # Identical solution counts; only the timing figure may differ.
-        assert bitset_out.split("elapsed")[0] == set_out.split("elapsed")[0]
+        expected = [s.key() for s in ITraversal(example_graph, 1).enumerate()]
+        for value in ("set", "packed", "numpy"):
+            monkeypatch.setenv("REPRO_BACKEND", value)
+            assert [s.key() for s in ITraversal(example_graph, 1).enumerate()] == expected
+        with pytest.raises(TypeError):
+            TraversalConfig(backend="set")

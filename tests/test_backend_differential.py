@@ -1,41 +1,39 @@
-"""Cross-backend differential harness.
+"""Differential harness: every enumerator against the brute-force oracle.
 
-Seeded random-graph property tests that sweep **every** adjacency backend ×
-**every** maximal-k-biplex enumerator the library ships — iTraversal,
-bTraversal, the large-MBP enumerator, iMB and the exhaustive brute force —
-and pin, for every single run, that
+Seeded random-graph property tests that sweep **every** maximal-k-biplex
+enumerator the library ships — iTraversal, bTraversal, the large-MBP
+enumerator and iMB — and pin, for every single run, that
 
 * the produced solutions are valid maximal k-biplexes with no duplicates
   (``verify.check_all_solutions``, labelled so a failure names the
-  algorithm × backend × graph that broke), and
-* the solution *set* matches the set-backend brute-force oracle
+  algorithm × configuration × graph that broke), and
+* the solution *set* matches the exhaustive brute force
   (``verify.same_solutions``).
 
-This is the systematic oracle the per-feature equivalence tests sample from:
-any backend fast path (mask or batch) that changes results anywhere in the
-enumeration stack fails here with an attributable message.
+The enumerators run on the adjacency masks; the brute force and
+``verify`` ask only set queries (``is_k_biplex`` /
+``is_maximal_k_biplex``), so the oracle shares no hot-path code with what
+it checks.  iMB, a different algorithm on the same masks, is the second
+oracle.
 
-PR 5 added a ``jobs ∈ {1, 2}`` axis for the engine-backed enumerators
-(iTraversal, bTraversal, the large-MBP enumerator): the sharded parallel
-engine must produce exactly the serial solution set on every backend, and
-its output must still support the solution-graph layer.
-
-PR 6 added the ``prep ∈ {off, core, core+order}`` axis: the preprocessing
+The ``jobs ∈ {1, 2}`` axis covers the engine-backed enumerators: the
+sharded parallel engine must produce exactly the serial solution set, and
+its output must still support the solution-graph layer.  The
+``prep ∈ {off, core, core+order}`` axis pins that the preprocessing
 pipeline (:mod:`repro.prep` — core/bitruss graph reduction plus degeneracy
-candidate ordering) must leave the enumerated solution set untouched on
-every backend, serial and parallel, with and without size thresholds.
+candidate ordering) leaves the enumerated solution set untouched, serial
+and parallel, with and without size thresholds.
 """
 
 from __future__ import annotations
 
 import pytest
-from backend_matrix import ALL_BACKENDS, random_graphs
+from graph_samples import random_graphs
 
 from repro.baselines import enumerate_mbps_bruteforce, enumerate_mbps_imb
 from repro.core import BTraversal, ITraversal
 from repro.core.large import LargeMBPEnumerator, filter_large
 from repro.core.verify import check_all_solutions, missing_and_extra, same_solutions
-from repro.graph import as_backend
 
 #: Size threshold exercised by the LargeMBPEnumerator leg of the matrix.
 THETA = 2
@@ -47,32 +45,19 @@ GRAPHS = random_graphs(5, max_side=5, seed=424242)
 
 def _enumerators():
     """The (name, runner) matrix; every runner returns a solution list."""
-    yield "ITraversal", lambda graph, k, backend: ITraversal(
-        graph, k, backend=backend
-    ).enumerate()
-    yield "BTraversal", lambda graph, k, backend: BTraversal(
-        graph, k, backend=backend
-    ).enumerate()
-    yield "iMB", lambda graph, k, backend: enumerate_mbps_imb(
-        graph, k, backend=backend
-    )
-    # The brute force runs on the *converted* graph, so the backend's
-    # predicate fast paths (is_k_biplex / is_maximal_k_biplex) are part of
-    # the differential surface too.
-    yield "bruteforce", lambda graph, k, backend: enumerate_mbps_bruteforce(
-        as_backend(graph, backend), k
-    )
+    yield "ITraversal", lambda graph, k: ITraversal(graph, k).enumerate()
+    yield "BTraversal", lambda graph, k: BTraversal(graph, k).enumerate()
+    yield "iMB", enumerate_mbps_imb
 
 
 @pytest.mark.parametrize("k", (1, 2))
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_every_enumerator_matches_the_oracle(backend, k):
+def test_every_enumerator_matches_the_oracle(k):
     for index, graph in enumerate(GRAPHS):
         reference = enumerate_mbps_bruteforce(graph, k)
         check_all_solutions(graph, reference, k, label=f"oracle k={k} g{index}")
         for name, run in _enumerators():
-            label = f"{name}[{backend}] k={k} g{index}"
-            solutions = run(graph, k, backend)
+            label = f"{name} k={k} g{index}"
+            solutions = run(graph, k)
             check_all_solutions(graph, solutions, k, label=label)
             assert same_solutions(reference, solutions), (
                 label,
@@ -82,24 +67,23 @@ def test_every_enumerator_matches_the_oracle(backend, k):
 
 @pytest.mark.parametrize("k", (1, 2))
 @pytest.mark.parametrize("jobs", (1, 2))
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_traversals_match_oracle_serial_and_parallel(backend, jobs, k):
+def test_traversals_match_oracle_serial_and_parallel(jobs, k):
     """The jobs axis: every engine-backed enumerator, serial vs sharded.
 
     ``jobs=1`` pins the dispatch path (explicit jobs must not change the
     serial behaviour); ``jobs=2`` drives the full parallel machinery —
     shard planning, worker pool, dedup merge — whose sorted output must
-    still be exactly the oracle's solution set on every backend.  Tiny
+    still be exactly the oracle's solution set.  Tiny
     graphs whose shard plan has < 2 entries exercise the documented serial
     fallback.
     """
     for index, graph in enumerate(GRAPHS):
         reference = enumerate_mbps_bruteforce(graph, k)
         for name, runner in (
-            ("ITraversal", lambda g: ITraversal(g, k, backend=backend, jobs=jobs)),
-            ("BTraversal", lambda g: BTraversal(g, k, backend=backend, jobs=jobs)),
+            ("ITraversal", lambda g: ITraversal(g, k, jobs=jobs)),
+            ("BTraversal", lambda g: BTraversal(g, k, jobs=jobs)),
         ):
-            label = f"{name}[{backend}] jobs={jobs} k={k} g{index}"
+            label = f"{name} jobs={jobs} k={k} g{index}"
             algorithm = runner(graph)
             solutions = algorithm.enumerate()
             check_all_solutions(graph, solutions, k, label=label)
@@ -134,14 +118,11 @@ def test_solution_graph_build_over_parallel_output(k):
 
 @pytest.mark.parametrize("k", (1, 2))
 @pytest.mark.parametrize("jobs", (1, 2))
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_large_mbp_enumerator_matches_filtered_oracle(backend, jobs, k):
+def test_large_mbp_enumerator_matches_filtered_oracle(jobs, k):
     for index, graph in enumerate(GRAPHS):
         reference = filter_large(enumerate_mbps_bruteforce(graph, k), THETA, THETA)
-        label = f"LargeMBPEnumerator[{backend}] jobs={jobs} k={k} theta={THETA} g{index}"
-        solutions = LargeMBPEnumerator(
-            graph, k, theta=THETA, backend=backend, jobs=jobs
-        ).enumerate()
+        label = f"LargeMBPEnumerator jobs={jobs} k={k} theta={THETA} g{index}"
+        solutions = LargeMBPEnumerator(graph, k, theta=THETA, jobs=jobs).enumerate()
         check_all_solutions(graph, solutions, k, label=label)
         assert all(
             len(s.left) >= THETA and len(s.right) >= THETA for s in solutions
@@ -158,22 +139,20 @@ PREPS = ("off", "core", "core+order")
 
 @pytest.mark.parametrize("prep", PREPS)
 @pytest.mark.parametrize("jobs", (1, 2))
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_prep_modes_match_oracle(backend, jobs, prep):
+@pytest.mark.parametrize("k", (1, 2))
+def test_prep_modes_match_oracle(k, jobs, prep):
     """The prep axis: reduction + ordering never change the solution set.
 
     Unthresholded iTraversal (the reduction is an identity there, but
     ``core+order`` still permutes the traversal) and the thresholded
     large-MBP enumerator (where the core/bitruss reduction actually peels
     vertices and the solutions must be translated back to original ids)
-    are both pinned against the brute-force oracle on every backend,
-    serial and sharded.
+    are both pinned against the brute-force oracle, serial and sharded.
     """
-    k = 1
     for index, graph in enumerate(GRAPHS):
         reference = enumerate_mbps_bruteforce(graph, k)
-        label = f"ITraversal[{backend}] jobs={jobs} prep={prep} k={k} g{index}"
-        algorithm = ITraversal(graph, k, backend=backend, jobs=jobs, prep=prep)
+        label = f"ITraversal jobs={jobs} prep={prep} k={k} g{index}"
+        algorithm = ITraversal(graph, k, jobs=jobs, prep=prep)
         solutions = algorithm.enumerate()
         check_all_solutions(graph, solutions, k, label=label)
         assert same_solutions(reference, solutions), (
@@ -182,10 +161,8 @@ def test_prep_modes_match_oracle(backend, jobs, prep):
         )
 
         large_reference = filter_large(reference, THETA, THETA)
-        label = f"LargeMBPEnumerator[{backend}] jobs={jobs} prep={prep} k={k} g{index}"
-        large = LargeMBPEnumerator(
-            graph, k, theta=THETA, backend=backend, jobs=jobs, prep=prep
-        ).enumerate()
+        label = f"LargeMBPEnumerator jobs={jobs} prep={prep} k={k} g{index}"
+        large = LargeMBPEnumerator(graph, k, theta=THETA, jobs=jobs, prep=prep).enumerate()
         check_all_solutions(graph, large, k, label=label)
         assert same_solutions(large_reference, large), (
             label,
@@ -216,8 +193,8 @@ class TestFailureAttribution:
 
         # ({0}, {0}) is a 1-biplex of K_{3,3} but far from maximal.
         bogus = [Biplex.of({0}, {0})]
-        with pytest.raises(AssertionError, match=r"\[iMB\[packed\] g3\]"):
-            check_all_solutions(complete_graph, bogus, 1, label="iMB[packed] g3")
+        with pytest.raises(AssertionError, match=r"\[iMB k=1 g3\]"):
+            check_all_solutions(complete_graph, bogus, 1, label="iMB k=1 g3")
 
     def test_label_prefixes_duplicate_errors(self, complete_graph):
         from repro.core.biplex import Biplex

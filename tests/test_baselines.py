@@ -191,63 +191,90 @@ class TestInflationPipeline:
         pipeline.enumerate()
         assert pipeline.stats.truncated
 
-    def test_rejects_unknown_backend(self, example_graph):
-        with pytest.raises(ValueError):
-            FaPlexenPipeline(example_graph, 1, backend="numpy")
+
+def _is_quasi_biclique_by_sets(graph, left, right, delta):
+    """δ-QB predicate from set queries only: the oracle for the mask form."""
+    left, right = set(left), set(right)
+    return all(graph.missing_left(v, right) <= delta * len(right) for v in left) and all(
+        graph.missing_right(u, left) <= delta * len(left) for u in right
+    )
 
 
-class TestBaselineBackendEquivalence:
-    """Every converted baseline must enumerate identical sets on both backends."""
+class TestBaselineOracles:
+    """Each mask-based baseline against an oracle built from set queries."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("k", [1, 2])
-    def test_imb_backends_agree(self, seed, k):
+    def test_imb_matches_bruteforce(self, seed, k):
         graph = erdos_renyi_bipartite(5, 5, num_edges=10 + seed * 4, seed=seed)
-        assert set(enumerate_mbps_imb(graph, k, backend="set")) == set(
-            enumerate_mbps_imb(graph, k, backend="bitset")
-        )
+        assert set(enumerate_mbps_imb(graph, k)) == set(enumerate_mbps_bruteforce(graph, k))
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_inflation_backends_agree(self, seed):
+    def test_inflation_matches_bruteforce(self, seed):
         graph = erdos_renyi_bipartite(4, 4, num_edges=8 + seed * 2, seed=seed)
-        assert set(enumerate_mbps_inflation(graph, 1, backend="set")) == set(
-            enumerate_mbps_inflation(graph, 1, backend="bitset")
+        assert set(enumerate_mbps_inflation(graph, 1)) == set(
+            enumerate_mbps_bruteforce(graph, 1)
         )
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_kplex_masked_graph_agrees(self, k):
+    def test_kplex_matches_exhaustive_search(self, k):
         import random
+        from itertools import combinations
 
         rng = random.Random(11)
         n = 7
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
         graph = Graph(n, edges)
-        expected = sorted(map(frozenset, enumerate_maximal_kplexes(graph, k)))
-        masked = sorted(map(frozenset, enumerate_maximal_kplexes(graph.to_bitset(), k)))
-        assert masked == expected
+        expected = {
+            frozenset(subset)
+            for size in range(1, n + 1)
+            for subset in combinations(range(n), size)
+            if is_maximal_kplex(graph, set(subset), k)
+        }
+        plexes = enumerate_maximal_kplexes(graph, k)
+        assert len(plexes) == len(expected)
+        assert set(map(frozenset, plexes)) == expected
 
-    def test_quasi_biclique_backends_agree(self, example_graph):
-        bitset = example_graph.to_bitset()
+    def test_quasi_biclique_enumeration_matches_set_query(self, example_graph):
+        from itertools import combinations
+
+        graph = example_graph
         for delta in (0.0, 0.3, 0.6):
-            assert set(
-                enumerate_maximal_quasi_bicliques(example_graph, delta, 2, 2, backend="set")
-            ) == set(enumerate_maximal_quasi_bicliques(bitset, delta, 2, 2))
-        assert set(find_quasi_bicliques_greedy(example_graph, 0.25, 2, 2, backend="set")) == set(
-            find_quasi_bicliques_greedy(example_graph, 0.25, 2, 2, backend="bitset")
-        )
+            found = [
+                (set(left), set(right))
+                for a in range(2, 6)
+                for left in combinations(range(5), a)
+                for b in range(2, 6)
+                for right in combinations(range(5), b)
+                if _is_quasi_biclique_by_sets(graph, left, right, delta)
+            ]
+            expected = {
+                (frozenset(left), frozenset(right))
+                for left, right in found
+                if not any(
+                    (left, right) != other and left <= other[0] and right <= other[1]
+                    for other in found
+                )
+            }
+            got = {
+                (s.left, s.right)
+                for s in enumerate_maximal_quasi_bicliques(graph, delta, 2, 2)
+            }
+            assert got == expected
+        for structure in find_quasi_bicliques_greedy(graph, 0.25, 2, 2):
+            assert _is_quasi_biclique_by_sets(graph, structure.left, structure.right, 0.25)
 
-    def test_is_quasi_biclique_backends_agree(self, example_graph):
+    def test_is_quasi_biclique_matches_set_query(self, example_graph):
         import random
 
-        bitset = example_graph.to_bitset()
         rng = random.Random(7)
         for _ in range(20):
             left = {v for v in example_graph.left_vertices() if rng.random() < 0.5}
             right = {u for u in example_graph.right_vertices() if rng.random() < 0.5}
             for delta in (0.0, 0.25, 0.5, 1.0):
-                assert is_quasi_biclique(bitset, left, right, delta) == is_quasi_biclique(
+                assert is_quasi_biclique(
                     example_graph, left, right, delta
-                )
+                ) == _is_quasi_biclique_by_sets(example_graph, left, right, delta)
 
 
 class TestBiclique:

@@ -2,8 +2,6 @@
 
 import pytest
 
-from backend_matrix import ALL_BACKENDS
-
 from repro.graph import (
     BipartiteGraph,
     Graph,
@@ -31,7 +29,6 @@ from repro.graph.butterfly import (
     edge_butterfly_counts,
     k_bitruss,
 )
-from repro.graph.general import BitsetGraph
 from repro.graph.generators import degree_histogram
 
 
@@ -139,24 +136,30 @@ class TestCores:
         assert left == set(example_graph.left_vertices())
         assert right == set(example_graph.right_vertices())
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_core_backends_agree(self, backend):
-        from repro.graph import as_backend
+    @staticmethod
+    def _set_peel(graph, alpha, beta):
+        """Oracle: drop violating vertices until none is left, by set degrees."""
+        left = set(graph.left_vertices())
+        right = set(graph.right_vertices())
+        while True:
+            bad_left = {v for v in left if len(graph.neighbors_of_left(v) & right) < alpha}
+            bad_right = {u for u in right if len(graph.neighbors_of_right(u) & left) < beta}
+            if not bad_left and not bad_right:
+                return left, right
+            left -= bad_left
+            right -= bad_right
 
+    def test_core_matches_set_peel(self):
         for seed in range(3):
             graph = erdos_renyi_bipartite(9, 7, num_edges=25 + seed * 5, seed=seed)
-            converted = as_backend(graph, backend)
             for alpha, beta in ((0, 0), (1, 1), (2, 3), (3, 2), (6, 6)):
-                assert alpha_beta_core(converted, alpha, beta) == alpha_beta_core(
+                assert alpha_beta_core(graph, alpha, beta) == self._set_peel(
                     graph, alpha, beta
                 )
-        # Side sizes beyond 64 force multi-word packed rows.
+        # Side sizes beyond 64 force multi-word masks.
         wide = erdos_renyi_bipartite(130, 70, num_edges=700, seed=23)
-        converted = as_backend(wide, backend)
         for bound in (3, 5, 8):
-            assert alpha_beta_core(converted, bound, bound) == alpha_beta_core(
-                wide, bound, bound
-            )
+            assert alpha_beta_core(wide, bound, bound) == self._set_peel(wide, bound, bound)
 
 
 class TestButterflies:
@@ -231,14 +234,10 @@ class TestButterflies:
 
         for seed in range(4):
             graph = erdos_renyi_bipartite(6, 6, num_edges=18 + seed * 4, seed=seed)
-            # to_packed() selects the numpy class or the array('Q') fallback
-            # depending on the environment; both must agree with the oracle.
-            backend_graphs = [graph, graph.to_bitset(), graph.to_packed()]
             for k in (1, 2, 3):
-                for backend_graph in backend_graphs:
-                    assert sorted(k_bitruss(backend_graph, k).edges()) == sorted(
-                        naive_k_bitruss(graph, k).edges()
-                    )
+                assert sorted(k_bitruss(graph, k).edges()) == sorted(
+                    naive_k_bitruss(graph, k).edges()
+                )
 
     def test_pivot_side_prefers_cheaper_wedges(self):
         # A single left hub: all wedges are centred on the hub, so anchoring
@@ -255,16 +254,6 @@ class TestButterflies:
             expected = _count_from_side(graph, from_left=True)
             assert _count_from_side(graph, from_left=False) == expected
             assert count_butterflies(graph) == expected
-
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_butterfly_backends_agree(self, backend):
-        from repro.graph import as_backend
-
-        for seed in range(3):
-            graph = erdos_renyi_bipartite(6, 9, num_edges=20 + seed * 3, seed=seed)
-            converted = as_backend(graph, backend)
-            assert count_butterflies(converted) == count_butterflies(graph)
-            assert edge_butterfly_counts(converted) == edge_butterfly_counts(graph)
 
     @staticmethod
     def _naive_edge_supports(graph):
@@ -283,39 +272,33 @@ class TestButterflies:
             support[(v, u)] = count
         return support
 
-    def test_edge_supports_match_naive_four_loop_all_backends(self):
-        # The oracle is quartic, so it runs once per graph and all three
-        # backend implementations are differenced against the same result.
-        from repro.graph import as_backend
-
+    def test_edge_supports_match_naive_four_loop(self):
         cases = [
             erdos_renyi_bipartite(6, 9, num_edges=22 + 4 * seed, seed=seed)
             for seed in range(3)
         ]
-        # Side sizes beyond 64 force multi-word packed rows (and a multi-word
-        # unpacked incidence matrix in the vectorized kernel).
+        # Side sizes beyond 64 force multi-word masks.
         cases.append(erdos_renyi_bipartite(70, 70, num_edges=260, seed=23))
         for graph in cases:
-            expected = self._naive_edge_supports(graph)
-            for backend in ("set", "bitset", "packed"):
-                assert edge_butterfly_counts(as_backend(graph, backend)) == expected, (
-                    backend,
-                    graph,
-                )
+            assert edge_butterfly_counts(graph) == self._naive_edge_supports(graph), graph
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_butterfly_backends_agree_beyond_one_word(self, backend):
-        # Side sizes beyond 64 force multi-word packed rows.
-        from repro.graph import as_backend
+    def test_butterfly_count_beyond_one_word(self):
+        # Side sizes beyond 64 force multi-word masks; the oracle sums
+        # C(common, 2) over left pairs from the adjacency sets.
+        from itertools import combinations
 
         graph = erdos_renyi_bipartite(70, 130, num_edges=650, seed=17)
-        converted = as_backend(graph, backend)
-        assert count_butterflies(converted) == count_butterflies(graph)
+        expected = 0
+        for v1, v2 in combinations(graph.left_vertices(), 2):
+            common = len(graph.neighbors_of_left(v1) & graph.neighbors_of_left(v2))
+            expected += common * (common - 1) // 2
+        assert count_butterflies(graph) == expected
+        assert sum(edge_butterfly_counts(graph).values()) == 4 * expected
 
 
-class TestBitsetGeneralGraph:
+class TestGeneralGraphMasks:
     def test_masks_track_edges(self):
-        graph = BitsetGraph(4, edges=[(0, 1), (1, 2)])
+        graph = Graph(4, edges=[(0, 1), (1, 2)])
         assert graph.adj_mask(1) == 0b101
         assert graph.adj_mask(3) == 0
         assert graph.full_mask == 0b1111
@@ -323,37 +306,10 @@ class TestBitsetGeneralGraph:
         assert graph.adj_mask(1) == 0b1101
         assert graph.adj_mask(3) == 0b010
 
-    def test_to_bitset_roundtrip(self):
-        graph = Graph(5, edges=[(0, 1), (2, 3), (3, 4)])
-        bitset = graph.to_bitset()
-        assert isinstance(bitset, BitsetGraph)
-        assert sorted(bitset.edges()) == sorted(graph.edges())
-        assert bitset.to_bitset() is bitset
-
-    def test_inflate_bitset_backend(self, tiny_graph):
-        from repro.graph import inflate
-
-        plain = inflate(tiny_graph)
-        masked = inflate(tiny_graph, backend="bitset")
-        assert isinstance(masked, BitsetGraph)
-        assert sorted(masked.edges()) == sorted(plain.edges())
-        with pytest.raises(ValueError):
-            inflate(tiny_graph, backend="numpy")
-
-    def test_inflate_packed_backend(self, tiny_graph):
-        from repro.graph import (
-            inflate,
-            packed_available,
-            packed_graph_class,
-            supports_batch,
-            supports_vector_batch,
-        )
-
-        packed = inflate(tiny_graph, backend="packed")
-        assert isinstance(packed, packed_graph_class())
-        assert supports_batch(packed)
-        assert supports_vector_batch(packed) == packed_available()
-        assert sorted(packed.edges()) == sorted(inflate(tiny_graph).edges())
+    def test_inflation_masks_match_sets(self, tiny_graph):
+        inflated = inflate(tiny_graph)
+        for u in inflated.vertices():
+            assert inflated.adj_mask(u) == sum(1 << v for v in inflated.neighbors(u))
 
 
 class TestGenerators:

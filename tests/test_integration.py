@@ -92,7 +92,9 @@ class TestDatasetPipelines:
 
     def test_streaming_interface_consistent_with_batch(self):
         graph = load_dataset("divorce")
-        algorithm = ITraversal(graph, 1, max_results=30)
+        # jobs=1: a capped parallel run keeps the first solutions to arrive,
+        # a scheduling-dependent subset (TraversalConfig.jobs).
+        algorithm = ITraversal(graph, 1, max_results=30, jobs=1)
         streamed = list(algorithm.run())
-        batch = ITraversal(graph, 1, max_results=30).enumerate()
+        batch = ITraversal(graph, 1, max_results=30, jobs=1).enumerate()
         assert streamed == batch

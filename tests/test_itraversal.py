@@ -167,8 +167,7 @@ class TestRightExtensible:
         )
 
     @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("backend", ["set", "bitset", "packed"])
-    def test_matches_bruteforce_scan(self, k, backend):
+    def test_matches_bruteforce_scan(self, k):
         import random
 
         from repro.core.traversal import ReverseSearchEngine, TraversalConfig
@@ -182,17 +181,17 @@ class TestRightExtensible:
             for index in range(4)
         ]
         for graph in graphs:
-            engine = ReverseSearchEngine(graph, k, TraversalConfig(backend=backend))
+            engine = ReverseSearchEngine(graph, k, TraversalConfig())
             for left in subsets_within_budget(list(graph.left_vertices()), k + 1):
                 for right in subsets_within_budget(list(graph.right_vertices()), 2):
                     local = Biplex.of(left, right)
                     expected = self._bruteforce(graph, local, k)
                     assert engine._right_extensible(local) == expected
-        # Multi-word masks: more than 64 right vertices (below and above
-        # the 96-vertex sweep crossover), with |L| on both sides of k.
+        # Multi-word masks: more than 64 right vertices, with |L| on both
+        # sides of k.
         for n_right in (80, 110):
             graph = erdos_renyi_bipartite(12, n_right, num_edges=4 * n_right, seed=n_right)
-            engine = ReverseSearchEngine(graph, k, TraversalConfig(backend=backend))
+            engine = ReverseSearchEngine(graph, k, TraversalConfig())
             outcomes = set()
             for _ in range(150):
                 left = rng.sample(range(12), rng.randint(1, 12))
@@ -203,19 +202,15 @@ class TestRightExtensible:
                 outcomes.add(expected)
             assert outcomes == {False, True}
 
-    @pytest.mark.parametrize("backend", ["set", "bitset", "packed"])
-    def test_probe_follows_in_place_updates(self, backend):
+    def test_probe_follows_in_place_updates(self):
         # An edge insertion lifts u3 from degree 1 to 2 = |L| - k, past the
-        # degree cutoff of the mask probe's scan order: an order cached
-        # before the update would stop before u3.
+        # degree cutoff of the probe's scan order: an order cached before
+        # the update would stop before u3.
         from repro.core.traversal import ReverseSearchEngine, TraversalConfig
-        from repro.graph import BipartiteGraph, as_backend
+        from repro.graph import BipartiteGraph
 
-        graph = as_backend(
-            BipartiteGraph(3, 4, edges=[(0, 0), (1, 0), (2, 0), (0, 1), (1, 2), (0, 3)]),
-            backend,
-        )
-        engine = ReverseSearchEngine(graph, 1, TraversalConfig(backend=backend, prep="off"))
+        graph = BipartiteGraph(3, 4, edges=[(0, 0), (1, 0), (2, 0), (0, 1), (1, 2), (0, 3)])
+        engine = ReverseSearchEngine(graph, 1, TraversalConfig(prep="off"))
         assert engine.graph is graph
         local = Biplex.of([0, 1, 2], [0])
         assert engine._right_extensible(local) is False
@@ -254,7 +249,7 @@ class TestPinnedWork:
     output (a digest of the serial DFS order) and the ``TraversalStats``
     work counters: the first 300 MBPs on opsahl (the Fig. 7a first-N
     protocol) and the first 500 on writer at θ_L = θ_R = 4, which reaches
-    the Section 5 anchor prune.  The figures are the same on every backend.
+    the Section 5 anchor prune.
     """
 
     COUNTERS = (

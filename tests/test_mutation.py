@@ -3,8 +3,8 @@
 Three differential contracts, each checked under seeded random
 insert/delete sequences:
 
-* **substrates** — after any mutation sequence, every backend's adjacency
-  equals a graph rebuilt from scratch, and enumeration (all three modes)
+* **substrates** — after any mutation sequence, the adjacency (sets and
+  masks) equals a graph rebuilt from scratch, and enumeration (all three modes)
   on the mutated object equals enumeration on the rebuild;
 * **indices** — :class:`repro.graph.dynamic.DynamicGraphIndex` equals the
   from-scratch oracle (butterfly supports/total, (α, β)-core, k-bitruss)
@@ -23,11 +23,11 @@ from __future__ import annotations
 import random
 
 import pytest
-from backend_matrix import ALL_BACKENDS, random_graphs
+from graph_samples import random_graphs
 
 from repro.core import StaleCursorError
 from repro.core.itraversal import ITraversal, enumerate_mbps
-from repro.graph import BipartiteGraph, as_backend
+from repro.graph import BipartiteGraph
 from repro.graph.butterfly import edge_butterfly_counts, k_bitruss
 from repro.graph.dynamic import DynamicGraphIndex, recomputed_oracle
 from repro.prep import prepare, reprepare
@@ -66,7 +66,7 @@ def apply_script(graph, batches):
 
 
 def rebuilt(graph):
-    """A fresh set-backend graph with the mutated graph's exact edges."""
+    """A fresh graph with the mutated graph's exact edges."""
     return BipartiteGraph(graph.n_left, graph.n_right, sorted(graph.edges()))
 
 
@@ -74,9 +74,8 @@ def rebuilt(graph):
 # Epoch semantics
 # --------------------------------------------------------------------- #
 class TestEpochSemantics:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_epoch_counts_effective_mutations_only(self, backend):
-        graph = as_backend(BipartiteGraph(3, 3, [(0, 0), (1, 1)]), backend)
+    def test_epoch_counts_effective_mutations_only(self):
+        graph = BipartiteGraph(3, 3, [(0, 0), (1, 1)])
         assert graph.epoch == 0
         assert graph.add_edge(0, 1) is True
         assert graph.epoch == 1
@@ -87,9 +86,8 @@ class TestEpochSemantics:
         assert graph.remove_edge(0, 1) is True
         assert graph.epoch == 2
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_apply_batch_bumps_once_and_reports_effects(self, backend):
-        graph = as_backend(BipartiteGraph(3, 3, [(0, 0), (1, 1)]), backend)
+    def test_apply_batch_bumps_once_and_reports_effects(self):
+        graph = BipartiteGraph(3, 3, [(0, 0), (1, 1)])
         added, removed = graph.apply_batch(
             inserts=[(0, 1), (0, 1), (0, 0)], deletes=[(1, 1), (2, 2)]
         )
@@ -118,10 +116,9 @@ class TestEpochSemantics:
 # Substrate differential: mutated object == rebuilt graph
 # --------------------------------------------------------------------- #
 class TestMutationDifferential:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_adjacency_equals_rebuild_after_random_script(self, backend):
+    def test_adjacency_equals_rebuild_after_random_script(self):
         for index, base in enumerate(GRAPHS):
-            graph = as_backend(base.copy(), backend)
+            graph = base.copy()
             apply_script(graph, mutation_script(graph, steps=6, seed=index))
             reference = rebuilt(graph)
             assert sorted(graph.edges()) == sorted(reference.edges())
@@ -133,27 +130,28 @@ class TestMutationDifferential:
                 assert set(graph.neighbors_of_right(u)) == set(
                     reference.neighbors_of_right(u)
                 )
+                assert graph.adj_right_mask(u) == reference.adj_right_mask(u)
+            for v in range(graph.n_left):
+                assert graph.adj_left_mask(v) == reference.adj_left_mask(v)
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("k", (1, 2))
-    def test_enumeration_after_updates_equals_rebuild(self, backend, k):
+    def test_enumeration_after_updates_equals_rebuild(self, k):
         for index, base in enumerate(GRAPHS):
-            graph = as_backend(base.copy(), backend)
+            graph = base.copy()
             apply_script(graph, mutation_script(graph, steps=6, seed=17 + index))
             mutated = ITraversal(graph, k).enumerate()
             reference = ITraversal(rebuilt(graph), k).enumerate()
-            assert sorted(mutated) == sorted(reference), f"{backend} k={k} g{index}"
+            assert sorted(mutated) == sorted(reference), f"k={k} g{index}"
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_solver_modes_after_updates_equal_rebuild(self, backend):
+    def test_solver_modes_after_updates_equal_rebuild(self):
         for index, base in enumerate(GRAPHS):
-            graph = as_backend(base.copy(), backend)
+            graph = base.copy()
             apply_script(graph, mutation_script(graph, steps=5, seed=31 + index))
             reference = rebuilt(graph)
             for mode, extra in (("maximum", {}), ("top-k", {"top": 3})):
                 got, _ = enumerate_mbps(graph, 1, mode=mode, **extra)
                 want, _ = enumerate_mbps(reference, 1, mode=mode, **extra)
-                assert got == want, f"{backend} {mode} g{index}"
+                assert got == want, f"{mode} g{index}"
 
     def test_grown_vertices_are_enumerable(self):
         graph = BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -169,16 +167,15 @@ class TestMutationDifferential:
 # Incremental indices vs the recomputed oracle
 # --------------------------------------------------------------------- #
 class TestIncrementalIndices:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_indices_match_oracle_after_every_batch(self, backend):
+    def test_indices_match_oracle_after_every_batch(self):
         for index, base in enumerate(GRAPHS):
-            graph = as_backend(base.copy(), backend)
+            graph = base.copy()
             alpha, beta = 2, 2
             dyn = DynamicGraphIndex(graph, alpha=alpha, beta=beta)
             for inserts, deletes in mutation_script(graph, steps=6, seed=47 + index):
                 dyn.apply(inserts=inserts, deletes=deletes)
                 total, supports, core = recomputed_oracle(graph, alpha, beta)
-                label = f"{backend} g{index} epoch={graph.epoch}"
+                label = f"g{index} epoch={graph.epoch}"
                 assert dyn.butterfly_count == total, label
                 assert dyn.butterflies.supports == supports, label
                 assert tuple(map(set, dyn.core_members)) == core, label
@@ -322,6 +319,82 @@ class TestStaleCursors:
         assert outcome["epoch"] == 0
         assert (outcome["added"], outcome["removed"]) == (0, 0)
         assert service.next_page(cursor=cursor)["solutions"]
+
+
+class TestLiveSessionsAcrossUpdates:
+    """A traversal suspended across an edit never mixes two epochs."""
+
+    @staticmethod
+    def _absent_edges(graph, count):
+        return [
+            (v, u)
+            for v in range(graph.n_left)
+            for u in range(graph.n_right)
+            if not graph.has_edge(v, u)
+        ][:count]
+
+    def test_live_session_spanning_an_update_answers_409(self):
+        from repro.graph import erdos_renyi_bipartite
+        from repro.service import SessionExpired
+
+        graph = erdos_renyi_bipartite(12, 12, num_edges=60, seed=0)
+        service = QueryService()
+        # Serial: a sorted parallel run buffers its whole answer before the
+        # first page, so it cannot span an update.
+        query = small_query(graph, jobs=1)
+        page = service.open_session(query, page_size=5)
+        assert len(page["solutions"]) == 5 and not page["exhausted"]
+        inserts = self._absent_edges(graph, 10)
+        service.update({"graph": query["graph"], "insert": [list(e) for e in inserts]})
+        with pytest.raises(ServiceStaleCursorError, match="epoch 0.*epoch 1"):
+            service.next_page(session_id=page["session_id"], page_size=5)
+        # The dead session is gone; its cursor is stale too.
+        with pytest.raises(SessionExpired):
+            service.next_page(session_id=page["session_id"])
+        with pytest.raises(ServiceStaleCursorError):
+            service.next_page(cursor=page["cursor"])
+
+    def test_one_shot_run_spanning_an_update_answers_409(self):
+        class EditedMidRun(BipartiteGraph):
+            """Inserts an edge on the 50th right-mask probe of a traversal."""
+
+            probes = 0
+
+            def adj_right_mask(self, right_vertex):
+                self.probes += 1
+                if self.probes == 50:
+                    self.add_edge(3, 3)
+                return super().adj_right_mask(right_vertex)
+
+        base = TestStaleCursors.GRAPH
+        graph = EditedMidRun(base.n_left, base.n_right, base.edges())
+        service = QueryService()
+        query = small_query(base, jobs=1)
+        key, _ = service.resolve_graph(query["graph"])
+        service.registry.invalidate(key)
+        service.registry.get_graph(key, lambda: graph)
+        with pytest.raises(ServiceStaleCursorError, match="stale_cursor"):
+            service.enumerate(query)
+        assert graph.has_edge(3, 3)
+        assert service.stats()["result_cache_resident"] == 0
+
+    def test_itraversal_raises_when_its_graph_is_edited_mid_run(self):
+        graph = TestStaleCursors.GRAPH.copy()
+        run = ITraversal(graph, 1, jobs=1).run()
+        next(run)
+        graph.add_edge(3, 3)
+        with pytest.raises(StaleCursorError, match="epoch 0.*epoch 1"):
+            next(run)
+
+    def test_new_itraversal_enumerates_the_new_epoch(self):
+        from repro.baselines import enumerate_mbps_bruteforce
+
+        graph = TestStaleCursors.GRAPH.copy()
+        before = set(ITraversal(graph, 1).enumerate())
+        graph.add_edge(3, 3)
+        after = set(ITraversal(graph, 1).enumerate())
+        assert after == set(enumerate_mbps_bruteforce(graph, 1))
+        assert after != before
 
 
 # --------------------------------------------------------------------- #

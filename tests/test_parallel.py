@@ -4,7 +4,7 @@ The correctness bar is the tentpole contract: any ``jobs`` value produces
 exactly the serial solution set, the default ``parallel_order="sorted"``
 output equals the canonically-sorted serial output as a *list*, limits are
 enforced cooperatively, and the merged stats follow the documented
-contract.  The systematic backend × algorithm × jobs sweep lives in
+contract.  The systematic algorithm × jobs × prep sweep lives in
 ``test_backend_differential.py``; this module covers the engine-specific
 machinery — shard planning, jobs resolution, stats merging, cancellation.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 
 import pytest
-from backend_matrix import random_graphs
+from graph_samples import random_graphs
 
 from repro.core import BTraversal, ITraversal, LargeMBPEnumerator
 from repro.core.btraversal import btraversal_config

@@ -20,7 +20,7 @@ import pytest
 from repro.baselines import enumerate_mbps_bruteforce
 from repro.core import ITraversal
 from repro.core.large import filter_large
-from repro.graph import BipartiteGraph, as_backend, erdos_renyi_bipartite, paper_example_graph
+from repro.graph import BipartiteGraph, erdos_renyi_bipartite, paper_example_graph
 from repro.prep import (
     PREP_MODES,
     ORDER_STRATEGIES,
@@ -150,11 +150,6 @@ class TestReduction:
                 enumerate_mbps_imb(graph, 0, theta_left=2, theta_right=2, prep="core")
             )
             assert got == expected, seed
-
-    def test_backend_class_is_preserved(self):
-        graph = as_backend(graph_with_fringe(), "packed")
-        reduction = reduce_for_thresholds(graph, 1, 3, 3)
-        assert type(reduction.graph) is type(graph)
 
 
 # --------------------------------------------------------------------- #
@@ -363,8 +358,7 @@ class TestTranslation:
 # --------------------------------------------------------------------- #
 #: ITraversal k=1 on the paper's example graph, captured before the prep
 #: pipeline existed.  ``prep="off"`` (and, without thresholds, the default
-#: ``"core"``) must reproduce this list bit for bit — order included — on
-#: every backend.
+#: ``"core"``) must reproduce this list bit for bit — order included.
 PAPER_EXAMPLE_GOLDEN_K1 = [
     ((4,), (0, 1, 2, 3, 4)),
     ((0, 1, 4), (0, 1, 2, 3)),
@@ -383,40 +377,15 @@ PAPER_EXAMPLE_GOLDEN_K1 = [
 
 
 class TestGoldenOutputs:
-    @pytest.mark.parametrize("backend", ("set", "bitset", "packed"))
     @pytest.mark.parametrize("prep", ("off", "core"))
-    def test_paper_example_bit_for_bit(self, backend, prep):
+    def test_paper_example_bit_for_bit(self, prep):
         # jobs=1 pinned: the golden list is the *serial* DFS order (a
         # REPRO_JOBS=2 environment would switch to sorted parallel output).
         keys = [
             s.key()
-            for s in ITraversal(
-                paper_example_graph(), 1, backend=backend, prep=prep, jobs=1
-            ).enumerate()
+            for s in ITraversal(paper_example_graph(), 1, prep=prep, jobs=1).enumerate()
         ]
         assert keys == PAPER_EXAMPLE_GOLDEN_K1
-
-    def test_off_matches_historical_behaviour_across_backends(self):
-        """Same DFS order on every backend, thresholds on or off."""
-        graph = erdos_renyi_bipartite(6, 5, num_edges=14, seed=7)
-        for theta in (0, 2):
-            runs = [
-                [
-                    s.key()
-                    for s in ITraversal(
-                        graph,
-                        1,
-                        theta_left=theta,
-                        theta_right=theta,
-                        backend=backend,
-                        prep="off",
-                        jobs=1,
-                    ).enumerate()
-                ]
-                for backend in ("set", "bitset", "packed")
-            ]
-            assert runs[0] == runs[1] == runs[2]
-            assert runs[0], f"theta={theta} must produce solutions"
 
 
 # --------------------------------------------------------------------- #

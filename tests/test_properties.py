@@ -28,7 +28,7 @@ from repro.core.enum_almost_sat import (
     enum_local_solutions,
     enum_local_solutions_naive,
 )
-from repro.graph import BipartiteGraph, as_backend, available_backends
+from repro.graph import BipartiteGraph
 from repro.graph.butterfly import count_butterflies, edge_butterfly_counts, k_bitruss
 from repro.graph.cores import alpha_beta_core
 
@@ -132,16 +132,15 @@ class TestCrossAlgorithmEquivalence:
 
     @SETTINGS
     @given(graph=bipartite_graphs(max_left=4, max_right=4), k=ks)
-    def test_enumerators_backend_identical(self, graph, k):
-        """Core enumerators and converted baselines agree across backends."""
+    def test_enumerators_match_bruteforce(self, graph, k):
+        """Core enumerators and baselines agree with the set-query brute force."""
         from repro.baselines import enumerate_mbps_inflation
 
         reference = set(enumerate_mbps_bruteforce(graph, k))
-        for backend in available_backends():
-            assert set(ITraversal(graph, k, backend=backend).enumerate()) == reference
-            assert set(BTraversal(graph, k, backend=backend).enumerate()) == reference
-            assert set(enumerate_mbps_imb(graph, k, backend=backend)) == reference
-            assert set(enumerate_mbps_inflation(graph, k, backend=backend)) == reference
+        assert set(ITraversal(graph, k).enumerate()) == reference
+        assert set(BTraversal(graph, k).enumerate()) == reference
+        assert set(enumerate_mbps_imb(graph, k)) == reference
+        assert set(enumerate_mbps_inflation(graph, k)) == reference
 
 
 class TestStructuralInvariants:
@@ -254,26 +253,28 @@ class TestCoreProperties:
 
     @SETTINGS
     @given(graph=asymmetric_graphs)
-    def test_butterfly_count_matches_bruteforce_on_both_backends(self, graph):
-        expected = _bruteforce_butterflies(graph)
-        for backend in available_backends():
-            assert count_butterflies(as_backend(graph, backend)) == expected
+    def test_butterfly_count_matches_bruteforce(self, graph):
+        assert count_butterflies(graph) == _bruteforce_butterflies(graph)
 
     @SETTINGS
     @given(graph=asymmetric_graphs)
-    def test_edge_supports_match_bruteforce_on_both_backends(self, graph):
-        expected = _bruteforce_edge_supports(graph)
-        for backend in available_backends():
-            assert edge_butterfly_counts(as_backend(graph, backend)) == expected
+    def test_edge_supports_match_bruteforce(self, graph):
+        assert edge_butterfly_counts(graph) == _bruteforce_edge_supports(graph)
 
     @SETTINGS
     @given(graph=asymmetric_graphs, k=st.integers(min_value=1, max_value=3))
-    def test_k_bitruss_backends_agree_and_supports_hold(self, graph, k):
-        expected_edges = sorted(k_bitruss(graph, k).edges())
-        for backend in available_backends():
-            truss = k_bitruss(as_backend(graph, backend), k)
-            assert sorted(truss.edges()) == expected_edges
-            assert all(count >= k for count in edge_butterfly_counts(truss).values())
+    def test_k_bitruss_matches_round_peel(self, graph, k):
+        expected = graph.copy()
+        while True:
+            supports = _bruteforce_edge_supports(expected)
+            weak = [edge for edge, count in supports.items() if count < k]
+            if not weak:
+                break
+            for v, u in weak:
+                expected.remove_edge(v, u)
+        truss = k_bitruss(graph, k)
+        assert sorted(truss.edges()) == sorted(expected.edges())
+        assert all(count >= k for count in edge_butterfly_counts(truss).values())
 
     @SETTINGS
     @given(
@@ -281,10 +282,10 @@ class TestCoreProperties:
         alpha=st.integers(min_value=0, max_value=3),
         beta=st.integers(min_value=0, max_value=3),
     )
-    def test_core_matches_bruteforce_on_both_backends(self, graph, alpha, beta):
-        expected = _bruteforce_alpha_beta_core(graph, alpha, beta)
-        for backend in available_backends():
-            assert alpha_beta_core(as_backend(graph, backend), alpha, beta) == expected
+    def test_core_matches_bruteforce(self, graph, alpha, beta):
+        assert alpha_beta_core(graph, alpha, beta) == _bruteforce_alpha_beta_core(
+            graph, alpha, beta
+        )
 
     @SETTINGS
     @given(graph=bipartite_graphs(max_left=5, max_right=5), k=ks, theta=st.integers(2, 4))

@@ -288,6 +288,46 @@ class TestUpdateRoute:
         assert status == 200
         assert after["status"]["num_solutions"] != before
 
+    def test_live_session_across_update_is_409(self, daemon):
+        from repro.graph import erdos_renyi_bipartite
+
+        graph = erdos_renyi_bipartite(12, 12, num_edges=60, seed=0)
+        spec = {
+            "n_left": 12,
+            "n_right": 12,
+            "edges": [list(edge) for edge in sorted(graph.edges())],
+        }
+        status, page = http_json(
+            daemon, "POST", "/v1/enumerate",
+            {"query": {"graph": spec, "k": 1, "jobs": 1}, "paginate": True, "page_size": 5},
+        )
+        assert status == 200 and not page["exhausted"]
+        absent = [
+            [v, u] for v in range(12) for u in range(12) if not graph.has_edge(v, u)
+        ][:10]
+        status, _ = http_json(daemon, "POST", "/v1/update", {"graph": spec, "insert": absent})
+        assert status == 200
+        status, error = http_json(
+            daemon, "POST", "/v1/paginate",
+            {"session_id": page["session_id"], "page_size": 5},
+        )
+        assert status == 409 and error["code"] == "stale_cursor"
+
+    def test_edited_cursor_query_is_400(self, daemon):
+        from repro.service.query import _decode_service_cursor, _encode_service_cursor
+
+        status, page = http_json(
+            daemon, "POST", "/v1/enumerate",
+            {"query": inline_query(), "paginate": True, "page_size": 2},
+        )
+        assert status == 200
+        data = _decode_service_cursor(page["cursor"])
+        data["query"]["backend"] = "bitset"
+        status, error = http_json(
+            daemon, "POST", "/v1/paginate", {"cursor": _encode_service_cursor(data)}
+        )
+        assert status == 400 and "backend" in error["error"]
+
     def test_update_validation_400s(self, daemon):
         query = inline_query()
         http_json(daemon, "POST", "/v1/enumerate", {"query": query})

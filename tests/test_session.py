@@ -2,16 +2,15 @@
 
 The tentpole contract: a session interrupted at *any* point and resumed
 from its cursor token produces the **exact suffix** of the uninterrupted
-run — across every adjacency backend, serial and parallel, and every prep
-mode.  Plus the front-end equivalences (``session().stream()`` ==
-``run()``), the token hygiene errors, and cross-backend cursor
-portability (the fingerprint deliberately excludes the backend).
+run — serial and parallel, and every prep mode.  Plus the front-end
+equivalences (``session().stream()`` == ``run()``) and the token hygiene
+errors.
 """
 
 from __future__ import annotations
 
 import pytest
-from backend_matrix import ALL_BACKENDS, random_graphs
+from graph_samples import random_graphs
 
 from repro.core import CursorError, EnumerationSession, ITraversal
 from repro.core.itraversal import itraversal_config
@@ -73,14 +72,13 @@ class TestSessionBasics:
 class TestCursorSuffixEquality:
     """Resume from any checkpoint yields the exact suffix."""
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("prep", ["off", "core", "core+order"])
-    def test_serial_matrix(self, backend, prep):
+    def test_serial_matrix(self, prep):
         for graph in GRAPHS:
-            expected = _full_run(graph, backend=backend, prep=prep, jobs=1)
+            expected = _full_run(graph, prep=prep, jobs=1)
             cuts = sorted({0, 1, len(expected) // 2, max(len(expected) - 1, 0)})
             for cut in cuts:
-                session = _session(graph, backend=backend, prep=prep, jobs=1)
+                session = _session(graph, prep=prep, jobs=1)
                 prefix = session.next_batch(cut) if cut else []
                 token = session.cursor()
                 session.close()
@@ -88,10 +86,10 @@ class TestCursorSuffixEquality:
                     graph,
                     1,
                     token,
-                    itraversal_config(backend=backend, prep=prep, jobs=1),
+                    itraversal_config(prep=prep, jobs=1),
                 )
                 suffix = list(resumed.stream())
-                assert prefix + suffix == expected, (backend, prep, cut)
+                assert prefix + suffix == expected, (prep, cut)
 
     @pytest.mark.parametrize("prep", ["off", "core+order"])
     def test_parallel_offset_cursor(self, prep):
@@ -123,19 +121,6 @@ class TestCursorSuffixEquality:
             session.close()
             session = EnumerationSession.resume(graph, 1, token, itraversal_config())
         assert collected == expected
-
-    def test_cross_backend_portability(self):
-        """A cursor captured on one backend resumes on another."""
-        graph = paper_example_graph()
-        expected = _full_run(graph, backend="bitset")
-        session = _session(graph, backend="bitset")
-        prefix = session.next_batch(4)
-        token = session.cursor()
-        session.close()
-        resumed = EnumerationSession.resume(
-            graph, 1, token, itraversal_config(backend="set")
-        )
-        assert prefix + list(resumed.stream()) == expected
 
     def test_exhausted_cursor_resumes_empty(self):
         graph = paper_example_graph()

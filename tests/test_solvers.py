@@ -2,15 +2,15 @@
 
 The oracle is the full enumeration: ``maximum`` must return the min-key
 solution among the maximum-size ones, ``top-k`` the first ``n`` of the
-full set sorted by ``(-size, key)``.  Both are pinned across the backend
-matrix, serial and ``jobs=2``, and the prep modes — the incumbent-bound
+full set sorted by ``(-size, key)``.  Both are pinned serial and
+``jobs=2``, and across the prep modes — the incumbent-bound
 pruning (and the cross-worker bound gossip) must never change answers,
 only skip work.
 """
 
 import pytest
 
-from backend_matrix import ALL_BACKENDS, random_graphs
+from graph_samples import random_graphs
 
 from repro.core import (
     EnumerationSession,
@@ -104,40 +104,37 @@ class TestObjectiveUnits:
 
 
 class TestSolverDifferential:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("prep", ["off", "core+order"])
-    def test_maximum_matches_oracle_serial(self, backend, prep):
+    def test_maximum_matches_oracle_serial(self, prep):
         for graph in GRAPHS:
             for k in (1, 2):
                 oracle = _oracle(graph, k)
                 solutions, stats = enumerate_mbps(
-                    graph, k, backend=backend, prep=prep, jobs=1, mode="maximum"
+                    graph, k, prep=prep, jobs=1, mode="maximum"
                 )
                 assert solutions == oracle[:1]
                 if oracle:
                     assert stats.best_size == oracle[0].size
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("prep", ["off", "core+order"])
-    def test_top_k_matches_oracle_serial(self, backend, prep):
+    def test_top_k_matches_oracle_serial(self, prep):
         for graph in GRAPHS:
             oracle = _oracle(graph, 1)
             for top in (1, 3, len(oracle) + 5):
                 solutions, _ = enumerate_mbps(
-                    graph, 1, backend=backend, prep=prep, jobs=1, mode="top-k", top=top
+                    graph, 1, prep=prep, jobs=1, mode="top-k", top=top
                 )
                 assert solutions == oracle[:top]
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_solver_modes_match_oracle_jobs2(self, backend):
+    def test_solver_modes_match_oracle_jobs2(self):
         oracle = _oracle(PARALLEL_GRAPH, 1)
         solutions, stats = enumerate_mbps(
-            PARALLEL_GRAPH, 1, backend=backend, jobs=2, mode="maximum"
+            PARALLEL_GRAPH, 1, jobs=2, mode="maximum"
         )
         assert solutions == oracle[:1]
         assert stats.best_size == oracle[0].size
         solutions, _ = enumerate_mbps(
-            PARALLEL_GRAPH, 1, backend=backend, jobs=2, mode="top-k", top=5
+            PARALLEL_GRAPH, 1, jobs=2, mode="top-k", top=5
         )
         assert solutions == oracle[:5]
 
