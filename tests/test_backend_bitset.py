@@ -2,15 +2,19 @@
 
 The enumeration hot paths run on the masks; the set-query predicates of
 ``repro.core.biplex`` are the independent oracles they are checked
-against.
+against.  The equivalence suites run on every construction route of
+``graph_samples.ROUTES``.
 """
 
 import pytest
 
-from graph_samples import random_graphs
+from graph_samples import ROUTES, random_graphs, via
 
+from repro.baselines import enumerate_mbps_bruteforce
 from repro.core import (
+    BTraversal,
     Biplex,
+    ITraversal,
     TraversalConfig,
     can_add_left,
     can_add_left_masked,
@@ -20,8 +24,16 @@ from repro.core import (
     initial_solution_left_anchored,
     initial_solution_right_anchored,
     is_k_biplex,
+    run_with_stats,
 )
-from repro.graph import BipartiteGraph, Graph, erdos_renyi_bipartite, iter_bits, mask_of
+from repro.graph import (
+    BipartiteGraph,
+    BipartiteSubstrate,
+    Graph,
+    erdos_renyi_bipartite,
+    iter_bits,
+    mask_of,
+)
 from repro.graph.bipartite import MirrorView
 
 
@@ -72,6 +84,38 @@ class TestBitsetGraph:
         assert as_backend(example_graph) is example_graph
         assert as_backend(example_graph, "set") is example_graph
 
+    def test_to_bitset_preserves_graph(self, example_graph):
+        """No conversion is left: every graph already carries its masks, and
+        ``as_backend`` hands back the very object under any legacy name."""
+        from repro.graph.protocol import as_backend
+
+        for name in ("set", "bitset", "packed"):
+            assert as_backend(example_graph, name) is example_graph
+        _assert_masks_match_sets(example_graph)
+
+    def test_to_bitset_on_bitset_is_identity(self, example_graph):
+        """The engine and the registry, where tracers wrap ``as_backend``,
+        both resolve it to the identity."""
+        from repro.core import traversal
+        from repro.service import registry
+
+        assert traversal.as_backend(example_graph) is example_graph
+        assert registry.as_backend(example_graph) is example_graph
+
+    def test_to_setgraph_roundtrip(self, example_graph):
+        """A graph rebuilt from its masks alone equals the graph."""
+        from_masks = BipartiteGraph(
+            example_graph.n_left,
+            example_graph.n_right,
+            [
+                (v, u)
+                for v in example_graph.left_vertices()
+                for u in iter_bits(example_graph.adj_left_mask(v))
+            ],
+        )
+        assert from_masks == example_graph
+        assert from_masks.num_edges == example_graph.num_edges
+
     def test_mask_helpers_roundtrip(self):
         assert mask_of([0, 2, 5]) == 0b100101
         assert list(iter_bits(0b100101)) == [0, 2, 5]
@@ -120,6 +164,24 @@ class TestMaskLockstep:
 
 
 class TestMirrorViewMasks:
+    def test_mirror_forwards_capability(self, example_graph):
+        """The view answers mask queries from the live graph, edits included."""
+        graph = example_graph.copy()
+        mirror = MirrorView(graph)
+        assert isinstance(mirror, BipartiteSubstrate)
+        absent = next(
+            (v, u)
+            for v in graph.left_vertices()
+            for u in graph.right_vertices()
+            if not graph.has_edge(v, u)
+        )
+        graph.add_edge(*absent)
+        v, u = absent
+        assert mirror.adj_left_mask(u) >> v & 1 and mirror.adj_right_mask(v) >> u & 1
+        _assert_masks_match_sets(graph)
+        for w in graph.left_vertices():
+            assert set(iter_bits(mirror.adj_right_mask(w))) == mirror.neighbors_of_right(w)
+
     def test_mirror_swaps_masks(self, example_graph):
         graph = example_graph
         mirror = MirrorView(graph)
@@ -171,6 +233,22 @@ class TestMaskedPrimitives:
                     assert can_add_right_masked(
                         graph, left_mask, right_mask, u, k
                     ) == can_add_right(graph, set(left), set(right), u, k)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_is_k_biplex_agrees(self, k):
+        """The set-query predicate against Definition 2.1 evaluated on masks,
+        on every construction route."""
+        for base in random_graphs(4, max_side=6, seed=6):
+            for left, right in self._subset_pairs(base):
+                left_mask, right_mask = mask_of(left), mask_of(right)
+                by_masks = all(
+                    (right_mask & ~base.adj_left_mask(v)).bit_count() <= k for v in left
+                ) and all(
+                    (left_mask & ~base.adj_right_mask(u)).bit_count() <= k for u in right
+                )
+                assert is_k_biplex(base, left, right, k) == by_masks
+                for route in ROUTES:
+                    assert is_k_biplex(via(route, base), left, right, k) == by_masks
 
     @staticmethod
     def _extension_seeds(graph, k, rng):
@@ -269,6 +347,69 @@ class TestMaskedPrimitives:
             )
 
 
+class TestBackendEquivalence:
+    """Property-style check: the graph reached by every construction route
+    enumerates the identical MBP *list* (same solutions in the same order)
+    as the constructor-built graph, and that set is the brute force's."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_itraversal_backends_agree(self, k, route):
+        for graph in random_graphs(6, max_side=6, seed=1):
+            expected = [s.key() for s in ITraversal(graph, k).enumerate()]
+            got = [s.key() for s in ITraversal(via(route, graph), k).enumerate()]
+            assert got == expected
+            assert set(got) == {s.key() for s in enumerate_mbps_bruteforce(graph, k)}
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_btraversal_backends_agree(self, k, route):
+        for graph in random_graphs(6, max_side=6, seed=2):
+            expected = [s.key() for s in BTraversal(graph, k).enumerate()]
+            got = [s.key() for s in BTraversal(via(route, graph), k).enumerate()]
+            assert got == expected
+            assert set(got) == {s.key() for s in enumerate_mbps_bruteforce(graph, k)}
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("variant", ["full", "no-exclusion", "left-anchored-only"])
+    def test_variants_agree_on_example(self, example_graph, variant, route):
+        expected = set(enumerate_mbps_bruteforce(example_graph, 1))
+        graph = via(route, example_graph)
+        assert set(ITraversal(graph, 1, variant=variant).enumerate()) == expected
+
+    def test_bitset_input_graph_used_directly(self, example_graph):
+        """The engine enumerates the caller's object: no conversion copy."""
+        expected = set(enumerate_mbps_bruteforce(example_graph, 1))
+        for prep in ("off", "core", "core+order"):
+            algorithm = ITraversal(example_graph, 1, prep=prep)
+            assert algorithm._engine.graph is example_graph
+            assert set(algorithm.enumerate()) == expected
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_stats_counters_identical(self, example_graph, route):
+        # The θ run on the unreduced graph reaches the Γ(v, R) anchor prune,
+        # whose count must not depend on how the graph was built.
+        graph = via(route, example_graph)
+        for overrides in ({}, {"theta_left": 4, "theta_right": 4, "prep": "off"}):
+            _, reference = run_with_stats(example_graph, 1, TraversalConfig(**overrides))
+            solutions, stats = run_with_stats(graph, 1, TraversalConfig(**overrides))
+            assert reference.num_solutions == stats.num_solutions
+            assert reference.num_links == stats.num_links
+            assert reference.num_almost_sat_graphs == stats.num_almost_sat_graphs
+            assert reference.num_local_solutions == stats.num_local_solutions
+            assert reference.num_pruned_anchor == stats.num_pruned_anchor
+            assert stats.num_pruned_anchor > 0 or not overrides
+            if not overrides:
+                assert set(solutions) == set(enumerate_mbps_bruteforce(example_graph, 1))
+
+    def test_config_rejects_unknown_backend(self, example_graph):
+        """The backend knob is gone: passing one fails loudly."""
+        with pytest.raises(TypeError):
+            TraversalConfig(backend="gpu")
+        with pytest.raises(TypeError):
+            ITraversal(example_graph, 1, backend="bitset")
+
+
 class TestDefaultBackend:
     def test_bitset_is_the_default(self):
         from repro.graph.protocol import default_backend
@@ -284,3 +425,21 @@ class TestDefaultBackend:
             assert [s.key() for s in ITraversal(example_graph, 1).enumerate()] == expected
         with pytest.raises(TypeError):
             TraversalConfig(backend="set")
+
+
+class TestCliBackend:
+    def test_enumerate_with_bitset_backend(self, tmp_path, capsys, example_graph):
+        """``--backend`` is gone: the CLI rejects it, and the plain run
+        reports the brute force's solution count."""
+        from repro.cli import main
+        from repro.graph import write_edge_list
+
+        path = tmp_path / "graph.txt"
+        write_edge_list(example_graph, path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["enumerate", "--input", str(path), "--backend", "bitset", "--quiet"])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+        assert main(["enumerate", "--input", str(path), "--quiet"]) == 0
+        out = capsys.readouterr().out
+        assert f"solutions={len(enumerate_mbps_bruteforce(example_graph, 1))} " in out

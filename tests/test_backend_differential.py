@@ -10,6 +10,11 @@ enumerator and iMB — and pin, for every single run, that
 * the solution *set* matches the exhaustive brute force
   (``verify.same_solutions``).
 
+Every case runs on the same graph reached by each construction route of
+``graph_samples.ROUTES`` (constructor, edge-by-edge growth, one batched
+update), so mask code fed by any of the mutation paths is differenced
+against the oracle.
+
 The enumerators run on the adjacency masks; the brute force and
 ``verify`` ask only set queries (``is_k_biplex`` /
 ``is_maximal_k_biplex``), so the oracle shares no hot-path code with what
@@ -28,7 +33,7 @@ and parallel, with and without size thresholds.
 from __future__ import annotations
 
 import pytest
-from graph_samples import random_graphs
+from graph_samples import ROUTES, random_graphs, via
 
 from repro.baselines import enumerate_mbps_bruteforce, enumerate_mbps_imb
 from repro.core import BTraversal, ITraversal
@@ -48,15 +53,20 @@ def _enumerators():
     yield "ITraversal", lambda graph, k: ITraversal(graph, k).enumerate()
     yield "BTraversal", lambda graph, k: BTraversal(graph, k).enumerate()
     yield "iMB", enumerate_mbps_imb
+    # The brute force on the routed graph: its set-query predicates read
+    # adjacency filled by the route, the reference's by the constructor.
+    yield "bruteforce", enumerate_mbps_bruteforce
 
 
 @pytest.mark.parametrize("k", (1, 2))
-def test_every_enumerator_matches_the_oracle(k):
-    for index, graph in enumerate(GRAPHS):
-        reference = enumerate_mbps_bruteforce(graph, k)
-        check_all_solutions(graph, reference, k, label=f"oracle k={k} g{index}")
+@pytest.mark.parametrize("route", ROUTES)
+def test_every_enumerator_matches_the_oracle(route, k):
+    for index, base in enumerate(GRAPHS):
+        reference = enumerate_mbps_bruteforce(base, k)
+        check_all_solutions(base, reference, k, label=f"oracle k={k} g{index}")
+        graph = via(route, base)
         for name, run in _enumerators():
-            label = f"{name} k={k} g{index}"
+            label = f"{name}[{route}] k={k} g{index}"
             solutions = run(graph, k)
             check_all_solutions(graph, solutions, k, label=label)
             assert same_solutions(reference, solutions), (
@@ -67,7 +77,8 @@ def test_every_enumerator_matches_the_oracle(k):
 
 @pytest.mark.parametrize("k", (1, 2))
 @pytest.mark.parametrize("jobs", (1, 2))
-def test_traversals_match_oracle_serial_and_parallel(jobs, k):
+@pytest.mark.parametrize("route", ROUTES)
+def test_traversals_match_oracle_serial_and_parallel(route, jobs, k):
     """The jobs axis: every engine-backed enumerator, serial vs sharded.
 
     ``jobs=1`` pins the dispatch path (explicit jobs must not change the
@@ -77,13 +88,14 @@ def test_traversals_match_oracle_serial_and_parallel(jobs, k):
     graphs whose shard plan has < 2 entries exercise the documented serial
     fallback.
     """
-    for index, graph in enumerate(GRAPHS):
-        reference = enumerate_mbps_bruteforce(graph, k)
+    for index, base in enumerate(GRAPHS):
+        reference = enumerate_mbps_bruteforce(base, k)
+        graph = via(route, base)
         for name, runner in (
             ("ITraversal", lambda g: ITraversal(g, k, jobs=jobs)),
             ("BTraversal", lambda g: BTraversal(g, k, jobs=jobs)),
         ):
-            label = f"{name} jobs={jobs} k={k} g{index}"
+            label = f"{name}[{route}] jobs={jobs} k={k} g{index}"
             algorithm = runner(graph)
             solutions = algorithm.enumerate()
             check_all_solutions(graph, solutions, k, label=label)
@@ -118,10 +130,12 @@ def test_solution_graph_build_over_parallel_output(k):
 
 @pytest.mark.parametrize("k", (1, 2))
 @pytest.mark.parametrize("jobs", (1, 2))
-def test_large_mbp_enumerator_matches_filtered_oracle(jobs, k):
-    for index, graph in enumerate(GRAPHS):
-        reference = filter_large(enumerate_mbps_bruteforce(graph, k), THETA, THETA)
-        label = f"LargeMBPEnumerator jobs={jobs} k={k} theta={THETA} g{index}"
+@pytest.mark.parametrize("route", ROUTES)
+def test_large_mbp_enumerator_matches_filtered_oracle(route, jobs, k):
+    for index, base in enumerate(GRAPHS):
+        reference = filter_large(enumerate_mbps_bruteforce(base, k), THETA, THETA)
+        graph = via(route, base)
+        label = f"LargeMBPEnumerator[{route}] jobs={jobs} k={k} theta={THETA} g{index}"
         solutions = LargeMBPEnumerator(graph, k, theta=THETA, jobs=jobs).enumerate()
         check_all_solutions(graph, solutions, k, label=label)
         assert all(
@@ -139,35 +153,38 @@ PREPS = ("off", "core", "core+order")
 
 @pytest.mark.parametrize("prep", PREPS)
 @pytest.mark.parametrize("jobs", (1, 2))
-@pytest.mark.parametrize("k", (1, 2))
-def test_prep_modes_match_oracle(k, jobs, prep):
+@pytest.mark.parametrize("route", ROUTES)
+def test_prep_modes_match_oracle(route, jobs, prep):
     """The prep axis: reduction + ordering never change the solution set.
 
     Unthresholded iTraversal (the reduction is an identity there, but
     ``core+order`` still permutes the traversal) and the thresholded
     large-MBP enumerator (where the core/bitruss reduction actually peels
     vertices and the solutions must be translated back to original ids)
-    are both pinned against the brute-force oracle, serial and sharded.
+    are both pinned against the brute-force oracle, serial and sharded,
+    for k = 1 and 2.
     """
-    for index, graph in enumerate(GRAPHS):
-        reference = enumerate_mbps_bruteforce(graph, k)
-        label = f"ITraversal jobs={jobs} prep={prep} k={k} g{index}"
-        algorithm = ITraversal(graph, k, jobs=jobs, prep=prep)
-        solutions = algorithm.enumerate()
-        check_all_solutions(graph, solutions, k, label=label)
-        assert same_solutions(reference, solutions), (
-            label,
-            missing_and_extra(reference, solutions),
-        )
+    for index, base in enumerate(GRAPHS):
+        graph = via(route, base)
+        for k in (1, 2):
+            reference = enumerate_mbps_bruteforce(base, k)
+            label = f"ITraversal[{route}] jobs={jobs} prep={prep} k={k} g{index}"
+            algorithm = ITraversal(graph, k, jobs=jobs, prep=prep)
+            solutions = algorithm.enumerate()
+            check_all_solutions(graph, solutions, k, label=label)
+            assert same_solutions(reference, solutions), (
+                label,
+                missing_and_extra(reference, solutions),
+            )
 
-        large_reference = filter_large(reference, THETA, THETA)
-        label = f"LargeMBPEnumerator jobs={jobs} prep={prep} k={k} g{index}"
-        large = LargeMBPEnumerator(graph, k, theta=THETA, jobs=jobs, prep=prep).enumerate()
-        check_all_solutions(graph, large, k, label=label)
-        assert same_solutions(large_reference, large), (
-            label,
-            missing_and_extra(large_reference, large),
-        )
+            large_reference = filter_large(reference, THETA, THETA)
+            label = f"LargeMBPEnumerator[{route}] jobs={jobs} prep={prep} k={k} g{index}"
+            large = LargeMBPEnumerator(graph, k, theta=THETA, jobs=jobs, prep=prep).enumerate()
+            check_all_solutions(graph, large, k, label=label)
+            assert same_solutions(large_reference, large), (
+                label,
+                missing_and_extra(large_reference, large),
+            )
 
 
 @pytest.mark.parametrize("prep", PREPS[1:])

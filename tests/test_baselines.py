@@ -4,6 +4,8 @@ import time
 
 import pytest
 
+from graph_samples import ROUTES, via
+
 from repro.baselines import (
     IMB,
     count_k_biplexes_bruteforce,
@@ -191,6 +193,13 @@ class TestInflationPipeline:
         pipeline.enumerate()
         assert pipeline.stats.truncated
 
+    def test_rejects_unknown_backend(self, example_graph):
+        # The backend argument is gone: passing one fails loudly.
+        with pytest.raises(TypeError):
+            FaPlexenPipeline(example_graph, 1, backend="numpy")
+        with pytest.raises(TypeError):
+            enumerate_mbps_inflation(example_graph, 1, backend="bitset")
+
 
 def _is_quasi_biclique_by_sets(graph, left, right, delta):
     """δ-QB predicate from set queries only: the oracle for the mask form."""
@@ -200,24 +209,27 @@ def _is_quasi_biclique_by_sets(graph, left, right, delta):
     )
 
 
-class TestBaselineOracles:
-    """Each mask-based baseline against an oracle built from set queries."""
+class TestBaselineBackendEquivalence:
+    """Each mask-based baseline against an oracle built from set queries,
+    on the graph reached by every construction route."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("k", [1, 2])
-    def test_imb_matches_bruteforce(self, seed, k):
+    def test_imb_backends_agree(self, seed, k):
         graph = erdos_renyi_bipartite(5, 5, num_edges=10 + seed * 4, seed=seed)
-        assert set(enumerate_mbps_imb(graph, k)) == set(enumerate_mbps_bruteforce(graph, k))
+        expected = set(enumerate_mbps_bruteforce(graph, k))
+        for route in ROUTES:
+            assert set(enumerate_mbps_imb(via(route, graph), k)) == expected, route
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_inflation_matches_bruteforce(self, seed):
+    def test_inflation_backends_agree(self, seed):
         graph = erdos_renyi_bipartite(4, 4, num_edges=8 + seed * 2, seed=seed)
-        assert set(enumerate_mbps_inflation(graph, 1)) == set(
-            enumerate_mbps_bruteforce(graph, 1)
-        )
+        expected = set(enumerate_mbps_bruteforce(graph, 1))
+        for route in ROUTES:
+            assert set(enumerate_mbps_inflation(via(route, graph), 1)) == expected, route
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_kplex_matches_exhaustive_search(self, k):
+    def test_kplex_masked_graph_agrees(self, k):
         import random
         from itertools import combinations
 
@@ -231,11 +243,15 @@ class TestBaselineOracles:
             for subset in combinations(range(n), size)
             if is_maximal_kplex(graph, set(subset), k)
         }
-        plexes = enumerate_maximal_kplexes(graph, k)
-        assert len(plexes) == len(expected)
-        assert set(map(frozenset, plexes)) == expected
+        grown = Graph(n)
+        for u, v in reversed(edges):
+            grown.add_edge(v, u)
+        for substrate in (graph, grown):
+            plexes = enumerate_maximal_kplexes(substrate, k)
+            assert len(plexes) == len(expected)
+            assert set(map(frozenset, plexes)) == expected
 
-    def test_quasi_biclique_enumeration_matches_set_query(self, example_graph):
+    def test_quasi_biclique_backends_agree(self, example_graph):
         from itertools import combinations
 
         graph = example_graph
@@ -256,25 +272,27 @@ class TestBaselineOracles:
                     for other in found
                 )
             }
-            got = {
-                (s.left, s.right)
-                for s in enumerate_maximal_quasi_bicliques(graph, delta, 2, 2)
-            }
-            assert got == expected
+            for route in ROUTES:
+                got = {
+                    (s.left, s.right)
+                    for s in enumerate_maximal_quasi_bicliques(via(route, graph), delta, 2, 2)
+                }
+                assert got == expected, (route, delta)
         for structure in find_quasi_bicliques_greedy(graph, 0.25, 2, 2):
             assert _is_quasi_biclique_by_sets(graph, structure.left, structure.right, 0.25)
 
-    def test_is_quasi_biclique_matches_set_query(self, example_graph):
+    def test_is_quasi_biclique_backends_agree(self, example_graph):
         import random
 
         rng = random.Random(7)
+        routed = [via(route, example_graph) for route in ROUTES]
         for _ in range(20):
             left = {v for v in example_graph.left_vertices() if rng.random() < 0.5}
             right = {u for u in example_graph.right_vertices() if rng.random() < 0.5}
             for delta in (0.0, 0.25, 0.5, 1.0):
-                assert is_quasi_biclique(
-                    example_graph, left, right, delta
-                ) == _is_quasi_biclique_by_sets(example_graph, left, right, delta)
+                expected = _is_quasi_biclique_by_sets(example_graph, left, right, delta)
+                for graph in routed:
+                    assert is_quasi_biclique(graph, left, right, delta) == expected
 
 
 class TestBiclique:

@@ -1,5 +1,8 @@
 """Unit tests for the k-biplex primitives (Definitions 2.1-2.3 and extensions)."""
 
+import pytest
+from graph_samples import ROUTES, via
+
 from repro.core import (
     Biplex,
     arbitrary_initial_solution,
@@ -156,7 +159,8 @@ class TestExtension:
         result = extend_to_maximal(example_graph, [0, 4], [0, 1, 2, 3], 1)
         assert result == Biplex.of([0, 1, 4], [0, 1, 2, 3])
 
-    def test_duplicate_candidates_are_tried_once(self):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_duplicate_candidates_are_tried_once(self, route):
         # Regression: a vertex listed twice in a candidate pool had its
         # misses counted twice, which could leave the result non-maximal
         # within the pool (7x7, 22 edges, seed 0, k=2: L={4}, not {4, 6}).
@@ -164,7 +168,9 @@ class TestExtension:
 
         for seed in range(4):
             for num_edges in (14, 22, 30):
-                graph = erdos_renyi_bipartite(7, 7, num_edges=num_edges, seed=seed)
+                graph = via(
+                    route, erdos_renyi_bipartite(7, 7, num_edges=num_edges, seed=seed)
+                )
                 for k in (1, 2):
                     twice = extend_to_maximal(
                         graph, (), range(5), k,

@@ -2,6 +2,8 @@
 
 import pytest
 
+from graph_samples import ROUTES, via
+
 from repro.graph import (
     BipartiteGraph,
     Graph,
@@ -149,17 +151,21 @@ class TestCores:
             left -= bad_left
             right -= bad_right
 
-    def test_core_matches_set_peel(self):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_core_backends_agree(self, route):
+        """The mask peel against a set-degree round peel, per construction route."""
         for seed in range(3):
             graph = erdos_renyi_bipartite(9, 7, num_edges=25 + seed * 5, seed=seed)
+            routed = via(route, graph)
             for alpha, beta in ((0, 0), (1, 1), (2, 3), (3, 2), (6, 6)):
-                assert alpha_beta_core(graph, alpha, beta) == self._set_peel(
+                assert alpha_beta_core(routed, alpha, beta) == self._set_peel(
                     graph, alpha, beta
                 )
         # Side sizes beyond 64 force multi-word masks.
         wide = erdos_renyi_bipartite(130, 70, num_edges=700, seed=23)
+        routed = via(route, wide)
         for bound in (3, 5, 8):
-            assert alpha_beta_core(wide, bound, bound) == self._set_peel(wide, bound, bound)
+            assert alpha_beta_core(routed, bound, bound) == self._set_peel(wide, bound, bound)
 
 
 class TestButterflies:
@@ -272,7 +278,28 @@ class TestButterflies:
             support[(v, u)] = count
         return support
 
-    def test_edge_supports_match_naive_four_loop(self):
+    @staticmethod
+    def _pair_count(graph):
+        """Oracle: C(common, 2) summed over left pairs, from the adjacency sets."""
+        from itertools import combinations
+
+        expected = 0
+        for v1, v2 in combinations(graph.left_vertices(), 2):
+            common = len(graph.neighbors_of_left(v1) & graph.neighbors_of_left(v2))
+            expected += common * (common - 1) // 2
+        return expected
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_butterfly_backends_agree(self, route):
+        for seed in range(3):
+            graph = erdos_renyi_bipartite(6, 9, num_edges=20 + seed * 3, seed=seed)
+            routed = via(route, graph)
+            assert count_butterflies(routed) == self._pair_count(graph)
+            assert edge_butterfly_counts(routed) == self._naive_edge_supports(graph)
+
+    def test_edge_supports_match_naive_four_loop_all_backends(self):
+        # The oracle is quartic, so it runs once per graph and the graph
+        # reached by every construction route is differenced against it.
         cases = [
             erdos_renyi_bipartite(6, 9, num_edges=22 + 4 * seed, seed=seed)
             for seed in range(3)
@@ -280,23 +307,23 @@ class TestButterflies:
         # Side sizes beyond 64 force multi-word masks.
         cases.append(erdos_renyi_bipartite(70, 70, num_edges=260, seed=23))
         for graph in cases:
-            assert edge_butterfly_counts(graph) == self._naive_edge_supports(graph), graph
+            expected = self._naive_edge_supports(graph)
+            for route in ROUTES:
+                assert edge_butterfly_counts(via(route, graph)) == expected, (route, graph)
 
-    def test_butterfly_count_beyond_one_word(self):
-        # Side sizes beyond 64 force multi-word masks; the oracle sums
-        # C(common, 2) over left pairs from the adjacency sets.
-        from itertools import combinations
-
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_butterfly_backends_agree_beyond_one_word(self, route):
+        # Side sizes beyond 64 force multi-word masks.
         graph = erdos_renyi_bipartite(70, 130, num_edges=650, seed=17)
-        expected = 0
-        for v1, v2 in combinations(graph.left_vertices(), 2):
-            common = len(graph.neighbors_of_left(v1) & graph.neighbors_of_left(v2))
-            expected += common * (common - 1) // 2
-        assert count_butterflies(graph) == expected
-        assert sum(edge_butterfly_counts(graph).values()) == 4 * expected
+        routed = via(route, graph)
+        expected = self._pair_count(graph)
+        assert count_butterflies(routed) == expected
+        assert sum(edge_butterfly_counts(routed).values()) == 4 * expected
 
 
-class TestGeneralGraphMasks:
+class TestBitsetGeneralGraph:
+    """:class:`Graph` keeps a mask next to every adjacency set."""
+
     def test_masks_track_edges(self):
         graph = Graph(4, edges=[(0, 1), (1, 2)])
         assert graph.adj_mask(1) == 0b101
@@ -306,10 +333,36 @@ class TestGeneralGraphMasks:
         assert graph.adj_mask(1) == 0b1101
         assert graph.adj_mask(3) == 0b010
 
-    def test_inflation_masks_match_sets(self, tiny_graph):
+    def test_to_bitset_roundtrip(self):
+        """A graph rebuilt from its masks alone has the same edges."""
+        from repro.graph import iter_bits
+
+        graph = Graph(70, edges=[(0, 1), (2, 3), (3, 4), (4, 69), (69, 0)])
+        from_masks = Graph(
+            70, edges=[(u, v) for u in graph.vertices() for v in iter_bits(graph.adj_mask(u))]
+        )
+        assert sorted(from_masks.edges()) == sorted(graph.edges())
+        assert from_masks.num_edges == graph.num_edges
+
+    def test_inflate_bitset_backend(self, tiny_graph):
         inflated = inflate(tiny_graph)
         for u in inflated.vertices():
             assert inflated.adj_mask(u) == sum(1 << v for v in inflated.neighbors(u))
+        # The backend argument is gone: passing one fails loudly.
+        with pytest.raises(TypeError):
+            inflate(tiny_graph, backend="bitset")
+
+    def test_inflate_packed_backend(self):
+        """Inflation beyond one word, from every construction route."""
+        graph = erdos_renyi_bipartite(40, 35, num_edges=300, seed=8)
+        expected = sorted(inflate(graph).edges())
+        for route in ROUTES:
+            inflated = inflate(via(route, graph))
+            assert inflated.num_vertices == 75
+            assert inflated.num_edges == inflated_edge_count(graph)
+            assert sorted(inflated.edges()) == expected
+            for u in inflated.vertices():
+                assert inflated.adj_mask(u) == sum(1 << v for v in inflated.neighbors(u))
 
 
 class TestGenerators:

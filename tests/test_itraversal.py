@@ -1,6 +1,7 @@
 """Tests for the iTraversal algorithm and its variants."""
 
 import pytest
+from graph_samples import ROUTES, via
 
 from repro.baselines import enumerate_mbps_bruteforce
 from repro.core import (
@@ -167,7 +168,8 @@ class TestRightExtensible:
         )
 
     @pytest.mark.parametrize("k", [1, 3])
-    def test_matches_bruteforce_scan(self, k):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_matches_bruteforce_scan(self, k, route):
         import random
 
         from repro.core.traversal import ReverseSearchEngine, TraversalConfig
@@ -181,7 +183,7 @@ class TestRightExtensible:
             for index in range(4)
         ]
         for graph in graphs:
-            engine = ReverseSearchEngine(graph, k, TraversalConfig())
+            engine = ReverseSearchEngine(via(route, graph), k, TraversalConfig())
             for left in subsets_within_budget(list(graph.left_vertices()), k + 1):
                 for right in subsets_within_budget(list(graph.right_vertices()), 2):
                     local = Biplex.of(left, right)
@@ -191,7 +193,7 @@ class TestRightExtensible:
         # sides of k.
         for n_right in (80, 110):
             graph = erdos_renyi_bipartite(12, n_right, num_edges=4 * n_right, seed=n_right)
-            engine = ReverseSearchEngine(graph, k, TraversalConfig())
+            engine = ReverseSearchEngine(via(route, graph), k, TraversalConfig())
             outcomes = set()
             for _ in range(150):
                 left = rng.sample(range(12), rng.randint(1, 12))
@@ -202,14 +204,18 @@ class TestRightExtensible:
                 outcomes.add(expected)
             assert outcomes == {False, True}
 
-    def test_probe_follows_in_place_updates(self):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_probe_follows_in_place_updates(self, route):
         # An edge insertion lifts u3 from degree 1 to 2 = |L| - k, past the
         # degree cutoff of the probe's scan order: an order cached before
         # the update would stop before u3.
         from repro.core.traversal import ReverseSearchEngine, TraversalConfig
         from repro.graph import BipartiteGraph
 
-        graph = BipartiteGraph(3, 4, edges=[(0, 0), (1, 0), (2, 0), (0, 1), (1, 2), (0, 3)])
+        graph = via(
+            route,
+            BipartiteGraph(3, 4, edges=[(0, 0), (1, 0), (2, 0), (0, 1), (1, 2), (0, 3)]),
+        )
         engine = ReverseSearchEngine(graph, 1, TraversalConfig(prep="off"))
         assert engine.graph is graph
         local = Biplex.of([0, 1, 2], [0])

@@ -5,7 +5,8 @@ insert/delete sequences:
 
 * **substrates** — after any mutation sequence, the adjacency (sets and
   masks) equals a graph rebuilt from scratch, and enumeration (all three modes)
-  on the mutated object equals enumeration on the rebuild;
+  on the mutated object equals enumeration on the rebuild, whichever
+  construction route (``graph_samples.ROUTES``) built the starting graph;
 * **indices** — :class:`repro.graph.dynamic.DynamicGraphIndex` equals the
   from-scratch oracle (butterfly supports/total, (α, β)-core, k-bitruss)
   after every batch;
@@ -23,7 +24,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from graph_samples import random_graphs
+from graph_samples import ROUTES, random_graphs, via
 
 from repro.core import StaleCursorError
 from repro.core.itraversal import ITraversal, enumerate_mbps
@@ -74,8 +75,9 @@ def rebuilt(graph):
 # Epoch semantics
 # --------------------------------------------------------------------- #
 class TestEpochSemantics:
-    def test_epoch_counts_effective_mutations_only(self):
-        graph = BipartiteGraph(3, 3, [(0, 0), (1, 1)])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_epoch_counts_effective_mutations_only(self, route):
+        graph = via(route, BipartiteGraph(3, 3, [(0, 0), (1, 1)]))
         assert graph.epoch == 0
         assert graph.add_edge(0, 1) is True
         assert graph.epoch == 1
@@ -86,8 +88,9 @@ class TestEpochSemantics:
         assert graph.remove_edge(0, 1) is True
         assert graph.epoch == 2
 
-    def test_apply_batch_bumps_once_and_reports_effects(self):
-        graph = BipartiteGraph(3, 3, [(0, 0), (1, 1)])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_apply_batch_bumps_once_and_reports_effects(self, route):
+        graph = via(route, BipartiteGraph(3, 3, [(0, 0), (1, 1)]))
         added, removed = graph.apply_batch(
             inserts=[(0, 1), (0, 1), (0, 0)], deletes=[(1, 1), (2, 2)]
         )
@@ -116,9 +119,10 @@ class TestEpochSemantics:
 # Substrate differential: mutated object == rebuilt graph
 # --------------------------------------------------------------------- #
 class TestMutationDifferential:
-    def test_adjacency_equals_rebuild_after_random_script(self):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_adjacency_equals_rebuild_after_random_script(self, route):
         for index, base in enumerate(GRAPHS):
-            graph = base.copy()
+            graph = via(route, base)
             apply_script(graph, mutation_script(graph, steps=6, seed=index))
             reference = rebuilt(graph)
             assert sorted(graph.edges()) == sorted(reference.edges())
@@ -134,24 +138,26 @@ class TestMutationDifferential:
             for v in range(graph.n_left):
                 assert graph.adj_left_mask(v) == reference.adj_left_mask(v)
 
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("k", (1, 2))
-    def test_enumeration_after_updates_equals_rebuild(self, k):
+    def test_enumeration_after_updates_equals_rebuild(self, k, route):
         for index, base in enumerate(GRAPHS):
-            graph = base.copy()
+            graph = via(route, base)
             apply_script(graph, mutation_script(graph, steps=6, seed=17 + index))
             mutated = ITraversal(graph, k).enumerate()
             reference = ITraversal(rebuilt(graph), k).enumerate()
-            assert sorted(mutated) == sorted(reference), f"k={k} g{index}"
+            assert sorted(mutated) == sorted(reference), f"{route} k={k} g{index}"
 
-    def test_solver_modes_after_updates_equal_rebuild(self):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_solver_modes_after_updates_equal_rebuild(self, route):
         for index, base in enumerate(GRAPHS):
-            graph = base.copy()
+            graph = via(route, base)
             apply_script(graph, mutation_script(graph, steps=5, seed=31 + index))
             reference = rebuilt(graph)
             for mode, extra in (("maximum", {}), ("top-k", {"top": 3})):
                 got, _ = enumerate_mbps(graph, 1, mode=mode, **extra)
                 want, _ = enumerate_mbps(reference, 1, mode=mode, **extra)
-                assert got == want, f"{mode} g{index}"
+                assert got == want, f"{route} {mode} g{index}"
 
     def test_grown_vertices_are_enumerable(self):
         graph = BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -167,15 +173,16 @@ class TestMutationDifferential:
 # Incremental indices vs the recomputed oracle
 # --------------------------------------------------------------------- #
 class TestIncrementalIndices:
-    def test_indices_match_oracle_after_every_batch(self):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_indices_match_oracle_after_every_batch(self, route):
         for index, base in enumerate(GRAPHS):
-            graph = base.copy()
+            graph = via(route, base)
             alpha, beta = 2, 2
             dyn = DynamicGraphIndex(graph, alpha=alpha, beta=beta)
             for inserts, deletes in mutation_script(graph, steps=6, seed=47 + index):
                 dyn.apply(inserts=inserts, deletes=deletes)
                 total, supports, core = recomputed_oracle(graph, alpha, beta)
-                label = f"g{index} epoch={graph.epoch}"
+                label = f"{route} g{index} epoch={graph.epoch}"
                 assert dyn.butterfly_count == total, label
                 assert dyn.butterflies.supports == supports, label
                 assert tuple(map(set, dyn.core_members)) == core, label

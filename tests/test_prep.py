@@ -16,6 +16,7 @@ Covers the pieces the differential harness cannot attribute precisely:
 from __future__ import annotations
 
 import pytest
+from graph_samples import ROUTES, via
 
 from repro.baselines import enumerate_mbps_bruteforce
 from repro.core import ITraversal
@@ -150,6 +151,23 @@ class TestReduction:
                 enumerate_mbps_imb(graph, 0, theta_left=2, theta_right=2, prep="core")
             )
             assert got == expected, seed
+
+    def test_backend_class_is_preserved(self):
+        """The reduced graph is the one substrate again, with exact masks,
+        whichever construction route built the input."""
+        from repro.graph import iter_bits
+
+        reference = reduce_for_thresholds(graph_with_fringe(), 1, 3, 3)
+        for route in ROUTES:
+            reduction = reduce_for_thresholds(via(route, graph_with_fringe()), 1, 3, 3)
+            reduced = reduction.graph
+            assert type(reduced) is BipartiteGraph
+            assert reduced == reference.graph
+            assert reduced.num_edges < graph_with_fringe().num_edges
+            for v in reduced.left_vertices():
+                assert set(iter_bits(reduced.adj_left_mask(v))) == reduced.neighbors_of_left(v)
+            for u in reduced.right_vertices():
+                assert set(iter_bits(reduced.adj_right_mask(u))) == reduced.neighbors_of_right(u)
 
 
 # --------------------------------------------------------------------- #
@@ -358,7 +376,8 @@ class TestTranslation:
 # --------------------------------------------------------------------- #
 #: ITraversal k=1 on the paper's example graph, captured before the prep
 #: pipeline existed.  ``prep="off"`` (and, without thresholds, the default
-#: ``"core"``) must reproduce this list bit for bit — order included.
+#: ``"core"``) must reproduce this list bit for bit — order included — on
+#: every construction route.
 PAPER_EXAMPLE_GOLDEN_K1 = [
     ((4,), (0, 1, 2, 3, 4)),
     ((0, 1, 4), (0, 1, 2, 3)),
@@ -377,15 +396,37 @@ PAPER_EXAMPLE_GOLDEN_K1 = [
 
 
 class TestGoldenOutputs:
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("prep", ("off", "core"))
-    def test_paper_example_bit_for_bit(self, prep):
+    def test_paper_example_bit_for_bit(self, route, prep):
         # jobs=1 pinned: the golden list is the *serial* DFS order (a
         # REPRO_JOBS=2 environment would switch to sorted parallel output).
-        keys = [
-            s.key()
-            for s in ITraversal(paper_example_graph(), 1, prep=prep, jobs=1).enumerate()
-        ]
+        graph = via(route, paper_example_graph())
+        keys = [s.key() for s in ITraversal(graph, 1, prep=prep, jobs=1).enumerate()]
         assert keys == PAPER_EXAMPLE_GOLDEN_K1
+
+    def test_off_matches_historical_behaviour_across_backends(self):
+        """Same DFS order on every construction route, thresholds on or off."""
+        graph = erdos_renyi_bipartite(6, 5, num_edges=14, seed=7)
+        for theta in (0, 2):
+            runs = [
+                [
+                    s.key()
+                    for s in ITraversal(
+                        via(route, graph),
+                        1,
+                        theta_left=theta,
+                        theta_right=theta,
+                        prep="off",
+                        jobs=1,
+                    ).enumerate()
+                ]
+                for route in ROUTES
+            ]
+            assert runs[0] == runs[1] == runs[2]
+            assert runs[0], f"theta={theta} must produce solutions"
+            expected = filter_large(enumerate_mbps_bruteforce(graph, 1), theta, theta)
+            assert sorted(runs[0]) == sorted(s.key() for s in expected)
 
 
 # --------------------------------------------------------------------- #

@@ -14,6 +14,8 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from graph_samples import ROUTES, via
+
 from repro.baselines import enumerate_mbps_bruteforce, enumerate_mbps_imb
 from repro.core import (
     BTraversal,
@@ -132,15 +134,18 @@ class TestCrossAlgorithmEquivalence:
 
     @SETTINGS
     @given(graph=bipartite_graphs(max_left=4, max_right=4), k=ks)
-    def test_enumerators_match_bruteforce(self, graph, k):
-        """Core enumerators and baselines agree with the set-query brute force."""
+    def test_enumerators_backend_identical(self, graph, k):
+        """Core enumerators and baselines agree with the set-query brute force
+        on the graph reached by every construction route."""
         from repro.baselines import enumerate_mbps_inflation
 
         reference = set(enumerate_mbps_bruteforce(graph, k))
-        assert set(ITraversal(graph, k).enumerate()) == reference
-        assert set(BTraversal(graph, k).enumerate()) == reference
-        assert set(enumerate_mbps_imb(graph, k)) == reference
-        assert set(enumerate_mbps_inflation(graph, k)) == reference
+        for route in ROUTES:
+            routed = via(route, graph)
+            assert set(ITraversal(routed, k).enumerate()) == reference
+            assert set(BTraversal(routed, k).enumerate()) == reference
+            assert set(enumerate_mbps_imb(routed, k)) == reference
+            assert set(enumerate_mbps_inflation(routed, k)) == reference
 
 
 class TestStructuralInvariants:
@@ -253,17 +258,21 @@ class TestCoreProperties:
 
     @SETTINGS
     @given(graph=asymmetric_graphs)
-    def test_butterfly_count_matches_bruteforce(self, graph):
-        assert count_butterflies(graph) == _bruteforce_butterflies(graph)
+    def test_butterfly_count_matches_bruteforce_on_both_backends(self, graph):
+        expected = _bruteforce_butterflies(graph)
+        for route in ROUTES:
+            assert count_butterflies(via(route, graph)) == expected
 
     @SETTINGS
     @given(graph=asymmetric_graphs)
-    def test_edge_supports_match_bruteforce(self, graph):
-        assert edge_butterfly_counts(graph) == _bruteforce_edge_supports(graph)
+    def test_edge_supports_match_bruteforce_on_both_backends(self, graph):
+        expected = _bruteforce_edge_supports(graph)
+        for route in ROUTES:
+            assert edge_butterfly_counts(via(route, graph)) == expected
 
     @SETTINGS
     @given(graph=asymmetric_graphs, k=st.integers(min_value=1, max_value=3))
-    def test_k_bitruss_matches_round_peel(self, graph, k):
+    def test_k_bitruss_backends_agree_and_supports_hold(self, graph, k):
         expected = graph.copy()
         while True:
             supports = _bruteforce_edge_supports(expected)
@@ -272,9 +281,10 @@ class TestCoreProperties:
                 break
             for v, u in weak:
                 expected.remove_edge(v, u)
-        truss = k_bitruss(graph, k)
-        assert sorted(truss.edges()) == sorted(expected.edges())
-        assert all(count >= k for count in edge_butterfly_counts(truss).values())
+        for route in ROUTES:
+            truss = k_bitruss(via(route, graph), k)
+            assert sorted(truss.edges()) == sorted(expected.edges())
+            assert all(count >= k for count in edge_butterfly_counts(truss).values())
 
     @SETTINGS
     @given(
@@ -282,10 +292,10 @@ class TestCoreProperties:
         alpha=st.integers(min_value=0, max_value=3),
         beta=st.integers(min_value=0, max_value=3),
     )
-    def test_core_matches_bruteforce(self, graph, alpha, beta):
-        assert alpha_beta_core(graph, alpha, beta) == _bruteforce_alpha_beta_core(
-            graph, alpha, beta
-        )
+    def test_core_matches_bruteforce_on_both_backends(self, graph, alpha, beta):
+        expected = _bruteforce_alpha_beta_core(graph, alpha, beta)
+        for route in ROUTES:
+            assert alpha_beta_core(via(route, graph), alpha, beta) == expected
 
     @SETTINGS
     @given(graph=bipartite_graphs(max_left=5, max_right=5), k=ks, theta=st.integers(2, 4))

@@ -2,15 +2,17 @@
 
 The tentpole contract: a session interrupted at *any* point and resumed
 from its cursor token produces the **exact suffix** of the uninterrupted
-run — serial and parallel, and every prep mode.  Plus the front-end
-equivalences (``session().stream()`` == ``run()``) and the token hygiene
-errors.
+run — serial and parallel, every prep mode and every construction route
+of ``graph_samples.ROUTES``.  Plus the front-end equivalences
+(``session().stream()`` == ``run()``), the token hygiene errors, and
+cursor portability between equal graphs built by different routes (the
+fingerprint hashes the adjacency, not how it was filled).
 """
 
 from __future__ import annotations
 
 import pytest
-from graph_samples import random_graphs
+from graph_samples import ROUTES, random_graphs, via
 
 from repro.core import CursorError, EnumerationSession, ITraversal
 from repro.core.itraversal import itraversal_config
@@ -72,10 +74,12 @@ class TestSessionBasics:
 class TestCursorSuffixEquality:
     """Resume from any checkpoint yields the exact suffix."""
 
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("prep", ["off", "core", "core+order"])
-    def test_serial_matrix(self, prep):
-        for graph in GRAPHS:
-            expected = _full_run(graph, prep=prep, jobs=1)
+    def test_serial_matrix(self, route, prep):
+        for base in GRAPHS:
+            expected = _full_run(base, prep=prep, jobs=1)
+            graph = via(route, base)
             cuts = sorted({0, 1, len(expected) // 2, max(len(expected) - 1, 0)})
             for cut in cuts:
                 session = _session(graph, prep=prep, jobs=1)
@@ -89,7 +93,7 @@ class TestCursorSuffixEquality:
                     itraversal_config(prep=prep, jobs=1),
                 )
                 suffix = list(resumed.stream())
-                assert prefix + suffix == expected, (prep, cut)
+                assert prefix + suffix == expected, (route, prep, cut)
 
     @pytest.mark.parametrize("prep", ["off", "core+order"])
     def test_parallel_offset_cursor(self, prep):
@@ -121,6 +125,20 @@ class TestCursorSuffixEquality:
             session.close()
             session = EnumerationSession.resume(graph, 1, token, itraversal_config())
         assert collected == expected
+
+    def test_cross_backend_portability(self):
+        """A cursor captured on one construction route resumes on another."""
+        graph = paper_example_graph()
+        expected = _full_run(graph)
+        session = _session(graph)
+        prefix = session.next_batch(4)
+        token = session.cursor()
+        session.close()
+        for route in ROUTES:
+            resumed = EnumerationSession.resume(
+                via(route, graph), 1, token, itraversal_config()
+            )
+            assert prefix + list(resumed.stream()) == expected, route
 
     def test_exhausted_cursor_resumes_empty(self):
         graph = paper_example_graph()

@@ -3,14 +3,15 @@
 The oracle is the full enumeration: ``maximum`` must return the min-key
 solution among the maximum-size ones, ``top-k`` the first ``n`` of the
 full set sorted by ``(-size, key)``.  Both are pinned serial and
-``jobs=2``, and across the prep modes — the incumbent-bound
+``jobs=2``, on every construction route of ``graph_samples.ROUTES``, and
+across the prep modes — the incumbent-bound
 pruning (and the cross-worker bound gossip) must never change answers,
 only skip work.
 """
 
 import pytest
 
-from graph_samples import random_graphs
+from graph_samples import ROUTES, random_graphs, via
 
 from repro.core import (
     EnumerationSession,
@@ -104,38 +105,40 @@ class TestObjectiveUnits:
 
 
 class TestSolverDifferential:
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("prep", ["off", "core+order"])
-    def test_maximum_matches_oracle_serial(self, prep):
+    def test_maximum_matches_oracle_serial(self, route, prep):
         for graph in GRAPHS:
+            routed = via(route, graph)
             for k in (1, 2):
                 oracle = _oracle(graph, k)
                 solutions, stats = enumerate_mbps(
-                    graph, k, prep=prep, jobs=1, mode="maximum"
+                    routed, k, prep=prep, jobs=1, mode="maximum"
                 )
                 assert solutions == oracle[:1]
                 if oracle:
                     assert stats.best_size == oracle[0].size
 
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("prep", ["off", "core+order"])
-    def test_top_k_matches_oracle_serial(self, prep):
+    def test_top_k_matches_oracle_serial(self, route, prep):
         for graph in GRAPHS:
+            routed = via(route, graph)
             oracle = _oracle(graph, 1)
             for top in (1, 3, len(oracle) + 5):
                 solutions, _ = enumerate_mbps(
-                    graph, 1, prep=prep, jobs=1, mode="top-k", top=top
+                    routed, 1, prep=prep, jobs=1, mode="top-k", top=top
                 )
                 assert solutions == oracle[:top]
 
-    def test_solver_modes_match_oracle_jobs2(self):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_solver_modes_match_oracle_jobs2(self, route):
         oracle = _oracle(PARALLEL_GRAPH, 1)
-        solutions, stats = enumerate_mbps(
-            PARALLEL_GRAPH, 1, jobs=2, mode="maximum"
-        )
+        graph = via(route, PARALLEL_GRAPH)
+        solutions, stats = enumerate_mbps(graph, 1, jobs=2, mode="maximum")
         assert solutions == oracle[:1]
         assert stats.best_size == oracle[0].size
-        solutions, _ = enumerate_mbps(
-            PARALLEL_GRAPH, 1, jobs=2, mode="top-k", top=5
-        )
+        solutions, _ = enumerate_mbps(graph, 1, jobs=2, mode="top-k", top=5)
         assert solutions == oracle[:5]
 
     @pytest.mark.parametrize("prep", ["off", "core"])
