@@ -61,12 +61,10 @@ exact schema is documented in ``ARCHITECTURE.md``).  Two cursor modes:
 ``offset``
     Parallel runs (resolved ``jobs > 1``), whose frontier lives across a
     process pool.  The token records how many solutions were emitted;
-    resume re-runs the (deterministic, ``parallel_order="sorted"``)
-    enumeration and skips that many.  Correct for any job count above 1,
-    but resumption costs a re-enumeration of the prefix — the hot-graph
-    registry (:mod:`repro.service`) at least makes it skip graph load and
-    prep.  ``parallel_order="completion"`` runs are not cursorable (their
-    order is scheduling-dependent) and :meth:`cursor` refuses.
+    resume re-runs the (deterministic, canonically sorted) enumeration and
+    skips that many.  Correct for any job count above 1, but resumption
+    costs a re-enumeration of the prefix — the hot-graph registry
+    (:mod:`repro.service`) at least makes it skip graph load and prep.
 
 Tokens carry a fingerprint of the reduced graph, ``k`` and every
 order-relevant configuration knob; resuming against a different graph or
@@ -373,11 +371,6 @@ class EnumerationSession:
         yield).  The token is self-contained: everything needed to continue
         except the graph itself, which :meth:`resume` takes again.
         """
-        if self._mode == "offset" and self.config.parallel_order != "sorted":
-            raise CursorError(
-                "cursors over parallel runs require parallel_order='sorted' "
-                "(completion order is scheduling-dependent and not resumable)"
-            )
         payload = {
             "schema": CURSOR_SCHEMA,
             "mode": self._mode,

@@ -96,23 +96,17 @@ class TraversalConfig:
         ``REPRO_JOBS`` environment variable (falling back to 1), ``0`` means
         one worker per CPU core, and any value above 1 partitions the
         traversal forest by root anchor and fans the subtrees out over a
-        process pool.  An *uncapped* run enumerates exactly the serial
+        process pool.  A parallel run yields its merged solutions in
+        canonical ascending :meth:`Biplex.key` order (deterministic, and
+        equal to the serial output sorted the same way); the
+        degenerate-plan fallback (fewer than two shards) keeps the serial
+        DFS order.  An *uncapped* run enumerates exactly the serial
         solution set; under ``max_results``/``time_limit`` the parallel cap
         keeps the first solutions to arrive, which may be a different (and
         scheduling-dependent) subset than serial's first N — pin ``jobs=1``
         where the capped selection itself matters (as
         :mod:`repro.analysis.fraud` does).  See :mod:`repro.parallel` for
         the ordering and stats-merge contract.
-    parallel_order:
-        Output ordering of a parallel (``jobs > 1``) run: ``"sorted"``
-        (the default) buffers the merged solutions and yields them in
-        canonical ascending :meth:`Biplex.key` order — deterministic and
-        equal to the serial output sorted the same way, which is what the
-        differential harness pins; ``"completion"`` streams solutions in
-        worker-completion order (lower latency to the first result, but the
-        order varies run to run).  Ignored by serial runs, including the
-        degenerate-plan fallback (fewer than two shards), which preserves
-        the serial DFS order.
     objective, top:
         What the traversal is searching *for*: ``"enumerate"`` (the
         default — every maximal k-biplex, streamed), ``"maximum"`` (the
@@ -154,7 +148,6 @@ class TraversalConfig:
     time_limit: Optional[float] = None
     output_order: str = "pre"
     jobs: Optional[int] = None
-    parallel_order: str = "sorted"
     prep: str = field(default_factory=default_prep)
     objective: str = "enumerate"
     top: Optional[int] = None
@@ -177,8 +170,6 @@ class TraversalConfig:
             raise ValueError(f"prep must be one of {PREP_MODES}")
         if self.jobs is not None and self.jobs < 0:
             raise ValueError("jobs must be None or >= 0 (0 = one worker per CPU core)")
-        if self.parallel_order not in ("sorted", "completion"):
-            raise ValueError("parallel_order must be 'sorted' or 'completion'")
         # One validator for CLI flags, service queries and direct
         # construction — all three reject bad (objective, top) pairs with
         # the same message.

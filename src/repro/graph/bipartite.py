@@ -373,15 +373,18 @@ class BipartiteGraph:
     ) -> Tuple["BipartiteGraph", List[int], List[int]]:
         """Induced subgraph plus ``new id → original id`` maps for both sides."""
         left_ids = sorted(set(left_subset))
-        right_ids = sorted(set(right_subset))
-        left_index = {original: new for new, original in enumerate(left_ids)}
+        right_set = set(right_subset)
+        right_ids = sorted(right_set)
         right_index = {original: new for new, original in enumerate(right_ids)}
-        subgraph = BipartiteGraph(len(left_ids), len(right_ids))
-        for original_left in left_ids:
-            adjacency = self._adj_left[original_left]
-            for original_right in right_ids:
-                if original_right in adjacency:
-                    subgraph.add_edge(left_index[original_left], right_index[original_right])
+        subgraph = BipartiteGraph(
+            len(left_ids),
+            len(right_ids),
+            (
+                (new_left, right_index[original_right])
+                for new_left, original_left in enumerate(left_ids)
+                for original_right in sorted(self._adj_left[original_left] & right_set)
+            ),
+        )
         return subgraph, left_ids, right_ids
 
     def edges(self) -> Iterator[Tuple[int, int]]:

@@ -42,11 +42,9 @@ The coordinator (:func:`repro.parallel.engine.run_parallel`) computes the
 root and the shard plan, then fans the shards out over ``jobs`` worker
 processes through a task queue (dynamic load balancing: workers pull the
 next shard when done).  Workers stream batches of solutions back through a
-result queue; the coordinator deduplicates against everything already seen
-and either re-yields immediately (``parallel_order="completion"``) or
-buffers and finally yields in canonical sorted order
-(``parallel_order="sorted"``, the default — deterministic, and equal to
-the serial output sorted by :meth:`Biplex.key`, which is what the
+result queue; the coordinator deduplicates against everything already seen,
+buffers, and finally yields in canonical sorted order (deterministic, and
+equal to the serial output sorted by :meth:`Biplex.key`, which is what the
 differential harness pins).  ``max_results`` and ``time_limit`` are
 enforced cooperatively: the coordinator counts unique yields and watches
 the wall-clock deadline, and cancels the remaining shards through a shared

@@ -200,7 +200,6 @@ def run_parallel(engine) -> Iterator[Biplex]:
     engine.objective.reset()
     merged = TraversalStats(num_solutions=1, num_shards=len(shards))
     seen = {root}
-    ordered = config.parallel_order == "sorted"
     buffered: List[Biplex] = []
     stop = False
     worker_error: Optional[str] = None
@@ -229,11 +228,7 @@ def run_parallel(engine) -> Iterator[Biplex]:
             if cap_reached():
                 merged.hit_result_limit = True
                 stop = True
-            if ordered:
-                buffered.append(root)
-            else:
-                merged.num_reported += 1
-                yield root
+            buffered.append(root)
         pending = worker_count
         backlog: deque = deque()
         while pending and not stop:
@@ -279,11 +274,7 @@ def run_parallel(engine) -> Iterator[Biplex]:
                     if cap_reached():
                         merged.hit_result_limit = True
                         stop = True
-                    if ordered:
-                        buffered.append(solution)
-                    else:
-                        merged.num_reported += 1
-                        yield solution
+                    buffered.append(solution)
                     if stop:
                         break
             elif kind == "done":
@@ -311,11 +302,9 @@ def run_parallel(engine) -> Iterator[Biplex]:
         # Rough parity with the serial run, whose visited mapping holds
         # every discovered solution afterwards.
         engine._visited = dict.fromkeys(seen, frozenset())
-    if ordered:
-        buffered.sort(key=lambda solution: solution.key())
-        for solution in buffered:
-            # ``merged`` is the same object as ``engine.stats`` by now, so
-            # late increments stay visible even though the finally above
-            # already ran.
-            merged.num_reported += 1
-            yield solution
+    buffered.sort(key=lambda solution: solution.key())
+    for solution in buffered:
+        # ``merged`` is the same object as ``engine.stats`` by now, so late
+        # increments stay visible even though the finally above already ran.
+        merged.num_reported += 1
+        yield solution

@@ -25,12 +25,7 @@ from dataclasses import dataclass, replace
 from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from .ordering import ORDER_STRATEGIES, choose_order_strategy
-from .reduce import (
-    bitruss_support_bound,
-    reduce_for_thresholds,
-    repair_core_sets,
-    threshold_core_bounds,
-)
+from .reduce import reduce_for_thresholds, repair_core_sets, threshold_core_bounds
 
 #: Modes accepted by :func:`prepare` and every ``prep=`` parameter.
 PREP_MODES = ("off", "core", "core+order")
@@ -125,8 +120,9 @@ class PrepPlan:
     #: trails the graph's is stale.
     epoch: int = 0
     #: First-stage (α, β)-core survivors in *original* ids — the anchor
-    #: :func:`reprepare` repairs locally after a mutation batch.  ``None``
-    #: when the thresholds imposed no bounds (or mode is ``off``).
+    #: :func:`reprepare` repairs locally to tell whether a mutation batch
+    #: left the plan standing.  ``None`` when the thresholds imposed no
+    #: bounds (or mode is ``off``).
     core_left: Optional[FrozenSet[int]] = None
     core_right: Optional[FrozenSet[int]] = None
 
@@ -173,7 +169,7 @@ def prepare(
     """
     mode = resolve_prep(mode)
     if mode == "off":
-        return PrepPlan(mode=mode, graph=graph, epoch=getattr(graph, "epoch", 0))
+        return PrepPlan(mode=mode, graph=graph, epoch=graph.epoch)
     reduction = reduce_for_thresholds(graph, k, theta_left, theta_right)
     left_order = right_order = None
     resolved_strategy: Optional[str] = None
@@ -212,113 +208,45 @@ def reprepare(
     theta_right: int = 0,
     order_strategy: Optional[str] = None,
 ) -> PrepPlan:
-    """Rebuild a plan after ``graph`` absorbed a mutation batch, locally.
+    """The plan for ``graph`` after it absorbed a mutation batch.
 
-    ``previous`` must be a plan built by :func:`prepare` over the *same
-    graph object* with the same ``k`` / mode / thresholds / ordering
-    (callers — the hot-graph registry — key plans by exactly those, so the
-    contract holds by construction); ``inserts`` / ``deletes`` are the edge
-    batches applied since, already folded into ``graph``.
+    ``previous`` must be a plan built over the *same graph object* with the
+    same ``k`` / mode / thresholds / ordering (callers — the hot-graph
+    registry — key plans by exactly those, so the contract holds by
+    construction); ``inserts`` / ``deletes`` are the edge batches applied
+    since, already folded into ``graph``.
 
-    Strategy: repair the first-stage (α, β)-core from the plan's recorded
-    survivor sets (:func:`repro.prep.reduce.repair_core_sets` — exact, and
-    local to the affected neighborhood), then
+    Ends in one of two ways:
 
-    * if the core is unchanged and no applied edge has both endpoints
-      inside it, the whole old fixpoint still stands — the previous plan is
-      returned re-stamped with the new epoch (this is the streaming fraud
-      fast path: camouflage edges land outside the thresholded core);
-    * otherwise the remaining reduction pipeline re-runs only on the new
-      core's induced subgraph and the id maps are spliced back through the
-      compaction.  The reduction fixpoint is the unique maximum subgraph
-      meeting the core/support bounds, so the spliced result is
-      content-identical to a from-scratch :func:`prepare` — cursor
-      fingerprints agree no matter which path built the plan.
+    * no applied edge has both endpoints inside the plan's first-stage
+      (α, β)-core, and that core, repaired from the recorded survivor sets
+      (:func:`repro.prep.reduce.repair_core_sets` — exact, and local to
+      the affected neighborhood), is unchanged.  Every later stage runs
+      inside that core, so the old fixpoint still stands and ``previous``
+      comes back re-stamped with the new epoch (the streaming fraud fast
+      path: camouflage edges land outside the thresholded core);
+    * otherwise :func:`prepare` builds the plan from scratch.
 
-    Falls back to :func:`prepare` when nothing incremental applies
-    (mode ``off``, unbounded thresholds, or a plan without core sets).
+    Either way the result is content-identical to :func:`prepare` on the
+    mutated graph, so cursor fingerprints agree whichever path built it.
     """
     mode = resolve_prep(mode)
-    if (
-        previous is None
-        or mode == "off"
-        or previous.mode != mode
-        or previous.core_left is None
-        or previous.core_right is None
-    ):
-        return prepare(graph, k, mode, theta_left, theta_right, order_strategy)
-    alpha, beta = threshold_core_bounds(k, theta_left, theta_right)
-    support = bitruss_support_bound(k, theta_left, theta_right)
-    if alpha == 0 and beta == 0 and support < 1:
-        return prepare(graph, k, mode, theta_left, theta_right, order_strategy)
-    inserts = list(inserts)
-    deletes = list(deletes)
-    touched_left = {v for v, _ in inserts} | {v for v, _ in deletes}
-    touched_right = {u for _, u in inserts} | {u for _, u in deletes}
-    core_left, core_right = repair_core_sets(
-        graph,
-        alpha,
-        beta,
-        previous.core_left,
-        previous.core_right,
-        touched_left,
-        touched_right,
-    )
-    epoch = getattr(graph, "epoch", 0)
-    touched_inside = any(
-        v in core_left and u in core_right for v, u in inserts + deletes
-    )
-    if (
-        not touched_inside
-        and core_left == set(previous.core_left)
-        and core_right == set(previous.core_right)
-    ):
-        return replace(previous, epoch=epoch)
-    induced, left_ids, right_ids = graph.induced_subgraph_with_mapping(
-        core_left, core_right
-    )
-    # The inner pipeline re-peels the (already-core) induced subgraph to
-    # the same fixpoint a from-scratch run would reach; its maps are
-    # relative to ``induced`` and splice through ``left_ids``/``right_ids``.
-    reduction = reduce_for_thresholds(induced, k, theta_left, theta_right)
-    if reduction.is_identity:
-        final_graph = reduction.graph
-        left_map, right_map = left_ids, right_ids
-    else:
-        final_graph = reduction.graph
-        left_map = [left_ids[v] for v in reduction.left_map]
-        right_map = [right_ids[u] for u in reduction.right_map]
-    if (
-        final_graph.n_left == graph.n_left
-        and final_graph.n_right == graph.n_right
-        and final_graph.num_edges == graph.num_edges
-    ):
-        # The repaired reduction removed nothing: canonicalize to the
-        # identity plan a from-scratch prepare() would return (maps of
-        # None, the input object itself) so the two paths stay
-        # content-identical plan for plan, not just fingerprint for
-        # fingerprint.
-        final_graph = graph
-        left_map = right_map = None
-    left_order = right_order = None
-    resolved_strategy: Optional[str] = None
-    if mode == "core+order":
-        resolved_strategy = resolve_order_strategy(order_strategy)
-        if resolved_strategy == "auto":
-            resolved_strategy = choose_order_strategy(final_graph)
-        left_order, right_order = ORDER_STRATEGIES[resolved_strategy](final_graph)
-    return PrepPlan(
-        mode=mode,
-        graph=final_graph,
-        left_map=left_map,
-        right_map=right_map,
-        left_order=left_order,
-        right_order=right_order,
-        removed_left=graph.n_left - final_graph.n_left,
-        removed_right=graph.n_right - final_graph.n_right,
-        removed_edges=graph.num_edges - final_graph.num_edges,
-        order_strategy=resolved_strategy,
-        epoch=epoch,
-        core_left=frozenset(core_left),
-        core_right=frozenset(core_right),
-    )
+    if previous is not None and previous.mode == mode and previous.core_left is not None:
+        old_left, old_right = previous.core_left, previous.core_right
+        touched = list(inserts) + list(deletes)
+        # An edge inside the old core stays inside the repaired core or
+        # changes it, so it rules the re-stamp out before any repair work.
+        if not any(v in old_left and u in old_right for v, u in touched):
+            alpha, beta = threshold_core_bounds(k, theta_left, theta_right)
+            core_left, core_right = repair_core_sets(
+                graph,
+                alpha,
+                beta,
+                old_left,
+                old_right,
+                {v for v, _ in touched},
+                {u for _, u in touched},
+            )
+            if core_left == old_left and core_right == old_right:
+                return replace(previous, epoch=graph.epoch)
+    return prepare(graph, k, mode, theta_left, theta_right, order_strategy)

@@ -221,10 +221,9 @@ class Reduction:
     #: an epoch mismatch as staleness.
     epoch: int = 0
     #: Survivors (original ids) of the *first* (α, β)-core stage — the
-    #: anchor for incremental re-reduction after a mutation batch
-    #: (:func:`repro.prep.plan.reprepare` repairs this core locally and
-    #: re-runs the rest of the pipeline only inside it).  ``None`` when the
-    #: thresholds imposed no bounds.
+    #: anchor :func:`repro.prep.plan.reprepare` repairs locally to tell
+    #: whether a mutation batch left the reduction standing.  ``None`` when
+    #: the thresholds imposed no bounds.
     core_left: Optional[FrozenSet[int]] = None
     core_right: Optional[FrozenSet[int]] = None
 
@@ -250,7 +249,7 @@ def reduce_for_thresholds(
     """
     alpha, beta = threshold_core_bounds(k, theta_left, theta_right)
     support = bitruss_support_bound(k, theta_left, theta_right)
-    epoch = getattr(graph, "epoch", 0)
+    epoch = graph.epoch
     if alpha == 0 and beta == 0 and support < 1:
         return Reduction(graph, None, None, epoch=epoch)
     original_edges = graph.num_edges

@@ -348,10 +348,6 @@ class ServiceHTTPServer:
                     return 400, {"error": "session_id must be a string"}
                 if cursor is not None and not isinstance(cursor, str):
                     return 400, {"error": "cursor must be a string"}
-                if page_size is not None and (
-                    not isinstance(page_size, int) or isinstance(page_size, bool)
-                ):
-                    return 400, {"error": "page_size must be an integer"}
                 result = await loop.run_in_executor(
                     self._executor,
                     lambda: self.service.next_page(

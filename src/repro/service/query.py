@@ -127,7 +127,7 @@ class Budgets:
     def clamp_page_size(self, requested: Optional[int]) -> int:
         if requested is None:
             return min(self.default_page_size, self.max_page_size)
-        if requested < 1:
+        if not isinstance(requested, int) or isinstance(requested, bool) or requested < 1:
             raise QueryError("page_size must be a positive integer")
         return min(requested, self.max_page_size)
 
@@ -308,8 +308,8 @@ class QueryService:
             "max_results": self.budgets.clamp_max_results(max_results),
             "time_limit": self.budgets.clamp_time_limit(time_limit),
             # The objective is part of the canonical form on purpose: it is
-            # the result-cache key and the plan key, so a maximum answer can
-            # never be served for an enumerate query (or vice versa).
+            # the result-cache key, so a maximum answer can never be served
+            # for an enumerate query (or vice versa).
             "mode": mode,
             "top": top,
         }
@@ -416,7 +416,6 @@ class QueryService:
             normalized["theta_left"],
             normalized["theta_right"],
             order_strategy=normalized["order_strategy"],
-            mode=normalized["mode"],
         )
 
     def _config_for(self, normalized: dict):
@@ -455,7 +454,7 @@ class QueryService:
         # is part of the cache key, so a result computed before an update
         # can never answer a query made after it.
         graph_key, graph = self.resolve_graph(normalized["graph"])
-        epoch = getattr(graph, "epoch", 0)
+        epoch = graph.epoch
         cache_key = (
             json.dumps(normalized, separators=(",", ":"), sort_keys=True)
             + f"|epoch={epoch}"
@@ -602,13 +601,14 @@ class QueryService:
     def _open_session(self, query: dict, page_size: Optional[int]) -> dict:
         with span("parse"):
             normalized = self.normalize(query)
+            size = self.budgets.clamp_page_size(page_size)
         with self._lock:
             self.queries += 1
         with span("plan"):
             session = self._open(normalized)
         record = self.sessions.create(session, query=normalized)
         with record.lock:
-            return self._page(record, self.budgets.clamp_page_size(page_size))
+            return self._page(record, size)
 
     def next_page(
         self,

@@ -8,9 +8,11 @@ registry memoizes both:
 * **graphs** are keyed by their *source* — a file path, a registry
   dataset name, or a content hash for inline edge lists — and kept in an
   LRU of ``capacity`` entries;
-* **prep plans** are keyed by ``(graph key, k, prep mode, θ_L, θ_R, …,
-  epoch)`` — everything the deterministic reduction + ordering depends
-  on — in their own, larger LRU (evicting a graph also drops its plans).
+* **prep plans** are keyed by ``(graph key, k, prep mode, θ_L, θ_R,
+  order strategy, epoch)`` — everything the deterministic reduction +
+  ordering depends on — in their own, larger LRU (evicting a graph also
+  drops its plans).  Prep is objective-blind, so one plan serves the
+  enumerate, maximum and top-k queries of one parameterization.
 
 Hit/miss counters are part of the contract: the acceptance test (and the
 ``/v1/stats`` endpoint) assert that the *second* identical query performs
@@ -29,8 +31,9 @@ step instead of mixing the two epochs (see
 :meth:`repro.core.traversal.ReverseSearchEngine._check_epoch`).
 The registry also keeps a short per-graph log of applied batches so that
 the next ``get_plan`` miss can hand the superseded plan plus the batches
-to :func:`repro.prep.reprepare`, which repairs the reduction locally
-instead of re-running it from scratch (content-identical result — cursor
+to :func:`repro.prep.reprepare`, which re-stamps the old plan when the
+batch left the reduction standing and otherwise calls
+:func:`repro.prep.prepare` (content-identical either way — cursor
 fingerprints don't care which path built the plan).
 """
 
@@ -140,29 +143,23 @@ class HotGraphRegistry:
         theta_left: int,
         theta_right: int,
         order_strategy: Optional[str] = None,
-        mode: str = "enumerate",
     ):
         """The prepared :class:`~repro.prep.plan.PrepPlan` for one parameterization.
 
         Builds (reduction + ordering) on a miss; a hit skips both — that is
         the "hot graph" fast path the acceptance test pins via
-        :attr:`plan_hits`.
-
-        ``mode`` (the solver objective) is part of the key even though the
-        prep pipeline itself is objective-blind today: a plan cached for an
-        ``enumerate`` query must never alias a solver query's once
-        bound-aware preparation differentiates them, and the cache contract
-        should not silently change when that lands.
+        :attr:`plan_hits`.  The key holds no solver objective: prep never
+        reads it, so enumerate, maximum and top-k queries share one plan.
 
         The graph's current epoch is the key's last component, so a plan
         prepared before an update simply never matches again.  A miss whose
-        only cause is an epoch bump is repaired incrementally via
-        :func:`repro.prep.reprepare` from the superseded plan and the
-        logged batches (which the repair consumes as touched-endpoint
-        hints), then the superseded entry is dropped.
+        only cause is an epoch bump goes through :func:`repro.prep.reprepare`
+        with the superseded plan and the logged batches (it re-stamps the
+        old plan or calls :func:`repro.prep.prepare`), then the superseded
+        entry is dropped.
         """
-        epoch = getattr(graph, "epoch", 0)
-        params = (key, k, prep, theta_left, theta_right, order_strategy, mode)
+        epoch = graph.epoch
+        params = (key, k, prep, theta_left, theta_right, order_strategy)
         plan_key = params + (epoch,)
         metrics = get_registry()
         with self._lock:
@@ -268,9 +265,9 @@ class HotGraphRegistry:
             graph = self._graphs.get(key)
             if graph is None:
                 raise KeyError(f"graph {key!r} is not resident in the registry")
-            from_epoch = getattr(graph, "epoch", 0)
+            from_epoch = graph.epoch
             added, removed = graph.apply_batch(inserts, deletes)
-            new_epoch = getattr(graph, "epoch", 0)
+            new_epoch = graph.epoch
             invalidated = 0
             if new_epoch != from_epoch:
                 log = self._updates.setdefault(key, deque(maxlen=DEFAULT_UPDATE_LOG))

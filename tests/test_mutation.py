@@ -263,6 +263,33 @@ class TestReprepare:
                 ), f"{mode} g{index} epoch={graph.epoch}"
                 previous = repaired
 
+    @pytest.mark.parametrize("mode", ("core", "core+order"))
+    def test_batch_missing_the_core_restamps_the_previous_plan(self, mode):
+        # k=1, θ=3: the (2, 2)-core is the 4x4 block.  Left 4 hangs off
+        # core vertex u0 with one edge; left 5 and right 5 are isolated.
+        block = [(v, u) for v in range(4) for u in range(4)]
+        graph = BipartiteGraph(6, 6, block + [(4, 0), (0, 4)])
+        previous = prepare(graph, 1, mode=mode, theta_left=3, theta_right=3)
+        assert previous.core_left == frozenset(range(4))
+        # One insert between two non-core vertices, one delete with a
+        # single core endpoint: neither has both endpoints in the core.
+        inserts, deletes = [(5, 5)], [(4, 0)]
+        graph.apply_batch(inserts, deletes)
+        repaired = reprepare(
+            graph,
+            1,
+            previous,
+            inserts=inserts,
+            deletes=deletes,
+            mode=mode,
+            theta_left=3,
+            theta_right=3,
+        )
+        assert repaired.graph is previous.graph
+        assert repaired.epoch == graph.epoch == previous.epoch + 1
+        scratch = prepare(graph, 1, mode=mode, theta_left=3, theta_right=3)
+        assert self._plan_content(repaired) == self._plan_content(scratch)
+
 
 # --------------------------------------------------------------------- #
 # Stale cursors: rejected exactly when the epoch moved
@@ -428,6 +455,33 @@ class TestServiceUpdate:
         cold = QueryService().enumerate(small_query(mutated))
         assert after["solutions"] == cold["solutions"]
         assert before["solutions"] != after["solutions"]
+
+    def test_one_rebuilt_plan_serves_every_objective(self):
+        from repro.graph import erdos_renyi_bipartite
+
+        graph = erdos_renyi_bipartite(10, 10, num_edges=55, seed=3)
+        query = small_query(graph, theta_left=3, theta_right=3)
+        service = QueryService()
+        service.enumerate(query)
+        absent = next(
+            (v, u) for v in range(10) for u in range(10) if not graph.has_edge(v, u)
+        )
+        service.update({"graph": query["graph"], "insert": [list(absent)]})
+        mutated = graph.copy()
+        mutated.add_edge(*absent)
+        counters = service.registry.counters()
+        for objective in ({}, {"mode": "maximum"}, {"mode": "top-k", "top": 3}):
+            response = service.enumerate(dict(query, **objective))
+            library = ITraversal(
+                mutated, 1, theta_left=3, theta_right=3, **objective
+            ).enumerate()
+            assert response["solutions"] == [
+                [sorted(s.left), sorted(s.right)] for s in library
+            ], objective
+        after = service.registry.counters()
+        assert after["plans_repaired"] - counters["plans_repaired"] == 1
+        assert after["plans_built"] - counters["plans_built"] == 1
+        assert after["plan_hits"] - counters["plan_hits"] == 2
 
     def test_update_validation_errors(self):
         service = QueryService()

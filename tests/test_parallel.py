@@ -1,8 +1,8 @@
 """Tests of the sharded parallel enumeration engine (repro.parallel).
 
 The correctness bar is the tentpole contract: any ``jobs`` value produces
-exactly the serial solution set, the default ``parallel_order="sorted"``
-output equals the canonically-sorted serial output as a *list*, limits are
+exactly the serial solution set, the parallel output equals the
+canonically-sorted serial output as a *list*, limits are
 enforced cooperatively, and the merged stats follow the documented
 contract.  The systematic algorithm × jobs × prep sweep lives in
 ``test_backend_differential.py``; this module covers the engine-specific
@@ -64,8 +64,9 @@ class TestResolveJobs:
             TraversalConfig(jobs=-2)
 
     def test_config_rejects_unknown_parallel_order(self):
-        with pytest.raises(ValueError, match="parallel_order"):
-            TraversalConfig(parallel_order="dfs")
+        # Parallel output is always canonically sorted; there is no knob.
+        with pytest.raises(TypeError, match="parallel_order"):
+            TraversalConfig(parallel_order="sorted")
 
 
 class TestShardPlan:
@@ -116,16 +117,6 @@ class TestParallelMatchesSerial:
                 # shards) falls back to the serial DFS and keeps its order.
                 assert [s.key() for s in parallel] == canonical(serial)
             check_all_solutions(graph, parallel, k, label=f"parallel jobs=2 k={k}")
-
-    def test_completion_mode_streams_the_same_set(self):
-        graph = GRAPHS[1]
-        serial = ITraversal(graph, 1, jobs=1).enumerate()
-        engine = ReverseSearchEngine(
-            graph, 1, TraversalConfig(jobs=2, parallel_order="completion")
-        )
-        parallel = engine.enumerate()
-        assert same_solutions(serial, parallel)
-        assert len(parallel) == len(set(parallel))  # merge deduplicates
 
     def test_btraversal_parallel(self):
         graph = GRAPHS[0]

@@ -362,6 +362,32 @@ class TestUpdateRoute:
         )[0] == 400
 
 
+class TestPageSizeValidation:
+    BAD_PAGE_SIZES = ("50", 2.5, True, 0)
+
+    def test_bad_page_size_is_400_and_leaves_no_session(self):
+        with live_daemon(ServiceHTTPServer(port=0)) as server:
+            query = inline_query()
+            # Drained in one page: the session is freed, the cursor stays.
+            status, page = http_json(
+                server, "POST", "/v1/enumerate",
+                {"query": query, "paginate": True, "page_size": 1000},
+            )
+            assert status == 200 and page["exhausted"]
+            for page_size in self.BAD_PAGE_SIZES:
+                for path, body in (
+                    ("/v1/enumerate", {"query": query, "paginate": True}),
+                    ("/v1/paginate", {"cursor": page["cursor"]}),
+                ):
+                    status, error = http_json(
+                        server, "POST", path, dict(body, page_size=page_size)
+                    )
+                    assert status == 400, (path, page_size, error)
+                    assert "page_size" in error["error"]
+                    stats = http_json(server, "GET", "/v1/stats")[1]
+                    assert stats["sessions_live"] == 0, (path, page_size)
+
+
 class TestRateLimitedDaemon:
     def test_429_with_retry_after_then_recovery(self):
         clock = {"now": 0.0}

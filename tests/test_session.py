@@ -192,16 +192,6 @@ class TestCursorHygiene:
                 paper_example_graph(), 1, token, itraversal_config(jobs=2)
             )
 
-    def test_completion_order_refuses_cursor(self):
-        config = itraversal_config(jobs=2)
-        from dataclasses import replace
-
-        config = replace(config, parallel_order="completion")
-        session = EnumerationSession(paper_example_graph(), 1, config)
-        with pytest.raises(CursorError):
-            session.cursor()
-        session.close()
-
     def test_budgets_may_differ_on_resume(self):
         """max_results / time_limit are deliberately not fingerprinted.
 

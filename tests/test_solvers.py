@@ -339,8 +339,9 @@ class TestServiceObjectives:
         assert maximum["num_solutions"] == 1
         assert plain["num_solutions"] == len(_oracle(graph, 1))
         assert not plain["cached"]
-        # Same fingerprint, different mode → distinct plan-cache entries.
-        assert service.registry.counters()["plans_built"] == 2
+        # Prep is objective-blind: the two modes share one plan but keep
+        # distinct result-cache entries.
+        assert service.registry.counters()["plans_built"] == 1
         again = service.enumerate(self._query(graph, mode="maximum"))
         assert again["cached"]
         assert again["num_solutions"] == 1
