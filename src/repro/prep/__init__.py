@@ -37,7 +37,6 @@ from .reduce import (
     bitruss_support_bound,
     bound_core_sets,
     reduce_for_thresholds,
-    repair_core_sets,
     threshold_core_bounds,
 )
 
@@ -55,7 +54,6 @@ __all__ = [
     "Reduction",
     "bound_core_sets",
     "reduce_for_thresholds",
-    "repair_core_sets",
     "threshold_core_bounds",
     "bitruss_support_bound",
     "ORDER_STRATEGIES",

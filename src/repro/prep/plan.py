@@ -21,11 +21,11 @@ runs a tier-1 leg with ``REPRO_PREP=core+order``).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Tuple
 
 from .ordering import ORDER_STRATEGIES, choose_order_strategy
-from .reduce import reduce_for_thresholds, repair_core_sets, threshold_core_bounds
+from .reduce import reduce_for_thresholds
 
 #: Modes accepted by :func:`prepare` and every ``prep=`` parameter.
 PREP_MODES = ("off", "core", "core+order")
@@ -119,12 +119,6 @@ class PrepPlan:
     #: and the service plan/result caches key on it: a plan whose epoch
     #: trails the graph's is stale.
     epoch: int = 0
-    #: First-stage (α, β)-core survivors in *original* ids — the anchor
-    #: :func:`reprepare` repairs locally to tell whether a mutation batch
-    #: left the plan standing.  ``None`` when the thresholds imposed no
-    #: bounds (or mode is ``off``).
-    core_left: Optional[FrozenSet[int]] = None
-    core_right: Optional[FrozenSet[int]] = None
 
     @property
     def is_identity_map(self) -> bool:
@@ -192,8 +186,6 @@ def prepare(
         removed_edges=reduction.removed_edges,
         order_strategy=resolved_strategy,
         epoch=reduction.epoch,
-        core_left=reduction.core_left,
-        core_right=reduction.core_right,
     )
 
 
@@ -210,43 +202,13 @@ def reprepare(
 ) -> PrepPlan:
     """The plan for ``graph`` after it absorbed a mutation batch.
 
-    ``previous`` must be a plan built over the *same graph object* with the
-    same ``k`` / mode / thresholds / ordering (callers — the hot-graph
-    registry — key plans by exactly those, so the contract holds by
-    construction); ``inserts`` / ``deletes`` are the edge batches applied
-    since, already folded into ``graph``.
-
-    Ends in one of two ways:
-
-    * no applied edge has both endpoints inside the plan's first-stage
-      (α, β)-core, and that core, repaired from the recorded survivor sets
-      (:func:`repro.prep.reduce.repair_core_sets` — exact, and local to
-      the affected neighborhood), is unchanged.  Every later stage runs
-      inside that core, so the old fixpoint still stands and ``previous``
-      comes back re-stamped with the new epoch (the streaming fraud fast
-      path: camouflage edges land outside the thresholded core);
-    * otherwise :func:`prepare` builds the plan from scratch.
-
-    Either way the result is content-identical to :func:`prepare` on the
-    mutated graph, so cursor fingerprints agree whichever path built it.
+    ``previous`` is the superseded plan (same graph object and parameters)
+    and ``inserts`` / ``deletes`` are the edge batches applied since; none
+    of them is consulted.  The plan is :func:`prepare` on the mutated
+    graph, so it is content-identical to a from-scratch plan and cursor
+    fingerprints agree whichever entry point built it.  This is the
+    hot-graph registry's rebuild-after-update entry point, kept apart from
+    :func:`prepare` so that the two kinds of build are counted and timed
+    separately.
     """
-    mode = resolve_prep(mode)
-    if previous is not None and previous.mode == mode and previous.core_left is not None:
-        old_left, old_right = previous.core_left, previous.core_right
-        touched = list(inserts) + list(deletes)
-        # An edge inside the old core stays inside the repaired core or
-        # changes it, so it rules the re-stamp out before any repair work.
-        if not any(v in old_left and u in old_right for v, u in touched):
-            alpha, beta = threshold_core_bounds(k, theta_left, theta_right)
-            core_left, core_right = repair_core_sets(
-                graph,
-                alpha,
-                beta,
-                old_left,
-                old_right,
-                {v for v, _ in touched},
-                {u for _, u in touched},
-            )
-            if core_left == old_left and core_right == old_right:
-                return replace(previous, epoch=graph.epoch)
     return prepare(graph, k, mode, theta_left, theta_right, order_strategy)

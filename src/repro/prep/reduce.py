@@ -35,9 +35,8 @@ for both sides.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..graph.cores import alpha_beta_core, alpha_beta_core_subgraph
 
@@ -115,92 +114,6 @@ def bound_core_sets(
             return left, right
 
 
-def repair_core_sets(
-    graph,
-    alpha: int,
-    beta: int,
-    old_left: Set[int],
-    old_right: Set[int],
-    touched_left: Set[int],
-    touched_right: Set[int],
-) -> Tuple[Set[int], Set[int]]:
-    """Exact (α, β)-core of a mutated graph, repaired from the old core.
-
-    ``old_left`` / ``old_right`` are the core sets of the graph *before* a
-    mutation batch; ``touched_left`` / ``touched_right`` are the endpoints
-    of every applied edge.  Every post-mutation core member outside the old
-    core is reachable from a touched vertex through old non-core vertices
-    whose total degree meets their side's bound: a connected chunk of new
-    members containing no touched vertex would have had identical degrees
-    before the batch and so would have qualified then, contradicting the
-    old core's maximality.  So the BFS closure below over-approximates the
-    new membership, and one exact peel of ``old core ∪ closure`` (degrees
-    restricted to that candidate set) lands on the unique new core.
-
-    Cost is O(edges incident to the candidates) — the affected
-    neighborhood plus the old core, never the whole graph.
-    """
-    cand_left: Set[int] = set(old_left)
-    cand_right: Set[int] = set(old_right)
-    grow = deque()
-    for v in touched_left:
-        if v not in cand_left and graph.degree_of_left(v) >= alpha:
-            cand_left.add(v)
-            grow.append(("L", v))
-    for u in touched_right:
-        if u not in cand_right and graph.degree_of_right(u) >= beta:
-            cand_right.add(u)
-            grow.append(("R", u))
-    while grow:
-        side, vertex = grow.popleft()
-        if side == "L":
-            for u in graph.neighbors_of_left(vertex):
-                if u not in cand_right and graph.degree_of_right(u) >= beta:
-                    cand_right.add(u)
-                    grow.append(("R", u))
-        else:
-            for v in graph.neighbors_of_right(vertex):
-                if v not in cand_left and graph.degree_of_left(v) >= alpha:
-                    cand_left.add(v)
-                    grow.append(("L", v))
-    left_deg = {
-        v: sum(1 for u in graph.neighbors_of_left(v) if u in cand_right)
-        for v in cand_left
-    }
-    right_deg = {
-        u: sum(1 for v in graph.neighbors_of_right(u) if v in cand_left)
-        for u in cand_right
-    }
-    peel = deque()
-    for v, degree in left_deg.items():
-        if degree < alpha:
-            peel.append(("L", v))
-    for u, degree in right_deg.items():
-        if degree < beta:
-            peel.append(("R", u))
-    while peel:
-        side, vertex = peel.popleft()
-        if side == "L":
-            if vertex not in cand_left:
-                continue
-            cand_left.discard(vertex)
-            for u in graph.neighbors_of_left(vertex):
-                if u in cand_right:
-                    right_deg[u] -= 1
-                    if right_deg[u] == beta - 1:
-                        peel.append(("R", u))
-        else:
-            if vertex not in cand_right:
-                continue
-            cand_right.discard(vertex)
-            for v in graph.neighbors_of_right(vertex):
-                if v in cand_left:
-                    left_deg[v] -= 1
-                    if left_deg[v] == alpha - 1:
-                        peel.append(("L", v))
-    return cand_left, cand_right
-
-
 @dataclass
 class Reduction:
     """Result of :func:`reduce_for_thresholds`.
@@ -220,12 +133,6 @@ class Reduction:
     #: at (see :attr:`repro.graph.BipartiteGraph.epoch`); consumers treat
     #: an epoch mismatch as staleness.
     epoch: int = 0
-    #: Survivors (original ids) of the *first* (α, β)-core stage — the
-    #: anchor :func:`repro.prep.plan.reprepare` repairs locally to tell
-    #: whether a mutation batch left the reduction standing.  ``None`` when
-    #: the thresholds imposed no bounds.
-    core_left: Optional[FrozenSet[int]] = None
-    core_right: Optional[FrozenSet[int]] = None
 
     @property
     def is_identity(self) -> bool:
@@ -254,8 +161,6 @@ def reduce_for_thresholds(
         return Reduction(graph, None, None, epoch=epoch)
     original_edges = graph.num_edges
     reduced, left_map, right_map = alpha_beta_core_subgraph(graph, alpha, beta)
-    core_left = frozenset(left_map)
-    core_right = frozenset(right_map)
     if support >= 1:
         from ..graph.butterfly import k_bitruss
 
@@ -279,9 +184,7 @@ def reduce_for_thresholds(
     ):
         # Nothing was peeled: hand back the input object so downstream
         # consumers can skip the remapping entirely.
-        return Reduction(
-            graph, None, None, epoch=epoch, core_left=core_left, core_right=core_right
-        )
+        return Reduction(graph, None, None, epoch=epoch)
     return Reduction(
         reduced,
         left_map,
@@ -290,6 +193,4 @@ def reduce_for_thresholds(
         removed_right=graph.n_right - reduced.n_right,
         removed_edges=original_edges - reduced.num_edges,
         epoch=epoch,
-        core_left=core_left,
-        core_right=core_right,
     )

@@ -29,20 +29,18 @@ stays hot.  A live session whose traversal runs on the resident graph
 itself (an unreduced plan) fails with a stale-cursor error at its next
 step instead of mixing the two epochs (see
 :meth:`repro.core.traversal.ReverseSearchEngine._check_epoch`).
-The registry also keeps a short per-graph log of applied batches so that
-the next ``get_plan`` miss can hand the superseded plan plus the batches
-to :func:`repro.prep.reprepare`, which re-stamps the old plan when the
-batch left the reduction standing and otherwise calls
-:func:`repro.prep.prepare` (content-identical either way — cursor
-fingerprints don't care which path built the plan).
+The next ``get_plan`` miss for a parameterization that has a superseded
+plan rebuilds through :func:`repro.prep.reprepare` (counted in
+``plans_repaired``), which calls :func:`repro.prep.prepare` on the mutated
+graph, and drops the superseded entry.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict, deque
-from typing import Callable, Iterable, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Callable, Iterable, Optional, Tuple
 
 # ``as_backend`` is an identity kept importable here: benchmark tracers wrap
 # it by module attribute.
@@ -56,11 +54,6 @@ DEFAULT_GRAPH_CAPACITY = 8
 #: Prep plans kept per registry (across all graphs): one graph commonly
 #: serves several (k, θ) parameterizations, so the plan LRU is larger.
 DEFAULT_PLAN_CAPACITY = 64
-
-#: Update-log entries retained per hot graph.  A plan whose epoch trails
-#: the graph's by more than this many batches loses its incremental-repair
-#: eligibility and is rebuilt from scratch.
-DEFAULT_UPDATE_LOG = 64
 
 
 def inline_graph_key(n_left: int, n_right: int, edges) -> Tuple[str, str]:
@@ -87,9 +80,6 @@ class HotGraphRegistry:
         self._lock = threading.RLock()
         self._graphs: "OrderedDict[Tuple[str, str], object]" = OrderedDict()
         self._plans: "OrderedDict[tuple, object]" = OrderedDict()
-        # Per-graph log of applied batches: (from_epoch, inserts, deletes),
-        # each entry advancing the epoch by exactly one.
-        self._updates: dict = {}
         self.graph_loads = 0
         self.graph_hits = 0
         self.plans_built = 0
@@ -152,11 +142,11 @@ class HotGraphRegistry:
         reads it, so enumerate, maximum and top-k queries share one plan.
 
         The graph's current epoch is the key's last component, so a plan
-        prepared before an update simply never matches again.  A miss whose
-        only cause is an epoch bump goes through :func:`repro.prep.reprepare`
-        with the superseded plan and the logged batches (it re-stamps the
-        old plan or calls :func:`repro.prep.prepare`), then the superseded
-        entry is dropped.
+        prepared before an update simply never matches again.  A miss with
+        a superseded plan for the same parameters rebuilds through
+        :func:`repro.prep.reprepare` (counted in :attr:`plans_repaired`) and
+        drops the superseded entry; any other miss calls
+        :func:`repro.prep.prepare`.
         """
         epoch = graph.epoch
         params = (key, k, prep, theta_left, theta_right, order_strategy)
@@ -170,9 +160,13 @@ class HotGraphRegistry:
                 if metrics.enabled:
                     metrics.inc("registry_cache_total", cache="plan", outcome="hit")
                 return plan
-            previous, inserts, deletes, previous_key = self._repair_basis(
-                params, epoch
-            )
+            superseded = [
+                cached_key
+                for cached_key in self._plans
+                if cached_key[:-1] == params and cached_key[-1] < epoch
+            ]
+            previous_key = max(superseded, key=lambda entry: entry[-1], default=None)
+            previous = self._plans.get(previous_key)
         if metrics.enabled:
             metrics.inc("registry_cache_total", cache="plan", outcome="miss")
         if previous is not None:
@@ -180,8 +174,6 @@ class HotGraphRegistry:
                 graph,
                 k,
                 previous,
-                inserts=inserts,
-                deletes=deletes,
                 mode=prep,
                 theta_left=theta_left,
                 theta_right=theta_right,
@@ -203,7 +195,6 @@ class HotGraphRegistry:
         with self._lock:
             if previous is not None:
                 self.plans_repaired += 1
-                # The superseded plan did its last job as the repair basis.
                 self._plans.pop(previous_key, None)
             self.plans_built += 1
             self._plans[plan_key] = plan
@@ -212,36 +203,6 @@ class HotGraphRegistry:
                 self._plans.popitem(last=False)
                 self.plan_evictions += 1
         return plan
-
-    def _repair_basis(self, params: tuple, epoch: int):
-        """The newest superseded plan for ``params`` plus its covering batches.
-
-        Returns ``(plan, inserts, deletes, plan_key)`` or
-        ``(None, (), (), None)`` when no cached predecessor exists or the
-        update log no longer covers the epoch gap.  Caller holds the lock.
-        """
-        best_epoch = -1
-        best_key = None
-        for cached_key in self._plans:
-            if cached_key[:-1] == params and cached_key[-1] < epoch:
-                if cached_key[-1] > best_epoch:
-                    best_epoch = cached_key[-1]
-                    best_key = cached_key
-        if best_key is None:
-            return None, (), (), None
-        log = self._updates.get(params[0], ())
-        covering = {entry[0]: entry for entry in log}
-        inserts: List[Tuple[int, int]] = []
-        deletes: List[Tuple[int, int]] = []
-        for step in range(best_epoch, epoch):
-            entry = covering.get(step)
-            if entry is None:
-                # The gap includes an epoch the log never saw (out-of-band
-                # mutation or a trimmed log) — repair would be unsound.
-                return None, (), (), None
-            inserts.extend(entry[1])
-            deletes.extend(entry[2])
-        return self._plans[best_key], inserts, deletes, best_key
 
     # ------------------------------------------------------------------ #
     def apply_update(
@@ -270,8 +231,6 @@ class HotGraphRegistry:
             new_epoch = graph.epoch
             invalidated = 0
             if new_epoch != from_epoch:
-                log = self._updates.setdefault(key, deque(maxlen=DEFAULT_UPDATE_LOG))
-                log.append((from_epoch, tuple(inserts), tuple(deletes)))
                 invalidated = sum(
                     1
                     for cached_key in self._plans
@@ -298,7 +257,6 @@ class HotGraphRegistry:
         for k in stale:
             del self._plans[k]
             self.plan_evictions += 1
-        self._updates.pop(graph_key, None)
 
     def invalidate(self, key: Tuple[str, str]) -> bool:
         """Drop one graph (and its plans); returns whether it was cached."""
@@ -311,7 +269,6 @@ class HotGraphRegistry:
         with self._lock:
             self._graphs.clear()
             self._plans.clear()
-            self._updates.clear()
 
     def counters(self) -> dict:
         """Snapshot of the hit/miss counters plus current occupancy."""

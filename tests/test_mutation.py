@@ -230,8 +230,6 @@ class TestReprepare:
             plan.removed_edges,
             plan.order_strategy,
             plan.epoch,
-            plan.core_left,
-            plan.core_right,
         )
 
     @pytest.mark.parametrize("mode", ("core", "core+order"))
@@ -263,17 +261,16 @@ class TestReprepare:
                 ), f"{mode} g{index} epoch={graph.epoch}"
                 previous = repaired
 
-    @pytest.mark.parametrize("mode", ("core", "core+order"))
-    def test_batch_missing_the_core_restamps_the_previous_plan(self, mode):
-        # k=1, θ=3: the (2, 2)-core is the 4x4 block.  Left 4 hangs off
-        # core vertex u0 with one edge; left 5 and right 5 are isolated.
+    @pytest.mark.parametrize(
+        "inserts, deletes", ((((5, 5),), ()), ((), ((4, 0),))), ids=("insert", "delete")
+    )
+    def test_batch_outside_the_core_matches_prepare(self, inserts, deletes):
+        # k=1, θ=3: the (2, 2)-core is the 4x4 block.  Each batch leaves
+        # that core as it was but changes the graph's edge count, which
+        # ``removed_edges`` must follow.
         block = [(v, u) for v in range(4) for u in range(4)]
         graph = BipartiteGraph(6, 6, block + [(4, 0), (0, 4)])
-        previous = prepare(graph, 1, mode=mode, theta_left=3, theta_right=3)
-        assert previous.core_left == frozenset(range(4))
-        # One insert between two non-core vertices, one delete with a
-        # single core endpoint: neither has both endpoints in the core.
-        inserts, deletes = [(5, 5)], [(4, 0)]
+        previous = prepare(graph, 1, mode="core", theta_left=3, theta_right=3)
         graph.apply_batch(inserts, deletes)
         repaired = reprepare(
             graph,
@@ -281,13 +278,11 @@ class TestReprepare:
             previous,
             inserts=inserts,
             deletes=deletes,
-            mode=mode,
+            mode="core",
             theta_left=3,
             theta_right=3,
         )
-        assert repaired.graph is previous.graph
-        assert repaired.epoch == graph.epoch == previous.epoch + 1
-        scratch = prepare(graph, 1, mode=mode, theta_left=3, theta_right=3)
+        scratch = prepare(graph, 1, mode="core", theta_left=3, theta_right=3)
         assert self._plan_content(repaired) == self._plan_content(scratch)
 
 
