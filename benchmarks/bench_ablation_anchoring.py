@@ -126,7 +126,7 @@ def run_prep_ablation(configs=None):
 
 
 def _assert_prep_speedup_target(rows):
-    """The ISSUE 6 acceptance target, checked on the full-size run."""
+    """The >= 1.2x core+order-over-off speedup, checked on the full-size run."""
     speedups = [row["speedup_core_order"] for row in rows]
     assert max(speedups) >= PREP_SPEEDUP_TARGET, (
         f"prep=core+order must reach >= {PREP_SPEEDUP_TARGET}x over prep=off on "

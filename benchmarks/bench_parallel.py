@@ -1,4 +1,4 @@
-"""Sharded parallel enumeration benchmark (the PR 5 tentpole).
+"""Sharded parallel enumeration benchmark: serial vs the process-pool engine.
 
 Times iTraversal on dense Erdős–Rényi configurations serially and on the
 sharded parallel engine (``jobs ∈ {2, 4}``), asserting on every row that
@@ -7,11 +7,11 @@ deterministic sorted mode, compared as canonical key lists).  The timed
 window includes the worker-pool spin-up and the merge — that is the real
 cost a caller pays.
 
-The full-size run additionally asserts the ISSUE 5 acceptance target: a
-wall-clock speedup of at least 1.5x at ``jobs=4`` on at least one dense ER
-configuration.  The assertion is gated on the machine actually having 4
-CPU cores: on fewer cores the workers time-share and the equality checks are still exercised,
-but no speedup can physically materialise.
+The full-size run additionally asserts a wall-clock speedup of at least
+1.5x at ``jobs=4`` on at least one dense ER configuration.  The assertion
+is gated on the machine actually having 4 CPU cores: on fewer cores the
+workers time-share and the equality checks are still exercised, but no
+speedup can physically materialise.
 
 The module also carries the *left-heavy sparse* regression: on graphs with
 many left vertices and a small right side, inherited exclusion prefixes
@@ -174,7 +174,7 @@ def _enough_cores() -> bool:
 
 
 def _assert_speedup_target(rows):
-    """The ISSUE 5 acceptance target, checked on the full-size run."""
+    """The >= 1.5x speedup at jobs=4, checked on the full-size run."""
     speedups = [row["speedup_jobs4"] for row in rows]
     assert max(speedups) >= SPEEDUP_TARGET, (
         f"jobs={SPEEDUP_JOBS} must reach >= {SPEEDUP_TARGET}x over serial on "

@@ -1,4 +1,4 @@
-"""Solver-objective benchmark (the ISSUE 8 tentpole).
+"""Solver-objective benchmark: maximum and top-k against full enumeration.
 
 Times the ``maximum`` and ``top-k`` solver objectives against a full
 enumeration of the same planted-block graphs, asserting on every row that
@@ -11,16 +11,15 @@ the regime where the incumbent bound bites: once the block is found,
 the dynamic θ/core prunes cut their subtrees instead of merely
 suppressing their reports.
 
-The full-size run additionally asserts the ISSUE 8 acceptance target: a
-wall-clock speedup of at least 1.5x over full enumeration for the
-``maximum`` objective *and* for ``top-k`` on at least one configuration.
-The speedup comes from bound pruning alone (no parallelism), so it is not
-gated on core count.
+Every row also pins the exact answer and work of the serial engine: the
+solution count, the best size, a digest of the ranked top-k keys and the
+maximum-mode ``num_pruned_by_bound``.  The engines run with ``jobs=1``
+because the parallel engine's bound counter depends on scheduling.
 
-``--emit-json BENCH_solvers.json`` writes a ``repro-bench-enum/1``
-snapshot (one run per graph config; the per-objective entries sit in the
-``preps`` slot) consumable by ``python -m repro.bench.compare``, which CI
-wires against the previous run's cached snapshot.
+The full-size run additionally asserts a wall-clock speedup of at least
+1.5x over full enumeration for the ``maximum`` objective *and* for
+``top-k`` on at least one configuration.  The speedup comes from bound
+pruning alone (no parallelism), so it is not gated on core count.
 
 Runnable standalone (``python benchmarks/bench_solvers.py``) or via
 pytest-benchmark.  Set ``REPRO_BENCH_TINY=1`` for smoke-test sizes (used
@@ -30,7 +29,7 @@ either way).
 
 from __future__ import annotations
 
-import json
+import hashlib
 import os
 import sys
 import time
@@ -49,16 +48,18 @@ TOP_N = 5
 
 #: (n_left, n_right, block_left, block_right, k, background_edges, seed) —
 #: left-narrow planted blocks, the bound-pruning regime (see the module
-#: docstring).  Calibration on these seeds: maximum-mode speedups of
-#: roughly 7x / 400x / 2000x and a top-k speedup of ~5x on the first
-#: config, so the 1.5x target separates working subtree pruning from
-#: report-only suppression with a wide margin.
+#: docstring) — and the row's pinned (solutions, best size, top-k digest,
+#: maximum-mode num_pruned_by_bound).  Calibration on these seeds (2-vCPU
+#: x86, Python 3.11): maximum-mode speedups of roughly 900x / 5.5x / 400x
+#: and a top-k speedup of ~3.5x on the first config, so the 1.5x target
+#: separates working subtree pruning from report-only suppression with a
+#: wide margin.
 SOLVER_BENCH_CONFIGS = (
-    (10, 24, 9, 10, 1, 60, 3),
-    (12, 22, 10, 9, 1, 55, 2),
-    (8, 28, 8, 12, 1, 70, 5),
+    ((10, 24, 9, 10, 1, 60, 3), (1836, 24, "1fc658307e554b28", 69)),
+    ((12, 22, 10, 9, 1, 55, 2), (824, 22, "fa6a850ed71bc4cd", 5545)),
+    ((8, 28, 8, 12, 1, 70, 5), (769, 28, "c0c55232563f2230", 34)),
 )
-TINY_SOLVER_CONFIGS = ((6, 12, 5, 6, 1, 20, 3),)
+TINY_SOLVER_CONFIGS = (((6, 12, 5, 6, 1, 20, 3), (56, 12, "dcc928badd68d079", 62)),)
 
 
 def _ranked(solutions):
@@ -66,12 +67,20 @@ def _ranked(solutions):
     return sorted(solutions, key=lambda s: (-s.size, s.key()))
 
 
-def run_solver_comparison(configs=None):
+def _digest(keys):
+    """Short sha256 of an ordered key sequence, as ``TestPinnedWork`` hashes."""
+    hasher = hashlib.sha256()
+    for key in keys:
+        hasher.update(repr(key).encode())
+    return hasher.hexdigest()[:16]
+
+
+def run_solver_comparison():
     """One row per graph config: enumeration vs maximum vs top-k."""
-    if configs is None:
-        configs = TINY_SOLVER_CONFIGS if TINY else SOLVER_BENCH_CONFIGS
     rows = []
-    for n_left, n_right, block_left, block_right, k, background, seed in configs:
+    configs = TINY_SOLVER_CONFIGS if TINY else SOLVER_BENCH_CONFIGS
+    for graph_config, pinned in configs:
+        n_left, n_right, block_left, block_right, k, background, seed = graph_config
         graph = planted_biplex_graph(
             n_left,
             n_right,
@@ -83,14 +92,14 @@ def run_solver_comparison(configs=None):
         )
         label = f"{n_left}x{n_right} b{block_left}x{block_right} k={k} bg={background}"
 
-        full = ITraversal(graph, k)
+        full = ITraversal(graph, k, jobs=1)
         start = time.perf_counter()
         all_solutions = list(full.enumerate())
         full_seconds = time.perf_counter() - start
         expected = [(s.size, s.key()) for s in _ranked(all_solutions)]
         assert len(expected) >= TOP_N, f"{label}: too few solutions to rank"
 
-        solver = ITraversal(graph, k, mode="maximum")
+        solver = ITraversal(graph, k, mode="maximum", jobs=1)
         start = time.perf_counter()
         winner = [(s.size, s.key()) for s in solver.enumerate()]
         maximum_seconds = time.perf_counter() - start
@@ -98,17 +107,21 @@ def run_solver_comparison(configs=None):
             f"maximum objective disagrees with the enumeration winner on {label}"
         )
         assert solver.stats.best_size == expected[0][0]
-        assert solver.stats.num_pruned_by_bound > 0, (
-            f"bound pruning never fired in maximum mode on {label}"
-        )
 
-        topk = ITraversal(graph, k, mode="top-k", top=TOP_N)
+        topk = ITraversal(graph, k, mode="top-k", top=TOP_N, jobs=1)
         start = time.perf_counter()
         ranked = [(s.size, s.key()) for s in topk.enumerate()]
         topk_seconds = time.perf_counter() - start
         assert ranked == expected[:TOP_N], (
             f"top-{TOP_N} objective disagrees with the enumeration ranking on {label}"
         )
+        answer = (
+            len(all_solutions),
+            expected[0][0],
+            _digest(key for _size, key in ranked),
+            solver.stats.num_pruned_by_bound,
+        )
+        assert answer == pinned, f"{label}: pinned {pinned}, got {answer}"
 
         rows.append(
             {
@@ -131,7 +144,7 @@ def run_solver_comparison(configs=None):
 
 
 def _assert_speedup_target(rows):
-    """The ISSUE 8 acceptance target, checked on the full-size run."""
+    """The >= 1.5x bound-pruning speedup, checked on the full-size run."""
     maximum_speedups = [row["maximum_speedup"] for row in rows]
     topk_speedups = [row["topk_speedup"] for row in rows]
     assert max(maximum_speedups) >= SPEEDUP_TARGET, (
@@ -144,35 +157,6 @@ def _assert_speedup_target(rows):
         f"enumeration on at least one planted configuration, got "
         f"{topk_speedups}"
     )
-
-
-def solver_snapshot(rows):
-    """``repro-bench-enum/1`` snapshot; objectives fill the preps slot."""
-    runs = []
-    for row in rows:
-        runs.append(
-            {
-                "config": row["config"],
-                "preps": {
-                    "enumerate": {
-                        "seconds": row["enumerate_seconds"],
-                        "num_solutions": row["num_solutions"],
-                        "truncated": False,
-                    },
-                    "maximum": {
-                        "seconds": row["maximum_seconds"],
-                        "num_solutions": 1,
-                        "truncated": False,
-                    },
-                    f"top-{TOP_N}": {
-                        "seconds": row["topk_seconds"],
-                        "num_solutions": TOP_N,
-                        "truncated": False,
-                    },
-                },
-            }
-        )
-    return {"schema": "repro-bench-enum/1", "runs": runs}
 
 
 def test_solver_objectives(benchmark):
@@ -189,31 +173,11 @@ def test_solver_objectives(benchmark):
 
 
 if __name__ == "__main__":
-    import argparse
-
     from repro.bench.reporting import print_table
 
-    parser = argparse.ArgumentParser(
-        description="benchmark the solver objectives against full enumeration"
-    )
-    parser.add_argument(
-        "--emit-json",
-        metavar="FILE",
-        default=None,
-        help="write a repro-bench-enum/1 snapshot to FILE ('-' for stdout)",
-    )
-    args = parser.parse_args()
     table = run_solver_comparison()
     print_table(table, title="Solver objectives: full enumeration vs maximum/top-k")
     if TINY:
-        print("smoke mode: winner equality checked, speedup target skipped")
+        print("smoke mode: winners and pins checked, speedup target skipped")
     else:
         _assert_speedup_target(table)
-    if args.emit_json:
-        payload = json.dumps(solver_snapshot(table), indent=2, sort_keys=True)
-        if args.emit_json == "-":
-            print(payload)
-        else:
-            with open(args.emit_json, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-            print(f"wrote {args.emit_json}")

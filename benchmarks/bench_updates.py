@@ -1,4 +1,4 @@
-"""Incremental index maintenance vs full recompute (the ISSUE 10 tentpole).
+"""Incremental index maintenance vs full recompute on a streaming attack.
 
 The workload is the streaming camouflage attack of
 :mod:`repro.analysis.fraud`: the fraud block is already planted, and the
@@ -13,14 +13,11 @@ the stream:
   :func:`repro.graph.cores.alpha_beta_core` on the whole mutated graph.
 
 Every row asserts the two agree exactly (supports, totals, membership) —
-the differential is the point, the timing is the payoff — and the
-full-size run asserts the ISSUE 10 acceptance target: incremental
-maintenance at least 2x faster than recomputation on this workload.
-
-``--emit-json BENCH_updates.json`` writes a ``repro-bench-enum/1``
-snapshot (per-path entries in the ``preps`` slot) consumable by
-``python -m repro.bench.compare``, which CI wires against the previous
-run's cached snapshot.
+the differential is the point, the timing is the payoff — and pins the
+final butterfly total and (α, β)-core sizes, so a change that moves both
+paths the same way still fails.  The full-size run also asserts that
+incremental maintenance is at least 2x faster than recomputation on this
+workload.
 
 Runnable standalone (``python benchmarks/bench_updates.py``) or via
 pytest-benchmark.  Set ``REPRO_BENCH_TINY=1`` for smoke-test sizes (used
@@ -30,7 +27,6 @@ microseconds either way).
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -47,12 +43,13 @@ from repro.graph.dynamic import DynamicGraphIndex, recomputed_oracle
 TINY = bool(os.environ.get("REPRO_BENCH_TINY"))
 SPEEDUP_TARGET = 2.0
 
-#: (study config, alpha, beta, batches) — the streaming-camouflage shapes.
-#: The full-size rows use the fraud study's default scale; batch counts
-#: model slow (few, large waves) and fast (many small waves) arrival.
+#: (study config, alpha, beta, batches, pinned (butterflies, core sizes)) —
+#: the streaming-camouflage shapes.  The full-size rows use the fraud
+#: study's default scale; batch counts model slow (few, large waves) and
+#: fast (many small waves) arrival.
 UPDATE_BENCH_CONFIGS = (
-    (FraudStudyConfig(), 5, 4, 10),
-    (FraudStudyConfig(), 5, 4, 40),
+    (FraudStudyConfig(), 5, 4, 10, (48076, (260, 158))),
+    (FraudStudyConfig(), 5, 4, 40, (48076, (260, 158))),
 )
 TINY_UPDATE_CONFIGS = (
     (
@@ -67,6 +64,7 @@ TINY_UPDATE_CONFIGS = (
         4,
         3,
         5,
+        (2086, (60, 36)),
     ),
 )
 
@@ -76,12 +74,11 @@ def _batches(edges, num_batches):
     return [edges[i * chunk : (i + 1) * chunk] for i in range(num_batches)]
 
 
-def run_update_comparison(configs=None):
+def run_update_comparison():
     """One row per streaming config: maintained indices vs per-batch recompute."""
-    if configs is None:
-        configs = TINY_UPDATE_CONFIGS if TINY else UPDATE_BENCH_CONFIGS
     rows = []
-    for config, alpha, beta, num_batches in configs:
+    configs = TINY_UPDATE_CONFIGS if TINY else UPDATE_BENCH_CONFIGS
+    for config, alpha, beta, num_batches, pinned in configs:
         base, _injection, camouflage = streaming_camouflage_edges(config)
         batches = _batches(camouflage, num_batches)
         label = (
@@ -115,6 +112,8 @@ def run_update_comparison(configs=None):
         assert tuple(map(set, index.core_members)) == tuple(map(set, core)), label
         check_left, check_right = alpha_beta_core(incremental_graph, alpha, beta)
         assert (set(check_left), set(check_right)) == tuple(map(set, core)), label
+        answer = (total, tuple(map(len, core)))
+        assert answer == pinned, f"{label}: pinned {pinned}, got {answer}"
 
         rows.append(
             {
@@ -134,36 +133,12 @@ def run_update_comparison(configs=None):
 
 
 def _assert_speedup_target(rows):
-    """The ISSUE 10 acceptance target, checked on the full-size run."""
+    """The >= 2x incremental-maintenance speedup, checked on the full-size run."""
     speedups = [row["speedup"] for row in rows]
     assert min(speedups) >= SPEEDUP_TARGET, (
         f"incremental maintenance must beat per-batch recomputation by "
         f">= {SPEEDUP_TARGET}x on every streaming configuration, got {speedups}"
     )
-
-
-def update_snapshot(rows):
-    """``repro-bench-enum/1`` snapshot; the two paths fill the preps slot.
-
-    ``num_solutions`` carries the (deterministic) butterfly total so the
-    comparator's count check doubles as a cross-run correctness alarm.
-    """
-    runs = []
-    for row in rows:
-        entry = {
-            "num_solutions": row["butterflies"],
-            "truncated": False,
-        }
-        runs.append(
-            {
-                "config": row["config"],
-                "preps": {
-                    "incremental": dict(entry, seconds=row["incremental_seconds"]),
-                    "recompute": dict(entry, seconds=row["recompute_seconds"]),
-                },
-            }
-        )
-    return {"schema": "repro-bench-enum/1", "runs": runs}
 
 
 def test_incremental_updates(benchmark):
@@ -180,31 +155,11 @@ def test_incremental_updates(benchmark):
 
 
 if __name__ == "__main__":
-    import argparse
-
     from repro.bench.reporting import print_table
 
-    parser = argparse.ArgumentParser(
-        description="benchmark incremental index maintenance against full recompute"
-    )
-    parser.add_argument(
-        "--emit-json",
-        metavar="FILE",
-        default=None,
-        help="write a repro-bench-enum/1 snapshot to FILE ('-' for stdout)",
-    )
-    args = parser.parse_args()
     table = run_update_comparison()
     print_table(table, title="Index maintenance: incremental vs full recompute")
     if TINY:
-        print("smoke mode: differential checked, speedup target skipped")
+        print("smoke mode: differential and pins checked, speedup target skipped")
     else:
         _assert_speedup_target(table)
-    if args.emit_json:
-        payload = json.dumps(update_snapshot(table), indent=2, sort_keys=True)
-        if args.emit_json == "-":
-            print(payload)
-        else:
-            with open(args.emit_json, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-            print(f"wrote {args.emit_json}")

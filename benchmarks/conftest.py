@@ -1,9 +1,9 @@
 """Shared configuration for the benchmark suite.
 
 Every module under ``benchmarks/`` regenerates one table or figure of the
-paper (see DESIGN.md's per-experiment index).  The modules use
-pytest-benchmark for the timing harness and print the corresponding
-paper-style text table, so running
+paper (``repro.bench.experiments.EXPERIMENTS`` indexes the drivers).  The
+modules use pytest-benchmark for the timing harness and print the
+corresponding paper-style text table, so running
 
     pytest benchmarks/ --benchmark-only -s
 

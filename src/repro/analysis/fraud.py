@@ -8,10 +8,10 @@ found structure (meeting the size thresholds ``θ_L`` / ``θ_R``) is classified
 as fake, and precision / recall / F1 are measured against the ground truth.
 
 The study here runs on a scaled synthetic review graph generated by
-:func:`repro.graph.generators.review_graph_with_camouflage` (see DESIGN.md
-for the substitution rationale); the attack protocol — a dense-ish random
-fraud block plus an equal number of camouflage reviews towards real
-products — is the paper's.
+:func:`repro.graph.generators.review_graph_with_camouflage` in place of the
+Amazon review data; the attack protocol — a dense-ish random fraud block
+plus an equal number of camouflage reviews towards real products — is the
+paper's.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class FraudStudyConfig:
     a 1:1 ratio of fake to camouflage reviews, fake reviews placed uniformly
     at random inside the block) at roughly 1/50 of the scale, with the block
     density raised so that the scaled block still contains k-biplexes of the
-    sizes probed by the thresholds — see DESIGN.md.
+    sizes probed by the thresholds.
     """
 
     n_real_users: int = 300

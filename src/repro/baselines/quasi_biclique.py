@@ -12,9 +12,9 @@ fraud-detection case study (Figure 13).  Accordingly this module provides:
 
 * an exact (exponential) enumerator for small graphs, used by the tests;
 * a greedy seed-and-expand *finder* for the case-study scale, which grows
-  δ-QBs from maximal k-biplex seeds.  This is the substitution documented in
-  DESIGN.md: the original study also relies on heuristic mining for δ-QBs,
-  and the precision/recall trade-off of the structure definition — many
+  δ-QBs from maximal k-biplex seeds.  It substitutes for exact mining: the
+  original study also relies on heuristic mining for δ-QBs, and the
+  precision/recall trade-off of the structure definition — many
   disconnections allowed when the subgraph is large — is fully preserved.
 """
 

@@ -7,8 +7,9 @@ plots: one row per x-axis value (dataset, k, #results, #vertices, density,
 ``benchmarks/`` call these functions and print the resulting tables; the CLI
 exposes them as ``repro-mbp experiment <name>``.
 
-All workloads are scaled-down stand-ins of the paper's (see DESIGN.md); the
-``REPRO_BENCH_SCALE`` environment variable grows or shrinks them globally.
+All workloads are scaled-down stand-ins of the paper's (see
+:mod:`repro.analysis.datasets`); the ``REPRO_BENCH_SCALE`` environment
+variable grows or shrinks them globally.
 """
 
 from __future__ import annotations

@@ -8,20 +8,15 @@ that protocol at laptop scale: every algorithm invocation gets a configurable
 time limit and reports either its elapsed seconds or the ``INF``/``OUT``
 marker.
 
-The module is also runnable — ``python -m repro.bench.harness --emit-json
-BENCH_enum.json`` times a pinned set of enumeration configs (each under the
-full prep ablation ``off`` / ``core`` / ``core+order``) and writes the
-measurements as a JSON snapshot, for CI artifacts and cross-commit
-comparisons.
+The harness times single runs for the experiment tables; it keeps no
+history.  Wall time across commits is judged by the repository benchmark
+(``perfbench/run.py``, declared in ``BENCHMARK.json``), and the exact output
+of the prep ablation is pinned by ``tests/test_prep.py``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import platform
-import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
@@ -246,142 +241,3 @@ def run_algorithms(
         measurements.append(measurement)
     return measurements
 
-
-# --------------------------------------------------------------------- #
-# JSON benchmark snapshots (python -m repro.bench.harness --emit-json ...)
-# --------------------------------------------------------------------- #
-SNAPSHOT_PREPS = ("off", "core", "core+order")
-"""The prep ablation every snapshot config is measured under."""
-
-
-def snapshot_configs():
-    """The pinned enumeration configs timed by :func:`collect_bench_snapshot`.
-
-    Deliberately a function, not a module constant: the graphs honour
-    ``REPRO_BENCH_SCALE`` at call time.  Each entry is
-    ``(name, graph_factory, k, theta_left, theta_right)``; the set covers
-    the regimes the prep pipeline behaves differently on — a dense paper
-    example (reduction is a no-op), a sparse thresholded random graph
-    (core peeling bites) and a planted near-biclique in sparse background
-    (core + bitruss strip almost everything outside the block).
-    """
-    from ..graph import erdos_renyi_bipartite, paper_example_graph, planted_biplex_graph
-
-    return [
-        ("paper-example-k1", paper_example_graph, 1, 0, 0),
-        (
-            "er-sparse-k1-theta3",
-            lambda: erdos_renyi_bipartite(
-                scaled(40), scaled(30), num_edges=scaled(120), seed=20220601
-            ),
-            1,
-            3,
-            3,
-        ),
-        (
-            "planted-k1-theta4",
-            lambda: planted_biplex_graph(
-                scaled(60),
-                scaled(60),
-                block_left=6,
-                block_right=6,
-                k=1,
-                background_edges=scaled(90),
-                seed=20220602,
-            ),
-            1,
-            4,
-            4,
-        ),
-    ]
-
-
-def collect_bench_snapshot(time_limit: float = 60.0) -> dict:
-    """Time every pinned config under the full prep ablation.
-
-    Returns a JSON-serialisable dict.  Identical solution counts across the
-    prep ablation are part of the snapshot's value (a count mismatch in a
-    stored artifact is a correctness alarm, not a perf regression), so the
-    counts are recorded per prep mode rather than once per config.
-    """
-    from ..core.itraversal import ITraversal
-
-    runs = []
-    for name, factory, k, theta_left, theta_right in snapshot_configs():
-        graph = factory()
-        entry = {
-            "config": name,
-            "k": k,
-            "theta_left": theta_left,
-            "theta_right": theta_right,
-            "n_left": graph.n_left,
-            "n_right": graph.n_right,
-            "num_edges": graph.num_edges,
-            "preps": {},
-        }
-        for prep in SNAPSHOT_PREPS:
-            algorithm = ITraversal(
-                graph,
-                k,
-                theta_left=theta_left,
-                theta_right=theta_right,
-                time_limit=time_limit,
-                prep=prep,
-            )
-            start = time.perf_counter()
-            solutions = algorithm.enumerate()
-            elapsed = time.perf_counter() - start
-            plan = algorithm.prep
-            entry["preps"][prep] = {
-                "seconds": elapsed,
-                "num_solutions": len(solutions),
-                "truncated": algorithm.stats.truncated,
-                "removed_left": plan.removed_left,
-                "removed_right": plan.removed_right,
-                "removed_edges": plan.removed_edges,
-            }
-        runs.append(entry)
-    return {
-        "schema": "repro-bench-enum/1",
-        "python": platform.python_version(),
-        "bench_scale": bench_scale(),
-        "time_limit": time_limit,
-        "runs": runs,
-    }
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI for benchmark snapshots: ``python -m repro.bench.harness --emit-json F``."""
-    parser = argparse.ArgumentParser(
-        prog="repro.bench.harness",
-        description="emit a JSON snapshot of the pinned enumeration benchmarks",
-    )
-    parser.add_argument(
-        "--emit-json",
-        metavar="FILE",
-        required=True,
-        help="write the snapshot to FILE ('-' for stdout)",
-    )
-    parser.add_argument(
-        "--time-limit",
-        type=float,
-        default=60.0,
-        help="per-run wall-clock limit in seconds (default 60)",
-    )
-    args = parser.parse_args(argv)
-    snapshot = collect_bench_snapshot(time_limit=args.time_limit)
-    payload = json.dumps(snapshot, indent=2, sort_keys=True)
-    if args.emit_json == "-":
-        print(payload)
-    else:
-        with open(args.emit_json, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-        counts = {
-            run["config"]: run["preps"]["core"]["num_solutions"] for run in snapshot["runs"]
-        }
-        print(f"wrote {args.emit_json}: {counts}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

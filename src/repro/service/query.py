@@ -354,7 +354,7 @@ class QueryService:
             raise QueryError("inline graph needs non-negative integer n_left / n_right")
         if not isinstance(edges, list):
             raise QueryError("inline graph edges must be a list of [left, right] pairs")
-        normalized_edges = []
+        normalized_edges = set()
         for edge in edges:
             if (
                 not isinstance(edge, (list, tuple))
@@ -362,9 +362,15 @@ class QueryService:
                 or not all(isinstance(v, int) and not isinstance(v, bool) for v in edge)
             ):
                 raise QueryError("inline graph edges must be [left, right] integer pairs")
-            normalized_edges.append([edge[0], edge[1]])
-        normalized_edges.sort()
-        return {"n_left": n_left, "n_right": n_right, "edges": normalized_edges}
+            normalized_edges.add((edge[0], edge[1]))
+        # Sorted and deduplicated: every spelling of one edge set must name
+        # one hot graph, or an update sent with one spelling would miss
+        # queries sent with another.
+        return {
+            "n_left": n_left,
+            "n_right": n_right,
+            "edges": [list(edge) for edge in sorted(normalized_edges)],
+        }
 
     # ------------------------------------------------------------------ #
     # Graph + plan resolution (the registry hot path)

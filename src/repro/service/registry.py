@@ -103,14 +103,15 @@ class HotGraphRegistry:
                     metrics.inc("registry_cache_total", cache="graph", outcome="hit")
                 return graph
         # Load outside the lock: file parses can be slow and loaders must
-        # not serialize each other.  A racing duplicate load is benign —
-        # last writer wins, both callers get a usable graph.
+        # not serialize each other.  A racing load of the same key may have
+        # finished first and taken updates since; keep the resident graph,
+        # or this copy would revert them under an epoch-keyed plan cache.
         graph = loader()
         if metrics.enabled:
             metrics.inc("registry_cache_total", cache="graph", outcome="miss")
         with self._lock:
             self.graph_loads += 1
-            self._graphs[key] = graph
+            graph = self._graphs.setdefault(key, graph)
             self._graphs.move_to_end(key)
             while len(self._graphs) > self.capacity:
                 evicted_key, _ = self._graphs.popitem(last=False)

@@ -126,50 +126,6 @@ class TestHarness:
         assert [m.algorithm for m in measurements] == ["iTraversal", "bTraversal"]
 
 
-class TestBenchSnapshot:
-    """The JSON benchmark snapshots (python -m repro.bench.harness --emit-json)."""
-
-    def test_snapshot_shape_and_prep_invariance(self, monkeypatch):
-        from repro.bench.harness import SNAPSHOT_PREPS, collect_bench_snapshot
-
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.25")
-        snapshot = collect_bench_snapshot(time_limit=30.0)
-        assert snapshot["schema"] == "repro-bench-enum/1"
-        assert snapshot["bench_scale"] == 0.25
-        assert snapshot["runs"]
-        for run in snapshot["runs"]:
-            assert set(run["preps"]) == set(SNAPSHOT_PREPS)
-            counts = {m["num_solutions"] for m in run["preps"].values()}
-            # The prep ablation must never change the solution count.
-            assert len(counts) == 1, run["config"]
-            for measurement in run["preps"].values():
-                assert measurement["seconds"] >= 0
-                assert not measurement["truncated"]
-
-    def test_emit_json_writes_file(self, tmp_path, capsys, monkeypatch):
-        import json
-
-        from repro.bench.harness import main as harness_main
-
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.25")
-        target = tmp_path / "BENCH_enum.json"
-        assert harness_main(["--emit-json", str(target), "--time-limit", "30"]) == 0
-        payload = json.loads(target.read_text())
-        assert payload["schema"] == "repro-bench-enum/1"
-        assert payload["time_limit"] == 30.0
-        assert str(target) in capsys.readouterr().out
-
-    def test_emit_json_stdout(self, capsys, monkeypatch):
-        import json
-
-        from repro.bench.harness import main as harness_main
-
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.25")
-        assert harness_main(["--emit-json", "-"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert [run["config"] for run in payload["runs"]]
-
-
 class TestExperimentDrivers:
     def test_registry_contains_every_figure(self):
         assert {

@@ -1,4 +1,4 @@
-"""Differential tests for mutable-graph epochs (the ISSUE 10 tentpole).
+"""Differential tests for mutable-graph epochs.
 
 Three differential contracts, each checked under seeded random
 insert/delete sequences:

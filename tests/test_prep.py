@@ -10,10 +10,13 @@ Covers the pieces the differential harness cannot attribute precisely:
 * id remapping round-trips on graphs with isolated and peeled vertices,
 * the ordering heuristics (valid permutations, deterministic),
 * prep-mode resolution (``REPRO_PREP``, invalid values),
+* the exact output of the prep ablation on three pinned regimes,
 * the re-exploration cascade fallback's re-arm discipline.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 from graph_samples import ROUTES, via
@@ -21,7 +24,12 @@ from graph_samples import ROUTES, via
 from repro.baselines import enumerate_mbps_bruteforce
 from repro.core import ITraversal
 from repro.core.large import filter_large
-from repro.graph import BipartiteGraph, erdos_renyi_bipartite, paper_example_graph
+from repro.graph import (
+    BipartiteGraph,
+    erdos_renyi_bipartite,
+    paper_example_graph,
+    planted_biplex_graph,
+)
 from repro.prep import (
     PREP_MODES,
     ORDER_STRATEGIES,
@@ -427,6 +435,68 @@ class TestGoldenOutputs:
             assert runs[0], f"theta={theta} must produce solutions"
             expected = filter_large(enumerate_mbps_bruteforce(graph, 1), theta, theta)
             assert sorted(runs[0]) == sorted(s.key() for s in expected)
+
+
+class TestPinnedAblation:
+    """Exact output of the prep ablation on three regimes it treats differently.
+
+    A dense paper example (the reduction is a no-op), a sparse thresholded
+    random graph (core peeling bites) and a planted near-biclique in sparse
+    background (core + bitruss strip almost everything outside the block).
+    Each run pins the solution count, a digest of the serial output order
+    and the plan's removed vertex and edge counts, so a change that keeps
+    the solution set but reorders or re-reduces it still fails.
+    """
+
+    GRAPHS = {
+        "paper-example": (paper_example_graph, 0),
+        "er-sparse": (
+            lambda: erdos_renyi_bipartite(40, 30, num_edges=120, seed=20220601),
+            3,
+        ),
+        "planted": (
+            lambda: planted_biplex_graph(
+                60,
+                60,
+                block_left=6,
+                block_right=6,
+                k=1,
+                background_edges=90,
+                seed=20220602,
+            ),
+            4,
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "name, prep, count, digest, removed",
+        [
+            ("paper-example", "off", 13, "f69684f77da5309b", (0, 0, 0)),
+            ("paper-example", "core", 13, "f69684f77da5309b", (0, 0, 0)),
+            ("paper-example", "core+order", 13, "4074ac68676234af", (0, 0, 0)),
+            ("er-sparse", "off", 178, "aff6ca3d8db84a63", (0, 0, 0)),
+            ("er-sparse", "core", 178, "aff6ca3d8db84a63", (8, 2, 9)),
+            ("er-sparse", "core+order", 178, "afcc9cb92f21622f", (8, 2, 9)),
+            ("planted", "off", 1, "76912d4806348241", (0, 0, 0)),
+            ("planted", "core", 1, "76912d4806348241", (54, 54, 90)),
+            ("planted", "core+order", 1, "76912d4806348241", (54, 54, 90)),
+        ],
+    )
+    def test_ordered_output_and_plan(self, monkeypatch, name, prep, count, digest, removed):
+        # jobs and the order strategy pinned: REPRO_JOBS=2 switches to
+        # sorted parallel output and REPRO_ORDER changes core+order's ranks.
+        monkeypatch.delenv("REPRO_ORDER", raising=False)
+        factory, theta = self.GRAPHS[name]
+        algorithm = ITraversal(
+            factory(), 1, theta_left=theta, theta_right=theta, prep=prep, jobs=1
+        )
+        keys = [solution.key() for solution in algorithm.enumerate()]
+        hasher = hashlib.sha256()
+        for key in keys:
+            hasher.update(repr(key).encode())
+        assert (len(keys), hasher.hexdigest()[:16]) == (count, digest)
+        plan = algorithm.prep
+        assert (plan.removed_left, plan.removed_right, plan.removed_edges) == removed
 
 
 # --------------------------------------------------------------------- #

@@ -122,6 +122,31 @@ class TestHotGraphRegistry:
         with pytest.raises(ValueError):
             HotGraphRegistry(capacity=0)
 
+    def test_racing_load_keeps_the_updated_resident_graph(self):
+        """A load that loses the race must not revert an applied update."""
+        registry = HotGraphRegistry()
+        key = ("dataset", "paper")
+        racer = paper_example_graph()
+        absent = next(
+            (v, u)
+            for v in racer.left_vertices()
+            for u in racer.right_vertices()
+            if not racer.has_edge(v, u)
+        )
+
+        def slow_loader():
+            # While this load runs, another request loads the same key and
+            # updates it.
+            registry.get_graph(key, lambda: racer)
+            registry.apply_update(key, inserts=[absent])
+            return paper_example_graph()
+
+        graph = registry.get_graph(key, slow_loader)
+        assert graph is racer
+        assert registry.peek_graph(key) is racer
+        assert graph.epoch == 1 and graph.has_edge(*absent)
+        assert registry.counters()["updates_applied"] == 1
+
 
 # --------------------------------------------------------------------- #
 # Session table
@@ -297,6 +322,26 @@ class TestQueryService:
         normalized = service.normalize(query)
         assert service.normalize(normalized) == normalized
 
+    @staticmethod
+    def diagonal_query(edges):
+        return {"graph": {"n_left": 3, "n_right": 3, "edges": edges}, "k": 1}
+
+    def test_inline_edge_spellings_normalize_identically(self):
+        service = QueryService()
+        plain = service.normalize(self.diagonal_query([[0, 0], [1, 1], [2, 2]]))
+        repeated = service.normalize(self.diagonal_query([[2, 2], [0, 0], [1, 1], [0, 0]]))
+        assert repeated == plain
+
+    def test_update_reaches_every_spelling_of_an_inline_graph(self):
+        service = QueryService()
+        plain = self.diagonal_query([[0, 0], [1, 1], [2, 2]])
+        repeated = self.diagonal_query([[2, 2], [0, 0], [1, 1], [0, 0]])
+        before = service.enumerate(plain)
+        off_diagonal = [[v, u] for v in range(3) for u in range(3) if v != u]
+        service.update({"graph": repeated["graph"], "insert": off_diagonal})
+        after = service.enumerate(plain)
+        assert after["solutions"] == [[[0, 1, 2], [0, 1, 2]]] != before["solutions"]
+        assert service.registry.counters()["graph_loads"] == 1
 
     def test_malformed_service_cursor_rejected(self):
         service = QueryService()
