@@ -105,7 +105,7 @@ class FaPlexenPipeline:
         solutions: List[Biplex] = []
         for plex in plexes:
             left, right = split_vertex_set(frozenset(plex), n_left)
-            solutions.append(Biplex(left=left, right=right))
+            solutions.append(Biplex.of(left, right))
         return solutions
 
 

@@ -15,33 +15,46 @@ operations every enumeration algorithm builds on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..graph.bipartite import BipartiteGraph
 from ..graph.protocol import iter_bits, mask_of
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Biplex:
-    """An induced bipartite subgraph ``(L, R)``, identified by its vertex sets.
+    """An induced bipartite subgraph ``(L, R)``, stored as two vertex bitmasks.
 
-    Instances are immutable and hashable, so they can be stored directly in
-    the visited-solution set (the paper's B-tree) and used as nodes of the
-    explicit solution graph.
+    Bit ``v`` of ``left_mask`` / ``right_mask`` is set iff that side's
+    vertex ``v`` is in the subgraph.  The masks are the whole value:
+    equality, hashing (the visited map, the paper's B-tree) and the total
+    order use them.  The ``left`` / ``right`` frozensets are built at the
+    API edge on each access and never cached.  :meth:`key`, not the mask
+    order, stays the canonical output order.
     """
 
-    left: FrozenSet[int]
-    right: FrozenSet[int]
+    left_mask: int
+    right_mask: int
 
     @staticmethod
     def of(left: Iterable[int], right: Iterable[int]) -> "Biplex":
         """Build a :class:`Biplex` from any two iterables of vertex ids."""
-        return Biplex(frozenset(left), frozenset(right))
+        return Biplex(mask_of(left), mask_of(right))
+
+    @property
+    def left(self) -> FrozenSet[int]:
+        """The left vertex set ``L`` (built on each access)."""
+        return frozenset(iter_bits(self.left_mask))
+
+    @property
+    def right(self) -> FrozenSet[int]:
+        """The right vertex set ``R`` (built on each access)."""
+        return frozenset(iter_bits(self.right_mask))
 
     @property
     def size(self) -> int:
         """Total number of vertices ``|L| + |R|``."""
-        return len(self.left) + len(self.right)
+        return self.left_mask.bit_count() + self.right_mask.bit_count()
 
     def vertices(self) -> Tuple[FrozenSet[int], FrozenSet[int]]:
         """The two vertex sets as a tuple."""
@@ -49,14 +62,25 @@ class Biplex:
 
     def contains(self, other: "Biplex") -> bool:
         """Whether ``other`` is a (not necessarily proper) subgraph of this one."""
-        return other.left <= self.left and other.right <= self.right
+        return not (other.left_mask & ~self.left_mask or other.right_mask & ~self.right_mask)
 
     def key(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Canonical sortable key (used for deterministic output ordering)."""
-        return (tuple(sorted(self.left)), tuple(sorted(self.right)))
+        """Canonical sortable key: both sides as ascending id tuples.
+
+        This is the deterministic output order (parallel runs, objective
+        tie-breaks).
+        """
+        return (tuple(iter_bits(self.left_mask)), tuple(iter_bits(self.right_mask)))
+
+    def to_lists(self) -> List[List[int]]:
+        """``[L ids, R ids]``, ascending: the JSON form of a solution.
+
+        Cursor tokens, objective state and service pages all write this.
+        """
+        return [list(iter_bits(self.left_mask)), list(iter_bits(self.right_mask))]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Biplex(L={sorted(self.left)}, R={sorted(self.right)})"
+        return "Biplex(L={}, R={})".format(*self.to_lists())
 
 
 # ---------------------------------------------------------------------- #
@@ -225,8 +249,8 @@ def is_maximal_k_biplex(
 # ---------------------------------------------------------------------- #
 def extend_to_maximal(
     graph: BipartiteGraph,
-    left: Iterable[int],
-    right: Iterable[int],
+    left: Union[int, Iterable[int]],
+    right: Union[int, Iterable[int]],
     k: int,
     candidate_left: Optional[Sequence[int]] = None,
     candidate_right: Optional[Sequence[int]] = None,
@@ -239,6 +263,8 @@ def extend_to_maximal(
     framework requires ("each local solution is extended to only one real
     solution").
 
+    ``left`` / ``right`` are the sides as vertex masks (the engine's form)
+    or as iterables of ids, which are packed once here.
     ``candidate_left`` / ``candidate_right`` restrict the vertices that may
     be added — e.g. iTraversal extends with left-side vertices only
     (Line 8 of Algorithm 2 excludes ``R``).  ``None`` means "all vertices of
@@ -257,31 +283,22 @@ def extend_to_maximal(
       vertices of this side rejects every later candidate that misses it
       (miss counts never fall), so its adjacency is ANDed into the pool and
       a surviving candidate is rejected only for missing more than ``k``.
-
-    The result is built as the input sides plus the added vertices.
     """
-    left = left if isinstance(left, frozenset) else frozenset(left)
-    right = right if isinstance(right, frozenset) else frozenset(right)
-    left_mask = mask_of(left)
-    right_mask = mask_of(right)
+    left_mask = left if isinstance(left, int) else mask_of(left)
+    right_mask = right if isinstance(right, int) else mask_of(right)
     pool = (1 << graph.n_left) - 1 if candidate_left is None else mask_of(candidate_left)
     pool &= ~left_mask
     if pool:
-        added = _greedy_pass_masked(
+        left_mask |= _greedy_pass_masked(
             pool, left_mask, right_mask, graph.adj_left_mask, graph.adj_right_mask, k
         )
-        if added:
-            left = left.union(iter_bits(added))
-            left_mask |= added
     pool = (1 << graph.n_right) - 1 if candidate_right is None else mask_of(candidate_right)
     pool &= ~right_mask
     if pool:
-        added = _greedy_pass_masked(
+        right_mask |= _greedy_pass_masked(
             pool, right_mask, left_mask, graph.adj_right_mask, graph.adj_left_mask, k
         )
-        if added:
-            right = right.union(iter_bits(added))
-    return Biplex(left, right)
+    return Biplex(left_mask, right_mask)
 
 
 def _greedy_pass_masked(pool, own_mask, other_mask, own_adj, other_adj, k):
@@ -353,8 +370,7 @@ def arbitrary_initial_solution(graph: BipartiteGraph, k: int, order: Optional[Se
     ``("L", id)`` / ``("R", id)`` pairs; by default vertices are interleaved
     left/right in ascending id order, which tends to give a balanced seed.
     """
-    left_set: Set[int] = set()
-    right_set: Set[int] = set()
+    left_mask = right_mask = 0
     if order is None:
         interleaved = []
         for i in range(max(graph.n_left, graph.n_right)):
@@ -365,12 +381,11 @@ def arbitrary_initial_solution(graph: BipartiteGraph, k: int, order: Optional[Se
         order = interleaved
     for side, vertex in order:
         if side == "L":
-            if can_add_left(graph, left_set, right_set, vertex, k):
-                left_set.add(vertex)
-        else:
-            if can_add_right(graph, left_set, right_set, vertex, k):
-                right_set.add(vertex)
-    return extend_to_maximal(graph, left_set, right_set, k)
+            if can_add_left_masked(graph, left_mask, right_mask, vertex, k):
+                left_mask |= 1 << vertex
+        elif can_add_right_masked(graph, left_mask, right_mask, vertex, k):
+            right_mask |= 1 << vertex
+    return extend_to_maximal(graph, left_mask, right_mask, k)
 
 
 def violating_vertices(
@@ -391,19 +406,16 @@ def violating_vertices(
 
 def biplex_edge_count(graph: BipartiteGraph, biplex: Biplex) -> int:
     """Number of edges inside the induced subgraph of ``biplex``."""
-    total = 0
-    for v in biplex.left:
-        adjacency = graph.neighbors_of_left(v)
-        total += sum(1 for u in biplex.right if u in adjacency)
-    return total
+    return sum(
+        (graph.adj_left_mask(v) & biplex.right_mask).bit_count()
+        for v in iter_bits(biplex.left_mask)
+    )
 
 
 def iter_biplex_missing_pairs(
     graph: BipartiteGraph, biplex: Biplex
 ) -> Iterator[Tuple[int, int]]:
-    """Iterate over the missing (non-edge) pairs inside ``biplex``."""
-    for v in biplex.left:
-        adjacency = graph.neighbors_of_left(v)
-        for u in biplex.right:
-            if u not in adjacency:
-                yield (v, u)
+    """Iterate over the missing (non-edge) pairs inside ``biplex``, in ascending order."""
+    for v in iter_bits(biplex.left_mask):
+        for u in iter_bits(biplex.right_mask & ~graph.adj_left_mask(v)):
+            yield (v, u)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..graph.bipartite import BipartiteGraph
 from ..graph.protocol import iter_bits, mask_of
@@ -80,14 +80,13 @@ DEFAULT_CONFIG = EnumAlmostSatConfig()
 
 def enum_local_solutions(
     graph: BipartiteGraph,
-    left: Set[int],
-    right: Set[int],
+    left: Union[int, Iterable[int]],
+    right: Union[int, Iterable[int]],
     new_left_vertex: int,
     k: int,
     config: EnumAlmostSatConfig = DEFAULT_CONFIG,
     min_right_size: int = 0,
     solution_right_missing: Optional[Dict[int, int]] = None,
-    solution_left_mask: Optional[int] = None,
 ) -> Iterator[Biplex]:
     """Enumerate all local solutions of the almost-satisfying graph ``(L ∪ {v}, R)``.
 
@@ -97,7 +96,8 @@ def enum_local_solutions(
         The full input bipartite graph.
     left, right:
         The vertex sets of the current solution ``H = (L, R)``, which must be
-        a k-biplex.
+        a k-biplex: vertex masks (the traversal engines' form) or iterables
+        of ids, which are packed once here.
     new_left_vertex:
         The left vertex ``v ∉ L`` being added to form the almost-satisfying
         graph.
@@ -116,10 +116,6 @@ def enum_local_solutions(
         depend only on the solution ``(L, R)``, not on ``v``, so a caller
         that forms many almost-satisfying graphs from the same solution (the
         traversal engines) computes them once and passes them in.
-    solution_left_mask:
-        Optional packed form of ``left``; like ``solution_right_missing`` it
-        depends only on the solution, so the traversal engines compute it
-        once per solution.
 
     Yields
     ------
@@ -127,16 +123,15 @@ def enum_local_solutions(
         Each local solution ``(L' ∪ {v}, R')``.  Solutions are distinct.
     """
     v = new_left_vertex
-    left = set(left)
-    right = set(right)
-    if v in left:
+    left_mask = left if isinstance(left, int) else mask_of(left)
+    right_mask = right if isinstance(right, int) else mask_of(right)
+    if (left_mask >> v) & 1:
         raise ValueError("the new vertex must not already belong to the solution")
 
-    left_mask = mask_of(left) if solution_left_mask is None else solution_left_mask
-
-    v_adjacency = graph.neighbors_of_left(v)
-    r_keep = right & v_adjacency
-    r_enum = sorted(right - v_adjacency)
+    v_adjacency = graph.adj_left_mask(v)
+    r_keep = right_mask & v_adjacency
+    r_enum_mask = right_mask & ~v_adjacency
+    r_enum = list(iter_bits(r_enum_mask))
 
     # Miss counts of the enumerable right vertices w.r.t. the *current* left
     # side; the traversal engines normally pass them in precomputed, so
@@ -149,26 +144,22 @@ def enum_local_solutions(
         }
     r1_enum = [u for u in r_enum if right_missing[u] <= k - 1]
     r2_enum = [u for u in r_enum if right_missing[u] >= k]
-    r_enum_set = set(r_enum)
 
     for r_double_prime in _enumerate_right_subsets(r1_enum, r2_enum, k, config.right_refinement):
-        r_prime = set(r_keep)
-        r_prime.update(r_double_prime)
-        if min_right_size and len(r_prime) < min_right_size:
+        r_double_prime_mask = mask_of(r_double_prime)
+        r_prime_mask = r_keep | r_double_prime_mask
+        if min_right_size and r_prime_mask.bit_count() < min_right_size:
             continue
-        r2_selected = [u for u in r_double_prime if right_missing.get(u, 0) >= k]
         yield from _enumerate_left_removals(
             graph,
-            left,
-            r_prime,
-            set(r_double_prime),
-            r2_selected,
-            r_enum_set,
+            left_mask,
+            r_prime_mask,
+            r_double_prime,
+            r_enum_mask & ~r_double_prime_mask,
             right_missing,
             v,
             k,
             config.left_refinement,
-            left_mask=left_mask,
         )
 
 
@@ -195,73 +186,74 @@ def _enumerate_right_subsets(
 
 def _enumerate_left_removals(
     graph: BipartiteGraph,
-    left: Set[int],
-    r_prime: Set[int],
-    r_double_prime: Set[int],
-    r2_selected: Sequence[int],
-    r_enum_set: Set[int],
+    left_mask: int,
+    r_prime_mask: int,
+    r_double_prime: Sequence[int],
+    r_rest_mask: int,
     right_missing: Dict[int, int],
     v: int,
     k: int,
     left_refinement: int,
-    left_mask: int,
 ) -> Iterator[Biplex]:
     """Enumerate removal sets from ``L`` for a fixed right side ``R'``.
 
-    ``r2_selected`` are the chosen right vertices that currently miss ``k``
-    vertices of ``L`` (and also miss ``v``), i.e. the vertices that force at
-    least one left removal each.  The verification of each candidate is
-    incremental (see :func:`_is_local_solution_masked`): only the vertices
-    whose constraints can actually have changed are re-checked, on packed
-    vertex sets (``left_mask`` is ``left`` packed).
+    ``L`` and ``R'`` arrive as masks, ``r_double_prime`` lists the chosen
+    ``R''`` and ``r_rest_mask`` is ``R_enum \\ R''``.  The chosen vertices
+    that currently miss ``k`` vertices of ``L`` (and also miss ``v``) force
+    at least one left removal each.  Removal sets are masks too, so L2.0's
+    "superset of an earlier success" test is ``prior & removal == prior``.
+    The verification of each candidate is incremental (see
+    :func:`_is_local_solution_masked`): only the vertices whose constraints
+    can actually have changed are re-checked.
     """
-    r_prime_mask = mask_of(r_prime)
-
+    v_bit = 1 << v
+    r2_selected = [u for u in r_double_prime if right_missing[u] >= k]
     if not r2_selected:
         # (L ∪ {v}, R') is already a k-biplex; the only candidate removal is ∅.
+        candidate_left = left_mask | v_bit
         if _is_local_solution_masked(
             graph,
-            left_mask | (1 << v),
+            candidate_left,
             r_prime_mask,
             0,
             r_double_prime,
-            r_enum_set,
+            r_rest_mask,
             right_missing,
             k,
         ):
-            yield Biplex.of(left | {v}, r_prime)
+            yield Biplex(candidate_left, r_prime_mask)
         return
 
-    r2_set = set(r2_selected)
     # L_remo: left vertices with at least one non-neighbour in R''₂
     # (Section 4.3).  Collected from the R''₂ side, which is at most k
     # vertices, instead of scanning all of L.
     removal_candidates_mask = 0
-    for u in r2_set:
+    for u in r2_selected:
         removal_candidates_mask |= left_mask & ~graph.adj_right_mask(u)
-    removal_pool = list(iter_bits(removal_candidates_mask))
+    removal_pool = [1 << w for w in iter_bits(removal_candidates_mask)]
     budget = min(len(r2_selected), k, len(removal_pool))
-    successful_removals: List[Set[int]] = []
+    successful_removals: List[int] = []
     for size in range(budget + 1):
         for removal in combinations(removal_pool, size):
-            removal_set = set(removal)
+            # Distinct single bits: their sum is their union.
+            removal_mask = sum(removal)
             if left_refinement >= 2 and any(
-                prior <= removal_set for prior in successful_removals
+                prior & removal_mask == prior for prior in successful_removals
             ):
                 continue
-            removal_mask = mask_of(removal)
+            candidate_left = (left_mask & ~removal_mask) | v_bit
             if _is_local_solution_masked(
                 graph,
-                (left_mask & ~removal_mask) | (1 << v),
+                candidate_left,
                 r_prime_mask,
                 removal_mask,
                 r_double_prime,
-                r_enum_set,
+                r_rest_mask,
                 right_missing,
                 k,
             ):
-                successful_removals.append(removal_set)
-                yield Biplex.of((left - removal_set) | {v}, r_prime)
+                successful_removals.append(removal_mask)
+                yield Biplex(candidate_left, r_prime_mask)
 
 
 def _is_local_solution_masked(
@@ -269,8 +261,8 @@ def _is_local_solution_masked(
     candidate_left_mask: int,
     candidate_right_mask: int,
     removal_mask: int,
-    r_double_prime: Set[int],
-    r_enum_set: Set[int],
+    r_double_prime: Sequence[int],
+    r_rest_mask: int,
     right_missing: Dict[int, int],
     k: int,
 ) -> bool:
@@ -286,9 +278,9 @@ def _is_local_solution_masked(
       suffices to check ``δ̄(u, L') + 1 ≤ k`` for ``u ∈ R''``;
     * on the left, only the *removed* vertices can possibly be added back, so
       local maximality on the left is checked against ``removal_mask`` only;
-    * on the right, any vertex of ``R \\ R'`` would push ``v`` to
-      ``|R''| + 1`` misses, so the right-side maximality check is needed only
-      when ``|R''| < k``.
+    * on the right, any vertex of ``R \\ R'`` (that is, of ``r_rest_mask``)
+      would push ``v`` to ``|R''| + 1`` misses, so the right-side maximality
+      check is needed only when ``|R''| < k``.
 
     Every probe is a handful of word-parallel operations on packed vertex
     sets.  The reference (naive) implementation performs the full quadratic
@@ -308,7 +300,7 @@ def _is_local_solution_masked(
             return False
     # (3) Right-side local maximality: only possible when v has slack.
     if len(r_double_prime) < k:
-        for u in r_enum_set - r_double_prime:
+        for u in iter_bits(r_rest_mask):
             if can_add_right_masked(graph, candidate_left_mask, candidate_right_mask, u, k):
                 return False
     return True

@@ -237,7 +237,7 @@ class ITraversal:
     def _restore(self, solution: Biplex) -> Biplex:
         if not self._mirrored:
             return solution
-        return Biplex(left=solution.right, right=solution.left)
+        return Biplex(solution.right_mask, solution.left_mask)
 
 
 def enumerate_mbps(

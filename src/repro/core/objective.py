@@ -28,12 +28,19 @@ session drains that stream and emits :meth:`Objective.results` at the end
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .biplex import Biplex
 
 #: The recognised objective modes, in the user-facing spelling.
 OBJECTIVES = ("enumerate", "maximum", "top-k")
+
+#: Turns one solution's JSON form (:meth:`Biplex.to_lists`) back into a value.
+Decoder = Callable[[list], Biplex]
+
+
+def _trusted_decode(pair: list) -> Biplex:
+    return Biplex.of(pair[0], pair[1])
 
 
 def resolve_objective(
@@ -92,20 +99,18 @@ class Objective:
         """JSON-serializable incumbent state for cursor tokens (None = stateless)."""
         return None
 
-    def load_state(self, data: Optional[dict]) -> None:
-        """Restore :meth:`state` output (cursor resume)."""
+    def load_state(self, data: Optional[dict], decode: Decoder = _trusted_decode) -> None:
+        """Restore :meth:`state` output (cursor resume).
+
+        ``decode`` turns one solution's ``[L ids, R ids]`` into a
+        :class:`Biplex`.  The default trusts its input; a session resuming
+        a client-held token passes its checked decoder instead, and hands
+        over ``data`` only as ``None`` or a dict of ``None`` / list values.
+        """
 
 
 class EnumerateAll(Objective):
     """The classic objective: every maximal k-biplex, streamed as found."""
-
-
-def _solution_to_lists(solution: Biplex) -> List[List[int]]:
-    return [sorted(solution.left), sorted(solution.right)]
-
-
-def _solution_from_lists(pair) -> Biplex:
-    return Biplex(left=frozenset(pair[0]), right=frozenset(pair[1]))
 
 
 class MaximumSize(Objective):
@@ -142,12 +147,12 @@ class MaximumSize(Objective):
     def state(self) -> Optional[dict]:
         if self._best is None:
             return {"best": None}
-        return {"best": _solution_to_lists(self._best)}
+        return {"best": self._best.to_lists()}
 
-    def load_state(self, data: Optional[dict]) -> None:
+    def load_state(self, data: Optional[dict], decode: Decoder = _trusted_decode) -> None:
         self.reset()
         if data and data.get("best") is not None:
-            self.observe(_solution_from_lists(data["best"]))
+            self.observe(decode(data["best"]))
 
 
 class TopK(Objective):
@@ -193,12 +198,12 @@ class TopK(Objective):
         self._order = []
 
     def state(self) -> Optional[dict]:
-        return {"items": [_solution_to_lists(item) for item in self._items]}
+        return {"items": [item.to_lists() for item in self._items]}
 
-    def load_state(self, data: Optional[dict]) -> None:
+    def load_state(self, data: Optional[dict], decode: Decoder = _trusted_decode) -> None:
         self.reset()
-        for pair in (data or {}).get("items", []):
-            self.observe(_solution_from_lists(pair))
+        for pair in (data or {}).get("items") or []:
+            self.observe(decode(pair))
 
 
 def make_objective(mode: str, top: Optional[int] = None) -> Objective:

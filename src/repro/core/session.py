@@ -80,10 +80,11 @@ import base64
 import hashlib
 import json
 import zlib
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from itertools import islice
 from typing import Iterator, List, Optional
 
+from ..graph.protocol import iter_bits
 from .biplex import Biplex
 from .traversal import ReverseSearchEngine, TraversalConfig, TraversalStats
 
@@ -126,12 +127,91 @@ def _decode_token(token: str) -> dict:
     return data
 
 
-def _solution_to_lists(solution: Biplex) -> List[List[int]]:
-    return [sorted(solution.left), sorted(solution.right)]
+_STATS_FIELDS = frozenset(field.name for field in fields(TraversalStats))
 
 
-def _solution_from_lists(pair) -> Biplex:
-    return Biplex(left=frozenset(pair[0]), right=frozenset(pair[1]))
+class _TokenDecoder:
+    """Checked decoding of the client-held fields of a cursor token.
+
+    A token is unsigned and held by the client, so nothing in it is
+    trusted.  Vertex ids must be ints in the engine's reduced graph: an
+    unchecked id would index past the adjacency, or pack into a mask as
+    large as the id itself.  Counts must be non-negative ints, and stats
+    must name :class:`~repro.core.traversal.TraversalStats` fields.  Every
+    defect raises :class:`CursorError`, which the service answers with 400.
+    """
+
+    def __init__(self, graph) -> None:
+        self._n_left = graph.n_left
+        self._n_right = graph.n_right
+
+    @staticmethod
+    def count(value, name: str) -> int:
+        if type(value) is not int or value < 0:
+            raise CursorError(f"cursor field {name!r} must be a non-negative integer")
+        return value
+
+    @staticmethod
+    def _mask(ids, n: int, side: str) -> int:
+        if not isinstance(ids, list):
+            raise CursorError(f"cursor {side} vertex ids must be a list")
+        mask = 0
+        for vertex in ids:
+            if type(vertex) is not int or not 0 <= vertex < n:
+                raise CursorError(f"cursor {side} vertex id {vertex!r} is not in the graph")
+            mask |= 1 << vertex
+        return mask
+
+    def solution(self, pair) -> Biplex:
+        """One solution from its :meth:`Biplex.to_lists` form."""
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise CursorError("a cursor solution must be a [left ids, right ids] pair")
+        return Biplex(
+            self._mask(pair[0], self._n_left, "left"),
+            self._mask(pair[1], self._n_right, "right"),
+        )
+
+    def frontier(self, frontier):
+        """``(frames, visited, stats, objective state)`` of a frontier payload."""
+        if not isinstance(frontier, dict):
+            raise CursorError("malformed cursor frontier")
+        frames = frontier.get("frames")
+        visited = frontier.get("visited")
+        stats = frontier.get("stats")
+        objective = frontier.get("objective")
+        if not (isinstance(frames, list) and isinstance(visited, list)):
+            raise CursorError("a cursor frontier needs frame and visited lists")
+        if not isinstance(stats, dict) or not all(
+            name in _STATS_FIELDS and type(value) in (int, float, bool)
+            for name, value in stats.items()
+        ):
+            raise CursorError("cursor stats must map TraversalStats fields to numbers")
+        if objective is not None and not (
+            isinstance(objective, dict)
+            and all(value is None or isinstance(value, list) for value in objective.values())
+        ):
+            raise CursorError("malformed cursor objective state")
+        decoded = []
+        for frame in frames:
+            if not isinstance(frame, list) or len(frame) != 4:
+                raise CursorError(
+                    "a cursor frame must be [solution, exclusion, already_output, depth]"
+                )
+            solution, exclusion, already_output, depth = frame
+            decoded.append(
+                (
+                    self.solution(solution),
+                    frozenset(iter_bits(self._mask(exclusion, self._n_left, "exclusion"))),
+                    bool(already_output),
+                    self.count(depth, "depth"),
+                )
+            )
+        return (
+            decoded,
+            {self.solution(pair): frozenset() for pair in visited},
+            TraversalStats(**stats),
+            objective,
+        )
 
 
 class EnumerationSession:
@@ -397,16 +477,14 @@ class EnumerationSession:
                 payload["frontier"] = {
                     "frames": [
                         [
-                            _solution_to_lists(solution),
+                            solution.to_lists(),
                             sorted(exclusion),
                             bool(already_output),
                             depth,
                         ]
                         for solution, exclusion, already_output, depth in state["frames"]
                     ],
-                    "visited": [
-                        _solution_to_lists(solution) for solution in state["visited"]
-                    ],
+                    "visited": [solution.to_lists() for solution in state["visited"]],
                     "stats": asdict(state["stats"]),
                     "objective": self.engine.objective.state(),
                 }
@@ -431,7 +509,9 @@ class EnumerationSession:
         """
         data = _decode_token(cursor)
         session = cls(graph, k, config, prep_plan=prep_plan)
-        token_epoch = int(data.get("epoch", 0))
+        decoder = _TokenDecoder(session.engine.graph)
+        token_epoch = decoder.count(data.get("epoch", 0), "epoch")
+        emitted = decoder.count(data.get("emitted", 0), "emitted")
         plan_epoch = session.engine.prep_plan.epoch
         if token_epoch != plan_epoch:
             # Checked before the fingerprint so a mutated graph reports the
@@ -455,7 +535,7 @@ class EnumerationSession:
             )
         solver = not session.engine.objective.trivial
         if data.get("exhausted"):
-            session._emitted = int(data.get("emitted", 0))
+            session._emitted = emitted
             session._exhausted = True
             session._source = iter(())
             session._started = True
@@ -466,30 +546,17 @@ class EnumerationSession:
                 # the re-run's refined set; re-emit it in full (see the
                 # module docstring).
                 return session
-            skip = int(data.get("emitted", 0))
             source = session._ensure_source()
-            consumed = sum(1 for _ in islice(source, skip))
-            if consumed < skip:
+            consumed = sum(1 for _ in islice(source, emitted))
+            if consumed < emitted:
                 session._exhausted = True
             return session
         frontier = data.get("frontier")
         if frontier is None:
             return session  # captured before the first batch: fresh start
-        frames = [
-            (
-                _solution_from_lists(frame[0]),
-                frozenset(frame[1]),
-                bool(frame[2]),
-                int(frame[3]),
-            )
-            for frame in frontier["frames"]
-        ]
-        visited = {
-            _solution_from_lists(pair): frozenset() for pair in frontier["visited"]
-        }
-        stats = TraversalStats(**frontier["stats"])
+        frames, visited, stats, objective_state = decoder.frontier(frontier)
         if solver:
-            session.engine.objective.load_state(frontier.get("objective"))
+            session.engine.objective.load_state(objective_state, decoder.solution)
         raw = session.engine.resume_serial(frames, visited, stats)
         if solver:
             raw = session._solver_stream(raw)
@@ -503,10 +570,9 @@ class EnumerationSession:
         elif solver:
             # Traversal complete — the cursor paginates a final answer
             # list; skip the prefix the client already consumed.
-            skip = int(data.get("emitted", 0))
-            consumed = sum(1 for _ in islice(session._source, skip))
-            if consumed < skip:
+            consumed = sum(1 for _ in islice(session._source, emitted))
+            if consumed < emitted:
                 session._exhausted = True
         else:
-            session._emitted = int(data.get("emitted", 0))
+            session._emitted = emitted
         return session

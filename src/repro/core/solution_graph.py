@@ -99,8 +99,7 @@ def _links_from_solution(
 ) -> List[Tuple[Biplex, Biplex]]:
     """All links leaving ``solution`` under the given sparsification flags."""
     links: List[Tuple[Biplex, Biplex]] = []
-    left = set(solution.left)
-    right = set(solution.right)
+    left, right = solution.vertices()
 
     candidates: List[Tuple[str, int]] = [
         ("L", v) for v in graph.left_vertices() if v not in left
@@ -114,9 +113,9 @@ def _links_from_solution(
         else:
             mirror = MirrorView(graph)
             locals_iter = (
-                Biplex(left=mirrored.right, right=mirrored.left)
+                Biplex(mirrored.right_mask, mirrored.left_mask)
                 for mirrored in enum_local_solutions(
-                    mirror, set(right), set(left), vertex, k, enum_config
+                    mirror, right, left, vertex, k, enum_config
                 )
             )
         for local in locals_iter:
@@ -126,17 +125,18 @@ def _links_from_solution(
                 # then extend with left-side vertices only — the result is a
                 # maximal k-biplex of G whose right side is contained in the
                 # source's, i.e. a right-shrinking link.
+                local_left, local_right = local.vertices()
                 if any(
-                    u not in local.right
-                    and can_add_right(graph, set(local.left), set(local.right), u, k)
+                    u not in local_right
+                    and can_add_right(graph, local_left, local_right, u, k)
                     for u in graph.right_vertices()
                 ):
                     continue
                 target = extend_to_maximal(
-                    graph, local.left, local.right, k, candidate_right=()
+                    graph, local.left_mask, local.right_mask, k, candidate_right=()
                 )
             else:
-                target = extend_to_maximal(graph, local.left, local.right, k)
+                target = extend_to_maximal(graph, local.left_mask, local.right_mask, k)
             links.append((solution, target))
     return links
 

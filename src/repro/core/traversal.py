@@ -25,7 +25,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from ..graph.bipartite import BipartiteGraph, MirrorView
 # ``as_backend`` is an identity kept importable here: benchmark tracers wrap
 # it by module attribute.
-from ..graph.protocol import as_backend, mask_of  # noqa: F401
+from ..graph.protocol import as_backend, iter_bits, mask_of  # noqa: F401
 from ..prep import PREP_MODES, default_prep, prepare
 from .biplex import (
     Biplex,
@@ -313,10 +313,9 @@ class ReverseSearchEngine:
         # shares the best known lower bound across shard workers.  None in
         # serial runs — the objective alone carries the bound.
         self._bound_channel = None
-        # Cache of the (α, β)-core survivor sets implied by the current
-        # bound: (bound, left_set, right_set).  Recomputed only when the
-        # bound rises — the peel costs O(E), the membership probes it
-        # serves cost O(1).
+        # Cache of the (α, β)-core survivors implied by the current bound:
+        # (bound, (|core_L|, core_R mask)).  Recomputed only when the bound
+        # rises — the peel costs O(E), the probes it serves one popcount.
         self._bound_core_cache = None
         # Visited solution -> the exclusion set its subtree was (last)
         # explored with.  The mapping is needed for correctness, not just
@@ -677,8 +676,8 @@ class ReverseSearchEngine:
 
     def _passes_size_filter(self, solution: Biplex) -> bool:
         if (
-            len(solution.left) < self.config.theta_left
-            or len(solution.right) < self.config.theta_right
+            solution.left_mask.bit_count() < self.config.theta_left
+            or solution.right_mask.bit_count() < self.config.theta_right
         ):
             self.stats.num_pruned_size_filter += 1
             return False
@@ -707,20 +706,21 @@ class ReverseSearchEngine:
                 bound = shared
         return bound
 
-    def _bound_core(self, bound: int):
-        """Survivor sets of the bound-implied core reduction (cached).
+    def _bound_core(self, bound: int) -> Tuple[int, int]:
+        """``(|core_L|, core_R as a mask)`` of the bound-implied core (cached).
 
         Any solution of size ≥ ``bound`` (meeting the θ thresholds) lies
         inside the fixpoint (α, β)-core computed with the bound-implied
         per-side thresholds (:func:`repro.prep.reduce.bound_core_sets`) —
         the mid-run re-reduction.  Membership in the survivor sets yields
         the subtree upper bound ``|core_L| + |R ∩ core_R|`` used in
-        ``_children``.  Cached per bound value; the bound is monotone, so
-        the peel reruns at most once per incumbent improvement.
+        ``_children``, one popcount per test.  Cached per bound value; the
+        bound is monotone, so the peel reruns at most once per incumbent
+        improvement.
         """
         cache = self._bound_core_cache
         if cache is not None and cache[0] == bound:
-            return cache[1], cache[2]
+            return cache[1]
         from ..prep.reduce import bound_core_sets
 
         left, right = bound_core_sets(
@@ -730,8 +730,9 @@ class ReverseSearchEngine:
             theta_left=self.config.theta_left,
             theta_right=self.config.theta_right,
         )
-        self._bound_core_cache = (bound, left, right)
-        return left, right
+        core = (len(left), mask_of(right))
+        self._bound_core_cache = (bound, core)
+        return core
 
     def _check_epoch(self) -> None:
         """Raise if the graph was edited since this engine was built.
@@ -806,8 +807,9 @@ class ReverseSearchEngine:
         processed before it.
         """
         config = self.config
-        left = set(solution.left)
-        right = set(solution.right)
+        left_mask = solution.left_mask
+        right_mask = solution.right_mask
+        right_size = right_mask.bit_count()
 
         # Solver objectives: fold the incumbent size lower bound into the
         # Section 5 thresholds.  A still-useful solution has size ≥ bound,
@@ -830,17 +832,16 @@ class ReverseSearchEngine:
             # (α, β)-core subtree upper bound: every useful solution below
             # here keeps R' ⊆ R and lives inside the bound-implied core,
             # so its size is at most |core_L| + |R ∩ core_R|.
-            core_left, core_right = self._bound_core(bound)
-            if len(core_left) + sum(1 for u in right if u in core_right) < bound:
+            bound_core = self._bound_core(bound)
+            if bound_core[0] + (right_mask & bound_core[1]).bit_count() < bound:
                 self.stats.num_pruned_by_bound += 1
                 self.stats.num_pruned_subtree += 1
                 return
-            bound_core = (core_left, core_right)
 
         # Section 5, solution pruning: all solutions reachable from here have
         # a right side contained in ours (right-shrinking), so stop early.
-        if theta_right and config.right_shrinking and len(right) < theta_right:
-            if not (config.theta_right and len(right) < config.theta_right):
+        if theta_right and config.right_shrinking and right_size < theta_right:
+            if not (config.theta_right and right_size < config.theta_right):
                 self.stats.num_pruned_by_bound += 1
             self.stats.num_pruned_subtree += 1
             return
@@ -858,26 +859,26 @@ class ReverseSearchEngine:
             self.stats.num_pruned_subtree += 1
             return
 
-        # δ̄(u, L) for every u ∈ R and the packed left side depend only on
-        # the solution, not on the candidate vertex; computing them once here
-        # saves a factor |L| inside EnumAlmostSat (see enum_local_solutions'
-        # solution_right_missing / solution_left_mask).
-        left_mask = mask_of(left)
+        # δ̄(u, L) for every u ∈ R depends only on the solution, not on the
+        # candidate vertex; computing it once here saves a factor |L| inside
+        # EnumAlmostSat (see enum_local_solutions' solution_right_missing).
         adj_right_mask = self.graph.adj_right_mask
         right_missing = {
-            u: (left_mask & ~adj_right_mask(u)).bit_count() for u in right
+            u: (left_mask & ~adj_right_mask(u)).bit_count() for u in iter_bits(right_mask)
         }
-        # R packed once for the Section 5 almost-satisfying-graph pruning,
-        # which scores Γ(v, R) per left candidate with a mask popcount.
-        right_mask = mask_of(right) if theta_right else None
 
-        processed: List[int] = list(processed_base) if processed_base is not None else []
+        # The per-expansion exclusion prefix, as a mask: the inherited set
+        # plus the left anchors processed so far in this expansion (seeded
+        # by ``processed_base``).  It only grows between anchors.
+        pruning = (
+            mask_of(exclusion) | mask_of(processed_base or ()) if config.exclusion else 0
+        )
         candidate_vertices = (
             self._candidate_vertices(solution) if candidates is None else candidates
         )
         for side, vertex in candidate_vertices:
             self._check_time()
-            if side == "L" and config.exclusion and vertex in exclusion:
+            if side == "L" and (pruning >> vertex) & 1:
                 self.stats.num_pruned_exclusion += 1
                 continue
             # Section 5, almost-satisfying-graph pruning (with the merged
@@ -892,25 +893,22 @@ class ReverseSearchEngine:
                         self.stats.num_pruned_by_bound += 1
                     self.stats.num_pruned_anchor += 1
                     if config.exclusion:
-                        processed.append(vertex)
+                        pruning |= 1 << vertex
                     continue
             self.stats.num_almost_sat_graphs += 1
-            # The per-expansion exclusion set: anchors processed before this
-            # one (frozen here — ``processed`` only grows between anchors).
-            pruning = (
-                exclusion | frozenset(processed) if config.exclusion else frozenset()
-            )
             # Children inherit the exclusions only in parallel-shard mode
             # (see the attribute comment in __init__ / method docstring).
-            child_exclusion = pruning if self._inherit_exclusions else frozenset()
+            child_exclusion = (
+                frozenset(iter_bits(pruning)) if self._inherit_exclusions else frozenset()
+            )
             for local in self._local_solutions(
-                solution, side, vertex, right_missing, left_mask, theta_right
+                solution, side, vertex, right_missing, theta_right
             ):
                 self.stats.num_local_solutions += 1
                 # The local solution's vertices are a subset of the extended
                 # child's, so an exclusion hit here already rules the child
                 # out — checking before the (expensive) extension step.
-                if config.exclusion and side == "L" and (local.left & pruning):
+                if side == "L" and local.left_mask & pruning:
                     self.stats.num_pruned_exclusion += 1
                     continue
                 # Core upper bound on the child's subtree: extension adds
@@ -918,11 +916,7 @@ class ReverseSearchEngine:
                 # all its descendants keep R ⊆ local.right — skip before
                 # the expensive right-extensibility probe and extension.
                 if bound_core is not None and side == "L":
-                    if (
-                        len(bound_core[0])
-                        + sum(1 for u in local.right if u in bound_core[1])
-                        < bound
-                    ):
+                    if bound_core[0] + (local.right_mask & bound_core[1]).bit_count() < bound:
                         self.stats.num_pruned_by_bound += 1
                         self.stats.num_pruned_core_bound += 1
                         continue
@@ -930,7 +924,7 @@ class ReverseSearchEngine:
                     self.stats.num_pruned_right_extensible += 1
                     continue
                 child = self._extend(local, side)
-                if config.exclusion and side == "L" and (child.left & pruning):
+                if side == "L" and child.left_mask & pruning:
                     self.stats.num_pruned_exclusion += 1
                     continue
                 # Links pruned by the exclusion strategy are not part of the
@@ -962,7 +956,7 @@ class ReverseSearchEngine:
                 self.stats.num_solutions += 1
                 yield child, child_exclusion, True
             if side == "L" and config.exclusion:
-                processed.append(vertex)
+                pruning |= 1 << vertex
 
     def _candidate_vertices(self, solution: Biplex) -> Iterator[Tuple[str, int]]:
         """Step 1 candidates: vertices outside the solution, per configuration.
@@ -977,8 +971,9 @@ class ReverseSearchEngine:
         left_order = (
             plan.left_order if plan.left_order is not None else self.graph.left_vertices()
         )
+        left_mask = solution.left_mask
         for v in left_order:
-            if v not in solution.left:
+            if not (left_mask >> v) & 1:
                 yield ("L", v)
         if not self.config.left_anchored:
             right_order = (
@@ -986,8 +981,9 @@ class ReverseSearchEngine:
                 if plan.right_order is not None
                 else self.graph.right_vertices()
             )
+            right_mask = solution.right_mask
             for u in right_order:
-                if u not in solution.right:
+                if not (right_mask >> u) & 1:
                     yield ("R", u)
 
     def _local_solutions(
@@ -996,7 +992,6 @@ class ReverseSearchEngine:
         side: str,
         vertex: int,
         right_missing=None,
-        left_mask=None,
         theta_right: Optional[int] = None,
     ) -> Iterator[Biplex]:
         """Step 2: EnumAlmostSat on the almost-satisfying graph ``G[H ∪ {vertex}]``.
@@ -1020,19 +1015,18 @@ class ReverseSearchEngine:
                 from .enum_almost_sat import enum_local_solutions_inflation
 
                 yield from enum_local_solutions_inflation(
-                    self.graph, set(solution.left), set(solution.right), vertex, self.k
+                    self.graph, solution.left, solution.right, vertex, self.k
                 )
                 return
             yield from enum_local_solutions(
                 self.graph,
-                set(solution.left),
-                set(solution.right),
+                solution.left_mask,
+                solution.right_mask,
                 vertex,
                 self.k,
                 config=self.config.enum_config,
                 min_right_size=min_right,
                 solution_right_missing=right_missing,
-                solution_left_mask=left_mask,
             )
             return
         # Right-side candidate (bTraversal only): run the same procedure on
@@ -1042,19 +1036,19 @@ class ReverseSearchEngine:
             from .enum_almost_sat import enum_local_solutions_inflation
 
             mirrored_locals = enum_local_solutions_inflation(
-                mirror, set(solution.right), set(solution.left), vertex, self.k
+                mirror, solution.right, solution.left, vertex, self.k
             )
         else:
             mirrored_locals = enum_local_solutions(
                 mirror,
-                set(solution.right),
-                set(solution.left),
+                solution.right_mask,
+                solution.left_mask,
                 vertex,
                 self.k,
                 config=self.config.enum_config,
             )
         for mirrored in mirrored_locals:
-            yield Biplex(left=mirrored.right, right=mirrored.left)
+            yield Biplex(mirrored.right_mask, mirrored.left_mask)
 
     def _extend(self, local: Biplex, side: str) -> Biplex:
         """Step 3: extend a local solution to a maximal k-biplex of ``G``."""
@@ -1062,12 +1056,12 @@ class ReverseSearchEngine:
             # iTraversal extends with left-side vertices only (Line 8).
             return extend_to_maximal(
                 self.graph,
-                local.left,
-                local.right,
+                local.left_mask,
+                local.right_mask,
                 self.k,
                 candidate_right=(),
             )
-        return extend_to_maximal(self.graph, local.left, local.right, self.k)
+        return extend_to_maximal(self.graph, local.left_mask, local.right_mask, self.k)
 
     def _right_extensible(self, local: Biplex) -> bool:
         """Right-shrinking test (Line 7): can any right vertex of G be added?
@@ -1086,10 +1080,9 @@ class ReverseSearchEngine:
         """
         graph = self.graph
         k = self.k
-        left = local.left
-        left_mask = mask_of(left)
-        right_mask = mask_of(local.right)
-        need = len(left) - k
+        left_mask = local.left_mask
+        right_mask = local.right_mask
+        need = left_mask.bit_count() - k
         representative = need <= 0
         adj_right_mask = graph.adj_right_mask
         for u, degree in self._right_degree_order():

@@ -128,16 +128,17 @@ class PrepPlan:
     def translate(self, solution):
         """Map a solution from reduced ids back to original-graph ids.
 
-        Works for any ``Biplex``-shaped value (a frozen dataclass with
-        ``left`` / ``right`` frozensets); constructing through
-        ``type(solution)`` keeps this module free of core-layer imports.
+        Works for any ``Biplex``-shaped value (one with ``left`` /
+        ``right`` id sets and an ``of(left_ids, right_ids)`` constructor);
+        constructing through ``type(solution)`` keeps this module free of
+        core-layer imports.
         """
         if self.is_identity_map:
             return solution
         left_map, right_map = self.left_map, self.right_map
-        return type(solution)(
-            left=frozenset(left_map[v] for v in solution.left),
-            right=frozenset(right_map[u] for u in solution.right),
+        return type(solution).of(
+            (left_map[v] for v in solution.left),
+            (right_map[u] for u in solution.right),
         )
 
 

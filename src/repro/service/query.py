@@ -150,10 +150,6 @@ def _decode_service_cursor(token: str) -> dict:
     return data
 
 
-def _serialize_solution(solution) -> List[List[int]]:
-    return [sorted(solution.left), sorted(solution.right)]
-
-
 def _split_trace_flag(query) -> Tuple[object, bool]:
     """Strip the per-request ``trace`` opt-in from a query document.
 
@@ -490,7 +486,7 @@ class QueryService:
         finally:
             session.close()
         with span("serialize"):
-            solutions = [_serialize_solution(s) for s in raw]
+            solutions = [s.to_lists() for s in raw]
         response = {
             "solutions": solutions,
             "num_solutions": len(solutions),
@@ -700,7 +696,7 @@ class QueryService:
                 self.sessions.remove(record.session_id)
                 raise ServiceStaleCursorError(str(error)) from None
         with span("serialize"):
-            solutions = [_serialize_solution(s) for s in batch]
+            solutions = [s.to_lists() for s in batch]
         with self._lock:
             self.pages_served += 1
         token = _encode_service_cursor(

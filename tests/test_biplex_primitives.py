@@ -5,6 +5,7 @@ from graph_samples import ROUTES, via
 
 from repro.core import (
     Biplex,
+    ITraversal,
     arbitrary_initial_solution,
     can_add_left,
     can_add_right,
@@ -43,6 +44,13 @@ class TestBiplexValue:
         left, right = Biplex.of([1], [2, 3]).vertices()
         assert left == frozenset({1})
         assert right == frozenset({2, 3})
+
+    def test_sorting_does_not_depend_on_input_order(self, example_graph):
+        # The order is total: subset order on frozenset fields was not, so
+        # sorted() depended on the order the solutions arrived in.
+        solutions = ITraversal(example_graph, 1).enumerate()
+        assert len(solutions) == 13
+        assert sorted(solutions) == sorted(reversed(solutions))
 
 
 class TestIsKBiplex:

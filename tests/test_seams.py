@@ -17,6 +17,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro import ITraversal, LargeMBPEnumerator, paper_example_graph
 from repro.service import QueryService
 
@@ -52,9 +54,39 @@ class TestBenchmarkSeams:
         finally:
             tracer.restore()
         assert traversal.extend_to_maximal is original
-        for name in ("biplex.extend", "enum_almost_sat", "prep.prepare", "service.normalize"):
+        for name in (
+            "biplex.extend",
+            "biplex.can_add_right",
+            "enum_almost_sat",
+            "prep.prepare",
+            "service.normalize",
+        ):
             assert tracer.layer(name).calls > 0, name
         assert tracer.layer("graph.convert").calls == 0
+
+    @pytest.mark.parametrize(
+        "module, attr",
+        [
+            ("repro.core.traversal", "enum_local_solutions"),
+            ("repro.core.traversal", "extend_to_maximal"),
+            ("repro.core.traversal", "can_add_right_masked"),
+            ("repro.core.enum_almost_sat", "can_add_right_masked"),
+        ],
+    )
+    def test_engine_seams_are_called_through_their_module(self, monkeypatch, module, attr):
+        # The tracer files both probe seams under one name, so the test
+        # above would still pass if only one of them were called.
+        owner = importlib.import_module(module)
+        original = getattr(owner, attr)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+        ITraversal(paper_example_graph(), 1, jobs=1).enumerate()
+        assert calls
 
     def test_machine_facts(self):
         facts = _perfbench_module("run").machine_facts()

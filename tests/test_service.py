@@ -411,3 +411,87 @@ class TestServiceCursorValidation:
         page = service.open_session(self.QUERY, page_size=4)
         with pytest.raises(ServiceCursorError, match=match):
             service.next_page(cursor=self._edit(page["cursor"], **changes))
+
+
+def _tamper(token: dict, variant: str) -> None:
+    """Apply one edit to a decoded engine cursor token with a frontier."""
+    frontier = token["frontier"]
+    top = frontier["frames"][-1]
+    if variant == "negative-left-id":
+        top[0][0].append(-1)
+    elif variant == "left-id-60":
+        top[0][0].append(60)
+    elif variant == "left-id-1e8":
+        top[0][0].append(10**8)
+    elif variant == "string-left-id":
+        top[0][0].append("3")
+    elif variant == "string-depth":
+        top[3] = "deep"
+    elif variant == "one-element-frame":
+        del top[1:]
+    elif variant == "one-element-visited-entry":
+        del frontier["visited"][0][1:]
+    elif variant == "unknown-stats-field":
+        frontier["stats"]["num_bogus"] = 1
+    else:
+        raise AssertionError(variant)
+
+
+class TestTamperedEngineFrontier:
+    """The engine token inside a cursor is client-held and unsigned.
+
+    Each edit below of a valid divorce θ=4 cursor (page size 5; the
+    reduced graph is 9×29) must be refused with a cursor error — 400 over
+    HTTP — before any mask is built, and must leave no session behind.
+    ``jobs`` is pinned to 1: only serial sessions carry a frontier.
+    """
+
+    QUERY = {
+        "graph": {"dataset": "divorce"},
+        "k": 1,
+        "theta_left": 4,
+        "theta_right": 4,
+        "jobs": 1,
+    }
+    VARIANTS = (
+        "negative-left-id",
+        "left-id-60",
+        "left-id-1e8",
+        "string-left-id",
+        "string-depth",
+        "one-element-frame",
+        "one-element-visited-entry",
+        "unknown-stats-field",
+    )
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_library_resume_raises_cursor_error(self, variant):
+        from repro.analysis.datasets import load_dataset
+        from repro.core import CursorError, EnumerationSession
+        from repro.core.itraversal import itraversal_config
+        from repro.core.session import _decode_token, _encode_token
+
+        graph = load_dataset("divorce")
+        config = itraversal_config(theta_left=4, theta_right=4, jobs=1, prep="core")
+        session = EnumerationSession(graph, 1, config)
+        session.next_batch(5)
+        token = _decode_token(session.cursor())
+        _tamper(token, variant)
+        with pytest.raises(CursorError):
+            EnumerationSession.resume(graph, 1, _encode_token(token), config)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_service_answers_cursor_error_and_keeps_no_session(self, variant):
+        from repro.core.session import _decode_token, _encode_token
+        from repro.service.query import _decode_service_cursor, _encode_service_cursor
+
+        service = QueryService()
+        page = service.open_session(self.QUERY, page_size=5)
+        envelope = _decode_service_cursor(page["cursor"])
+        token = _decode_token(envelope["cursor"])
+        _tamper(token, variant)
+        envelope["cursor"] = _encode_token(token)
+        live = service.stats()["sessions_live"]
+        with pytest.raises(ServiceCursorError, match="cursor"):
+            service.next_page(cursor=_encode_service_cursor(envelope))
+        assert service.stats()["sessions_live"] == live

@@ -328,6 +328,29 @@ class TestUpdateRoute:
         )
         assert status == 400 and "backend" in error["error"]
 
+    def test_tampered_engine_frontier_is_400(self, daemon):
+        from repro.core.session import _decode_token, _encode_token
+        from repro.service.query import _decode_service_cursor, _encode_service_cursor
+
+        query = {
+            "graph": {"dataset": "divorce"}, "k": 1, "theta_left": 4, "theta_right": 4, "jobs": 1,
+        }
+        status, page = http_json(
+            daemon, "POST", "/v1/enumerate",
+            {"query": query, "paginate": True, "page_size": 5},
+        )
+        assert status == 200
+        envelope = _decode_service_cursor(page["cursor"])
+        token = _decode_token(envelope["cursor"])
+        token["frontier"]["frames"][-1][0][0].append(60)  # the reduced graph is 9x29
+        envelope["cursor"] = _encode_token(token)
+        live = http_json(daemon, "GET", "/v1/stats")[1]["sessions_live"]
+        status, error = http_json(
+            daemon, "POST", "/v1/paginate", {"cursor": _encode_service_cursor(envelope)}
+        )
+        assert status == 400 and "not in the graph" in error["error"]
+        assert http_json(daemon, "GET", "/v1/stats")[1]["sessions_live"] == live
+
     def test_update_validation_400s(self, daemon):
         query = inline_query()
         http_json(daemon, "POST", "/v1/enumerate", {"query": query})

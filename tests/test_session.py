@@ -192,6 +192,21 @@ class TestCursorHygiene:
                 paper_example_graph(), 1, token, itraversal_config(jobs=2)
             )
 
+    @pytest.mark.parametrize("objective, top", [("maximum", None), ("top-k", 2)])
+    def test_out_of_range_objective_state_rejected(self, objective, top):
+        from repro.core.session import _decode_token, _encode_token
+
+        graph = paper_example_graph()
+        config = itraversal_config(objective=objective, top=top, max_results=3, jobs=1)
+        session = EnumerationSession(graph, 1, config)
+        session.next_batch(1)
+        token = _decode_token(session.cursor())
+        state = token["frontier"]["objective"]
+        pair = state["best"] if objective == "maximum" else state["items"][0]
+        pair[0].append(graph.n_left)
+        with pytest.raises(CursorError, match="not in the graph"):
+            EnumerationSession.resume(graph, 1, _encode_token(token), config)
+
     def test_budgets_may_differ_on_resume(self):
         """max_results / time_limit are deliberately not fingerprinted.
 

@@ -74,7 +74,7 @@ class TestResolveObjective:
 
 class TestObjectiveUnits:
     def _biplex(self, left, right):
-        return Biplex(left=frozenset(left), right=frozenset(right))
+        return Biplex.of(left, right)
 
     def test_maximum_tie_breaks_by_key(self):
         objective = MaximumSize()
