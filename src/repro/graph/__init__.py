@@ -1,7 +1,7 @@
 """Graph substrates: bipartite graphs, general graphs, generators, cores, I/O."""
 
 from .bipartite import BipartiteGraph, Side, freeze, paper_example_graph, sorted_tuple
-from .cores import alpha_beta_core, alpha_beta_core_subgraph, theta_core_for_large_mbps
+from .cores import alpha_beta_core
 from .dynamic import (
     AlphaBetaCoreIndex,
     ButterflyIndex,
@@ -38,8 +38,6 @@ __all__ = [
     "planted_biplex_graph_with_blocks",
     "review_graph_with_camouflage",
     "alpha_beta_core",
-    "alpha_beta_core_subgraph",
-    "theta_core_for_large_mbps",
     "AlphaBetaCoreIndex",
     "ButterflyIndex",
     "DynamicGraphIndex",

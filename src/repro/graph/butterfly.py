@@ -14,19 +14,20 @@ the wedge-centred work smaller, and the per-pair common neighbourhoods are
 word-parallel ``&`` + popcount operations on the adjacency masks instead of
 per-vertex dictionary accumulation.
 
-k-bitruss peeling is *incremental*: the butterfly supports are computed
-once, and removing an edge only re-scores the edges that shared a butterfly
-with it, instead of recomputing every support from scratch per round.  A
-peeled edge has support < k by definition, so each removal walks fewer than
-k butterflies.
+k-bitruss peeling is *incremental* and runs on the mask peel of
+:class:`repro.graph.cores.Peel`: the butterfly supports are computed once, and
+removing an edge only re-scores the edges that shared a butterfly with it,
+instead of recomputing every support from scratch per round.  A peeled
+edge has support < k by definition, so each removal walks fewer than k
+butterflies.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, Iterator, Optional, Tuple
 
 from .bipartite import BipartiteGraph
+from .cores import Peel
 from .protocol import iter_bits
 
 
@@ -95,18 +96,7 @@ def edge_butterfly_counts(graph: BipartiteGraph) -> Dict[Tuple[int, int], int]:
     The butterfly support of edge ``(v, u)`` equals the number of pairs
     ``(v', u')`` with ``v' ≠ v``, ``u' ≠ u`` such that all four edges exist.
     """
-    adj_left = graph.adj_left_mask
-    adj_right = graph.adj_right_mask
-    support: Dict[Tuple[int, int], int] = {}
-    for v, u in graph.edges():
-        adj_v = adj_left(v)
-        count = 0
-        # Every v' adjacent to u shares at least the common neighbour u
-        # with v; the remaining common neighbours are the u' candidates.
-        for v_prime in iter_bits(adj_right(u) & ~(1 << v)):
-            count += (adj_left(v_prime) & adj_v).bit_count() - 1
-        support[(v, u)] = count
-    return support
+    return Peel(graph).supports()
 
 
 def _butterfly_mates(graph: BipartiteGraph, v: int, u: int) -> Iterator[Tuple[int, int]]:
@@ -132,12 +122,9 @@ def k_bitruss(
     Edges whose butterfly support drops below ``k`` are peeled iteratively
     until every remaining edge is contained in at least ``k`` butterflies.
     Isolated vertices are kept (the id space is unchanged) so that the
-    result can be compared edge-wise against the input.
-
-    Peeling is incremental: supports are computed once, and removing an edge
-    decrements only the supports of edges that shared a butterfly with it
-    (three per butterfly), so each butterfly is touched at most once overall
-    instead of once per peeling round.
+    result can be compared edge-wise against the input.  The peel runs on
+    masks (:meth:`repro.graph.cores.Peel.bitruss`) and the result graph is
+    built once, from the surviving edges.
 
     ``supports`` optionally provides precomputed per-edge butterfly counts
     for exactly ``graph``'s edge set (the incremental maintenance layer in
@@ -146,53 +133,29 @@ def k_bitruss(
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    working = graph.copy()
-    if k == 0:
-        return working
-    support = dict(supports) if supports is not None else edge_butterfly_counts(working)
-    queue = deque(edge for edge, count in support.items() if count < k)
-    while queue:
-        v, u = queue.popleft()
-        if (v, u) not in support:
-            continue  # already peeled via an earlier butterfly update
-        del support[(v, u)]
-        working.remove_edge(v, u)
-        for v_prime, u_prime in _butterfly_mates(working, v, u):
-            for edge in ((v, u_prime), (v_prime, u), (v_prime, u_prime)):
-                support[edge] -= 1
-                # Enqueue exactly on the >= k -> < k transition; edges that
-                # started below k are already in the initial queue.
-                if support[edge] == k - 1:
-                    queue.append(edge)
-    return working
+    peel = Peel(graph)
+    if k:
+        peel.bitruss(k, supports)
+    return peel.compact()[0]
 
 
 def bitruss_number(graph: BipartiteGraph) -> Dict[Tuple[int, int], int]:
     """For every edge, the maximum ``k`` such that the edge survives in the k-bitruss.
 
-    Computed by repeated peeling; suitable for the small graphs used in the
-    tests and the case study, not for billion-edge inputs.
+    One peel runs through rising ``k``: the (k + 1)-bitruss is the
+    (k + 1)-bitruss of the k-bitruss, and each level starts from the
+    supports the previous one left.  Every level keeps only edges with at
+    least ``k`` butterflies, so the loop ends once ``k`` passes the largest
+    support (below |E|).  Suitable for the small graphs used in the tests
+    and the case study, not for billion-edge inputs.
     """
-    numbers: Dict[Tuple[int, int], int] = {edge: 0 for edge in graph.edges()}
-    working = graph.copy()
-    k = 1
-    while working.num_edges > 0:
-        truss = k_bitruss(working, k)
-        surviving = set(truss.edges())
-        for edge in list(numbers.keys()):
-            if edge in surviving:
-                numbers[edge] = k
-        working = truss
-        if truss.num_edges == 0:
-            break
+    numbers: Dict[Tuple[int, int], int] = dict.fromkeys(graph.edges(), 0)
+    peel = Peel(graph)
+    support = None
+    k = 0
+    while peel.num_edges:
         k += 1
-        if k > graph.num_edges:
-            # An edge's support is strictly below |E| (every butterfly uses
-            # three other edges), so some edge must peel before k reaches
-            # |E| + 1.  Returning partial numbers here would silently corrupt
-            # the decomposition — fail loudly instead.
-            raise RuntimeError(
-                "bitruss_number failed to converge: k exceeded the edge count "
-                f"({graph.num_edges}) with {working.num_edges} edges still alive"
-            )
+        support = peel.bitruss(k, support)
+        for edge in support:
+            numbers[edge] = k
     return numbers

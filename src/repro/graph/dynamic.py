@@ -3,8 +3,9 @@
 The static analyses in :mod:`repro.graph.butterfly` / :mod:`repro.graph.cores`
 recompute from scratch; this module maintains the same answers *across*
 single-edge inserts and deletes, which is what the streaming fraud scenario
-and the service update path need (camouflage edges arriving over time must
-not force a cold rebuild per edge).
+needs (camouflage edges arriving over time must not force a cold rebuild
+per edge).  The service update path does not use these indices: the
+hot-graph registry rebuilds a stale plan with :func:`repro.prep.prepare`.
 
 Three indices, one facade:
 

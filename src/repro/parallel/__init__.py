@@ -68,6 +68,11 @@ on the engine:
   true whenever any part of the run was cut short.
 * ``num_shards`` — the size of the shard plan; ``num_duplicate_solutions``
   — cross-shard rediscoveries the coordinator merged away.
+* every other field (the prune-site counters, ``num_pruned_by_bound``,
+  ``num_reexplorations``) sums, and ``best_size`` is the maximum.
+
+One function, :func:`repro.parallel.worker.fold_stats`, applies this rule
+twice: a worker folds its shards' stats, the coordinator its workers'.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from ..core.biplex import Biplex
 from ..core.traversal import TraversalStats
 from ..obs import current_trace, get_registry
 from .shards import shard_plan
-from .worker import worker_main
+from .worker import fold_stats, worker_main
 
 #: Environment variable forcing a multiprocessing start method (``fork`` /
 #: ``spawn`` / ``forkserver``).  Default: ``fork`` where available (cheap,
@@ -33,15 +33,11 @@ START_METHOD_ENV_VAR = "REPRO_PARALLEL_START_METHOD"
 _POLL_SECONDS = 0.05
 _JOIN_SECONDS = 2.0
 
-#: The engine's per-prune-site counters, summed across workers exactly
-#: like the other work counters (see TraversalStats).
-_PRUNE_SITE_FIELDS = (
-    "num_pruned_size_filter",
-    "num_pruned_subtree",
-    "num_pruned_anchor",
-    "num_pruned_exclusion",
-    "num_pruned_core_bound",
-    "num_pruned_right_extensible",
+#: The merged stats fields the coordinator owns instead of folding in the
+#: workers' values: the unique solutions it yields, its own wall clock,
+#: the shard plan size and the cross-shard duplicates it merges away.
+_COORDINATOR_FIELDS = frozenset(
+    ("num_reported", "elapsed_seconds", "num_shards", "num_duplicate_solutions")
 )
 
 
@@ -52,29 +48,6 @@ def _mp_context():
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
-
-
-def _merge_worker_stats(merged: TraversalStats, data: dict) -> None:
-    """Fold one worker's final counters into the merged stats.
-
-    ``num_reported`` is deliberately not summed: workers count their own
-    yields including cross-shard duplicates, while the merged value is the
-    coordinator's exact unique count.
-    """
-    merged.num_solutions += data["num_solutions"]
-    merged.num_links += data["num_links"]
-    merged.num_almost_sat_graphs += data["num_almost_sat_graphs"]
-    merged.num_local_solutions += data["num_local_solutions"]
-    merged.num_reexplorations += data["num_reexplorations"]
-    merged.num_pruned_by_bound += data["num_pruned_by_bound"]
-    for site_field in _PRUNE_SITE_FIELDS:
-        # .get: a "done" message from an older worker build lacks the
-        # per-site counters; treat absence as zero.
-        setattr(merged, site_field, getattr(merged, site_field) + data.get(site_field, 0))
-    if data["best_size"] > merged.best_size:
-        merged.best_size = data["best_size"]
-    merged.hit_result_limit |= data["hit_result_limit"]
-    merged.hit_time_limit |= data["hit_time_limit"]
 
 
 def _shutdown(workers, task_queue, result_queue, merged: TraversalStats) -> None:
@@ -113,7 +86,7 @@ def _drain(result_queue, merged: TraversalStats) -> None:
         except (OSError, ValueError):  # pragma: no cover - queue already gone
             return
         if message[0] == "done":
-            _merge_worker_stats(merged, message[2])
+            fold_stats(merged, message[2], skip=_COORDINATOR_FIELDS)
 
 
 def run_parallel(engine) -> Iterator[Biplex]:
@@ -278,7 +251,7 @@ def run_parallel(engine) -> Iterator[Biplex]:
                     if stop:
                         break
             elif kind == "done":
-                _merge_worker_stats(merged, message[2])
+                fold_stats(merged, message[2], skip=_COORDINATOR_FIELDS)
                 if active_trace is not None and len(message) > 3 and message[3]:
                     active_trace.attach(message[3])
                 pending -= 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 import traceback
-from dataclasses import asdict
+from dataclasses import fields
 
 from ..core.traversal import ReverseSearchEngine, TraversalStats
 
@@ -84,26 +84,25 @@ class _SharedBound:
                 raw.value = bound
 
 
-def _accumulate(totals: TraversalStats, shard_stats: TraversalStats) -> None:
-    """Fold one shard's counters into the worker's running totals."""
-    totals.num_solutions += shard_stats.num_solutions
-    totals.num_reported += shard_stats.num_reported
-    totals.num_links += shard_stats.num_links
-    totals.num_almost_sat_graphs += shard_stats.num_almost_sat_graphs
-    totals.num_local_solutions += shard_stats.num_local_solutions
-    totals.num_reexplorations += shard_stats.num_reexplorations
-    totals.num_pruned_by_bound += shard_stats.num_pruned_by_bound
-    totals.num_pruned_size_filter += shard_stats.num_pruned_size_filter
-    totals.num_pruned_subtree += shard_stats.num_pruned_subtree
-    totals.num_pruned_anchor += shard_stats.num_pruned_anchor
-    totals.num_pruned_exclusion += shard_stats.num_pruned_exclusion
-    totals.num_pruned_core_bound += shard_stats.num_pruned_core_bound
-    totals.num_pruned_right_extensible += shard_stats.num_pruned_right_extensible
-    if shard_stats.best_size > totals.best_size:
-        totals.best_size = shard_stats.best_size
-    totals.elapsed_seconds += shard_stats.elapsed_seconds
-    totals.hit_result_limit |= shard_stats.hit_result_limit
-    totals.hit_time_limit |= shard_stats.hit_time_limit
+def fold_stats(totals: TraversalStats, part: TraversalStats, skip=()) -> None:
+    """Fold ``part``'s counters into ``totals``, except the fields in ``skip``.
+
+    The one merge rule of the parallel engine, for a worker's shards and
+    for the coordinator's workers alike: ``best_size`` takes the maximum,
+    the ``hit_*`` flags OR, and every other field sums.
+    """
+    for field in fields(TraversalStats):
+        name = field.name
+        if name in skip:
+            continue
+        value = getattr(part, name)
+        if name == "best_size":
+            value = max(value, totals.best_size)
+        elif isinstance(value, bool):
+            value = value or getattr(totals, name)
+        else:
+            value += getattr(totals, name)
+        setattr(totals, name, value)
 
 
 def worker_main(
@@ -178,7 +177,7 @@ def worker_main(
                     if cancel_event.is_set():
                         break
             finally:
-                _accumulate(totals, engine.stats)
+                fold_stats(totals, engine.stats)
                 totals.num_shards += 1
                 if shard_spans is not None:
                     shard_spans.append(
@@ -212,6 +211,6 @@ def worker_main(
             "children": shard_spans,
         }
     try:
-        result_queue.put(("done", worker_id, asdict(totals), worker_span))
+        result_queue.put(("done", worker_id, totals, worker_span))
     except Exception:  # pragma: no cover - queues already gone
         pass

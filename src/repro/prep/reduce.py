@@ -29,8 +29,9 @@ maximal k-biplex meeting the ``(θ_L, θ_R)`` size thresholds:
   maximal in ``G`` stays maximal in the peeled graph because any blocking
   extension would itself sit inside a (surviving) qualifying biplex.
 
-The reduction returns a compacted graph plus ``new id → original id`` maps
-for both sides.
+Both peels run on one mask state (:class:`repro.graph.cores.Peel`) that
+alternates them to the fixpoint and builds the compacted graph once, with
+``new id → original id`` maps for both sides.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
-from ..graph.cores import alpha_beta_core, alpha_beta_core_subgraph
+from ..graph.cores import Peel
 
 
 def threshold_core_bounds(k: int, theta_left: int, theta_right: int) -> Tuple[int, int]:
@@ -95,23 +96,21 @@ def bound_core_sets(
     them as membership oracles for subtree upper bounds
     (``|core_left| + |R ∩ core_right|``), not as a new traversal graph.
     """
-    survivors_left = graph.n_left
-    survivors_right = graph.n_right
-    left: Set[int] = set(graph.left_vertices())
-    right: Set[int] = set(graph.right_vertices())
+    peel = Peel(graph)
+    survivors_left, survivors_right = graph.n_left, graph.n_right
     while True:
         implied_left = max(theta_left, bound - survivors_right)
         implied_right = max(theta_right, bound - survivors_left)
-        alpha, beta = threshold_core_bounds(k, implied_left, implied_right)
-        if alpha == 0 and beta == 0:
-            return left, right
-        left, right = alpha_beta_core(graph, alpha, beta)
-        if len(left) == survivors_left and len(right) == survivors_right:
-            return left, right
-        survivors_left = len(left)
-        survivors_right = len(right)
+        # The implied thresholds only rise, and the core for higher bounds
+        # is the core of the current one, so the one state keeps peeling.
+        if not peel.core(*threshold_core_bounds(k, implied_left, implied_right)):
+            break
+        survivors_left = peel.left_alive.bit_count()
+        survivors_right = peel.right_alive.bit_count()
         if not survivors_left or not survivors_right:
-            return left, right
+            break
+    left, right = peel.survivors()
+    return set(left), set(right)
 
 
 @dataclass
@@ -144,14 +143,14 @@ def reduce_for_thresholds(
 ) -> Reduction:
     """Shrink ``graph`` to the part that can hold ``(θ_L, θ_R)``-large k-biplexes.
 
-    Pipeline: (α, β)-core peel → compact, then alternate bitruss peels
-    (when the support bound is positive) with further core peels *until
-    the graph stops shrinking*.  Each stage only ever removes
-    vertices/edges, so composing them is safe; the returned maps compose
-    the compactions.  The fixpoint matters beyond reduction strength:
-    parallel workers re-run the preparation on the already-reduced graph
-    they receive, and only a fixpoint guarantees they reproduce it (and
-    its vertex id space) exactly.  With both thresholds at 0 (plain
+    Pipeline: (α, β)-core peel, then alternate bitruss peels (when the
+    support bound is positive) with further core peels *until the graph
+    stops shrinking*, all on one mask state; the survivors are compacted
+    once.  Each step only ever removes vertices/edges, so composing them
+    is safe.  The fixpoint matters beyond reduction strength: parallel
+    workers re-run the preparation on the already-reduced graph they
+    receive, and only a fixpoint guarantees they reproduce it (and its
+    vertex id space) exactly.  With both thresholds at 0 (plain
     enumeration) the reduction is the identity.
     """
     alpha, beta = threshold_core_bounds(k, theta_left, theta_right)
@@ -159,38 +158,29 @@ def reduce_for_thresholds(
     epoch = graph.epoch
     if alpha == 0 and beta == 0 and support < 1:
         return Reduction(graph, None, None, epoch=epoch)
-    original_edges = graph.num_edges
-    reduced, left_map, right_map = alpha_beta_core_subgraph(graph, alpha, beta)
-    if support >= 1:
-        from ..graph.butterfly import k_bitruss
-
-        while reduced.num_edges:
-            trussed = k_bitruss(reduced, support)
-            if trussed.num_edges == reduced.num_edges:
-                break
-            # Edges went away: degrees dropped, so the core bounds can bite
-            # again; re-peel and fold the new compaction into the maps.
-            # (The core peel may in turn drop edge supports below the
-            # bound, hence the loop.)
-            reduced, inner_left, inner_right = alpha_beta_core_subgraph(
-                trussed, alpha, beta
-            )
-            left_map = [left_map[v] for v in inner_left]
-            right_map = [right_map[u] for u in inner_right]
-    if (
-        reduced.n_left == graph.n_left
-        and reduced.n_right == graph.n_right
-        and reduced.num_edges == original_edges
-    ):
+    peel = Peel(graph)
+    peeled = peel.core(alpha, beta)
+    while support >= 1:
+        edges = peel.num_edges
+        peel.bitruss(support)
+        if peel.num_edges == edges:
+            break
+        peeled = True
+        # Edges went away, so degrees dropped and the core bounds can bite
+        # again; a core peel may in turn drop supports below the bound.
+        if not peel.core(alpha, beta):
+            break
+    if not peeled:
         # Nothing was peeled: hand back the input object so downstream
         # consumers can skip the remapping entirely.
         return Reduction(graph, None, None, epoch=epoch)
+    reduced, left_map, right_map = peel.compact()
     return Reduction(
         reduced,
         left_map,
         right_map,
         removed_left=graph.n_left - reduced.n_left,
         removed_right=graph.n_right - reduced.n_right,
-        removed_edges=original_edges - reduced.num_edges,
+        removed_edges=graph.num_edges - reduced.num_edges,
         epoch=epoch,
     )

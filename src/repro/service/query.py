@@ -34,7 +34,7 @@ the current budgets clamp it and a malformed one answers 400.
 Service cursors
 ---------------
 Page responses carry a ``repro-service-cursor/1`` token: the normalized
-query plus the engine-level ``repro-cursor/1`` token.  That makes the
+query plus the engine-level ``repro-cursor/2`` token.  That makes the
 cursor the durable pagination handle — it survives session-table
 eviction *and* daemon restarts, because resuming needs nothing but the
 token (the graph is re-resolved from the embedded query, hot from the
@@ -311,7 +311,7 @@ class QueryService:
         }
 
     @staticmethod
-    def _int_field(query: dict, name: str, default: int) -> int:
+    def _int_field(query: dict, name: str, default: Optional[int]) -> int:
         value = query.get(name, default)
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise QueryError(f"{name} must be a non-negative integer")
@@ -343,11 +343,11 @@ class QueryService:
                     f"unknown dataset {name!r}; expected one of {list(ALL_DATASETS)}"
                 )
             return {"dataset": name}
-        n_left = spec.get("n_left")
-        n_right = spec.get("n_right")
+        # Booleans are ints to Python but not sizes: ``true`` hashing apart
+        # from ``1`` would name a second hot graph.
+        n_left = self._int_field(spec, "n_left", None)
+        n_right = self._int_field(spec, "n_right", None)
         edges = spec.get("edges")
-        if not isinstance(n_left, int) or not isinstance(n_right, int) or n_left < 0 or n_right < 0:
-            raise QueryError("inline graph needs non-negative integer n_left / n_right")
         if not isinstance(edges, list):
             raise QueryError("inline graph edges must be a list of [left, right] pairs")
         normalized_edges = set()

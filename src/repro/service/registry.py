@@ -218,7 +218,7 @@ class HotGraphRegistry:
         targets a *hot* graph; loading one just to mutate it would silently
         discard the batch on the next cold load anyway.  Returns a dict with
         the new ``epoch``, the ``added`` / ``removed`` counts and how many
-        cached plans went stale.
+        cached plans this batch made stale (those at the epoch it left).
         """
         inserts = [tuple(edge) for edge in inserts]
         deletes = [tuple(edge) for edge in deletes]
@@ -232,10 +232,12 @@ class HotGraphRegistry:
             new_epoch = graph.epoch
             invalidated = 0
             if new_epoch != from_epoch:
+                # Only the plans current until now go stale: older ones
+                # were counted by the update that superseded them.
                 invalidated = sum(
                     1
                     for cached_key in self._plans
-                    if cached_key[0] == key and cached_key[-1] != new_epoch
+                    if cached_key[0] == key and cached_key[-1] == from_epoch
                 )
                 self.updates_applied += 1
                 self.plan_invalidations += invalidated

@@ -8,7 +8,6 @@ from repro.graph import (
     BipartiteGraph,
     Graph,
     alpha_beta_core,
-    alpha_beta_core_subgraph,
     erdos_renyi_bipartite,
     inflate,
     inflated_edge_count,
@@ -19,7 +18,6 @@ from repro.graph import (
     read_konect,
     review_graph_with_camouflage,
     split_vertex_set,
-    theta_core_for_large_mbps,
     write_edge_list,
     write_konect,
 )
@@ -32,6 +30,7 @@ from repro.graph.butterfly import (
     k_bitruss,
 )
 from repro.graph.generators import degree_histogram
+from repro.prep import reduce_for_thresholds
 
 
 class TestGeneralGraph:
@@ -109,7 +108,13 @@ class TestCores:
         assert left == set() and right == set()
 
     def test_core_subgraph_mapping(self, example_graph):
-        subgraph, left_map, right_map = alpha_beta_core_subgraph(example_graph, 3, 3)
+        # k = 2, θ_L = 4, θ_R = 5: the (3, 2)-core, no bitruss peel, compacted.
+        reduction = reduce_for_thresholds(example_graph, 2, 4, 5)
+        subgraph, left_map, right_map = reduction.graph, reduction.left_map, reduction.right_map
+        assert (left_map, right_map) == tuple(
+            sorted(side) for side in alpha_beta_core(example_graph, 3, 2)
+        )
+        assert 0 < len(left_map) < example_graph.n_left
         for new_left, original_left in enumerate(left_map):
             assert subgraph.degree_of_left(new_left) == len(
                 set(example_graph.neighbors_of_left(original_left)) & set(right_map)
@@ -126,8 +131,9 @@ class TestCores:
         from repro.baselines import enumerate_mbps_bruteforce
 
         theta, k = 3, 1
-        core, left_map, right_map = theta_core_for_large_mbps(example_graph, k, theta)
-        core_left, core_right = set(left_map), set(right_map)
+        reduction = reduce_for_thresholds(example_graph, k, theta, theta)
+        core_left = set(reduction.left_map or example_graph.left_vertices())
+        core_right = set(reduction.right_map or example_graph.right_vertices())
         for solution in enumerate_mbps_bruteforce(example_graph, k):
             if len(solution.left) >= theta and len(solution.right) >= theta:
                 assert solution.left <= core_left

@@ -16,7 +16,7 @@ from repro.analysis import load_dataset
 from repro.baselines import enumerate_mbps_bruteforce
 from repro.core import check_all_solutions, same_solutions
 from repro.core.verify import canonical, missing_and_extra, summarize_solutions
-from repro.graph.cores import theta_core_for_large_mbps
+from repro.prep import reduce_for_thresholds
 
 
 class TestPublicAPIRoundtrip:
@@ -73,7 +73,7 @@ class TestPlantedStructureRecovery:
         graph = planted_biplex_graph(
             30, 30, block_left=6, block_right=6, k=1, background_edges=40, num_blocks=1, seed=8
         )
-        core, left_map, right_map = theta_core_for_large_mbps(graph, k=1, theta=5)
+        core = reduce_for_thresholds(graph, 1, theta_left=5, theta_right=5).graph
         assert core.num_vertices < graph.num_vertices
         with_core = set(enumerate_large_mbps(graph, 1, theta=5, use_core_preprocessing=True)[0])
         without_core = set(

@@ -179,6 +179,37 @@ class TestStatsMergeContract:
         assert stats.elapsed_seconds > 0.0
         assert not stats.truncated
 
+    def test_merge_is_the_fold_of_every_shard(self):
+        """The merged prune-site counters, bound prunes and best size equal
+        the fold of every shard's own stats, each shard run in process the
+        way a worker runs it."""
+        from dataclasses import replace
+
+        from repro.obs import PRUNE_SITE_FIELDS
+
+        config = TraversalConfig(theta_left=2, theta_right=2, jobs=2)
+        engine = ReverseSearchEngine(GRAPHS[1], 1, config)
+        list(engine.run())
+        merged = replace(engine.stats)
+        root = engine._initial_solution()
+        shards = shard_plan(engine, root)
+        assert merged.num_shards == len(shards) >= 2
+        worker = ReverseSearchEngine(
+            engine.graph, 1, replace(config, jobs=1, time_limit=None, max_results=None)
+        )
+        worker._inherit_exclusions_requested = True
+        names = [name for _, name in PRUNE_SITE_FIELDS] + ["num_pruned_by_bound"]
+        folded = dict.fromkeys(names, 0)
+        best = root.size if min(len(root.left), len(root.right)) >= 2 else 0
+        for shard in shards:
+            list(worker.run_shard(root, (shard.side, shard.vertex), shard.exclusion))
+            for name in names:
+                folded[name] += getattr(worker.stats, name)
+            best = max(best, worker.stats.best_size)
+        assert {name: getattr(merged, name) for name in names} == folded
+        assert sum(folded.values()) > 0
+        assert merged.best_size == best > 0
+
     def test_work_counters_are_deterministic(self):
         # Each shard's traversal is a pure function of (root, anchor,
         # exclusion); the merged sums must not depend on scheduling.

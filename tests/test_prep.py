@@ -178,6 +178,65 @@ class TestReduction:
                 assert set(iter_bits(reduced.adj_right_mask(u))) == reduced.neighbors_of_right(u)
 
 
+class TestOnePeel:
+    """The reductions peel one mask state and build at most one graph.
+
+    ``BipartiteGraph`` constructions are counted while the reduction runs,
+    and ``copy`` / ``remove_edge`` raise: no reduction may build a
+    throwaway graph or edit one edge at a time.
+    """
+
+    @staticmethod
+    def _graphs_built(monkeypatch, run):
+        built = []
+        init = BipartiteGraph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("a reduction copied or edited a graph")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(BipartiteGraph, "__init__", counting_init)
+            patch.setattr(BipartiteGraph, "copy", forbidden)
+            patch.setattr(BipartiteGraph, "remove_edge", forbidden)
+            result = run()
+        return result, len(built)
+
+    def test_prepare_builds_one_graph_over_two_fixpoint_rounds(self, monkeypatch):
+        from repro.graph import alpha_beta_core
+        from repro.graph.butterfly import k_bitruss
+
+        graph = planted_biplex_graph(
+            40, 40, block_left=6, block_right=6, k=1, background_edges=240, seed=1
+        )
+        k, theta = 1, 5
+        alpha, beta = threshold_core_bounds(k, theta, theta)
+        # One core + bitruss round is not the fixpoint: the bitruss peel
+        # drops degrees below the core bounds again.
+        core = graph.induced_subgraph(*alpha_beta_core(graph, alpha, beta))
+        truss = k_bitruss(core, bitruss_support_bound(k, theta, theta))
+        left, right = alpha_beta_core(truss, alpha, beta)
+        assert len(left) < core.n_left and len(right) < core.n_right
+        plan, built = self._graphs_built(
+            monkeypatch, lambda: prepare(graph, k, "core", theta, theta)
+        )
+        assert built == 1
+        assert (plan.graph.n_left, plan.graph.n_right) == (len(left), len(right))
+        assert plan.removed_edges == graph.num_edges - plan.graph.num_edges > 0
+
+    def test_bitruss_builds_at_most_one_graph(self, monkeypatch):
+        from repro.graph.butterfly import bitruss_number, k_bitruss
+
+        graph = erdos_renyi_bipartite(12, 10, num_edges=60, seed=4)
+        truss, built = self._graphs_built(monkeypatch, lambda: k_bitruss(graph, 3))
+        assert built == 1 and 0 < truss.num_edges < graph.num_edges
+        numbers, built = self._graphs_built(monkeypatch, lambda: bitruss_number(graph))
+        assert built == 0 and max(numbers.values()) > 3
+
+
 # --------------------------------------------------------------------- #
 # Orderings
 # --------------------------------------------------------------------- #

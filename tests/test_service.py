@@ -148,6 +148,29 @@ class TestHotGraphRegistry:
         assert registry.counters()["updates_applied"] == 1
 
 
+    def test_update_counts_each_stale_plan_once(self):
+        """A plan an earlier update made stale is not counted again."""
+        service = QueryService(result_cache_capacity=0)
+        plain = paper_query()
+        thresholded = paper_query(theta_left=2, theta_right=2)
+        service.enumerate(plain)
+        service.enumerate(thresholded)
+        graph = paper_example_graph()
+        absent = [
+            [v, u]
+            for v in graph.left_vertices()
+            for u in graph.right_vertices()
+            if not graph.has_edge(v, u)
+        ]
+        first = service.update({"graph": plain["graph"], "insert": [absent[0]]})
+        assert first["plans_invalidated"] == 2
+        service.enumerate(plain)  # rebuilds the θ = 0 plan only
+        second = service.update({"graph": plain["graph"], "insert": [absent[1]]})
+        # The θ = 2 plan went stale at the first update.
+        assert second["plans_invalidated"] == 1
+        assert service.registry.counters()["plan_invalidations"] == 3
+
+
 # --------------------------------------------------------------------- #
 # Session table
 # --------------------------------------------------------------------- #
@@ -342,6 +365,17 @@ class TestQueryService:
         after = service.enumerate(plain)
         assert after["solutions"] == [[[0, 1, 2], [0, 1, 2]]] != before["solutions"]
         assert service.registry.counters()["graph_loads"] == 1
+
+    @pytest.mark.parametrize("field", ("n_left", "n_right"))
+    def test_boolean_side_size_rejected(self, field):
+        """``true`` equals ``1`` in Python, but as a side size it would hash
+        to a second hot graph that updates sent with ``1`` never reach."""
+        service = QueryService()
+        graph = {"n_left": 1, "n_right": 1, "edges": [[0, 0]], field: True}
+        with pytest.raises(QueryError, match=field):
+            service.normalize({"graph": graph, "k": 1})
+        with pytest.raises(QueryError, match=field):
+            service.update({"graph": graph, "insert": [[0, 0]]})
 
     def test_malformed_service_cursor_rejected(self):
         service = QueryService()
