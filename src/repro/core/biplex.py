@@ -127,17 +127,8 @@ def can_add_left(
     """
     if candidate in left:
         return False
-    candidate_adjacency = graph.neighbors_of_left(candidate)
-    missed = right - candidate_adjacency if isinstance(right, (set, frozenset)) else {
-        u for u in right if u not in candidate_adjacency
-    }
-    if len(missed) > k:
-        return False
-    left_view = left if isinstance(left, (set, frozenset)) else set(left)
-    for u in missed:
-        if graph.missing_right(u, left_view) + 1 > k:
-            return False
-    return True
+    missed = set(right) - graph.neighbors_of_left(candidate)
+    return len(missed) <= k and all(graph.missing_right(u, left) < k for u in missed)
 
 
 def can_add_right(
@@ -150,17 +141,8 @@ def can_add_right(
     """Mirror image of :func:`can_add_left` for a right-side candidate."""
     if candidate in right:
         return False
-    candidate_adjacency = graph.neighbors_of_right(candidate)
-    missed = left - candidate_adjacency if isinstance(left, (set, frozenset)) else {
-        v for v in left if v not in candidate_adjacency
-    }
-    if len(missed) > k:
-        return False
-    right_view = right if isinstance(right, (set, frozenset)) else set(right)
-    for v in missed:
-        if graph.missing_left(v, right_view) + 1 > k:
-            return False
-    return True
+    missed = set(left) - graph.neighbors_of_right(candidate)
+    return len(missed) <= k and all(graph.missing_left(v, right) < k for v in missed)
 
 
 def can_add_left_masked(

@@ -388,11 +388,10 @@ def enum_local_solutions_inflation(
     for i in range(len(right_ids)):
         for j in range(i + 1, len(right_ids)):
             inflated.add_edge(len(local_left) + i, len(local_left) + j)
+    right_mask = mask_of(right_ids)
     for original_left in local_left:
-        adjacency = graph.neighbors_of_left(original_left)
-        for original_right in right_ids:
-            if original_right in adjacency:
-                inflated.add_edge(left_index[original_left], right_index[original_right])
+        for original_right in iter_bits(graph.adj_left_mask(original_left) & right_mask):
+            inflated.add_edge(left_index[original_left], right_index[original_right])
 
     v_local = left_index[v]
     solutions: List[Biplex] = []

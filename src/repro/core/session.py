@@ -85,6 +85,7 @@ from itertools import islice
 from typing import Iterator, List, Optional
 
 from ..graph.protocol import iter_bits
+from ..obs import publish_run_stats
 from .biplex import Biplex
 from .traversal import ReverseSearchEngine, TraversalConfig, TraversalStats
 
@@ -201,14 +202,14 @@ class _TokenDecoder:
             decoded.append(
                 (
                     self.solution(solution),
-                    frozenset(iter_bits(self._mask(exclusion, self._n_left, "exclusion"))),
+                    self._mask(exclusion, self._n_left, "exclusion"),
                     bool(already_output),
                     self.count(depth, "depth"),
                 )
             )
         return (
             decoded,
-            {self.solution(pair): frozenset() for pair in visited},
+            {self.solution(pair): 0 for pair in visited},
             TraversalStats(**stats),
             objective,
         )
@@ -324,9 +325,8 @@ class EnumerationSession:
             source.close()
             # Stats are final once the source is closed; this is the one
             # choke point every front end (library run(), CLI, service)
-            # streams through, so the metrics publication lives here.
-            from ..obs import publish_run_stats
-
+            # streams through, so the metrics publication lives here (its
+            # import is module-level: a session left open runs this at exit).
             publish_run_stats(self.engine.stats)
 
     def _solver_stream(self, raw: Iterator[Biplex]) -> Iterator[Biplex]:
@@ -416,7 +416,7 @@ class EnumerationSession:
         digest = hashlib.sha256()
         digest.update(f"{engine.k}|{graph.n_left}|{graph.n_right}|".encode())
         for v in range(graph.n_left):
-            digest.update(",".join(map(str, sorted(graph.neighbors_of_left(v)))).encode())
+            digest.update(",".join(map(str, iter_bits(graph.adj_left_mask(v)))).encode())
             digest.update(b";")
         signature = (
             config.left_anchored,
@@ -470,15 +470,16 @@ class EnumerationSession:
                 payload["frontier"] = None
             else:
                 # Serial visited/exclusion invariant: every stored
-                # exclusion set is empty (inheritance is a shard-worker
+                # exclusion mask is 0 (inheritance is a shard-worker
                 # discipline), so the visited map serializes as bare
-                # solutions.  Frame exclusions are kept per frame — cheap,
-                # and robust should a future discipline carry them.
+                # solutions.  Frame exclusions are kept per frame, as
+                # ascending id lists — cheap, and robust should a future
+                # discipline carry them.
                 payload["frontier"] = {
                     "frames": [
                         [
                             solution.to_lists(),
-                            sorted(exclusion),
+                            list(iter_bits(exclusion)),
                             bool(already_output),
                             depth,
                         ]

@@ -317,15 +317,15 @@ class ReverseSearchEngine:
         # (bound, (|core_L|, core_R mask)).  Recomputed only when the bound
         # rises — the peel costs O(E), the probes it serves one popcount.
         self._bound_core_cache = None
-        # Visited solution -> the exclusion set its subtree was (last)
-        # explored with.  The mapping is needed for correctness, not just
-        # bookkeeping: a solution first reached through a link carrying a
-        # *large* exclusion set explores an over-pruned subtree, and when a
-        # later link arrives with a smaller set the subtree must be
+        # Visited solution -> the exclusion mask (left ids) its subtree was
+        # (last) explored with.  The mapping is needed for correctness, not
+        # just bookkeeping: a solution first reached through a link carrying
+        # a *large* exclusion set explores an over-pruned subtree, and when
+        # a later link arrives with a smaller set the subtree must be
         # re-explored with the intersection (see ``_children``).  With the
-        # exclusion strategy disabled every value is the empty set and the
-        # mapping degenerates to the classic visited set.
-        self._visited: Dict[Biplex, frozenset] = {}
+        # exclusion strategy disabled every value is 0 (the empty set) and
+        # the mapping degenerates to the classic visited set.
+        self._visited: Dict[Biplex, int] = {}
         self._start_time = 0.0
         # The explicit DFS frontier of the (last) serial traversal: a list
         # of frames, bottom to top — see _dfs.  Exposed as state (rather
@@ -412,7 +412,7 @@ class ReverseSearchEngine:
         # which unwinds through here as GeneratorExit.
         try:
             initial = self._initial_solution()
-            self._visited[initial] = frozenset()
+            self._visited[initial] = 0
             self.stats.num_solutions += 1
             yield from self._dfs(initial)
         except _LimitReached:
@@ -428,16 +428,16 @@ class ReverseSearchEngine:
         self,
         root: Biplex,
         anchor: Tuple[str, int],
-        exclusion: frozenset,
+        exclusion: int,
     ) -> Iterator[Biplex]:
         """Enumerate the subtrees hanging off ``root`` through one anchor.
 
         Worker-side entry point of the sharded parallel engine
         (:mod:`repro.parallel`): regenerates the children the serial DFS
         would derive from ``root`` for the single Step-1 candidate
-        ``anchor`` — with ``exclusion`` as the prefix of anchors the serial
-        root expansion would have processed before it — and explores each
-        child subtree to completion.  Workers run with
+        ``anchor`` — with ``exclusion`` as the mask of the left anchors the
+        serial root expansion would have processed before it — and explores
+        each child subtree to completion.  Workers run with
         ``_inherit_exclusions`` enabled, so the prefix also propagates down
         the subtree (the shard-disjointness device; see
         :mod:`repro.parallel`).  ``root`` itself is never yielded (the
@@ -461,13 +461,13 @@ class ReverseSearchEngine:
         self._check_epoch()
         self._inherit_exclusions = self._inherit_exclusions_requested
         self.stats = TraversalStats()
-        self._visited = {root: frozenset()}
+        self._visited = {root: 0}
         self._start_time = time.perf_counter()
         self._elapsed_base = 0.0
         try:
             for child, child_exclusion, fresh in self._children(
                 root,
-                frozenset(),
+                0,
                 candidates=[anchor],
                 processed_base=exclusion,
             ):
@@ -489,11 +489,11 @@ class ReverseSearchEngine:
         ``None`` when no traversal has started yet.  The snapshot contains
 
         * ``frames`` — the DFS stack bottom-to-top as
-          ``(solution, exclusion, already_output, depth)`` tuples (the
+          ``(solution, exclusion mask, already_output, depth)`` tuples (the
           children iterators are deliberately absent: they are regenerated
           on resume and the visited map makes the replay skip everything
           already handled),
-        * ``visited`` — a copy of the solution → exclusion-set map,
+        * ``visited`` — a copy of the solution → exclusion-mask map,
         * ``stats`` — a copy of the counters, with ``elapsed_seconds``
           brought up to the capture instant.
 
@@ -565,7 +565,7 @@ class ReverseSearchEngine:
     def _dfs(
         self,
         initial: Biplex,
-        exclusion: frozenset = frozenset(),
+        exclusion: int = 0,
         depth: int = 0,
         fresh: bool = True,
     ) -> Iterator[Biplex]:
@@ -573,7 +573,7 @@ class ReverseSearchEngine:
 
         ``exclusion`` and ``depth`` seed the starting frame, so a parallel
         shard can resume a subtree exactly as the serial DFS would explore
-        it (the exclusion set of the link that discovered ``initial`` and
+        it (the exclusion mask of the link that discovered ``initial`` and
         its depth below the designated root).  Frames carry a ``fresh``
         flag: a re-exploration frame (a visited solution whose exclusion
         set shrank, see ``_children``) traverses its children again but is
@@ -770,17 +770,17 @@ class ReverseSearchEngine:
     def _children(
         self,
         solution: Biplex,
-        exclusion: frozenset,
+        exclusion: int,
         candidates: Optional[List[Tuple[str, int]]] = None,
-        processed_base: Optional[frozenset] = None,
-    ) -> Iterator[Tuple[Biplex, frozenset, bool]]:
+        processed_base: int = 0,
+    ) -> Iterator[Tuple[Biplex, int, bool]]:
         """Generate the solutions to explore next from ``solution``.
 
         This is the ThreeStep (bTraversal) / iThreeStep (iTraversal)
-        procedure.  Each yielded triple carries the exclusion set the child
-        should be explored with and whether the child is *fresh* (first
-        discovery — report it) or a re-exploration of a visited solution
-        whose stored exclusion set shrank.
+        procedure.  Each yielded triple carries the exclusion mask (over
+        left ids) the child should be explored with and whether the child
+        is *fresh* (first discovery — report it) or a re-exploration of a
+        visited solution whose stored exclusion set shrank.
 
         The exclusion strategy is applied *per expansion* (see the
         :class:`TraversalConfig` docstring): while processing anchor ``v``,
@@ -800,11 +800,11 @@ class ReverseSearchEngine:
 
         ``candidates`` restricts Step 1 to the given ``(side, vertex)``
         anchors (default: every vertex outside the solution, per
-        configuration) and ``processed_base`` seeds the processed-anchor
-        prefix.  Together they let a parallel shard regenerate the children
-        of the designated root for a *single* anchor exactly as the serial
-        expansion would — pruned against the anchors the serial loop had
-        processed before it.
+        configuration) and the mask ``processed_base`` seeds the
+        processed-anchor prefix.  Together they let a parallel shard
+        regenerate the children of the designated root for a *single*
+        anchor exactly as the serial expansion would — pruned against the
+        anchors the serial loop had processed before it.
         """
         config = self.config
         left_mask = solution.left_mask
@@ -849,11 +849,11 @@ class ReverseSearchEngine:
         if (
             theta_left
             and config.exclusion
-            and self.graph.n_left - len(exclusion) < theta_left
+            and self.graph.n_left - exclusion.bit_count() < theta_left
         ):
             if not (
                 config.theta_left
-                and self.graph.n_left - len(exclusion) < config.theta_left
+                and self.graph.n_left - exclusion.bit_count() < config.theta_left
             ):
                 self.stats.num_pruned_by_bound += 1
             self.stats.num_pruned_subtree += 1
@@ -867,12 +867,10 @@ class ReverseSearchEngine:
             u: (left_mask & ~adj_right_mask(u)).bit_count() for u in iter_bits(right_mask)
         }
 
-        # The per-expansion exclusion prefix, as a mask: the inherited set
-        # plus the left anchors processed so far in this expansion (seeded
-        # by ``processed_base``).  It only grows between anchors.
-        pruning = (
-            mask_of(exclusion) | mask_of(processed_base or ()) if config.exclusion else 0
-        )
+        # The per-expansion exclusion prefix: the inherited mask plus the
+        # left anchors processed so far in this expansion (seeded by
+        # ``processed_base``).  It only grows between anchors.
+        pruning = exclusion | processed_base if config.exclusion else 0
         candidate_vertices = (
             self._candidate_vertices(solution) if candidates is None else candidates
         )
@@ -898,9 +896,7 @@ class ReverseSearchEngine:
             self.stats.num_almost_sat_graphs += 1
             # Children inherit the exclusions only in parallel-shard mode
             # (see the attribute comment in __init__ / method docstring).
-            child_exclusion = (
-                frozenset(iter_bits(pruning)) if self._inherit_exclusions else frozenset()
-            )
+            child_exclusion = pruning if self._inherit_exclusions else 0
             for local in self._local_solutions(
                 solution, side, vertex, right_missing, theta_right
             ):
@@ -1015,7 +1011,7 @@ class ReverseSearchEngine:
                 from .enum_almost_sat import enum_local_solutions_inflation
 
                 yield from enum_local_solutions_inflation(
-                    self.graph, solution.left, solution.right, vertex, self.k
+                    self.graph, *solution.key(), vertex, self.k
                 )
                 return
             yield from enum_local_solutions(
@@ -1036,7 +1032,7 @@ class ReverseSearchEngine:
             from .enum_almost_sat import enum_local_solutions_inflation
 
             mirrored_locals = enum_local_solutions_inflation(
-                mirror, solution.right, solution.left, vertex, self.k
+                mirror, *reversed(solution.key()), vertex, self.k
             )
         else:
             mirrored_locals = enum_local_solutions(

@@ -15,15 +15,18 @@ algorithms:
 * induced subgraph reasoning without materialising subgraph copies,
 * cheap iteration over both sides.
 
-Adjacency is stored twice per vertex per side, kept in lockstep by every
-mutation: one ``set`` (O(1) membership, the set-query predicates) and one
-Python-int bitmask whose set bits are the neighbour ids.  The masks make the
-predicates that dominate the enumeration word-parallel:
+Adjacency is stored once per vertex per side, as a Python-int bitmask
+whose set bits are the neighbour ids.  The masks make the predicates that
+dominate the enumeration word-parallel:
 
 * ``Γ(v, S)`` becomes ``adj_left_mask(v) & mask_of(S)``,
 * ``δ̄(v, S)`` becomes ``(mask_of(S) & ~adj_left_mask(v)).bit_count()``,
 * the ``can_add_left/right`` checks walk only the set bits of a small
   "missed" mask instead of scanning a Python set per candidate.
+
+Neighbour *sets* exist only at the API edge: each ``neighbors_of_*`` call
+builds a fresh ``set`` from the mask, for the set-query predicates of
+:mod:`repro.core.biplex`.
 
 See :mod:`repro.graph.protocol` for the substrate protocol.
 """
@@ -33,6 +36,8 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable, Iterator
 from typing import FrozenSet, List, Sequence, Set, Tuple
+
+from .protocol import iter_bits, mask_of
 
 
 class Side(enum.Enum):
@@ -63,19 +68,18 @@ class BipartiteGraph:
     >>> g = BipartiteGraph(2, 3, edges=[(0, 0), (0, 1), (1, 2)])
     >>> g.num_edges
     3
-    >>> sorted(g.neighbors_of_left(0))
-    [0, 1]
-    >>> g.has_edge(1, 0)
-    False
     >>> bin(g.adj_left_mask(0))
     '0b11'
+    >>> sorted(g.neighbors_of_left(0))
+    [0, 1]
+    >>> g.neighbors_of_left(0).add(2)  # a fresh set built from the mask
+    >>> g.has_edge(0, 2), g.num_edges
+    (False, 3)
     """
 
     __slots__ = (
         "_n_left",
         "_n_right",
-        "_adj_left",
-        "_adj_right",
         "_left_masks",
         "_right_masks",
         "_num_edges",
@@ -92,8 +96,6 @@ class BipartiteGraph:
             raise ValueError("side sizes must be non-negative")
         self._n_left = n_left
         self._n_right = n_right
-        self._adj_left: List[Set[int]] = [set() for _ in range(n_left)]
-        self._adj_right: List[Set[int]] = [set() for _ in range(n_right)]
         self._left_masks: List[int] = [0] * n_left
         self._right_masks: List[int] = [0] * n_right
         self._num_edges = 0
@@ -174,10 +176,8 @@ class BipartiteGraph:
         """
         self._check_left(left_vertex)
         self._check_right(right_vertex)
-        if right_vertex in self._adj_left[left_vertex]:
+        if (self._left_masks[left_vertex] >> right_vertex) & 1:
             return False
-        self._adj_left[left_vertex].add(right_vertex)
-        self._adj_right[right_vertex].add(left_vertex)
         self._left_masks[left_vertex] |= 1 << right_vertex
         self._right_masks[right_vertex] |= 1 << left_vertex
         self._num_edges += 1
@@ -188,12 +188,10 @@ class BipartiteGraph:
         """Remove the edge if present.  Returns ``True`` when removed."""
         self._check_left(left_vertex)
         self._check_right(right_vertex)
-        if right_vertex not in self._adj_left[left_vertex]:
+        if not (self._left_masks[left_vertex] >> right_vertex) & 1:
             return False
-        self._adj_left[left_vertex].discard(right_vertex)
-        self._adj_right[right_vertex].discard(left_vertex)
-        self._left_masks[left_vertex] &= ~(1 << right_vertex)
-        self._right_masks[right_vertex] &= ~(1 << left_vertex)
+        self._left_masks[left_vertex] ^= 1 << right_vertex
+        self._right_masks[right_vertex] ^= 1 << left_vertex
         self._num_edges -= 1
         self._epoch += 1
         return True
@@ -241,7 +239,6 @@ class BipartiteGraph:
         content (any vertex set of size ≤ k on the other side tolerates it),
         so cached results over the smaller graph are stale.
         """
-        self._adj_left.append(set())
         self._left_masks.append(0)
         self._n_left += 1
         self._epoch += 1
@@ -249,7 +246,6 @@ class BipartiteGraph:
 
     def add_right_vertex(self) -> int:
         """Grow the right side by one isolated vertex; returns its new id."""
-        self._adj_right.append(set())
         self._right_masks.append(0)
         self._n_right += 1
         self._epoch += 1
@@ -262,17 +258,17 @@ class BipartiteGraph:
         """Whether ``(left_vertex, right_vertex)`` is an edge."""
         self._check_left(left_vertex)
         self._check_right(right_vertex)
-        return right_vertex in self._adj_left[left_vertex]
+        return bool((self._left_masks[left_vertex] >> right_vertex) & 1)
 
     def neighbors_of_left(self, left_vertex: int) -> Set[int]:
-        """Right-side neighbours ``Γ(v)`` of a left vertex (the stored set)."""
+        """Right-side neighbours ``Γ(v)`` of a left vertex, as a fresh set."""
         self._check_left(left_vertex)
-        return self._adj_left[left_vertex]
+        return set(iter_bits(self._left_masks[left_vertex]))
 
     def neighbors_of_right(self, right_vertex: int) -> Set[int]:
-        """Left-side neighbours ``Γ(u)`` of a right vertex (the stored set)."""
+        """Left-side neighbours ``Γ(u)`` of a right vertex, as a fresh set."""
         self._check_right(right_vertex)
-        return self._adj_right[right_vertex]
+        return set(iter_bits(self._right_masks[right_vertex]))
 
     def neighbors(self, side: Side, vertex: int) -> Set[int]:
         """Neighbours of ``vertex`` located on ``side``."""
@@ -303,15 +299,19 @@ class BipartiteGraph:
 
     def degree_of_left(self, left_vertex: int) -> int:
         """Degree of a left vertex."""
-        return len(self.neighbors_of_left(left_vertex))
+        self._check_left(left_vertex)
+        return self._left_masks[left_vertex].bit_count()
 
     def degree_of_right(self, right_vertex: int) -> int:
         """Degree of a right vertex."""
-        return len(self.neighbors_of_right(right_vertex))
+        self._check_right(right_vertex)
+        return self._right_masks[right_vertex].bit_count()
 
     def degree(self, side: Side, vertex: int) -> int:
         """Degree of ``vertex`` on ``side``."""
-        return len(self.neighbors(side, vertex))
+        if side is Side.LEFT:
+            return self.degree_of_left(vertex)
+        return self.degree_of_right(vertex)
 
     # -- the Γ / δ primitives of Section 2 ----------------------------- #
     def gamma_left(self, left_vertex: int, right_subset: Iterable[int]) -> Set[int]:
@@ -327,29 +327,21 @@ class BipartiteGraph:
     def non_gamma_left(self, left_vertex: int, right_subset: Iterable[int]) -> Set[int]:
         """``Γ̄(v, R')``: members of ``right_subset`` *not* adjacent to ``left_vertex``."""
         adjacency = self.neighbors_of_left(left_vertex)
-        if isinstance(right_subset, (set, frozenset)):
-            return set(right_subset - adjacency)
         return {u for u in right_subset if u not in adjacency}
 
     def non_gamma_right(self, right_vertex: int, left_subset: Iterable[int]) -> Set[int]:
         """``Γ̄(u, L')``: members of ``left_subset`` *not* adjacent to ``right_vertex``."""
         adjacency = self.neighbors_of_right(right_vertex)
-        if isinstance(left_subset, (set, frozenset)):
-            return set(left_subset - adjacency)
         return {v for v in left_subset if v not in adjacency}
 
     def missing_left(self, left_vertex: int, right_subset: Iterable[int]) -> int:
         """``δ̄(v, R')``: number of vertices of ``right_subset`` missed by ``left_vertex``."""
         adjacency = self.neighbors_of_left(left_vertex)
-        if isinstance(right_subset, (set, frozenset)):
-            return len(right_subset - adjacency)
         return sum(1 for u in right_subset if u not in adjacency)
 
     def missing_right(self, right_vertex: int, left_subset: Iterable[int]) -> int:
         """``δ̄(u, L')``: number of vertices of ``left_subset`` missed by ``right_vertex``."""
         adjacency = self.neighbors_of_right(right_vertex)
-        if isinstance(left_subset, (set, frozenset)):
-            return len(left_subset - adjacency)
         return sum(1 for v in left_subset if v not in adjacency)
 
     # ------------------------------------------------------------------ #
@@ -373,24 +365,24 @@ class BipartiteGraph:
     ) -> Tuple["BipartiteGraph", List[int], List[int]]:
         """Induced subgraph plus ``new id → original id`` maps for both sides."""
         left_ids = sorted(set(left_subset))
-        right_set = set(right_subset)
-        right_ids = sorted(right_set)
+        right_ids = sorted(set(right_subset))
         right_index = {original: new for new, original in enumerate(right_ids)}
+        right_mask = mask_of(right_ids)
         subgraph = BipartiteGraph(
             len(left_ids),
             len(right_ids),
             (
                 (new_left, right_index[original_right])
                 for new_left, original_left in enumerate(left_ids)
-                for original_right in sorted(self._adj_left[original_left] & right_set)
+                for original_right in iter_bits(self._left_masks[original_left] & right_mask)
             ),
         )
         return subgraph, left_ids, right_ids
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Iterate over all edges as ``(left_vertex, right_vertex)`` pairs."""
-        for left_vertex in range(self._n_left):
-            for right_vertex in self._adj_left[left_vertex]:
+        for left_vertex, mask in enumerate(self._left_masks):
+            for right_vertex in iter_bits(mask):
                 yield (left_vertex, right_vertex)
 
     def copy(self) -> "BipartiteGraph":
@@ -417,7 +409,7 @@ class BipartiteGraph:
         return (
             self._n_left == other._n_left
             and self._n_right == other._n_right
-            and self._adj_left == other._adj_left
+            and self._left_masks == other._left_masks
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -564,10 +556,7 @@ class MirrorView:
         return self._graph.adj_left_mask(right_vertex)
 
 
-VertexSet = FrozenSet[int]
-
-
-def freeze(vertex_ids: Iterable[int]) -> VertexSet:
+def freeze(vertex_ids: Iterable[int]) -> FrozenSet[int]:
     """Return an immutable, hashable vertex set."""
     return frozenset(vertex_ids)
 

@@ -41,6 +41,7 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 from .bipartite import BipartiteGraph
 from .butterfly import _butterfly_mates, edge_butterfly_counts, k_bitruss
 from .cores import alpha_beta_core
+from .protocol import iter_bits
 
 
 class ButterflyIndex:
@@ -178,7 +179,7 @@ class AlphaBetaCoreIndex:
                     continue
                 self._left.discard(vertex)
                 del self._left_deg[vertex]
-                for u in graph.neighbors_of_left(vertex):
+                for u in iter_bits(graph.adj_left_mask(vertex)):
                     if u in self._right:
                         self._right_deg[u] -= 1
                         if self._right_deg[u] < self._beta:
@@ -188,7 +189,7 @@ class AlphaBetaCoreIndex:
                     continue
                 self._right.discard(vertex)
                 del self._right_deg[vertex]
-                for v in graph.neighbors_of_right(vertex):
+                for v in iter_bits(graph.adj_right_mask(vertex)):
                     if v in self._left:
                         self._left_deg[v] -= 1
                         if self._left_deg[v] < self._alpha:
@@ -233,7 +234,7 @@ class AlphaBetaCoreIndex:
         while queue:
             side, vertex = queue.popleft()
             if side == "L":
-                for u in graph.neighbors_of_left(vertex):
+                for u in iter_bits(graph.adj_left_mask(vertex)):
                     if (
                         u not in self._right
                         and u not in cand_right
@@ -242,7 +243,7 @@ class AlphaBetaCoreIndex:
                         cand_right.add(u)
                         queue.append(("R", u))
             else:
-                for v in graph.neighbors_of_right(vertex):
+                for v in iter_bits(graph.adj_right_mask(vertex)):
                     if (
                         v not in self._left
                         and v not in cand_left
@@ -256,7 +257,7 @@ class AlphaBetaCoreIndex:
         left_deg = {
             v: sum(
                 1
-                for u in graph.neighbors_of_left(v)
+                for u in iter_bits(graph.adj_left_mask(v))
                 if u in self._right or u in cand_right
             )
             for v in cand_left
@@ -264,7 +265,7 @@ class AlphaBetaCoreIndex:
         right_deg = {
             u: sum(
                 1
-                for v in graph.neighbors_of_right(u)
+                for v in iter_bits(graph.adj_right_mask(u))
                 if v in self._left or v in cand_left
             )
             for u in cand_right
@@ -282,7 +283,7 @@ class AlphaBetaCoreIndex:
                 if vertex not in cand_left:
                     continue
                 cand_left.discard(vertex)
-                for u in graph.neighbors_of_left(vertex):
+                for u in iter_bits(graph.adj_left_mask(vertex)):
                     if u in cand_right:
                         right_deg[u] -= 1
                         if right_deg[u] == self._beta - 1:
@@ -291,7 +292,7 @@ class AlphaBetaCoreIndex:
                 if vertex not in cand_right:
                     continue
                 cand_right.discard(vertex)
-                for v in graph.neighbors_of_right(vertex):
+                for v in iter_bits(graph.adj_right_mask(vertex)):
                     if v in cand_left:
                         left_deg[v] -= 1
                         if left_deg[v] == self._alpha - 1:
@@ -304,11 +305,11 @@ class AlphaBetaCoreIndex:
             self._right.add(u)
             self._right_deg[u] = right_deg[u]
         for v in cand_left:
-            for u in graph.neighbors_of_left(v):
+            for u in iter_bits(graph.adj_left_mask(v)):
                 if u in self._right and u not in cand_right:
                     self._right_deg[u] += 1
         for u in cand_right:
-            for v in graph.neighbors_of_right(u):
+            for v in iter_bits(graph.adj_right_mask(u)):
                 if v in self._left and v not in cand_left:
                     self._left_deg[v] += 1
 

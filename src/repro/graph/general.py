@@ -7,16 +7,18 @@ maximal k-biplexes of the original bipartite graph (Section 1 and Section 6
 of the paper).  The maximal k-plex enumerator in
 :mod:`repro.baselines.kplex` operates on this class.
 
-Like :class:`~repro.graph.bipartite.BipartiteGraph`, the graph keeps one
-adjacency set and one adjacency bitmask per vertex in lockstep; the k-plex
-enumerator's ``_fits`` / ``_add`` hot loop turns the masks into
-word-parallel non-neighbour popcounts.
+Like :class:`~repro.graph.bipartite.BipartiteGraph`, the graph stores one
+adjacency bitmask per vertex (:meth:`Graph.neighbors` builds a fresh set
+from it); the k-plex enumerator's ``_fits`` / ``_add`` hot loop turns the
+masks into word-parallel non-neighbour popcounts.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from typing import List, Set, Tuple
+
+from .protocol import iter_bits, mask_of
 
 
 class Graph:
@@ -32,21 +34,21 @@ class Graph:
     Examples
     --------
     >>> g = Graph(3, edges=[(0, 1), (1, 2)])
-    >>> g.degree(1)
-    2
-    >>> g.has_edge(0, 2)
-    False
     >>> bin(g.adj_mask(1))
     '0b101'
+    >>> g.degree(1)
+    2
+    >>> g.neighbors(0).add(2)  # a fresh set built from the mask
+    >>> g.has_edge(0, 2), g.num_edges
+    (False, 2)
     """
 
-    __slots__ = ("_n", "_adj", "_masks", "_num_edges")
+    __slots__ = ("_n", "_masks", "_num_edges")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()) -> None:
         if n < 0:
             raise ValueError("number of vertices must be non-negative")
         self._n = n
-        self._adj: List[Set[int]] = [set() for _ in range(n)]
         self._masks: List[int] = [0] * n
         self._num_edges = 0
         for u, v in edges:
@@ -72,10 +74,8 @@ class Graph:
         self._check(v)
         if u == v:
             raise ValueError("self-loops are not supported")
-        if v in self._adj[u]:
+        if (self._masks[u] >> v) & 1:
             return False
-        self._adj[u].add(v)
-        self._adj[v].add(u)
         self._masks[u] |= 1 << v
         self._masks[v] |= 1 << u
         self._num_edges += 1
@@ -85,12 +85,12 @@ class Graph:
         """Whether ``{u, v}`` is an edge."""
         self._check(u)
         self._check(v)
-        return v in self._adj[u]
+        return bool((self._masks[u] >> v) & 1)
 
     def neighbors(self, u: int) -> Set[int]:
-        """The neighbour set of ``u`` (the stored set; do not mutate)."""
+        """The neighbours of ``u``, as a fresh set built from its mask."""
         self._check(u)
-        return self._adj[u]
+        return set(iter_bits(self._masks[u]))
 
     def adj_mask(self, u: int) -> int:
         """Bitmask over vertex ids of the neighbours of ``u``."""
@@ -103,12 +103,13 @@ class Graph:
 
     def degree(self, u: int) -> int:
         """Degree of ``u``."""
-        return len(self.neighbors(u))
+        self._check(u)
+        return self._masks[u].bit_count()
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Iterate over edges once each, as ``(u, v)`` with ``u < v``."""
-        for u in range(self._n):
-            for v in self._adj[u]:
+        for u, mask in enumerate(self._masks):
+            for v in iter_bits(mask):
                 if u < v:
                     yield (u, v)
 
@@ -131,9 +132,10 @@ class Graph:
         paper).
         """
         members = set(vertex_set)
+        members_mask = mask_of(members)
         size = len(members)
         for u in members:
-            adjacent_inside = len(self._adj[u] & members)
+            adjacent_inside = (self._masks[u] & members_mask).bit_count()
             if size - adjacent_inside > k:
                 return False
         return True

@@ -1,25 +1,25 @@
 """The bipartite graph *substrate* protocol and bitmask helpers.
 
 The enumeration algorithms never depend on a concrete graph class — they
-only use the query surface below: side sizes, adjacency sets, per-vertex
+only use the query surface below: side sizes, neighbour sets, per-vertex
 adjacency masks and the Γ / δ̄ primitives of Section 2.  Two objects
 implement :class:`BipartiteSubstrate`: :class:`~repro.graph.BipartiteGraph`,
 the one substrate, and :class:`~repro.graph.bipartite.MirrorView`, its
 zero-copy side-swapped view.
 
-Every vertex carries its adjacency twice, kept in lockstep by every
-mutation: a ``set`` and a Python-int *mask* whose set bits are the
-neighbour ids on the other side.  The hot paths (the traversal engine,
-EnumAlmostSat, the prep kernels, the baselines) run on the masks, which
-turn ``Γ(v, S)`` intersections, ``δ̄(v, S)`` counts and
+Every vertex stores its adjacency once, as a Python-int *mask* whose set
+bits are the neighbour ids on the other side.  The hot paths (the
+traversal engine, EnumAlmostSat, the prep kernels, the baselines) run on
+the masks, which turn ``Γ(v, S)`` intersections, ``δ̄(v, S)`` counts and
 ``can_add_left/right`` into word-parallel bitwise operations
 (``&``/``~``/``int.bit_count``) — where the BBK (Baudin et al., 2024) and
 symmetric-BK (Yu & Long, 2022) implementations get their constant-factor
-speedups from.  The set-query predicates of :mod:`repro.core.biplex`
-(``is_k_biplex``, ``is_maximal_k_biplex``, ``can_add_left/right``) use the
-sets; they are the oracles behind ``verify``, the brute force and the naive
-EnumAlmostSat, so the differential tests compare mask code against
-independent set-query code.
+speedups from.  ``neighbors_of_left/right`` are the API edge: they build a
+fresh ``set`` from the mask on each call.  The set-query predicates of
+:mod:`repro.core.biplex` (``is_k_biplex``, ``is_maximal_k_biplex``,
+``can_add_left/right``) run set logic over those sets; they are the oracles
+behind ``verify``, the brute force and the naive EnumAlmostSat, so the
+differential tests compare mask code against independent set-query code.
 
 Orthogonal to the substrate sits the *preprocessing* axis
 (:mod:`repro.prep`, selected via ``prep=`` / ``REPRO_PREP``): the engines
@@ -46,8 +46,8 @@ from typing import Iterable, Iterator, Protocol, Set, runtime_checkable
 def default_backend() -> str:
     """The name of the adjacency substrate: always ``"bitset"``.
 
-    There is one substrate (:class:`~repro.graph.BipartiteGraph`, sets plus
-    masks), so this is a constant; it survives for callers that record
+    There is one substrate (:class:`~repro.graph.BipartiteGraph`, one mask
+    per vertex), so this is a constant; it survives for callers that record
     the substrate next to their measurements.
     """
     return "bitset"

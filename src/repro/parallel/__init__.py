@@ -7,11 +7,11 @@ That decomposition is exactly what makes the enumeration scale out:
 
 Shard-by-anchor decomposition
 -----------------------------
-A *shard* is one anchor together with its exclusion prefix: the left
-anchors the root expansion processes before it (Section 3.5 of the paper;
-:func:`repro.parallel.shards.shard_plan` replicates the serial root pass,
-including the Section 5 large-MBP pruning).  Workers explore their shards
-with these prefixes **inherited** down the whole subtree
+A *shard* is one anchor together with its exclusion prefix: the mask of
+the left anchors the root expansion processes before it (Section 3.5 of
+the paper; :func:`repro.parallel.shards.shard_plan` replicates the serial
+root pass, including the Section 5 large-MBP pruning).  Workers explore
+their shards with these prefixes **inherited** down the whole subtree
 (``ReverseSearchEngine._inherit_exclusions`` — unlike serial runs, which
 apply exclusion per expansion only), so shard ``i`` prunes every solution
 containing an earlier shard's anchor: the paper's own visit-once device
@@ -19,7 +19,7 @@ doubles as the partitioning function and makes the shards *nearly
 disjoint* — on dense ER the union of shard traversals can even undercut
 the serial link count.  Inherited sets over-prune (the PR 5 serial
 completeness bug), which the engine's re-exploration rule repairs: the
-worker's visited map stores the exclusion set each solution was explored
+worker's visited map stores the exclusion mask each solution was explored
 with, and a link whose intersection strictly shrinks it re-explores that
 subtree without re-reporting.  bTraversal (no exclusion) shards the same
 way but its shards overlap heavily; the engine stays correct (the

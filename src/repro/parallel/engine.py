@@ -171,7 +171,9 @@ def run_parallel(engine) -> Iterator[Biplex]:
     # Fresh incumbent per run, exactly like _run_serial does for the serial
     # path — a previous run's bound must not pre-prune this one.
     engine.objective.reset()
-    merged = TraversalStats(num_solutions=1, num_shards=len(shards))
+    # The merged stats are the engine's from here on, so the root's own
+    # size-filter and bound prunes below land in them.
+    merged = engine.stats = TraversalStats(num_solutions=1, num_shards=len(shards))
     seen = {root}
     buffered: List[Biplex] = []
     stop = False
@@ -271,13 +273,12 @@ def run_parallel(engine) -> Iterator[Biplex]:
                 "parallel_duplicates_total",
                 value=merged.num_duplicate_solutions,
             )
-        engine.stats = merged
         # Rough parity with the serial run, whose visited mapping holds
         # every discovered solution afterwards.
-        engine._visited = dict.fromkeys(seen, frozenset())
+        engine._visited = dict.fromkeys(seen, 0)
     buffered.sort(key=lambda solution: solution.key())
     for solution in buffered:
-        # ``merged`` is the same object as ``engine.stats`` by now, so late
+        # ``merged`` is the same object as ``engine.stats``, so late
         # increments stay visible even though the finally above already ran.
         merged.num_reported += 1
         yield solution

@@ -11,7 +11,7 @@ inside the worker that executes the shard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List
+from typing import List
 
 from ..core.biplex import Biplex
 
@@ -28,14 +28,14 @@ class Shard:
     vertex:
         The Step-1 candidate vertex outside the root solution.
     exclusion:
-        The exclusion set the serial DFS would hand the children derived
-        from this anchor: the left anchors processed before it (empty when
-        the exclusion strategy is off).
+        The exclusion mask the serial DFS would hand the children derived
+        from this anchor: one bit per left anchor processed before it (0
+        when the exclusion strategy is off).
     """
 
     side: str
     vertex: int
-    exclusion: FrozenSet[int]
+    exclusion: int
 
 
 def shard_plan(engine, root: Biplex) -> List[Shard]:
@@ -60,7 +60,7 @@ def shard_plan(engine, root: Biplex) -> List[Shard]:
     if (
         config.theta_right
         and config.right_shrinking
-        and len(root.right) < config.theta_right
+        and root.right_mask.bit_count() < config.theta_right
     ):
         return []
     if (
@@ -70,11 +70,11 @@ def shard_plan(engine, root: Biplex) -> List[Shard]:
     ):
         return []
     shards: List[Shard] = []
-    processed: List[int] = []
+    processed = 0
     for side, vertex in engine._candidate_vertices(root):
         if side == "L" and config.exclusion:
-            shards.append(Shard(side, vertex, frozenset(processed)))
-            processed.append(vertex)
+            shards.append(Shard(side, vertex, processed))
+            processed |= 1 << vertex
         else:
-            shards.append(Shard(side, vertex, frozenset()))
+            shards.append(Shard(side, vertex, 0))
     return shards

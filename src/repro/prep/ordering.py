@@ -22,6 +22,8 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Dict, List, Tuple
 
+from ..graph.protocol import iter_bits
+
 Orders = Tuple[List[int], List[int]]
 
 #: Auto-selection thresholds (see :func:`choose_order_strategy`).
@@ -49,7 +51,7 @@ def degeneracy_order(graph) -> Orders:
                 continue
             left_alive[vertex] = False
             left_order.append(vertex)
-            for u in graph.neighbors_of_left(vertex):
+            for u in iter_bits(graph.adj_left_mask(vertex)):
                 if right_alive[u]:
                     right_degree[u] -= 1
                     heapq.heappush(heap, (right_degree[u], 1, u))
@@ -58,7 +60,7 @@ def degeneracy_order(graph) -> Orders:
                 continue
             right_alive[vertex] = False
             right_order.append(vertex)
-            for v in graph.neighbors_of_right(vertex):
+            for v in iter_bits(graph.adj_right_mask(vertex)):
                 if left_alive[v]:
                     left_degree[v] -= 1
                     heapq.heappush(heap, (left_degree[v], 0, v))
@@ -84,14 +86,14 @@ def gamma_score_order(graph) -> Orders:
 
     def left_score(v: int) -> Tuple[int, int, int]:
         return (
-            sum(right_degree[u] for u in graph.neighbors_of_left(v)),
+            sum(right_degree[u] for u in iter_bits(graph.adj_left_mask(v))),
             left_degree[v],
             v,
         )
 
     def right_score(u: int) -> Tuple[int, int, int]:
         return (
-            sum(left_degree[v] for v in graph.neighbors_of_right(u)),
+            sum(left_degree[v] for v in iter_bits(graph.adj_right_mask(u))),
             right_degree[u],
             u,
         )

@@ -286,7 +286,10 @@ class ServiceHTTPServer:
                 return 400, {"error": "invalid Content-Length header"}, path
         if length > MAX_BODY_BYTES:
             return 413, {"error": "request body too large"}, path
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError:
+            return 400, {"error": "request body shorter than its Content-Length header"}, path
         status, payload = await self._dispatch(method, path, query_string, body)
         return status, payload, path
 

@@ -118,13 +118,13 @@ class SessionTable:
             registry = get_registry()
             if registry.enabled:
                 registry.inc("service_sessions_total", event="created")
-                registry.gauge("service_sessions_live", len(self._records))
             while len(self._records) > self.capacity:
                 _, lru = self._records.popitem(last=False)
                 self.evicted += 1
                 if registry.enabled:
                     registry.inc("service_sessions_total", event="evicted")
                 to_close.append(lru)
+            self._publish_live_locked()
         # Outside the table lock: _close_quietly takes the record lock, and
         # a pager thread holding a record lock may be about to take the
         # table lock (remove) — closing inside would invert the order.
@@ -154,6 +154,8 @@ class SessionTable:
         """Drop (and close) one session; returns whether it was live."""
         with self._lock:
             record = self._records.pop(session_id, None)
+            if record is not None:
+                self._publish_live_locked()
         if record is None:
             return False
         self._close_quietly(record)
@@ -171,6 +173,7 @@ class SessionTable:
         with self._lock:
             records = list(self._records.values())
             self._records.clear()
+            self._publish_live_locked()
         for record in records:
             self._close_quietly(record)
 
@@ -205,9 +208,15 @@ class SessionTable:
             self.expired += 1
             if registry.enabled:
                 registry.inc("service_sessions_total", event="expired")
-        if popped and registry.enabled:
-            registry.gauge("service_sessions_live", len(self._records))
+        if popped:
+            self._publish_live_locked()
         return popped
+
+    def _publish_live_locked(self) -> None:
+        """Set the live gauge; every path that resizes the table calls this."""
+        registry = get_registry()
+        if registry.enabled:
+            registry.gauge("service_sessions_live", len(self._records))
 
     @staticmethod
     def _close_quietly(record: SessionRecord) -> None:

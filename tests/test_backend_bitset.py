@@ -1,14 +1,24 @@
-"""Tests for the adjacency masks that every graph keeps next to its sets.
+"""Tests for the adjacency masks, every graph's one adjacency store.
 
 The enumeration hot paths run on the masks; the set-query predicates of
-``repro.core.biplex`` are the independent oracles they are checked
-against.  The equivalence suites run on every construction route of
-``graph_samples.ROUTES``.
+``repro.core.biplex``, running set logic over neighbour sets built from the
+masks, are the independent oracles they are checked against.  The mask
+contents themselves are checked against reference edge sets the tests keep
+through the same mutations.  The equivalence suites run on every
+construction route of ``graph_samples.ROUTES``.
 """
 
 import pytest
 
-from graph_samples import ROUTES, random_graphs, via
+from graph_samples import (
+    PAPER_EDGES,
+    ROUTES,
+    assert_masks_match_edges,
+    induced,
+    random_graphs,
+    swapped,
+    via,
+)
 
 from repro.baselines import enumerate_mbps_bruteforce
 from repro.core import (
@@ -37,20 +47,24 @@ from repro.graph import (
 from repro.graph.bipartite import MirrorView
 
 
-def _assert_masks_match_sets(graph):
-    if isinstance(graph, Graph):
-        for u in graph.vertices():
-            assert set(iter_bits(graph.adj_mask(u))) == graph.neighbors(u)
-        return
-    for v in graph.left_vertices():
-        assert set(iter_bits(graph.adj_left_mask(v))) == graph.neighbors_of_left(v)
-    for u in graph.right_vertices():
-        assert set(iter_bits(graph.adj_right_mask(u))) == graph.neighbors_of_right(u)
-
-
 class TestBitsetGraph:
     def test_masks_match_sets(self, example_graph):
-        _assert_masks_match_sets(example_graph)
+        assert_masks_match_edges(example_graph, PAPER_EDGES)
+
+    def test_neighbour_sets_are_copies(self, example_graph):
+        """A neighbour set is built from the mask on each call: mutating it
+        leaves the graph, its masks and its edge count unchanged."""
+        graph = example_graph.copy()
+        graph.neighbors_of_left(0).add(2)
+        graph.neighbors_of_right(2).add(0)
+        graph.neighbors_of_left(4).clear()
+        MirrorView(graph).neighbors_of_left(0).clear()
+        assert not graph.has_edge(0, 2) and graph.has_edge(4, 0)
+        assert_masks_match_edges(graph, PAPER_EDGES)
+        general = Graph(3, edges=[(0, 1), (1, 2)])
+        general.neighbors(0).add(2)
+        assert not general.has_edge(0, 2)
+        assert_masks_match_edges(general, {(0, 1), (1, 2)})
 
     def test_add_and_remove_edge_update_masks(self):
         graph = BipartiteGraph(2, 3)
@@ -71,12 +85,15 @@ class TestBitsetGraph:
 
     def test_derived_graphs_stay_bitset(self, example_graph):
         """Copies, mirrors and induced subgraphs carry correct masks too."""
-        for derived in (
-            example_graph.copy(),
-            example_graph.swap_sides(),
-            example_graph.induced_subgraph([0, 4], [0, 1]),
+        for derived, edges in (
+            (example_graph.copy(), PAPER_EDGES),
+            (example_graph.swap_sides(), swapped(PAPER_EDGES)),
+            (
+                example_graph.induced_subgraph([0, 4], [0, 1]),
+                induced(PAPER_EDGES, [0, 4], [0, 1]),
+            ),
         ):
-            _assert_masks_match_sets(derived)
+            assert_masks_match_edges(derived, edges)
 
     def test_as_backend(self, example_graph):
         from repro.graph.protocol import as_backend
@@ -91,7 +108,7 @@ class TestBitsetGraph:
 
         for name in ("set", "bitset", "packed"):
             assert as_backend(example_graph, name) is example_graph
-        _assert_masks_match_sets(example_graph)
+        assert_masks_match_edges(example_graph, PAPER_EDGES)
 
     def test_to_bitset_on_bitset_is_identity(self, example_graph):
         """The engine and the registry, where tracers wrap ``as_backend``,
@@ -123,31 +140,38 @@ class TestBitsetGraph:
 
 
 class TestMaskLockstep:
-    """Sets and masks agree after every kind of mutation, on both graph classes."""
+    """Both mask directions hold the reference edge set the test keeps
+    through every kind of mutation, on both graph classes."""
 
     def test_bipartite_graph_mutations(self):
         import random
 
         rng = random.Random(3)
-        graph = erdos_renyi_bipartite(70, 66, num_edges=900, seed=3)
+        edges = {(rng.randrange(70), rng.randrange(66)) for _ in range(900)}
+        graph = BipartiteGraph(70, 66, edges)
+        assert_masks_match_edges(graph, edges)
         for _ in range(300):
             v, u = rng.randrange(graph.n_left), rng.randrange(graph.n_right)
             if rng.random() < 0.5:
-                graph.add_edge(v, u)
+                assert graph.add_edge(v, u) is ((v, u) not in edges)
+                edges.add((v, u))
             else:
-                graph.remove_edge(v, u)
-        _assert_masks_match_sets(graph)
-        edges = list(graph.edges())
+                assert graph.remove_edge(v, u) is ((v, u) in edges)
+                edges.discard((v, u))
+        assert_masks_match_edges(graph, edges)
         inserts = [(rng.randrange(70), rng.randrange(66)) for _ in range(40)]
-        graph.apply_batch(inserts=inserts, deletes=rng.sample(edges, 40))
-        _assert_masks_match_sets(graph)
+        deletes = rng.sample(sorted(edges), 40)
+        graph.apply_batch(inserts=inserts, deletes=deletes)
+        edges.update(inserts)
+        edges.difference_update(deletes)
+        assert_masks_match_edges(graph, edges)
         new_left = graph.add_left_vertex()
         new_right = graph.add_right_vertex()
         assert graph.adj_left_mask(new_left) == 0 and graph.adj_right_mask(new_right) == 0
-        graph.add_edge(new_left, new_right)
-        graph.add_edge(new_left, 65)
-        graph.add_edge(0, new_right)
-        _assert_masks_match_sets(graph)
+        for edge in ((new_left, new_right), (new_left, 65), (0, new_right)):
+            graph.add_edge(*edge)
+            edges.add(edge)
+        assert_masks_match_edges(graph, edges)
         assert graph.full_left_mask == (1 << 71) - 1
         assert graph.full_right_mask == (1 << 67) - 1
 
@@ -156,10 +180,12 @@ class TestMaskLockstep:
 
         rng = random.Random(4)
         graph = Graph(80)
+        edges = set()
         for _ in range(600):
             u, v = rng.sample(range(80), 2)
-            graph.add_edge(u, v)
-        _assert_masks_match_sets(graph)
+            assert graph.add_edge(u, v) is (frozenset((u, v)) not in edges)
+            edges.add(frozenset((u, v)))
+        assert_masks_match_edges(graph, [tuple(edge) for edge in edges])
         assert graph.full_mask == (1 << 80) - 1
 
 
@@ -178,9 +204,9 @@ class TestMirrorViewMasks:
         graph.add_edge(*absent)
         v, u = absent
         assert mirror.adj_left_mask(u) >> v & 1 and mirror.adj_right_mask(v) >> u & 1
-        _assert_masks_match_sets(graph)
-        for w in graph.left_vertices():
-            assert set(iter_bits(mirror.adj_right_mask(w))) == mirror.neighbors_of_right(w)
+        edges = PAPER_EDGES | {absent}
+        assert_masks_match_edges(graph, edges)
+        assert_masks_match_edges(mirror, swapped(edges))
 
     def test_mirror_swaps_masks(self, example_graph):
         graph = example_graph

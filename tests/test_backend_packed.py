@@ -3,7 +3,7 @@
 The numpy and ``array('Q')`` packed graphs are gone.  Their row/mask
 lock-step, popcount, common-neighbour and multi-word contracts now bind the
 per-vertex masks of :class:`~repro.graph.BipartiteGraph` and
-:class:`~repro.graph.Graph`, checked against the adjacency sets and across
+:class:`~repro.graph.Graph`, checked against reference edge sets and across
 the construction routes of ``graph_samples.ROUTES``.  The numpy-absent
 contract now binds the whole package: nothing in it needs numpy.
 """
@@ -13,7 +13,7 @@ from itertools import combinations
 
 import pytest
 
-from graph_samples import ROUTES, via
+from graph_samples import PAPER_EDGES, ROUTES, assert_masks_match_edges, induced, swapped, via
 
 from repro.baselines import enumerate_mbps_bruteforce, enumerate_mbps_imb
 from repro.graph import (
@@ -28,14 +28,9 @@ from repro.graph.general import Graph
 
 #: More than 64 vertices on both sides: every mask spans several words.
 WIDE = erdos_renyi_bipartite(70, 130, num_edges=700, seed=9)
-
-
-def _assert_masks_match_sets(graph):
-    for v in graph.left_vertices():
-        assert graph.adj_left_mask(v) == mask_of(graph.neighbors_of_left(v))
-        assert set(iter_bits(graph.adj_left_mask(v))) == graph.neighbors_of_left(v)
-    for u in graph.right_vertices():
-        assert graph.adj_right_mask(u) == mask_of(graph.neighbors_of_right(u))
+#: WIDE's edges as the generator left them: the reference for every graph
+#: derived from it.
+WIDE_EDGES = frozenset(WIDE.edges())
 
 
 def _common_neighbors(graph, side):
@@ -50,8 +45,9 @@ def _common_neighbors(graph, side):
 class TestPackedBipartiteGraph:
     def test_rows_match_masks_and_sets(self, example_graph):
         for route in ROUTES:
-            for graph in (via(route, example_graph), via(route, WIDE)):
-                _assert_masks_match_sets(graph)
+            for source, edges in ((example_graph, PAPER_EDGES), (WIDE, WIDE_EDGES)):
+                graph = via(route, source)
+                assert_masks_match_edges(graph, edges)
                 assert [graph.adj_left_mask(v).bit_count() for v in graph.left_vertices()] == [
                     graph.degree_of_left(v) for v in graph.left_vertices()
                 ]
@@ -115,13 +111,16 @@ class TestPackedBipartiteGraph:
         assert graph.induced_subgraph([0, 4], [0, 1]) == example_graph.induced_subgraph(
             [0, 4], [0, 1]
         )
-        for derived in (
-            graph.copy(),
-            graph.swap_sides(),
-            graph.induced_subgraph([0, 4], [0, 1]),
-            WIDE.induced_subgraph(range(3, 70, 2), range(1, 130, 3)),
+        for derived, edges in (
+            (graph.copy(), PAPER_EDGES),
+            (graph.swap_sides(), swapped(PAPER_EDGES)),
+            (graph.induced_subgraph([0, 4], [0, 1]), induced(PAPER_EDGES, [0, 4], [0, 1])),
+            (
+                WIDE.induced_subgraph(range(3, 70, 2), range(1, 130, 3)),
+                induced(WIDE_EDGES, range(3, 70, 2), range(1, 130, 3)),
+            ),
         ):
-            _assert_masks_match_sets(derived)
+            assert_masks_match_edges(derived, edges)
 
     def test_conversions(self, example_graph):
         """The forms a graph can still be turned into keep its masks exact."""
@@ -131,12 +130,12 @@ class TestPackedBipartiteGraph:
         assert default_backend() == "bitset"
         for name in ("set", "bitset", "packed"):
             assert as_backend(WIDE, name) is WIDE
-        swapped = WIDE.swap_sides()
-        _assert_masks_match_sets(swapped)
-        assert swapped.swap_sides() == WIDE
+        side_swapped = WIDE.swap_sides()
+        assert_masks_match_edges(side_swapped, swapped(WIDE_EDGES))
+        assert side_swapped.swap_sides() == WIDE
         mirror = MirrorView(WIDE)
         for u in WIDE.right_vertices():
-            assert mirror.adj_left_mask(u) == swapped.adj_left_mask(u)
+            assert mirror.adj_left_mask(u) == side_swapped.adj_left_mask(u)
 
     def test_pack_helpers_roundtrip(self):
         import random
@@ -192,7 +191,10 @@ class TestPackedEndToEnd:
         # iMB is a different algorithm; the filtered full answer is the oracle.
         expected = set(filter_large(enumerate_mbps_imb(graph, 1), 3, 3))
         enumerator = LargeMBPEnumerator(via("packed", graph), 1, theta=3)
-        _assert_masks_match_sets(enumerator.core_graph)
+        # The reference: the core the same reduction leaves of the
+        # constructor-built graph.
+        core_edges = set(LargeMBPEnumerator(graph, 1, theta=3).core_graph.edges())
+        assert_masks_match_edges(enumerator.core_graph, core_edges)
         assert set(enumerator.enumerate()) == expected
 
     def test_cli_backend_packed(self, tmp_path, capsys, example_graph):

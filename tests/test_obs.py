@@ -471,17 +471,20 @@ class TestDaemonObservability:
         assert "traverse" in _phase_names(response["trace"])
 
     def test_bad_content_length_is_400(self, obs_daemon):
-        url, _, _ = obs_daemon
-        for bad in (b"abc", b"-5", b""):
+        url, _, sink = obs_daemon
+        # The last case declares 100 body bytes and sends 9 before closing.
+        for bad, body in ((b"abc", b""), (b"-5", b""), (b"", b""), (b"100", b'{"query":')):
             raw = _raw_request(
                 url,
                 b"POST /v1/enumerate HTTP/1.1\r\n"
                 b"Host: x\r\n"
-                b"Content-Length: " + bad + b"\r\n\r\n",
+                b"Content-Length: " + bad + b"\r\n\r\n" + body,
             )
             head = raw.split(b"\r\n", 1)[0]
             assert b"400" in head, (bad, head)
             assert b"Content-Length header" in raw.split(b"\r\n\r\n", 1)[1]
+        records = sink.read_text().splitlines() if sink.exists() else []
+        assert not [r for r in map(json.loads, records) if r["kind"] == "error"]
 
     def test_missing_content_length_still_works(self, obs_daemon):
         url, _, _ = obs_daemon

@@ -20,7 +20,7 @@ from repro.core import BTraversal, ITraversal, LargeMBPEnumerator
 from repro.core.btraversal import btraversal_config
 from repro.core.traversal import ReverseSearchEngine, TraversalConfig
 from repro.core.verify import canonical, check_all_solutions, same_solutions
-from repro.graph import erdos_renyi_bipartite, paper_example_graph
+from repro.graph import erdos_renyi_bipartite, mask_of, paper_example_graph
 from repro.parallel import JOBS_ENV_VAR, resolve_jobs, shard_plan
 
 
@@ -80,7 +80,7 @@ class TestShardPlan:
         for shard in shards:
             assert shard.side == "L"  # iTraversal is left-anchored
             assert shard.vertex not in root.left
-            assert shard.exclusion == frozenset(left_seen)
+            assert shard.exclusion == mask_of(left_seen)
             left_seen.append(shard.vertex)
 
     def test_btraversal_plan_covers_both_sides_without_exclusions(self):
@@ -89,7 +89,7 @@ class TestShardPlan:
         root = engine._initial_solution()
         shards = shard_plan(engine, root)
         assert {shard.side for shard in shards} == {"L", "R"}
-        assert all(shard.exclusion == frozenset() for shard in shards)
+        assert all(shard.exclusion == 0 for shard in shards)
 
     def test_large_mbp_root_pruning_empties_the_plan(self):
         # theta_right above |R|: serial returns no children from the root,
@@ -182,33 +182,38 @@ class TestStatsMergeContract:
     def test_merge_is_the_fold_of_every_shard(self):
         """The merged prune-site counters, bound prunes and best size equal
         the fold of every shard's own stats, each shard run in process the
-        way a worker runs it."""
+        way a worker runs it, plus the coordinator's own size filter of the
+        root.  On both inputs the root misses θ: with ``prep="off"`` it is
+        ``(∅, R)``."""
         from dataclasses import replace
 
         from repro.obs import PRUNE_SITE_FIELDS
+        from repro.prep import default_prep
 
-        config = TraversalConfig(theta_left=2, theta_right=2, jobs=2)
-        engine = ReverseSearchEngine(GRAPHS[1], 1, config)
-        list(engine.run())
-        merged = replace(engine.stats)
-        root = engine._initial_solution()
-        shards = shard_plan(engine, root)
-        assert merged.num_shards == len(shards) >= 2
-        worker = ReverseSearchEngine(
-            engine.graph, 1, replace(config, jobs=1, time_limit=None, max_results=None)
-        )
-        worker._inherit_exclusions_requested = True
         names = [name for _, name in PRUNE_SITE_FIELDS] + ["num_pruned_by_bound"]
-        folded = dict.fromkeys(names, 0)
-        best = root.size if min(len(root.left), len(root.right)) >= 2 else 0
-        for shard in shards:
-            list(worker.run_shard(root, (shard.side, shard.vertex), shard.exclusion))
-            for name in names:
-                folded[name] += getattr(worker.stats, name)
-            best = max(best, worker.stats.best_size)
-        assert {name: getattr(merged, name) for name in names} == folded
-        assert sum(folded.values()) > 0
-        assert merged.best_size == best > 0
+        for prep in (default_prep(), "off"):
+            config = TraversalConfig(theta_left=2, theta_right=2, jobs=2, prep=prep)
+            engine = ReverseSearchEngine(GRAPHS[1], 1, config)
+            list(engine.run())
+            merged = replace(engine.stats)
+            root = engine._initial_solution()
+            shards = shard_plan(engine, root)
+            assert merged.num_shards == len(shards) >= 2
+            serial_config = replace(config, jobs=1, time_limit=None, max_results=None)
+            coordinator = ReverseSearchEngine(engine.graph, 1, serial_config)
+            assert not coordinator._passes_size_filter(root)
+            folded = {name: getattr(coordinator.stats, name) for name in names}
+            worker = ReverseSearchEngine(engine.graph, 1, serial_config)
+            worker._inherit_exclusions_requested = True
+            best = 0
+            for shard in shards:
+                list(worker.run_shard(root, (shard.side, shard.vertex), shard.exclusion))
+                for name in names:
+                    folded[name] += getattr(worker.stats, name)
+                best = max(best, worker.stats.best_size)
+            assert {name: getattr(merged, name) for name in names} == folded, prep
+            assert folded["num_pruned_size_filter"] > 0
+            assert merged.best_size == best > 0
 
     def test_work_counters_are_deterministic(self):
         # Each shard's traversal is a pure function of (root, anchor,

@@ -580,9 +580,9 @@ class TestCascadeFallback:
             (side, vertex) for side, vertex in engine._candidate_vertices(root)
         ][:2]
         assert len(anchors) == 2
-        list(engine.run_shard(root, anchors[0], frozenset()))
+        list(engine.run_shard(root, anchors[0], 0))
         engine._inherit_exclusions = False  # simulate a tripped fallback
-        list(engine.run_shard(root, anchors[1], frozenset()))
+        list(engine.run_shard(root, anchors[1], 0))
         assert engine._inherit_exclusions is True
 
     def test_merged_parallel_counter_is_deterministic(self):

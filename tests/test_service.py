@@ -16,6 +16,7 @@ import pytest
 
 from repro import paper_example_graph, write_edge_list
 from repro.core import ITraversal
+from repro.obs import reset_registry
 from repro.service import (
     Budgets,
     HotGraphRegistry,
@@ -215,6 +216,37 @@ class TestSessionTable:
         # ...but the cursor carried everything needed to continue exactly.
         assert page["solutions"] + follow_up["solutions"] == expected
         assert follow_up["exhausted"]
+
+    def test_live_gauge_follows_every_shrink(self, monkeypatch):
+        """``service_sessions_live`` equals the table size after a session
+        is paged to exhaustion, cancelled, evicted for capacity or closed
+        with the table."""
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        registry = reset_registry()
+        try:
+            table = SessionTable(capacity=2)
+            service = QueryService(sessions=table)
+
+            def live():
+                gauge = registry.snapshot()["gauges"]["service_sessions_live"]
+                assert gauge == table.counters()["sessions_live"]
+                return gauge
+
+            page = service.open_session(paper_query(), page_size=1)
+            assert live() == 1
+            last = service.next_page(
+                session_id=page["session_id"], cursor=page["cursor"], page_size=1000
+            )
+            assert last["exhausted"] and live() == 0
+            page = service.open_session(paper_query(), page_size=1)
+            assert service.cancel(page["session_id"]) and live() == 0
+            for k in (1, 2, 3):
+                service.open_session(paper_query(k=k), page_size=1)
+            assert table.counters()["sessions_evicted"] == 1 and live() == 2
+            table.close_all()
+            assert live() == 0
+        finally:
+            reset_registry()
 
     def test_cancel_is_idempotent_and_cursor_survives(self):
         service = QueryService()

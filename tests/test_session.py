@@ -11,6 +11,10 @@ fingerprint hashes the adjacency, not how it was filled).
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from graph_samples import ROUTES, random_graphs, via
 
@@ -35,6 +39,25 @@ def _full_run(graph, k=1, **overrides):
 
 
 class TestSessionBasics:
+    def test_session_open_at_exit_finalizes_quietly(self):
+        """A script that ends with a session still open exits with an empty
+        stderr: the session's stats publication at interpreter shutdown
+        needs no import."""
+        import repro
+
+        script = (
+            "from repro import ITraversal\n"
+            "from repro.graph import paper_example_graph\n"
+            "s = ITraversal(paper_example_graph(), 1).session()\n"
+            "s.next_batch(1)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=repro.__path__[0].rsplit("repro", 1)[0])
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+
     def test_stream_equals_classic_run(self):
         graph = paper_example_graph()
         expected = ITraversal(graph, 1).enumerate()
