@@ -22,25 +22,20 @@ Soundness of bound pruning rests on two invariants:
 In solver modes the engine still yields every observed candidate (the
 session layer needs the suspension points for cursors and budgets); the
 session drains that stream and emits :meth:`Objective.results` at the end
-(see :class:`~repro.core.session.EnumerationSession`).
+(see :class:`~repro.core.session.EnumerationSession`).  A solver cursor
+carries those results as its incumbents; resume hands them back to
+:meth:`Objective.restore`, so no objective knows the cursor format.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .biplex import Biplex
 
 #: The recognised objective modes, in the user-facing spelling.
 OBJECTIVES = ("enumerate", "maximum", "top-k")
-
-#: Turns one solution's JSON form (:meth:`Biplex.to_lists`) back into a value.
-Decoder = Callable[[list], Biplex]
-
-
-def _trusted_decode(pair: list) -> Biplex:
-    return Biplex.of(pair[0], pair[1])
 
 
 def resolve_objective(
@@ -95,18 +90,11 @@ class Objective:
     def reset(self) -> None:
         """Drop all observations (a fresh run over the same engine)."""
 
-    def state(self) -> Optional[dict]:
-        """JSON-serializable incumbent state for cursor tokens (None = stateless)."""
-        return None
-
-    def load_state(self, data: Optional[dict], decode: Decoder = _trusted_decode) -> None:
-        """Restore :meth:`state` output (cursor resume).
-
-        ``decode`` turns one solution's ``[L ids, R ids]`` into a
-        :class:`Biplex`.  The default trusts its input; a session resuming
-        a client-held token passes its checked decoder instead, and hands
-        over ``data`` only as ``None`` or a dict of ``None`` / list values.
-        """
+    def restore(self, solutions: Iterable[Biplex]) -> None:
+        """Start over from saved :meth:`results` (cursor resume)."""
+        self.reset()
+        for solution in solutions:
+            self.observe(solution)
 
 
 class EnumerateAll(Objective):
@@ -143,16 +131,6 @@ class MaximumSize(Objective):
     def reset(self) -> None:
         self._best = None
         self._best_key = None
-
-    def state(self) -> Optional[dict]:
-        if self._best is None:
-            return {"best": None}
-        return {"best": self._best.to_lists()}
-
-    def load_state(self, data: Optional[dict], decode: Decoder = _trusted_decode) -> None:
-        self.reset()
-        if data and data.get("best") is not None:
-            self.observe(decode(data["best"]))
 
 
 class TopK(Objective):
@@ -196,14 +174,6 @@ class TopK(Objective):
     def reset(self) -> None:
         self._items = []
         self._order = []
-
-    def state(self) -> Optional[dict]:
-        return {"items": [item.to_lists() for item in self._items]}
-
-    def load_state(self, data: Optional[dict], decode: Decoder = _trusted_decode) -> None:
-        self.reset()
-        for pair in (data or {}).get("items") or []:
-            self.observe(decode(pair))
 
 
 def make_objective(mode: str, top: Optional[int] = None) -> Objective:

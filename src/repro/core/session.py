@@ -2,7 +2,7 @@
 
 The reverse-search enumerator is polynomial-delay, which makes a paused
 enumeration cheap to come back to: all the state the traversal needs is the
-DFS frontier plus the visited map, and advancing from there costs one delay
+DFS frontier plus the visited set, and advancing from there costs one delay
 per solution — not a re-enumeration.  :class:`EnumerationSession` packages
 that into the unit the service layer (and any paginating caller) works
 with:
@@ -29,7 +29,8 @@ points are what budgets and cursors hang off — but the session interposes
 :meth:`_solver_stream`: it drains the raw traversal (up to any budget
 caps) and then emits :meth:`~repro.core.objective.Objective.results`, the
 refined answer set, through the usual translation layer.  Solver cursors
-carry the objective's incumbent state next to the DFS frontier, and
+carry those results as the incumbents next to the DFS frontier (resume
+hands them to :meth:`~repro.core.objective.Objective.restore`), and
 resume in one of two regimes:
 
 * **interrupted mid-traversal** — a budget cap stopped the leg (the token
@@ -45,18 +46,29 @@ resume in one of two regimes:
 
 Cursor tokens
 -------------
-A token is ``base64url(zlib(json))`` of a ``repro-cursor/2`` document (the
-exact schema is documented in ``ARCHITECTURE.md``).  Two cursor modes:
+This module is the only one that knows the wire format.  A token is
+``base64url(zlib(json))`` of a ``repro-cursor/3`` document, written by
+:func:`encode_token` and read by :func:`decode_token`, which refuses a
+document that inflates past :data:`MAX_DOCUMENT_BYTES` (the exact schema
+is documented in ``ARCHITECTURE.md``).  A service cursor is the same
+document plus the service's normalized ``query``, passed to
+:meth:`EnumerationSession.cursor` and encoded once.  Every solution in a
+token — frame, visited entry or incumbent — is a pair of lowercase hex
+masks in the engine's *reduced* coordinate space.  Two cursor modes:
 
 ``frontier``
     Serial runs (resolved ``jobs <= 1``).  The token encodes the DFS
-    frontier — the stack of ``(solution, exclusion, already_output,
-    depth)`` frames — plus the visited solutions and the statistics
-    counters, all in the engine's *reduced* coordinate space.  Resume
-    rebuilds the stack with regenerated children iterators; replaying a
-    frame's candidate scan skips everything the restored visited map
-    already holds, so the stream continues exactly where it stopped at the
-    cost of re-scoring the frontier frames' earlier candidates once.
+    frontier — the stack of ``[left, right, already_output, depth]``
+    frames — plus the visited solutions and the statistics counters.
+    Serial frames and visited entries never carry a Section 3.5
+    exclusion (only shard workers inherit one, and workers mint no
+    cursors), and the stats leave out the wall clock, so equal frontiers
+    encode to equal tokens.  Resume rebuilds the stack with regenerated
+    children iterators; replaying a frame's candidate scan skips
+    everything the restored visited set already holds, so the stream
+    continues exactly where it stopped at the cost of re-scoring the
+    frontier frames' earlier candidates once.  A resumed leg times itself:
+    its ``elapsed_seconds`` starts at zero.
 
 ``offset``
     Parallel runs (resolved ``jobs > 1``), whose frontier lives across a
@@ -79,21 +91,32 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import re
 import zlib
 from dataclasses import asdict, fields
 from itertools import islice
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Union
 
-from ..graph.protocol import iter_bits
 from ..obs import publish_run_stats
 from .biplex import Biplex
 from .traversal import ReverseSearchEngine, TraversalConfig, TraversalStats
 
-#: Schema tag of the cursor token document.  ``/2`` added the objective
-#: (mode + top) to the fingerprint and the incumbent state to frontier
-#: payloads; ``/1`` tokens are rejected rather than resumed with a
-#: silently-different meaning.
-CURSOR_SCHEMA = "repro-cursor/2"
+#: Schema tag of the cursor token document.  ``/3`` writes solutions as
+#: hex mask pairs, drops the frame exclusions and the wall clock, and
+#: carries the service's query in the same document; ``/2`` tokens and
+#: ``repro-service-cursor/1`` envelopes are refused rather than resumed
+#: with a silently-different meaning.
+CURSOR_SCHEMA = "repro-cursor/3"
+
+#: The most bytes :func:`decode_token` inflates a token to (16 MiB).  A
+#: serial document costs ~27 bytes per visited solution (160 KB at 6,000
+#: emitted on the opsahl stand-in), so this admits sessions of about
+#: 600,000 visited solutions; a token that inflates further is refused
+#: before it is held in memory.
+MAX_DOCUMENT_BYTES = 16 * 2**20
+
+#: Output granularity of the counting pass in :func:`_inflate`.
+_INFLATE_CHUNK = 64 * 2**10
 
 
 class CursorError(ValueError):
@@ -109,37 +132,77 @@ class StaleCursorError(CursorError):
     """
 
 
-def _encode_token(payload: dict) -> str:
-    raw = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
+def encode_token(document: dict) -> str:
+    """``base64url(zlib(json))`` of a cursor document."""
+    raw = json.dumps(document, separators=(",", ":"), sort_keys=True).encode("utf-8")
     return base64.urlsafe_b64encode(zlib.compress(raw, 6)).decode("ascii")
 
 
-def _decode_token(token: str) -> dict:
+def _inflate(compressed: bytes) -> bytes:
+    """Decompress a token body of at most :data:`MAX_DOCUMENT_BYTES`.
+
+    A first pass only counts the output, one chunk at a time, so a
+    compressed bomb is refused while holding a single chunk; a body
+    within the cap is then inflated in one call.
+    """
+    inflater = zlib.decompressobj()
+    size = 0
+    pending = compressed
+    while not inflater.eof:
+        chunk = inflater.decompress(pending, _INFLATE_CHUNK)
+        pending = inflater.unconsumed_tail
+        if not chunk and not pending:
+            raise zlib.error("incomplete or truncated stream")
+        size += len(chunk)
+        if size > MAX_DOCUMENT_BYTES:
+            raise CursorError(
+                f"cursor token inflates past the {MAX_DOCUMENT_BYTES}-byte document limit"
+            )
+    return zlib.decompress(compressed)
+
+
+def decode_token(token: str) -> dict:
+    """The document of a token (either kind), checked for size and schema."""
     try:
-        raw = zlib.decompress(base64.urlsafe_b64decode(token.encode("ascii")))
-        data = json.loads(raw)
+        document = json.loads(_inflate(base64.urlsafe_b64decode(token.encode("ascii"))))
+    except CursorError:
+        raise
     except Exception as error:
         raise CursorError(f"malformed cursor token: {error}") from None
-    if not isinstance(data, dict) or data.get("schema") != CURSOR_SCHEMA:
-        raise CursorError(
-            f"unsupported cursor schema {data.get('schema') if isinstance(data, dict) else data!r}; "
-            f"expected {CURSOR_SCHEMA}"
-        )
-    return data
+    schema = document.get("schema") if isinstance(document, dict) else document
+    if schema != CURSOR_SCHEMA:
+        raise CursorError(f"unsupported cursor schema {schema!r}; expected {CURSOR_SCHEMA}")
+    return document
 
 
-_STATS_FIELDS = frozenset(field.name for field in fields(TraversalStats))
+#: TraversalStats fields a token carries, with their value types: every
+#: counter (a non-negative int) and flag (a bool), but not the wall clock.
+_STATS_FIELDS = {
+    field.name: type(field.default)
+    for field in fields(TraversalStats)
+    if field.name != "elapsed_seconds"
+}
+
+_HEX_DIGITS = re.compile(r"[0-9a-f]+")
+
+
+def _hex_pairs(solutions) -> list:
+    """Solutions in their token form, ``[left hex, right hex]`` each."""
+    return [[f"{s.left_mask:x}", f"{s.right_mask:x}"] for s in solutions]
 
 
 class _TokenDecoder:
     """Checked decoding of the client-held fields of a cursor token.
 
     A token is unsigned and held by the client, so nothing in it is
-    trusted.  Vertex ids must be ints in the engine's reduced graph: an
-    unchecked id would index past the adjacency, or pack into a mask as
-    large as the id itself.  Counts must be non-negative ints, and stats
-    must name :class:`~repro.core.traversal.TraversalStats` fields.  Every
-    defect raises :class:`CursorError`, which the service answers with 400.
+    trusted.  A mask must be a lowercase hex string of at most one digit
+    per four vertices of its side, naming only vertices of the engine's
+    reduced graph: ``int(text, 16)`` alone would also take signs,
+    whitespace, underscores and a ``0x`` prefix, and an unbounded string
+    would build a mask as long as itself.  Counts must be non-negative
+    ints, flags bools, and stats must name
+    :class:`~repro.core.traversal.TraversalStats` counters.  Every defect
+    raises :class:`CursorError`, which the service answers with 400.
     """
 
     def __init__(self, graph) -> None:
@@ -153,65 +216,57 @@ class _TokenDecoder:
         return value
 
     @staticmethod
-    def _mask(ids, n: int, side: str) -> int:
-        if not isinstance(ids, list):
-            raise CursorError(f"cursor {side} vertex ids must be a list")
-        mask = 0
-        for vertex in ids:
-            if type(vertex) is not int or not 0 <= vertex < n:
-                raise CursorError(f"cursor {side} vertex id {vertex!r} is not in the graph")
-            mask |= 1 << vertex
+    def _mask(text, n: int, side: str) -> int:
+        if type(text) is not str or len(text) > max(1, -(-n // 4)):
+            raise CursorError(f"cursor {side} mask names a vertex not in the graph")
+        if not _HEX_DIGITS.fullmatch(text):
+            raise CursorError(f"cursor {side} mask must be lowercase hex digits")
+        mask = int(text, 16)
+        if mask >> n:
+            raise CursorError(f"cursor {side} mask names a vertex not in the graph")
         return mask
 
     def solution(self, pair) -> Biplex:
-        """One solution from its :meth:`Biplex.to_lists` form."""
+        """One solution from its ``[left mask, right mask]`` form."""
         if not isinstance(pair, list) or len(pair) != 2:
-            raise CursorError("a cursor solution must be a [left ids, right ids] pair")
+            raise CursorError("a cursor solution must be a [left mask, right mask] pair")
         return Biplex(
             self._mask(pair[0], self._n_left, "left"),
             self._mask(pair[1], self._n_right, "right"),
         )
 
     def frontier(self, frontier):
-        """``(frames, visited, stats, objective state)`` of a frontier payload."""
+        """``(frames, visited, stats, incumbents)`` of a frontier payload."""
         if not isinstance(frontier, dict):
             raise CursorError("malformed cursor frontier")
         frames = frontier.get("frames")
         visited = frontier.get("visited")
         stats = frontier.get("stats")
-        objective = frontier.get("objective")
-        if not (isinstance(frames, list) and isinstance(visited, list)):
-            raise CursorError("a cursor frontier needs frame and visited lists")
+        incumbents = frontier.get("incumbents")
+        if not all(isinstance(part, list) for part in (frames, visited, incumbents)):
+            raise CursorError("a cursor frontier needs frame, visited and incumbent lists")
         if not isinstance(stats, dict) or not all(
-            name in _STATS_FIELDS and type(value) in (int, float, bool)
+            type(value) is _STATS_FIELDS.get(name) and value >= 0
             for name, value in stats.items()
         ):
-            raise CursorError("cursor stats must map TraversalStats fields to numbers")
-        if objective is not None and not (
-            isinstance(objective, dict)
-            and all(value is None or isinstance(value, list) for value in objective.values())
-        ):
-            raise CursorError("malformed cursor objective state")
+            raise CursorError(
+                "cursor stats must map TraversalStats counters to non-negative "
+                "integers and flags to booleans"
+            )
         decoded = []
         for frame in frames:
-            if not isinstance(frame, list) or len(frame) != 4:
+            if not isinstance(frame, list) or len(frame) != 4 or type(frame[2]) is not bool:
                 raise CursorError(
-                    "a cursor frame must be [solution, exclusion, already_output, depth]"
+                    "a cursor frame must be [left mask, right mask, already_output, depth]"
                 )
-            solution, exclusion, already_output, depth = frame
             decoded.append(
-                (
-                    self.solution(solution),
-                    self._mask(exclusion, self._n_left, "exclusion"),
-                    bool(already_output),
-                    self.count(depth, "depth"),
-                )
+                (self.solution(frame[:2]), frame[2], self.count(frame[3], "depth"))
             )
         return (
             decoded,
-            {self.solution(pair): 0 for pair in visited},
+            [self.solution(pair) for pair in visited],
             TraversalStats(**stats),
-            objective,
+            [self.solution(pair) for pair in incumbents],
         )
 
 
@@ -416,8 +471,7 @@ class EnumerationSession:
         digest = hashlib.sha256()
         digest.update(f"{engine.k}|{graph.n_left}|{graph.n_right}|".encode())
         for v in range(graph.n_left):
-            digest.update(",".join(map(str, iter_bits(graph.adj_left_mask(v)))).encode())
-            digest.update(b";")
+            digest.update(f"{graph.adj_left_mask(v):x};".encode())
         signature = (
             config.left_anchored,
             config.right_shrinking,
@@ -443,15 +497,18 @@ class EnumerationSession:
         self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
-    def cursor(self) -> str:
+    def cursor(self, query: Optional[dict] = None) -> str:
         """Serialize the current position as a resume token.
 
         Call between batches (a session is always between batches from the
         caller's perspective — the engine suspends at a resume-consistent
         yield).  The token is self-contained: everything needed to continue
-        except the graph itself, which :meth:`resume` takes again.
+        except the graph itself, which :meth:`resume` takes again.  A
+        ``query`` document rides along in the same token (the service's
+        normalized query); :meth:`resume` ignores it.
         """
-        payload = {
+        stats = self.engine.stats
+        document = {
             "schema": CURSOR_SCHEMA,
             "mode": self._mode,
             "fingerprint": self.fingerprint(),
@@ -461,54 +518,46 @@ class EnumerationSession:
             # from this session's point of view (`exhausted` frees service
             # sessions) but not from the cursor's: the traversal stopped at
             # a cap, so the token must stay resumable for the remainder.
-            "exhausted": self._exhausted and not self.engine.stats.truncated,
-            "truncated": bool(self.engine.stats.truncated),
+            "exhausted": self._exhausted and not stats.truncated,
+            "truncated": bool(stats.truncated),
         }
+        if query is not None:
+            document["query"] = query
         if self._mode == "frontier":
             state = self.engine.frontier_state() if self._started else None
             if state is None:
-                payload["frontier"] = None
+                document["frontier"] = None
             else:
-                # Serial visited/exclusion invariant: every stored
-                # exclusion mask is 0 (inheritance is a shard-worker
-                # discipline), so the visited map serializes as bare
-                # solutions.  Frame exclusions are kept per frame, as
-                # ascending id lists — cheap, and robust should a future
-                # discipline carry them.
-                payload["frontier"] = {
+                document["frontier"] = {
                     "frames": [
-                        [
-                            solution.to_lists(),
-                            list(iter_bits(exclusion)),
-                            bool(already_output),
-                            depth,
-                        ]
-                        for solution, exclusion, already_output, depth in state["frames"]
+                        [f"{s.left_mask:x}", f"{s.right_mask:x}", already_output, depth]
+                        for s, already_output, depth in state["frames"]
                     ],
-                    "visited": [solution.to_lists() for solution in state["visited"]],
-                    "stats": asdict(state["stats"]),
-                    "objective": self.engine.objective.state(),
+                    "visited": _hex_pairs(state["visited"]),
+                    "stats": {name: getattr(state["stats"], name) for name in _STATS_FIELDS},
+                    "incumbents": _hex_pairs(self.engine.objective.results()),
                 }
-        return _encode_token(payload)
+        return encode_token(document)
 
     @classmethod
     def resume(
         cls,
         graph,
         k: int,
-        cursor: str,
+        cursor: Union[str, dict],
         config: Optional[TraversalConfig] = None,
         prep_plan=None,
     ) -> "EnumerationSession":
         """Reconstruct a session from a cursor token.
 
-        ``graph`` / ``k`` / ``config`` must describe the same enumeration
-        the cursor was captured from (validated via the fingerprint);
-        budget knobs may differ.  For ``offset`` cursors
+        ``cursor`` is a token string or the document :func:`decode_token`
+        made of one.  ``graph`` / ``k`` / ``config`` must describe the same
+        enumeration the cursor was captured from (validated via the
+        fingerprint); budget knobs may differ.  For ``offset`` cursors
         the emitted prefix is skipped eagerly here — the call returns once
         the stream is positioned at the suffix.
         """
-        data = _decode_token(cursor)
+        data = cursor if isinstance(cursor, dict) else decode_token(cursor)
         session = cls(graph, k, config, prep_plan=prep_plan)
         decoder = _TokenDecoder(session.engine.graph)
         token_epoch = decoder.count(data.get("epoch", 0), "epoch")
@@ -555,9 +604,8 @@ class EnumerationSession:
         frontier = data.get("frontier")
         if frontier is None:
             return session  # captured before the first batch: fresh start
-        frames, visited, stats, objective_state = decoder.frontier(frontier)
-        if solver:
-            session.engine.objective.load_state(objective_state, decoder.solution)
+        frames, visited, stats, incumbents = decoder.frontier(frontier)
+        session.engine.objective.restore(incumbents)
         raw = session.engine.resume_serial(frames, visited, stats)
         if solver:
             raw = session._solver_stream(raw)

@@ -332,9 +332,6 @@ class ReverseSearchEngine:
         # than locals of a generator) so a session can capture it between
         # yields and serialize a resumable cursor (frontier_state below).
         self._stack: Optional[List[List]] = None
-        # Elapsed seconds accumulated by earlier legs of a resumed run;
-        # the finally clauses add the current leg's wall clock on top.
-        self._elapsed_base = 0.0
         # Optional cooperative-cancellation probe (set by the parallel
         # worker): a zero-argument callable polled alongside the time check;
         # returning True aborts the traversal via _LimitReached without
@@ -400,7 +397,6 @@ class ReverseSearchEngine:
         self._start_time = time.perf_counter()
         self.stats = TraversalStats()
         self._visited = {}
-        self._elapsed_base = 0.0
         # A fresh run must not inherit an earlier run's incumbent: the
         # answer would still come out right (results() keeps the stored
         # solutions), but the stale bound would prune differently and the
@@ -463,7 +459,6 @@ class ReverseSearchEngine:
         self.stats = TraversalStats()
         self._visited = {root: 0}
         self._start_time = time.perf_counter()
-        self._elapsed_base = 0.0
         try:
             for child, child_exclusion, fresh in self._children(
                 root,
@@ -489,13 +484,18 @@ class ReverseSearchEngine:
         ``None`` when no traversal has started yet.  The snapshot contains
 
         * ``frames`` — the DFS stack bottom-to-top as
-          ``(solution, exclusion mask, already_output, depth)`` tuples (the
-          children iterators are deliberately absent: they are regenerated
-          on resume and the visited map makes the replay skip everything
+          ``(solution, already_output, depth)`` tuples (the children
+          iterators are deliberately absent: they are regenerated on
+          resume and the visited set makes the replay skip everything
           already handled),
-        * ``visited`` — a copy of the solution → exclusion-mask map,
-        * ``stats`` — a copy of the counters, with ``elapsed_seconds``
-          brought up to the capture instant.
+        * ``visited`` — the visited solutions, in discovery order,
+        * ``stats`` — a copy of the counters.
+
+        A serial run explores every frame, and stores every visited entry,
+        with an empty exclusion set: only shard workers inherit exclusion
+        prefixes, and workers mint no cursors.  So the snapshot carries no
+        exclusion, and :meth:`resume_serial` restores an empty one
+        everywhere.
 
         Everything is in the engine's *reduced* coordinate space; callers
         that serialize the state (see :mod:`repro.core.session`) translate
@@ -504,16 +504,10 @@ class ReverseSearchEngine:
         """
         if self._stack is None:
             return None
-        stats = replace(self.stats)
-        stats.elapsed_seconds = self._elapsed_base + (
-            time.perf_counter() - self._start_time
-        )
         return {
-            "frames": [
-                (frame[0], frame[4], bool(frame[2]), frame[3]) for frame in self._stack
-            ],
-            "visited": dict(self._visited),
-            "stats": stats,
+            "frames": [(frame[0], bool(frame[2]), frame[3]) for frame in self._stack],
+            "visited": list(self._visited),
+            "stats": replace(self.stats),
         }
 
     def resume_serial(self, frames, visited, stats: TraversalStats) -> Iterator[Biplex]:
@@ -521,13 +515,13 @@ class ReverseSearchEngine:
 
         The poly-delay structure is what makes this cheap: each restored
         frame replays its candidate scan once (skipping the children the
-        restored visited map already holds), after which the DFS proceeds
+        restored visited set already holds), after which the DFS proceeds
         exactly as the uninterrupted run would have — the solution stream
         is the exact suffix.  Work counters (``num_links`` etc.) count the
         replay work too, so a resumed run may report slightly more work
         than an uninterrupted one; ``num_reported`` and the solution set
-        are exact.  A configured ``time_limit`` budgets each resumed leg
-        afresh (``elapsed_seconds`` still accumulates across legs).
+        are exact.  The resumed leg times itself: ``elapsed_seconds`` and
+        a configured ``time_limit`` both start from this call.
         """
         self._check_epoch()
         self.stats = stats
@@ -536,18 +530,11 @@ class ReverseSearchEngine:
         # not make a subsequently-completed run read as truncated.
         stats.hit_result_limit = False
         stats.hit_time_limit = False
-        self._visited = dict(visited)
-        self._elapsed_base = stats.elapsed_seconds
+        self._visited = dict.fromkeys(visited, 0)
         self._start_time = time.perf_counter()
         stack: List[List] = [
-            [
-                solution,
-                self._children(solution, exclusion),
-                bool(already_output),
-                depth,
-                exclusion,
-            ]
-            for solution, exclusion, already_output, depth in frames
+            [solution, self._children(solution, 0), already_output, depth]
+            for solution, already_output, depth in frames
         ]
         self._stack = stack
         try:
@@ -555,9 +542,7 @@ class ReverseSearchEngine:
         except _LimitReached:
             pass
         finally:
-            self.stats.elapsed_seconds = self._elapsed_base + (
-                time.perf_counter() - self._start_time
-            )
+            self.stats.elapsed_seconds = time.perf_counter() - self._start_time
 
     # ------------------------------------------------------------------ #
     # DFS driver
@@ -581,17 +566,13 @@ class ReverseSearchEngine:
         """
         alternate = self.config.output_order == "alternate"
         # Each frame: [solution, children iterator, already_output flag,
-        # depth, exclusion].  The exclusion the children iterator was
-        # created with is kept on the frame because the iterator itself is
-        # not serializable: a cursor stores (solution, exclusion,
-        # already_output, depth) and resume_serial regenerates the iterator
-        # — replaying a frame's candidate scan skips everything the visited
-        # map already holds, so the replay continues exactly where the
-        # captured iterator stopped (at the cost of re-scoring that frame's
-        # earlier candidates once).
-        stack: List[List] = [
-            [initial, self._children(initial, exclusion), not fresh, depth, exclusion]
-        ]
+        # depth].  The iterator is not serializable: a cursor stores the
+        # rest and resume_serial regenerates the iterator — replaying a
+        # frame's candidate scan skips everything the visited map already
+        # holds, so the replay continues exactly where the captured
+        # iterator stopped (at the cost of re-scoring that frame's earlier
+        # candidates once).
+        stack: List[List] = [[initial, self._children(initial, exclusion), not fresh, depth]]
         self._stack = stack
         if fresh and (not alternate or self._output_now(depth)):
             # The flag is raised *before* the yield: a consumer suspended at
@@ -613,7 +594,7 @@ class ReverseSearchEngine:
         alternate = self.config.output_order == "alternate"
         while stack:
             frame = stack[-1]
-            solution, children, already_output, depth, _exclusion = frame
+            solution, children, already_output, depth = frame
             child = next(children, None)
             # After the step, before anything it produced is reported: a
             # step that overlapped an edit of the graph is discarded.
@@ -633,7 +614,6 @@ class ReverseSearchEngine:
                 self._children(child_solution, child_exclusion),
                 not child_fresh,
                 child_depth,
-                child_exclusion,
             ]
             # Push before reporting: a cursor captured at the report yield
             # must include the child frame, or its subtree would be lost on

@@ -33,12 +33,15 @@ the current budgets clamp it and a malformed one answers 400.
 
 Service cursors
 ---------------
-Page responses carry a ``repro-service-cursor/1`` token: the normalized
-query plus the engine-level ``repro-cursor/2`` token.  That makes the
-cursor the durable pagination handle — it survives session-table
-eviction *and* daemon restarts, because resuming needs nothing but the
-token (the graph is re-resolved from the embedded query, hot from the
-registry when possible).
+Page responses carry a ``repro-cursor/3`` token: the engine cursor
+document plus the normalized query, minted in one encoding by
+:meth:`~repro.core.session.EnumerationSession.cursor` (this module never
+sees the wire format).  That makes the cursor the durable pagination
+handle — it survives session-table eviction *and* daemon restarts,
+because resuming needs nothing but the token: it is decoded once, the
+graph is re-resolved from the embedded query (hot from the registry when
+possible) and the document goes to
+:meth:`~repro.core.session.EnumerationSession.resume`.
 
 Result caching
 --------------
@@ -50,20 +53,18 @@ fixed configuration and cache fine.
 
 from __future__ import annotations
 
-import base64
 import copy
 import json
 import os
 import threading
 import time
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.itraversal import ITraversal, itraversal_config
 from ..core.objective import resolve_objective
-from ..core.session import CursorError, EnumerationSession, StaleCursorError
+from ..core.session import CursorError, EnumerationSession, StaleCursorError, decode_token
 from ..graph.bipartite import BipartiteGraph
 from ..graph.io import read_edge_list
 from ..obs import SlowQueryLog, get_registry, new_trace_id, span, trace
@@ -72,9 +73,6 @@ from ..prep import resolve_order_strategy, resolve_prep
 from .registry import HotGraphRegistry, inline_graph_key
 from .sessions import SessionExpired, SessionTable
 from .status import status_block
-
-#: Schema tag of the self-contained pagination token.
-SERVICE_CURSOR_SCHEMA = "repro-service-cursor/1"
 
 
 class QueryError(ValueError):
@@ -130,24 +128,6 @@ class Budgets:
         if not isinstance(requested, int) or isinstance(requested, bool) or requested < 1:
             raise QueryError("page_size must be a positive integer")
         return min(requested, self.max_page_size)
-
-
-def _encode_service_cursor(payload: dict) -> str:
-    raw = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
-    return base64.urlsafe_b64encode(zlib.compress(raw, 6)).decode("ascii")
-
-
-def _decode_service_cursor(token: str) -> dict:
-    try:
-        raw = zlib.decompress(base64.urlsafe_b64decode(token.encode("ascii")))
-        data = json.loads(raw)
-    except Exception as error:
-        raise ServiceCursorError(f"malformed service cursor: {error}") from None
-    if not isinstance(data, dict) or data.get("schema") != SERVICE_CURSOR_SCHEMA:
-        raise ServiceCursorError(
-            f"unsupported service cursor schema; expected {SERVICE_CURSOR_SCHEMA}"
-        )
-    return data
 
 
 def _split_trace_flag(query) -> Tuple[object, bool]:
@@ -660,11 +640,13 @@ class QueryService:
         return self.sessions.remove(session_id)
 
     def _resume_record(self, cursor: str):
-        data = _decode_service_cursor(cursor)
-        embedded = data.get("query")
-        token = data.get("cursor")
-        if not isinstance(embedded, dict) or not isinstance(token, str):
-            raise ServiceCursorError("service cursor is missing its query or engine token")
+        try:
+            document = decode_token(cursor)
+        except CursorError as error:
+            raise ServiceCursorError(str(error)) from None
+        embedded = document.get("query")
+        if not isinstance(embedded, dict):
+            raise ServiceCursorError("service cursor is missing its query")
         # The token is client-held and unsigned: its query gets the same
         # validation and budget clamps as a fresh one.
         try:
@@ -675,7 +657,7 @@ class QueryService:
         config = self._config_for(normalized)
         try:
             session = EnumerationSession.resume(
-                None, normalized["k"], token, config, prep_plan=plan
+                None, normalized["k"], document, config, prep_plan=plan
             )
         except StaleCursorError as error:
             raise ServiceStaleCursorError(str(error)) from None
@@ -699,13 +681,7 @@ class QueryService:
             solutions = [s.to_lists() for s in batch]
         with self._lock:
             self.pages_served += 1
-        token = _encode_service_cursor(
-            {
-                "schema": SERVICE_CURSOR_SCHEMA,
-                "query": record.query,
-                "cursor": session.cursor(),
-            }
-        )
+        token = session.cursor(query=record.query)
         exhausted = session.exhausted
         if exhausted:
             # A finished session holds no more answers — free it now; the

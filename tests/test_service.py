@@ -5,7 +5,7 @@ performs **zero** graph loads and zero prep builds (asserted through the
 hit counters) and is measurably faster than the cold run.  Around that:
 session TTL/capacity eviction with cursor survival, budget clamps,
 result-cache semantics (never cache time-limit truncation), and the
-service-cursor envelope surviving a simulated daemon restart.
+service cursor surviving a simulated daemon restart.
 """
 
 from __future__ import annotations
@@ -439,15 +439,15 @@ class TestServiceCursorValidation:
 
     @staticmethod
     def _edit(cursor, **changes):
-        from repro.service.query import _decode_service_cursor, _encode_service_cursor
+        from repro.core.session import decode_token, encode_token
 
-        data = _decode_service_cursor(cursor)
+        data = decode_token(cursor)
         for name, value in changes.items():
             if value is _DROP:
                 del data["query"][name]
             else:
                 data["query"][name] = value
-        return _encode_service_cursor(data)
+        return encode_token(data)
 
     def test_edited_cursor_is_clamped_to_the_cap(self):
         service = QueryService(budgets=Budgets(max_results_cap=10, time_limit_cap=1.0))
@@ -480,17 +480,17 @@ class TestServiceCursorValidation:
 
 
 def _tamper(token: dict, variant: str) -> None:
-    """Apply one edit to a decoded engine cursor token with a frontier."""
+    """Apply one edit to a decoded cursor token with a frontier."""
     frontier = token["frontier"]
     top = frontier["frames"][-1]
     if variant == "negative-left-id":
-        top[0][0].append(-1)
+        top[0] = "-1"
     elif variant == "left-id-60":
-        top[0][0].append(60)
+        top[0] = format(int(top[0], 16) | 1 << 60, "x")
     elif variant == "left-id-1e8":
-        top[0][0].append(10**8)
+        top[0] = "1" + "0" * 10**6
     elif variant == "string-left-id":
-        top[0][0].append("3")
+        top[0] = "1_0"  # int("1_0", 16) == 16 would pass a bare int parse
     elif variant == "string-depth":
         top[3] = "deep"
     elif variant == "one-element-frame":
@@ -499,8 +499,62 @@ def _tamper(token: dict, variant: str) -> None:
         del frontier["visited"][0][1:]
     elif variant == "unknown-stats-field":
         frontier["stats"]["num_bogus"] = 1
+    elif variant == "negative-counter":
+        frontier["stats"]["num_reported"] = -1000
+    elif variant == "fractional-counter":
+        frontier["stats"]["num_links"] = 0.5
     else:
         raise AssertionError(variant)
+
+
+class TestCursorDecompressionCap:
+    """A cursor inflates to at most ``MAX_DOCUMENT_BYTES``.
+
+    The bomb is 200 MB of zeros, 0.2 MB compressed: refused with the limit
+    named, and without holding as much as the cap in memory on the way.
+    """
+
+    @pytest.fixture(scope="class")
+    def bomb(self):
+        import base64
+        import zlib
+
+        packer = zlib.compressobj(9)
+        zeros = bytes(2**20)
+        body = b"".join(packer.compress(zeros) for _ in range(200)) + packer.flush()
+        return base64.urlsafe_b64encode(body).decode("ascii")
+
+    @staticmethod
+    def _refused_peak(call, error):
+        import tracemalloc
+
+        from repro.core.session import MAX_DOCUMENT_BYTES
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=str(MAX_DOCUMENT_BYTES)):
+                call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_library_refuses_the_bomb(self, bomb):
+        from repro.core import CursorError, EnumerationSession
+        from repro.core.session import MAX_DOCUMENT_BYTES
+
+        peak = self._refused_peak(
+            lambda: EnumerationSession.resume(paper_example_graph(), 1, bomb), CursorError
+        )
+        assert peak < MAX_DOCUMENT_BYTES
+
+    def test_service_refuses_the_bomb(self, bomb):
+        from repro.core.session import MAX_DOCUMENT_BYTES
+
+        service = QueryService()
+        peak = self._refused_peak(
+            lambda: service.next_page(cursor=bomb), ServiceCursorError
+        )
+        assert peak < MAX_DOCUMENT_BYTES
 
 
 class TestTamperedEngineFrontier:
@@ -528,6 +582,8 @@ class TestTamperedEngineFrontier:
         "one-element-frame",
         "one-element-visited-entry",
         "unknown-stats-field",
+        "negative-counter",
+        "fractional-counter",
     )
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -535,29 +591,26 @@ class TestTamperedEngineFrontier:
         from repro.analysis.datasets import load_dataset
         from repro.core import CursorError, EnumerationSession
         from repro.core.itraversal import itraversal_config
-        from repro.core.session import _decode_token, _encode_token
+        from repro.core.session import decode_token, encode_token
 
         graph = load_dataset("divorce")
         config = itraversal_config(theta_left=4, theta_right=4, jobs=1, prep="core")
         session = EnumerationSession(graph, 1, config)
         session.next_batch(5)
-        token = _decode_token(session.cursor())
+        token = decode_token(session.cursor())
         _tamper(token, variant)
         with pytest.raises(CursorError):
-            EnumerationSession.resume(graph, 1, _encode_token(token), config)
+            EnumerationSession.resume(graph, 1, encode_token(token), config)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_service_answers_cursor_error_and_keeps_no_session(self, variant):
-        from repro.core.session import _decode_token, _encode_token
-        from repro.service.query import _decode_service_cursor, _encode_service_cursor
+        from repro.core.session import decode_token, encode_token
 
         service = QueryService()
         page = service.open_session(self.QUERY, page_size=5)
-        envelope = _decode_service_cursor(page["cursor"])
-        token = _decode_token(envelope["cursor"])
+        token = decode_token(page["cursor"])
         _tamper(token, variant)
-        envelope["cursor"] = _encode_token(token)
         live = service.stats()["sessions_live"]
         with pytest.raises(ServiceCursorError, match="cursor"):
-            service.next_page(cursor=_encode_service_cursor(envelope))
+            service.next_page(cursor=encode_token(token))
         assert service.stats()["sessions_live"] == live

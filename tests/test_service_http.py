@@ -314,23 +314,43 @@ class TestUpdateRoute:
         assert status == 409 and error["code"] == "stale_cursor"
 
     def test_edited_cursor_query_is_400(self, daemon):
-        from repro.service.query import _decode_service_cursor, _encode_service_cursor
+        from repro.core.session import decode_token, encode_token
 
         status, page = http_json(
             daemon, "POST", "/v1/enumerate",
             {"query": inline_query(), "paginate": True, "page_size": 2},
         )
         assert status == 200
-        data = _decode_service_cursor(page["cursor"])
+        data = decode_token(page["cursor"])
         data["query"]["backend"] = "bitset"
         status, error = http_json(
-            daemon, "POST", "/v1/paginate", {"cursor": _encode_service_cursor(data)}
+            daemon, "POST", "/v1/paginate", {"cursor": encode_token(data)}
         )
         assert status == 400 and "backend" in error["error"]
 
+    @pytest.mark.parametrize("schema", ["repro-cursor/2", "repro-service-cursor/1"])
+    def test_retired_cursor_schema_is_400(self, daemon, schema):
+        from repro.core.session import decode_token, encode_token
+
+        status, page = http_json(
+            daemon, "POST", "/v1/enumerate",
+            {"query": inline_query(), "paginate": True, "page_size": 2},
+        )
+        assert status == 200
+        document = decode_token(page["cursor"])
+        query = document.pop("query")
+        old_engine = {**document, "schema": "repro-cursor/2"}
+        if schema == "repro-cursor/2":
+            old = {**old_engine, "query": query}
+        else:
+            old = {"schema": schema, "query": query, "cursor": encode_token(old_engine)}
+        status, error = http_json(
+            daemon, "POST", "/v1/paginate", {"cursor": encode_token(old)}
+        )
+        assert status == 400 and "unsupported cursor schema" in error["error"]
+
     def test_tampered_engine_frontier_is_400(self, daemon):
-        from repro.core.session import _decode_token, _encode_token
-        from repro.service.query import _decode_service_cursor, _encode_service_cursor
+        from repro.core.session import decode_token, encode_token
 
         query = {
             "graph": {"dataset": "divorce"}, "k": 1, "theta_left": 4, "theta_right": 4, "jobs": 1,
@@ -340,13 +360,12 @@ class TestUpdateRoute:
             {"query": query, "paginate": True, "page_size": 5},
         )
         assert status == 200
-        envelope = _decode_service_cursor(page["cursor"])
-        token = _decode_token(envelope["cursor"])
-        token["frontier"]["frames"][-1][0][0].append(60)  # the reduced graph is 9x29
-        envelope["cursor"] = _encode_token(token)
+        token = decode_token(page["cursor"])
+        top = token["frontier"]["frames"][-1]
+        top[0] = format(int(top[0], 16) | 1 << 60, "x")  # the reduced graph is 9x29
         live = http_json(daemon, "GET", "/v1/stats")[1]["sessions_live"]
         status, error = http_json(
-            daemon, "POST", "/v1/paginate", {"cursor": _encode_service_cursor(envelope)}
+            daemon, "POST", "/v1/paginate", {"cursor": encode_token(token)}
         )
         assert status == 400 and "not in the graph" in error["error"]
         assert http_json(daemon, "GET", "/v1/stats")[1]["sessions_live"] == live

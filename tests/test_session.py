@@ -11,6 +11,7 @@ fingerprint hashes the adjacency, not how it was filled).
 
 from __future__ import annotations
 
+import base64
 import os
 import subprocess
 import sys
@@ -190,6 +191,13 @@ class TestCursorHygiene:
             EnumerationSession.resume(
                 paper_example_graph(), 1, "not-a-token", itraversal_config()
             )
+        session = _session(paper_example_graph())
+        session.next_batch(2)
+        truncated = base64.urlsafe_b64encode(
+            base64.urlsafe_b64decode(session.cursor())[:-8]
+        ).decode("ascii")
+        with pytest.raises(CursorError, match="truncated"):
+            EnumerationSession.resume(paper_example_graph(), 1, truncated, itraversal_config())
 
     def test_wrong_graph_rejected(self):
         session = _session(paper_example_graph())
@@ -217,18 +225,67 @@ class TestCursorHygiene:
 
     @pytest.mark.parametrize("objective, top", [("maximum", None), ("top-k", 2)])
     def test_out_of_range_objective_state_rejected(self, objective, top):
-        from repro.core.session import _decode_token, _encode_token
+        from repro.core.session import decode_token, encode_token
 
         graph = paper_example_graph()
         config = itraversal_config(objective=objective, top=top, max_results=3, jobs=1)
         session = EnumerationSession(graph, 1, config)
         session.next_batch(1)
-        token = _decode_token(session.cursor())
-        state = token["frontier"]["objective"]
-        pair = state["best"] if objective == "maximum" else state["items"][0]
-        pair[0].append(graph.n_left)
+        token = decode_token(session.cursor())
+        incumbent = token["frontier"]["incumbents"][0]
+        incumbent[0] = format(int(incumbent[0], 16) | 1 << graph.n_left, "x")
         with pytest.raises(CursorError, match="not in the graph"):
-            EnumerationSession.resume(graph, 1, _encode_token(token), config)
+            EnumerationSession.resume(graph, 1, encode_token(token), config)
+
+    @pytest.mark.parametrize("schema", ["repro-cursor/2", "repro-service-cursor/1"])
+    def test_retired_schemas_rejected(self, schema):
+        """``/2`` engine tokens and the old service envelope are refused."""
+        from repro.core.session import decode_token, encode_token
+
+        graph = paper_example_graph()
+        session = _session(graph, jobs=1)
+        session.next_batch(2)
+        document = decode_token(session.cursor())
+        old_engine = {**document, "schema": "repro-cursor/2"}
+        if schema == "repro-cursor/2":
+            old = old_engine
+        else:
+            old = {"schema": schema, "query": {}, "cursor": encode_token(old_engine)}
+        with pytest.raises(CursorError, match="unsupported cursor schema"):
+            EnumerationSession.resume(graph, 1, encode_token(old), itraversal_config(jobs=1))
+
+    def test_equal_positions_mint_identical_cursors(self):
+        """A token carries no wall clock: two sessions of one serial query
+        paged to the same point mint the same bytes."""
+        tokens = set()
+        for _ in range(2):
+            session = _session(GRAPHS[1], jobs=1)
+            session.next_batch(5)
+            tokens.add(session.cursor())
+        assert len(tokens) == 1
+
+    @pytest.mark.parametrize(
+        "text", ["-1", "+1", " 1", "1 ", "0x1", "1_0", "A", "١", "", 1, None]
+    )
+    def test_mask_must_be_lowercase_hex(self, text):
+        """``int(text, 16)`` takes signs, spaces, ``0x`` and underscores; a
+        cursor mask takes only the digits ``0-9a-f``."""
+        from repro.core.session import _TokenDecoder
+
+        with pytest.raises(CursorError):
+            _TokenDecoder(paper_example_graph()).solution([text, "0"])
+
+    def test_mask_length_and_range_follow_the_side(self):
+        """At most one digit per four vertices (one when the side is empty),
+        and no bit at or above the side's size."""
+        from repro.core.session import _TokenDecoder
+        from repro.graph import BipartiteGraph
+
+        decoder = _TokenDecoder(BipartiteGraph(9, 0))
+        assert decoder.solution(["1ff", "0"]).left_mask == 0x1FF
+        for left, right in (("200", "0"), ("01ff", "0"), ("0", "1"), ("0", "00")):
+            with pytest.raises(CursorError, match="not in the graph"):
+                decoder.solution([left, right])
 
     def test_budgets_may_differ_on_resume(self):
         """max_results / time_limit are deliberately not fingerprinted.

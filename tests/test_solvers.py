@@ -99,7 +99,7 @@ class TestObjectiveUnits:
             objective.observe(self._biplex([0, 1], [2]))
             objective.observe(self._biplex([0], [2, 3]))
             clone = type(objective)(3) if isinstance(objective, TopK) else type(objective)()
-            clone.load_state(objective.state())
+            clone.restore(objective.results())
             assert clone.results() == objective.results()
             assert clone.prune_below() == objective.prune_below()
 
