@@ -166,11 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument("--theta", type=int, default=0, help="min size of both sides")
     run_parser.add_argument("--prep", default=None, help="preprocessing mode (see enumerate --help)")
-    run_parser.add_argument(
-        "--order",
-        default=None,
-        help="candidate ordering for core+order prep: degeneracy, degree, gamma or auto",
-    )
     run_parser.add_argument("--jobs", type=int, default=None)
     run_parser.add_argument(
         "--mode",
@@ -297,19 +292,23 @@ def _command_enumerate(args: argparse.Namespace) -> int:
             else:
                 graph = read_edge_list(args.input)
         with obs_span("plan"):
-            algorithm = ITraversal(
-                graph,
-                args.k,
-                variant=args.variant,
-                theta_left=args.theta,
-                theta_right=args.theta,
-                max_results=args.max_results,
-                time_limit=args.time_limit,
-                jobs=jobs,
-                prep=prep,
-                mode=mode,
-                top=top,
-            )
+            try:
+                algorithm = ITraversal(
+                    graph,
+                    args.k,
+                    variant=args.variant,
+                    theta_left=args.theta,
+                    theta_right=args.theta,
+                    max_results=args.max_results,
+                    time_limit=args.time_limit,
+                    jobs=jobs,
+                    prep=prep,
+                    mode=mode,
+                    top=top,
+                )
+            except ValueError as error:
+                print(f"error: {error}", file=sys.stderr)
+                return 2
         with obs_span("traverse"):
             solutions = algorithm.enumerate()
     stats = algorithm.stats
@@ -413,7 +412,6 @@ def _query_document(args: argparse.Namespace) -> dict:
         "theta_left": args.theta,
         "theta_right": args.theta,
         "prep": args.prep,
-        "order_strategy": args.order,
         "jobs": args.jobs,
         "max_results": args.max_results,
         "time_limit": args.time_limit,
@@ -522,7 +520,7 @@ def _print_solutions(solutions, status, fmt: str, trace_block=None) -> None:
         )
     if prep:
         print(
-            f"# prep={prep['mode']} order={prep['order_strategy']} "
+            f"# prep={prep['mode']} "
             f"removed_left={prep['removed_left']} removed_right={prep['removed_right']} "
             f"removed_edges={prep['removed_edges']}"
         )

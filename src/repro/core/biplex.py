@@ -345,28 +345,18 @@ def initial_solution_right_anchored(graph: BipartiteGraph, k: int) -> Biplex:
     return extend_to_maximal(graph, range(graph.n_left), (), k, candidate_left=())
 
 
-def arbitrary_initial_solution(graph: BipartiteGraph, k: int, order: Optional[Sequence[Tuple[str, int]]] = None) -> Biplex:
+def arbitrary_initial_solution(graph: BipartiteGraph, k: int) -> Biplex:
     """An arbitrary maximal k-biplex, as used by bTraversal.
 
-    ``order`` optionally fixes the insertion order as a sequence of
-    ``("L", id)`` / ``("R", id)`` pairs; by default vertices are interleaved
-    left/right in ascending id order, which tends to give a balanced seed.
+    Vertices are offered interleaved left/right in ascending id order,
+    which tends to give a balanced seed.
     """
     left_mask = right_mask = 0
-    if order is None:
-        interleaved = []
-        for i in range(max(graph.n_left, graph.n_right)):
-            if i < graph.n_left:
-                interleaved.append(("L", i))
-            if i < graph.n_right:
-                interleaved.append(("R", i))
-        order = interleaved
-    for side, vertex in order:
-        if side == "L":
-            if can_add_left_masked(graph, left_mask, right_mask, vertex, k):
-                left_mask |= 1 << vertex
-        elif can_add_right_masked(graph, left_mask, right_mask, vertex, k):
-            right_mask |= 1 << vertex
+    for i in range(max(graph.n_left, graph.n_right)):
+        if i < graph.n_left and can_add_left_masked(graph, left_mask, right_mask, i, k):
+            left_mask |= 1 << i
+        if i < graph.n_right and can_add_right_masked(graph, left_mask, right_mask, i, k):
+            right_mask |= 1 << i
     return extend_to_maximal(graph, left_mask, right_mask, k)
 
 

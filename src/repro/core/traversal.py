@@ -83,9 +83,11 @@ class TraversalConfig:
     theta_left, theta_right:
         Large-MBP thresholds (Section 5); 0 disables size filtering.
     max_results:
-        Stop after yielding this many solutions (``None`` = unlimited).
+        Stop after yielding this many solutions, at least 1 (``None`` =
+        unlimited).
     time_limit:
-        Wall-clock budget in seconds (``None`` = unlimited).
+        Wall-clock budget in seconds, non-negative and not NaN (``None`` =
+        unlimited).
     output_order:
         ``"pre"`` yields a solution as soon as it is discovered;
         ``"alternate"`` applies the alternating-output trick of Uno (2003)
@@ -96,8 +98,12 @@ class TraversalConfig:
         ``REPRO_JOBS`` environment variable (falling back to 1), ``0`` means
         one worker per CPU core, and any value above 1 partitions the
         traversal forest by root anchor and fans the subtrees out over a
-        process pool.  A parallel run yields its merged solutions in
-        canonical ascending :meth:`Biplex.key` order (deterministic, and
+        process pool.  The pool never has more workers than shards or
+        than CPU cores (``os.cpu_count()``), however large ``jobs`` is;
+        ``jobs`` itself is kept as given, so the output order and the
+        merged-stats contract follow it, not the pool size.  A parallel
+        run yields its merged solutions in canonical ascending
+        :meth:`Biplex.key` order (deterministic, and
         equal to the serial output sorted the same way); the
         degenerate-plan fallback (fewer than two shards) keeps the serial
         DFS order.  An *uncapped* run enumerates exactly the serial
@@ -170,6 +176,11 @@ class TraversalConfig:
             raise ValueError(f"prep must be one of {PREP_MODES}")
         if self.jobs is not None and self.jobs < 0:
             raise ValueError("jobs must be None or >= 0 (0 = one worker per CPU core)")
+        if self.max_results is not None and self.max_results < 1:
+            raise ValueError("max_results must be a positive integer or None")
+        # ``not >= 0`` holds for NaN too, a deadline that would never fire.
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise ValueError("time_limit must be a non-negative number or None")
         # One validator for CLI flags, service queries and direct
         # construction — all three reject bad (objective, top) pairs with
         # the same message.

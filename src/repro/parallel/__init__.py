@@ -40,9 +40,10 @@ Execution model
 ---------------
 The coordinator (:func:`repro.parallel.engine.run_parallel`) computes the
 root and the shard plan, then fans the shards out over ``jobs`` worker
-processes through a task queue (dynamic load balancing: workers pull the
-next shard when done).  Workers stream batches of solutions back through a
-result queue; the coordinator deduplicates against everything already seen,
+processes — at most one per shard and one per CPU core — through a task
+queue (dynamic load balancing: workers pull the next shard when done).
+Workers stream batches of solutions back through a result queue; the
+coordinator deduplicates against everything already seen,
 buffers, and finally yields in canonical sorted order (deterministic, and
 equal to the serial output sorted by :meth:`Biplex.key`, which is what the
 differential harness pins).  ``max_results`` and ``time_limit`` are

@@ -25,11 +25,6 @@ from ..obs import current_trace, get_registry
 from .shards import shard_plan
 from .worker import fold_stats, worker_main
 
-#: Environment variable forcing a multiprocessing start method (``fork`` /
-#: ``spawn`` / ``forkserver``).  Default: ``fork`` where available (cheap,
-#: no pickling of the graph), the platform default otherwise.
-START_METHOD_ENV_VAR = "REPRO_PARALLEL_START_METHOD"
-
 _POLL_SECONDS = 0.05
 _JOIN_SECONDS = 2.0
 
@@ -42,9 +37,7 @@ _COORDINATOR_FIELDS = frozenset(
 
 
 def _mp_context():
-    method = os.environ.get(START_METHOD_ENV_VAR)
-    if method:
-        return multiprocessing.get_context(method)
+    # fork where available: cheap, and the graph is not pickled.
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
@@ -131,7 +124,9 @@ def run_parallel(engine) -> Iterator[Biplex]:
             if bound > raw.value:
                 raw.value = bound
 
-    worker_count = min(jobs, len(shards))
+    # ``jobs`` comes from outside (a query, a flag): the pool never outgrows
+    # the shards or the cores, so one request cannot fork without bound.
+    worker_count = min(jobs, len(shards), os.cpu_count() or 1)
     # The request trace (if any) propagates into the workers by id only;
     # each worker ships its span subtree back in its "done" message and the
     # coordinator grafts it under the active span (Trace.attach).

@@ -19,11 +19,16 @@ A query is a JSON-shaped dict::
      "variant": "full",              # ITraversal.VARIANTS
      "theta_left": 0, "theta_right": 0,
      "prep": null,                   # null → REPRO_PREP default
-     "order_strategy": null,         # null → REPRO_ORDER default
      "jobs": null,                   # null → REPRO_JOBS default
      "max_results": null, "time_limit": null,
      "mode": "enumerate",            # | "maximum" | "top-k" (with "top": N)
      "top": null}
+
+``prep`` alone decides the candidate order (``core+order`` is the
+degeneracy peel).  ``time_limit`` is a finite positive number of seconds;
+``NaN`` and the infinities answer 400, since the engine's deadline check
+would never fire on them.  Any other field, a retired one included,
+answers 400 naming the field.
 
 Normalization resolves every ``null`` against the environment defaults,
 so the normalized document is self-contained: it is the result-cache key,
@@ -55,6 +60,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import threading
 import time
@@ -69,7 +75,7 @@ from ..graph.bipartite import BipartiteGraph
 from ..graph.io import read_edge_list
 from ..obs import SlowQueryLog, get_registry, new_trace_id, span, trace
 from ..parallel import resolve_jobs
-from ..prep import resolve_order_strategy, resolve_prep
+from ..prep import resolve_prep
 from .registry import HotGraphRegistry, inline_graph_key
 from .sessions import SessionExpired, SessionTable
 from .status import status_block
@@ -225,7 +231,6 @@ class QueryService:
             "theta_left",
             "theta_right",
             "prep",
-            "order_strategy",
             "jobs",
             "max_results",
             "time_limit",
@@ -238,7 +243,7 @@ class QueryService:
         k = query.get("k")
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise QueryError("k must be a positive integer")
-        for name in ("variant", "prep", "order_strategy", "mode"):
+        for name in ("variant", "prep", "mode"):
             if query.get(name) is not None and not isinstance(query[name], str):
                 raise QueryError(f"{name} must be a string or null")
         jobs = query.get("jobs")
@@ -253,11 +258,6 @@ class QueryService:
         theta_right = self._int_field(query, "theta_right", 0)
         try:
             prep = resolve_prep(query.get("prep"))
-            order_strategy = (
-                resolve_order_strategy(query.get("order_strategy"))
-                if prep == "core+order"
-                else None
-            )
             jobs = resolve_jobs(jobs)
             mode, top = resolve_objective(query.get("mode"), query.get("top"))
         except ValueError as error:
@@ -269,9 +269,11 @@ class QueryService:
             raise QueryError("max_results must be a positive integer or null")
         time_limit = query.get("time_limit")
         if time_limit is not None and (
-            not isinstance(time_limit, (int, float)) or isinstance(time_limit, bool) or time_limit <= 0
+            not isinstance(time_limit, (int, float))
+            or isinstance(time_limit, bool)
+            or not 0 < time_limit < math.inf  # the comparison is false for NaN
         ):
-            raise QueryError("time_limit must be a positive number or null")
+            raise QueryError("time_limit must be a finite positive number or null")
         return {
             "graph": graph_spec,
             "k": k,
@@ -279,7 +281,6 @@ class QueryService:
             "theta_left": theta_left,
             "theta_right": theta_right,
             "prep": prep,
-            "order_strategy": order_strategy,
             "jobs": jobs,
             "max_results": self.budgets.clamp_max_results(max_results),
             "time_limit": self.budgets.clamp_time_limit(time_limit),
@@ -397,7 +398,6 @@ class QueryService:
             normalized["prep"],
             normalized["theta_left"],
             normalized["theta_right"],
-            order_strategy=normalized["order_strategy"],
         )
 
     def _config_for(self, normalized: dict):

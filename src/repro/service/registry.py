@@ -9,9 +9,9 @@ registry memoizes both:
   dataset name, or a content hash for inline edge lists — and kept in an
   LRU of ``capacity`` entries;
 * **prep plans** are keyed by ``(graph key, k, prep mode, θ_L, θ_R,
-  order strategy, epoch)`` — everything the deterministic reduction +
-  ordering depends on — in their own, larger LRU (evicting a graph also
-  drops its plans).  Prep is objective-blind, so one plan serves the
+  epoch)`` — everything the deterministic reduction + ordering depends
+  on (the mode alone decides the ordering) — in their own, larger LRU
+  (evicting a graph also drops its plans).  Prep is objective-blind, so one plan serves the
   enumerate, maximum and top-k queries of one parameterization.
 
 Hit/miss counters are part of the contract: the acceptance test (and the
@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Iterable, Tuple
 
 # ``as_backend`` is an identity kept importable here: benchmark tracers wrap
 # it by module attribute.
@@ -133,7 +133,6 @@ class HotGraphRegistry:
         prep: str,
         theta_left: int,
         theta_right: int,
-        order_strategy: Optional[str] = None,
     ):
         """The prepared :class:`~repro.prep.plan.PrepPlan` for one parameterization.
 
@@ -150,7 +149,7 @@ class HotGraphRegistry:
         :func:`repro.prep.prepare`.
         """
         epoch = graph.epoch
-        params = (key, k, prep, theta_left, theta_right, order_strategy)
+        params = (key, k, prep, theta_left, theta_right)
         plan_key = params + (epoch,)
         metrics = get_registry()
         with self._lock:
@@ -171,26 +170,11 @@ class HotGraphRegistry:
         if metrics.enabled:
             metrics.inc("registry_cache_total", cache="plan", outcome="miss")
         if previous is not None:
-            plan = reprepare(
-                graph,
-                k,
-                previous,
-                mode=prep,
-                theta_left=theta_left,
-                theta_right=theta_right,
-                order_strategy=order_strategy,
-            )
+            plan = reprepare(graph, k, prep, theta_left, theta_right)
             if metrics.enabled:
                 metrics.inc("registry_plan_builds_total", path="repair")
         else:
-            plan = prepare(
-                graph,
-                k,
-                prep,
-                theta_left=theta_left,
-                theta_right=theta_right,
-                order_strategy=order_strategy,
-            )
+            plan = prepare(graph, k, prep, theta_left, theta_right)
             if metrics.enabled:
                 metrics.inc("registry_plan_builds_total", path="scratch")
         with self._lock:

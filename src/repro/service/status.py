@@ -6,7 +6,7 @@ consumer can switch between them without reparsing: the full
 :class:`~repro.core.traversal.TraversalStats` counters (including
 ``truncated`` and the parallel-only ``num_shards`` /
 ``num_duplicate_solutions`` / ``num_reexplorations``) plus the prep plan's
-reduction sizes and ordering.
+mode and reduction sizes (the mode alone names the candidate ordering).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ def status_block(stats: TraversalStats, plan=None, **extra) -> dict:
     if plan is not None:
         block["prep"] = {
             "mode": plan.mode,
-            "order_strategy": getattr(plan, "order_strategy", None),
             "removed_left": plan.removed_left,
             "removed_right": plan.removed_right,
             "removed_edges": plan.removed_edges,

@@ -233,6 +233,15 @@ class TestCLI:
         assert main(["enumerate", "--input", str(path), "--jobs", "-3"]) == 2
         assert "jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ("0", "-5"))
+    def test_enumerate_rejects_non_positive_max_results(self, tmp_path, capsys, cap):
+        path = tmp_path / "g.txt"
+        write_edge_list(paper_example_graph(), path)
+        assert main(["enumerate", "--input", str(path), "--max-results", cap]) == 2
+        captured = capsys.readouterr()
+        assert "max_results must be a positive integer" in captured.err
+        assert "L: [" not in captured.out
+
     def test_invalid_repro_jobs_env_is_a_clean_error(self, tmp_path, capsys, monkeypatch):
         from repro.parallel import JOBS_ENV_VAR
 

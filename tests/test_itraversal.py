@@ -327,3 +327,11 @@ class TestConfigHelpers:
             TraversalConfig(output_order="sideways")
         with pytest.raises(ValueError):
             TraversalConfig(theta_left=-1)
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="max_results must be a positive integer"):
+                TraversalConfig(max_results=bad)
+            with pytest.raises(ValueError, match="max_results must be a positive integer"):
+                ITraversal(paper_example_graph(), 1, max_results=bad)
+        for bad in (float("nan"), -1.0):
+            with pytest.raises(ValueError, match="time_limit must be a non-negative number"):
+                TraversalConfig(time_limit=bad)

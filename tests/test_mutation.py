@@ -228,7 +228,6 @@ class TestReprepare:
             plan.removed_left,
             plan.removed_right,
             plan.removed_edges,
-            plan.order_strategy,
             plan.epoch,
         )
 
@@ -236,30 +235,16 @@ class TestReprepare:
     def test_reprepare_is_content_identical_to_prepare(self, mode):
         for index, base in enumerate(GRAPHS):
             graph = base.copy()
-            previous = prepare(graph, 1, mode=mode, theta_left=2, theta_right=2)
             for inserts, deletes in mutation_script(graph, steps=4, seed=index):
-                applied_in, applied_del = [], []
                 for edge in inserts:
-                    if graph.add_edge(*edge):
-                        applied_in.append(edge)
+                    graph.add_edge(*edge)
                 for edge in deletes:
-                    if graph.remove_edge(*edge):
-                        applied_del.append(edge)
-                repaired = reprepare(
-                    graph,
-                    1,
-                    previous,
-                    inserts=applied_in,
-                    deletes=applied_del,
-                    mode=mode,
-                    theta_left=2,
-                    theta_right=2,
-                )
+                    graph.remove_edge(*edge)
+                repaired = reprepare(graph, 1, mode=mode, theta_left=2, theta_right=2)
                 scratch = prepare(graph, 1, mode=mode, theta_left=2, theta_right=2)
                 assert self._plan_content(repaired) == self._plan_content(
                     scratch
                 ), f"{mode} g{index} epoch={graph.epoch}"
-                previous = repaired
 
     @pytest.mark.parametrize(
         "inserts, deletes", ((((5, 5),), ()), ((), ((4, 0),))), ids=("insert", "delete")
@@ -270,18 +255,8 @@ class TestReprepare:
         # ``removed_edges`` must follow.
         block = [(v, u) for v in range(4) for u in range(4)]
         graph = BipartiteGraph(6, 6, block + [(4, 0), (0, 4)])
-        previous = prepare(graph, 1, mode="core", theta_left=3, theta_right=3)
         graph.apply_batch(inserts, deletes)
-        repaired = reprepare(
-            graph,
-            1,
-            previous,
-            inserts=inserts,
-            deletes=deletes,
-            mode="core",
-            theta_left=3,
-            theta_right=3,
-        )
+        repaired = reprepare(graph, 1, mode="core", theta_left=3, theta_right=3)
         scratch = prepare(graph, 1, mode="core", theta_left=3, theta_right=3)
         assert self._plan_content(repaired) == self._plan_content(scratch)
 

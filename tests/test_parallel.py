@@ -21,6 +21,7 @@ from repro.core.btraversal import btraversal_config
 from repro.core.traversal import ReverseSearchEngine, TraversalConfig
 from repro.core.verify import canonical, check_all_solutions, same_solutions
 from repro.graph import erdos_renyi_bipartite, mask_of, paper_example_graph
+from repro.obs import reset_registry
 from repro.parallel import JOBS_ENV_VAR, resolve_jobs, shard_plan
 
 
@@ -147,6 +148,24 @@ class TestParallelMatchesSerial:
         serial = ITraversal(graph, 1, jobs=1).enumerate()
         parallel = ITraversal(graph, 1, jobs=16).enumerate()
         assert same_solutions(serial, parallel)
+
+    def test_pool_never_outgrows_the_cores(self, monkeypatch):
+        # jobs arrives from queries and flags: asking for many workers must
+        # not fork one process per root anchor.
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        graph = GRAPHS[2]
+        engine = ReverseSearchEngine(graph, 1, TraversalConfig(jobs=1))
+        assert len(shard_plan(engine, engine._initial_solution())) >= 8
+        registry = reset_registry()
+        try:
+            algorithm = ITraversal(graph, 1, jobs=8)
+            parallel = algorithm.enumerate()
+            assert registry.counter_value("parallel_workers_total") == 2
+        finally:
+            reset_registry()
+        assert algorithm.config.jobs == 8 and algorithm.stats.num_shards >= 8
+        assert same_solutions(ITraversal(graph, 1, jobs=1).enumerate(), parallel)
 
     def test_env_default_engages_the_parallel_engine(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV_VAR, "2")

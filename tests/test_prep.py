@@ -8,7 +8,7 @@ Covers the pieces the differential harness cannot attribute precisely:
 * the fixpoint property the parallel workers rely on (re-reducing a
   reduced graph is an identity),
 * id remapping round-trips on graphs with isolated and peeled vertices,
-* the ordering heuristics (valid permutations, deterministic),
+* the degeneracy ordering (valid permutations, deterministic),
 * prep-mode resolution (``REPRO_PREP``, invalid values),
 * the exact output of the prep ablation on three pinned regimes,
 * the re-exploration cascade fallback's re-arm discipline.
@@ -32,12 +32,9 @@ from repro.graph import (
 )
 from repro.prep import (
     PREP_MODES,
-    ORDER_STRATEGIES,
     bitruss_support_bound,
     default_prep,
     degeneracy_order,
-    degree_order,
-    gamma_score_order,
     prepare,
     reduce_for_thresholds,
     resolve_prep,
@@ -241,25 +238,17 @@ class TestOnePeel:
 # Orderings
 # --------------------------------------------------------------------- #
 class TestOrderings:
-    @pytest.mark.parametrize("strategy", sorted(ORDER_STRATEGIES))
-    def test_orders_are_permutations(self, strategy):
+    @pytest.mark.parametrize("order", [degeneracy_order], ids=["degeneracy"])
+    def test_orders_are_permutations(self, order):
         for seed in range(4):
             graph = erdos_renyi_bipartite(7, 5, num_edges=15, seed=seed)
-            left, right = ORDER_STRATEGIES[strategy](graph)
+            left, right = order(graph)
             assert sorted(left) == list(graph.left_vertices())
             assert sorted(right) == list(graph.right_vertices())
 
     def test_orders_are_deterministic(self):
         graph = erdos_renyi_bipartite(9, 8, num_edges=30, seed=5)
         assert degeneracy_order(graph) == degeneracy_order(graph)
-        assert degree_order(graph) == degree_order(graph)
-        assert gamma_score_order(graph) == gamma_score_order(graph)
-
-    def test_degree_order_is_ascending(self):
-        graph = graph_with_fringe()
-        left, _ = degree_order(graph)
-        degrees = [graph.degree_of_left(v) for v in left]
-        assert degrees == sorted(degrees)
 
     def test_degeneracy_starts_at_minimum_degree(self):
         graph = graph_with_fringe()
@@ -267,85 +256,6 @@ class TestOrderings:
         # The isolated vertices peel first on their sides.
         assert left[0] == 5
         assert right[0] == 3
-
-
-class TestAutoOrder:
-    def test_dense_graph_picks_degree(self):
-        from repro.prep import choose_order_strategy
-        from repro.graph import BipartiteGraph
-
-        # Complete bipartite: density 1.0, way past the dense threshold.
-        edges = [(v, u) for v in range(4) for u in range(4)]
-        graph = BipartiteGraph(4, 4, edges=edges)
-        assert choose_order_strategy(graph) == "degree"
-
-    def test_hub_skewed_graph_picks_degeneracy(self):
-        from repro.prep import choose_order_strategy
-        from repro.graph import BipartiteGraph
-
-        # One left hub over a large sparse fringe: max degree far above mean.
-        edges = [(0, u) for u in range(12)] + [(v, v - 1) for v in range(1, 12)]
-        graph = BipartiteGraph(12, 12, edges=edges)
-        assert choose_order_strategy(graph) == "degeneracy"
-
-    def test_sparse_even_graph_picks_gamma(self):
-        from repro.prep import choose_order_strategy
-        from repro.graph import BipartiteGraph
-
-        # A long cycle: every degree 2, sparse — no hubs, no density.
-        n = 10
-        edges = [(v, v) for v in range(n)] + [(v, (v + 1) % n) for v in range(n)]
-        graph = BipartiteGraph(n, n, edges=edges)
-        assert choose_order_strategy(graph) == "gamma"
-
-    def test_degenerate_graphs_pick_degree(self):
-        from repro.prep import choose_order_strategy
-        from repro.graph import BipartiteGraph
-
-        assert choose_order_strategy(BipartiteGraph(0, 0, edges=[])) == "degree"
-        assert choose_order_strategy(BipartiteGraph(3, 3, edges=[])) == "degree"
-
-    def test_auto_is_a_registered_strategy(self):
-        for seed in range(3):
-            graph = erdos_renyi_bipartite(6, 6, num_edges=14, seed=seed)
-            left, right = ORDER_STRATEGIES["auto"](graph)
-            assert sorted(left) == list(graph.left_vertices())
-            assert sorted(right) == list(graph.right_vertices())
-
-    def test_plan_records_concrete_strategy(self):
-        from repro.prep import choose_order_strategy
-
-        graph = graph_with_fringe()
-        plan = prepare(graph, 1, "core+order", order_strategy="auto")
-        assert plan.order_strategy in ("degeneracy", "degree", "gamma")
-        assert plan.order_strategy == choose_order_strategy(plan.graph)
-        explicit = prepare(graph, 1, "core+order", order_strategy="gamma")
-        assert explicit.order_strategy == "gamma"
-        assert prepare(graph, 1, "core").order_strategy is None
-
-    def test_auto_preserves_solution_set(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ORDER", "auto")
-        for seed in range(3):
-            graph = erdos_renyi_bipartite(6, 5, num_edges=14, seed=seed)
-            baseline = ITraversal(graph, 1, prep="off").enumerate()
-            auto = ITraversal(graph, 1, prep="core+order").enumerate()
-            assert sorted(s.key() for s in auto) == sorted(s.key() for s in baseline)
-
-    def test_env_var_resolves_default(self, monkeypatch):
-        from repro.prep import default_order_strategy, resolve_order_strategy
-
-        monkeypatch.delenv("REPRO_ORDER", raising=False)
-        assert default_order_strategy() == "degeneracy"
-        assert resolve_order_strategy(None) == "degeneracy"
-        monkeypatch.setenv("REPRO_ORDER", "auto")
-        assert resolve_order_strategy(None) == "auto"
-        plan = prepare(graph_with_fringe(), 1, "core+order")
-        assert plan.order_strategy in ("degeneracy", "degree", "gamma")
-
-    def test_invalid_env_var_raises_with_its_name(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ORDER", "zigzag")
-        with pytest.raises(ValueError, match="REPRO_ORDER"):
-            prepare(graph_with_fringe(), 1, "core+order")
 
 
 # --------------------------------------------------------------------- #
@@ -387,9 +297,12 @@ class TestPlanResolution:
         assert plan.graph is graph
         assert plan.left_order is None and plan.right_order is None
 
-    def test_prepare_unknown_order_strategy_raises(self):
-        with pytest.raises(ValueError, match="order strategy"):
-            prepare(graph_with_fringe(), 1, "core+order", order_strategy="zigzag")
+    def test_core_order_plan_orders_by_degeneracy(self):
+        graph = graph_with_fringe()
+        plan = prepare(graph, 1, "core+order", theta_left=2, theta_right=2)
+        assert plan.removed_left > 0
+        assert (plan.left_order, plan.right_order) == degeneracy_order(plan.graph)
+        assert prepare(graph, 1, "core").left_order is None
 
 
 # --------------------------------------------------------------------- #
@@ -541,10 +454,8 @@ class TestPinnedAblation:
             ("planted", "core+order", 1, "76912d4806348241", (54, 54, 90)),
         ],
     )
-    def test_ordered_output_and_plan(self, monkeypatch, name, prep, count, digest, removed):
-        # jobs and the order strategy pinned: REPRO_JOBS=2 switches to
-        # sorted parallel output and REPRO_ORDER changes core+order's ranks.
-        monkeypatch.delenv("REPRO_ORDER", raising=False)
+    def test_ordered_output_and_plan(self, name, prep, count, digest, removed):
+        # jobs pinned: REPRO_JOBS=2 switches to sorted parallel output.
         factory, theta = self.GRAPHS[name]
         algorithm = ITraversal(
             factory(), 1, theta_left=theta, theta_right=theta, prep=prep, jobs=1

@@ -355,6 +355,12 @@ class TestQueryService:
             ({"graph": {"path": "x", "dataset": "y"}, "k": 1}, "exactly one"),
             ({"graph": {"dataset": "divorce"}, "k": 1, "jobs": "2"}, "jobs must be"),
             ({"graph": {"dataset": "divorce"}, "k": 1, "variant": ["x"]}, "variant must be"),
+            ({"graph": {"dataset": "divorce"}, "k": 1, "time_limit": float("nan")}, "time_limit must be"),
+            ({"graph": {"dataset": "divorce"}, "k": 1, "time_limit": float("inf")}, "time_limit must be"),
+            (
+                {"graph": {"dataset": "divorce"}, "k": 1, "order_strategy": "degree"},
+                "unknown query fields: .*order_strategy",
+            ),
         ],
     )
     def test_query_validation(self, broken, match):
@@ -366,7 +372,7 @@ class TestQueryService:
         [
             paper_query(),
             paper_query(k=2, variant="no-exclusion", max_results=3),
-            paper_query(mode="top-k", top=2, prep="core+order", order_strategy="degree"),
+            paper_query(mode="top-k", top=2, prep="core+order"),
             paper_query(mode="maximum", jobs=2, time_limit=5),
             {"graph": {"dataset": "divorce"}, "k": 1, "theta_left": 5, "theta_right": 5},
             {"graph": {"path": "graph.txt"}, "k": 1, "jobs": 0},
@@ -469,8 +475,11 @@ class TestServiceCursorValidation:
             ({"k": _DROP}, "k must be"),
             ({"jobs": "2"}, "jobs must be"),
             ({"backend": "bitset"}, "backend"),
+            # A cursor minted while queries carried an order strategy.
+            ({"order_strategy": None}, r"unknown query fields: \['order_strategy'\]"),
+            ({"time_limit": float("nan")}, "time_limit must be"),
         ],
-        ids=["no-k", "string-jobs", "legacy-backend"],
+        ids=["no-k", "string-jobs", "legacy-backend", "legacy-order-strategy", "nan-time-limit"],
     )
     def test_malformed_embedded_query_answers_400(self, changes, match):
         service = QueryService()

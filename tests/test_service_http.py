@@ -132,6 +132,22 @@ class TestDaemonProtocol:
         assert http_json(daemon, "POST", "/v1/paginate", {"cursor": "junk"})[0] == 400
         assert http_json(daemon, "POST", "/v1/cancel", {})[0] == 400
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            # json.dumps writes NaN / Infinity, and the daemon's json.loads
+            # takes them: neither may reach the engine's deadline check.
+            ("time_limit", float("nan"), "time_limit must be"),
+            ("time_limit", float("inf"), "time_limit must be"),
+            ("order_strategy", "degeneracy", "unknown query fields: ['order_strategy']"),
+        ],
+        ids=["nan-time-limit", "infinite-time-limit", "retired-order-strategy"],
+    )
+    def test_invalid_query_field_is_400(self, daemon, graph_file, field, value, match):
+        query = {"graph": {"path": graph_file}, "k": 1, field: value}
+        status, error = http_json(daemon, "POST", "/v1/enumerate", {"query": query})
+        assert status == 400 and match in error["error"]
+
 
 class TestQueryCLI:
     def run_cli(self, capsys, *argv):
