@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enumerate_parser.add_argument(
         "--variant",
         default="full",
-        choices=("full", "no-exclusion", "left-anchored-only"),
+        choices=ITraversal.VARIANTS,
         help="iTraversal variant",
     )
     enumerate_parser.add_argument("--theta", type=int, default=0, help="min size of both sides")
@@ -161,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--variant",
         default="full",
-        choices=("full", "no-exclusion", "left-anchored-only"),
+        choices=ITraversal.VARIANTS,
         help="iTraversal variant",
     )
     run_parser.add_argument("--theta", type=int, default=0, help="min size of both sides")

@@ -6,16 +6,22 @@ and repeatedly apply the ThreeStep procedure, growing almost-satisfying
 graphs with vertices from *both* sides and keeping every link of the
 (strongly connected) solution graph.  It is correct but its solution graph
 is dense, which is exactly what iTraversal improves on.
+
+In the engine it is the ``"btraversal"`` row of
+:data:`repro.core.traversal.VARIANTS`; :class:`BTraversal` builds that
+configuration and runs it through iTraversal's front end
+(:class:`~repro.core.itraversal.TraversalFrontEnd`).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..graph.bipartite import BipartiteGraph
 from .biplex import Biplex
 from .enum_almost_sat import DEFAULT_CONFIG, EnumAlmostSatConfig
-from .traversal import ReverseSearchEngine, TraversalConfig, TraversalStats
+from .itraversal import TraversalFrontEnd
+from .traversal import TraversalConfig, TraversalStats
 
 
 def btraversal_config(
@@ -46,12 +52,9 @@ def btraversal_config(
     from ..prep import resolve_prep
 
     return TraversalConfig(
+        variant="btraversal",
         prep=resolve_prep(prep),
-        left_anchored=False,
-        right_shrinking=False,
-        exclusion=False,
         enum_config=enum_config,
-        initial_solution="arbitrary",
         max_results=max_results,
         time_limit=time_limit,
         output_order=output_order,
@@ -60,7 +63,7 @@ def btraversal_config(
     )
 
 
-class BTraversal:
+class BTraversal(TraversalFrontEnd):
     """Enumerate maximal k-biplexes with the baseline bTraversal algorithm.
 
     Examples
@@ -85,49 +88,16 @@ class BTraversal:
         prep: Optional[str] = None,
     ) -> None:
         self.graph = graph
-        self.k = k
-        self._engine = ReverseSearchEngine(
-            graph,
-            k,
-            btraversal_config(
-                enum_config=enum_config,
-                max_results=max_results,
-                time_limit=time_limit,
-                output_order=output_order,
-                local_enumeration=local_enumeration,
-                jobs=jobs,
-                prep=prep,
-            ),
+        config = btraversal_config(
+            enum_config=enum_config,
+            max_results=max_results,
+            time_limit=time_limit,
+            output_order=output_order,
+            local_enumeration=local_enumeration,
+            jobs=jobs,
+            prep=prep,
         )
-
-    def run(self) -> Iterator[Biplex]:
-        """Lazily yield maximal k-biplexes (a fresh one-shot session per call)."""
-        return self._engine.run()
-
-    def session(self):
-        """A fresh pausable :class:`~repro.core.session.EnumerationSession`.
-
-        Shares this instance's engine; see
-        :meth:`repro.core.itraversal.ITraversal.session` for the liveness
-        contract.
-        """
-        from .session import EnumerationSession
-
-        return EnumerationSession.from_engine(self._engine)
-
-    def enumerate(self) -> List[Biplex]:
-        """Enumerate all maximal k-biplexes (subject to any configured limits)."""
-        return self._engine.enumerate()
-
-    @property
-    def stats(self) -> TraversalStats:
-        """Counters of the last run."""
-        return self._engine.stats
-
-    @property
-    def prep(self):
-        """The :class:`~repro.prep.PrepPlan` the engine runs on."""
-        return self._engine.prep_plan
+        super().__init__(graph, k, config)
 
 
 def enumerate_mbps_btraversal(

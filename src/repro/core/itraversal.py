@@ -7,7 +7,13 @@ left-anchored traversal (Section 3.3), right-shrinking traversal
 exercises the intermediate variants ``iTraversal-ES`` (no exclusion
 strategy) and ``iTraversal-ES-RS`` (neither exclusion nor right-shrinking),
 plus the symmetric *right-anchored* variant that uses ``H0' = (L, R0)``;
-all of them are provided here.
+all of them are provided here, named by the left-anchored rows of
+:data:`repro.core.traversal.VARIANTS`.
+
+:class:`TraversalFrontEnd` is the one front end over an engine:
+:class:`ITraversal`, :class:`~repro.core.btraversal.BTraversal` and
+:class:`~repro.core.large.LargeMBPEnumerator` differ only in the
+:class:`TraversalConfig` their constructors build.
 """
 
 from __future__ import annotations
@@ -17,12 +23,12 @@ from typing import Iterator, List, Optional, Tuple
 from ..graph.bipartite import BipartiteGraph
 from .biplex import Biplex
 from .enum_almost_sat import DEFAULT_CONFIG, EnumAlmostSatConfig
+from .traversal import VARIANTS as TRAVERSALS
 from .traversal import ReverseSearchEngine, TraversalConfig, TraversalStats
 
 
 def itraversal_config(
-    right_shrinking: bool = True,
-    exclusion: bool = True,
+    variant: str = "full",
     enum_config: EnumAlmostSatConfig = DEFAULT_CONFIG,
     theta_left: int = 0,
     theta_right: int = 0,
@@ -36,6 +42,7 @@ def itraversal_config(
 ) -> TraversalConfig:
     """Build the :class:`TraversalConfig` of iTraversal or one of its ablations.
 
+    ``variant`` names the traversal, one of :attr:`ITraversal.VARIANTS`.
     ``jobs`` selects the sharded parallel engine: ``None`` resolves via
     ``REPRO_JOBS`` (default 1 = serial), ``0`` means one worker per CPU
     core.  ``prep=None`` resolves via ``REPRO_PREP``
@@ -47,135 +54,47 @@ def itraversal_config(
     """
     from ..prep import resolve_prep
 
-    prep = resolve_prep(prep)
     return TraversalConfig(
-        left_anchored=True,
-        right_shrinking=right_shrinking,
-        exclusion=exclusion,
+        variant=variant,
         enum_config=enum_config,
-        initial_solution="anchored",
         theta_left=theta_left,
         theta_right=theta_right,
         max_results=max_results,
         time_limit=time_limit,
         output_order=output_order,
         jobs=jobs,
-        prep=prep,
+        prep=resolve_prep(prep),
         objective=objective,
         top=top,
     )
 
 
-class ITraversal:
-    """Enumerate maximal k-biplexes with the iTraversal algorithm.
+class TraversalFrontEnd:
+    """One engine, read in the input graph's vertex ids.
 
-    Parameters
-    ----------
-    graph:
-        Input bipartite graph.
-    k:
-        Biplex parameter (positive integer).
-    variant:
-        ``"full"`` (default, all three techniques), ``"no-exclusion"``
-        (iTraversal-ES in the paper) or ``"left-anchored-only"``
-        (iTraversal-ES-RS).
-    anchor:
-        ``"left"`` (default) uses ``H0 = (L0, R)``; ``"right"`` uses the
-        symmetric ``H0' = (L, R0)`` by mirroring the graph.
-    theta_left, theta_right:
-        Large-MBP size thresholds (Section 5); 0 disables them.
-    max_results, time_limit, output_order, enum_config:
-        Passed through to the traversal engine.
-    jobs:
-        Worker processes for the sharded parallel engine
-        (:mod:`repro.parallel`).  ``None`` resolves via ``REPRO_JOBS``
-        (default 1 = serial), ``0`` means one worker per CPU core; any
-        value produces the same solution set as the serial run for
-        uncapped enumerations (a ``max_results``/``time_limit`` cap keeps
-        the first unique solutions to arrive, which may differ from
-        serial's first N).
-    prep:
-        Preprocessing pipeline (:mod:`repro.prep`): ``None`` resolves via
-        ``REPRO_PREP`` (default ``"core"`` — threshold-driven core/bitruss
-        reduction, a no-op without size thresholds), ``"core+order"`` adds
-        degeneracy candidate ordering, ``"off"`` restores raw-graph
-        canonical-order traversal exactly.  Solutions are always reported
-        in the original graph's vertex ids; the :attr:`prep` property
-        exposes the plan (reduction sizes, orderings) of the last
-        construction.
-    mode, top:
-        Solver objective (:mod:`repro.core.objective`).  The default
-        ``"enumerate"`` streams every maximal k-biplex; ``"maximum"``
-        makes :meth:`run` yield the single largest one (ties broken by
-        canonical key) and ``"top-k"`` with ``top=N`` the ``N`` largest
-        in ``(-size, key)`` order — both with the incumbent size bound
-        driving extra traversal pruning.
-
-    Examples
-    --------
-    >>> from repro.graph import paper_example_graph
-    >>> algorithm = ITraversal(paper_example_graph(), k=1)
-    >>> initial = algorithm.initial_solution()
-    >>> sorted(initial.right)
-    [0, 1, 2, 3, 4]
+    The shared front end of :class:`ITraversal`,
+    :class:`~repro.core.btraversal.BTraversal` and
+    :class:`~repro.core.large.LargeMBPEnumerator`: each constructor builds
+    its :class:`TraversalConfig` and hands it here.  ``mirrored`` runs the
+    engine on ``graph.swap_sides()`` and swaps every solution back (the
+    ``anchor="right"`` iTraversal).
     """
-
-    VARIANTS = {
-        "full": {"right_shrinking": True, "exclusion": True},
-        "no-exclusion": {"right_shrinking": True, "exclusion": False},
-        "left-anchored-only": {"right_shrinking": False, "exclusion": False},
-    }
 
     def __init__(
         self,
         graph: BipartiteGraph,
         k: int,
-        variant: str = "full",
-        anchor: str = "left",
-        enum_config: EnumAlmostSatConfig = DEFAULT_CONFIG,
-        theta_left: int = 0,
-        theta_right: int = 0,
-        max_results: Optional[int] = None,
-        time_limit: Optional[float] = None,
-        output_order: str = "pre",
-        jobs: Optional[int] = None,
-        prep: Optional[str] = None,
-        mode: str = "enumerate",
-        top: Optional[int] = None,
+        config: TraversalConfig,
+        mirrored: bool = False,
     ) -> None:
-        if variant not in self.VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}; expected one of {sorted(self.VARIANTS)}")
-        if anchor not in ("left", "right"):
-            raise ValueError("anchor must be 'left' or 'right'")
         self.k = k
-        self.variant = variant
-        self.anchor = anchor
-        self._original_graph = graph
-        self._mirrored = anchor == "right"
-        working_graph = graph.swap_sides() if self._mirrored else graph
-        flags = self.VARIANTS[variant]
-        # When the graph is mirrored the size thresholds swap roles too.
-        effective_theta_left = theta_right if self._mirrored else theta_left
-        effective_theta_right = theta_left if self._mirrored else theta_right
-        config = itraversal_config(
-            right_shrinking=flags["right_shrinking"],
-            exclusion=flags["exclusion"],
-            enum_config=enum_config,
-            theta_left=effective_theta_left,
-            theta_right=effective_theta_right,
-            max_results=max_results,
-            time_limit=time_limit,
-            output_order=output_order,
-            jobs=jobs,
-            prep=prep,
-            objective=mode,
-            top=top,
+        self._mirrored = mirrored
+        self._engine = ReverseSearchEngine(
+            graph.swap_sides() if mirrored else graph, k, config
         )
-        self._engine = ReverseSearchEngine(working_graph, k, config)
 
-    # ------------------------------------------------------------------ #
     def initial_solution(self) -> Biplex:
-        """The designated initial solution in the *original* graph's coordinates."""
+        """The traversal's initial solution in the *original* graph's coordinates."""
         solution = self._engine.prep_plan.translate(self._engine._initial_solution())
         return self._restore(solution)
 
@@ -183,7 +102,12 @@ class ITraversal:
         """Lazily yield maximal k-biplexes (in original-graph coordinates).
 
         Each call is a fresh one-shot enumeration session (see
-        :meth:`session` for the pausable variant with cursors).
+        :meth:`session` for the pausable variant with cursors).  A
+        ``max_results`` or ``time_limit`` cap sets
+        ``stats.hit_result_limit`` / ``stats.hit_time_limit`` by the time
+        the affected solution (or the end of the stream) reaches the
+        caller, so a consumer that stops at the cap still reads the run as
+        truncated.
         """
         for solution in self._engine.run():
             yield self._restore(solution)
@@ -238,6 +162,114 @@ class ITraversal:
         if not self._mirrored:
             return solution
         return Biplex(solution.right_mask, solution.left_mask)
+
+
+class ITraversal(TraversalFrontEnd):
+    """Enumerate maximal k-biplexes with the iTraversal algorithm.
+
+    Parameters
+    ----------
+    graph:
+        Input bipartite graph.
+    k:
+        Biplex parameter (positive integer).
+    variant:
+        One of :attr:`VARIANTS`: ``"full"`` (default, all three
+        techniques), ``"no-exclusion"`` (iTraversal-ES in the paper) or
+        ``"left-anchored-only"`` (iTraversal-ES-RS).  bTraversal is
+        :class:`~repro.core.btraversal.BTraversal`.
+    anchor:
+        ``"left"`` (default) uses ``H0 = (L0, R)``; ``"right"`` uses the
+        symmetric ``H0' = (L, R0)`` by mirroring the graph.  The right
+        anchor enumerates only (``mode="enumerate"``): the solver modes
+        would break ties by the mirrored graph's keys.
+    theta_left, theta_right:
+        Large-MBP size thresholds (Section 5); 0 disables them.
+    max_results, time_limit, output_order, enum_config:
+        Passed through to the traversal engine.
+    jobs:
+        Worker processes for the sharded parallel engine
+        (:mod:`repro.parallel`).  ``None`` resolves via ``REPRO_JOBS``
+        (default 1 = serial), ``0`` means one worker per CPU core; any
+        value produces the same solution set as the serial run for
+        uncapped enumerations (a ``max_results``/``time_limit`` cap keeps
+        the first unique solutions to arrive, which may differ from
+        serial's first N).
+    prep:
+        Preprocessing pipeline (:mod:`repro.prep`): ``None`` resolves via
+        ``REPRO_PREP`` (default ``"core"`` — threshold-driven core/bitruss
+        reduction, a no-op without size thresholds), ``"core+order"`` adds
+        degeneracy candidate ordering, ``"off"`` restores raw-graph
+        canonical-order traversal exactly.  Solutions are always reported
+        in the original graph's vertex ids; the :attr:`prep` property
+        exposes the plan (reduction sizes, orderings) of the last
+        construction.
+    mode, top:
+        Solver objective (:mod:`repro.core.objective`).  The default
+        ``"enumerate"`` streams every maximal k-biplex; ``"maximum"``
+        makes :meth:`run` yield the single largest one (ties broken by
+        canonical key) and ``"top-k"`` with ``top=N`` the ``N`` largest
+        in ``(-size, key)`` order — both with the incumbent size bound
+        driving extra traversal pruning, and both only with the left
+        anchor.
+
+    Examples
+    --------
+    >>> from repro.graph import paper_example_graph
+    >>> algorithm = ITraversal(paper_example_graph(), k=1)
+    >>> initial = algorithm.initial_solution()
+    >>> sorted(initial.right)
+    [0, 1, 2, 3, 4]
+    """
+
+    #: The left-anchored traversals of :data:`repro.core.traversal.VARIANTS`.
+    VARIANTS = tuple(name for name, flags in TRAVERSALS.items() if flags[0])
+
+    def __init__(
+        self,
+        graph: BipartiteGraph,
+        k: int,
+        variant: str = "full",
+        anchor: str = "left",
+        enum_config: EnumAlmostSatConfig = DEFAULT_CONFIG,
+        theta_left: int = 0,
+        theta_right: int = 0,
+        max_results: Optional[int] = None,
+        time_limit: Optional[float] = None,
+        output_order: str = "pre",
+        jobs: Optional[int] = None,
+        prep: Optional[str] = None,
+        mode: str = "enumerate",
+        top: Optional[int] = None,
+    ) -> None:
+        if variant not in self.VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}; expected one of {sorted(self.VARIANTS)}")
+        if anchor not in ("left", "right"):
+            raise ValueError("anchor must be 'left' or 'right'")
+        mirrored = anchor == "right"
+        if mirrored and mode not in (None, "enumerate"):
+            raise ValueError(
+                f"anchor='right' supports only mode='enumerate', not mode={mode!r}"
+            )
+        self.variant = variant
+        self.anchor = anchor
+        if mirrored:
+            # When the graph is mirrored the size thresholds swap roles too.
+            theta_left, theta_right = theta_right, theta_left
+        config = itraversal_config(
+            variant=variant,
+            enum_config=enum_config,
+            theta_left=theta_left,
+            theta_right=theta_right,
+            max_results=max_results,
+            time_limit=time_limit,
+            output_order=output_order,
+            jobs=jobs,
+            prep=prep,
+            objective=mode,
+            top=top,
+        )
+        super().__init__(graph, k, config, mirrored)
 
 
 def enumerate_mbps(

@@ -14,7 +14,9 @@ All four rules live inside the traversal engine
 (:mod:`repro.core.traversal`).  The graph-shrinking preprocessing of the
 paper's Figure 10 experiment now lives in :mod:`repro.prep` and is applied
 by the engine itself (including the id translation back to the original
-graph), so this class is a thin thresholds-plus-prep front end.  The prep
+graph), so :class:`LargeMBPEnumerator` only builds the thresholded
+iTraversal configuration and runs it through iTraversal's front end
+(:class:`~repro.core.itraversal.TraversalFrontEnd`).  The prep
 reduction is *stronger* than the historical ``(θ − k, θ − k)``-core here:
 it uses the asymmetric ``(θ_R − k, θ_L − k)`` bounds — sound when
 ``theta_left != theta_right``, where a symmetric ``min(θ) − k`` bound
@@ -25,16 +27,15 @@ thresholds support it.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from ..graph.bipartite import BipartiteGraph
 from .biplex import Biplex
 from .enum_almost_sat import DEFAULT_CONFIG, EnumAlmostSatConfig
-from .itraversal import ITraversal
-from .traversal import TraversalStats
+from .itraversal import TraversalFrontEnd, itraversal_config
 
 
-class LargeMBPEnumerator:
+class LargeMBPEnumerator(TraversalFrontEnd):
     """Enumerate maximal k-biplexes with both sides of size at least ``theta``.
 
     Parameters
@@ -89,16 +90,12 @@ class LargeMBPEnumerator:
         top: Optional[int] = None,
     ) -> None:
         self.graph = graph
-        self.k = k
         self.theta_left = theta if theta_left is None else theta_left
         self.theta_right = theta if theta_right is None else theta_right
         self.use_core_preprocessing = use_core_preprocessing
         if not use_core_preprocessing:
             prep = "off"
-        self._algorithm = ITraversal(
-            graph,
-            k,
-            variant="full",
+        config = itraversal_config(
             enum_config=enum_config,
             theta_left=self.theta_left,
             theta_right=self.theta_right,
@@ -106,24 +103,15 @@ class LargeMBPEnumerator:
             time_limit=time_limit,
             jobs=jobs,
             prep=prep,
-            mode=mode,
+            objective=mode,
             top=top,
         )
+        super().__init__(graph, k, config)
 
     @property
     def core_graph(self) -> BipartiteGraph:
         """The (possibly shrunk) graph the enumeration actually runs on."""
-        return self._algorithm._engine.graph
-
-    @property
-    def prep(self):
-        """The :class:`~repro.prep.PrepPlan` the enumeration runs on."""
-        return self._algorithm.prep
-
-    @property
-    def stats(self) -> TraversalStats:
-        """Counters of the last run."""
-        return self._algorithm.stats
+        return self._engine.graph
 
     @property
     def truncated(self) -> bool:
@@ -135,31 +123,7 @@ class LargeMBPEnumerator:
         the capped solution), so a capped run is never reported as
         complete.
         """
-        return self._algorithm.stats.truncated
-
-    def run(self) -> Iterator[Biplex]:
-        """Lazily yield large MBPs in the original graph's vertex ids.
-
-        The engine translates reduced ids back to the input graph's
-        transparently to the truncation accounting:
-        ``stats.hit_result_limit`` / ``stats.hit_time_limit`` are already
-        set by the time the affected solution (or the end of the stream)
-        reaches the caller.
-        """
-        return self._algorithm.run()
-
-    def session(self):
-        """A fresh pausable :class:`~repro.core.session.EnumerationSession`.
-
-        Carries the size thresholds and prep reduction of this enumerator;
-        see :meth:`repro.core.itraversal.ITraversal.session` for the
-        liveness contract.
-        """
-        return self._algorithm.session()
-
-    def enumerate(self) -> List[Biplex]:
-        """Enumerate all large MBPs (check :attr:`truncated` for completeness)."""
-        return list(self.run())
+        return self.stats.truncated
 
 
 def filter_large(solutions: List[Biplex], theta_left: int, theta_right: int) -> List[Biplex]:

@@ -5,10 +5,11 @@ whose nodes are maximal k-biplexes (solutions) and whose links encode "the
 ThreeStep procedure can find solution ``H'`` from solution ``H``"
 (Section 3.1).  The engine below implements the DFS with an explicit stack
 (the recursion depth equals the number of solutions, which easily exceeds
-CPython's recursion limit) and exposes every design knob of the paper as a
-configuration flag so that all algorithm variants of the evaluation —
-bTraversal, iTraversal, iTraversal-ES, iTraversal-ES-RS, left- vs
-right-anchored, large-MBP pruning — are instances of the same code path.
+CPython's recursion limit).  The paper's four traversals — bTraversal,
+iTraversal-ES-RS, iTraversal-ES and iTraversal — are the four rows of
+:data:`VARIANTS`, and large-MBP pruning and the solver objectives are
+further :class:`TraversalConfig` fields, so every algorithm of the
+evaluation is an instance of the same code path.
 
 The per-run counters gathered in :class:`TraversalStats` are exactly the
 quantities the evaluation section reports: number of solutions, number of
@@ -38,48 +39,65 @@ from .enum_almost_sat import DEFAULT_CONFIG, EnumAlmostSatConfig, enum_local_sol
 from .objective import OBJECTIVES, make_objective, resolve_objective
 
 
+#: The paper's four traversals (Sections 3.2–3.5, Fig. 11), each a name for
+#: ``(left_anchored, right_shrinking, exclusion)``.  Right-shrinking and
+#: exclusion occur only with left-anchoring, so every candidate they act on
+#: is a left vertex; and a left-anchored traversal reaches every solution
+#: only from ``H0 = (L0, R)``, so the table also fixes the initial solution.
+VARIANTS = {
+    "full": (True, True, True),  # iTraversal
+    "no-exclusion": (True, True, False),  # iTraversal-ES
+    "left-anchored-only": (True, False, False),  # iTraversal-ES-RS
+    "btraversal": (False, False, False),  # bTraversal
+}
+
+
 @dataclass
 class TraversalConfig:
     """Configuration of the reverse-search traversal.
 
     The defaults correspond to the full iTraversal algorithm (Algorithm 2
-    plus the exclusion strategy).  Setting ``left_anchored``,
-    ``right_shrinking`` and ``exclusion`` all to ``False`` and
-    ``initial_solution`` to ``"arbitrary"`` yields bTraversal.
+    plus the exclusion strategy).
 
     Attributes
     ----------
-    left_anchored:
-        Only form almost-satisfying graphs with left-side vertices
-        (Section 3.3).  When ``False`` both sides are candidates.
-    right_shrinking:
-        Prune local solutions that can be extended with a right vertex of
-        ``G`` (Section 3.4) and extend local solutions with left-side
-        vertices only.
-    exclusion:
-        Apply the exclusion strategy (Section 3.5): while expanding a
-        solution, prune links towards children containing an anchor that
-        was already processed *in this expansion* (such children are
-        generated by the earlier anchor's almost-satisfying graph, the
-        paper's sibling-coverage argument).  Unlike the paper's
-        presentation, serial runs do **not inherit** the sets along
-        traversal paths: inherited sets interact unsoundly with visited-set
-        deduplication — a solution first reached through a link carrying a
-        large set explores an over-pruned subtree, and the sound repair
-        (re-exploring whenever a later link shrinks the set; the machinery
-        in ``_children`` implements it) re-traverses subtrees often enough
-        to cost more than the inherited pruning saves on common left-heavy
-        inputs.  The per-expansion form keeps the bulk of the pruning (most
-        duplicate links are sibling links) at zero re-exploration cost.
-        Parallel-shard workers *do* inherit the prefixes — there the
-        inheritance is what keeps shards disjoint, the repair rule restores
-        completeness, and each shard is small enough that re-exploration
-        stays cheap (see :mod:`repro.parallel`).
+    variant:
+        Which of the paper's traversals to run, a key of :data:`VARIANTS`:
+        ``"full"`` (iTraversal, the default), ``"no-exclusion"``
+        (iTraversal-ES), ``"left-anchored-only"`` (iTraversal-ES-RS) or
+        ``"btraversal"``.  The table row is read through four properties:
+
+        * ``left_anchored`` — only form almost-satisfying graphs with
+          left-side vertices (Section 3.3); otherwise both sides are
+          candidates.
+        * ``right_shrinking`` — prune local solutions that can be extended
+          with a right vertex of ``G`` (Section 3.4) and extend local
+          solutions with left-side vertices only.
+        * ``exclusion`` — apply the exclusion strategy (Section 3.5): while
+          expanding a solution, prune links towards children containing an
+          anchor that was already processed *in this expansion* (such
+          children are generated by the earlier anchor's almost-satisfying
+          graph, the paper's sibling-coverage argument).  Unlike the
+          paper's presentation, serial runs do **not inherit** the sets
+          along traversal paths: inherited sets interact unsoundly with
+          visited-set deduplication — a solution first reached through a
+          link carrying a large set explores an over-pruned subtree, and
+          the sound repair (re-exploring whenever a later link shrinks the
+          set; the machinery in ``_children`` implements it) re-traverses
+          subtrees often enough to cost more than the inherited pruning
+          saves on common left-heavy inputs.  The per-expansion form keeps
+          the bulk of the pruning (most duplicate links are sibling links)
+          at zero re-exploration cost.  Parallel-shard workers *do* inherit
+          the prefixes — there the inheritance is what keeps shards
+          disjoint, the repair rule restores completeness, and each shard
+          is small enough that re-exploration stays cheap (see
+          :mod:`repro.parallel`).
+        * ``initial_solution`` — ``"anchored"`` (the designated
+          ``(L0, R)`` seed) exactly when the variant is left-anchored,
+          ``"arbitrary"`` (bTraversal's arbitrary maximal k-biplex)
+          otherwise.
     enum_config:
         Refinement levels used inside EnumAlmostSat.
-    initial_solution:
-        ``"anchored"`` for the designated ``(L0, R)`` seed of iTraversal or
-        ``"arbitrary"`` for bTraversal's arbitrary maximal k-biplex.
     theta_left, theta_right:
         Large-MBP thresholds (Section 5); 0 disables size filtering.
     max_results:
@@ -143,11 +161,8 @@ class TraversalConfig:
         the ``REPRO_PREP`` environment variable.
     """
 
-    left_anchored: bool = True
-    right_shrinking: bool = True
-    exclusion: bool = True
+    variant: str = "full"
     enum_config: EnumAlmostSatConfig = field(default_factory=lambda: DEFAULT_CONFIG)
-    initial_solution: str = "anchored"
     theta_left: int = 0
     theta_right: int = 0
     max_results: Optional[int] = None
@@ -164,8 +179,8 @@ class TraversalConfig:
     is how the paper's bTraversal baseline is implemented in Figure 7."""
 
     def __post_init__(self) -> None:
-        if self.initial_solution not in ("anchored", "arbitrary"):
-            raise ValueError("initial_solution must be 'anchored' or 'arbitrary'")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {', '.join(VARIANTS)}")
         if self.output_order not in ("pre", "alternate"):
             raise ValueError("output_order must be 'pre' or 'alternate'")
         if self.theta_left < 0 or self.theta_right < 0:
@@ -185,6 +200,22 @@ class TraversalConfig:
         # construction — all three reject bad (objective, top) pairs with
         # the same message.
         resolve_objective(self.objective, self.top)
+
+    @property
+    def left_anchored(self) -> bool:
+        return VARIANTS[self.variant][0]
+
+    @property
+    def right_shrinking(self) -> bool:
+        return VARIANTS[self.variant][1]
+
+    @property
+    def exclusion(self) -> bool:
+        return VARIANTS[self.variant][2]
+
+    @property
+    def initial_solution(self) -> str:
+        return "anchored" if self.left_anchored else "arbitrary"
 
 
 @dataclass
@@ -348,7 +379,7 @@ class ReverseSearchEngine:
         # returning True aborts the traversal via _LimitReached without
         # setting any stats flag (the coordinator knows why it cancelled).
         self._cancel = None
-        # Parallel workers flip this on: children then inherit the
+        # run_shard turns this on for each shard: children then inherit the
         # accumulated exclusion prefixes down their subtrees, which is what
         # keeps the per-anchor shards nearly disjoint (a shard never
         # traverses solutions containing an earlier shard's anchor).  The
@@ -359,11 +390,6 @@ class ReverseSearchEngine:
         # there the repair's re-traversals cost more than the inherited
         # pruning saves (pathological on left-heavy sparse graphs).
         self._inherit_exclusions = False
-        # What the worker *asked for*: run_shard re-arms
-        # ``_inherit_exclusions`` from this per shard, because the cascade
-        # fallback below REVISIT_FALLBACK_MIN may have disabled it mid-way
-        # through the previous shard.
-        self._inherit_exclusions_requested = False
         # (epoch, order) of the right side by descending degree, the mask
         # right-extensibility probe's scan order (_right_degree_order).
         self._right_order = None
@@ -444,7 +470,7 @@ class ReverseSearchEngine:
         would derive from ``root`` for the single Step-1 candidate
         ``anchor`` — with ``exclusion`` as the mask of the left anchors the
         serial root expansion would have processed before it — and explores
-        each child subtree to completion.  Workers run with
+        each child subtree to completion.  Each shard runs with
         ``_inherit_exclusions`` enabled, so the prefix also propagates down
         the subtree (the shard-disjointness device; see
         :mod:`repro.parallel`).  ``root`` itself is never yielded (the
@@ -461,12 +487,12 @@ class ReverseSearchEngine:
         Solutions are yielded in *reduced* (internal) coordinates — the
         coordinator's engine translates once, in :meth:`run`.
         """
-        # Re-arm exclusion inheritance per shard: the re-exploration
-        # cascade fallback may have switched it off inside an earlier
-        # shard, and each shard's traversal must stay a pure function of
-        # its own (root, anchor, exclusion).
+        # Arm exclusion inheritance per shard: the re-exploration cascade
+        # fallback may have switched it off inside an earlier shard, and
+        # each shard's traversal must stay a pure function of its own
+        # (root, anchor, exclusion).
         self._check_epoch()
-        self._inherit_exclusions = self._inherit_exclusions_requested
+        self._inherit_exclusions = True
         self.stats = TraversalStats()
         self._visited = {root: 0}
         self._start_time = time.perf_counter()
@@ -754,7 +780,7 @@ class ReverseSearchEngine:
     # ThreeStep / iThreeStep
     # ------------------------------------------------------------------ #
     def _initial_solution(self) -> Biplex:
-        if self.config.initial_solution == "anchored":
+        if self.config.left_anchored:
             return initial_solution_left_anchored(self.graph, self.k)
         return arbitrary_initial_solution(self.graph, self.k)
 
@@ -798,6 +824,10 @@ class ReverseSearchEngine:
         anchors the serial loop had processed before it.
         """
         config = self.config
+        # Right-shrinking and exclusion come only with left-anchoring
+        # (VARIANTS), so every candidate they act on is a left vertex.
+        right_shrinking = config.right_shrinking
+        excluding = config.exclusion
         left_mask = solution.left_mask
         right_mask = solution.right_mask
         right_size = right_mask.bit_count()
@@ -813,7 +843,7 @@ class ReverseSearchEngine:
         theta_right = config.theta_right
         bound = self._current_bound()
         bound_core = None
-        if bound and config.right_shrinking:
+        if bound and right_shrinking:
             implied_left = bound - self.graph.n_right
             implied_right = bound - self.graph.n_left
             if implied_left > theta_left:
@@ -831,7 +861,7 @@ class ReverseSearchEngine:
 
         # Section 5, solution pruning: all solutions reachable from here have
         # a right side contained in ours (right-shrinking), so stop early.
-        if theta_right and config.right_shrinking and right_size < theta_right:
+        if theta_right and right_shrinking and right_size < theta_right:
             if not (config.theta_right and right_size < config.theta_right):
                 self.stats.num_pruned_by_bound += 1
             self.stats.num_pruned_subtree += 1
@@ -839,7 +869,7 @@ class ReverseSearchEngine:
         # Section 5, left-side pruning via the exclusion set.
         if (
             theta_left
-            and config.exclusion
+            and excluding
             and self.graph.n_left - exclusion.bit_count() < theta_left
         ):
             if not (
@@ -861,17 +891,18 @@ class ReverseSearchEngine:
         # The per-expansion exclusion prefix: the inherited mask plus the
         # left anchors processed so far in this expansion (seeded by
         # ``processed_base``).  It only grows between anchors.
-        pruning = exclusion | processed_base if config.exclusion else 0
+        pruning = exclusion | processed_base if excluding else 0
         candidate_vertices = (
             self._candidate_vertices(solution) if candidates is None else candidates
         )
         for side, vertex in candidate_vertices:
             self._check_time()
-            if side == "L" and (pruning >> vertex) & 1:
+            if (pruning >> vertex) & 1:
                 self.stats.num_pruned_exclusion += 1
                 continue
             # Section 5, almost-satisfying-graph pruning (with the merged
-            # bound-implied threshold in solver modes).
+            # bound-implied threshold in solver modes).  A bTraversal config
+            # may carry θ too, and it has right anchors.
             if theta_right and side == "L":
                 gamma_size = (self.graph.adj_left_mask(vertex) & right_mask).bit_count()
                 if gamma_size + self.k < theta_right:
@@ -881,7 +912,7 @@ class ReverseSearchEngine:
                     ):
                         self.stats.num_pruned_by_bound += 1
                     self.stats.num_pruned_anchor += 1
-                    if config.exclusion:
+                    if excluding:
                         pruning |= 1 << vertex
                     continue
             self.stats.num_almost_sat_graphs += 1
@@ -895,23 +926,23 @@ class ReverseSearchEngine:
                 # The local solution's vertices are a subset of the extended
                 # child's, so an exclusion hit here already rules the child
                 # out — checking before the (expensive) extension step.
-                if side == "L" and local.left_mask & pruning:
+                if local.left_mask & pruning:
                     self.stats.num_pruned_exclusion += 1
                     continue
                 # Core upper bound on the child's subtree: extension adds
                 # left vertices only (right_shrinking), so the child and
                 # all its descendants keep R ⊆ local.right — skip before
                 # the expensive right-extensibility probe and extension.
-                if bound_core is not None and side == "L":
+                if bound_core is not None:
                     if bound_core[0] + (local.right_mask & bound_core[1]).bit_count() < bound:
                         self.stats.num_pruned_by_bound += 1
                         self.stats.num_pruned_core_bound += 1
                         continue
-                if config.right_shrinking and side == "L" and self._right_extensible(local):
+                if right_shrinking and self._right_extensible(local):
                     self.stats.num_pruned_right_extensible += 1
                     continue
-                child = self._extend(local, side)
-                if side == "L" and child.left_mask & pruning:
+                child = self._extend(local)
+                if child.left_mask & pruning:
                     self.stats.num_pruned_exclusion += 1
                     continue
                 # Links pruned by the exclusion strategy are not part of the
@@ -942,7 +973,7 @@ class ReverseSearchEngine:
                 self._visited[child] = child_exclusion
                 self.stats.num_solutions += 1
                 yield child, child_exclusion, True
-            if side == "L" and config.exclusion:
+            if excluding:
                 pruning |= 1 << vertex
 
     def _candidate_vertices(self, solution: Biplex) -> Iterator[Tuple[str, int]]:
@@ -993,7 +1024,7 @@ class ReverseSearchEngine:
         )
         min_right = (
             effective_theta_right
-            if (effective_theta_right and self.config.right_shrinking and side == "L")
+            if (effective_theta_right and self.config.right_shrinking)
             else 0
         )
         use_inflation = self.config.local_enumeration == "inflation"
@@ -1037,9 +1068,9 @@ class ReverseSearchEngine:
         for mirrored in mirrored_locals:
             yield Biplex(mirrored.right_mask, mirrored.left_mask)
 
-    def _extend(self, local: Biplex, side: str) -> Biplex:
+    def _extend(self, local: Biplex) -> Biplex:
         """Step 3: extend a local solution to a maximal k-biplex of ``G``."""
-        if self.config.right_shrinking and side == "L":
+        if self.config.right_shrinking:
             # iTraversal extends with left-side vertices only (Line 8).
             return extend_to_maximal(
                 self.graph,

@@ -12,8 +12,9 @@ the left anchors the root expansion processes before it (Section 3.5 of
 the paper; :func:`repro.parallel.shards.shard_plan` replicates the serial
 root pass, including the Section 5 large-MBP pruning).  Workers explore
 their shards with these prefixes **inherited** down the whole subtree
-(``ReverseSearchEngine._inherit_exclusions`` — unlike serial runs, which
-apply exclusion per expansion only), so shard ``i`` prunes every solution
+(``ReverseSearchEngine.run_shard`` turns ``_inherit_exclusions`` on for
+each shard it runs — unlike serial runs, which apply exclusion per
+expansion only), so shard ``i`` prunes every solution
 containing an earlier shard's anchor: the paper's own visit-once device
 doubles as the partitioning function and makes the shards *nearly
 disjoint* — on dense ER the union of shard traversals can even undercut

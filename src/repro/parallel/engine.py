@@ -268,9 +268,6 @@ def run_parallel(engine) -> Iterator[Biplex]:
                 "parallel_duplicates_total",
                 value=merged.num_duplicate_solutions,
             )
-        # Rough parity with the serial run, whose visited mapping holds
-        # every discovered solution afterwards.
-        engine._visited = dict.fromkeys(seen, 0)
     buffered.sort(key=lambda solution: solution.key())
     for solution in buffered:
         # ``merged`` is the same object as ``engine.stats``, so late

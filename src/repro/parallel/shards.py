@@ -72,9 +72,7 @@ def shard_plan(engine, root: Biplex) -> List[Shard]:
     shards: List[Shard] = []
     processed = 0
     for side, vertex in engine._candidate_vertices(root):
-        if side == "L" and config.exclusion:
-            shards.append(Shard(side, vertex, processed))
+        shards.append(Shard(side, vertex, processed))
+        if config.exclusion:
             processed |= 1 << vertex
-        else:
-            shards.append(Shard(side, vertex, 0))
     return shards

@@ -144,14 +144,6 @@ def worker_main(
         engine._cancel = _ThrottledCancel(cancel_event)
         if bound_value is not None:
             engine._bound_channel = _SharedBound(bound_value)
-        # Inherited exclusion prefixes keep the shards nearly disjoint; the
-        # engine's visited-map re-exploration rule repairs the over-pruning
-        # they cause (see ReverseSearchEngine.__init__).  Requested — not
-        # set directly — because run_shard re-arms the live flag per shard:
-        # on left-heavy sparse inputs the engine's cascade fallback may
-        # drop to per-expansion exclusion partway through a shard, and that
-        # decision must not leak into the next shard's traversal.
-        engine._inherit_exclusions_requested = True
         while True:
             index = task_queue.get()
             if index is None:

@@ -401,10 +401,8 @@ class QueryService:
         )
 
     def _config_for(self, normalized: dict):
-        flags = ITraversal.VARIANTS[normalized["variant"]]
         return itraversal_config(
-            right_shrinking=flags["right_shrinking"],
-            exclusion=flags["exclusion"],
+            variant=normalized["variant"],
             theta_left=normalized["theta_left"],
             theta_right=normalized["theta_right"],
             max_results=normalized["max_results"],

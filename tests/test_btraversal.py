@@ -10,6 +10,7 @@ from repro.graph import erdos_renyi_bipartite
 class TestConfig:
     def test_btraversal_config_flags(self):
         config = btraversal_config()
+        assert config.variant == "btraversal"
         assert config.left_anchored is False
         assert config.right_shrinking is False
         assert config.exclusion is False

@@ -7,12 +7,14 @@ from repro.baselines import enumerate_mbps_bruteforce
 from repro.core import (
     Biplex,
     ITraversal,
+    ReverseSearchEngine,
     TraversalConfig,
     check_all_solutions,
     enumerate_mbps,
     is_maximal_k_biplex,
     itraversal_config,
 )
+from repro.core.traversal import VARIANTS
 from repro.graph import erdos_renyi_bipartite, paper_example_graph
 
 
@@ -39,6 +41,12 @@ class TestBasics:
         algorithm = ITraversal(example_graph, 1, anchor="right")
         h0 = algorithm.initial_solution()
         assert set(h0.left) == set(example_graph.left_vertices())
+
+    @pytest.mark.parametrize("mode, top", [("maximum", None), ("top-k", 3)])
+    def test_right_anchor_rejects_solver_modes(self, example_graph, mode, top):
+        # The mirrored run would rank ties by the mirrored graph's keys.
+        with pytest.raises(ValueError, match=f"anchor='right'.*mode='{mode}'"):
+            ITraversal(example_graph, 1, anchor="right", mode=mode, top=top)
 
     def test_config_exposed(self, example_graph):
         algorithm = ITraversal(example_graph, 1, variant="no-exclusion")
@@ -72,6 +80,18 @@ class TestCorrectness:
             expected = set(enumerate_mbps_bruteforce(graph, k))
             got = set(ITraversal(graph, k).enumerate())
             assert got == expected
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_every_table_variant_matches_bruteforce(self, variant):
+        # The engine directly: ITraversal cannot name "btraversal".
+        for seed in range(4):
+            graph = erdos_renyi_bipartite(4, 5, num_edges=7 + seed, seed=300 + seed)
+            for k in (1, 2):
+                expected = set(enumerate_mbps_bruteforce(graph, k))
+                for prep in ("off", "core"):
+                    config = TraversalConfig(variant=variant, prep=prep)
+                    got = set(ReverseSearchEngine(graph, k, config).enumerate())
+                    assert got == expected, (seed, k, prep)
 
     def test_solutions_are_valid_and_unique(self, example_graph):
         solutions = ITraversal(example_graph, 1).enumerate()
@@ -321,8 +341,13 @@ class TestConfigHelpers:
         assert config.initial_solution == "anchored"
 
     def test_traversal_config_validation(self):
-        with pytest.raises(ValueError):
-            TraversalConfig(initial_solution="nope")
+        with pytest.raises(
+            ValueError, match="full, no-exclusion, left-anchored-only, btraversal"
+        ):
+            TraversalConfig(variant="nope")
+        for retired in ("left_anchored", "right_shrinking", "exclusion", "initial_solution"):
+            with pytest.raises(TypeError, match=retired):
+                TraversalConfig(**{retired: False})
         with pytest.raises(ValueError):
             TraversalConfig(output_order="sideways")
         with pytest.raises(ValueError):

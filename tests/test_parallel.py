@@ -223,7 +223,6 @@ class TestStatsMergeContract:
             assert not coordinator._passes_size_filter(root)
             folded = {name: getattr(coordinator.stats, name) for name in names}
             worker = ReverseSearchEngine(engine.graph, 1, serial_config)
-            worker._inherit_exclusions_requested = True
             best = 0
             for shard in shards:
                 list(worker.run_shard(root, (shard.side, shard.vertex), shard.exclusion))

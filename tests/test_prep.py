@@ -485,7 +485,6 @@ class TestCascadeFallback:
 
         graph = erdos_renyi_bipartite(8, 5, num_edges=18, seed=1)
         engine = ReverseSearchEngine(graph, 1, TraversalConfig())
-        engine._inherit_exclusions_requested = True
         root = engine._initial_solution()
         anchors = [
             (side, vertex) for side, vertex in engine._candidate_vertices(root)

@@ -140,8 +140,15 @@ class TestDaemonProtocol:
             ("time_limit", float("nan"), "time_limit must be"),
             ("time_limit", float("inf"), "time_limit must be"),
             ("order_strategy", "degeneracy", "unknown query fields: ['order_strategy']"),
+            # The engine's fourth traversal is not a query variant.
+            ("variant", "btraversal", "unknown variant 'btraversal'"),
         ],
-        ids=["nan-time-limit", "infinite-time-limit", "retired-order-strategy"],
+        ids=[
+            "nan-time-limit",
+            "infinite-time-limit",
+            "retired-order-strategy",
+            "btraversal-variant",
+        ],
     )
     def test_invalid_query_field_is_400(self, daemon, graph_file, field, value, match):
         query = {"graph": {"path": graph_file}, "k": 1, field: value}
