@@ -41,8 +41,8 @@ def main() -> None:
         f"two hidden 8x8 near-biplex blocks"
     )
 
-    # Direct large-MBP enumeration (with core preprocessing).
-    enumerator = LargeMBPEnumerator(graph, k, theta=theta, use_core_preprocessing=True)
+    # Direct large-MBP enumeration (the default prep="core" shrinks the graph first).
+    enumerator = LargeMBPEnumerator(graph, k, theta=theta)
     start = time.perf_counter()
     large = enumerator.enumerate()
     direct_seconds = time.perf_counter() - start

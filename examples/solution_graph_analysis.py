@@ -8,6 +8,8 @@ paper's running example and for a small random graph, and reports how many
 links survive each of iTraversal's sparsification techniques:
 
     G  (bTraversal)  ⊇  G_L (left-anchored)  ⊇  G_R (right-shrinking)  ⊇  G_E (+ exclusion)
+
+It asserts that G_E has exactly the links a serial iTraversal run counts.
 """
 
 from __future__ import annotations
@@ -33,18 +35,20 @@ def analyse(name, graph, k=1):
     print(f"\n=== {name}: |L|={graph.n_left}, |R|={graph.n_right}, |E|={graph.num_edges}, k={k} ===")
     h0 = ITraversal(graph, k).initial_solution()
     print(f"Initial solution H0: L={sorted(h0.left)} R={sorted(h0.right)}")
+    graphs = {}
     for variant, label in VARIANTS:
-        solution_graph = build_solution_graph(graph, k, variant=variant)
-        reachable = solution_graph.reachable_from(h0) if variant != "itraversal" else None
-        reach_note = (
-            f", all {len(reachable)}/{solution_graph.num_nodes} solutions reachable from H0"
-            if reachable is not None
-            else ""
-        )
+        solution_graph = graphs[variant] = build_solution_graph(graph, k, variant=variant)
+        reachable = solution_graph.reachable_from(h0)
         print(
             f"  {label:<34} nodes={solution_graph.num_nodes:3d} "
-            f"links={solution_graph.num_links:5d}{reach_note}"
+            f"links={solution_graph.num_links:5d}, "
+            f"{len(reachable)}/{solution_graph.num_nodes} solutions reachable from H0"
         )
+    # G_E holds exactly the links a serial canonical-order iTraversal run counts.
+    traversed = ITraversal(graph, k, prep="off", jobs=1)
+    traversed.enumerate()
+    links = graphs["itraversal"].num_links
+    assert links == traversed.stats.num_links, (links, traversed.stats.num_links)
 
 
 def main() -> None:

@@ -104,7 +104,6 @@ def run_itraversal(
     max_results: Optional[int],
     time_limit: float,
     variant: str = "full",
-    anchor: str = "left",
     jobs: Optional[int] = None,
 ) -> Measurement:
     """Time iTraversal (or one of its variants) for the first ``max_results`` MBPs.
@@ -120,7 +119,6 @@ def run_itraversal(
         graph,
         k,
         variant=variant,
-        anchor=anchor,
         max_results=max_results,
         time_limit=time_limit,
         jobs=jobs,

@@ -13,7 +13,7 @@ from .biplex import (
     is_k_biplex,
     is_maximal_k_biplex,
 )
-from .btraversal import BTraversal, btraversal_config, enumerate_mbps_btraversal
+from .btraversal import BTraversal, enumerate_mbps_btraversal
 from .delay import DelayInstrumentedIterator, DelayRecord, measure_delay
 from .enum_almost_sat import (
     EnumAlmostSatConfig,
@@ -21,12 +21,11 @@ from .enum_almost_sat import (
     enum_local_solutions_inflation,
     enum_local_solutions_naive,
 )
-from .itraversal import ITraversal, enumerate_large_mbps, enumerate_mbps, itraversal_config
+from .itraversal import ITraversal, enumerate_large_mbps, enumerate_mbps
 from .large import LargeMBPEnumerator, filter_large
 from .objective import (
     OBJECTIVES,
     EnumerateAll,
-    MaximumSize,
     Objective,
     TopK,
     make_objective,
@@ -61,10 +60,8 @@ __all__ = [
     "enum_local_solutions_naive",
     "enum_local_solutions_inflation",
     "BTraversal",
-    "btraversal_config",
     "enumerate_mbps_btraversal",
     "ITraversal",
-    "itraversal_config",
     "enumerate_mbps",
     "enumerate_large_mbps",
     "LargeMBPEnumerator",
@@ -72,7 +69,6 @@ __all__ = [
     "OBJECTIVES",
     "Objective",
     "EnumerateAll",
-    "MaximumSize",
     "TopK",
     "make_objective",
     "resolve_objective",

@@ -9,8 +9,8 @@ is dense, which is exactly what iTraversal improves on.
 
 In the engine it is the ``"btraversal"`` row of
 :data:`repro.core.traversal.VARIANTS`; :class:`BTraversal` builds that
-configuration and runs it through iTraversal's front end
-(:class:`~repro.core.itraversal.TraversalFrontEnd`).
+:class:`~repro.core.traversal.TraversalConfig` and runs it through
+iTraversal's front end (:class:`~repro.core.itraversal.TraversalFrontEnd`).
 """
 
 from __future__ import annotations
@@ -19,52 +19,28 @@ from typing import List, Optional, Tuple
 
 from ..graph.bipartite import BipartiteGraph
 from .biplex import Biplex
-from .enum_almost_sat import DEFAULT_CONFIG, EnumAlmostSatConfig
 from .itraversal import TraversalFrontEnd
 from .traversal import TraversalConfig, TraversalStats
 
 
-def btraversal_config(
-    enum_config: EnumAlmostSatConfig = DEFAULT_CONFIG,
-    max_results: Optional[int] = None,
-    time_limit: Optional[float] = None,
-    output_order: str = "pre",
-    local_enumeration: str = "refined",
-    jobs: Optional[int] = None,
-    prep: Optional[str] = None,
-) -> TraversalConfig:
-    """The :class:`TraversalConfig` corresponding to bTraversal.
+class BTraversal(TraversalFrontEnd):
+    """Enumerate maximal k-biplexes with the baseline bTraversal algorithm.
 
+    The parameters are the :class:`~repro.core.traversal.TraversalConfig`
+    fields of the same names, with ``variant="btraversal"``.
     ``local_enumeration="inflation"`` reproduces the paper's Figure 7
     baseline, whose EnumAlmostSat is implemented by inflating each
     almost-satisfying graph and enumerating local maximal (k+1)-plexes;
     ``"refined"`` (default) uses the same Section 4 implementation as
     iTraversal, which is the "fair comparison" setting of Figure 11.
-    ``jobs=None`` resolves via ``REPRO_JOBS`` (default 1 = serial).  Note that without
-    the exclusion strategy bTraversal's parallel shards overlap heavily —
-    the run stays correct (the coordinator deduplicates) but the
-    duplicated traversal work limits the speedup (see
+    ``jobs=None`` resolves via ``REPRO_JOBS`` (default 1 = serial).  Note
+    that without the exclusion strategy bTraversal's parallel shards
+    overlap heavily — the run stays correct (the coordinator deduplicates)
+    but the duplicated traversal work limits the speedup (see
     :mod:`repro.parallel`).  ``prep=None`` resolves via ``REPRO_PREP``
     (default ``"core"``, a no-op here since bTraversal runs without size
     thresholds — only ``"core+order"`` changes its traversal order);
     ``"off"`` pins raw canonical order.
-    """
-    from ..prep import resolve_prep
-
-    return TraversalConfig(
-        variant="btraversal",
-        prep=resolve_prep(prep),
-        enum_config=enum_config,
-        max_results=max_results,
-        time_limit=time_limit,
-        output_order=output_order,
-        local_enumeration=local_enumeration,
-        jobs=jobs,
-    )
-
-
-class BTraversal(TraversalFrontEnd):
-    """Enumerate maximal k-biplexes with the baseline bTraversal algorithm.
 
     Examples
     --------
@@ -79,7 +55,6 @@ class BTraversal(TraversalFrontEnd):
         self,
         graph: BipartiteGraph,
         k: int,
-        enum_config: EnumAlmostSatConfig = DEFAULT_CONFIG,
         max_results: Optional[int] = None,
         time_limit: Optional[float] = None,
         output_order: str = "pre",
@@ -88,8 +63,8 @@ class BTraversal(TraversalFrontEnd):
         prep: Optional[str] = None,
     ) -> None:
         self.graph = graph
-        config = btraversal_config(
-            enum_config=enum_config,
+        config = TraversalConfig(
+            variant="btraversal",
             max_results=max_results,
             time_limit=time_limit,
             output_order=output_order,

@@ -6,9 +6,12 @@ left-anchored traversal (Section 3.3), right-shrinking traversal
 (Section 3.4) and the exclusion strategy (Section 3.5).  The evaluation also
 exercises the intermediate variants ``iTraversal-ES`` (no exclusion
 strategy) and ``iTraversal-ES-RS`` (neither exclusion nor right-shrinking),
-plus the symmetric *right-anchored* variant that uses ``H0' = (L, R0)``;
-all of them are provided here, named by the left-anchored rows of
-:data:`repro.core.traversal.VARIANTS`.
+named, like the full algorithm, by the left-anchored rows of
+:data:`repro.core.traversal.VARIANTS`.  The symmetric *right-anchored*
+traversal from ``H0' = (L, R0)`` (Section 3.2) is the left-anchored one on
+the side-swapped graph: ``ITraversal(graph.swap_sides(), k)``, whose
+solutions ``s`` read in the input's ids as ``Biplex(s.right_mask,
+s.left_mask)``.
 
 :class:`TraversalFrontEnd` is the one front end over an engine:
 :class:`ITraversal`, :class:`~repro.core.btraversal.BTraversal` and
@@ -22,51 +25,8 @@ from typing import Iterator, List, Optional, Tuple
 
 from ..graph.bipartite import BipartiteGraph
 from .biplex import Biplex
-from .enum_almost_sat import DEFAULT_CONFIG, EnumAlmostSatConfig
 from .traversal import VARIANTS as TRAVERSALS
 from .traversal import ReverseSearchEngine, TraversalConfig, TraversalStats
-
-
-def itraversal_config(
-    variant: str = "full",
-    enum_config: EnumAlmostSatConfig = DEFAULT_CONFIG,
-    theta_left: int = 0,
-    theta_right: int = 0,
-    max_results: Optional[int] = None,
-    time_limit: Optional[float] = None,
-    output_order: str = "pre",
-    jobs: Optional[int] = None,
-    prep: Optional[str] = None,
-    objective: str = "enumerate",
-    top: Optional[int] = None,
-) -> TraversalConfig:
-    """Build the :class:`TraversalConfig` of iTraversal or one of its ablations.
-
-    ``variant`` names the traversal, one of :attr:`ITraversal.VARIANTS`.
-    ``jobs`` selects the sharded parallel engine: ``None`` resolves via
-    ``REPRO_JOBS`` (default 1 = serial), ``0`` means one worker per CPU
-    core.  ``prep=None`` resolves via ``REPRO_PREP``
-    (default ``"core"``, see :mod:`repro.prep`); ``"off"`` restores
-    raw-graph canonical-order traversal exactly.  ``objective`` / ``top``
-    select the solver objective (:mod:`repro.core.objective`):
-    ``"enumerate"`` (default), ``"maximum"``, or ``"top-k"`` with
-    ``top=N``.
-    """
-    from ..prep import resolve_prep
-
-    return TraversalConfig(
-        variant=variant,
-        enum_config=enum_config,
-        theta_left=theta_left,
-        theta_right=theta_right,
-        max_results=max_results,
-        time_limit=time_limit,
-        output_order=output_order,
-        jobs=jobs,
-        prep=resolve_prep(prep),
-        objective=objective,
-        top=top,
-    )
 
 
 class TraversalFrontEnd:
@@ -75,28 +35,16 @@ class TraversalFrontEnd:
     The shared front end of :class:`ITraversal`,
     :class:`~repro.core.btraversal.BTraversal` and
     :class:`~repro.core.large.LargeMBPEnumerator`: each constructor builds
-    its :class:`TraversalConfig` and hands it here.  ``mirrored`` runs the
-    engine on ``graph.swap_sides()`` and swaps every solution back (the
-    ``anchor="right"`` iTraversal).
+    its :class:`TraversalConfig` and hands it here.
     """
 
-    def __init__(
-        self,
-        graph: BipartiteGraph,
-        k: int,
-        config: TraversalConfig,
-        mirrored: bool = False,
-    ) -> None:
+    def __init__(self, graph: BipartiteGraph, k: int, config: TraversalConfig) -> None:
         self.k = k
-        self._mirrored = mirrored
-        self._engine = ReverseSearchEngine(
-            graph.swap_sides() if mirrored else graph, k, config
-        )
+        self._engine = ReverseSearchEngine(graph, k, config)
 
     def initial_solution(self) -> Biplex:
         """The traversal's initial solution in the *original* graph's coordinates."""
-        solution = self._engine.prep_plan.translate(self._engine._initial_solution())
-        return self._restore(solution)
+        return self._engine.prep_plan.translate(self._engine._initial_solution())
 
     def run(self) -> Iterator[Biplex]:
         """Lazily yield maximal k-biplexes (in original-graph coordinates).
@@ -109,8 +57,7 @@ class TraversalFrontEnd:
         caller, so a consumer that stops at the cap still reads the run as
         truncated.
         """
-        for solution in self._engine.run():
-            yield self._restore(solution)
+        yield from self._engine.run()
 
     def session(self):
         """A fresh pausable :class:`~repro.core.session.EnumerationSession`.
@@ -121,15 +68,8 @@ class TraversalFrontEnd:
         ``cursor()`` for pagination and resume.  Only one session (or
         :meth:`run` stream) per instance should be live at a time — they
         share the engine's traversal state, exactly like concurrent
-        ``run()`` iterators always did.  Unsupported for the mirrored
-        ``anchor="right"`` variant, whose output coordinate swap lives in
-        this front end, not in the session layer.
+        ``run()`` iterators always did.
         """
-        if self._mirrored:
-            raise NotImplementedError(
-                "sessions yield working-graph coordinates; the anchor='right' "
-                "mirror swap is only applied by ITraversal.run()"
-            )
         from .session import EnumerationSession
 
         return EnumerationSession.from_engine(self._engine)
@@ -150,18 +90,8 @@ class TraversalFrontEnd:
 
     @property
     def prep(self):
-        """The :class:`~repro.prep.PrepPlan` the engine runs on.
-
-        Mind that for ``anchor="right"`` the plan lives in the mirrored
-        graph's coordinate space (its ``removed_left`` counts mirrored-left
-        = original-right vertices, and vice versa).
-        """
+        """The :class:`~repro.prep.PrepPlan` the engine runs on."""
         return self._engine.prep_plan
-
-    def _restore(self, solution: Biplex) -> Biplex:
-        if not self._mirrored:
-            return solution
-        return Biplex(solution.right_mask, solution.left_mask)
 
 
 class ITraversal(TraversalFrontEnd):
@@ -177,41 +107,24 @@ class ITraversal(TraversalFrontEnd):
         One of :attr:`VARIANTS`: ``"full"`` (default, all three
         techniques), ``"no-exclusion"`` (iTraversal-ES in the paper) or
         ``"left-anchored-only"`` (iTraversal-ES-RS).  bTraversal is
-        :class:`~repro.core.btraversal.BTraversal`.
-    anchor:
-        ``"left"`` (default) uses ``H0 = (L0, R)``; ``"right"`` uses the
-        symmetric ``H0' = (L, R0)`` by mirroring the graph.  The right
-        anchor enumerates only (``mode="enumerate"``): the solver modes
-        would break ties by the mirrored graph's keys.
-    theta_left, theta_right:
-        Large-MBP size thresholds (Section 5); 0 disables them.
-    max_results, time_limit, output_order, enum_config:
-        Passed through to the traversal engine.
-    jobs:
-        Worker processes for the sharded parallel engine
-        (:mod:`repro.parallel`).  ``None`` resolves via ``REPRO_JOBS``
-        (default 1 = serial), ``0`` means one worker per CPU core; any
-        value produces the same solution set as the serial run for
-        uncapped enumerations (a ``max_results``/``time_limit`` cap keeps
-        the first unique solutions to arrive, which may differ from
-        serial's first N).
-    prep:
-        Preprocessing pipeline (:mod:`repro.prep`): ``None`` resolves via
-        ``REPRO_PREP`` (default ``"core"`` — threshold-driven core/bitruss
-        reduction, a no-op without size thresholds), ``"core+order"`` adds
-        degeneracy candidate ordering, ``"off"`` restores raw-graph
-        canonical-order traversal exactly.  Solutions are always reported
-        in the original graph's vertex ids; the :attr:`prep` property
-        exposes the plan (reduction sizes, orderings) of the last
-        construction.
+        :class:`~repro.core.btraversal.BTraversal`.  Every variant starts
+        from ``H0 = (L0, R)``; the right-anchored traversal from
+        ``H0' = (L, R0)`` is this class on ``graph.swap_sides()`` (swap
+        each solution back with ``Biplex(s.right_mask, s.left_mask)``).
+    theta_left, theta_right, max_results, time_limit, output_order, jobs, prep:
+        The :class:`TraversalConfig` fields of the same names.  ``jobs``
+        selects the sharded parallel engine (:mod:`repro.parallel`) and
+        ``prep`` the preprocessing pipeline (:mod:`repro.prep`); ``None``
+        resolves either from its environment variable.  Solutions are
+        always reported in the input graph's vertex ids; the :attr:`prep`
+        property exposes the plan (reduction sizes, orderings).
     mode, top:
-        Solver objective (:mod:`repro.core.objective`).  The default
-        ``"enumerate"`` streams every maximal k-biplex; ``"maximum"``
-        makes :meth:`run` yield the single largest one (ties broken by
-        canonical key) and ``"top-k"`` with ``top=N`` the ``N`` largest
-        in ``(-size, key)`` order — both with the incumbent size bound
-        driving extra traversal pruning, and both only with the left
-        anchor.
+        Solver objective (:mod:`repro.core.objective`), the config's
+        ``objective`` / ``top``.  The default ``"enumerate"`` streams every
+        maximal k-biplex; ``"maximum"`` makes :meth:`run` yield the single
+        largest one (ties broken by canonical key) and ``"top-k"`` with
+        ``top=N`` the ``N`` largest in ``(-size, key)`` order — both with
+        the incumbent size bound driving extra traversal pruning.
 
     Examples
     --------
@@ -230,8 +143,6 @@ class ITraversal(TraversalFrontEnd):
         graph: BipartiteGraph,
         k: int,
         variant: str = "full",
-        anchor: str = "left",
-        enum_config: EnumAlmostSatConfig = DEFAULT_CONFIG,
         theta_left: int = 0,
         theta_right: int = 0,
         max_results: Optional[int] = None,
@@ -244,21 +155,8 @@ class ITraversal(TraversalFrontEnd):
     ) -> None:
         if variant not in self.VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; expected one of {sorted(self.VARIANTS)}")
-        if anchor not in ("left", "right"):
-            raise ValueError("anchor must be 'left' or 'right'")
-        mirrored = anchor == "right"
-        if mirrored and mode not in (None, "enumerate"):
-            raise ValueError(
-                f"anchor='right' supports only mode='enumerate', not mode={mode!r}"
-            )
-        self.variant = variant
-        self.anchor = anchor
-        if mirrored:
-            # When the graph is mirrored the size thresholds swap roles too.
-            theta_left, theta_right = theta_right, theta_left
-        config = itraversal_config(
+        config = TraversalConfig(
             variant=variant,
-            enum_config=enum_config,
             theta_left=theta_left,
             theta_right=theta_right,
             max_results=max_results,
@@ -269,7 +167,7 @@ class ITraversal(TraversalFrontEnd):
             objective=mode,
             top=top,
         )
-        super().__init__(graph, k, config, mirrored)
+        super().__init__(graph, k, config)
 
 
 def enumerate_mbps(
@@ -308,7 +206,6 @@ def enumerate_large_mbps(
     graph: BipartiteGraph,
     k: int,
     theta: int,
-    use_core_preprocessing: bool = True,
     max_results: Optional[int] = None,
     time_limit: Optional[float] = None,
     jobs: Optional[int] = None,
@@ -318,9 +215,9 @@ def enumerate_large_mbps(
 
     This is the Section 5 extension: the traversal prunes small solutions
     on the fly instead of filtering after a full enumeration, and (unless
-    ``use_core_preprocessing=False`` / ``prep="off"``) the input graph is
-    first shrunk by the threshold-driven core/bitruss reduction of
-    :mod:`repro.prep`, which every large MBP provably survives.
+    ``prep="off"``) the input graph is first shrunk by the
+    threshold-driven core/bitruss reduction of :mod:`repro.prep`, which
+    every large MBP provably survives.
     """
     from .large import LargeMBPEnumerator
 
@@ -328,7 +225,6 @@ def enumerate_large_mbps(
         graph,
         k,
         theta=theta,
-        use_core_preprocessing=use_core_preprocessing,
         max_results=max_results,
         time_limit=time_limit,
         jobs=jobs,

@@ -31,8 +31,8 @@ from typing import List, Optional
 
 from ..graph.bipartite import BipartiteGraph
 from .biplex import Biplex
-from .enum_almost_sat import DEFAULT_CONFIG, EnumAlmostSatConfig
-from .itraversal import TraversalFrontEnd, itraversal_config
+from .itraversal import TraversalFrontEnd
+from .traversal import TraversalConfig
 
 
 class LargeMBPEnumerator(TraversalFrontEnd):
@@ -47,16 +47,15 @@ class LargeMBPEnumerator(TraversalFrontEnd):
     theta:
         Size threshold applied to both sides.  Use ``theta_left`` /
         ``theta_right`` for asymmetric thresholds.
-    use_core_preprocessing:
-        Shrink the graph with the threshold-driven core/bitruss reduction
-        before enumerating (always safe; usually much faster).  ``False``
-        forces ``prep="off"`` regardless of the ``prep`` argument and the
-        ``REPRO_PREP`` environment variable.
     prep:
         Preprocessing mode passed to the engine (:mod:`repro.prep`);
-        ``None`` resolves via ``REPRO_PREP`` (default ``"core"``).
+        ``None`` resolves via ``REPRO_PREP`` (default ``"core"``, which
+        shrinks the graph with the threshold-driven core/bitruss
+        reduction before enumerating: always safe, usually much faster).
         ``"core+order"`` adds degeneracy candidate ordering on top of the
-        reduction.
+        reduction; ``"off"`` enumerates the unreduced graph.
+    max_results, time_limit:
+        The :class:`~repro.core.traversal.TraversalConfig` budgets.
     jobs:
         Worker processes for the sharded parallel engine
         (:mod:`repro.parallel`); ``None`` resolves via ``REPRO_JOBS``
@@ -80,8 +79,6 @@ class LargeMBPEnumerator(TraversalFrontEnd):
         theta: int = 0,
         theta_left: Optional[int] = None,
         theta_right: Optional[int] = None,
-        use_core_preprocessing: bool = True,
-        enum_config: EnumAlmostSatConfig = DEFAULT_CONFIG,
         max_results: Optional[int] = None,
         time_limit: Optional[float] = None,
         jobs: Optional[int] = None,
@@ -92,11 +89,7 @@ class LargeMBPEnumerator(TraversalFrontEnd):
         self.graph = graph
         self.theta_left = theta if theta_left is None else theta_left
         self.theta_right = theta if theta_right is None else theta_right
-        self.use_core_preprocessing = use_core_preprocessing
-        if not use_core_preprocessing:
-            prep = "off"
-        config = itraversal_config(
-            enum_config=enum_config,
+        config = TraversalConfig(
             theta_left=self.theta_left,
             theta_right=self.theta_right,
             max_results=max_results,

@@ -1,4 +1,4 @@
-"""Objective strategies: enumerate-all, maximum-size and top-k biplex search.
+"""Objective strategies: enumerate-all and top-k biplex search (maximum is top-1).
 
 The reverse-search engine is objective-polymorphic: it always *traverses*
 the solution graph, but what it is traversing **for** is a strategy object
@@ -101,44 +101,14 @@ class EnumerateAll(Objective):
     """The classic objective: every maximal k-biplex, streamed as found."""
 
 
-class MaximumSize(Objective):
-    """Keep the single largest solution; ties break to the smallest key."""
-
-    name = "maximum"
-    trivial = False
-
-    def __init__(self) -> None:
-        self._best: Optional[Biplex] = None
-        self._best_key = None
-
-    def observe(self, solution: Biplex) -> bool:
-        best = self._best
-        if best is not None:
-            if solution.size < best.size:
-                return False
-            if solution.size == best.size and solution.key() >= self._best_key:
-                return False
-        self._best = solution
-        self._best_key = solution.key()
-        return True
-
-    def prune_below(self) -> int:
-        return 0 if self._best is None else self._best.size
-
-    def results(self) -> List[Biplex]:
-        return [] if self._best is None else [self._best]
-
-    def reset(self) -> None:
-        self._best = None
-        self._best_key = None
-
-
 class TopK(Objective):
     """Keep the ``n`` largest solutions, ordered by ``(-size, key)``.
 
     Once full, the n-th best size is the prune bound: anything strictly
     smaller can never displace an item, while a size tie still can (by
     key), so ties must — and do — survive the engine's bound pruning.
+    The ``maximum`` mode is ``TopK(1)``: the single largest solution,
+    ties broken to the smallest key.
     """
 
     name = "top-k"
@@ -180,7 +150,7 @@ def make_objective(mode: str, top: Optional[int] = None) -> Objective:
     """Instantiate the strategy for a validated ``(mode, top)`` pair."""
     mode, top = resolve_objective(mode, top)
     if mode == "maximum":
-        return MaximumSize()
+        return TopK(1)
     if mode == "top-k":
         return TopK(top)
     return EnumerateAll()

@@ -99,6 +99,7 @@ from typing import Iterator, List, Optional, Union
 
 from ..obs import publish_run_stats
 from .biplex import Biplex
+from .enum_almost_sat import DEFAULT_CONFIG
 from .traversal import ReverseSearchEngine, TraversalConfig, TraversalStats
 
 #: Schema tag of the cursor token document.  ``/3`` writes solutions as
@@ -484,7 +485,10 @@ class EnumerationSession:
             config.prep,
             config.objective,
             config.top,
-            asdict(config.enum_config),
+            # The EnumAlmostSat levels every engine runs (L2.0+R2.0); still
+            # hashed so that tokens minted while they were a config field
+            # keep their fingerprint.
+            asdict(DEFAULT_CONFIG),
             plan.left_order,
             plan.right_order,
             # The mutation epoch the plan was prepared at: a cursor from

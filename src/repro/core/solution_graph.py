@@ -11,11 +11,17 @@ on real datasets) we build them explicitly:
   formed with a left vertex).
 * ``G_R`` — additionally keep only *right-shrinking* links
   (``R' ⊆ R`` for a link ``(L, R) → (L', R')``).
-* ``G_E`` — the links actually traversed by the full iTraversal (with the
-  exclusion strategy), which depends on the DFS order.
+* ``G_E`` — additionally apply the exclusion strategy: drop a link whose
+  target contains an anchor processed earlier in the same expansion, in
+  canonical candidate order (ascending ids).
 
-The first three are order-independent and are built by enumerating the links
-out of every solution; ``G_E`` is measured by instrumenting an actual run.
+Each graph is one row of :data:`repro.core.traversal.VARIANTS` applied to
+the links out of every solution.  A serial iTraversal run applies the
+exclusion per expansion only (see
+:class:`~repro.core.traversal.TraversalConfig`), so ``G_E`` does not depend
+on the DFS order, and its links are exactly the ones a serial
+canonical-order run generates: ``num_links`` equals
+``ITraversal(graph, k, prep="off", jobs=1).stats.num_links``.
 """
 
 from __future__ import annotations
@@ -27,8 +33,17 @@ from typing import Dict, List, Set, Tuple
 from ..graph.bipartite import BipartiteGraph, MirrorView
 from .biplex import Biplex, can_add_right, extend_to_maximal
 from .btraversal import BTraversal
-from .enum_almost_sat import DEFAULT_CONFIG, EnumAlmostSatConfig, enum_local_solutions
-from .itraversal import ITraversal
+from .enum_almost_sat import enum_local_solutions
+from .traversal import VARIANTS
+
+#: Solution-graph names → the :data:`~repro.core.traversal.VARIANTS` row
+#: whose ``(left_anchored, right_shrinking, exclusion)`` flags keep its links.
+SOLUTION_GRAPHS = {
+    "btraversal": "btraversal",  # G
+    "left-anchored": "left-anchored-only",  # G_L
+    "right-shrinking": "no-exclusion",  # G_R
+    "itraversal": "full",  # G_E
+}
 
 
 @dataclass
@@ -90,36 +105,32 @@ class SolutionGraph:
 
 
 def _links_from_solution(
-    graph: BipartiteGraph,
-    solution: Biplex,
-    k: int,
-    enum_config: EnumAlmostSatConfig,
-    left_anchored_only: bool,
-    right_shrinking_only: bool,
+    graph: BipartiteGraph, solution: Biplex, k: int, variant: str
 ) -> List[Tuple[Biplex, Biplex]]:
-    """All links leaving ``solution`` under the given sparsification flags."""
+    """All links leaving ``solution`` under one row of ``VARIANTS``."""
+    left_anchored, right_shrinking, exclusion = VARIANTS[variant]
     links: List[Tuple[Biplex, Biplex]] = []
     left, right = solution.vertices()
 
     candidates: List[Tuple[str, int]] = [
         ("L", v) for v in graph.left_vertices() if v not in left
     ]
-    if not left_anchored_only:
+    if not left_anchored:
         candidates.extend(("R", u) for u in graph.right_vertices() if u not in right)
 
+    # Left anchors already processed in this expansion (exclusion only).
+    processed = 0
     for side, vertex in candidates:
         if side == "L":
-            locals_iter = enum_local_solutions(graph, left, right, vertex, k, enum_config)
+            locals_iter = enum_local_solutions(graph, left, right, vertex, k)
         else:
             mirror = MirrorView(graph)
             locals_iter = (
                 Biplex(mirrored.right_mask, mirrored.left_mask)
-                for mirrored in enum_local_solutions(
-                    mirror, right, left, vertex, k, enum_config
-                )
+                for mirrored in enum_local_solutions(mirror, right, left, vertex, k)
             )
         for local in locals_iter:
-            if right_shrinking_only:
+            if right_shrinking:
                 # Algorithm 2, Line 7: drop the local solution when some right
                 # vertex of G could still join it (a non-right-shrinking link),
                 # then extend with left-side vertices only — the result is a
@@ -137,15 +148,19 @@ def _links_from_solution(
                 )
             else:
                 target = extend_to_maximal(graph, local.left_mask, local.right_mask, k)
+            # Section 3.5: the earlier anchor's almost-satisfying graph
+            # generates this target.  The target contains the local
+            # solution, so this also covers a processed anchor in the local.
+            if target.left_mask & processed:
+                continue
             links.append((solution, target))
+        if exclusion:
+            processed |= 1 << vertex
     return links
 
 
 def build_solution_graph(
-    graph: BipartiteGraph,
-    k: int,
-    variant: str = "btraversal",
-    enum_config: EnumAlmostSatConfig = DEFAULT_CONFIG,
+    graph: BipartiteGraph, k: int, variant: str = "btraversal"
 ) -> SolutionGraph:
     """Construct the explicit solution graph of one algorithm variant.
 
@@ -154,59 +169,27 @@ def build_solution_graph(
     * ``"btraversal"``       — the full solution graph ``G``,
     * ``"left-anchored"``    — ``G_L`` (drop non-left-anchored links),
     * ``"right-shrinking"``  — ``G_R`` (additionally drop non-right-shrinking links),
-    * ``"itraversal"``       — ``G_E`` (links actually traversed by the full
-      iTraversal with the exclusion strategy).
+    * ``"itraversal"``       — ``G_E`` (additionally drop the links the
+      exclusion strategy prunes; the links a serial canonical-order
+      iTraversal run generates).
 
     The solution set (node set) is obtained from a complete bTraversal run,
     which is feasible only on small graphs — exactly the setting of
     Figure 11, which uses the four smallest datasets.
     """
-    if variant not in ("btraversal", "left-anchored", "right-shrinking", "itraversal"):
+    if variant not in SOLUTION_GRAPHS:
         raise ValueError(f"unknown solution-graph variant {variant!r}")
-
-    if variant == "itraversal":
-        return _build_traversed_graph(graph, k, enum_config)
-
-    solutions = BTraversal(graph, k, enum_config=enum_config).enumerate()
-    left_anchored_only = variant in ("left-anchored", "right-shrinking")
-    right_shrinking_only = variant == "right-shrinking"
+    solutions = BTraversal(graph, k).enumerate()
     result = SolutionGraph(nodes=list(solutions))
     for solution in solutions:
         result.links.extend(
-            _links_from_solution(
-                graph,
-                solution,
-                k,
-                enum_config,
-                left_anchored_only=left_anchored_only,
-                right_shrinking_only=right_shrinking_only,
-            )
+            _links_from_solution(graph, solution, k, SOLUTION_GRAPHS[variant])
         )
     return result
 
 
-def _build_traversed_graph(
-    graph: BipartiteGraph, k: int, enum_config: EnumAlmostSatConfig
-) -> SolutionGraph:
-    """The links the full iTraversal generates during an actual run (``G_E``)."""
-    algorithm = ITraversal(graph, k, variant="full", enum_config=enum_config)
-    solutions = algorithm.enumerate()
-    # The engine counts links as they are generated; reconstruct the list by
-    # re-running the children generator for every visited solution with the
-    # exclusion sets that were in effect.  For reporting purposes the paper
-    # only uses the *number* of links of G_E, so we return the traversed
-    # count attached to a graph carrying the solution nodes and one link per
-    # generated transition recorded by the engine statistics.
-    stats = algorithm.stats
-    placeholder_links = [(solutions[0], solutions[0])] * stats.num_links if solutions else []
-    return SolutionGraph(nodes=list(solutions), links=placeholder_links)
-
-
 def count_links(
-    graph: BipartiteGraph,
-    k: int,
-    enum_config: EnumAlmostSatConfig = DEFAULT_CONFIG,
-    max_links: int = 10**10,
+    graph: BipartiteGraph, k: int, max_links: int = 10**10
 ) -> Dict[str, int]:
     """Link counts of G, G_L, G_R and G_E (the Figure 11 measurement).
 
@@ -219,6 +202,6 @@ def count_links(
         ("right-shrinking", "iTraversal-ES"),
         ("itraversal", "iTraversal"),
     ):
-        solution_graph = build_solution_graph(graph, k, variant=variant, enum_config=enum_config)
+        solution_graph = build_solution_graph(graph, k, variant=variant)
         counts[label] = min(solution_graph.num_links, max_links)
     return counts

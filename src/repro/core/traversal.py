@@ -20,14 +20,14 @@ time and whether a limit was hit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..graph.bipartite import BipartiteGraph, MirrorView
 # ``as_backend`` is an identity kept importable here: benchmark tracers wrap
 # it by module attribute.
 from ..graph.protocol import as_backend, iter_bits, mask_of  # noqa: F401
-from ..prep import PREP_MODES, default_prep, prepare
+from ..prep import prepare, resolve_prep
 from .biplex import (
     Biplex,
     arbitrary_initial_solution,
@@ -35,7 +35,7 @@ from .biplex import (
     extend_to_maximal,
     initial_solution_left_anchored,
 )
-from .enum_almost_sat import DEFAULT_CONFIG, EnumAlmostSatConfig, enum_local_solutions
+from .enum_almost_sat import enum_local_solutions
 from .objective import OBJECTIVES, make_objective, resolve_objective
 
 
@@ -96,8 +96,6 @@ class TraversalConfig:
           ``(L0, R)`` seed) exactly when the variant is left-anchored,
           ``"arbitrary"`` (bTraversal's arbitrary maximal k-biplex)
           otherwise.
-    enum_config:
-        Refinement levels used inside EnumAlmostSat.
     theta_left, theta_right:
         Large-MBP thresholds (Section 5); 0 disables size filtering.
     max_results:
@@ -156,27 +154,35 @@ class TraversalConfig:
         order (same solution set, different DFS order); ``"off"``
         restores raw-graph canonical-order traversal exactly.  Reported
         solutions are always translated back to the *original* graph's
-        vertex ids.  The default follows
-        :func:`repro.prep.default_prep` and can be flipped globally with
-        the ``REPRO_PREP`` environment variable.
+        vertex ids.  ``None`` (the default) is resolved on construction
+        by :func:`repro.prep.resolve_prep`, which reads the ``REPRO_PREP``
+        environment variable (falling back to ``"core"``); the field
+        always holds a mode after construction.
+    local_enumeration:
+        How EnumAlmostSat is implemented: ``"refined"`` (the default)
+        runs the Section 4 algorithm at its L2.0+R2.0 refinement levels;
+        ``"inflation"`` inflates each almost-satisfying graph and
+        enumerates local maximal (k+1)-plexes, which is how the paper's
+        bTraversal baseline is implemented in Figure 7.
+
+    Every traversal knob is declared here and nowhere else: the front ends
+    (:class:`~repro.core.itraversal.ITraversal`,
+    :class:`~repro.core.btraversal.BTraversal`,
+    :class:`~repro.core.large.LargeMBPEnumerator`) and the query service
+    build this dataclass directly.
     """
 
     variant: str = "full"
-    enum_config: EnumAlmostSatConfig = field(default_factory=lambda: DEFAULT_CONFIG)
     theta_left: int = 0
     theta_right: int = 0
     max_results: Optional[int] = None
     time_limit: Optional[float] = None
     output_order: str = "pre"
     jobs: Optional[int] = None
-    prep: str = field(default_factory=default_prep)
+    prep: Optional[str] = None
     objective: str = "enumerate"
     top: Optional[int] = None
     local_enumeration: str = "refined"
-    """How EnumAlmostSat is implemented: ``"refined"`` uses the Section 4
-    algorithm (levels set by ``enum_config``); ``"inflation"`` inflates each
-    almost-satisfying graph and enumerates local maximal (k+1)-plexes, which
-    is how the paper's bTraversal baseline is implemented in Figure 7."""
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -187,8 +193,7 @@ class TraversalConfig:
             raise ValueError("size thresholds must be non-negative")
         if self.local_enumeration not in ("refined", "inflation"):
             raise ValueError("local_enumeration must be 'refined' or 'inflation'")
-        if self.prep not in PREP_MODES:
-            raise ValueError(f"prep must be one of {PREP_MODES}")
+        self.prep = resolve_prep(self.prep)
         if self.jobs is not None and self.jobs < 0:
             raise ValueError("jobs must be None or >= 0 (0 = one worker per CPU core)")
         if self.max_results is not None and self.max_results < 1:
@@ -1042,7 +1047,6 @@ class ReverseSearchEngine:
                 solution.right_mask,
                 vertex,
                 self.k,
-                config=self.config.enum_config,
                 min_right_size=min_right,
                 solution_right_missing=right_missing,
             )
@@ -1058,12 +1062,7 @@ class ReverseSearchEngine:
             )
         else:
             mirrored_locals = enum_local_solutions(
-                mirror,
-                solution.right_mask,
-                solution.left_mask,
-                vertex,
-                self.k,
-                config=self.config.enum_config,
+                mirror, solution.right_mask, solution.left_mask, vertex, self.k
             )
         for mirrored in mirrored_locals:
             yield Biplex(mirrored.right_mask, mirrored.left_mask)

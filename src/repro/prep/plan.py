@@ -54,11 +54,15 @@ def default_prep() -> str:
 
 
 def resolve_prep(mode: Optional[str]) -> str:
-    """Resolve an explicit or defaulted prep mode, validating it."""
+    """Resolve an explicit or defaulted prep mode, validating it.
+
+    :class:`~repro.core.traversal.TraversalConfig` resolves its ``prep``
+    field here, so ``None`` reads ``REPRO_PREP`` in this one place.
+    """
     if mode is None:
         return default_prep()
     if mode not in PREP_MODES:
-        raise ValueError(f"unknown prep mode {mode!r}; expected one of {PREP_MODES}")
+        raise ValueError(f"unknown prep mode {mode!r}; prep must be one of {PREP_MODES}")
     return mode
 
 

@@ -68,9 +68,10 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.itraversal import ITraversal, itraversal_config
+from ..core.itraversal import ITraversal
 from ..core.objective import resolve_objective
 from ..core.session import CursorError, EnumerationSession, StaleCursorError, decode_token
+from ..core.traversal import TraversalConfig
 from ..graph.bipartite import BipartiteGraph
 from ..graph.io import read_edge_list
 from ..obs import SlowQueryLog, get_registry, new_trace_id, span, trace
@@ -400,8 +401,8 @@ class QueryService:
             normalized["theta_right"],
         )
 
-    def _config_for(self, normalized: dict):
-        return itraversal_config(
+    def _config_for(self, normalized: dict) -> TraversalConfig:
+        return TraversalConfig(
             variant=normalized["variant"],
             theta_left=normalized["theta_left"],
             theta_right=normalized["theta_right"],

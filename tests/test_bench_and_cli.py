@@ -19,6 +19,7 @@ from repro.bench import (
     time_call,
 )
 from repro.bench.experiments import (
+    experiment_anchor_ablation,
     experiment_fig7a,
     experiment_fig7de,
     experiment_fig8b,
@@ -186,6 +187,16 @@ class TestExperimentDrivers:
         row = rows[0]
         assert row["bTraversal_links"] >= row["iTraversal-ES-RS_links"]
         assert row["iTraversal-ES-RS_links"] >= row["iTraversal-ES_links"]
+
+    def test_anchor_ablation_rows(self):
+        rows = experiment_anchor_ablation(
+            datasets=("divorce", "writer"), k_values=(1,), max_results=20, time_limit=5.0
+        )
+        assert [(row["dataset"], row["k"]) for row in rows] == [("divorce", 1), ("writer", 1)]
+        for row in rows:
+            for anchor in ("left-anchored", "right-anchored"):
+                assert row[anchor] != INF
+                float(row[anchor])
 
     def test_fig12_rows(self):
         rows = experiment_fig12(dataset="divorce", k_values=(1,), num_trials=5, time_limit=5.0)

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.baselines import enumerate_mbps_bruteforce
-from repro.core import BTraversal, btraversal_config, enumerate_mbps_btraversal
+from repro.core import BTraversal, enumerate_mbps_btraversal
 from repro.graph import erdos_renyi_bipartite
 
 
 class TestConfig:
-    def test_btraversal_config_flags(self):
-        config = btraversal_config()
+    def test_btraversal_config_flags(self, example_graph):
+        config = BTraversal(example_graph, 1).config
         assert config.variant == "btraversal"
         assert config.left_anchored is False
         assert config.right_shrinking is False

@@ -75,10 +75,8 @@ class TestPlantedStructureRecovery:
         )
         core = reduce_for_thresholds(graph, 1, theta_left=5, theta_right=5).graph
         assert core.num_vertices < graph.num_vertices
-        with_core = set(enumerate_large_mbps(graph, 1, theta=5, use_core_preprocessing=True)[0])
-        without_core = set(
-            enumerate_large_mbps(graph, 1, theta=5, use_core_preprocessing=False)[0]
-        )
+        with_core = set(enumerate_large_mbps(graph, 1, theta=5)[0])
+        without_core = set(enumerate_large_mbps(graph, 1, theta=5, prep="off")[0])
         assert with_core == without_core
 
 

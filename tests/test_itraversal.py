@@ -1,21 +1,28 @@
 """Tests for the iTraversal algorithm and its variants."""
 
+from dataclasses import fields
+
 import pytest
 from graph_samples import ROUTES, via
 
 from repro.baselines import enumerate_mbps_bruteforce
 from repro.core import (
     Biplex,
+    BTraversal,
     ITraversal,
+    LargeMBPEnumerator,
     ReverseSearchEngine,
     TraversalConfig,
+    build_solution_graph,
     check_all_solutions,
+    count_links,
+    enumerate_large_mbps,
     enumerate_mbps,
     is_maximal_k_biplex,
-    itraversal_config,
 )
 from repro.core.traversal import VARIANTS
 from repro.graph import erdos_renyi_bipartite, paper_example_graph
+from repro.prep import default_prep
 
 
 class TestBasics:
@@ -27,10 +34,6 @@ class TestBasics:
         with pytest.raises(ValueError):
             ITraversal(example_graph, 1, variant="bogus")
 
-    def test_rejects_unknown_anchor(self, example_graph):
-        with pytest.raises(ValueError):
-            ITraversal(example_graph, 1, anchor="top")
-
     def test_initial_solution_is_left_anchored(self, example_graph):
         algorithm = ITraversal(example_graph, 1)
         h0 = algorithm.initial_solution()
@@ -38,15 +41,11 @@ class TestBasics:
         assert set(h0.left) == {4}
 
     def test_initial_solution_right_anchor(self, example_graph):
-        algorithm = ITraversal(example_graph, 1, anchor="right")
-        h0 = algorithm.initial_solution()
+        # H0' = (L, R0) is H0 = (L0, R) of the side-swapped graph.
+        algorithm = ITraversal(example_graph.swap_sides(), 1)
+        swapped = algorithm.initial_solution()
+        h0 = Biplex(swapped.right_mask, swapped.left_mask)
         assert set(h0.left) == set(example_graph.left_vertices())
-
-    @pytest.mark.parametrize("mode, top", [("maximum", None), ("top-k", 3)])
-    def test_right_anchor_rejects_solver_modes(self, example_graph, mode, top):
-        # The mirrored run would rank ties by the mirrored graph's keys.
-        with pytest.raises(ValueError, match=f"anchor='right'.*mode='{mode}'"):
-            ITraversal(example_graph, 1, anchor="right", mode=mode, top=top)
 
     def test_config_exposed(self, example_graph):
         algorithm = ITraversal(example_graph, 1, variant="no-exclusion")
@@ -70,7 +69,11 @@ class TestCorrectness:
     @pytest.mark.parametrize("anchor", ["left", "right"])
     def test_both_anchors_match_bruteforce(self, example_graph, anchor):
         expected = set(enumerate_mbps_bruteforce(example_graph, 1))
-        got = set(ITraversal(example_graph, 1, anchor=anchor).enumerate())
+        if anchor == "left":
+            got = set(ITraversal(example_graph, 1).enumerate())
+        else:
+            swapped = ITraversal(example_graph.swap_sides(), 1).enumerate()
+            got = {Biplex(s.right_mask, s.left_mask) for s in swapped}
         assert got == expected
 
     @pytest.mark.parametrize("seed", range(10))
@@ -336,9 +339,31 @@ class TestFunctionalWrappers:
 
 class TestConfigHelpers:
     def test_itraversal_config_defaults(self):
-        config = itraversal_config()
+        config = ITraversal(paper_example_graph(), 1).config
+        assert config == TraversalConfig()
         assert config.left_anchored and config.right_shrinking and config.exclusion
         assert config.initial_solution == "anchored"
+
+    def test_prep_default_resolved_by_the_config(self, monkeypatch):
+        assert TraversalConfig(prep=None).prep == default_prep()
+        monkeypatch.setenv("REPRO_PREP", "off")
+        assert TraversalConfig().prep == "off"
+
+    @pytest.mark.parametrize("knob", ["enum_config", "anchor", "use_core_preprocessing"])
+    def test_retired_knobs_are_type_errors(self, knob):
+        assert knob not in {field.name for field in fields(TraversalConfig)}
+        graph = paper_example_graph()
+        for call in (
+            lambda **kw: ITraversal(graph, 1, **kw),
+            lambda **kw: BTraversal(graph, 1, **kw),
+            lambda **kw: LargeMBPEnumerator(graph, 1, theta=2, **kw),
+            lambda **kw: enumerate_large_mbps(graph, 1, 2, **kw),
+            lambda **kw: build_solution_graph(graph, 1, **kw),
+            lambda **kw: count_links(graph, 1, **kw),
+            lambda **kw: TraversalConfig(**kw),
+        ):
+            with pytest.raises(TypeError, match=knob):
+                call(**{knob: None})
 
     def test_traversal_config_validation(self):
         with pytest.raises(

@@ -29,7 +29,7 @@ class TestLargeEnumeration:
         graph = erdos_renyi_bipartite(5, 5, num_edges=12 + seed, seed=seed)
         expected = brute_large(graph, 1, theta)
         enumerator = LargeMBPEnumerator(
-            graph, 1, theta=theta, use_core_preprocessing=use_core
+            graph, 1, theta=theta, prep=None if use_core else "off"
         )
         assert set(enumerator.enumerate()) == expected
 

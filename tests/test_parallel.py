@@ -17,7 +17,6 @@ import pytest
 from graph_samples import random_graphs
 
 from repro.core import BTraversal, ITraversal, LargeMBPEnumerator
-from repro.core.btraversal import btraversal_config
 from repro.core.traversal import ReverseSearchEngine, TraversalConfig
 from repro.core.verify import canonical, check_all_solutions, same_solutions
 from repro.graph import erdos_renyi_bipartite, mask_of, paper_example_graph
@@ -86,7 +85,7 @@ class TestShardPlan:
 
     def test_btraversal_plan_covers_both_sides_without_exclusions(self):
         graph = paper_example_graph()
-        engine = ReverseSearchEngine(graph, 1, btraversal_config())
+        engine = ReverseSearchEngine(graph, 1, TraversalConfig(variant="btraversal"))
         root = engine._initial_solution()
         shards = shard_plan(engine, root)
         assert {shard.side for shard in shards} == {"L", "R"}
@@ -126,10 +125,15 @@ class TestParallelMatchesSerial:
         assert [s.key() for s in parallel] == canonical(serial)
 
     def test_right_anchored_parallel(self):
-        graph = GRAPHS[2]
-        serial = ITraversal(graph, 1, anchor="right", jobs=1).enumerate()
-        parallel = ITraversal(graph, 1, anchor="right", jobs=2).enumerate()
+        # The right-anchored traversal is an ordinary run on the swapped
+        # graph, so its parallel output keeps the canonical key order.
+        graph = GRAPHS[2].swap_sides()
+        serial = ITraversal(graph, 1, jobs=1).enumerate()
+        algorithm = ITraversal(graph, 1, jobs=2)
+        parallel = algorithm.enumerate()
         assert same_solutions(serial, parallel)
+        assert algorithm.stats.num_shards >= 2
+        assert [s.key() for s in parallel] == canonical(serial)
 
     def test_alternate_output_order_parallel(self):
         graph = GRAPHS[1]

@@ -18,6 +18,7 @@ from graph_samples import ROUTES, via
 
 from repro.baselines import enumerate_mbps_bruteforce, enumerate_mbps_imb
 from repro.core import (
+    Biplex,
     BTraversal,
     ITraversal,
     extend_to_maximal,
@@ -130,7 +131,8 @@ class TestCrossAlgorithmEquivalence:
         reference = set(ITraversal(graph, k).enumerate())
         assert set(ITraversal(graph, k, variant="no-exclusion").enumerate()) == reference
         assert set(ITraversal(graph, k, variant="left-anchored-only").enumerate()) == reference
-        assert set(ITraversal(graph, k, anchor="right").enumerate()) == reference
+        swapped = ITraversal(graph.swap_sides(), k).enumerate()
+        assert {Biplex(s.right_mask, s.left_mask) for s in swapped} == reference
 
     @SETTINGS
     @given(graph=bipartite_graphs(max_left=4, max_right=4), k=ks)

@@ -599,11 +599,11 @@ class TestTamperedEngineFrontier:
     def test_library_resume_raises_cursor_error(self, variant):
         from repro.analysis.datasets import load_dataset
         from repro.core import CursorError, EnumerationSession
-        from repro.core.itraversal import itraversal_config
         from repro.core.session import decode_token, encode_token
+        from repro.core.traversal import TraversalConfig
 
         graph = load_dataset("divorce")
-        config = itraversal_config(theta_left=4, theta_right=4, jobs=1, prep="core")
+        config = TraversalConfig(theta_left=4, theta_right=4, jobs=1, prep="core")
         session = EnumerationSession(graph, 1, config)
         session.next_batch(5)
         token = decode_token(session.cursor())

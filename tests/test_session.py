@@ -19,8 +19,7 @@ import sys
 import pytest
 from graph_samples import ROUTES, random_graphs, via
 
-from repro.core import CursorError, EnumerationSession, ITraversal
-from repro.core.itraversal import itraversal_config
+from repro.core import CursorError, EnumerationSession, ITraversal, TraversalConfig
 from repro.graph import erdos_renyi_bipartite, paper_example_graph
 
 GRAPHS = [
@@ -30,7 +29,7 @@ GRAPHS = [
 
 
 def _session(graph, k=1, **overrides):
-    config = itraversal_config(**overrides)
+    config = TraversalConfig(**overrides)
     return EnumerationSession(graph, k, config)
 
 
@@ -114,7 +113,7 @@ class TestCursorSuffixEquality:
                     graph,
                     1,
                     token,
-                    itraversal_config(prep=prep, jobs=1),
+                    TraversalConfig(prep=prep, jobs=1),
                 )
                 suffix = list(resumed.stream())
                 assert prefix + suffix == expected, (route, prep, cut)
@@ -129,7 +128,7 @@ class TestCursorSuffixEquality:
         token = session.cursor()
         session.close()
         resumed = EnumerationSession.resume(
-            graph, 1, token, itraversal_config(prep=prep, jobs=2)
+            graph, 1, token, TraversalConfig(prep=prep, jobs=2)
         )
         suffix = list(resumed.stream())
         assert prefix + suffix == expected
@@ -147,7 +146,7 @@ class TestCursorSuffixEquality:
                 break
             token = session.cursor()
             session.close()
-            session = EnumerationSession.resume(graph, 1, token, itraversal_config())
+            session = EnumerationSession.resume(graph, 1, token, TraversalConfig())
         assert collected == expected
 
     def test_cross_backend_portability(self):
@@ -160,7 +159,7 @@ class TestCursorSuffixEquality:
         session.close()
         for route in ROUTES:
             resumed = EnumerationSession.resume(
-                via(route, graph), 1, token, itraversal_config()
+                via(route, graph), 1, token, TraversalConfig()
             )
             assert prefix + list(resumed.stream()) == expected, route
 
@@ -169,7 +168,7 @@ class TestCursorSuffixEquality:
         session = _session(graph)
         list(session.stream())
         token = session.cursor()
-        resumed = EnumerationSession.resume(graph, 1, token, itraversal_config())
+        resumed = EnumerationSession.resume(graph, 1, token, TraversalConfig())
         assert resumed.exhausted
         assert list(resumed.stream()) == []
 
@@ -181,7 +180,7 @@ class TestCursorSuffixEquality:
             prefix = session.next_batch(cut)
             token = session.cursor()
             session.close()
-            resumed = EnumerationSession.resume(graph, 1, token, itraversal_config(jobs=1))
+            resumed = EnumerationSession.resume(graph, 1, token, TraversalConfig(jobs=1))
             assert prefix + list(resumed.stream()) == expected
 
 
@@ -189,7 +188,7 @@ class TestCursorHygiene:
     def test_malformed_token_rejected(self):
         with pytest.raises(CursorError):
             EnumerationSession.resume(
-                paper_example_graph(), 1, "not-a-token", itraversal_config()
+                paper_example_graph(), 1, "not-a-token", TraversalConfig()
             )
         session = _session(paper_example_graph())
         session.next_batch(2)
@@ -197,7 +196,7 @@ class TestCursorHygiene:
             base64.urlsafe_b64decode(session.cursor())[:-8]
         ).decode("ascii")
         with pytest.raises(CursorError, match="truncated"):
-            EnumerationSession.resume(paper_example_graph(), 1, truncated, itraversal_config())
+            EnumerationSession.resume(paper_example_graph(), 1, truncated, TraversalConfig())
 
     def test_wrong_graph_rejected(self):
         session = _session(paper_example_graph())
@@ -205,14 +204,14 @@ class TestCursorHygiene:
         token = session.cursor()
         other = erdos_renyi_bipartite(4, 4, num_edges=9, seed=3)
         with pytest.raises(CursorError):
-            EnumerationSession.resume(other, 1, token, itraversal_config())
+            EnumerationSession.resume(other, 1, token, TraversalConfig())
 
     def test_wrong_k_rejected(self):
         session = _session(paper_example_graph())
         session.next_batch(2)
         token = session.cursor()
         with pytest.raises(CursorError):
-            EnumerationSession.resume(paper_example_graph(), 2, token, itraversal_config())
+            EnumerationSession.resume(paper_example_graph(), 2, token, TraversalConfig())
 
     def test_jobs_mode_mismatch_rejected(self):
         session = _session(paper_example_graph(), jobs=1)
@@ -220,7 +219,7 @@ class TestCursorHygiene:
         token = session.cursor()
         with pytest.raises(CursorError):
             EnumerationSession.resume(
-                paper_example_graph(), 1, token, itraversal_config(jobs=2)
+                paper_example_graph(), 1, token, TraversalConfig(jobs=2)
             )
 
     @pytest.mark.parametrize("objective, top", [("maximum", None), ("top-k", 2)])
@@ -228,7 +227,7 @@ class TestCursorHygiene:
         from repro.core.session import decode_token, encode_token
 
         graph = paper_example_graph()
-        config = itraversal_config(objective=objective, top=top, max_results=3, jobs=1)
+        config = TraversalConfig(objective=objective, top=top, max_results=3, jobs=1)
         session = EnumerationSession(graph, 1, config)
         session.next_batch(1)
         token = decode_token(session.cursor())
@@ -252,7 +251,30 @@ class TestCursorHygiene:
         else:
             old = {"schema": schema, "query": {}, "cursor": encode_token(old_engine)}
         with pytest.raises(CursorError, match="unsupported cursor schema"):
-            EnumerationSession.resume(graph, 1, encode_token(old), itraversal_config(jobs=1))
+            EnumerationSession.resume(graph, 1, encode_token(old), TraversalConfig(jobs=1))
+
+    @pytest.mark.parametrize(
+        "overrides, digest",
+        [
+            (
+                dict(prep="off", jobs=1),
+                "3e46c9f7e881c2015a3942e240c6e4981bc2b28db0b0d4feb2cd039de38fc986",
+            ),
+            (
+                dict(prep="core+order", jobs=1, theta_left=2, theta_right=2),
+                "d72b02376e6e202bdcdffc1dd119ab036a0aecca5fc5f65aac52cdd4bc884d33",
+            ),
+            (
+                dict(prep="off", jobs=1, objective="maximum"),
+                "1da669479001af31de298c8402ecfe568c7e8affbd471cbab1f837f9c4f3ba89",
+            ),
+        ],
+    )
+    def test_fingerprint_is_pinned(self, overrides, digest):
+        """The hashed tuple is part of the cursor format: a change to it
+        makes every cursor minted before the change unresumable."""
+        session = EnumerationSession(paper_example_graph(), 1, TraversalConfig(**overrides))
+        assert session.fingerprint() == digest
 
     def test_equal_positions_mint_identical_cursors(self):
         """A token carries no wall clock: two sessions of one serial query
@@ -301,7 +323,7 @@ class TestCursorHygiene:
         token = session.cursor()
         session.close()
         resumed = EnumerationSession.resume(
-            graph, 1, token, itraversal_config(max_results=None, jobs=1)
+            graph, 1, token, TraversalConfig(max_results=None, jobs=1)
         )
         assert prefix + list(resumed.stream()) == expected
 
@@ -314,7 +336,7 @@ class TestStatsContinuity:
         token = session.cursor()
         reported_before = session.stats.num_reported
         session.close()
-        resumed = EnumerationSession.resume(graph, 1, token, itraversal_config())
+        resumed = EnumerationSession.resume(graph, 1, token, TraversalConfig())
         list(resumed.stream())
         full = _session(graph)
         list(full.stream())

@@ -1,6 +1,7 @@
 """Tests for the solution-graph construction (Figure 3/11) and delay instrumentation."""
 
 import time
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,7 @@ from repro.core import (
     measure_delay,
 )
 from repro.core.biplex import Biplex
-from repro.graph import paper_example_graph
+from repro.graph import erdos_renyi_bipartite, paper_example_graph
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +87,37 @@ class TestSolutionGraphConstruction:
         assert total == graph.num_links
         some_node = graph.nodes[0]
         assert graph.out_degree(some_node) == len(adjacency[some_node])
+
+
+class TestTraversedSolutionGraph:
+    """G_E holds the links a serial canonical-order iTraversal run generates."""
+
+    @pytest.mark.parametrize(
+        "graph, k",
+        [pytest.param(paper_example_graph(), 1, id="example-k1")]
+        + [
+            pytest.param(
+                erdos_renyi_bipartite(7, 8, num_edges=25, seed=seed), k, id=f"er-s{seed}-k{k}"
+            )
+            for seed in range(6)
+            for k in (1, 2)
+        ],
+    )
+    def test_real_links(self, graph, k):
+        traversed = build_solution_graph(graph, k, variant="itraversal")
+        shrinking = build_solution_graph(graph, k, variant="right-shrinking")
+        run = ITraversal(graph, k, prep="off", jobs=1)
+        run.enumerate()
+        assert traversed.num_links == run.stats.num_links
+        h0 = run.initial_solution()
+        assert traversed.reachable_from(h0) == set(traversed.nodes)
+        for source, target in traversed.links:
+            assert target.right <= source.right
+        assert not Counter(traversed.links) - Counter(shrinking.links)
+
+    def test_no_self_loops_on_the_example(self, solution_graphs):
+        links = solution_graphs["itraversal"].links
+        assert links and all(source != target for source, target in links)
 
 
 class TestSolutionGraphDataclass:

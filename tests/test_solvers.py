@@ -16,10 +16,9 @@ from graph_samples import ROUTES, random_graphs, via
 from repro.core import (
     EnumerationSession,
     LargeMBPEnumerator,
-    MaximumSize,
     TopK,
+    TraversalConfig,
     enumerate_mbps,
-    itraversal_config,
     make_objective,
     resolve_objective,
 )
@@ -67,7 +66,7 @@ class TestResolveObjective:
             resolve_objective(None, 3)
 
     def test_factory_dispatch(self):
-        assert isinstance(make_objective("maximum"), MaximumSize)
+        assert make_objective("maximum").top == 1
         assert isinstance(make_objective("top-k", 2), TopK)
         assert make_objective("enumerate").trivial
 
@@ -77,7 +76,7 @@ class TestObjectiveUnits:
         return Biplex.of(left, right)
 
     def test_maximum_tie_breaks_by_key(self):
-        objective = MaximumSize()
+        objective = TopK(1)
         later = self._biplex([1, 2], [3, 4])
         earlier = self._biplex([0, 2], [3, 4])
         assert objective.observe(later)
@@ -95,10 +94,10 @@ class TestObjectiveUnits:
         assert objective.prune_below() == 3  # the 2nd-best size
 
     def test_state_round_trip(self):
-        for objective in (MaximumSize(), TopK(3)):
+        for objective in (TopK(1), TopK(3)):
             objective.observe(self._biplex([0, 1], [2]))
             objective.observe(self._biplex([0], [2, 3]))
-            clone = type(objective)(3) if isinstance(objective, TopK) else type(objective)()
+            clone = TopK(objective.top)
             clone.restore(objective.results())
             assert clone.results() == objective.results()
             assert clone.prune_below() == objective.prune_below()
@@ -170,7 +169,7 @@ class TestSolverDifferential:
 
 class TestSolverCursors:
     def _config(self, **overrides):
-        return itraversal_config(jobs=1, **overrides)
+        return TraversalConfig(jobs=1, **overrides)
 
     def test_top_k_resume_mid_run_is_deterministic(self):
         graph = PARALLEL_GRAPH
@@ -250,7 +249,7 @@ class TestSolverCursors:
     def test_offset_solver_cursor_resumes_pagination(self):
         graph = PARALLEL_GRAPH
         oracle = _oracle(graph, 1)
-        config = itraversal_config(jobs=2, objective="top-k", top=3)
+        config = TraversalConfig(jobs=2, objective="top-k", top=3)
         session = EnumerationSession(graph, 1, config)
         first = session.next_batch(2)
         assert first == oracle[:2]
