@@ -133,9 +133,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace",
         action="store_true",
         help=(
-            "record a phase trace (load → plan → traverse → serialize, "
-            "plus per-shard worker spans under --jobs) and include it in "
-            "the --json document; a no-op when REPRO_OBS is off"
+            "record a phase trace (load → plan → traverse, plus "
+            "per-shard worker spans under --jobs) and include it in the "
+            "--json document; a no-op when REPRO_OBS is off"
         ),
     )
 
@@ -202,9 +202,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace",
         action="store_true",
         help=(
-            "request a phase trace from the service and include it in "
-            "--format json output; a no-op when the service's REPRO_OBS "
-            "is off"
+            "request a phase trace from the service and include the last "
+            "response's in --format json output (parse → load → plan → "
+            "traverse → serialize for a one-shot query, traverse → "
+            "serialize for a later page); a no-op when the service's "
+            "REPRO_OBS is off"
         ),
     )
 
@@ -618,24 +620,6 @@ def _command_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_serve(args: argparse.Namespace) -> int:
-    from .serve import service_from_args
-    from .service.http import ServiceHTTPServer
-
-    try:
-        service = service_from_args(args)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    ServiceHTTPServer(
-        service,
-        host=args.host,
-        port=args.port,
-        rate_limit=getattr(args, "rate_limit", None),
-    ).run()
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point used by the ``repro-mbp`` console script."""
     parser = _build_parser()
@@ -649,7 +633,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "query":
         return _command_query(args)
     if args.command == "serve":
-        return _command_serve(args)
+        from .serve import serve
+
+        return serve(args)
     parser.error(f"unknown command {args.command!r}")
     return 2
 

@@ -33,7 +33,7 @@ from .objective import (
 )
 from .session import CURSOR_SCHEMA, CursorError, EnumerationSession, StaleCursorError
 from .solution_graph import SolutionGraph, build_solution_graph, count_links
-from .traversal import ReverseSearchEngine, TraversalConfig, TraversalStats, run_with_stats
+from .traversal import ReverseSearchEngine, TraversalConfig, TraversalStats
 from .verify import (
     canonical,
     check_all_solutions,
@@ -79,7 +79,6 @@ __all__ = [
     "ReverseSearchEngine",
     "TraversalConfig",
     "TraversalStats",
-    "run_with_stats",
     "SolutionGraph",
     "build_solution_graph",
     "count_links",

@@ -58,29 +58,17 @@ class DelayRecord:
 def measure_delay(iterator_factory: Callable[[], Iterable[T]]) -> Tuple[List[T], DelayRecord]:
     """Consume the iterable produced by ``iterator_factory`` and record delays.
 
-    The factory is called once; timing starts immediately before the call so
+    The factory is called once, on the first pull of a
+    :class:`DelayInstrumentedIterator` whose clock is already running, so
     that any setup cost counts towards the first delay, exactly as the
     paper's definition requires.
     """
-    record = DelayRecord()
-    results: List[T] = []
-    start = time.perf_counter()
-    previous = start
-    iterator = iter(iterator_factory())
-    while True:
-        try:
-            item = next(iterator)
-        except StopIteration:
-            break
-        now = time.perf_counter()
-        record.delays.append(now - previous)
-        previous = now
-        results.append(item)
-    end = time.perf_counter()
-    record.termination_gap = end - previous
-    record.total_time = end - start
-    record.num_solutions = len(results)
-    return results, record
+
+    def produced() -> Iterator[T]:
+        yield from iterator_factory()
+
+    iterator = DelayInstrumentedIterator(produced())
+    return list(iterator), iterator.record
 
 
 class DelayInstrumentedIterator(Iterator[T]):

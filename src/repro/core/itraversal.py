@@ -49,15 +49,17 @@ class TraversalFrontEnd:
     def run(self) -> Iterator[Biplex]:
         """Lazily yield maximal k-biplexes (in original-graph coordinates).
 
-        Each call is a fresh one-shot enumeration session (see
-        :meth:`session` for the pausable variant with cursors).  A
-        ``max_results`` or ``time_limit`` cap sets
+        Each call streams a fresh one-shot :meth:`session` — sessions are
+        the only runners of an engine: they choose the serial or parallel
+        traversal, translate solutions back to the input's ids and publish
+        the run's stats.  Nothing runs before the first solution is
+        pulled.  A ``max_results`` or ``time_limit`` cap sets
         ``stats.hit_result_limit`` / ``stats.hit_time_limit`` by the time
         the affected solution (or the end of the stream) reaches the
         caller, so a consumer that stops at the cap still reads the run as
         truncated.
         """
-        yield from self._engine.run()
+        yield from self.session().stream()
 
     def session(self):
         """A fresh pausable :class:`~repro.core.session.EnumerationSession`.
@@ -67,8 +69,7 @@ class TraversalFrontEnd:
         graph's coordinates; use :meth:`EnumerationSession.next_batch` /
         ``cursor()`` for pagination and resume.  Only one session (or
         :meth:`run` stream) per instance should be live at a time — they
-        share the engine's traversal state, exactly like concurrent
-        ``run()`` iterators always did.
+        share the engine's traversal state.
         """
         from .session import EnumerationSession
 

@@ -9,8 +9,8 @@ with:
 
 * a session owns one :class:`~repro.core.traversal.ReverseSearchEngine`
   — graph, :class:`~repro.prep.plan.PrepPlan`,
-  :class:`~repro.core.traversal.TraversalConfig` — and exposes
-  :meth:`next_batch` to pull the next ``n`` solutions;
+  :class:`~repro.core.traversal.TraversalConfig` — and is the only thing
+  that runs it; :meth:`next_batch` pulls the next ``n`` solutions;
 * :meth:`cursor` captures a **serializable resume token** between batches,
   and :meth:`resume` reconstructs a session from the token against the
   same graph — the resumed stream is the exact suffix of the
@@ -431,11 +431,11 @@ class EnumerationSession:
         return batch
 
     def stream(self) -> Iterator[Biplex]:
-        """Lazily yield every remaining solution (the classic ``run()``).
+        """Lazily yield every remaining solution (what front ends' ``run()`` streams).
 
         Closing the stream (early ``break`` + GC, or an explicit
-        ``close()``) closes the session's source with it, so engine stats
-        finalize exactly as a directly-abandoned ``run()`` always did.
+        ``close()``) closes the session's source with it, so the engine's
+        DFS loop stamps its stats at once.
         """
         source = self._ensure_source()
         try:

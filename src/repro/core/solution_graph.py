@@ -30,7 +30,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
-from ..graph.bipartite import BipartiteGraph, MirrorView
+from ..graph.bipartite import BipartiteGraph
 from .biplex import Biplex, can_add_right, extend_to_maximal
 from .btraversal import BTraversal
 from .enum_almost_sat import enum_local_solutions
@@ -105,9 +105,17 @@ class SolutionGraph:
 
 
 def _links_from_solution(
-    graph: BipartiteGraph, solution: Biplex, k: int, variant: str
+    graph: BipartiteGraph,
+    swapped: BipartiteGraph,
+    solution: Biplex,
+    k: int,
+    variant: str,
 ) -> List[Tuple[Biplex, Biplex]]:
-    """All links leaving ``solution`` under one row of ``VARIANTS``."""
+    """All links leaving ``solution`` under one row of ``VARIANTS``.
+
+    ``swapped`` is ``graph.swap_sides()``: a right anchor's local
+    solutions are the left-side ones there, swapped back.
+    """
     left_anchored, right_shrinking, exclusion = VARIANTS[variant]
     links: List[Tuple[Biplex, Biplex]] = []
     left, right = solution.vertices()
@@ -124,10 +132,9 @@ def _links_from_solution(
         if side == "L":
             locals_iter = enum_local_solutions(graph, left, right, vertex, k)
         else:
-            mirror = MirrorView(graph)
             locals_iter = (
                 Biplex(mirrored.right_mask, mirrored.left_mask)
-                for mirrored in enum_local_solutions(mirror, right, left, vertex, k)
+                for mirrored in enum_local_solutions(swapped, right, left, vertex, k)
             )
         for local in locals_iter:
             if right_shrinking:
@@ -181,9 +188,10 @@ def build_solution_graph(
         raise ValueError(f"unknown solution-graph variant {variant!r}")
     solutions = BTraversal(graph, k).enumerate()
     result = SolutionGraph(nodes=list(solutions))
+    swapped = graph.swap_sides()
     for solution in solutions:
         result.links.extend(
-            _links_from_solution(graph, solution, k, SOLUTION_GRAPHS[variant])
+            _links_from_solution(graph, swapped, solution, k, SOLUTION_GRAPHS[variant])
         )
     return result
 

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..graph.bipartite import BipartiteGraph, MirrorView
+from ..graph.bipartite import BipartiteGraph
 # ``as_backend`` is an identity kept importable here: benchmark tracers wrap
 # it by module attribute.
 from ..graph.protocol import as_backend, iter_bits, mask_of  # noqa: F401
@@ -35,7 +35,7 @@ from .biplex import (
     extend_to_maximal,
     initial_solution_left_anchored,
 )
-from .enum_almost_sat import enum_local_solutions
+from .enum_almost_sat import enum_local_solutions, enum_local_solutions_inflation
 from .objective import OBJECTIVES, make_objective, resolve_objective
 
 
@@ -374,8 +374,8 @@ class ReverseSearchEngine:
         # the mapping degenerates to the classic visited set.
         self._visited: Dict[Biplex, int] = {}
         self._start_time = 0.0
-        # The explicit DFS frontier of the (last) serial traversal: a list
-        # of frames, bottom to top — see _dfs.  Exposed as state (rather
+        # The explicit DFS frontier of the (last) traversal: a list of
+        # frames, bottom to top — see _drive.  Exposed as state (rather
         # than locals of a generator) so a session can capture it between
         # yields and serialize a resumable cursor (frontier_state below).
         self._stack: Optional[List[List]] = None
@@ -398,46 +398,17 @@ class ReverseSearchEngine:
         # (epoch, order) of the right side by descending degree, the mask
         # right-extensibility probe's scan order (_right_degree_order).
         self._right_order = None
+        # The side-swapped graph bTraversal's right candidates run
+        # EnumAlmostSat on, built on the first one (_local_solutions).  An
+        # engine never runs on another epoch (_check_epoch), so one copy
+        # lasts its lifetime.
+        self._swapped: Optional[BipartiteGraph] = None
 
     # ------------------------------------------------------------------ #
-    # Public API
+    # Entry points: each builds the frames the one DFS loop starts from
     # ------------------------------------------------------------------ #
-    def run(self) -> Iterator[Biplex]:
-        """Enumerate maximal k-biplexes according to the configuration.
-
-        Solutions are yielded lazily; iteration can be stopped early by the
-        caller (e.g. "first 1000 MBPs" experiments) without paying for the
-        full enumeration.
-
-        When the configuration resolves to more than one job, the run is
-        delegated to the sharded parallel engine (:mod:`repro.parallel`),
-        which partitions the traversal forest by root anchor, fans the
-        subtrees out over a process pool and merges the per-worker results
-        and statistics back into ``self.stats``.
-
-        When the prep plan reduced the graph, solutions are translated
-        from the reduced id space back to the input graph's ids — the
-        internal machinery (including the parallel shards) works entirely
-        in reduced coordinates.  The maps are ascending in the original
-        ids, so translation is strictly monotone: the parallel engine's
-        sorted output order survives it unchanged.
-
-        Implemented as a fresh one-shot
-        :class:`~repro.core.session.EnumerationSession` per call — the
-        session layer owns the serial/parallel dispatch and the id
-        translation; ``run()`` is its full lazy stream.  Hold a session
-        directly for pagination (:meth:`EnumerationSession.next_batch`)
-        and resumable cursors.
-        """
-        from .session import EnumerationSession
-
-        return EnumerationSession.from_engine(self).stream()
-
     def _run_serial(self) -> Iterator[Biplex]:
         """The single-process DFS; also the fallback of degenerate parallel runs."""
-        self._check_epoch()
-        self._start_time = time.perf_counter()
-        self.stats = TraversalStats()
         self._visited = {}
         # A fresh run must not inherit an earlier run's incumbent: the
         # answer would still come out right (results() keeps the stored
@@ -445,22 +416,12 @@ class ReverseSearchEngine:
         # work counters would stop being a function of the input.
         self.objective.reset()
         self._bound_core_cache = None
-        # The ``finally`` keeps the stats finalized even when the caller
-        # abandons the generator mid-run (early ``break`` / ``close()``),
-        # which unwinds through here as GeneratorExit.
-        try:
-            initial = self._initial_solution()
-            self._visited[initial] = 0
-            self.stats.num_solutions += 1
-            yield from self._dfs(initial)
-        except _LimitReached:
-            pass
-        finally:
-            self.stats.elapsed_seconds = time.perf_counter() - self._start_time
-
-    def enumerate(self) -> List[Biplex]:
-        """Run the traversal to completion and return all solutions as a list."""
-        return list(self.run())
+        initial = self._initial_solution()
+        self._visited[initial] = 0
+        return self._drive(
+            [[initial, self._children(initial, 0), False, 0]],
+            TraversalStats(num_solutions=1),
+        )
 
     def run_shard(
         self,
@@ -478,8 +439,10 @@ class ReverseSearchEngine:
         each child subtree to completion.  Each shard runs with
         ``_inherit_exclusions`` enabled, so the prefix also propagates down
         the subtree (the shard-disjointness device; see
-        :mod:`repro.parallel`).  ``root`` itself is never yielded (the
-        coordinator owns it).
+        :mod:`repro.parallel`).  ``root`` is pushed as an already-output
+        frame whose children are that one anchor's, so :meth:`_drive`
+        explores the subtrees in the serial order and never yields ``root``
+        itself (the coordinator owns it).
 
         Both ``self.stats`` and ``self._visited`` are reset per shard, so a
         shard's traversal — and therefore every merged work counter — is a
@@ -490,29 +453,16 @@ class ReverseSearchEngine:
         coordinator already deduplicates the solutions themselves.)
 
         Solutions are yielded in *reduced* (internal) coordinates — the
-        coordinator's engine translates once, in :meth:`run`.
+        coordinator's session translates once.
         """
         # Arm exclusion inheritance per shard: the re-exploration cascade
         # fallback may have switched it off inside an earlier shard, and
         # each shard's traversal must stay a pure function of its own
         # (root, anchor, exclusion).
-        self._check_epoch()
         self._inherit_exclusions = True
-        self.stats = TraversalStats()
         self._visited = {root: 0}
-        self._start_time = time.perf_counter()
-        try:
-            for child, child_exclusion, fresh in self._children(
-                root,
-                0,
-                candidates=[anchor],
-                processed_base=exclusion,
-            ):
-                yield from self._dfs(child, child_exclusion, depth=1, fresh=fresh)
-        except _LimitReached:
-            pass
-        finally:
-            self.stats.elapsed_seconds = time.perf_counter() - self._start_time
+        children = self._children(root, 0, candidates=[anchor], processed_base=exclusion)
+        return self._drive([[root, children, True, 0]], TraversalStats())
 
     # ------------------------------------------------------------------ #
     # Resumable frontier (sessions / cursors)
@@ -559,73 +509,50 @@ class ReverseSearchEngine:
         frame replays its candidate scan once (skipping the children the
         restored visited set already holds), after which the DFS proceeds
         exactly as the uninterrupted run would have — the solution stream
-        is the exact suffix.  Work counters (``num_links`` etc.) count the
-        replay work too, so a resumed run may report slightly more work
-        than an uninterrupted one; ``num_reported`` and the solution set
-        are exact.  The resumed leg times itself: ``elapsed_seconds`` and
-        a configured ``time_limit`` both start from this call.
+        is the exact suffix.  Every restored frame at an output depth is
+        already flagged as output, so :meth:`_drive` reports nothing twice.
+        Work counters (``num_links`` etc.) count the replay work too, so a
+        resumed run may report slightly more work than an uninterrupted
+        one; ``num_reported`` and the solution set are exact.  The resumed
+        leg times itself: ``elapsed_seconds`` and a configured
+        ``time_limit`` both start when its first solution is pulled.
         """
-        self._check_epoch()
-        self.stats = stats
         # Budget flags are per-leg: the resumed leg runs under its own
         # (possibly different) caps, so a previous leg's truncation must
         # not make a subsequently-completed run read as truncated.
         stats.hit_result_limit = False
         stats.hit_time_limit = False
         self._visited = dict.fromkeys(visited, 0)
-        self._start_time = time.perf_counter()
-        stack: List[List] = [
-            [solution, self._children(solution, 0), already_output, depth]
-            for solution, already_output, depth in frames
-        ]
-        self._stack = stack
-        try:
-            yield from self._drive(stack)
-        except _LimitReached:
-            pass
-        finally:
-            self.stats.elapsed_seconds = time.perf_counter() - self._start_time
+        return self._drive(
+            [
+                [solution, self._children(solution, 0), already_output, depth]
+                for solution, already_output, depth in frames
+            ],
+            stats,
+        )
 
     # ------------------------------------------------------------------ #
     # DFS driver
     # ------------------------------------------------------------------ #
-    def _dfs(
-        self,
-        initial: Biplex,
-        exclusion: int = 0,
-        depth: int = 0,
-        fresh: bool = True,
-    ) -> Iterator[Biplex]:
-        """Iterative DFS with optional alternating output order.
+    def _drive(self, stack: List[List], stats: TraversalStats) -> Iterator[Biplex]:
+        """The one DFS loop: advance the explicit-state DFS until the stack empties.
 
-        ``exclusion`` and ``depth`` seed the starting frame, so a parallel
-        shard can resume a subtree exactly as the serial DFS would explore
-        it (the exclusion mask of the link that discovered ``initial`` and
-        its depth below the designated root).  Frames carry a ``fresh``
-        flag: a re-exploration frame (a visited solution whose exclusion
-        set shrank, see ``_children``) traverses its children again but is
-        never reported a second time.
-        """
-        alternate = self.config.output_order == "alternate"
-        # Each frame: [solution, children iterator, already_output flag,
-        # depth].  The iterator is not serializable: a cursor stores the
-        # rest and resume_serial regenerates the iterator — replaying a
-        # frame's candidate scan skips everything the visited map already
-        # holds, so the replay continues exactly where the captured
-        # iterator stopped (at the cost of re-scoring that frame's earlier
-        # candidates once).
-        stack: List[List] = [[initial, self._children(initial, exclusion), not fresh, depth]]
-        self._stack = stack
-        if fresh and (not alternate or self._output_now(depth)):
-            # The flag is raised *before* the yield: a consumer suspended at
-            # this yield (a session capturing a cursor) must see a frontier
-            # that does not re-report on resume.
-            stack[-1][2] = True
-            yield from self._report(initial)
-        yield from self._drive(stack)
+        Fresh runs, shards and resumed legs differ only in the frames they
+        start from.  This generator alone checks the epoch, installs
+        ``stats`` and ``stack`` on the engine, ends the run on a budget
+        cap and stamps ``elapsed_seconds`` — also when the caller abandons
+        it mid-run (early ``break`` / ``close()``), which unwinds through
+        the ``finally`` as GeneratorExit.
 
-    def _drive(self, stack: List[List]) -> Iterator[Biplex]:
-        """Advance the explicit-state DFS until the stack empties.
+        Each frame is ``[solution, children iterator, already_output
+        flag, depth]``.  The iterator is not serializable: a cursor stores
+        the rest and :meth:`resume_serial` regenerates the iterator —
+        replaying a frame's candidate scan skips everything the visited map
+        already holds, so the replay continues exactly where the captured
+        iterator stopped (at the cost of re-scoring that frame's earlier
+        candidates once).  A re-exploration frame (a visited solution whose
+        exclusion set shrank, see ``_children``) starts flagged: it
+        traverses its children again but is never reported a second time.
 
         Every suspension point (each yielded solution) leaves ``stack`` in
         a resume-consistent state: the yielded solution is already counted,
@@ -633,37 +560,58 @@ class ReverseSearchEngine:
         that will produce the next solution is on the stack.  This is the
         invariant :meth:`frontier_state` relies on.
         """
+        self._check_epoch()
+        self.stats = stats
+        self._stack = stack
+        self._start_time = time.perf_counter()
         alternate = self.config.output_order == "alternate"
-        while stack:
-            frame = stack[-1]
-            solution, children, already_output, depth = frame
-            child = next(children, None)
-            # After the step, before anything it produced is reported: a
-            # step that overlapped an edit of the graph is discarded.
-            self._check_epoch()
-            if child is None:
-                # Pop before the (post-order) report so a cursor captured
-                # at that yield no longer carries the exhausted frame.
-                stack.pop()
-                if not already_output:
-                    frame[2] = True
-                    yield from self._report(solution)
-                continue
-            child_solution, child_exclusion, child_fresh = child
-            child_depth = depth + 1
-            child_frame = [
-                child_solution,
-                self._children(child_solution, child_exclusion),
-                not child_fresh,
-                child_depth,
-            ]
-            # Push before reporting: a cursor captured at the report yield
-            # must include the child frame, or its subtree would be lost on
-            # resume (the child is already in the visited map by now).
-            stack.append(child_frame)
-            if child_fresh and (not alternate or self._output_now(child_depth)):
-                child_frame[2] = True
-                yield from self._report(child_solution)
+        try:
+            # The first step reports a fresh run's initial solution — the
+            # rule below applies to every child the loop pushes.  A shard
+            # root and every resumed frame at an output depth arrive
+            # flagged, so it never fires for them.
+            if stack and not stack[-1][2]:
+                top = stack[-1]
+                if not alternate or self._output_now(top[3]):
+                    top[2] = True
+                    yield from self._report(top[0])
+            while stack:
+                frame = stack[-1]
+                solution, children, already_output, depth = frame
+                child = next(children, None)
+                # After the step, before anything it produced is reported: a
+                # step that overlapped an edit of the graph is discarded.
+                self._check_epoch()
+                if child is None:
+                    # Pop before the (post-order) report so a cursor captured
+                    # at that yield no longer carries the exhausted frame.
+                    stack.pop()
+                    if not already_output:
+                        frame[2] = True
+                        yield from self._report(solution)
+                    continue
+                child_solution, child_exclusion, child_fresh = child
+                child_depth = depth + 1
+                child_frame = [
+                    child_solution,
+                    self._children(child_solution, child_exclusion),
+                    not child_fresh,
+                    child_depth,
+                ]
+                # Push before reporting: a cursor captured at the report yield
+                # must include the child frame, or its subtree would be lost on
+                # resume (the child is already in the visited map by now).
+                stack.append(child_frame)
+                if child_fresh and (not alternate or self._output_now(child_depth)):
+                    # The flag is raised *before* the yield: a consumer
+                    # suspended there (a session capturing a cursor) must
+                    # see a frontier that does not re-report on resume.
+                    child_frame[2] = True
+                    yield from self._report(child_solution)
+        except _LimitReached:
+            pass
+        finally:
+            stats.elapsed_seconds = time.perf_counter() - self._start_time
 
     @staticmethod
     def _output_now(depth: int) -> bool:
@@ -1014,58 +962,44 @@ class ReverseSearchEngine:
         solution: Biplex,
         side: str,
         vertex: int,
-        right_missing=None,
-        theta_right: Optional[int] = None,
+        right_missing,
+        theta_right: int,
     ) -> Iterator[Biplex]:
         """Step 2: EnumAlmostSat on the almost-satisfying graph ``G[H ∪ {vertex}]``.
 
         ``theta_right`` is the caller's *effective* right threshold — the
         configured Section 5 value merged with the solver objectives'
-        bound-implied one (see ``_children``); ``None`` falls back to the
-        configured value.
+        bound-implied one (see ``_children``).  A right candidate
+        (bTraversal only) runs the same procedure on the side-swapped graph,
+        and its local solutions are swapped back.
         """
-        effective_theta_right = (
-            self.config.theta_right if theta_right is None else theta_right
-        )
-        min_right = (
-            effective_theta_right
-            if (effective_theta_right and self.config.right_shrinking)
-            else 0
-        )
-        use_inflation = self.config.local_enumeration == "inflation"
-        if side == "L":
-            if use_inflation:
-                from .enum_almost_sat import enum_local_solutions_inflation
-
-                yield from enum_local_solutions_inflation(
-                    self.graph, *solution.key(), vertex, self.k
-                )
-                return
-            yield from enum_local_solutions(
-                self.graph,
-                solution.left_mask,
-                solution.right_mask,
+        graph = self.graph
+        left = solution.left_mask
+        right = solution.right_mask
+        min_right = theta_right if self.config.right_shrinking else 0
+        if side == "R":
+            if self._swapped is None:
+                self._swapped = graph.swap_sides()
+            # The δ̄ counts are over the other side there, and no variant
+            # with right candidates shrinks the right side (min_right is 0).
+            graph, left, right, right_missing = self._swapped, right, left, None
+        if self.config.local_enumeration == "inflation":
+            found = enum_local_solutions_inflation(
+                graph, list(iter_bits(left)), list(iter_bits(right)), vertex, self.k
+            )
+        else:
+            found = enum_local_solutions(
+                graph,
+                left,
+                right,
                 vertex,
                 self.k,
                 min_right_size=min_right,
                 solution_right_missing=right_missing,
             )
-            return
-        # Right-side candidate (bTraversal only): run the same procedure on
-        # the mirrored view and swap the result back.
-        mirror = MirrorView(self.graph)
-        if use_inflation:
-            from .enum_almost_sat import enum_local_solutions_inflation
-
-            mirrored_locals = enum_local_solutions_inflation(
-                mirror, *reversed(solution.key()), vertex, self.k
-            )
-        else:
-            mirrored_locals = enum_local_solutions(
-                mirror, solution.right_mask, solution.left_mask, vertex, self.k
-            )
-        for mirrored in mirrored_locals:
-            yield Biplex(mirrored.right_mask, mirrored.left_mask)
+        if side == "L":
+            return found
+        return (Biplex(local.right_mask, local.left_mask) for local in found)
 
     def _extend(self, local: Biplex) -> Biplex:
         """Step 3: extend a local solution to a maximal k-biplex of ``G``."""
@@ -1136,13 +1070,3 @@ class ReverseSearchEngine:
             cached = self._right_order = (graph.epoch, order)
         return cached[1]
 
-
-def run_with_stats(
-    graph: BipartiteGraph,
-    k: int,
-    config: Optional[TraversalConfig] = None,
-) -> Tuple[List[Biplex], TraversalStats]:
-    """Convenience helper: run an engine to completion and return solutions + stats."""
-    engine = ReverseSearchEngine(graph, k, config)
-    solutions = engine.enumerate()
-    return solutions, engine.stats

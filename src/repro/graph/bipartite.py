@@ -390,14 +390,16 @@ class BipartiteGraph:
         return BipartiteGraph(self._n_left, self._n_right, self.edges())
 
     def swap_sides(self) -> "BipartiteGraph":
-        """Return a graph with the two sides exchanged.
+        """Return a graph with the two sides exchanged, at epoch 0.
 
-        Used by the *right-anchored* traversal variant, which is the mirror
-        image of the left-anchored traversal described in the paper.
+        The right-anchored traversal is the left-anchored one on this
+        graph, and bTraversal runs EnumAlmostSat for a right candidate on
+        it.  The copy takes the two mask lists as they are.
         """
         swapped = BipartiteGraph(self._n_right, self._n_left)
-        for left_vertex, right_vertex in self.edges():
-            swapped.add_edge(right_vertex, left_vertex)
+        swapped._left_masks = list(self._right_masks)
+        swapped._right_masks = list(self._left_masks)
+        swapped._num_edges = self._num_edges
         return swapped
 
     # ------------------------------------------------------------------ #
@@ -451,109 +453,6 @@ def paper_example_graph() -> BipartiteGraph:
         (4, 0), (4, 1), (4, 2), (4, 3), (4, 4),  # v4 adjacent to all
     ]
     return BipartiteGraph(5, 5, edges=edges)
-
-
-class MirrorView:
-    """A zero-copy view of a :class:`BipartiteGraph` with the two sides swapped.
-
-    The enumeration code is written in terms of "left" and "right"; the
-    reverse-search baselines sometimes need to run the same logic with the
-    roles of the sides exchanged (e.g. bTraversal grows almost-satisfying
-    graphs with vertices from *either* side, and the right-anchored traversal
-    variant mirrors the whole algorithm).  This adapter forwards every query
-    to the underlying graph with the sides exchanged in O(1), avoiding a full
-    :meth:`BipartiteGraph.swap_sides` copy.
-    """
-
-    __slots__ = ("_graph",)
-
-    def __init__(self, graph: "BipartiteGraph") -> None:
-        self._graph = graph
-
-    @property
-    def n_left(self) -> int:
-        return self._graph.n_right
-
-    @property
-    def n_right(self) -> int:
-        return self._graph.n_left
-
-    @property
-    def num_edges(self) -> int:
-        return self._graph.num_edges
-
-    @property
-    def num_vertices(self) -> int:
-        return self._graph.num_vertices
-
-    @property
-    def epoch(self) -> int:
-        return self._graph.epoch
-
-    # -- mutation surface, forwarded with the sides exchanged ------------ #
-    def add_edge(self, left_vertex: int, right_vertex: int) -> bool:
-        return self._graph.add_edge(right_vertex, left_vertex)
-
-    def remove_edge(self, left_vertex: int, right_vertex: int) -> bool:
-        return self._graph.remove_edge(right_vertex, left_vertex)
-
-    def apply_batch(self, inserts=(), deletes=()):
-        return self._graph.apply_batch(
-            inserts=[(u, v) for v, u in inserts],
-            deletes=[(u, v) for v, u in deletes],
-        )
-
-    def add_left_vertex(self) -> int:
-        return self._graph.add_right_vertex()
-
-    def add_right_vertex(self) -> int:
-        return self._graph.add_left_vertex()
-
-    def left_vertices(self) -> range:
-        return self._graph.right_vertices()
-
-    def right_vertices(self) -> range:
-        return self._graph.left_vertices()
-
-    def has_edge(self, left_vertex: int, right_vertex: int) -> bool:
-        return self._graph.has_edge(right_vertex, left_vertex)
-
-    def neighbors_of_left(self, left_vertex: int) -> Set[int]:
-        return self._graph.neighbors_of_right(left_vertex)
-
-    def neighbors_of_right(self, right_vertex: int) -> Set[int]:
-        return self._graph.neighbors_of_left(right_vertex)
-
-    def degree_of_left(self, left_vertex: int) -> int:
-        return self._graph.degree_of_right(left_vertex)
-
-    def degree_of_right(self, right_vertex: int) -> int:
-        return self._graph.degree_of_left(right_vertex)
-
-    def gamma_left(self, left_vertex: int, right_subset: Iterable[int]) -> Set[int]:
-        return self._graph.gamma_right(left_vertex, right_subset)
-
-    def gamma_right(self, right_vertex: int, left_subset: Iterable[int]) -> Set[int]:
-        return self._graph.gamma_left(right_vertex, left_subset)
-
-    def non_gamma_left(self, left_vertex: int, right_subset: Iterable[int]) -> Set[int]:
-        return self._graph.non_gamma_right(left_vertex, right_subset)
-
-    def non_gamma_right(self, right_vertex: int, left_subset: Iterable[int]) -> Set[int]:
-        return self._graph.non_gamma_left(right_vertex, left_subset)
-
-    def missing_left(self, left_vertex: int, right_subset: Iterable[int]) -> int:
-        return self._graph.missing_right(left_vertex, right_subset)
-
-    def missing_right(self, right_vertex: int, left_subset: Iterable[int]) -> int:
-        return self._graph.missing_left(right_vertex, left_subset)
-
-    # -- adjacency masks, forwarded with the sides exchanged -------------- #
-    def adj_left_mask(self, left_vertex: int) -> int:
-        return self._graph.adj_right_mask(left_vertex)
-
-    def adj_right_mask(self, right_vertex: int) -> int:
-        return self._graph.adj_left_mask(right_vertex)
 
 
 def freeze(vertex_ids: Iterable[int]) -> FrozenSet[int]:

@@ -2,10 +2,10 @@
 
 The enumeration algorithms never depend on a concrete graph class — they
 only use the query surface below: side sizes, neighbour sets, per-vertex
-adjacency masks and the Γ / δ̄ primitives of Section 2.  Two objects
-implement :class:`BipartiteSubstrate`: :class:`~repro.graph.BipartiteGraph`,
-the one substrate, and :class:`~repro.graph.bipartite.MirrorView`, its
-zero-copy side-swapped view.
+adjacency masks and the Γ / δ̄ primitives of Section 2.
+:class:`~repro.graph.BipartiteGraph`, the one substrate, implements
+:class:`BipartiteSubstrate`; a side-swapped run works on its
+:meth:`~repro.graph.BipartiteGraph.swap_sides` copy.
 
 Every vertex stores its adjacency once, as a Python-int *mask* whose set
 bits are the neighbour ids on the other side.  The hot paths (the

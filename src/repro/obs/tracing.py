@@ -1,12 +1,21 @@
 """Request-scoped tracing: trace ids and a phase tree of wall times.
 
 A :class:`Trace` is minted at a service entry point (one ``trace_id`` per
-request) and records a tree of :class:`Span` phases — for a query:
-``parse → load → prep → traverse → serialize``.  Instrumented code never
-holds the trace explicitly; it opens phases through the module-level
-:func:`span` context manager, which resolves the current thread's active
-trace (or does nothing when there is none — the disabled path is one
-thread-local read).
+request) and records a tree of :class:`Span` phases.  Each path records:
+
+* a service query (``enumerate``, and ``open_session`` for its first
+  page): ``parse → load → plan → traverse → serialize``, where ``load``
+  resolves the graph through the registry (a file read when cold) and
+  ``serialize`` also mints a page's cursor;
+* a service page (``next_page``): ``traverse → serialize``, after a
+  ``resume`` phase (graph load included) when it resumes from a cursor;
+* a service update: ``parse → load → apply``;
+* ``repro-mbp enumerate --trace``: ``load → plan → traverse``.
+
+Instrumented code never holds the trace explicitly; it opens phases
+through the module-level :func:`span` context manager, which resolves the
+current thread's active trace (or does nothing when there is none — the
+disabled path is one thread-local read).
 
 The tree crosses the process boundary of the parallel engine by value,
 not by reference: the coordinator passes the ``trace_id`` to its workers

@@ -178,8 +178,22 @@ def run_parallel(engine) -> Iterator[Biplex]:
     # abandons the generator early sees only what it consumed).
     arrived = 0
 
-    def cap_reached() -> bool:
-        return config.max_results is not None and arrived >= config.max_results
+    def arrive(solution: Biplex) -> bool:
+        """Take one unique solution in; True once it reaches the cap."""
+        nonlocal arrived
+        arrived += 1
+        if solution.size > merged.best_size:
+            merged.best_size = solution.size
+        if solver and engine.objective.observe(solution):
+            # Workers gossip through their own engines already; the
+            # coordinator's merged view catches incumbents a worker found
+            # right before exiting.
+            publish_bound()
+        buffered.append(solution)
+        if config.max_results is not None and arrived >= config.max_results:
+            merged.hit_result_limit = True
+            return True
+        return False
 
     try:
         for process in workers:
@@ -190,15 +204,7 @@ def run_parallel(engine) -> Iterator[Biplex]:
             merged.hit_time_limit = True
             stop = True
         elif engine._passes_size_filter(root):
-            arrived += 1
-            if root.size > merged.best_size:
-                merged.best_size = root.size
-            if solver and engine.objective.observe(root):
-                publish_bound()
-            if cap_reached():
-                merged.hit_result_limit = True
-                stop = True
-            buffered.append(root)
+            stop = arrive(root)
         pending = worker_count
         backlog: deque = deque()
         while pending and not stop:
@@ -233,19 +239,8 @@ def run_parallel(engine) -> Iterator[Biplex]:
                         merged.num_duplicate_solutions += 1
                         continue
                     seen.add(solution)
-                    arrived += 1
-                    if solution.size > merged.best_size:
-                        merged.best_size = solution.size
-                    if solver and engine.objective.observe(solution):
-                        # Workers gossip through their own engines already;
-                        # the coordinator's merged view catches incumbents
-                        # a worker found right before exiting.
-                        publish_bound()
-                    if cap_reached():
-                        merged.hit_result_limit = True
+                    if arrive(solution):
                         stop = True
-                    buffered.append(solution)
-                    if stop:
                         break
             elif kind == "done":
                 fold_stats(merged, message[2], skip=_COORDINATOR_FIELDS)

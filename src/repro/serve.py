@@ -130,8 +130,13 @@ def service_from_args(args: argparse.Namespace) -> QueryService:
     )
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_arg_parser().parse_args(list(argv) if argv is not None else None)
+def serve(args: argparse.Namespace) -> int:
+    """Run the daemon on parsed :func:`build_arg_parser` flags until interrupted.
+
+    The one daemon start, behind both ``python -m repro.serve`` and
+    ``repro-mbp serve``.  Returns the exit status: 2 when a flag value is
+    invalid, 0 once the server stops.
+    """
     try:
         service = service_from_args(args)
     except ValueError as error:
@@ -141,6 +146,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         service, host=args.host, port=args.port, rate_limit=args.rate_limit
     ).run()
     return 0
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return serve(build_arg_parser().parse_args(list(argv) if argv is not None else None))
 
 
 if __name__ == "__main__":  # pragma: no cover

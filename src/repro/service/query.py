@@ -386,7 +386,10 @@ class QueryService:
                 except (ValueError, IndexError) as error:
                     raise QueryError(f"invalid inline graph: {error}") from None
 
-        return key, self.registry.get_graph(key, loader)
+        # A cold resolve reads and parses the whole graph; a hot one is a
+        # registry lookup.  Either way it is the request's "load" phase.
+        with span("load"):
+            return key, self.registry.get_graph(key, loader)
 
     def _plan_for(self, normalized: dict, resolved=None):
         key, graph = (
@@ -414,7 +417,7 @@ class QueryService:
             top=normalized["top"],
         )
 
-    def _open(self, normalized: dict, resolved=None) -> EnumerationSession:
+    def _open(self, normalized: dict, resolved) -> EnumerationSession:
         plan = self._plan_for(normalized, resolved=resolved)
         config = self._config_for(normalized)
         return EnumerationSession(None, normalized["k"], config, prep_plan=plan)
@@ -585,8 +588,9 @@ class QueryService:
             size = self.budgets.clamp_page_size(page_size)
         with self._lock:
             self.queries += 1
+        resolved = self.resolve_graph(normalized["graph"])
         with span("plan"):
-            session = self._open(normalized)
+            session = self._open(normalized, resolved=resolved)
         record = self.sessions.create(session, query=normalized)
         with record.lock:
             return self._page(record, size)
@@ -678,9 +682,9 @@ class QueryService:
                 raise ServiceStaleCursorError(str(error)) from None
         with span("serialize"):
             solutions = [s.to_lists() for s in batch]
+            token = session.cursor(query=record.query)
         with self._lock:
             self.pages_served += 1
-        token = session.cursor(query=record.query)
         exhausted = session.exhausted
         if exhausted:
             # A finished session holds no more answers — free it now; the

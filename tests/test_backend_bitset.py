@@ -24,6 +24,7 @@ from repro.baselines import enumerate_mbps_bruteforce
 from repro.core import (
     BTraversal,
     Biplex,
+    EnumerationSession,
     ITraversal,
     TraversalConfig,
     can_add_left,
@@ -34,17 +35,14 @@ from repro.core import (
     initial_solution_left_anchored,
     initial_solution_right_anchored,
     is_k_biplex,
-    run_with_stats,
 )
 from repro.graph import (
     BipartiteGraph,
-    BipartiteSubstrate,
     Graph,
     erdos_renyi_bipartite,
     iter_bits,
     mask_of,
 )
-from repro.graph.bipartite import MirrorView
 
 
 class TestBitsetGraph:
@@ -58,7 +56,6 @@ class TestBitsetGraph:
         graph.neighbors_of_left(0).add(2)
         graph.neighbors_of_right(2).add(0)
         graph.neighbors_of_left(4).clear()
-        MirrorView(graph).neighbors_of_left(0).clear()
         assert not graph.has_edge(0, 2) and graph.has_edge(4, 0)
         assert_masks_match_edges(graph, PAPER_EDGES)
         general = Graph(3, edges=[(0, 1), (1, 2)])
@@ -187,34 +184,6 @@ class TestMaskLockstep:
             edges.add(frozenset((u, v)))
         assert_masks_match_edges(graph, [tuple(edge) for edge in edges])
         assert graph.full_mask == (1 << 80) - 1
-
-
-class TestMirrorViewMasks:
-    def test_mirror_forwards_capability(self, example_graph):
-        """The view answers mask queries from the live graph, edits included."""
-        graph = example_graph.copy()
-        mirror = MirrorView(graph)
-        assert isinstance(mirror, BipartiteSubstrate)
-        absent = next(
-            (v, u)
-            for v in graph.left_vertices()
-            for u in graph.right_vertices()
-            if not graph.has_edge(v, u)
-        )
-        graph.add_edge(*absent)
-        v, u = absent
-        assert mirror.adj_left_mask(u) >> v & 1 and mirror.adj_right_mask(v) >> u & 1
-        edges = PAPER_EDGES | {absent}
-        assert_masks_match_edges(graph, edges)
-        assert_masks_match_edges(mirror, swapped(edges))
-
-    def test_mirror_swaps_masks(self, example_graph):
-        graph = example_graph
-        mirror = MirrorView(graph)
-        for u in graph.right_vertices():
-            assert mirror.adj_left_mask(u) == graph.adj_right_mask(u)
-        for v in graph.left_vertices():
-            assert mirror.adj_right_mask(v) == graph.adj_left_mask(v)
 
 
 def _reference_extension(graph, left, right, k, candidate_left=None, candidate_right=None):
@@ -373,6 +342,12 @@ class TestMaskedPrimitives:
             )
 
 
+def _run_session(graph, config):
+    """A session's full stream at k = 1, and its stats."""
+    session = EnumerationSession(graph, 1, config)
+    return list(session.stream()), session.stats
+
+
 class TestBackendEquivalence:
     """Property-style check: the graph reached by every construction route
     enumerates the identical MBP *list* (same solutions in the same order)
@@ -417,8 +392,8 @@ class TestBackendEquivalence:
         # whose count must not depend on how the graph was built.
         graph = via(route, example_graph)
         for overrides in ({}, {"theta_left": 4, "theta_right": 4, "prep": "off"}):
-            _, reference = run_with_stats(example_graph, 1, TraversalConfig(**overrides))
-            solutions, stats = run_with_stats(graph, 1, TraversalConfig(**overrides))
+            _, reference = _run_session(example_graph, TraversalConfig(**overrides))
+            solutions, stats = _run_session(graph, TraversalConfig(**overrides))
             assert reference.num_solutions == stats.num_solutions
             assert reference.num_links == stats.num_links
             assert reference.num_almost_sat_graphs == stats.num_almost_sat_graphs

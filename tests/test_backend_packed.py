@@ -124,7 +124,6 @@ class TestPackedBipartiteGraph:
 
     def test_conversions(self, example_graph):
         """The forms a graph can still be turned into keep its masks exact."""
-        from repro.graph.bipartite import MirrorView
         from repro.graph.protocol import as_backend, default_backend
 
         assert default_backend() == "bitset"
@@ -133,9 +132,6 @@ class TestPackedBipartiteGraph:
         side_swapped = WIDE.swap_sides()
         assert_masks_match_edges(side_swapped, swapped(WIDE_EDGES))
         assert side_swapped.swap_sides() == WIDE
-        mirror = MirrorView(WIDE)
-        for u in WIDE.right_vertices():
-            assert mirror.adj_left_mask(u) == side_swapped.adj_left_mask(u)
 
     def test_pack_helpers_roundtrip(self):
         import random

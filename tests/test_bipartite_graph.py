@@ -3,7 +3,7 @@
 import pytest
 
 from repro.graph import BipartiteGraph, Side, paper_example_graph
-from repro.graph.bipartite import MirrorView, freeze, sorted_tuple, subsets_within_budget
+from repro.graph.bipartite import freeze, sorted_tuple, subsets_within_budget
 
 
 class TestConstruction:
@@ -149,6 +149,13 @@ class TestDerivedGraphs:
         assert swapped.n_right == tiny_graph.n_left
         for left_vertex, right_vertex in tiny_graph.edges():
             assert swapped.has_edge(right_vertex, left_vertex)
+        # An independent copy at epoch 0, whatever the source's epoch.
+        source = tiny_graph.copy()
+        source.add_edge(0, 2)
+        swapped = source.swap_sides()
+        assert swapped.epoch == 0 and swapped.num_edges == source.num_edges
+        swapped.remove_edge(2, 0)
+        assert source.adj_left_mask(0) >> 2 & 1 and source.adj_right_mask(2) & 1
 
     def test_equality(self):
         first = BipartiteGraph(2, 2, edges=[(0, 0)])
@@ -157,32 +164,6 @@ class TestDerivedGraphs:
         assert first == second
         assert first != third
         assert first != "not a graph"
-
-
-class TestMirrorView:
-    def test_mirror_swaps_sides(self, tiny_graph):
-        mirror = MirrorView(tiny_graph)
-        assert mirror.n_left == tiny_graph.n_right
-        assert mirror.n_right == tiny_graph.n_left
-        assert mirror.num_edges == tiny_graph.num_edges
-        assert mirror.num_vertices == tiny_graph.num_vertices
-
-    def test_mirror_adjacency(self, tiny_graph):
-        mirror = MirrorView(tiny_graph)
-        for left_vertex, right_vertex in tiny_graph.edges():
-            assert mirror.has_edge(right_vertex, left_vertex)
-        assert mirror.neighbors_of_left(1) == tiny_graph.neighbors_of_right(1)
-        assert mirror.neighbors_of_right(0) == tiny_graph.neighbors_of_left(0)
-        assert mirror.degree_of_left(2) == tiny_graph.degree_of_right(2)
-        assert mirror.degree_of_right(1) == tiny_graph.degree_of_left(1)
-
-    def test_mirror_missing_and_gamma(self, tiny_graph):
-        mirror = MirrorView(tiny_graph)
-        assert mirror.missing_left(2, {0, 1}) == tiny_graph.missing_right(2, {0, 1})
-        assert mirror.missing_right(0, {0, 1, 2}) == tiny_graph.missing_left(0, {0, 1, 2})
-        assert mirror.gamma_left(1, {0, 1}) == tiny_graph.gamma_right(1, {0, 1})
-        assert mirror.non_gamma_right(0, {0, 1, 2}) == tiny_graph.non_gamma_left(0, {0, 1, 2})
-        assert list(mirror.left_vertices()) == list(tiny_graph.right_vertices())
 
 
 class TestPaperExample:

@@ -9,6 +9,7 @@ from repro.baselines import enumerate_mbps_bruteforce
 from repro.core import (
     Biplex,
     BTraversal,
+    EnumerationSession,
     ITraversal,
     LargeMBPEnumerator,
     ReverseSearchEngine,
@@ -93,7 +94,7 @@ class TestCorrectness:
                 expected = set(enumerate_mbps_bruteforce(graph, k))
                 for prep in ("off", "core"):
                     config = TraversalConfig(variant=variant, prep=prep)
-                    got = set(ReverseSearchEngine(graph, k, config).enumerate())
+                    got = set(EnumerationSession(graph, k, config).stream())
                     assert got == expected, (seed, k, prep)
 
     def test_solutions_are_valid_and_unique(self, example_graph):

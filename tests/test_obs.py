@@ -266,10 +266,44 @@ class TestServiceObservability:
         )
         assert response["cached"] is False
         names = _phase_names(response["trace"])
-        assert names == ["parse", "plan", "traverse", "serialize"]
+        assert names == ["parse", "load", "plan", "traverse", "serialize"]
         root = response["trace"]["root"]
         phase_sum = sum(child["elapsed_ms"] for child in root["children"])
         assert phase_sum <= root["elapsed_ms"] * 1.10
+
+    def test_phases_cover_the_cold_load_and_the_cursor_mint(
+        self, fresh_registry, graph_file, monkeypatch
+    ):
+        """A cold one-shot spends its graph load, and a page its cursor
+        mint, inside a phase: with both slowed down, the root's phases
+        still cover at least 90 % of it."""
+        from repro.core.session import EnumerationSession
+        from repro.service import query as query_module
+
+        read, mint = query_module.read_edge_list, EnumerationSession.cursor
+
+        def slow_read(path):
+            time.sleep(0.05)
+            return read(path)
+
+        def slow_mint(session, query=None):
+            time.sleep(0.05)
+            return mint(session, query=query)
+
+        monkeypatch.setattr(query_module, "read_edge_list", slow_read)
+        monkeypatch.setattr(EnumerationSession, "cursor", slow_mint)
+        service = QueryService()
+        query = {"graph": {"path": graph_file}, "k": 1, "jobs": 1, "trace": True}
+        cold = service.enumerate(query)
+        first = service.open_session(query, page_size=4)
+        page = service.next_page(
+            session_id=first["session_id"], page_size=4, want_trace=True
+        )
+        assert _phase_names(cold["trace"])[:2] == ["parse", "load"]
+        for response in (cold, first, page):
+            root = response["trace"]["root"]
+            phase_sum = sum(child["elapsed_ms"] for child in root["children"])
+            assert phase_sum >= 0.9 * root["elapsed_ms"], response["trace"]
 
     def test_parallel_trace_grafts_worker_spans(self, fresh_registry, graph_file):
         service = QueryService()

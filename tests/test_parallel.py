@@ -16,7 +16,7 @@ import os
 import pytest
 from graph_samples import random_graphs
 
-from repro.core import BTraversal, ITraversal, LargeMBPEnumerator
+from repro.core import BTraversal, EnumerationSession, ITraversal, LargeMBPEnumerator
 from repro.core.traversal import ReverseSearchEngine, TraversalConfig
 from repro.core.verify import canonical, check_all_solutions, same_solutions
 from repro.graph import erdos_renyi_bipartite, mask_of, paper_example_graph
@@ -216,8 +216,9 @@ class TestStatsMergeContract:
         names = [name for _, name in PRUNE_SITE_FIELDS] + ["num_pruned_by_bound"]
         for prep in (default_prep(), "off"):
             config = TraversalConfig(theta_left=2, theta_right=2, jobs=2, prep=prep)
-            engine = ReverseSearchEngine(GRAPHS[1], 1, config)
-            list(engine.run())
+            session = EnumerationSession(GRAPHS[1], 1, config)
+            list(session.stream())
+            engine = session.engine
             merged = replace(engine.stats)
             root = engine._initial_solution()
             shards = shard_plan(engine, root)

@@ -208,6 +208,17 @@ class TestQueryCLI:
         assert code == 2
         assert "error:" in captured.err
 
+    @pytest.mark.parametrize("entry", ["repro-mbp serve", "python -m repro.serve"])
+    def test_invalid_daemon_flag_is_a_clean_error(self, capsys, entry):
+        """Both daemon entry points share one start: a flag value the
+        service rejects exits 2 with an error line before anything binds."""
+        from repro import serve
+
+        argv = ["--session-ttl", "0"]
+        code = cli_main(["serve", *argv]) if entry == "repro-mbp serve" else serve.main(argv)
+        assert code == 2
+        assert "error: session TTL must be positive" in capsys.readouterr().err
+
     def test_local_pagination_equals_one_shot(self, graph_file, capsys):
         code, out = self.run_cli(
             capsys, "query", "run", "--input", graph_file,
