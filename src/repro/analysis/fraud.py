@@ -25,8 +25,8 @@ from ..baselines.quasi_biclique import find_quasi_bicliques_greedy
 from ..core.biplex import Biplex
 from ..core.large import LargeMBPEnumerator
 from ..graph.bipartite import BipartiteGraph
+from ..graph.butterfly import count_butterflies
 from ..graph.cores import alpha_beta_core
-from ..graph.dynamic import DynamicGraphIndex
 from ..graph.generators import FraudInjection, review_graph_with_camouflage
 from .metrics import ClassificationMetrics, classification_metrics
 
@@ -269,7 +269,7 @@ def evaluate_quasi_biclique(
 # --------------------------------------------------------------------- #
 @dataclass
 class StreamingBatchResult:
-    """State of the incrementally-maintained detector after one edge batch."""
+    """State of the detector, recomputed on the mutated graph, after one edge batch."""
 
     batch: int
     epoch: int
@@ -328,13 +328,10 @@ def run_streaming_fraud_study(
     """The camouflage attack as a stream: edges arrive in ``num_batches`` waves.
 
     Starts from the pre-attack review graph and applies the camouflage
-    edges batch by batch through a
-    :class:`~repro.graph.dynamic.DynamicGraphIndex`, so the butterfly
-    counts and the (α, β)-core detector are *maintained* rather than
-    recomputed — the workload the mutable-epoch substrate exists for
-    (and the one ``benchmarks/bench_updates.py`` times against full
-    recomputation).  After each batch the maintained core is scored
-    against the ground truth exactly like the static study's
+    edges batch by batch with :meth:`BipartiteGraph.apply_batch` (one
+    epoch per batch).  After each batch the butterfly count and the
+    (α, β)-core are recomputed on the mutated graph, and the core is
+    scored against the ground truth exactly like the static study's
     (α, β)-core cell, showing how camouflage progressively drags real
     products into the detector's net.
     """
@@ -356,14 +353,13 @@ def run_streaming_fraud_study(
         alpha=alpha,
         beta=beta,
     )
-    index = DynamicGraphIndex(graph, alpha=alpha, beta=beta)
     arrived = 0
     chunk = math.ceil(len(camouflage) / num_batches) if camouflage else 1
     for batch_number in range(num_batches):
         batch = camouflage[batch_number * chunk : (batch_number + 1) * chunk]
-        index.apply(inserts=batch)
+        graph.apply_batch(inserts=batch)
         arrived += len(batch)
-        left_core, right_core = index.core_members
+        left_core, right_core = alpha_beta_core(graph, alpha, beta)
         structures: List[Biplex] = []
         if left_core or right_core:
             structures = [Biplex.of(left_core, right_core)]
@@ -372,7 +368,7 @@ def run_streaming_fraud_study(
                 batch=batch_number,
                 epoch=graph.epoch,
                 edges_arrived=arrived,
-                butterfly_count=index.butterfly_count,
+                butterfly_count=count_butterflies(graph),
                 core_users=len(left_core),
                 core_products=len(right_core),
                 metrics=_classify(structures, injection),

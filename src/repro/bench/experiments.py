@@ -30,7 +30,7 @@ from ..core.enum_almost_sat import (
 )
 from ..core.itraversal import ITraversal
 from ..core.large import LargeMBPEnumerator
-from ..core.solution_graph import build_solution_graph
+from ..core.solution_graph import FIG11_COLUMNS, build_solution_graph
 from ..graph.bipartite import BipartiteGraph, paper_example_graph
 from ..graph.generators import erdos_renyi_bipartite
 from .harness import run_algorithms, run_imb, run_itraversal, scaled
@@ -339,12 +339,7 @@ def experiment_fig11ab(
     rows: List[Dict[str, object]] = []
     for name, graph in _solution_graph_inputs(max_left, max_right).items():
         row: Dict[str, object] = {"dataset": name}
-        for variant, label in (
-            ("btraversal", "bTraversal"),
-            ("left-anchored", "iTraversal-ES-RS"),
-            ("right-shrinking", "iTraversal-ES"),
-            ("itraversal", "iTraversal"),
-        ):
+        for variant, label in FIG11_COLUMNS:
             start = time.perf_counter()
             solution_graph = build_solution_graph(graph, k, variant=variant)
             elapsed = time.perf_counter() - start
@@ -374,12 +369,7 @@ def experiment_fig11cd(
     rows: List[Dict[str, object]] = []
     for k in k_values:
         row: Dict[str, object] = {"k": k}
-        for variant, label in (
-            ("btraversal", "bTraversal"),
-            ("left-anchored", "iTraversal-ES-RS"),
-            ("right-shrinking", "iTraversal-ES"),
-            ("itraversal", "iTraversal"),
-        ):
+        for variant, label in FIG11_COLUMNS:
             start = time.perf_counter()
             solution_graph = build_solution_graph(graph, k, variant=variant)
             elapsed = time.perf_counter() - start

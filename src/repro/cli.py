@@ -14,8 +14,8 @@ Five subcommands cover the library's day-to-day uses:
   and print the paper-style table;
 * ``repro-mbp datasets``   — list the dataset registry (the Table 1 stand-ins).
 
-``enumerate`` runs on :class:`repro.graph.BipartiteGraph`, whose adjacency
-sets and word-parallel bitmasks are the one substrate.  ``--jobs N`` (or
+``enumerate`` runs on :class:`repro.graph.BipartiteGraph`, whose
+word-parallel per-vertex bitmasks are the one adjacency store.  ``--jobs N`` (or
 ``REPRO_JOBS=N``) runs the enumeration on the sharded parallel engine
 (:mod:`repro.parallel`) with ``N`` worker processes — the same solution
 set for uncapped runs (a ``--max-results`` cap keeps the first N unique

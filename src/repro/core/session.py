@@ -591,7 +591,7 @@ class EnumerationSession:
         if data.get("exhausted"):
             session._emitted = emitted
             session._exhausted = True
-            session._source = iter(())
+            session._source = (solution for solution in ())  # closable; no run to publish
             session._started = True
             return session
         if mode == "offset":

@@ -45,6 +45,15 @@ SOLUTION_GRAPHS = {
     "itraversal": "full",  # G_E
 }
 
+#: Figure 11's columns, in its order: each solution graph and the
+#: algorithm whose links it counts.
+FIG11_COLUMNS = (
+    ("btraversal", "bTraversal"),
+    ("left-anchored", "iTraversal-ES-RS"),
+    ("right-shrinking", "iTraversal-ES"),
+    ("itraversal", "iTraversal"),
+)
+
 
 @dataclass
 class SolutionGraph:
@@ -201,15 +210,16 @@ def count_links(
 ) -> Dict[str, int]:
     """Link counts of G, G_L, G_R and G_E (the Figure 11 measurement).
 
-    ``max_links`` mirrors the paper's ``UPP`` cap of 10^10 links.
+    ``max_links`` mirrors the paper's ``UPP`` cap of 10^10 links.  The
+    four graphs share one node set, so it is enumerated once.
     """
+    solutions = BTraversal(graph, k).enumerate()
+    swapped = graph.swap_sides()
     counts: Dict[str, int] = {}
-    for variant, label in (
-        ("btraversal", "bTraversal"),
-        ("left-anchored", "iTraversal-ES-RS"),
-        ("right-shrinking", "iTraversal-ES"),
-        ("itraversal", "iTraversal"),
-    ):
-        solution_graph = build_solution_graph(graph, k, variant=variant)
-        counts[label] = min(solution_graph.num_links, max_links)
+    for variant, label in FIG11_COLUMNS:
+        links = sum(
+            len(_links_from_solution(graph, swapped, solution, k, SOLUTION_GRAPHS[variant]))
+            for solution in solutions
+        )
+        counts[label] = min(links, max_links)
     return counts

@@ -535,14 +535,23 @@ class ReverseSearchEngine:
     # DFS driver
     # ------------------------------------------------------------------ #
     def _drive(self, stack: List[List], stats: TraversalStats) -> Iterator[Biplex]:
+        """Install ``stats`` and ``stack`` on the engine now; return the DFS loop over them.
+
+        So a cursor minted before the first pull captures the leg's frames.
+        """
+        self.stats = stats
+        self._stack = stack
+        return self._loop(stack, stats)
+
+    def _loop(self, stack: List[List], stats: TraversalStats) -> Iterator[Biplex]:
         """The one DFS loop: advance the explicit-state DFS until the stack empties.
 
         Fresh runs, shards and resumed legs differ only in the frames they
-        start from.  This generator alone checks the epoch, installs
-        ``stats`` and ``stack`` on the engine, ends the run on a budget
-        cap and stamps ``elapsed_seconds`` — also when the caller abandons
-        it mid-run (early ``break`` / ``close()``), which unwinds through
-        the ``finally`` as GeneratorExit.
+        start from.  This generator alone checks the epoch, ends the run
+        on a budget cap and stamps ``elapsed_seconds`` — also when the
+        caller abandons it mid-run (early ``break`` / ``close()``), which
+        unwinds through the ``finally`` as GeneratorExit.  The epoch check
+        and the clock start at the first pull.
 
         Each frame is ``[solution, children iterator, already_output
         flag, depth]``.  The iterator is not serializable: a cursor stores
@@ -561,8 +570,6 @@ class ReverseSearchEngine:
         invariant :meth:`frontier_state` relies on.
         """
         self._check_epoch()
-        self.stats = stats
-        self._stack = stack
         self._start_time = time.perf_counter()
         alternate = self.config.output_order == "alternate"
         try:

@@ -2,12 +2,6 @@
 
 from .bipartite import BipartiteGraph, Side, freeze, paper_example_graph, sorted_tuple
 from .cores import alpha_beta_core
-from .dynamic import (
-    AlphaBetaCoreIndex,
-    ButterflyIndex,
-    DynamicGraphIndex,
-    recomputed_oracle,
-)
 from .general import Graph
 from .generators import (
     FraudInjection,
@@ -38,10 +32,6 @@ __all__ = [
     "planted_biplex_graph_with_blocks",
     "review_graph_with_camouflage",
     "alpha_beta_core",
-    "AlphaBetaCoreIndex",
-    "ButterflyIndex",
-    "DynamicGraphIndex",
-    "recomputed_oracle",
     "inflate",
     "inflated_edge_count",
     "split_vertex_set",

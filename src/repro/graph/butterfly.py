@@ -24,7 +24,7 @@ butterflies.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Tuple
 
 from .bipartite import BipartiteGraph
 from .cores import Peel
@@ -99,24 +99,7 @@ def edge_butterfly_counts(graph: BipartiteGraph) -> Dict[Tuple[int, int], int]:
     return Peel(graph).supports()
 
 
-def _butterfly_mates(graph: BipartiteGraph, v: int, u: int) -> Iterator[Tuple[int, int]]:
-    """Pairs ``(v', u')`` forming a butterfly with the edge ``(v, u)``.
-
-    Assumes ``(v, u)`` itself has already been removed from ``graph``, so
-    neither endpoint appears in the other's adjacency.
-    """
-    adj_right = graph.adj_right_mask
-    fan_u = adj_right(u)
-    for u_prime in iter_bits(graph.adj_left_mask(v)):
-        for v_prime in iter_bits(fan_u & adj_right(u_prime)):
-            yield v_prime, u_prime
-
-
-def k_bitruss(
-    graph: BipartiteGraph,
-    k: int,
-    supports: Optional[Dict[Tuple[int, int], int]] = None,
-) -> BipartiteGraph:
+def k_bitruss(graph: BipartiteGraph, k: int) -> BipartiteGraph:
     """Return the k-bitruss subgraph (same vertex id space, fewer edges).
 
     Edges whose butterfly support drops below ``k`` are peeled iteratively
@@ -125,17 +108,12 @@ def k_bitruss(
     result can be compared edge-wise against the input.  The peel runs on
     masks (:meth:`repro.graph.cores.Peel.bitruss`) and the result graph is
     built once, from the surviving edges.
-
-    ``supports`` optionally provides precomputed per-edge butterfly counts
-    for exactly ``graph``'s edge set (the incremental maintenance layer in
-    :mod:`repro.graph.dynamic` hands its maintained counts here to skip the
-    from-scratch pass).  The mapping is copied, never mutated.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     peel = Peel(graph)
     if k:
-        peel.bitruss(k, supports)
+        peel.bitruss(k)
     return peel.compact()[0]
 
 

@@ -1,15 +1,12 @@
 """Differential tests for mutable-graph epochs.
 
-Three differential contracts, each checked under seeded random
+Two differential contracts, each checked under seeded random
 insert/delete sequences:
 
 * **substrates** — after any mutation sequence, the adjacency (sets and
   masks) equals a graph rebuilt from scratch, and enumeration (all three modes)
   on the mutated object equals enumeration on the rebuild, whichever
   construction route (``graph_samples.ROUTES``) built the starting graph;
-* **indices** — :class:`repro.graph.dynamic.DynamicGraphIndex` equals the
-  from-scratch oracle (butterfly supports/total, (α, β)-core, k-bitruss)
-  after every batch;
 * **plans and cursors** — ``reprepare`` is content-identical to a
   from-scratch ``prepare`` on the mutated graph, and a cursor minted
   before an update is rejected as stale *exactly* when the epoch moved.
@@ -29,8 +26,6 @@ from graph_samples import ROUTES, random_graphs, via
 from repro.core import StaleCursorError
 from repro.core.itraversal import ITraversal, enumerate_mbps
 from repro.graph import BipartiteGraph
-from repro.graph.butterfly import edge_butterfly_counts, k_bitruss
-from repro.graph.dynamic import DynamicGraphIndex, recomputed_oracle
 from repro.prep import prepare, reprepare
 from repro.service import (
     QueryError,
@@ -167,46 +162,6 @@ class TestMutationDifferential:
         assert sorted(ITraversal(graph, 1).enumerate()) == sorted(
             ITraversal(rebuilt(graph), 1).enumerate()
         )
-
-
-# --------------------------------------------------------------------- #
-# Incremental indices vs the recomputed oracle
-# --------------------------------------------------------------------- #
-class TestIncrementalIndices:
-    @pytest.mark.parametrize("route", ROUTES)
-    def test_indices_match_oracle_after_every_batch(self, route):
-        for index, base in enumerate(GRAPHS):
-            graph = via(route, base)
-            alpha, beta = 2, 2
-            dyn = DynamicGraphIndex(graph, alpha=alpha, beta=beta)
-            for inserts, deletes in mutation_script(graph, steps=6, seed=47 + index):
-                dyn.apply(inserts=inserts, deletes=deletes)
-                total, supports, core = recomputed_oracle(graph, alpha, beta)
-                label = f"{route} g{index} epoch={graph.epoch}"
-                assert dyn.butterfly_count == total, label
-                assert dyn.butterflies.supports == supports, label
-                assert tuple(map(set, dyn.core_members)) == core, label
-
-    def test_bitruss_from_maintained_supports_matches_scratch(self):
-        base = GRAPHS[0].copy()
-        dyn = DynamicGraphIndex(base)
-        apply_batches = mutation_script(base, steps=5, seed=7)
-        for inserts, deletes in apply_batches:
-            dyn.apply(inserts=inserts, deletes=deletes)
-        for k in (1, 2):
-            maintained = dyn.bitruss(k)
-            scratch = k_bitruss(rebuilt(base), k)
-            assert sorted(maintained.edges()) == sorted(scratch.edges())
-
-    def test_index_apply_mirrors_batch_epoch_contract(self):
-        graph = BipartiteGraph(3, 3, [(0, 0), (1, 1), (2, 2)])
-        dyn = DynamicGraphIndex(graph, alpha=1, beta=1)
-        assert dyn.apply(inserts=[(0, 1)], deletes=[(2, 2)]) == (1, 1)
-        assert graph.epoch == 1
-        assert dyn.apply(inserts=[(0, 1)]) == (0, 0)  # noop batch
-        assert graph.epoch == 1
-        # Supports stayed a closed set: no stale entries for removed edges.
-        assert dyn.butterflies.supports == edge_butterfly_counts(graph)
 
 
 # --------------------------------------------------------------------- #

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import base64
 import os
+import random
 import subprocess
 import sys
 
@@ -182,6 +183,80 @@ class TestCursorSuffixEquality:
             session.close()
             resumed = EnumerationSession.resume(graph, 1, token, TraversalConfig(jobs=1))
             assert prefix + list(resumed.stream()) == expected
+
+    def test_close_after_resuming_an_exhausted_cursor(self):
+        """A session resumed from an exhausted cursor closes cleanly and
+        publishes no engine run: it never ran one."""
+        from repro.obs import get_registry
+
+        graph = erdos_renyi_bipartite(6, 6, num_edges=18, seed=1)
+        session = _session(graph)
+        while not session.exhausted:
+            session.next_batch(4)
+        token = session.cursor()
+        session.close()
+        runs = get_registry().counter_value("engine_runs_total")
+        resumed = EnumerationSession.resume(graph, 1, token, TraversalConfig())
+        resumed.close()
+        assert resumed.exhausted
+        assert list(resumed.stream()) == []
+        assert get_registry().counter_value("engine_runs_total") == runs
+
+
+class TestResumeThenMint:
+    """Seeded scripts of pulls, mints and resumes reproduce the one-shot stream.
+
+    Each trial draws an ER graph of 5-10 vertices a side, ``k``, the output
+    order, the prep mode, θ and the objective, then takes twelve random
+    steps: pull a page, mint and resume, or mint and resume twice with no
+    pull between.  The job count is left to ``REPRO_JOBS``, so the parallel
+    leg runs the same scripts through offset-mode cursors.
+    """
+
+    def test_random_scripts_reproduce_the_one_shot_stream(self):
+        from repro.core.session import decode_token
+
+        rng = random.Random(2026)
+        for trial in range(24):
+            n_left, n_right = rng.randint(5, 10), rng.randint(5, 10)
+            graph = erdos_renyi_bipartite(
+                n_left,
+                n_right,
+                num_edges=rng.randint(n_left * n_right // 3, 2 * n_left * n_right // 3),
+                seed=rng.randrange(2**31),
+            )
+            k = rng.choice((1, 2))
+            theta = rng.choice((0, 2))
+            objective = rng.choice(("enumerate", "top-k", "maximum"))
+            config = TraversalConfig(
+                output_order=rng.choice(("pre", "alternate")),
+                prep=rng.choice(("off", "core", "core+order")),
+                theta_left=theta,
+                theta_right=theta,
+                objective=objective,
+                top=3 if objective == "top-k" else None,
+            )
+            expected = list(EnumerationSession(graph, k, config).stream())
+            session = EnumerationSession(graph, k, config)
+            collected = []
+            script = []
+            for _ in range(12):
+                step = rng.choice(("pull", "mint", "mint twice"))
+                script.append(step)
+                if step == "pull":
+                    collected += session.next_batch(rng.randint(1, 5))
+                    continue
+                for _ in range(1 if step == "mint" else 2):
+                    token = session.cursor()
+                    session.close()
+                    session = EnumerationSession.resume(graph, k, token, config)
+                    if objective == "enumerate" and not decode_token(token)["exhausted"]:
+                        # Nothing was pulled since the resume, so the session
+                        # stands where its token does (no budget caps here,
+                        # so not even the per-leg flags differ).
+                        assert session.cursor() == token, (trial, script)
+            collected += session.stream()
+            assert collected == expected, (trial, script)
 
 
 class TestCursorHygiene:
