@@ -56,7 +56,7 @@ TOP_N = 5
 #: wide margin.
 SOLVER_BENCH_CONFIGS = (
     ((10, 24, 9, 10, 1, 60, 3), (1836, 24, "1fc658307e554b28", 69)),
-    ((12, 22, 10, 9, 1, 55, 2), (824, 22, "fa6a850ed71bc4cd", 5545)),
+    ((12, 22, 10, 9, 1, 55, 2), (824, 22, "fa6a850ed71bc4cd", 4701)),
     ((8, 28, 8, 12, 1, 70, 5), (769, 28, "c0c55232563f2230", 34)),
 )
 TINY_SOLVER_CONFIGS = (((6, 12, 5, 6, 1, 20, 3), (56, 12, "dcc928badd68d079", 62)),)

@@ -30,7 +30,7 @@ from ..core.enum_almost_sat import (
 )
 from ..core.itraversal import ITraversal
 from ..core.large import LargeMBPEnumerator
-from ..core.solution_graph import FIG11_COLUMNS, build_solution_graph
+from ..core.solution_graph import link_passes
 from ..graph.bipartite import BipartiteGraph, paper_example_graph
 from ..graph.generators import erdos_renyi_bipartite
 from .harness import run_algorithms, run_imb, run_itraversal, scaled
@@ -334,17 +334,16 @@ def experiment_fig11ab(
 
     Uses shrunken versions of the small datasets because constructing the
     full bTraversal solution graph requires a complete enumeration from
-    every solution (quadratic in the number of solutions).
+    every solution (quadratic in the number of solutions).  Each graph is
+    enumerated once; a ``<label>_time`` column times that column's link
+    pass (:func:`~repro.core.solution_graph.link_passes`).
     """
     rows: List[Dict[str, object]] = []
     for name, graph in _solution_graph_inputs(max_left, max_right).items():
         row: Dict[str, object] = {"dataset": name}
-        for variant, label in FIG11_COLUMNS:
-            start = time.perf_counter()
-            solution_graph = build_solution_graph(graph, k, variant=variant)
-            elapsed = time.perf_counter() - start
-            row[f"{label}_links"] = solution_graph.num_links
-            row[f"{label}_time"] = elapsed
+        for label, (links, seconds) in link_passes(graph, k).items():
+            row[f"{label}_links"] = links
+            row[f"{label}_time"] = seconds
         rows.append(row)
     return rows
 
@@ -358,6 +357,8 @@ def experiment_fig11cd(
     """Figure 11(c)/(d): solution-graph links and running time when varying k.
 
     ``dataset`` may also be ``"example"`` to use the paper's running example.
+    The columns are those of :func:`experiment_fig11ab`, one node-set
+    enumeration per ``k``.
     """
     if dataset == "example":
         graph = paper_example_graph()
@@ -369,12 +370,9 @@ def experiment_fig11cd(
     rows: List[Dict[str, object]] = []
     for k in k_values:
         row: Dict[str, object] = {"k": k}
-        for variant, label in FIG11_COLUMNS:
-            start = time.perf_counter()
-            solution_graph = build_solution_graph(graph, k, variant=variant)
-            elapsed = time.perf_counter() - start
-            row[f"{label}_links"] = solution_graph.num_links
-            row[f"{label}_time"] = elapsed
+        for label, (links, seconds) in link_passes(graph, k).items():
+            row[f"{label}_links"] = links
+            row[f"{label}_time"] = seconds
         rows.append(row)
     return rows
 

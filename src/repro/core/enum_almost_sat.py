@@ -87,6 +87,8 @@ def enum_local_solutions(
     config: EnumAlmostSatConfig = DEFAULT_CONFIG,
     min_right_size: int = 0,
     solution_right_missing: Optional[Dict[int, int]] = None,
+    exclusion: int = 0,
+    stats=None,
 ) -> Iterator[Biplex]:
     """Enumerate all local solutions of the almost-satisfying graph ``(L ∪ {v}, R)``.
 
@@ -116,6 +118,27 @@ def enum_local_solutions(
         depend only on the solution ``(L, R)``, not on ``v``, so a caller
         that forms many almost-satisfying graphs from the same solution (the
         traversal engines) computes them once and passes them in.
+    exclusion:
+        A mask of left ids (the exclusion strategy's processed anchors,
+        Section 3.5).  Every right side ``R'`` whose vertices are all
+        adjacent to one of them is skipped before its left removals are
+        enumerated; 0 (the default) skips nothing.  Only a caller that
+        extends with left vertices alone and then drops each child holding
+        one of these vertices may pass it, as iTraversal does.  For that
+        caller the skip loses nothing.  Such a vertex ``w`` misses no
+        vertex of ``R'``, so adding it to any k-biplex with right side
+        ``R'`` raises no miss count.  If ``w ∈ L``, local maximality keeps
+        it in every local solution on ``R'``.  Otherwise
+        :func:`~repro.core.biplex.extend_to_maximal` (with
+        ``candidate_right=()``) adds it, its *bulk add*.  Either way the
+        child holds ``w`` and is dropped, whatever the candidate order.
+        ``R_keep`` lies in every ``R'`` (Lemma 4.1), so its adjacency is
+        ANDed into the mask once per call and each ``R''`` adds at most
+        ``k`` more ANDs.
+    stats:
+        Optional counters (the engine's
+        :class:`~repro.core.traversal.TraversalStats`): each right side
+        that ``exclusion`` skips adds one to its ``num_pruned_exclusion``.
 
     Yields
     ------
@@ -145,11 +168,29 @@ def enum_local_solutions(
     r1_enum = [u for u in r_enum if right_missing[u] <= k - 1]
     r2_enum = [u for u in r_enum if right_missing[u] >= k]
 
+    # The excluded left vertices adjacent to all of R_keep: the ones that
+    # can still cover a whole R'.
+    adj_right_mask = graph.adj_right_mask
+    covering = exclusion
+    if covering:
+        for u in iter_bits(r_keep):
+            covering &= adj_right_mask(u)
+            if not covering:
+                break
+
     for r_double_prime in _enumerate_right_subsets(r1_enum, r2_enum, k, config.right_refinement):
         r_double_prime_mask = mask_of(r_double_prime)
         r_prime_mask = r_keep | r_double_prime_mask
         if min_right_size and r_prime_mask.bit_count() < min_right_size:
             continue
+        if covering:
+            covers = covering
+            for u in r_double_prime:
+                covers &= adj_right_mask(u)
+            if covers:
+                if stats is not None:
+                    stats.num_pruned_exclusion += 1
+                continue
         yield from _enumerate_left_removals(
             graph,
             left_mask,

@@ -277,8 +277,10 @@ class TraversalStats:
     ``subtree`` the whole-expansion early returns at the top of
     ``_children`` (Section 5 per-side thresholds and the bound-implied
     core upper bound), ``anchor`` the per-candidate almost-satisfying-graph
-    prune, ``exclusion`` the exclusion-strategy skips (anchor, local
-    solution and extended child), ``core_bound`` the per-local core upper
+    prune, ``exclusion`` the exclusion-strategy skips (a processed
+    anchor, a right side skipped inside EnumAlmostSat and an extended
+    child; a right side counts once, however many local solutions it
+    would have held), ``core_bound`` the per-local core upper
     bound, and ``right_extensible`` the right-shrinking test (Section
     3.4).  They overlap ``num_pruned_by_bound`` on purpose: that counter
     answers "what did the incumbent bound buy", these answer "where does
@@ -761,19 +763,29 @@ class ReverseSearchEngine:
 
         The exclusion strategy is applied *per expansion* (see the
         :class:`TraversalConfig` docstring): while processing anchor ``v``,
-        links towards local solutions / children containing an anchor
-        processed earlier in this same expansion are pruned — those
-        children are generated by the earlier anchor's almost-satisfying
-        graph.  In serial runs children are explored with an **empty**
-        inherited set; parallel-shard workers (``_inherit_exclusions``)
-        propagate the accumulated prefixes down the subtree to keep shards
-        disjoint.  The visited map + re-exploration rule below (re-traverse
-        a visited child whenever a link arrives whose exclusion
-        intersection strictly shrinks the stored set, never re-reporting
-        it) is what keeps the traversal complete under *any* inherited
-        exclusion discipline — without it, a solution first reached through
-        a link carrying a large exclusion set explores an over-pruned
-        subtree and later, less-excluded links are silently discarded.
+        links towards children containing an anchor processed earlier in
+        this same expansion are pruned — those children are generated by
+        the earlier anchor's almost-satisfying graph.  The prune is decided
+        in two places.  EnumAlmostSat skips every right side ``R'`` that
+        such an anchor is adjacent to all of, before any local solution on
+        it is built, probed or extended: the extension would add the anchor
+        (see :func:`~repro.core.enum_almost_sat.enum_local_solutions`).
+        The check after the extension drops the other children that hold
+        one, whose anchor misses part of ``R'``.  A local solution itself
+        never holds one.  Its left side lies in ``L ∪ {v}``, and the prefix
+        misses that set: it holds anchors from outside ``L``, plus (in
+        shard workers) an inherited mask that ``L`` had to miss for
+        ``solution`` to be admitted.  In serial runs children are explored
+        with an **empty** inherited set; parallel-shard workers
+        (``_inherit_exclusions``) propagate the accumulated prefixes down
+        the subtree to keep shards disjoint.  The visited map +
+        re-exploration rule below (re-traverse a visited child whenever a
+        link arrives whose exclusion intersection strictly shrinks the
+        stored set, never re-reporting it) is what keeps the traversal
+        complete under *any* inherited exclusion discipline — without it,
+        a solution first reached through a link carrying a large exclusion
+        set explores an over-pruned subtree and later, less-excluded links
+        are silently discarded.
 
         ``candidates`` restricts Step 1 to the given ``(side, vertex)``
         anchors (default: every vertex outside the solution, per
@@ -879,16 +891,14 @@ class ReverseSearchEngine:
             # Children inherit the exclusions only in parallel-shard mode
             # (see the attribute comment in __init__ / method docstring).
             child_exclusion = pruning if self._inherit_exclusions else 0
+            # EnumAlmostSat skips each right side that a vertex of the
+            # prefix is adjacent to all of (the extension would add that
+            # vertex); the check after the extension drops the children a
+            # prefix vertex joins although it misses part of their R'.
             for local in self._local_solutions(
-                solution, side, vertex, right_missing, theta_right
+                solution, side, vertex, right_missing, theta_right, pruning
             ):
                 self.stats.num_local_solutions += 1
-                # The local solution's vertices are a subset of the extended
-                # child's, so an exclusion hit here already rules the child
-                # out — checking before the (expensive) extension step.
-                if local.left_mask & pruning:
-                    self.stats.num_pruned_exclusion += 1
-                    continue
                 # Core upper bound on the child's subtree: extension adds
                 # left vertices only (right_shrinking), so the child and
                 # all its descendants keep R ⊆ local.right — skip before
@@ -971,12 +981,17 @@ class ReverseSearchEngine:
         vertex: int,
         right_missing,
         theta_right: int,
+        exclusion: int,
     ) -> Iterator[Biplex]:
         """Step 2: EnumAlmostSat on the almost-satisfying graph ``G[H ∪ {vertex}]``.
 
         ``theta_right`` is the caller's *effective* right threshold — the
         configured Section 5 value merged with the solver objectives'
-        bound-implied one (see ``_children``).  A right candidate
+        bound-implied one (see ``_children``).  ``exclusion`` is the
+        caller's exclusion prefix (left ids, 0 when the variant does not
+        exclude): EnumAlmostSat skips every right side one of its vertices
+        is adjacent to all of (see :func:`enum_local_solutions`), counting
+        each skip in ``num_pruned_exclusion``.  A right candidate
         (bTraversal only) runs the same procedure on the side-swapped graph,
         and its local solutions are swapped back.
         """
@@ -988,7 +1003,8 @@ class ReverseSearchEngine:
             if self._swapped is None:
                 self._swapped = graph.swap_sides()
             # The δ̄ counts are over the other side there, and no variant
-            # with right candidates shrinks the right side (min_right is 0).
+            # with right candidates shrinks the right side (min_right is 0)
+            # or excludes (the prefix over left ids is 0).
             graph, left, right, right_missing = self._swapped, right, left, None
         if self.config.local_enumeration == "inflation":
             found = enum_local_solutions_inflation(
@@ -1003,6 +1019,8 @@ class ReverseSearchEngine:
                 self.k,
                 min_right_size=min_right,
                 solution_right_missing=right_missing,
+                exclusion=exclusion,
+                stats=self.stats,
             )
         if side == "L":
             return found

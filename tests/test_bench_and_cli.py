@@ -30,6 +30,8 @@ from repro.bench.experiments import (
     experiment_table1,
 )
 from repro.cli import main
+from repro.core import BTraversal, build_solution_graph
+from repro.core.solution_graph import FIG11_COLUMNS
 from repro.graph import paper_example_graph, write_edge_list
 
 
@@ -187,6 +189,35 @@ class TestExperimentDrivers:
         row = rows[0]
         assert row["bTraversal_links"] >= row["iTraversal-ES-RS_links"]
         assert row["iTraversal-ES-RS_links"] >= row["iTraversal-ES_links"]
+
+    def test_fig11cd_enumerates_each_node_set_once(self, monkeypatch):
+        """Each ``k`` runs one bTraversal enumeration; the link columns hold."""
+        graph = paper_example_graph()
+        expected = {
+            k: {
+                f"{label}_links": build_solution_graph(graph, k, variant=variant).num_links
+                for variant, label in FIG11_COLUMNS
+            }
+            for k in (1, 2)
+        }
+        # Figure 11's link counts on the running example, k = 1 and 2.
+        assert [list(expected[k].values()) for k in (1, 2)] == [
+            [107, 55, 27, 20],
+            [34, 17, 9, 9],
+        ]
+        enumerations = []
+        enumerate_all = BTraversal.enumerate
+
+        def counted(self, *args, **kwargs):
+            enumerations.append(self)
+            return enumerate_all(self, *args, **kwargs)
+
+        monkeypatch.setattr(BTraversal, "enumerate", counted)
+        rows = experiment_fig11cd(dataset="example", k_values=(1, 2))
+        assert len(enumerations) == 2
+        for row in rows:
+            assert {key: row[key] for key in expected[row["k"]]} == expected[row["k"]]
+            assert all(row[f"{label}_time"] >= 0 for _, label in FIG11_COLUMNS)
 
     def test_anchor_ablation_rows(self):
         rows = experiment_anchor_ablation(

@@ -1,8 +1,13 @@
 """Tests for the EnumAlmostSat procedure and its refinement variants."""
 
+import hashlib
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import Biplex, ITraversal
+from repro.core.biplex import extend_to_maximal
 from repro.core.enum_almost_sat import (
     EnumAlmostSatConfig,
     count_local_solutions,
@@ -11,6 +16,7 @@ from repro.core.enum_almost_sat import (
     enum_local_solutions_naive,
 )
 from repro.graph import erdos_renyi_bipartite, paper_example_graph
+from repro.graph.protocol import mask_of
 
 ALL_CONFIGS = [
     EnumAlmostSatConfig(right_refinement=r, left_refinement=l) for r in (1, 2) for l in (1, 2)
@@ -159,3 +165,70 @@ class TestCounting:
         for v in (0, 1, 2, 3):
             found = list(enum_local_solutions(example_graph, left, right, v, 1))
             assert len(found) == len(set(found))
+
+
+class TestExclusionPrune:
+    """The ``exclusion`` mask drops only local solutions whose children hold it.
+
+    Each trial draws a seeded ER graph, a maximal solution from a capped
+    iTraversal run, an outside anchor ``v`` and a random exclusion mask
+    over the other outside left vertices, then runs EnumAlmostSat with and
+    without the mask.
+    """
+
+    #: sha256 prefix over every trial's unpruned output, in order.
+    UNPRUNED_DIGEST = "ce2201b3cc2199e5"
+
+    @staticmethod
+    def _trials():
+        for seed in range(150):
+            rng = random.Random(seed)
+            n_left, n_right = rng.randint(4, 10), rng.randint(4, 10)
+            k = rng.choice((1, 2, 3))
+            pairs = n_left * n_right
+            graph = erdos_renyi_bipartite(
+                n_left, n_right, num_edges=rng.randint(pairs // 3, 4 * pairs // 5), seed=seed
+            )
+            # prep and jobs pinned: the capped selection must not follow
+            # REPRO_PREP or REPRO_JOBS.
+            solutions = ITraversal(graph, k, max_results=12, prep="off", jobs=1).enumerate()
+            for solution in solutions:
+                outside = [w for w in graph.left_vertices() if w not in solution.left]
+                if not outside:
+                    continue
+                v = rng.choice(outside)
+                exclusion = mask_of(w for w in outside if w != v and rng.random() < 0.5)
+                yield graph, k, solution, v, exclusion
+
+    def test_prune_drops_only_excluded_children(self):
+        hasher = hashlib.sha256()
+        calls = drops = 0
+        for graph, k, solution, v, exclusion in self._trials():
+            left, right = solution.left_mask, solution.right_mask
+            unpruned = list(enum_local_solutions(graph, left, right, v, k))
+            assert list(enum_local_solutions(graph, left, right, v, k, exclusion=0)) == unpruned
+            for local in unpruned:
+                hasher.update(repr(local.key()).encode())
+            counters = SimpleNamespace(num_pruned_exclusion=0)
+            pruned = list(
+                enum_local_solutions(
+                    graph, left, right, v, k, exclusion=exclusion, stats=counters
+                )
+            )
+            # An ordered subsequence: walk the unpruned list once.
+            remaining = iter(unpruned)
+            assert all(local in remaining for local in pruned)
+            kept = set(pruned)
+            dropped = [local for local in unpruned if local not in kept]
+            for local in dropped:
+                child = extend_to_maximal(
+                    graph, local.left_mask, local.right_mask, k, candidate_right=()
+                )
+                assert child.left_mask & exclusion, (solution, v, exclusion, local)
+            assert counters.num_pruned_exclusion >= len({local.right_mask for local in dropped})
+            calls += 1
+            drops += len(dropped)
+        # The sweep must exercise the prune, and its unpruned output is
+        # what EnumAlmostSat gave before the mask existed.
+        assert calls > 1000 and drops > 200, (calls, drops)
+        assert hasher.hexdigest()[:16] == self.UNPRUNED_DIGEST

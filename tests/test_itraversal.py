@@ -301,13 +301,13 @@ class TestPinnedWork:
                 "opsahl",
                 {"max_results": 300},
                 "abe3ef6d79203079",
-                (300, 10509, 17065, 39310, 0, 0, 0, 14874, 13927),
+                (300, 10509, 17065, 17698, 0, 0, 0, 21625, 7176),
             ),
             (
                 "writer",
                 {"max_results": 500, "theta_left": 4, "theta_right": 4},
                 "da3f54d3867ce26a",
-                (500, 2472, 3493, 7169, 2, 0, 5668, 2768, 1929),
+                (500, 2472, 3493, 4126, 2, 0, 5668, 3391, 1306),
             ),
         ],
     )
