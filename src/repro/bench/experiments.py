@@ -328,7 +328,6 @@ def experiment_fig11ab(
     k: int = 1,
     max_left: int = 7,
     max_right: int = 10,
-    time_limit: float = 20.0,
 ) -> List[Dict[str, object]]:
     """Figure 11(a)/(b): number of solution-graph links and running time, k = 1.
 

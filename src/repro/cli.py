@@ -3,29 +3,25 @@
 Five subcommands cover the library's day-to-day uses:
 
 * ``repro-mbp enumerate``  — enumerate maximal k-biplexes of an edge-list
-  file (or a registry dataset) and print or save them (``--json`` emits
-  the machine-readable status block shared with the service);
+  file (or a registry dataset) and print them (``--json`` emits one JSON
+  document: the solutions and the status block the service returns);
 * ``repro-mbp query``      — the service front end: run a paginated query
   against a running daemon (``--server``) or an in-process service,
-  inspect daemon statistics, cancel sessions;
+  inspect daemon statistics, cancel sessions, apply edge updates;
 * ``repro-mbp serve``      — run the HTTP/JSON daemon (same flags as
   ``python -m repro.serve``);
 * ``repro-mbp experiment`` — run one of the per-figure experiment drivers
   and print the paper-style table;
 * ``repro-mbp datasets``   — list the dataset registry (the Table 1 stand-ins).
 
-``enumerate`` runs on :class:`repro.graph.BipartiteGraph`, whose
-word-parallel per-vertex bitmasks are the one adjacency store.  ``--jobs N`` (or
-``REPRO_JOBS=N``) runs the enumeration on the sharded parallel engine
-(:mod:`repro.parallel`) with ``N`` worker processes — the same solution
-set for uncapped runs (a ``--max-results`` cap keeps the first N unique
-arrivals, which may differ from serial's first N), one merged stats line.
-``--prep {off,core,core+order}`` (or ``REPRO_PREP``) selects the
-preprocessing pipeline (:mod:`repro.prep`): ``core`` (default) shrinks the
-graph with the threshold-driven core/bitruss reduction before enumerating
-— a no-op without ``--theta`` — and ``core+order`` additionally anchors
-the traversal in degeneracy order; the summary line reports how many
-vertices/edges the reduction removed.
+``enumerate`` is ``query run`` on an in-process
+:class:`repro.service.QueryService`, unpaginated.  The two share one flag
+builder (:func:`_add_query_flags`), one request path (:func:`_run_query`)
+and one formatter (:func:`_print_solutions`), so they validate, trace and
+report a query the same way.  ``--jobs`` (or ``REPRO_JOBS``) runs the
+sharded parallel engine (:mod:`repro.parallel`) and ``--prep`` (or
+``REPRO_PREP``) picks the preprocessing pipeline (:mod:`repro.prep`),
+whose reduction sizes the summary's ``# prep=`` line reports.
 
 Run ``repro-mbp <subcommand> --help`` for the full option list.
 """
@@ -39,39 +35,29 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from .analysis.datasets import ALL_DATASETS, load_dataset, table1_rows
+from .analysis.datasets import ALL_DATASETS, table1_rows
 from .bench.experiments import EXPERIMENTS
 from .bench.reporting import format_table
 from .core.itraversal import ITraversal
-from .core.objective import resolve_objective
-from .core.verify import summarize_solutions
-from .graph.io import read_edge_list
-from .parallel import resolve_jobs
-from .prep import resolve_prep
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-mbp",
-        description="Maximal k-biplex enumeration (SIGMOD 2022 reproduction)",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+def _add_query_flags(parser: argparse.ArgumentParser) -> None:
+    """Declare the flags ``enumerate`` and ``query run`` share: one query document.
 
-    enumerate_parser = subparsers.add_parser(
-        "enumerate", help="enumerate maximal k-biplexes of a graph"
-    )
-    source = enumerate_parser.add_mutually_exclusive_group(required=True)
+    ``--prep`` and ``--mode`` deliberately have no argparse ``choices``:
+    :meth:`repro.service.QueryService.normalize` validates every field, the
+    ``REPRO_PREP`` / ``REPRO_JOBS`` defaults included, and its message
+    reaches stderr as one ``error:`` line.
+    """
+    source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", help="edge-list file (see repro.graph.io)")
     source.add_argument("--dataset", choices=ALL_DATASETS, help="registry dataset name")
-    enumerate_parser.add_argument("-k", type=int, default=1, help="biplex parameter (default 1)")
-    enumerate_parser.add_argument(
-        "--variant",
-        default="full",
-        choices=ITraversal.VARIANTS,
-        help="iTraversal variant",
+    parser.add_argument("-k", type=int, default=1, help="biplex parameter (default 1)")
+    parser.add_argument(
+        "--variant", default="full", choices=ITraversal.VARIANTS, help="iTraversal variant"
     )
-    enumerate_parser.add_argument("--theta", type=int, default=0, help="min size of both sides")
-    enumerate_parser.add_argument(
+    parser.add_argument("--theta", type=int, default=0, help="min size of both sides")
+    parser.add_argument(
         "--mode",
         default=None,
         help=(
@@ -82,16 +68,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "pruning bound"
         ),
     )
-    enumerate_parser.add_argument(
-        "--top",
-        type=int,
-        default=None,
-        metavar="N",
-        help="how many solutions to keep in --mode top-k",
+    parser.add_argument(
+        "--top", type=int, default=None, metavar="N", help="how many solutions for --mode top-k"
     )
-    enumerate_parser.add_argument("--max-results", type=int, default=None)
-    enumerate_parser.add_argument("--time-limit", type=float, default=None, help="seconds")
-    enumerate_parser.add_argument(
+    parser.add_argument("--max-results", type=int, default=None)
+    parser.add_argument("--time-limit", type=float, default=None, help="seconds")
+    parser.add_argument(
         "--jobs",
         type=int,
         default=None,
@@ -104,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "the serial run's first N"
         ),
     )
-    enumerate_parser.add_argument(
+    parser.add_argument(
         "--prep",
         default=None,
         help=(
@@ -116,8 +98,34 @@ def _build_parser() -> argparse.ArgumentParser:
             "ids; the REPRO_PREP environment variable overrides the default"
         ),
     )
+    parser.add_argument(
+        "--trace",
+        action="store_true",
+        help=(
+            "request a phase trace from the service and include the last "
+            "response's in the JSON output (parse → load → plan → traverse "
+            "→ serialize for a one-shot query, traverse → serialize for a "
+            "later page, plus per-shard worker spans under --jobs); a no-op "
+            "when the service's REPRO_OBS is off"
+        ),
+    )
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-mbp",
+        description="Maximal k-biplex enumeration (SIGMOD 2022 reproduction)",
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+
+    enumerate_parser = subparsers.add_parser(
+        "enumerate", help="enumerate maximal k-biplexes of a graph"
+    )
+    _add_query_flags(enumerate_parser)
     enumerate_parser.add_argument(
-        "--quiet", action="store_true", help="print only the summary, not the biplexes"
+        "--quiet",
+        action="store_true",
+        help="print only the summary, not the biplexes (with --json: no solutions key)",
     )
     enumerate_parser.add_argument(
         "--json",
@@ -125,17 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "emit one JSON document (solutions + the full status block: "
             "traversal counters, truncation flags, shard count, prep "
-            "reduction sizes) instead of text — the same block the query "
-            "service returns"
-        ),
-    )
-    enumerate_parser.add_argument(
-        "--trace",
-        action="store_true",
-        help=(
-            "record a phase trace (load → plan → traverse, plus "
-            "per-shard worker spans under --jobs) and include it in the "
-            "--json document; a no-op when REPRO_OBS is off"
+            "reduction sizes) instead of text — the document of "
+            "query run --format json"
         ),
     )
 
@@ -154,29 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser = query_sub.add_parser(
         "run", help="run one enumeration query, paginating through the service"
     )
-    run_source = run_parser.add_mutually_exclusive_group(required=True)
-    run_source.add_argument("--input", help="edge-list file (see repro.graph.io)")
-    run_source.add_argument("--dataset", choices=ALL_DATASETS, help="registry dataset name")
-    run_parser.add_argument("-k", type=int, default=1, help="biplex parameter (default 1)")
-    run_parser.add_argument(
-        "--variant",
-        default="full",
-        choices=ITraversal.VARIANTS,
-        help="iTraversal variant",
-    )
-    run_parser.add_argument("--theta", type=int, default=0, help="min size of both sides")
-    run_parser.add_argument("--prep", default=None, help="preprocessing mode (see enumerate --help)")
-    run_parser.add_argument("--jobs", type=int, default=None)
-    run_parser.add_argument(
-        "--mode",
-        default=None,
-        help="solver objective: enumerate (default), maximum, or top-k with --top N",
-    )
-    run_parser.add_argument(
-        "--top", type=int, default=None, metavar="N", help="how many solutions for --mode top-k"
-    )
-    run_parser.add_argument("--max-results", type=int, default=None)
-    run_parser.add_argument("--time-limit", type=float, default=None, help="seconds")
+    _add_query_flags(run_parser)
     run_parser.add_argument(
         "--page-size",
         type=int,
@@ -197,17 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="table",
         choices=("table", "csv", "json"),
         help="output format (default table)",
-    )
-    run_parser.add_argument(
-        "--trace",
-        action="store_true",
-        help=(
-            "request a phase trace from the service and include the last "
-            "response's in --format json output (parse → load → plan → "
-            "traverse → serialize for a one-shot query, traverse → "
-            "serialize for a later page); a no-op when the service's "
-            "REPRO_OBS is off"
-        ),
     )
 
     status_parser = query_sub.add_parser("status", help="print daemon statistics")
@@ -268,103 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command_enumerate(args: argparse.Namespace) -> int:
-    # Resolved here (not at parser-build time) so an invalid REPRO_JOBS or
-    # REPRO_PREP only affects the subcommand that uses it, with a clean
-    # error message.  `--prep` deliberately has no argparse `choices`:
-    # resolving it here funnels both the flag and the REPRO_PREP
-    # environment variable through the same validation and error message.  `--mode` / `--top` follow the
-    # same pattern via resolve_objective, shared with the query service.
-    try:
-        jobs = resolve_jobs(args.jobs)
-        prep = resolve_prep(args.prep)
-        mode, top = resolve_objective(args.mode, args.top)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    from .obs import PRUNE_SITE_FIELDS, get_registry
-    from .obs import span as obs_span
-    from .obs import trace as obs_trace
-
-    obs = get_registry()
-    with obs_trace("cli.enumerate", enabled=args.trace and obs.enabled) as active:
-        with obs_span("load"):
-            if args.dataset:
-                graph = load_dataset(args.dataset)
-            else:
-                graph = read_edge_list(args.input)
-        with obs_span("plan"):
-            try:
-                algorithm = ITraversal(
-                    graph,
-                    args.k,
-                    variant=args.variant,
-                    theta_left=args.theta,
-                    theta_right=args.theta,
-                    max_results=args.max_results,
-                    time_limit=args.time_limit,
-                    jobs=jobs,
-                    prep=prep,
-                    mode=mode,
-                    top=top,
-                )
-            except ValueError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-        with obs_span("traverse"):
-            solutions = algorithm.enumerate()
-    stats = algorithm.stats
-    plan = algorithm.prep
-    if args.json:
-        from .service.status import status_block
-
-        document = {
-            "solutions": [
-                [sorted(solution.left), sorted(solution.right)] for solution in solutions
-            ],
-            "num_solutions": len(solutions),
-            "status": status_block(
-                stats,
-                plan,
-                mode=mode,
-                obs={
-                    "enabled": obs.enabled,
-                    "pruned_by_site": {
-                        site: getattr(stats, field_name, 0)
-                        for site, field_name in PRUNE_SITE_FIELDS
-                    },
-                },
-            ),
-        }
-        if active is not None:
-            document["trace"] = active.to_dict()
-        if args.quiet:
-            document.pop("solutions")
-        print(json.dumps(document, indent=2, sort_keys=True))
-        return 0
-    if not args.quiet:
-        for solution in solutions:
-            left = ",".join(str(v) for v in sorted(solution.left))
-            right = ",".join(str(u) for u in sorted(solution.right))
-            print(f"L: [{left}]  R: [{right}]")
-    summary = summarize_solutions(solutions)
-    print(
-        f"# solutions={summary['count']} max_left={summary['max_left']} "
-        f"max_right={summary['max_right']} links={stats.num_links} "
-        f"elapsed={stats.elapsed_seconds:.3f}s truncated={stats.truncated}"
-    )
-    if mode != "enumerate":
-        print(
-            f"# mode={mode} best_size={stats.best_size} "
-            f"pruned_by_bound={stats.num_pruned_by_bound}"
-        )
-    print(
-        f"# prep={plan.mode} removed_left={plan.removed_left} "
-        f"removed_right={plan.removed_right} removed_edges={plan.removed_edges}"
-    )
-    return 0
-
-
 def _command_experiment(args: argparse.Namespace) -> int:
     rows = EXPERIMENTS[args.name]()
     print(format_table(rows, title=f"Experiment {args.name}"))
@@ -377,7 +246,7 @@ def _command_datasets(_: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------- #
-# The service front end: `query run` / `query status` / `query cancel`.
+# The service front end: `enumerate` and the `query` family.
 # --------------------------------------------------------------------- #
 def _server_request(server: str, method: str, path: str, payload=None) -> dict:
     """One JSON round trip to a daemon; raises RuntimeError on HTTP errors."""
@@ -402,13 +271,13 @@ def _server_request(server: str, method: str, path: str, payload=None) -> dict:
         raise RuntimeError(f"cannot reach server {server}: {error.reason}") from None
 
 
+def _graph_spec(args: argparse.Namespace) -> dict:
+    return {"dataset": args.dataset} if args.dataset else {"path": args.input}
+
+
 def _query_document(args: argparse.Namespace) -> dict:
-    if args.dataset:
-        graph_spec = {"dataset": args.dataset}
-    else:
-        graph_spec = {"path": args.input}
     return {
-        "graph": graph_spec,
+        "graph": _graph_spec(args),
         "k": args.k,
         "variant": args.variant,
         "theta_left": args.theta,
@@ -422,77 +291,75 @@ def _query_document(args: argparse.Namespace) -> dict:
     }
 
 
-def _run_query(args: argparse.Namespace, query: dict):
-    """Run the query, paginating when asked.
+def _run_query(
+    query: dict,
+    *,
+    trace: bool = False,
+    server: Optional[str] = None,
+    page_size: Optional[int] = None,
+):
+    """Run the query on a daemon or an in-process service, paginating when asked.
 
     Returns ``(solutions, status, trace)`` — ``trace`` is the last
-    response's trace block (``None`` unless ``--trace`` was honoured).
+    response's trace block (``None`` unless ``trace`` was honoured).
     """
-    want_trace = bool(getattr(args, "trace", False))
-    if args.server is not None:
-        if args.page_size is None:
-            response = _server_request(
-                args.server,
-                "POST",
-                "/v1/enumerate",
-                {"query": query, "trace": want_trace},
-            )
-            return response["solutions"], response["status"], response.get("trace")
-        response = _server_request(
-            args.server,
-            "POST",
-            "/v1/enumerate",
-            {
-                "query": query,
-                "paginate": True,
-                "page_size": args.page_size,
-                "trace": want_trace,
-            },
-        )
-        solutions = list(response["solutions"])
-        while not response["exhausted"]:
-            response = _server_request(
-                args.server,
+    paginate = page_size is not None
+    if server is not None:
+        body = {"query": query, "trace": trace}
+        if paginate:
+            body.update(paginate=True, page_size=page_size)
+        response = _server_request(server, "POST", "/v1/enumerate", body)
+
+        def next_page(previous: dict) -> dict:
+            return _server_request(
+                server,
                 "POST",
                 "/v1/paginate",
                 {
-                    "session_id": response["session_id"],
-                    "cursor": response["cursor"],
-                    "page_size": args.page_size,
-                    "trace": want_trace,
+                    "session_id": previous["session_id"],
+                    "cursor": previous["cursor"],
+                    "page_size": page_size,
+                    "trace": trace,
                 },
             )
-            solutions.extend(response["solutions"])
-        return solutions, response["status"], response.get("trace")
 
-    from .service import Budgets, QueryService
+    else:
+        from .service import Budgets, QueryService
 
-    service = QueryService(budgets=Budgets(max_page_size=10**9))
-    if want_trace:
-        query = {**query, "trace": True}
-    if args.page_size is None:
-        response = service.enumerate(query)
-        return response["solutions"], response["status"], response.get("trace")
-    response = service.open_session(query, page_size=args.page_size)
+        # Unbudgeted, and uncached: a one-shot process never reads its result
+        # cache back, and storing a result deep-copies the whole solution list.
+        service = QueryService(budgets=Budgets(max_page_size=10**9), result_cache_capacity=0)
+        query = {**query, "trace": trace}
+        if paginate:
+            response = service.open_session(query, page_size=page_size)
+        else:
+            response = service.enumerate(query)
+
+        def next_page(previous: dict) -> dict:
+            return service.next_page(
+                session_id=previous["session_id"],
+                cursor=previous["cursor"],
+                page_size=page_size,
+                want_trace=trace,
+            )
+
     solutions = list(response["solutions"])
-    while not response["exhausted"]:
-        response = service.next_page(
-            session_id=response["session_id"],
-            cursor=response["cursor"],
-            page_size=args.page_size,
-            want_trace=want_trace,
-        )
+    while paginate and not response["exhausted"]:
+        response = next_page(response)
         solutions.extend(response["solutions"])
     return solutions, response["status"], response.get("trace")
 
 
-def _print_solutions(solutions, status, fmt: str, trace_block=None) -> None:
+def _print_solutions(solutions, status, fmt: str, trace_block=None, quiet: bool = False) -> None:
+    """Render one query's answer as a ``table``, ``csv`` rows or one ``json`` document.
+
+    ``quiet`` drops the table's listing (the ``#`` summary lines stay) or
+    the JSON document's ``solutions`` key.
+    """
     if fmt == "json":
-        document = {
-            "solutions": solutions,
-            "num_solutions": len(solutions),
-            "status": status,
-        }
+        document = {"num_solutions": len(solutions), "status": status}
+        if not quiet:
+            document["solutions"] = solutions
         if trace_block is not None:
             document["trace"] = trace_block
         print(json.dumps(document, indent=2, sort_keys=True))
@@ -505,13 +372,17 @@ def _print_solutions(solutions, status, fmt: str, trace_block=None) -> None:
                 [" ".join(map(str, left)), " ".join(map(str, right))]
             )
         return
-    for left, right in solutions:
-        left_text = ",".join(map(str, left))
-        right_text = ",".join(map(str, right))
-        print(f"L: [{left_text}]  R: [{right_text}]")
+    if not quiet:
+        for left, right in solutions:
+            left_text = ",".join(map(str, left))
+            right_text = ",".join(map(str, right))
+            print(f"L: [{left_text}]  R: [{right_text}]")
+    max_left = max((len(left) for left, _ in solutions), default=0)
+    max_right = max((len(right) for _, right in solutions), default=0)
     prep = status.get("prep") or {}
     print(
-        f"# solutions={len(solutions)} links={status['num_links']} "
+        f"# solutions={len(solutions)} max_left={max_left} max_right={max_right} "
+        f"links={status['num_links']} "
         f"elapsed={status['elapsed_seconds']:.3f}s truncated={status['truncated']}"
     )
     mode = status.get("mode")
@@ -526,6 +397,18 @@ def _print_solutions(solutions, status, fmt: str, trace_block=None) -> None:
             f"removed_left={prep['removed_left']} removed_right={prep['removed_right']} "
             f"removed_edges={prep['removed_edges']}"
         )
+
+
+def _command_enumerate(args: argparse.Namespace) -> int:
+    """``query run`` on an in-process service, unpaginated, as a table or JSON."""
+    try:
+        solutions, status, trace_block = _run_query(_query_document(args), trace=args.trace)
+    except ValueError as error:  # QueryError: a rejected field or an unreadable graph file
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    fmt = "json" if args.json else "table"
+    _print_solutions(solutions, status, fmt, trace_block=trace_block, quiet=args.quiet)
+    return 0
 
 
 def _command_query_stats(args: argparse.Namespace) -> int:
@@ -582,12 +465,8 @@ def _parse_edge_flag(text: str) -> List[int]:
 
 
 def _command_query_update(args: argparse.Namespace) -> int:
-    if args.dataset:
-        graph_spec = {"dataset": args.dataset}
-    else:
-        graph_spec = {"path": args.input}
     document = {
-        "graph": graph_spec,
+        "graph": _graph_spec(args),
         "insert": [_parse_edge_flag(text) for text in args.insert],
         "delete": [_parse_edge_flag(text) for text in args.delete],
     }
@@ -611,8 +490,12 @@ def _command_query(args: argparse.Namespace) -> int:
             )
             print(json.dumps(response))
             return 0 if response.get("cancelled") else 1
-        query = _query_document(args)
-        solutions, status, trace_block = _run_query(args, query)
+        solutions, status, trace_block = _run_query(
+            _query_document(args),
+            trace=args.trace,
+            server=args.server,
+            page_size=args.page_size,
+        )
     except (RuntimeError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -76,7 +76,7 @@ def missing_and_extra(
 
 
 def summarize_solutions(solutions: Sequence[Biplex]) -> dict:
-    """Small summary used by the CLI and the examples."""
+    """Count, largest side sizes and largest size of a solution list."""
     if not solutions:
         return {"count": 0, "max_left": 0, "max_right": 0, "max_total": 0}
     return {

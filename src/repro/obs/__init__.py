@@ -7,9 +7,10 @@ Three stdlib-only pieces (see ``ARCHITECTURE.md`` for the contracts):
   every layer publishes into and ``/v1/metrics`` serves;
 * :mod:`repro.obs.tracing` — per-request ``trace_id`` plus a
   :class:`Trace` phase tree recorded through the :func:`span` context
-  manager (a service query: ``parse → load → plan → traverse →
-  serialize``; see that module for every path's phases) and propagated
-  into parallel workers by value;
+  manager (a service query, the CLI's ``enumerate`` and ``query run``
+  included: ``parse → load → plan → traverse → serialize``; see that
+  module for every path's phases) and propagated into parallel workers
+  by value;
 * :mod:`repro.obs.slowlog` — the :class:`SlowQueryLog` JSON-lines sink
   for slow-query and server-error records.
 

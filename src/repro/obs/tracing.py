@@ -9,8 +9,10 @@ request) and records a tree of :class:`Span` phases.  Each path records:
   ``serialize`` also mints a page's cursor;
 * a service page (``next_page``): ``traverse → serialize``, after a
   ``resume`` phase (graph load included) when it resumes from a cursor;
-* a service update: ``parse → load → apply``;
-* ``repro-mbp enumerate --trace``: ``load → plan → traverse``.
+* a service update: ``parse → load → apply``.
+
+The CLI records no phases of its own: ``repro-mbp enumerate --trace`` and
+``repro-mbp query run --trace`` both trace the service query they run.
 
 Instrumented code never holds the trace explicitly; it opens phases
 through the module-level :func:`span` context manager, which resolves the

@@ -362,7 +362,7 @@ class QueryService:
             def loader():
                 try:
                     return read_edge_list(path)
-                except OSError as error:
+                except (OSError, ValueError) as error:  # missing, unreadable or malformed
                     raise QueryError(f"cannot read graph file: {error}") from None
 
         elif "dataset" in graph_spec:

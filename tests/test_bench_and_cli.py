@@ -1,5 +1,8 @@
 """Tests for the benchmark harness, reporting utilities, experiment drivers and CLI."""
 
+import json
+import re
+
 import pytest
 
 from repro.bench import (
@@ -339,3 +342,65 @@ class TestCLI:
     def test_missing_source_rejected(self):
         with pytest.raises(SystemExit):
             main(["enumerate", "-k", "1"])
+
+    @pytest.mark.parametrize(
+        "text",
+        (None, "% 2 2\n0 x\n", "% 2 2\n0 5\n"),
+        ids=("missing", "malformed", "out-of-range"),
+    )
+    def test_unreadable_input_is_a_clean_error(self, tmp_path, capsys, text):
+        path = tmp_path / "g.txt"
+        if text is not None:
+            path.write_text(text)
+        assert main(["enumerate", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "error: cannot read graph file" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command", (("enumerate",), ("query", "run")), ids=("enumerate", "query-run")
+    )
+    def test_zero_time_limit_is_a_clean_error(self, tmp_path, capsys, command):
+        path = tmp_path / "g.txt"
+        write_edge_list(paper_example_graph(), path)
+        assert main([*command, "--input", str(path), "--time-limit", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "time_limit must be a finite positive number" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags",
+        (
+            ["-k", "1", "--theta", "2"],
+            ["-k", "2", "--max-results", "5", "--prep", "off"],
+            ["-k", "1", "--mode", "top-k", "--top", "3"],
+        ),
+        ids=("theta", "capped", "top-k"),
+    )
+    def test_enumerate_is_query_run_in_process(self, tmp_path, capsys, flags):
+        """One request path, one formatter: ``enumerate`` prints what
+        ``query run`` prints, as text and as JSON, apart from wall time."""
+        path = tmp_path / "g.txt"
+        write_edge_list(paper_example_graph(), path)
+        # Serial: a parallel top-k run's bound-prune count varies run to run.
+        argv = ["--input", str(path), "--jobs", "1", *flags]
+
+        def run(*command):
+            assert main([*command, *argv]) == 0
+            return capsys.readouterr().out
+
+        def mask(text):
+            return re.sub(r"elapsed=\S+", "elapsed=", text)
+
+        text = run("enumerate")
+        assert mask(text) == mask(run("query", "run"))
+        assert "max_left=" in text and "max_right=" in text
+        enumerated = json.loads(run("enumerate", "--json"))
+        queried = json.loads(run("query", "run", "--format", "json"))
+        for document in (enumerated, queried):
+            document["status"].pop("elapsed_seconds")
+        assert enumerated == queried
+        assert enumerated["num_solutions"] == text.count("L: [") > 0
+        quiet = json.loads(run("enumerate", "--json", "--quiet"))
+        assert "solutions" not in quiet
+        assert quiet["num_solutions"] == enumerated["num_solutions"]

@@ -271,6 +271,15 @@ class TestServiceObservability:
         phase_sum = sum(child["elapsed_ms"] for child in root["children"])
         assert phase_sum <= root["elapsed_ms"] * 1.10
 
+    def test_cli_enumerate_traces_the_service_query(self, fresh_registry, graph_file, capsys):
+        from repro.cli import main
+
+        argv = ["enumerate", "--input", graph_file, "--jobs", "1", "--json", "--trace", "--quiet"]
+        assert main(argv) == 0
+        trace_block = json.loads(capsys.readouterr().out)["trace"]
+        assert trace_block["root"]["name"] == "query.enumerate"
+        assert _phase_names(trace_block) == ["parse", "load", "plan", "traverse", "serialize"]
+
     def test_phases_cover_the_cold_load_and_the_cursor_mint(
         self, fresh_registry, graph_file, monkeypatch
     ):

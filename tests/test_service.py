@@ -368,6 +368,24 @@ class TestQueryService:
             QueryService().normalize(broken)
 
     @pytest.mark.parametrize(
+        "text, match",
+        [
+            (None, "No such file"),
+            ("% 2 2\n0 x\n", "invalid literal"),
+            ("% 2 2\n0 5\n", "outside the declared size header"),
+        ],
+        ids=["missing", "malformed", "out-of-range"],
+    )
+    def test_unreadable_graph_file_is_a_query_error(self, tmp_path, text, match):
+        """A file the edge-list reader rejects is the client's error, like a
+        missing one: a QueryError (400 over HTTP), not an internal one."""
+        path = tmp_path / "graph.txt"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(QueryError, match=f"cannot read graph file: .*{match}"):
+            QueryService().enumerate({"graph": {"path": str(path)}, "k": 1})
+
+    @pytest.mark.parametrize(
         "query",
         [
             paper_query(),

@@ -132,6 +132,15 @@ class TestDaemonProtocol:
         assert http_json(daemon, "POST", "/v1/paginate", {"cursor": "junk"})[0] == 400
         assert http_json(daemon, "POST", "/v1/cancel", {})[0] == 400
 
+    def test_malformed_graph_file_is_400(self, daemon, tmp_path):
+        path = tmp_path / "malformed.txt"
+        path.write_text("% 2 2\n0 x\n")
+        status, error = http_json(
+            daemon, "POST", "/v1/enumerate", {"query": {"graph": {"path": str(path)}, "k": 1}}
+        )
+        assert status == 400
+        assert "cannot read graph file" in error["error"]
+
     @pytest.mark.parametrize(
         "field, value, match",
         [
