@@ -1,4 +1,4 @@
-"""Figure 10 — enumerating large MBPs (both sides ≥ θ) with (θ−k)-core preprocessing.
+"""Figure 10 — enumerating large MBPs (both sides ≥ θ) after the core/bitruss reduction.
 
 Expected shape (paper): running time decreases as θ grows (the core shrinks
 and there are fewer large MBPs); iTraversal beats iMB by orders of magnitude.

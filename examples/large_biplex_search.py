@@ -1,4 +1,4 @@
-"""Large maximal k-biplex search with size thresholds and core preprocessing (Section 5).
+"""Large maximal k-biplex search with size thresholds and graph reduction (Section 5).
 
 Run with ``python examples/large_biplex_search.py``.
 
@@ -6,7 +6,8 @@ The script plants two dense user-item communities inside a sparse background
 graph and recovers them by enumerating only the *large* maximal 1-biplexes
 (both sides of size at least θ), demonstrating:
 
-* the ``(θ − k, θ − k)``-core preprocessing that shrinks the graph first,
+* the ``(θ_R − k, θ_L − k)``-core plus bitruss reduction that shrinks the
+  graph first,
 * the size-threshold pruning rules inside the traversal, and
 * how much work is saved compared to enumerating everything and filtering.
 """
@@ -20,7 +21,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro import ITraversal
-from repro.core import LargeMBPEnumerator, filter_large
+from repro.core import filter_large
 from repro.graph import planted_biplex_graph_with_blocks
 
 
@@ -42,13 +43,14 @@ def main() -> None:
     )
 
     # Direct large-MBP enumeration (the default prep="core" shrinks the graph first).
-    enumerator = LargeMBPEnumerator(graph, k, theta=theta)
+    enumerator = ITraversal(graph, k, theta_left=theta, theta_right=theta)
     start = time.perf_counter()
     large = enumerator.enumerate()
     direct_seconds = time.perf_counter() - start
-    core = enumerator.core_graph
+    core = enumerator.prep.graph
     print(
-        f"\n(θ−k)-core preprocessing: {graph.num_vertices} -> {core.num_vertices} vertices, "
+        f"\n(θ_R−k, θ_L−k)-core + bitruss reduction: "
+        f"{graph.num_vertices} -> {core.num_vertices} vertices, "
         f"{graph.num_edges} -> {core.num_edges} edges"
     )
     print(f"Large MBPs (both sides >= {theta}): {len(large)} found in {direct_seconds:.3f}s")

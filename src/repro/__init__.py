@@ -20,12 +20,9 @@ from .core import (
     CursorError,
     EnumerationSession,
     ITraversal,
-    LargeMBPEnumerator,
     TraversalConfig,
     TraversalStats,
-    enumerate_large_mbps,
     enumerate_mbps,
-    enumerate_mbps_btraversal,
     is_k_biplex,
     is_maximal_k_biplex,
 )
@@ -52,12 +49,9 @@ __all__ = [
     "BTraversal",
     "CursorError",
     "EnumerationSession",
-    "LargeMBPEnumerator",
     "TraversalConfig",
     "TraversalStats",
     "enumerate_mbps",
-    "enumerate_large_mbps",
-    "enumerate_mbps_btraversal",
     "is_k_biplex",
     "is_maximal_k_biplex",
     "paper_example_graph",

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..baselines.biclique import enumerate_maximal_bicliques
 from ..baselines.quasi_biclique import find_quasi_bicliques_greedy
 from ..core.biplex import Biplex
-from ..core.large import LargeMBPEnumerator
+from ..core.itraversal import ITraversal
 from ..graph.bipartite import BipartiteGraph
 from ..graph.butterfly import count_butterflies
 from ..graph.cores import alpha_beta_core
@@ -175,7 +175,7 @@ def evaluate_biplex(
     # which structures a capped run returns is only deterministic serially —
     # a parallel run caps on worker-arrival order, which would make the
     # precision/recall figures depend on scheduling (and on REPRO_JOBS).
-    enumerator = LargeMBPEnumerator(
+    structures = ITraversal(
         graph,
         k,
         theta_left=theta_users,
@@ -183,8 +183,7 @@ def evaluate_biplex(
         max_results=max_structures,
         time_limit=time_limit,
         jobs=1,
-    )
-    structures = enumerator.enumerate()
+    ).enumerate()
     return StructureResult(
         structure=f"{k}-biplex",
         theta_products=theta_products,

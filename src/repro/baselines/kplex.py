@@ -22,7 +22,7 @@ membership scan, and only their (at most ``k``) bits are walked.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..graph.general import Graph
 
@@ -223,19 +223,3 @@ def is_maximal_kplex(graph: Graph, vertex_set: Set[int], k: int) -> bool:
         if graph.subgraph_is_kplex(members | {vertex}, k):
             return False
     return True
-
-
-def enumerate_maximal_kplexes_lazy(
-    graph: Graph,
-    k: int,
-    time_limit: Optional[float] = None,
-) -> Iterator[Set[int]]:
-    """Generator variant used by the delay experiments.
-
-    The eager enumerator above is faster for full enumerations; this wrapper
-    simply yields from its result list but records nothing extra — the
-    exponential-delay behaviour of the inflation baseline comes from the fact
-    that all the search work happens before the first yield.
-    """
-    for plex in enumerate_maximal_kplexes(graph, k, time_limit=time_limit):
-        yield plex

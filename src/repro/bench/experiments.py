@@ -29,7 +29,6 @@ from ..core.enum_almost_sat import (
     enum_local_solutions_inflation,
 )
 from ..core.itraversal import ITraversal
-from ..core.large import LargeMBPEnumerator
 from ..core.solution_graph import link_passes
 from ..graph.bipartite import BipartiteGraph, paper_example_graph
 from ..graph.generators import erdos_renyi_bipartite
@@ -270,8 +269,9 @@ def experiment_fig10(
 ) -> List[Dict[str, object]]:
     """Figure 10: running time of iMB vs iTraversal when enumerating large MBPs.
 
-    Both algorithms benefit from the (θ − k)-core preprocessing, exactly as
-    in the paper.
+    Both algorithms run on the graph iTraversal's preprocessing leaves: the
+    asymmetric ``(θ_R − k, θ_L − k)``-core plus the bitruss peel
+    (:mod:`repro.prep.reduce`), which every large MBP survives.
     """
     graph = load_dataset(dataset)
     rows: List[Dict[str, object]] = []
@@ -279,13 +279,15 @@ def experiment_fig10(
         row: Dict[str, object] = {"theta": theta}
 
         start = time.perf_counter()
-        enumerator = LargeMBPEnumerator(graph, k, theta=theta, time_limit=time_limit)
+        enumerator = ITraversal(
+            graph, k, theta_left=theta, theta_right=theta, time_limit=time_limit
+        )
         solutions = enumerator.enumerate()
         elapsed = time.perf_counter() - start
         row["iTraversal"] = INF if enumerator.stats.hit_time_limit else elapsed
         row["num_large_mbps"] = len(solutions)
 
-        core = enumerator.core_graph
+        core = enumerator.prep.graph
         start = time.perf_counter()
         imb = IMB(core, k, theta_left=theta, theta_right=theta, time_limit=time_limit)
         imb_solutions = imb.enumerate()

@@ -13,7 +13,7 @@ from .biplex import (
     is_k_biplex,
     is_maximal_k_biplex,
 )
-from .btraversal import BTraversal, enumerate_mbps_btraversal
+from .btraversal import BTraversal
 from .delay import DelayInstrumentedIterator, DelayRecord, measure_delay
 from .enum_almost_sat import (
     EnumAlmostSatConfig,
@@ -21,8 +21,7 @@ from .enum_almost_sat import (
     enum_local_solutions_inflation,
     enum_local_solutions_naive,
 )
-from .itraversal import ITraversal, enumerate_large_mbps, enumerate_mbps
-from .large import LargeMBPEnumerator, filter_large
+from .itraversal import ITraversal, enumerate_mbps
 from .objective import (
     OBJECTIVES,
     EnumerateAll,
@@ -38,6 +37,7 @@ from .verify import (
     canonical,
     check_all_solutions,
     check_solution,
+    filter_large,
     missing_and_extra,
     same_solutions,
     summarize_solutions,
@@ -60,12 +60,8 @@ __all__ = [
     "enum_local_solutions_naive",
     "enum_local_solutions_inflation",
     "BTraversal",
-    "enumerate_mbps_btraversal",
     "ITraversal",
     "enumerate_mbps",
-    "enumerate_large_mbps",
-    "LargeMBPEnumerator",
-    "filter_large",
     "OBJECTIVES",
     "Objective",
     "EnumerateAll",
@@ -88,6 +84,7 @@ __all__ = [
     "check_solution",
     "check_all_solutions",
     "canonical",
+    "filter_large",
     "same_solutions",
     "missing_and_extra",
     "summarize_solutions",

@@ -15,12 +15,11 @@ iTraversal's front end (:class:`~repro.core.itraversal.TraversalFrontEnd`).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from ..graph.bipartite import BipartiteGraph
-from .biplex import Biplex
 from .itraversal import TraversalFrontEnd
-from .traversal import TraversalConfig, TraversalStats
+from .traversal import TraversalConfig
 
 
 class BTraversal(TraversalFrontEnd):
@@ -62,7 +61,6 @@ class BTraversal(TraversalFrontEnd):
         jobs: Optional[int] = None,
         prep: Optional[str] = None,
     ) -> None:
-        self.graph = graph
         config = TraversalConfig(
             variant="btraversal",
             max_results=max_results,
@@ -73,15 +71,3 @@ class BTraversal(TraversalFrontEnd):
             prep=prep,
         )
         super().__init__(graph, k, config)
-
-
-def enumerate_mbps_btraversal(
-    graph: BipartiteGraph,
-    k: int,
-    max_results: Optional[int] = None,
-    time_limit: Optional[float] = None,
-) -> Tuple[List[Biplex], TraversalStats]:
-    """Functional convenience wrapper around :class:`BTraversal`."""
-    algorithm = BTraversal(graph, k, max_results=max_results, time_limit=time_limit)
-    solutions = algorithm.enumerate()
-    return solutions, algorithm.stats

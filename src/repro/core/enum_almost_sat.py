@@ -443,17 +443,3 @@ def enum_local_solutions_inflation(
         chosen_right = {right_ids[i - len(local_left)] for i in plex if i >= len(local_left)}
         solutions.append(Biplex.of(chosen_left, chosen_right))
     return solutions
-
-
-def count_local_solutions(
-    graph: BipartiteGraph,
-    left: Set[int],
-    right: Set[int],
-    new_left_vertex: int,
-    k: int,
-    config: EnumAlmostSatConfig = DEFAULT_CONFIG,
-) -> int:
-    """Convenience helper: the number of local solutions (used by benchmarks)."""
-    return sum(
-        1 for _ in enum_local_solutions(graph, left, right, new_left_vertex, k, config)
-    )

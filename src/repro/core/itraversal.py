@@ -14,9 +14,8 @@ solutions ``s`` read in the input's ids as ``Biplex(s.right_mask,
 s.left_mask)``.
 
 :class:`TraversalFrontEnd` is the one front end over an engine:
-:class:`ITraversal`, :class:`~repro.core.btraversal.BTraversal` and
-:class:`~repro.core.large.LargeMBPEnumerator` differ only in the
-:class:`TraversalConfig` their constructors build.
+:class:`ITraversal` and :class:`~repro.core.btraversal.BTraversal` differ
+only in the :class:`TraversalConfig` their constructors build.
 """
 
 from __future__ import annotations
@@ -32,9 +31,8 @@ from .traversal import ReverseSearchEngine, TraversalConfig, TraversalStats
 class TraversalFrontEnd:
     """One engine, read in the input graph's vertex ids.
 
-    The shared front end of :class:`ITraversal`,
-    :class:`~repro.core.btraversal.BTraversal` and
-    :class:`~repro.core.large.LargeMBPEnumerator`: each constructor builds
+    The shared front end of :class:`ITraversal` and
+    :class:`~repro.core.btraversal.BTraversal`: each constructor builds
     its :class:`TraversalConfig` and hands it here.
     """
 
@@ -118,7 +116,8 @@ class ITraversal(TraversalFrontEnd):
         ``prep`` the preprocessing pipeline (:mod:`repro.prep`); ``None``
         resolves either from its environment variable.  Solutions are
         always reported in the input graph's vertex ids; the :attr:`prep`
-        property exposes the plan (reduction sizes, orderings).
+        property exposes the plan (reduction sizes, orderings, and the
+        reduced graph the engine runs on as ``prep.graph``).
     mode, top:
         Solver objective (:mod:`repro.core.objective`), the config's
         ``objective`` / ``top``.  The default ``"enumerate"`` streams every
@@ -126,6 +125,26 @@ class ITraversal(TraversalFrontEnd):
         largest one (ties broken by canonical key) and ``"top-k"`` with
         ``top=N`` the ``N`` largest in ``(-size, key)`` order — both with
         the incumbent size bound driving extra traversal pruning.
+
+    Large MBPs (Section 5)
+    ----------------------
+    With ``theta_left`` / ``theta_right`` set, only MBPs with
+    ``|L| >= θ_L`` and ``|R| >= θ_R`` are reported, and the
+    right-shrinking traversal prunes the small ones on the fly instead of
+    enumerating everything and filtering afterwards
+    (:func:`~repro.core.verify.filter_large`):
+
+    * *almost-satisfying graph pruning* — skip a candidate vertex ``v``
+      when ``δ(v, R) + k < θ_R``,
+    * *local solution pruning* — skip local solutions with ``|R'| < θ_R``,
+    * *solution pruning* — do not recurse from solutions with ``|R| < θ_R``,
+    * *left-side pruning* — do not recurse when ``|L| − |ℰ(H)| < θ_L``.
+
+    Unless ``prep="off"``, the graph is first shrunk by the asymmetric
+    ``(θ_R − k, θ_L − k)``-core plus the bitruss peel
+    (:mod:`repro.prep.reduce`), which every large MBP survives.  The
+    solver objectives fold their incumbent size bound into the same
+    thresholds.
 
     Examples
     --------
@@ -201,35 +220,3 @@ def enumerate_mbps(
     )
     solutions = algorithm.enumerate()
     return solutions, algorithm.stats
-
-
-def enumerate_large_mbps(
-    graph: BipartiteGraph,
-    k: int,
-    theta: int,
-    max_results: Optional[int] = None,
-    time_limit: Optional[float] = None,
-    jobs: Optional[int] = None,
-    prep: Optional[str] = None,
-) -> Tuple[List[Biplex], TraversalStats]:
-    """Enumerate MBPs whose two sides both have at least ``theta`` vertices.
-
-    This is the Section 5 extension: the traversal prunes small solutions
-    on the fly instead of filtering after a full enumeration, and (unless
-    ``prep="off"``) the input graph is first shrunk by the
-    threshold-driven core/bitruss reduction of :mod:`repro.prep`, which
-    every large MBP provably survives.
-    """
-    from .large import LargeMBPEnumerator
-
-    enumerator = LargeMBPEnumerator(
-        graph,
-        k,
-        theta=theta,
-        max_results=max_results,
-        time_limit=time_limit,
-        jobs=jobs,
-        prep=prep,
-    )
-    solutions = enumerator.enumerate()
-    return solutions, enumerator.stats

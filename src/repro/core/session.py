@@ -18,8 +18,8 @@ with:
   and prep modes);
 * :meth:`stream` is the classic lazy full enumeration, which is how the
   one-shot front ends (``ITraversal`` / ``BTraversal`` /
-  ``LargeMBPEnumerator`` / ``enumerate_mbps``) now run: their ``run()`` is
-  a fresh throwaway session per call, so their public APIs are unchanged.
+  ``enumerate_mbps``) run: their ``run()`` is a fresh throwaway session
+  per call.
 
 Solver objectives
 -----------------

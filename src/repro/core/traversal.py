@@ -166,9 +166,8 @@ class TraversalConfig:
         bTraversal baseline is implemented in Figure 7.
 
     Every traversal knob is declared here and nowhere else: the front ends
-    (:class:`~repro.core.itraversal.ITraversal`,
-    :class:`~repro.core.btraversal.BTraversal`,
-    :class:`~repro.core.large.LargeMBPEnumerator`) and the query service
+    (:class:`~repro.core.itraversal.ITraversal` and
+    :class:`~repro.core.btraversal.BTraversal`) and the query service
     build this dataclass directly.
     """
 

@@ -75,6 +75,22 @@ def missing_and_extra(
     return reference_set - candidate_set, candidate_set - reference_set
 
 
+def filter_large(solutions: List[Biplex], theta_left: int, theta_right: int) -> List[Biplex]:
+    """Post-filter a solution list by side sizes.
+
+    This is what bTraversal has to do (enumerate everything, then filter);
+    it exists so benchmarks can contrast the two approaches.  Filtering
+    carries no completeness information of its own: when ``solutions``
+    came from a capped run, consult that run's ``stats.truncated`` before
+    treating the filtered list as the full answer.
+    """
+    return [
+        solution
+        for solution in solutions
+        if len(solution.left) >= theta_left and len(solution.right) >= theta_right
+    ]
+
+
 def summarize_solutions(solutions: Sequence[Biplex]) -> dict:
     """Count, largest side sizes and largest size of a solution list."""
     if not solutions:

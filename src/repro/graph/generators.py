@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .bipartite import BipartiteGraph
 
@@ -346,16 +346,3 @@ def _place_uniform_edges(
             right_vertex = right_pool[rng.randrange(len(right_pool))]
             if graph.add_edge(left_vertex, right_vertex):
                 placed += 1
-
-
-def degree_histogram(graph: BipartiteGraph) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """Return ``(left histogram, right histogram)`` mapping degree → count."""
-    left: Dict[int, int] = {}
-    right: Dict[int, int] = {}
-    for v in graph.left_vertices():
-        d = graph.degree_of_left(v)
-        left[d] = left.get(d, 0) + 1
-    for u in graph.right_vertices():
-        d = graph.degree_of_right(u)
-        right[d] = right.get(d, 0) + 1
-    return left, right

@@ -438,14 +438,16 @@ class QueryService:
         # is part of the cache key, so a result computed before an update
         # can never answer a query made after it.
         graph_key, graph = self.resolve_graph(normalized["graph"])
-        epoch = graph.epoch
-        cache_key = (
-            json.dumps(normalized, separators=(",", ":"), sort_keys=True)
-            + f"|epoch={epoch}"
-        )
+        # A cache-less service (the CLI's) builds no key and counts no miss.
+        caching = self._result_cache_capacity > 0
+        if caching:
+            cache_key = (
+                json.dumps(normalized, separators=(",", ":"), sort_keys=True)
+                + f"|epoch={graph.epoch}"
+            )
         with self._lock:
             self.queries += 1
-            cached = self._results.get(cache_key)
+            cached = self._results.get(cache_key) if caching else None
             if cached is not None:
                 self._results.move_to_end(cache_key)
                 self.result_hits += 1
@@ -455,7 +457,7 @@ class QueryService:
             if metrics.enabled:
                 metrics.inc("service_result_cache_total", outcome="hit")
             return response
-        if metrics.enabled:
+        if caching and metrics.enabled:
             metrics.inc("service_result_cache_total", outcome="miss")
         with span("plan"):
             session = self._open(normalized, resolved=(graph_key, graph))
@@ -479,7 +481,7 @@ class QueryService:
         }
         # Time-limit truncation is non-deterministic — never serve it to a
         # later identical query as if it were the answer.
-        if self._result_cache_capacity > 0 and not session.stats.hit_time_limit:
+        if caching and not session.stats.hit_time_limit:
             with self._lock:
                 self._results[cache_key] = {
                     "graph_key": graph_key,

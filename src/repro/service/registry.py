@@ -252,11 +252,6 @@ class HotGraphRegistry:
             self._drop_plans_for(key)
             return present
 
-    def clear(self) -> None:
-        with self._lock:
-            self._graphs.clear()
-            self._plans.clear()
-
     def counters(self) -> dict:
         """Snapshot of the hit/miss counters plus current occupancy."""
         with self._lock:

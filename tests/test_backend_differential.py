@@ -37,10 +37,14 @@ from graph_samples import ROUTES, random_graphs, via
 
 from repro.baselines import enumerate_mbps_bruteforce, enumerate_mbps_imb
 from repro.core import BTraversal, ITraversal
-from repro.core.large import LargeMBPEnumerator, filter_large
-from repro.core.verify import check_all_solutions, missing_and_extra, same_solutions
+from repro.core.verify import (
+    check_all_solutions,
+    filter_large,
+    missing_and_extra,
+    same_solutions,
+)
 
-#: Size threshold exercised by the LargeMBPEnumerator leg of the matrix.
+#: Size threshold exercised by the thresholded ITraversal leg of the matrix.
 THETA = 2
 
 #: Small enough for the brute-force oracle, varied enough to hit empty
@@ -135,8 +139,10 @@ def test_large_mbp_enumerator_matches_filtered_oracle(route, jobs, k):
     for index, base in enumerate(GRAPHS):
         reference = filter_large(enumerate_mbps_bruteforce(base, k), THETA, THETA)
         graph = via(route, base)
-        label = f"LargeMBPEnumerator[{route}] jobs={jobs} k={k} theta={THETA} g{index}"
-        solutions = LargeMBPEnumerator(graph, k, theta=THETA, jobs=jobs).enumerate()
+        label = f"ITraversal[{route}] jobs={jobs} k={k} theta={THETA} g{index}"
+        solutions = ITraversal(
+            graph, k, theta_left=THETA, theta_right=THETA, jobs=jobs
+        ).enumerate()
         check_all_solutions(graph, solutions, k, label=label)
         assert all(
             len(s.left) >= THETA and len(s.right) >= THETA for s in solutions
@@ -158,8 +164,8 @@ def test_prep_modes_match_oracle(route, jobs, prep):
     """The prep axis: reduction + ordering never change the solution set.
 
     Unthresholded iTraversal (the reduction is an identity there, but
-    ``core+order`` still permutes the traversal) and the thresholded
-    large-MBP enumerator (where the core/bitruss reduction actually peels
+    ``core+order`` still permutes the traversal) and thresholded
+    iTraversal (where the core/bitruss reduction actually peels
     vertices and the solutions must be translated back to original ids)
     are both pinned against the brute-force oracle, serial and sharded,
     for k = 1 and 2.
@@ -178,8 +184,10 @@ def test_prep_modes_match_oracle(route, jobs, prep):
             )
 
             large_reference = filter_large(reference, THETA, THETA)
-            label = f"LargeMBPEnumerator[{route}] jobs={jobs} prep={prep} k={k} g{index}"
-            large = LargeMBPEnumerator(graph, k, theta=THETA, jobs=jobs, prep=prep).enumerate()
+            label = f"ITraversal[{route}] jobs={jobs} prep={prep} k={k} theta={THETA} g{index}"
+            large = ITraversal(
+                graph, k, theta_left=THETA, theta_right=THETA, jobs=jobs, prep=prep
+            ).enumerate()
             check_all_solutions(graph, large, k, label=label)
             assert same_solutions(large_reference, large), (
                 label,

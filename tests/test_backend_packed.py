@@ -181,16 +181,16 @@ class TestPackedEndToEnd:
             assert is_quasi_biclique(example_graph, structure.left, structure.right, 0.25)
 
     def test_large_mbp_enumerator_on_packed(self):
-        from repro.core.large import LargeMBPEnumerator, filter_large
+        from repro.core import ITraversal, filter_large
 
         graph = erdos_renyi_bipartite(12, 12, num_edges=70, seed=4)
         # iMB is a different algorithm; the filtered full answer is the oracle.
         expected = set(filter_large(enumerate_mbps_imb(graph, 1), 3, 3))
-        enumerator = LargeMBPEnumerator(via("packed", graph), 1, theta=3)
+        enumerator = ITraversal(via("packed", graph), 1, theta_left=3, theta_right=3)
         # The reference: the core the same reduction leaves of the
         # constructor-built graph.
-        core_edges = set(LargeMBPEnumerator(graph, 1, theta=3).core_graph.edges())
-        assert_masks_match_edges(enumerator.core_graph, core_edges)
+        core_edges = set(ITraversal(graph, 1, theta_left=3, theta_right=3).prep.graph.edges())
+        assert_masks_match_edges(enumerator.prep.graph, core_edges)
         assert set(enumerator.enumerate()) == expected
 
     def test_cli_backend_packed(self, tmp_path, capsys, example_graph):
@@ -321,14 +321,13 @@ class TestNumpyAbsentFallback:
             assert inflated.adj_mask(u) == mask_of(inflated.neighbors(u))
 
     def test_enumeration_works_on_the_fallback(self, no_numpy, example_graph):
-        from repro.core import BTraversal, ITraversal
-        from repro.core.large import LargeMBPEnumerator, filter_large
+        from repro.core import BTraversal, ITraversal, filter_large
 
         expected = set(enumerate_mbps_bruteforce(example_graph, 1))
         assert set(ITraversal(example_graph, 1).enumerate()) == expected
         assert set(BTraversal(example_graph, 1).enumerate()) == expected
         assert set(enumerate_mbps_imb(example_graph, 1)) == expected
-        large = LargeMBPEnumerator(example_graph, 1, theta=2).enumerate()
+        large = ITraversal(example_graph, 1, theta_left=2, theta_right=2).enumerate()
         assert set(large) == set(filter_large(list(expected), 2, 2))
 
     def test_butterfly_and_cores_work_on_the_fallback(self, no_numpy, example_graph):

@@ -183,9 +183,11 @@ class TestExperimentDrivers:
         assert rows[0]["edge_density"] == 0.5
 
     def test_fig10_rows(self):
-        rows = experiment_fig10(dataset="cfat", theta_values=(5,), time_limit=5.0)
-        assert rows[0]["theta"] == 5
-        assert "iTraversal" in rows[0] and "iMB" in rows[0]
+        rows = experiment_fig10(dataset="cfat", theta_values=(5, 6), time_limit=5.0)
+        assert [row["theta"] for row in rows] == [5, 6]
+        assert all("iTraversal" in row and "iMB" in row for row in rows)
+        # iMB's count is not pinned: it hits its time limit here.
+        assert [row["num_large_mbps"] for row in rows] == [1971, 768]
 
     def test_fig11cd_link_ordering(self):
         rows = experiment_fig11cd(dataset="divorce", k_values=(1,), max_left=5, max_right=6)

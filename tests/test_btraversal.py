@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines import enumerate_mbps_bruteforce
-from repro.core import BTraversal, enumerate_mbps_btraversal
+from repro.core import BTraversal
 from repro.graph import erdos_renyi_bipartite
 
 
@@ -53,11 +53,6 @@ class TestBehaviour:
         algorithm = BTraversal(example_graph, 1, max_results=2)
         assert len(algorithm.enumerate()) == 2
         assert algorithm.stats.hit_result_limit
-
-    def test_functional_wrapper(self, example_graph):
-        solutions, stats = enumerate_mbps_btraversal(example_graph, 1)
-        assert stats.num_reported == len(solutions)
-        assert len(solutions) == len(set(solutions))
 
     def test_rejects_invalid_k(self, example_graph):
         with pytest.raises(ValueError):

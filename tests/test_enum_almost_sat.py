@@ -10,7 +10,6 @@ from repro.core import Biplex, ITraversal
 from repro.core.biplex import extend_to_maximal
 from repro.core.enum_almost_sat import (
     EnumAlmostSatConfig,
-    count_local_solutions,
     enum_local_solutions,
     enum_local_solutions_inflation,
     enum_local_solutions_naive,
@@ -154,12 +153,6 @@ class TestMinRightSize:
 
 
 class TestCounting:
-    def test_count_matches_enumeration(self, example_graph):
-        left, right = {4}, set(range(5))
-        assert count_local_solutions(example_graph, left, right, 0, 1) == len(
-            list(enum_local_solutions(example_graph, left, right, 0, 1))
-        )
-
     def test_no_duplicate_local_solutions(self, example_graph):
         left, right = {4}, set(range(5))
         for v in (0, 1, 2, 3):

@@ -29,7 +29,6 @@ from repro.graph.butterfly import (
     edge_butterfly_counts,
     k_bitruss,
 )
-from repro.graph.generators import degree_histogram
 from repro.prep import reduce_for_thresholds
 
 
@@ -432,11 +431,6 @@ class TestGenerators:
         for user in injection.fake_users:
             neighbors = graph.neighbors_of_left(user)
             assert any(p in injection.fake_products for p in neighbors)
-
-    def test_degree_histogram_sums_to_side_sizes(self, example_graph):
-        left_hist, right_hist = degree_histogram(example_graph)
-        assert sum(left_hist.values()) == example_graph.n_left
-        assert sum(right_hist.values()) == example_graph.n_right
 
 
 class TestIO:

@@ -5,7 +5,6 @@ import pytest
 from repro import (
     BipartiteGraph,
     ITraversal,
-    enumerate_large_mbps,
     enumerate_mbps,
     paper_example_graph,
     planted_biplex_graph,
@@ -60,9 +59,10 @@ class TestPlantedStructureRecovery:
         graph = planted_biplex_graph(
             24, 24, block_left=6, block_right=6, k=1, background_edges=30, num_blocks=2, seed=5
         )
-        solutions, stats = enumerate_large_mbps(graph, k=1, theta=5)
+        algorithm = ITraversal(graph, 1, theta_left=5, theta_right=5)
+        solutions = algorithm.enumerate()
         assert solutions, "the planted blocks must yield large MBPs"
-        assert not stats.truncated
+        assert not algorithm.stats.truncated
         # Each reported structure must intersect a planted block heavily: the
         # blocks occupy vertex ranges [0, 6) and [6, 12) on both sides.
         for solution in solutions:
@@ -75,8 +75,10 @@ class TestPlantedStructureRecovery:
         )
         core = reduce_for_thresholds(graph, 1, theta_left=5, theta_right=5).graph
         assert core.num_vertices < graph.num_vertices
-        with_core = set(enumerate_large_mbps(graph, 1, theta=5)[0])
-        without_core = set(enumerate_large_mbps(graph, 1, theta=5, prep="off")[0])
+        with_core = set(ITraversal(graph, 1, theta_left=5, theta_right=5).enumerate())
+        without_core = set(
+            ITraversal(graph, 1, theta_left=5, theta_right=5, prep="off").enumerate()
+        )
         assert with_core == without_core
 
 

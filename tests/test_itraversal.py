@@ -11,13 +11,11 @@ from repro.core import (
     BTraversal,
     EnumerationSession,
     ITraversal,
-    LargeMBPEnumerator,
     ReverseSearchEngine,
     TraversalConfig,
     build_solution_graph,
     check_all_solutions,
     count_links,
-    enumerate_large_mbps,
     enumerate_mbps,
     is_maximal_k_biplex,
 )
@@ -357,8 +355,6 @@ class TestConfigHelpers:
         for call in (
             lambda **kw: ITraversal(graph, 1, **kw),
             lambda **kw: BTraversal(graph, 1, **kw),
-            lambda **kw: LargeMBPEnumerator(graph, 1, theta=2, **kw),
-            lambda **kw: enumerate_large_mbps(graph, 1, 2, **kw),
             lambda **kw: build_solution_graph(graph, 1, **kw),
             lambda **kw: count_links(graph, 1, **kw),
             lambda **kw: TraversalConfig(**kw),

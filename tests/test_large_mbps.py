@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines import enumerate_mbps_bruteforce
-from repro.core import ITraversal, LargeMBPEnumerator, enumerate_large_mbps, filter_large
+from repro.core import ITraversal, filter_large
 from repro.graph import erdos_renyi_bipartite, paper_example_graph, planted_biplex_graph
 
 
@@ -19,7 +19,7 @@ class TestLargeEnumeration:
     @pytest.mark.parametrize("theta", [2, 3])
     def test_matches_bruteforce_on_example(self, example_graph, theta):
         expected = brute_large(example_graph, 1, theta)
-        enumerator = LargeMBPEnumerator(example_graph, 1, theta=theta)
+        enumerator = ITraversal(example_graph, 1, theta_left=theta, theta_right=theta)
         assert set(enumerator.enumerate()) == expected
 
     @pytest.mark.parametrize("theta", [2, 3])
@@ -28,8 +28,8 @@ class TestLargeEnumeration:
     def test_matches_bruteforce_on_random_graphs(self, seed, theta, use_core):
         graph = erdos_renyi_bipartite(5, 5, num_edges=12 + seed, seed=seed)
         expected = brute_large(graph, 1, theta)
-        enumerator = LargeMBPEnumerator(
-            graph, 1, theta=theta, prep=None if use_core else "off"
+        enumerator = ITraversal(
+            graph, 1, theta_left=theta, theta_right=theta, prep=None if use_core else "off"
         )
         assert set(enumerator.enumerate()) == expected
 
@@ -37,42 +37,37 @@ class TestLargeEnumeration:
         graph = planted_biplex_graph(
             15, 15, block_left=5, block_right=5, k=1, background_edges=10, seed=3
         )
-        solutions = LargeMBPEnumerator(graph, 1, theta=4).enumerate()
+        solutions = ITraversal(graph, 1, theta_left=4, theta_right=4).enumerate()
         assert solutions, "the planted near-biplex block must be recovered"
         assert all(len(s.left) >= 4 and len(s.right) >= 4 for s in solutions)
 
     def test_asymmetric_thresholds(self, example_graph):
-        enumerator = LargeMBPEnumerator(example_graph, 1, theta_left=1, theta_right=4)
+        enumerator = ITraversal(example_graph, 1, theta_left=1, theta_right=4)
         for solution in enumerator.enumerate():
             assert len(solution.left) >= 1
             assert len(solution.right) >= 4
 
     def test_core_graph_exposed(self, example_graph):
-        enumerator = LargeMBPEnumerator(example_graph, 1, theta=3)
-        assert enumerator.core_graph.n_left <= example_graph.n_left
-        assert enumerator.core_graph.n_right <= example_graph.n_right
+        enumerator = ITraversal(example_graph, 1, theta_left=3, theta_right=3)
+        assert enumerator.prep.graph.n_left <= example_graph.n_left
+        assert enumerator.prep.graph.n_right <= example_graph.n_right
 
     def test_translated_ids_reference_original_graph(self):
         graph = planted_biplex_graph(
             12, 12, block_left=4, block_right=4, k=1, background_edges=5, seed=9
         )
-        for solution in LargeMBPEnumerator(graph, 1, theta=3).enumerate():
+        for solution in ITraversal(graph, 1, theta_left=3, theta_right=3).enumerate():
             for v in solution.left:
                 assert 0 <= v < graph.n_left
             for u in solution.right:
                 assert 0 <= u < graph.n_right
-
-    def test_functional_wrapper(self, example_graph):
-        solutions, stats = enumerate_large_mbps(example_graph, 1, theta=3)
-        assert set(solutions) == brute_large(example_graph, 1, 3)
-        assert stats.num_reported == len(solutions)
 
 
 class TestAgainstPostFiltering:
     def test_equals_enumerate_then_filter(self, example_graph):
         everything = ITraversal(example_graph, 1).enumerate()
         filtered = set(filter_large(everything, 3, 3))
-        direct = set(LargeMBPEnumerator(example_graph, 1, theta=3).enumerate())
+        direct = set(ITraversal(example_graph, 1, theta_left=3, theta_right=3).enumerate())
         assert direct == filtered
 
     def test_filter_large_keeps_order(self, example_graph):
@@ -92,47 +87,46 @@ class TestTruncationPropagation:
     """
 
     def test_max_results_one_marks_truncated(self, example_graph):
-        enumerator = LargeMBPEnumerator(example_graph, 1, theta=1, max_results=1)
+        enumerator = ITraversal(example_graph, 1, theta_left=1, theta_right=1, max_results=1)
         solutions = enumerator.enumerate()
         assert len(solutions) == 1
         assert enumerator.stats.hit_result_limit
         assert enumerator.stats.truncated
-        assert enumerator.truncated
 
     def test_consumer_break_at_cap_marks_truncated(self, example_graph):
-        enumerator = LargeMBPEnumerator(example_graph, 1, theta=1, max_results=1)
+        enumerator = ITraversal(example_graph, 1, theta_left=1, theta_right=1, max_results=1)
         for _ in enumerator.run():
             break  # the generator is never resumed past the capped yield
         assert enumerator.stats.hit_result_limit
-        assert enumerator.truncated
+        assert enumerator.stats.truncated
 
     def test_islice_consumption_marks_truncated(self, example_graph):
         from itertools import islice
 
-        enumerator = LargeMBPEnumerator(example_graph, 1, theta=1, max_results=2)
+        enumerator = ITraversal(example_graph, 1, theta_left=1, theta_right=1, max_results=2)
         taken = list(islice(enumerator.run(), 2))
         assert len(taken) == 2
-        assert enumerator.truncated
+        assert enumerator.stats.truncated
 
     def test_tiny_time_limit_marks_truncated(self, example_graph):
-        enumerator = LargeMBPEnumerator(example_graph, 1, theta=1, time_limit=1e-9)
+        enumerator = ITraversal(example_graph, 1, theta_left=1, theta_right=1, time_limit=1e-9)
         solutions = enumerator.enumerate()
         assert solutions == []
         assert enumerator.stats.hit_time_limit
-        assert enumerator.truncated
+        assert enumerator.stats.truncated
 
     def test_uncapped_run_is_not_marked(self, example_graph):
-        enumerator = LargeMBPEnumerator(example_graph, 1, theta=2)
+        enumerator = ITraversal(example_graph, 1, theta_left=2, theta_right=2)
         enumerator.enumerate()
-        assert not enumerator.truncated
+        assert not enumerator.stats.truncated
 
     def test_filtered_capped_solutions_keep_their_status(self, example_graph):
         # filter_large itself is status-free; the run's stats are the source
         # of truth for completeness of the filtered list.
-        enumerator = LargeMBPEnumerator(example_graph, 1, theta=1, max_results=1)
+        enumerator = ITraversal(example_graph, 1, theta_left=1, theta_right=1, max_results=1)
         filtered = filter_large(enumerator.enumerate(), 2, 2)
         assert len(filtered) <= 1
-        assert enumerator.truncated
+        assert enumerator.stats.truncated
 
     def test_itraversal_break_at_cap_marks_truncated(self, example_graph):
         # The fix lives in the engine, so the plain traversals gain it too.
@@ -145,7 +139,7 @@ class TestPruningDoesNotOverPrune:
     @pytest.mark.parametrize("seed", range(4))
     def test_theta_larger_than_any_solution(self, seed):
         graph = erdos_renyi_bipartite(4, 4, num_edges=6, seed=200 + seed)
-        enumerator = LargeMBPEnumerator(graph, 1, theta=10)
+        enumerator = ITraversal(graph, 1, theta_left=10, theta_right=10)
         assert enumerator.enumerate() == []
 
     def test_theta_one_equals_plain_enumeration_nonempty_sides(self, example_graph):
@@ -154,4 +148,4 @@ class TestPruningDoesNotOverPrune:
             for s in ITraversal(example_graph, 1).enumerate()
             if len(s.left) >= 1 and len(s.right) >= 1
         }
-        assert set(LargeMBPEnumerator(example_graph, 1, theta=1).enumerate()) == plain
+        assert set(ITraversal(example_graph, 1, theta_left=1, theta_right=1).enumerate()) == plain

@@ -354,6 +354,26 @@ class TestServiceObservability:
         assert counters["registry_cache_total{cache=graph,outcome=miss}"] == 1
         assert counters["engine_runs_total"] == 1
 
+    def test_cacheless_service_counts_no_cache_outcome(self, fresh_registry):
+        """Capacity 0 (the CLI's service) has no cache to hit or miss."""
+        service = QueryService(result_cache_capacity=0)
+        graph = paper_example_graph()
+        query = {
+            "graph": {
+                "n_left": graph.n_left,
+                "n_right": graph.n_right,
+                "edges": [list(edge) for edge in graph.edges()],
+            },
+            "k": 1,
+        }
+        first = service.enumerate(query)
+        second = service.enumerate(query)
+        assert first["cached"] is second["cached"] is False
+        counters = fresh_registry.snapshot()["counters"]
+        assert not any(name.startswith("service_result_cache_total") for name in counters)
+        assert counters["service_requests_total{outcome=ok,route=enumerate}"] == 2
+        assert service.stats()["queries"] == 2
+
     def test_session_counters(self, fresh_registry, graph_file):
         service = QueryService()
         query = {"graph": {"path": graph_file}, "k": 1}

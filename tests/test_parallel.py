@@ -16,7 +16,7 @@ import os
 import pytest
 from graph_samples import random_graphs
 
-from repro.core import BTraversal, EnumerationSession, ITraversal, LargeMBPEnumerator
+from repro.core import BTraversal, EnumerationSession, ITraversal
 from repro.core.traversal import ReverseSearchEngine, TraversalConfig
 from repro.core.verify import canonical, check_all_solutions, same_solutions
 from repro.graph import erdos_renyi_bipartite, mask_of, paper_example_graph
@@ -143,8 +143,8 @@ class TestParallelMatchesSerial:
 
     def test_large_mbp_enumerator_parallel(self):
         for graph in GRAPHS:
-            serial = LargeMBPEnumerator(graph, 1, theta=2, jobs=1).enumerate()
-            parallel = LargeMBPEnumerator(graph, 1, theta=2, jobs=2).enumerate()
+            serial = ITraversal(graph, 1, theta_left=2, theta_right=2, jobs=1).enumerate()
+            parallel = ITraversal(graph, 1, theta_left=2, theta_right=2, jobs=2).enumerate()
             assert same_solutions(serial, parallel)
 
     def test_many_jobs_beyond_shard_count(self):

@@ -23,7 +23,7 @@ from graph_samples import ROUTES, via
 
 from repro.baselines import enumerate_mbps_bruteforce
 from repro.core import ITraversal
-from repro.core.large import filter_large
+from repro.core.verify import filter_large
 from repro.graph import (
     BipartiteGraph,
     erdos_renyi_bipartite,

@@ -302,11 +302,10 @@ class TestCoreProperties:
     @SETTINGS
     @given(graph=bipartite_graphs(max_left=5, max_right=5), k=ks, theta=st.integers(2, 4))
     def test_large_mbp_enumeration_equals_filtering(self, graph, k, theta):
-        from repro.core import LargeMBPEnumerator
-
         expected = {
             s
             for s in enumerate_mbps_bruteforce(graph, k)
             if len(s.left) >= theta and len(s.right) >= theta
         }
-        assert set(LargeMBPEnumerator(graph, k, theta=theta).enumerate()) == expected
+        algorithm = ITraversal(graph, k, theta_left=theta, theta_right=theta)
+        assert set(algorithm.enumerate()) == expected

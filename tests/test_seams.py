@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import ITraversal, LargeMBPEnumerator, paper_example_graph
+from repro import ITraversal, paper_example_graph
 from repro.service import QueryService
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,7 +49,7 @@ class TestBenchmarkSeams:
             assert traversal.extend_to_maximal is not original
             # jobs=1: the tracer only sees this process.
             ITraversal(paper_example_graph(), 1, jobs=1).enumerate()
-            LargeMBPEnumerator(paper_example_graph(), 1, theta=2, jobs=1).enumerate()
+            ITraversal(paper_example_graph(), 1, theta_left=2, theta_right=2, jobs=1).enumerate()
             QueryService().normalize({"graph": {"dataset": "divorce"}, "k": 1})
         finally:
             tracer.restore()

@@ -15,7 +15,7 @@ from graph_samples import ROUTES, random_graphs, via
 
 from repro.core import (
     EnumerationSession,
-    LargeMBPEnumerator,
+    ITraversal,
     TopK,
     TraversalConfig,
     enumerate_mbps,
@@ -161,9 +161,9 @@ class TestSolverDifferential:
         """Thresholds and the incumbent bound share one pruning path."""
         graph = PARALLEL_GRAPH
         oracle = _oracle(graph, 1, theta_left=2, theta_right=2)
-        enumerator = LargeMBPEnumerator(graph, 1, theta=2, mode="maximum")
+        enumerator = ITraversal(graph, 1, theta_left=2, theta_right=2, mode="maximum")
         assert enumerator.enumerate() == oracle[:1]
-        enumerator = LargeMBPEnumerator(graph, 1, theta=2, mode="top-k", top=4)
+        enumerator = ITraversal(graph, 1, theta_left=2, theta_right=2, mode="top-k", top=4)
         assert enumerator.enumerate() == oracle[:4]
 
 
