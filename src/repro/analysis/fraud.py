@@ -171,10 +171,12 @@ def evaluate_biplex(
     time_limit: float,
 ) -> StructureResult:
     """Evaluate k-biplex detection for one threshold setting."""
-    # jobs=1: the detector scores the *first max_structures* structures, and
-    # which structures a capped run returns is only deterministic serially —
-    # a parallel run caps on worker-arrival order, which would make the
+    # The detector scores the *first max_structures* structures, so the
+    # capped selection must not follow the environment.  jobs=1: a parallel
+    # run caps on worker-arrival order, which would make the
     # precision/recall figures depend on scheduling (and on REPRO_JOBS).
+    # prep="core": core+order expands candidates in another order, so the
+    # cap would keep other structures (and follow REPRO_PREP).
     structures = ITraversal(
         graph,
         k,
@@ -183,6 +185,7 @@ def evaluate_biplex(
         max_results=max_structures,
         time_limit=time_limit,
         jobs=1,
+        prep="core",
     ).enumerate()
     return StructureResult(
         structure=f"{k}-biplex",

@@ -25,6 +25,12 @@ comparison:
 * ``L2.0`` — visit removal sets in ascending size order and prune supersets
   of removal sets that already produced a local solution (Section 4.4).
 
+The local solutions of ``(L ∪ {v}, R)`` are ``(L' ∪ {v}, R')`` over pairs
+``(L', R')`` that depend on ``v`` only through ``N(v) ∩ R``, the anchor's
+*type*, so the traversal engine shares one :class:`LocalSolutionTable`
+among the anchors of an expansion: each type's right sides and left
+removals are built once.
+
 Two reference implementations are included for testing and for the Figure 12
 baseline: a naive power-set enumeration and the *Inflation* variant that
 inflates the almost-satisfying graph and enumerates local maximal
@@ -78,6 +84,41 @@ class EnumAlmostSatConfig:
 DEFAULT_CONFIG = EnumAlmostSatConfig()
 
 
+class LocalSolutionTable:
+    """EnumAlmostSat's work for one solution ``(L, R)``, shared by its anchors.
+
+    Call ``N(v) ∩ R`` the *type* of an anchor ``v``.  The local solutions of
+    ``(L ∪ {v}, R)`` are ``(L' ∪ {v}, R')`` over a list of ``(L', R')``
+    pairs that depends on ``v`` only through its type (see
+    :func:`enum_local_solutions`), so one table serves every anchor of an
+    expansion.  ``right_sides`` maps a type to its right sides ``R'`` in
+    enumeration order, each a list ``[R', cover, lefts, R'', R_enum \\ R'']``:
+
+    * ``cover`` is the left vertices adjacent to all of ``R'`` (``-1``,
+      all of them, when ``R'`` is empty): an exclusion prefix that meets
+      it skips ``R'``;
+    * ``lefts`` is the tuple of left sides ``L'`` (as masks, ``v``
+      removed), built at the first anchor of the type that does not skip
+      ``R'`` and ``None`` until then;
+    * the last two items are what that build reads.
+
+    ``right_missing`` holds ``δ̄(u, L)`` for every ``u ∈ R``.  A table is
+    valid for one ``(graph, L, R, k, config, min_right_size)``: the
+    traversal engine keeps one per expansion, in the frame of its
+    ``_children`` generator, and every other caller gets a fresh one per
+    call.
+    """
+
+    __slots__ = ("right_missing", "right_sides")
+
+    def __init__(self, graph: BipartiteGraph, left_mask: int, right_mask: int) -> None:
+        adj_right_mask = graph.adj_right_mask
+        self.right_missing: Dict[int, int] = {
+            u: (left_mask & ~adj_right_mask(u)).bit_count() for u in iter_bits(right_mask)
+        }
+        self.right_sides: Dict[int, List[list]] = {}
+
+
 def enum_local_solutions(
     graph: BipartiteGraph,
     left: Union[int, Iterable[int]],
@@ -86,9 +127,9 @@ def enum_local_solutions(
     k: int,
     config: EnumAlmostSatConfig = DEFAULT_CONFIG,
     min_right_size: int = 0,
-    solution_right_missing: Optional[Dict[int, int]] = None,
     exclusion: int = 0,
     stats=None,
+    table: Optional[LocalSolutionTable] = None,
 ) -> Iterator[Biplex]:
     """Enumerate all local solutions of the almost-satisfying graph ``(L ∪ {v}, R)``.
 
@@ -113,11 +154,6 @@ def enum_local_solutions(
         threshold are pruned *before* the left-side enumeration.  This is the
         "local solution pruning" rule of the large-MBP extension
         (Section 5); 0 disables it.
-    solution_right_missing:
-        Optional precomputed ``δ̄(u, L)`` for every ``u ∈ R``.  The values
-        depend only on the solution ``(L, R)``, not on ``v``, so a caller
-        that forms many almost-satisfying graphs from the same solution (the
-        traversal engines) computes them once and passes them in.
     exclusion:
         A mask of left ids (the exclusion strategy's processed anchors,
         Section 3.5).  Every right side ``R'`` whose vertices are all
@@ -132,76 +168,128 @@ def enum_local_solutions(
         :func:`~repro.core.biplex.extend_to_maximal` (with
         ``candidate_right=()``) adds it, its *bulk add*.  Either way the
         child holds ``w`` and is dropped, whatever the candidate order.
-        ``R_keep`` lies in every ``R'`` (Lemma 4.1), so its adjacency is
-        ANDed into the mask once per call and each ``R''`` adds at most
-        ``k`` more ANDs.
     stats:
         Optional counters (the engine's
         :class:`~repro.core.traversal.TraversalStats`): each right side
         that ``exclusion`` skips adds one to its ``num_pruned_exclusion``.
+    table:
+        A :class:`LocalSolutionTable` of ``(L, R)`` shared with earlier
+        calls on other anchors of the same solution (the traversal
+        engine's, one per expansion); ``None`` (the default) builds one
+        for this call alone.
 
     Yields
     ------
     Biplex
         Each local solution ``(L' ∪ {v}, R')``.  Solutions are distinct.
+
+    Notes
+    -----
+    The ``(L', R')`` pairs depend on ``v`` only through its *type*
+    ``N(v) ∩ R``, which is why anchors of one type can share a table
+    entry.  Each test below reads ``v`` only through it:
+
+    * the split of ``R`` into ``R_keep = N(v) ∩ R`` and ``R_enum = R \\
+      R_keep`` (Lemma 4.1), and with it ``R¹_enum`` / ``R²_enum``, the
+      right sides ``R' = R_keep ∪ R''`` and the ``min_right_size`` filter;
+    * the k-biplex check: ``v`` misses exactly ``R''``, so ``|R''|``
+      misses;
+    * left maximality: a removed vertex ``w`` fails at ``u ∈ R'`` when
+      ``u`` already misses ``k`` vertices of ``L' ∪ {v}``, and ``v``
+      misses ``u`` exactly when ``u ∈ R''``;
+    * right maximality: each ``u ∈ R_enum \\ R''`` is a non-neighbour of
+      ``v``, so ``u``'s misses in ``L' ∪ {v}`` are its misses in ``L'``
+      plus one, and ``v``'s own misses on ``R'`` are ``|R''|``.
+
+    The exclusion skip reads ``v``'s type through ``R'`` alone: ``R'`` is
+    skipped when ``exclusion`` meets its ``cover``, the left vertices
+    adjacent to all of ``R'``.  So the table is exact, not a heuristic:
+    each anchor gets the output and the skip count of a call of its own.
     """
     v = new_left_vertex
     left_mask = left if isinstance(left, int) else mask_of(left)
     right_mask = right if isinstance(right, int) else mask_of(right)
     if (left_mask >> v) & 1:
         raise ValueError("the new vertex must not already belong to the solution")
+    if table is None:
+        table = LocalSolutionTable(graph, left_mask, right_mask)
 
-    v_adjacency = graph.adj_left_mask(v)
-    r_keep = right_mask & v_adjacency
-    r_enum_mask = right_mask & ~v_adjacency
+    r_keep = right_mask & graph.adj_left_mask(v)
+    right_sides = table.right_sides.get(r_keep)
+    if right_sides is None:
+        right_sides = table.right_sides[r_keep] = _right_sides(
+            graph,
+            r_keep,
+            right_mask & ~r_keep,
+            table.right_missing,
+            k,
+            config.right_refinement,
+            min_right_size,
+        )
+    v_bit = 1 << v
+    for side in right_sides:
+        r_prime_mask, cover, lefts = side[0], side[1], side[2]
+        if exclusion & cover:
+            if stats is not None:
+                stats.num_pruned_exclusion += 1
+            continue
+        if lefts is None:
+            # Built once, with the first anchor that reaches R': every
+            # anchor of this type gets the same left sides (see the Notes).
+            lefts = side[2] = tuple(
+                _enumerate_left_removals(
+                    graph,
+                    left_mask,
+                    r_prime_mask,
+                    side[3],
+                    side[4],
+                    table.right_missing,
+                    v,
+                    k,
+                    config.left_refinement,
+                )
+            )
+        for left_side in lefts:
+            yield Biplex(left_side | v_bit, r_prime_mask)
+
+
+def _right_sides(
+    graph: BipartiteGraph,
+    r_keep: int,
+    r_enum_mask: int,
+    right_missing: Dict[int, int],
+    k: int,
+    right_refinement: int,
+    min_right_size: int,
+) -> List[list]:
+    """The right sides of one anchor type, as :class:`LocalSolutionTable` stores them.
+
+    ``R_keep`` lies in every ``R'`` (Lemma 4.1), so its adjacency is ANDed
+    into the cover once and each ``R''`` adds at most ``k`` more ANDs.
+    """
+    adj_right_mask = graph.adj_right_mask
+    keep_cover = -1
+    for u in iter_bits(r_keep):
+        keep_cover &= adj_right_mask(u)
+        if not keep_cover:
+            break
     r_enum = list(iter_bits(r_enum_mask))
-
-    # Miss counts of the enumerable right vertices w.r.t. the *current* left
-    # side; the traversal engines normally pass them in precomputed, so
-    # this path serves direct callers.
-    if solution_right_missing is not None:
-        right_missing = solution_right_missing
-    else:
-        right_missing = {
-            u: (left_mask & ~graph.adj_right_mask(u)).bit_count() for u in r_enum
-        }
     r1_enum = [u for u in r_enum if right_missing[u] <= k - 1]
     r2_enum = [u for u in r_enum if right_missing[u] >= k]
-
-    # The excluded left vertices adjacent to all of R_keep: the ones that
-    # can still cover a whole R'.
-    adj_right_mask = graph.adj_right_mask
-    covering = exclusion
-    if covering:
-        for u in iter_bits(r_keep):
-            covering &= adj_right_mask(u)
-            if not covering:
-                break
-
-    for r_double_prime in _enumerate_right_subsets(r1_enum, r2_enum, k, config.right_refinement):
+    sides = []
+    for r_double_prime in _enumerate_right_subsets(r1_enum, r2_enum, k, right_refinement):
         r_double_prime_mask = mask_of(r_double_prime)
         r_prime_mask = r_keep | r_double_prime_mask
         if min_right_size and r_prime_mask.bit_count() < min_right_size:
             continue
-        if covering:
-            covers = covering
+        cover = keep_cover
+        if cover:
             for u in r_double_prime:
-                covers &= adj_right_mask(u)
-            if covers:
-                if stats is not None:
-                    stats.num_pruned_exclusion += 1
-                continue
-        yield from _enumerate_left_removals(
-            graph,
-            left_mask,
-            r_prime_mask,
-            r_double_prime,
-            r_enum_mask & ~r_double_prime_mask,
-            right_missing,
-            v,
-            k,
-            config.left_refinement,
+                cover &= adj_right_mask(u)
+        sides.append(
+            [r_prime_mask, cover, None, r_double_prime, r_enum_mask & ~r_double_prime_mask]
         )
+    return sides
 
 
 def _enumerate_right_subsets(
@@ -235,11 +323,13 @@ def _enumerate_left_removals(
     v: int,
     k: int,
     left_refinement: int,
-) -> Iterator[Biplex]:
+) -> Iterator[int]:
     """Enumerate removal sets from ``L`` for a fixed right side ``R'``.
 
-    ``L`` and ``R'`` arrive as masks, ``r_double_prime`` lists the chosen
-    ``R''`` and ``r_rest_mask`` is ``R_enum \\ R''``.  The chosen vertices
+    Yields the left side ``L'`` (a mask, without ``v``) of each local
+    solution ``(L' ∪ {v}, R')``.  ``L`` and ``R'`` arrive as masks,
+    ``r_double_prime`` lists the chosen ``R''`` and ``r_rest_mask`` is
+    ``R_enum \\ R''``.  The chosen vertices
     that currently miss ``k`` vertices of ``L`` (and also miss ``v``) force
     at least one left removal each.  Removal sets are masks too, so L2.0's
     "superset of an earlier success" test is ``prior & removal == prior``.
@@ -251,10 +341,9 @@ def _enumerate_left_removals(
     r2_selected = [u for u in r_double_prime if right_missing[u] >= k]
     if not r2_selected:
         # (L ∪ {v}, R') is already a k-biplex; the only candidate removal is ∅.
-        candidate_left = left_mask | v_bit
         if _is_local_solution_masked(
             graph,
-            candidate_left,
+            left_mask | v_bit,
             r_prime_mask,
             0,
             r_double_prime,
@@ -262,7 +351,7 @@ def _enumerate_left_removals(
             right_missing,
             k,
         ):
-            yield Biplex(candidate_left, r_prime_mask)
+            yield left_mask
         return
 
     # L_remo: left vertices with at least one non-neighbour in R''₂
@@ -282,10 +371,10 @@ def _enumerate_left_removals(
                 prior & removal_mask == prior for prior in successful_removals
             ):
                 continue
-            candidate_left = (left_mask & ~removal_mask) | v_bit
+            kept_left = left_mask & ~removal_mask
             if _is_local_solution_masked(
                 graph,
-                candidate_left,
+                kept_left | v_bit,
                 r_prime_mask,
                 removal_mask,
                 r_double_prime,
@@ -294,7 +383,7 @@ def _enumerate_left_removals(
                 k,
             ):
                 successful_removals.append(removal_mask)
-                yield Biplex(candidate_left, r_prime_mask)
+                yield kept_left
 
 
 def _is_local_solution_masked(

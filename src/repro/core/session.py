@@ -366,12 +366,16 @@ class EnumerationSession:
     # ------------------------------------------------------------------ #
     # Streaming
     # ------------------------------------------------------------------ #
-    def _translated(self, source: Iterator[Biplex]) -> Iterator[Biplex]:
-        plan = self.engine.prep_plan
+    # The generators below are static and take the engine (or what they
+    # need of it): the session holds its source, so a generator frame that
+    # held the session would make a reference cycle, and a session dropped
+    # mid-stream would publish its run only when the cyclic GC collects it.
+    @staticmethod
+    def _translated(source: Iterator[Biplex], engine: ReverseSearchEngine) -> Iterator[Biplex]:
+        plan = engine.prep_plan
         translate = None if plan.is_identity_map else plan.translate
         try:
             for solution in source:
-                self._emitted += 1
                 yield solution if translate is None else translate(solution)
         finally:
             # Propagate closure eagerly: the session keeps a reference to
@@ -383,9 +387,10 @@ class EnumerationSession:
             # choke point every front end (library run(), CLI, service)
             # streams through, so the metrics publication lives here (its
             # import is module-level: a session left open runs this at exit).
-            publish_run_stats(self.engine.stats)
+            publish_run_stats(engine.stats)
 
-    def _solver_stream(self, raw: Iterator[Biplex]) -> Iterator[Biplex]:
+    @staticmethod
+    def _solver_stream(raw: Iterator[Biplex], objective) -> Iterator[Biplex]:
         """Drain a solver-mode traversal, then emit the refined answer set.
 
         The raw stream stops on its own at exhaustion *or* at a budget cap
@@ -394,7 +399,6 @@ class EnumerationSession:
         first case, best-so-far in the second (a cursor can then resume
         the refinement).
         """
-        objective = self.engine.objective
         try:
             for _ in raw:
                 pass
@@ -412,8 +416,8 @@ class EnumerationSession:
             else:
                 raw = self.engine._run_serial()
             if not self.engine.objective.trivial:
-                raw = self._solver_stream(raw)
-            self._source = self._translated(raw)
+                raw = self._solver_stream(raw, self.engine.objective)
+            self._source = self._translated(raw, self.engine)
             self._started = True
         return self._source
 
@@ -426,6 +430,7 @@ class EnumerationSession:
         if n < 1:
             raise ValueError("batch size must be a positive integer")
         batch = list(islice(self._ensure_source(), n))
+        self._emitted += len(batch)
         if len(batch) < n:
             self._exhausted = True
         return batch
@@ -440,6 +445,7 @@ class EnumerationSession:
         source = self._ensure_source()
         try:
             for solution in source:
+                self._emitted += 1
                 yield solution
         except GeneratorExit:
             source.close()
@@ -601,8 +607,8 @@ class EnumerationSession:
                 # module docstring).
                 return session
             source = session._ensure_source()
-            consumed = sum(1 for _ in islice(source, emitted))
-            if consumed < emitted:
+            session._emitted = sum(1 for _ in islice(source, emitted))
+            if session._emitted < emitted:
                 session._exhausted = True
             return session
         frontier = data.get("frontier")
@@ -612,8 +618,8 @@ class EnumerationSession:
         session.engine.objective.restore(incumbents)
         raw = session.engine.resume_serial(frames, visited, stats)
         if solver:
-            raw = session._solver_stream(raw)
-        session._source = session._translated(raw)
+            raw = session._solver_stream(raw, session.engine.objective)
+        session._source = session._translated(raw, session.engine)
         session._started = True
         if solver and frames:
             # Interrupted mid-traversal: re-emit the full refined set once
@@ -623,8 +629,8 @@ class EnumerationSession:
         elif solver:
             # Traversal complete — the cursor paginates a final answer
             # list; skip the prefix the client already consumed.
-            consumed = sum(1 for _ in islice(session._source, emitted))
-            if consumed < emitted:
+            session._emitted = sum(1 for _ in islice(session._source, emitted))
+            if session._emitted < emitted:
                 session._exhausted = True
         else:
             session._emitted = emitted

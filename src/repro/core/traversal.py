@@ -35,7 +35,11 @@ from .biplex import (
     extend_to_maximal,
     initial_solution_left_anchored,
 )
-from .enum_almost_sat import enum_local_solutions, enum_local_solutions_inflation
+from .enum_almost_sat import (
+    LocalSolutionTable,
+    enum_local_solutions,
+    enum_local_solutions_inflation,
+)
 from .objective import OBJECTIVES, make_objective, resolve_objective
 
 
@@ -549,10 +553,11 @@ class ReverseSearchEngine:
 
         Fresh runs, shards and resumed legs differ only in the frames they
         start from.  This generator alone checks the epoch, ends the run
-        on a budget cap and stamps ``elapsed_seconds`` — also when the
-        caller abandons it mid-run (early ``break`` / ``close()``), which
-        unwinds through the ``finally`` as GeneratorExit.  The epoch check
-        and the clock start at the first pull.
+        on a budget cap, stamps ``elapsed_seconds`` and closes the frames'
+        children iterators — also when the caller abandons it mid-run
+        (early ``break`` / ``close()``), which unwinds through the
+        ``finally`` as GeneratorExit.  The epoch check and the clock start
+        at the first pull.
 
         Each frame is ``[solution, children iterator, already_output
         flag, depth]``.  The iterator is not serializable: a cursor stores
@@ -620,6 +625,12 @@ class ReverseSearchEngine:
             pass
         finally:
             stats.elapsed_seconds = time.perf_counter() - self._start_time
+            # The frames stay for frontier_state, but their children
+            # iterators end with the loop (a resume regenerates them).
+            # Closing them frees each expansion's EnumAlmostSat table now,
+            # not when the cyclic GC collects the engine they refer to.
+            for frame in stack:
+                frame[1].close()
 
     @staticmethod
     def _output_now(depth: int) -> bool:
@@ -851,13 +862,13 @@ class ReverseSearchEngine:
             self.stats.num_pruned_subtree += 1
             return
 
-        # δ̄(u, L) for every u ∈ R depends only on the solution, not on the
-        # candidate vertex; computing it once here saves a factor |L| inside
-        # EnumAlmostSat (see enum_local_solutions' solution_right_missing).
-        adj_right_mask = self.graph.adj_right_mask
-        right_missing = {
-            u: (left_mask & ~adj_right_mask(u)).bit_count() for u in iter_bits(right_mask)
-        }
+        # EnumAlmostSat's output for a left anchor depends on it only
+        # through N(v) ∩ R, its type (see enum_local_solutions), so the
+        # anchors of this expansion share one table of right sides and
+        # left removals.  It lives in this generator's frame: the DFS
+        # descends into a child between two anchors, and the child's
+        # expansion builds a table of its own.
+        table = LocalSolutionTable(self.graph, left_mask, right_mask)
 
         # The per-expansion exclusion prefix: the inherited mask plus the
         # left anchors processed so far in this expansion (seeded by
@@ -895,7 +906,7 @@ class ReverseSearchEngine:
             # vertex); the check after the extension drops the children a
             # prefix vertex joins although it misses part of their R'.
             for local in self._local_solutions(
-                solution, side, vertex, right_missing, theta_right, pruning
+                solution, side, vertex, table, theta_right, pruning
             ):
                 self.stats.num_local_solutions += 1
                 # Core upper bound on the child's subtree: extension adds
@@ -978,13 +989,15 @@ class ReverseSearchEngine:
         solution: Biplex,
         side: str,
         vertex: int,
-        right_missing,
+        table: LocalSolutionTable,
         theta_right: int,
         exclusion: int,
     ) -> Iterator[Biplex]:
         """Step 2: EnumAlmostSat on the almost-satisfying graph ``G[H ∪ {vertex}]``.
 
-        ``theta_right`` is the caller's *effective* right threshold — the
+        ``table`` is the expansion's :class:`LocalSolutionTable` of
+        ``solution``, shared by its left anchors.  ``theta_right`` is the
+        caller's *effective* right threshold — the
         configured Section 5 value merged with the solver objectives'
         bound-implied one (see ``_children``).  ``exclusion`` is the
         caller's exclusion prefix (left ids, 0 when the variant does not
@@ -1001,10 +1014,10 @@ class ReverseSearchEngine:
         if side == "R":
             if self._swapped is None:
                 self._swapped = graph.swap_sides()
-            # The δ̄ counts are over the other side there, and no variant
-            # with right candidates shrinks the right side (min_right is 0)
-            # or excludes (the prefix over left ids is 0).
-            graph, left, right, right_missing = self._swapped, right, left, None
+            # The table is over the other side there, and no variant with
+            # right candidates shrinks the right side (min_right is 0) or
+            # excludes (the prefix over left ids is 0).
+            graph, left, right, table = self._swapped, right, left, None
         if self.config.local_enumeration == "inflation":
             found = enum_local_solutions_inflation(
                 graph, list(iter_bits(left)), list(iter_bits(right)), vertex, self.k
@@ -1017,9 +1030,9 @@ class ReverseSearchEngine:
                 vertex,
                 self.k,
                 min_right_size=min_right,
-                solution_right_missing=right_missing,
                 exclusion=exclusion,
                 stats=self.stats,
+                table=table,
             )
         if side == "L":
             return found

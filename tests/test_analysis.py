@@ -164,11 +164,11 @@ class TestFraudStudy:
         assert len(injection.fake_products) == 12
 
     #: (k, θ_R) -> (precision, recall, F1, structures) at θ_L = 3, capped at
-    #: 300 structures.  The capped run is serial, so the cells are exact at a
-    #: fixed prep; ``core+order`` permutes the DFS and so caps on other
-    #: structures.  At this (deliberately tiny) scale the absolute scores are
-    #: modest; the benchmark-scale study in benchmarks/bench_fig13_fraud.py
-    #: probes the paper's actual operating points.
+    #: 300 structures.  The capped run pins a serial ``core`` traversal, so
+    #: the cells are exact whatever ``REPRO_PREP`` says.  At this
+    #: (deliberately tiny) scale the absolute scores are modest; the
+    #: benchmark-scale study in benchmarks/bench_fig13_fraud.py probes the
+    #: paper's actual operating points.
     FIG13_CELLS = {
         (1, 3): (0.136, 0.333, 0.193, 300),
         (1, 4): (0.239, 0.667, 0.352, 300),
@@ -176,10 +176,11 @@ class TestFraudStudy:
         (2, 4): (0.036, 0.042, 0.038, 300),
     }
 
+    @pytest.mark.parametrize("prep", ["core", "core+order"])
     def test_biplex_detector_recovers_fraud_block(
-        self, small_study_config, small_study_graph, monkeypatch
+        self, small_study_config, small_study_graph, monkeypatch, prep
     ):
-        monkeypatch.setenv("REPRO_PREP", "core")
+        monkeypatch.setenv("REPRO_PREP", prep)
         graph, injection = small_study_graph
         for (k, theta_products), cell in self.FIG13_CELLS.items():
             result = evaluate_biplex(

@@ -10,6 +10,7 @@ from repro.core import Biplex, ITraversal
 from repro.core.biplex import extend_to_maximal
 from repro.core.enum_almost_sat import (
     EnumAlmostSatConfig,
+    LocalSolutionTable,
     enum_local_solutions,
     enum_local_solutions_inflation,
     enum_local_solutions_naive,
@@ -119,20 +120,64 @@ class TestAgainstNaive:
         assert inflation == naive
 
 
-class TestPrecomputedMissCounts:
-    def test_solution_right_missing_gives_same_result(self, example_graph):
-        left, right = {4}, set(range(5))
-        precomputed = {
-            u: example_graph.missing_right(u, left) for u in right
-        }
-        for v in (0, 1, 2):
-            with_precomputed = set(
-                enum_local_solutions(
-                    example_graph, left, right, v, 1, solution_right_missing=precomputed
-                )
+class TestSharedTable:
+    """Anchors of one solution share one table and get what a fresh call gives.
+
+    Each trial draws a seeded ER graph, ``k`` and, in some trials, a
+    ``min_right_size``.  For each solution of a capped iTraversal run it
+    walks the outside anchors in ascending order, as an expansion does,
+    with the anchors walked so far as the exclusion prefix, through one
+    shared :class:`LocalSolutionTable`.
+    """
+
+    def test_shared_table_matches_fresh_calls(self):
+        anchors = builds = skips = sized = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            # Sparse and left-heavy, like the paper's graphs: many anchors
+            # per solution, and many of them with the same neighbours in R.
+            n_left, n_right = rng.randint(10, 16), rng.randint(4, 8)
+            k = (1, 2, 3)[seed % 3]
+            pairs = n_left * n_right
+            graph = erdos_renyi_bipartite(
+                n_left, n_right, num_edges=rng.randint(pairs // 6, pairs // 3), seed=seed
             )
-            without = set(enum_local_solutions(example_graph, left, right, v, 1))
-            assert with_precomputed == without
+            min_right = rng.choice((0, 0, 2, 3))
+            solutions = ITraversal(graph, k, max_results=10, prep="off", jobs=1).enumerate()
+            for solution in solutions:
+                left, right = solution.left_mask, solution.right_mask
+                table = LocalSolutionTable(graph, left, right)
+                prefixes = {}
+                prefix = 0
+                for v in graph.left_vertices():
+                    if (left >> v) & 1:
+                        continue
+                    shared = SimpleNamespace(num_pruned_exclusion=0)
+                    fresh = SimpleNamespace(num_pruned_exclusion=0)
+                    call = (graph, left, right, v, k)
+                    limits = dict(min_right_size=min_right, exclusion=prefix)
+                    got = list(enum_local_solutions(*call, stats=shared, table=table, **limits))
+                    want = list(enum_local_solutions(*call, stats=fresh, **limits))
+                    assert got == want, (seed, solution, v)
+                    assert shared.num_pruned_exclusion == fresh.num_pruned_exclusion
+                    prefixes.setdefault(right & graph.adj_left_mask(v), []).append(prefix)
+                    prefix |= 1 << v
+                    anchors += 1
+                    skips += fresh.num_pruned_exclusion
+                    sized += bool(min_right)
+                # A right side's left removals are built once some anchor of
+                # its type does not skip it, and only then.
+                assert set(table.right_sides) == set(prefixes)
+                for kind, sides in table.right_sides.items():
+                    for r_prime, cover, lefts, *_ in sides:
+                        reached = any(not p & cover for p in prefixes[kind])
+                        assert (lefts is not None) == reached, (seed, solution, r_prime)
+                builds += len(table.right_sides)
+        # Types repeat (one table entry serves several anchors), and the
+        # sweep reaches the exclusion skip and the size filter.
+        assert anchors > 2 * builds and skips > 1000 and sized > 1000, (
+            anchors, builds, skips, sized
+        )
 
 
 class TestMinRightSize:

@@ -263,6 +263,28 @@ class TestSizeThresholds:
         )
 
 
+class TestEngineLifetime:
+    def test_capped_run_frees_its_engine_without_the_cyclic_gc(self):
+        """A capped run stops with expansions suspended on its stack; the
+        loop closes them, so their tables go with the engine's last
+        reference, not whenever the cyclic GC next runs."""
+        import gc
+        import weakref
+
+        graph = erdos_renyi_bipartite(7, 6, num_edges=26, seed=11)
+        algorithm = ITraversal(graph, 1, max_results=3, jobs=1)
+        assert len(algorithm.enumerate()) == 3
+        engine = weakref.ref(algorithm._engine)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del algorithm
+            assert engine() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+
 class TestOutputOrder:
     def test_alternate_order_same_solution_set(self, example_graph):
         pre = set(ITraversal(example_graph, 1, output_order="pre").enumerate())
@@ -273,11 +295,13 @@ class TestOutputOrder:
 class TestPinnedWork:
     """A hot-path rewrite must do the same work, only faster.
 
-    Two capped k=1 runs on the paper's stand-in graphs pin the ordered
-    output (a digest of the serial DFS order) and the ``TraversalStats``
-    work counters: the first 300 MBPs on opsahl (the Fig. 7a first-N
+    Capped runs on the paper's stand-in graphs pin the ordered output (a
+    digest of the serial DFS order) and the ``TraversalStats`` work
+    counters: at k=1 the first 300 MBPs on opsahl (the Fig. 7a first-N
     protocol) and the first 500 on writer at θ_L = θ_R = 4, which reaches
-    the Section 5 anchor prune.
+    the Section 5 anchor prune; at k=2 the first 200 on opsahl, where
+    EnumAlmostSat's right sides add up to two non-neighbours of the anchor.
+    ``k`` is 1 unless the row's keywords name it.
     """
 
     COUNTERS = (
@@ -307,6 +331,12 @@ class TestPinnedWork:
                 "da3f54d3867ce26a",
                 (500, 2472, 3493, 4126, 2, 0, 5668, 3391, 1306),
             ),
+            (
+                "opsahl",
+                {"k": 2, "max_results": 200},
+                "e1761c869f665377",
+                (200, 2340, 5105, 10482, 0, 0, 0, 9660, 8142),
+            ),
         ],
     )
     def test_ordered_output_and_counters(self, dataset, kwargs, digest, counters):
@@ -316,7 +346,9 @@ class TestPinnedWork:
 
         # prep and jobs pinned: REPRO_PREP=core+order reorders candidates
         # and REPRO_JOBS=2 switches to sorted parallel output.
-        algorithm = ITraversal(load_dataset(dataset), 1, prep="core", jobs=1, **kwargs)
+        algorithm = ITraversal(
+            load_dataset(dataset), prep="core", jobs=1, **{"k": 1, **kwargs}
+        )
         hasher = hashlib.sha256()
         for solution in algorithm.run():
             hasher.update(repr(solution.key()).encode())

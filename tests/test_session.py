@@ -40,6 +40,27 @@ def _full_run(graph, k=1, **overrides):
 
 
 class TestSessionBasics:
+    @pytest.mark.parametrize("objective, top", [("enumerate", None), ("top-k", 3)])
+    def test_dropped_session_publishes_without_the_cyclic_gc(self, monkeypatch, objective, top):
+        """A session dropped mid-stream publishes its run when its last
+        reference goes, not whenever the cyclic GC next runs."""
+        import gc
+
+        from repro.core import session as session_module
+
+        published = []
+        monkeypatch.setattr(session_module, "publish_run_stats", published.append)
+        session = _session(GRAPHS[1], objective=objective, top=top, jobs=1)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert len(session.next_batch(3)) == 3
+            del session
+            assert len(published) == 1
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_session_open_at_exit_finalizes_quietly(self):
         """A script that ends with a session still open exits with an empty
         stderr: the session's stats publication at interpreter shutdown
