@@ -61,8 +61,8 @@ def experiment_fig7a(
     """Figure 7(a): running time of the four algorithms across datasets (k=1).
 
     The paper reports the time to return the first 1000 MBPs; the scaled
-    default is 1000 × ``REPRO_BENCH_SCALE`` but capped by each algorithm's
-    time limit, after which the INF marker is reported.
+    default is 200 × ``REPRO_BENCH_SCALE`` (rounded, at least 1) but capped
+    by each algorithm's time limit, after which the INF marker is reported.
     """
     if max_results is None:
         max_results = scaled(200)

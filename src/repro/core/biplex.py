@@ -14,22 +14,24 @@ operations every enumeration algorithm builds on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union,
+)
 
 from ..graph.bipartite import BipartiteGraph
 from ..graph.protocol import iter_bits, mask_of
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Biplex:
+class Biplex(NamedTuple):
     """An induced bipartite subgraph ``(L, R)``, stored as two vertex bitmasks.
 
     Bit ``v`` of ``left_mask`` / ``right_mask`` is set iff that side's
-    vertex ``v`` is in the subgraph.  The masks are the whole value:
-    equality, hashing (the visited map, the paper's B-tree) and the total
-    order use them.  The ``left`` / ``right`` frozensets are built at the
-    API edge on each access and never cached.  :meth:`key`, not the mask
+    vertex ``v`` is in the subgraph.  The masks are the whole value: a
+    ``Biplex`` is the tuple ``(left_mask, right_mask)``, so equality,
+    hashing (the visited map, the paper's B-tree) and the total order run
+    as the tuple's, in C, and a ``Biplex`` equals the plain tuple of its
+    two masks.  The ``left`` / ``right`` frozensets are built at the API
+    edge on each access and never cached.  :meth:`key`, not the mask
     order, stays the canonical output order.
     """
 

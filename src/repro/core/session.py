@@ -312,7 +312,6 @@ class EnumerationSession:
         self._jobs = resolve_jobs(self.engine.config.jobs)
         self._mode = "offset" if self._jobs > 1 else "frontier"
         self._emitted = 0
-        self._started = False
         self._exhausted = False
         self._source: Optional[Iterator[Biplex]] = None
         self._fingerprint: Optional[str] = None
@@ -418,7 +417,6 @@ class EnumerationSession:
             if not self.engine.objective.trivial:
                 raw = self._solver_stream(raw, self.engine.objective)
             self._source = self._translated(raw, self.engine)
-            self._started = True
         return self._source
 
     def next_batch(self, n: int) -> List[Biplex]:
@@ -534,7 +532,7 @@ class EnumerationSession:
         if query is not None:
             document["query"] = query
         if self._mode == "frontier":
-            state = self.engine.frontier_state() if self._started else None
+            state = self.engine.frontier_state() if self._source is not None else None
             if state is None:
                 document["frontier"] = None
             else:
@@ -598,7 +596,6 @@ class EnumerationSession:
             session._emitted = emitted
             session._exhausted = True
             session._source = (solution for solution in ())  # closable; no run to publish
-            session._started = True
             return session
         if mode == "offset":
             if solver and data.get("truncated"):
@@ -620,7 +617,6 @@ class EnumerationSession:
         if solver:
             raw = session._solver_stream(raw, session.engine.objective)
         session._source = session._translated(raw, session.engine)
-        session._started = True
         if solver and frames:
             # Interrupted mid-traversal: re-emit the full refined set once
             # the resumed leg settles (see the module docstring); the

@@ -325,6 +325,9 @@ class ReverseSearchEngine:
         if k < 1:
             raise ValueError("k must be a positive integer")
         self.config = config or TraversalConfig()
+        # The variant's row, read once: the DFS consults it per local solution.
+        row = VARIANTS[self.config.variant]
+        self._left_anchored, self._right_shrinking, self._excluding = row
         if prep_plan is not None:
             # A precomputed plan (the hot-graph registry's device: prep once,
             # hand the same plan to every engine over the same
@@ -752,7 +755,7 @@ class ReverseSearchEngine:
     # ThreeStep / iThreeStep
     # ------------------------------------------------------------------ #
     def _initial_solution(self) -> Biplex:
-        if self.config.left_anchored:
+        if self._left_anchored:
             return initial_solution_left_anchored(self.graph, self.k)
         return arbitrary_initial_solution(self.graph, self.k)
 
@@ -808,8 +811,8 @@ class ReverseSearchEngine:
         config = self.config
         # Right-shrinking and exclusion come only with left-anchoring
         # (VARIANTS), so every candidate they act on is a left vertex.
-        right_shrinking = config.right_shrinking
-        excluding = config.exclusion
+        right_shrinking = self._right_shrinking
+        excluding = self._excluding
         left_mask = solution.left_mask
         right_mask = solution.right_mask
         right_size = right_mask.bit_count()
@@ -973,7 +976,7 @@ class ReverseSearchEngine:
         for v in left_order:
             if not (left_mask >> v) & 1:
                 yield ("L", v)
-        if not self.config.left_anchored:
+        if not self._left_anchored:
             right_order = (
                 plan.right_order
                 if plan.right_order is not None
@@ -1010,7 +1013,7 @@ class ReverseSearchEngine:
         graph = self.graph
         left = solution.left_mask
         right = solution.right_mask
-        min_right = theta_right if self.config.right_shrinking else 0
+        min_right = theta_right if self._right_shrinking else 0
         if side == "R":
             if self._swapped is None:
                 self._swapped = graph.swap_sides()
@@ -1040,7 +1043,7 @@ class ReverseSearchEngine:
 
     def _extend(self, local: Biplex) -> Biplex:
         """Step 3: extend a local solution to a maximal k-biplex of ``G``."""
-        if self.config.right_shrinking:
+        if self._right_shrinking:
             # iTraversal extends with left-side vertices only (Line 8).
             return extend_to_maximal(
                 self.graph,

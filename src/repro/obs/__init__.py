@@ -4,7 +4,10 @@ Three stdlib-only pieces (see ``ARCHITECTURE.md`` for the contracts):
 
 * :mod:`repro.obs.metrics` — the process-wide :class:`MetricsRegistry`
   (counters, gauges, fixed-bucket histograms; deterministic snapshots)
-  every layer publishes into and ``/v1/metrics`` serves;
+  of request- and run-scoped series: the HTTP layer, the query service's
+  request envelope, the parallel coordinator and the engine publish into
+  it.  ``/v1/metrics`` serves its snapshot plus the service's own
+  counters (:func:`repro.service.status.service_series`);
 * :mod:`repro.obs.tracing` — per-request ``trace_id`` plus a
   :class:`Trace` phase tree recorded through the :func:`span` context
   manager (a service query, the CLI's ``enumerate`` and ``query run``
@@ -15,8 +18,8 @@ Three stdlib-only pieces (see ``ARCHITECTURE.md`` for the contracts):
   for slow-query and server-error records.
 
 The whole layer rides one switch: ``REPRO_OBS=off`` disables the global
-registry (every publish site then costs a single boolean check) and
-suppresses request traces.  Tracing is additionally opt-in per request
+registry (every publish site then costs a single boolean check), leaves
+``/v1/metrics`` without series and suppresses request traces.  Tracing is additionally opt-in per request
 (``"trace": true`` in a query document, ``--trace`` on the CLI) — a
 disabled layer never emits trace blocks even when asked.
 """

@@ -1,10 +1,13 @@
 """Process-wide metrics: counters, gauges and bounded histograms.
 
-One :class:`MetricsRegistry` instance per process (``get_registry``) is
-what every layer publishes into — the HTTP daemon, the query service, the
-hot-graph registry, the session table, the parallel coordinator and the
-engine (via :func:`repro.obs.publish_run_stats`).  The design constraints,
-in order:
+One :class:`MetricsRegistry` instance per process (``get_registry``)
+holds the request- and run-scoped series: the HTTP daemon, the query
+service's request envelope, the parallel coordinator and the engine (via
+:func:`repro.obs.publish_run_stats`) publish into it.  Counts that a
+component already keeps (the hot-graph registry's, the session table's,
+the result cache's) are not copied here: ``/v1/metrics`` renders them
+from the service's ``stats()`` next to this registry's snapshot.  The
+design constraints, in order:
 
 * **stdlib only** — no client libraries, no exposition formats beyond
   JSON and a plain-text rendering;

@@ -23,7 +23,7 @@ from ..core.biplex import Biplex
 from ..core.traversal import TraversalStats
 from ..obs import current_trace, get_registry
 from .shards import shard_plan
-from .worker import fold_stats, worker_main
+from .worker import _SharedBound, fold_stats, worker_main
 
 _POLL_SECONDS = 0.05
 _JOIN_SECONDS = 2.0
@@ -109,20 +109,13 @@ def run_parallel(engine) -> Iterator[Biplex]:
     cancel = ctx.Event()
     task_queue = ctx.Queue()
     result_queue = ctx.Queue()
-    # Solver modes gossip the incumbent size through one shared cell: the
-    # coordinator (which observes every unique arrival) max-merges into it,
-    # the workers read it into their pruning bound (see worker._SharedBound).
+    # Solver modes gossip the incumbent size through one shared cell, each
+    # side through a worker._SharedBound: the coordinator (which observes
+    # every unique arrival) publishes into it, the workers read it into
+    # their pruning bound.
     solver = not engine.objective.trivial
     bound_value = ctx.Value("q", 0) if solver else None
-
-    def publish_bound() -> None:
-        bound = engine.objective.prune_below()
-        if bound_value is None or not bound:
-            return
-        with bound_value.get_lock():
-            raw = bound_value.get_obj()
-            if bound > raw.value:
-                raw.value = bound
+    shared_bound = _SharedBound(bound_value) if solver else None
 
     # ``jobs`` comes from outside (a query, a flag): the pool never outgrows
     # the shards or the cores, so one request cannot fork without bound.
@@ -188,7 +181,7 @@ def run_parallel(engine) -> Iterator[Biplex]:
             # Workers gossip through their own engines already; the
             # coordinator's merged view catches incumbents a worker found
             # right before exiting.
-            publish_bound()
+            shared_bound.publish(engine.objective.prune_below())
         buffered.append(solution)
         if config.max_results is not None and arrived >= config.max_results:
             merged.hit_result_limit = True

@@ -131,8 +131,9 @@ def prepare(
     graph.
     """
     mode = resolve_prep(mode)
+    epoch = graph.epoch  # before the reduction copies the masks
     if mode == "off":
-        return PrepPlan(mode=mode, graph=graph, epoch=graph.epoch)
+        return PrepPlan(mode=mode, graph=graph, epoch=epoch)
     reduction = reduce_for_thresholds(graph, k, theta_left, theta_right)
     left_order = right_order = None
     if mode == "core+order":
@@ -147,7 +148,7 @@ def prepare(
         removed_left=reduction.removed_left,
         removed_right=reduction.removed_right,
         removed_edges=reduction.removed_edges,
-        epoch=reduction.epoch,
+        epoch=epoch,
     )
 
 

@@ -128,10 +128,6 @@ class Reduction:
     removed_left: int = 0
     removed_right: int = 0
     removed_edges: int = 0
-    #: The mutation epoch of the input graph this reduction was computed
-    #: at (see :attr:`repro.graph.BipartiteGraph.epoch`); consumers treat
-    #: an epoch mismatch as staleness.
-    epoch: int = 0
 
     @property
     def is_identity(self) -> bool:
@@ -155,9 +151,8 @@ def reduce_for_thresholds(
     """
     alpha, beta = threshold_core_bounds(k, theta_left, theta_right)
     support = bitruss_support_bound(k, theta_left, theta_right)
-    epoch = graph.epoch
     if alpha == 0 and beta == 0 and support < 1:
-        return Reduction(graph, None, None, epoch=epoch)
+        return Reduction(graph, None, None)
     peel = Peel(graph)
     peeled = peel.core(alpha, beta)
     while support >= 1:
@@ -173,7 +168,7 @@ def reduce_for_thresholds(
     if not peeled:
         # Nothing was peeled: hand back the input object so downstream
         # consumers can skip the remapping entirely.
-        return Reduction(graph, None, None, epoch=epoch)
+        return Reduction(graph, None, None)
     reduced, left_map, right_map = peel.compact()
     return Reduction(
         reduced,
@@ -182,5 +177,4 @@ def reduce_for_thresholds(
         removed_left=graph.n_left - reduced.n_left,
         removed_right=graph.n_right - reduced.n_right,
         removed_edges=graph.num_edges - reduced.num_edges,
-        epoch=epoch,
     )

@@ -307,7 +307,7 @@ class ServiceHTTPServer:
         if path == "/v1/metrics":
             if method != "GET":
                 return 405, {"error": "use GET"}
-            snapshot = get_registry().snapshot()
+            snapshot = self.service.metrics()
             params = parse_qs(query_string)
             if params.get("format", [""])[-1] == "text":
                 return 200, render_snapshot_text(snapshot)

@@ -79,7 +79,7 @@ from ..parallel import resolve_jobs
 from ..prep import resolve_prep
 from .registry import HotGraphRegistry, inline_graph_key
 from .sessions import SessionExpired, SessionTable
-from .status import status_block
+from .status import service_series, status_block
 
 
 class QueryError(ValueError):
@@ -173,6 +173,7 @@ class QueryService:
         self.queries = 0
         self.pages_served = 0
         self.result_hits = 0
+        self.result_misses = 0
         self.cursor_resumes = 0
         self.updates = 0
         self.results_invalidated = 0
@@ -431,7 +432,6 @@ class QueryService:
         return self._observed("enumerate", want_trace, lambda: self._enumerate(query))
 
     def _enumerate(self, query: dict) -> dict:
-        metrics = get_registry()
         with span("parse"):
             normalized = self.normalize(query)
         # The graph resolves *before* the cache lookup: its mutation epoch
@@ -453,12 +453,10 @@ class QueryService:
                 self.result_hits += 1
                 response = copy.deepcopy(cached["response"])
                 response["cached"] = True
+            elif caching:
+                self.result_misses += 1
         if cached is not None:
-            if metrics.enabled:
-                metrics.inc("service_result_cache_total", outcome="hit")
             return response
-        if caching and metrics.enabled:
-            metrics.inc("service_result_cache_total", outcome="miss")
         with span("plan"):
             session = self._open(normalized, resolved=(graph_key, graph))
         try:
@@ -542,11 +540,6 @@ class QueryService:
             for cache_key in stale:
                 del self._results[cache_key]
             self.results_invalidated += len(stale)
-        metrics = get_registry()
-        if metrics.enabled and stale:
-            metrics.inc(
-                "service_result_invalidation_total", len(stale), cause="update"
-            )
         outcome["results_invalidated"] = len(stale)
         return outcome
 
@@ -714,6 +707,7 @@ class QueryService:
                 "queries": self.queries,
                 "pages_served": self.pages_served,
                 "result_cache_hits": self.result_hits,
+                "result_cache_misses": self.result_misses,
                 "result_cache_resident": len(self._results),
                 "cursor_resumes": self.cursor_resumes,
                 "updates": self.updates,
@@ -722,6 +716,18 @@ class QueryService:
         service.update(self.registry.counters())
         service.update(self.sessions.counters())
         return service
+
+    def metrics(self) -> dict:
+        """The ``/v1/metrics`` body: the process registry's snapshot plus
+        :meth:`stats` rendered by :func:`~repro.service.status.service_series`
+        (no series while the observability layer is off)."""
+        registry = get_registry()
+        snapshot = registry.snapshot()
+        if registry.enabled:
+            for section, series in service_series(self.stats()).items():
+                merged = {**snapshot[section], **series}
+                snapshot[section] = dict(sorted(merged.items()))
+        return snapshot
 
     def close(self) -> None:
         self.sessions.close_all()

@@ -17,7 +17,9 @@ registry memoizes both:
 Hit/miss counters are part of the contract: the acceptance test (and the
 ``/v1/stats`` endpoint) assert that the *second* identical query performs
 zero loads and zero reductions — ``graph_hits`` and ``plan_hits`` move
-instead.  All methods are thread-safe.
+instead.  They are the only count of these events: ``/v1/metrics``
+renders them as its ``registry_*`` series through the one table in
+:mod:`repro.service.status`.  All methods are thread-safe.
 
 Mutable epochs
 --------------
@@ -45,7 +47,6 @@ from typing import Callable, Iterable, Tuple
 # ``as_backend`` is an identity kept importable here: benchmark tracers wrap
 # it by module attribute.
 from ..graph.protocol import as_backend  # noqa: F401
-from ..obs import get_registry
 from ..prep import prepare, reprepare
 
 #: Default number of hot graphs kept resident.
@@ -93,22 +94,17 @@ class HotGraphRegistry:
     # ------------------------------------------------------------------ #
     def get_graph(self, key: Tuple[str, str], loader: Callable[[], object]):
         """The graph for ``key``, loading it via ``loader`` on a miss."""
-        metrics = get_registry()
         with self._lock:
             graph = self._graphs.get(key)
             if graph is not None:
                 self._graphs.move_to_end(key)
                 self.graph_hits += 1
-                if metrics.enabled:
-                    metrics.inc("registry_cache_total", cache="graph", outcome="hit")
                 return graph
         # Load outside the lock: file parses can be slow and loaders must
         # not serialize each other.  A racing load of the same key may have
         # finished first and taken updates since; keep the resident graph,
         # or this copy would revert them under an epoch-keyed plan cache.
         graph = loader()
-        if metrics.enabled:
-            metrics.inc("registry_cache_total", cache="graph", outcome="miss")
         with self._lock:
             self.graph_loads += 1
             graph = self._graphs.setdefault(key, graph)
@@ -151,14 +147,11 @@ class HotGraphRegistry:
         epoch = graph.epoch
         params = (key, k, prep, theta_left, theta_right)
         plan_key = params + (epoch,)
-        metrics = get_registry()
         with self._lock:
             plan = self._plans.get(plan_key)
             if plan is not None:
                 self._plans.move_to_end(plan_key)
                 self.plan_hits += 1
-                if metrics.enabled:
-                    metrics.inc("registry_cache_total", cache="plan", outcome="hit")
                 return plan
             superseded = [
                 cached_key
@@ -167,16 +160,10 @@ class HotGraphRegistry:
             ]
             previous_key = max(superseded, key=lambda entry: entry[-1], default=None)
             previous = self._plans.get(previous_key)
-        if metrics.enabled:
-            metrics.inc("registry_cache_total", cache="plan", outcome="miss")
         if previous is not None:
             plan = reprepare(graph, k, prep, theta_left, theta_right)
-            if metrics.enabled:
-                metrics.inc("registry_plan_builds_total", path="repair")
         else:
             plan = prepare(graph, k, prep, theta_left, theta_right)
-            if metrics.enabled:
-                metrics.inc("registry_plan_builds_total", path="scratch")
         with self._lock:
             if previous is not None:
                 self.plans_repaired += 1
@@ -206,7 +193,6 @@ class HotGraphRegistry:
         """
         inserts = [tuple(edge) for edge in inserts]
         deletes = [tuple(edge) for edge in deletes]
-        metrics = get_registry()
         with self._lock:
             graph = self._graphs.get(key)
             if graph is None:
@@ -225,12 +211,6 @@ class HotGraphRegistry:
                 )
                 self.updates_applied += 1
                 self.plan_invalidations += invalidated
-                if metrics.enabled:
-                    metrics.inc("registry_updates_total")
-                    if invalidated:
-                        metrics.inc(
-                            "registry_invalidation_total", invalidated, cache="plan"
-                        )
         return {
             "epoch": new_epoch,
             "added": added,

@@ -17,6 +17,10 @@ falls back to cursor resume when the id is gone.  The table therefore
 closes evicted sessions eagerly — the cursor, not the object, is the
 durable handle.
 
+:meth:`SessionTable.counters` is the only count of session events:
+``/v1/stats`` serves it and ``/v1/metrics`` renders it (see
+:mod:`repro.service.status`).
+
 Records carry a per-session lock: sessions are forward-only iterators and
 not thread-safe, so concurrent pagination requests for the same id
 serialize on it while distinct sessions proceed in parallel.  Closing an
@@ -38,7 +42,6 @@ from collections import OrderedDict
 from typing import Callable, Dict, List, Optional
 
 from ..core.session import EnumerationSession
-from ..obs import get_registry
 
 #: Default idle lifetime of a session.
 DEFAULT_TTL_SECONDS = 300.0
@@ -54,7 +57,7 @@ class SessionExpired(KeyError):
 class SessionRecord:
     """One live session plus the bookkeeping the table needs."""
 
-    __slots__ = ("session_id", "session", "query", "created_at", "last_used", "lock")
+    __slots__ = ("session_id", "session", "query", "last_used", "lock")
 
     def __init__(
         self,
@@ -66,7 +69,6 @@ class SessionRecord:
         self.session_id = session_id
         self.session = session
         self.query = query
-        self.created_at = now
         self.last_used = now
         # Reentrant: QueryService._page removes an exhausted record (which
         # closes it under this same lock) while still holding it.
@@ -115,16 +117,10 @@ class SessionTable:
             record = SessionRecord(session_id, session, query, self._clock())
             self._records[session_id] = record
             self.created += 1
-            registry = get_registry()
-            if registry.enabled:
-                registry.inc("service_sessions_total", event="created")
             while len(self._records) > self.capacity:
                 _, lru = self._records.popitem(last=False)
                 self.evicted += 1
-                if registry.enabled:
-                    registry.inc("service_sessions_total", event="evicted")
                 to_close.append(lru)
-            self._publish_live_locked()
         # Outside the table lock: _close_quietly takes the record lock, and
         # a pager thread holding a record lock may be about to take the
         # table lock (remove) — closing inside would invert the order.
@@ -154,8 +150,6 @@ class SessionTable:
         """Drop (and close) one session; returns whether it was live."""
         with self._lock:
             record = self._records.pop(session_id, None)
-            if record is not None:
-                self._publish_live_locked()
         if record is None:
             return False
         self._close_quietly(record)
@@ -173,7 +167,6 @@ class SessionTable:
         with self._lock:
             records = list(self._records.values())
             self._records.clear()
-            self._publish_live_locked()
         for record in records:
             self._close_quietly(record)
 
@@ -201,22 +194,8 @@ class SessionTable:
             for session_id, record in self._records.items()
             if record.last_used <= deadline
         ]
-        popped = []
-        registry = get_registry()
-        for session_id in stale:
-            popped.append(self._records.pop(session_id))
-            self.expired += 1
-            if registry.enabled:
-                registry.inc("service_sessions_total", event="expired")
-        if popped:
-            self._publish_live_locked()
-        return popped
-
-    def _publish_live_locked(self) -> None:
-        """Set the live gauge; every path that resizes the table calls this."""
-        registry = get_registry()
-        if registry.enabled:
-            registry.gauge("service_sessions_live", len(self._records))
+        self.expired += len(stale)
+        return [self._records.pop(session_id) for session_id in stale]
 
     @staticmethod
     def _close_quietly(record: SessionRecord) -> None:

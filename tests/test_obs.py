@@ -346,7 +346,7 @@ class TestServiceObservability:
         service.enumerate(query)
         with pytest.raises(Exception):
             service.enumerate({"graph": {"path": graph_file}})  # missing k
-        counters = fresh_registry.snapshot()["counters"]
+        counters = service.metrics()["counters"]
         assert counters["service_requests_total{outcome=ok,route=enumerate}"] == 2
         assert counters["service_requests_total{outcome=error,route=enumerate}"] == 1
         assert counters["service_result_cache_total{outcome=miss}"] == 1
@@ -382,7 +382,7 @@ class TestServiceObservability:
             page = service.next_page(
                 session_id=page["session_id"], cursor=page["cursor"], page_size=4
             )
-        counters = fresh_registry.snapshot()["counters"]
+        counters = service.metrics()["counters"]
         assert counters["service_sessions_total{event=created}"] == 1
         assert counters["service_requests_total{outcome=ok,route=open_session}"] == 1
         assert counters["service_requests_total{outcome=ok,route=next_page}"] >= 1

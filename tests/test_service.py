@@ -222,13 +222,13 @@ class TestSessionTable:
         is paged to exhaustion, cancelled, evicted for capacity or closed
         with the table."""
         monkeypatch.delenv("REPRO_OBS", raising=False)
-        registry = reset_registry()
+        reset_registry()
         try:
             table = SessionTable(capacity=2)
             service = QueryService(sessions=table)
 
             def live():
-                gauge = registry.snapshot()["gauges"]["service_sessions_live"]
+                gauge = service.metrics()["gauges"]["service_sessions_live"]
                 assert gauge == table.counters()["sessions_live"]
                 return gauge
 
@@ -454,6 +454,154 @@ class TestQueryService:
             "sessions_live",
         ):
             assert key in stats
+
+
+# --------------------------------------------------------------------- #
+# Metric series: /v1/metrics renders the counters behind /v1/stats
+# --------------------------------------------------------------------- #
+#: Each service series ``/v1/metrics`` renders, by the ``stats()`` value it
+#: must equal.
+SERVICE_SERIES = {
+    "registry_cache_total{cache=graph,outcome=hit}": lambda s: s["graph_hits"],
+    "registry_cache_total{cache=graph,outcome=miss}": lambda s: s["graph_loads"],
+    "registry_cache_total{cache=plan,outcome=hit}": lambda s: s["plan_hits"],
+    "registry_cache_total{cache=plan,outcome=miss}": lambda s: s["plans_built"],
+    "registry_plan_builds_total{path=repair}": lambda s: s["plans_repaired"],
+    "registry_plan_builds_total{path=scratch}": (
+        lambda s: s["plans_built"] - s["plans_repaired"]
+    ),
+    "registry_updates_total": lambda s: s["updates_applied"],
+    "registry_invalidation_total{cache=plan}": lambda s: s["plan_invalidations"],
+    "service_result_cache_total{outcome=hit}": lambda s: s["result_cache_hits"],
+    "service_result_cache_total{outcome=miss}": lambda s: s["result_cache_misses"],
+    "service_result_invalidation_total{cause=update}": (
+        lambda s: s["results_invalidated"]
+    ),
+    "service_sessions_total{event=created}": lambda s: s["sessions_created"],
+    "service_sessions_total{event=evicted}": lambda s: s["sessions_evicted"],
+    "service_sessions_total{event=expired}": lambda s: s["sessions_expired"],
+}
+
+
+def _service_part(snapshot, section):
+    """One section's service series of a ``/v1/metrics`` document."""
+    prefixes = ("registry_", "service_result_", "service_sessions_")
+    return {
+        key: value
+        for key, value in snapshot[section].items()
+        if key.startswith(prefixes)
+    }
+
+
+def _drive_every_service_event(check):
+    """One service through every counted event; ``check(service)`` between steps.
+
+    Cold load, graph and plan hits, a result-cache miss then a hit, an
+    update that invalidates plans and cached results followed by repaired
+    plans, and sessions that are created, evicted for capacity, cancelled,
+    expired under the injected clock and paged to exhaustion.
+    """
+    clock = {"now": 0.0}
+    table = SessionTable(ttl_seconds=10.0, capacity=2, clock=lambda: clock["now"])
+    service = QueryService(sessions=table)
+    query = paper_query()
+    check(service)
+    service.enumerate(query)  # cold: graph load, plan build, result miss
+    service.enumerate(query)  # graph hit, result hit
+    service.enumerate(paper_query(k=2))  # graph hit, second plan, result miss
+    check(service)
+    outcome = service.update(
+        {"graph": query["graph"], "delete": [query["graph"]["edges"][0]]}
+    )
+    assert outcome["plans_invalidated"] == 2 and outcome["results_invalidated"] == 2
+    service.enumerate(query)  # plan repaired at the new epoch, result miss
+    check(service)
+    service.open_session(query, page_size=1)  # plan hit
+    second = service.open_session(paper_query(k=2), page_size=1)  # plan repaired
+    service.open_session(query, page_size=1)  # evicts the first for capacity
+    check(service)
+    assert service.cancel(second["session_id"])
+    check(service)
+    clock["now"] = 100.0
+    last = service.open_session(query, page_size=1)  # the third expires first
+    check(service)
+    page = service.next_page(
+        session_id=last["session_id"], cursor=last["cursor"], page_size=1000
+    )
+    assert page["exhausted"]
+    check(service)
+    return service
+
+
+class TestServiceSeries:
+    def test_rendered_series_equal_stats(self, monkeypatch):
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        reset_registry()
+        lives = []
+
+        def check(service):
+            stats = service.stats()
+            snapshot = service.metrics()
+            counters = _service_part(snapshot, "counters")
+            gauges = _service_part(snapshot, "gauges")
+            expected = {
+                key: value(stats)
+                for key, value in SERVICE_SERIES.items()
+                if value(stats)
+            }
+            assert counters == expected
+            if stats["sessions_created"]:
+                assert gauges == {"service_sessions_live": stats["sessions_live"]}
+                lives.append(stats["sessions_live"])
+            else:
+                assert gauges == {}
+
+        try:
+            stats = _drive_every_service_event(check).stats()
+        finally:
+            reset_registry()
+        assert all(value(stats) for value in SERVICE_SERIES.values())
+        assert stats["graph_loads"] == 1
+        assert stats["result_cache_hits"] == 1 and stats["result_cache_misses"] == 3
+        assert stats["plans_repaired"] == 2 and stats["plan_invalidations"] == 2
+        assert stats["sessions_created"] == 4
+        assert stats["sessions_evicted"] == stats["sessions_expired"] == 1
+        assert lives == [2, 1, 1, 0]
+
+    def test_cacheless_service_renders_no_cache_outcome(self, monkeypatch):
+        """Capacity 0 (the CLI's service) has no cache to hit or miss."""
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        reset_registry()
+        try:
+            service = QueryService(result_cache_capacity=0)
+            service.enumerate(paper_query())
+            service.enumerate(paper_query())
+            counters = service.metrics()["counters"]
+        finally:
+            reset_registry()
+        assert service.stats()["result_cache_misses"] == 0
+        assert not any(key.startswith("service_result_cache_total") for key in counters)
+        assert counters["registry_cache_total{cache=plan,outcome=hit}"] == 1
+
+    def test_disabled_layer_renders_none_but_stats_count(self, monkeypatch):
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        reset_registry()
+        try:
+            enabled = _drive_every_service_event(lambda service: None).stats()
+            monkeypatch.setenv("REPRO_OBS", "0")
+            reset_registry()
+            rendered = []
+            disabled = _drive_every_service_event(
+                lambda service: rendered.append(service.metrics())
+            ).stats()
+        finally:
+            monkeypatch.delenv("REPRO_OBS", raising=False)
+            reset_registry()
+        assert disabled == enabled
+        assert all(
+            snapshot == {"counters": {}, "gauges": {}, "histograms": {}}
+            for snapshot in rendered
+        )
 
 
 class TestServiceCursorValidation:
