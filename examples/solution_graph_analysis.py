@@ -21,14 +21,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from repro import paper_example_graph
 from repro.core import ITraversal, build_solution_graph
+from repro.core.solution_graph import FIG11_COLUMNS
 from repro.graph import erdos_renyi_bipartite
 
-VARIANTS = (
-    ("btraversal", "G   (bTraversal)"),
-    ("left-anchored", "G_L (left-anchored traversal)"),
-    ("right-shrinking", "G_R (right-shrinking traversal)"),
-    ("itraversal", "G_E (full iTraversal)"),
-)
+#: The solution graph each Figure 11 column counts.
+GRAPH_NAMES = ("G", "G_L", "G_R", "G_E")
 
 
 def analyse(name, graph, k=1):
@@ -36,18 +33,18 @@ def analyse(name, graph, k=1):
     h0 = ITraversal(graph, k).initial_solution()
     print(f"Initial solution H0: L={sorted(h0.left)} R={sorted(h0.right)}")
     graphs = {}
-    for variant, label in VARIANTS:
+    for name, (variant, label) in zip(GRAPH_NAMES, FIG11_COLUMNS):
         solution_graph = graphs[variant] = build_solution_graph(graph, k, variant=variant)
         reachable = solution_graph.reachable_from(h0)
         print(
-            f"  {label:<34} nodes={solution_graph.num_nodes:3d} "
+            f"  {name:<3} {f'({label})':<20} nodes={solution_graph.num_nodes:3d} "
             f"links={solution_graph.num_links:5d}, "
             f"{len(reachable)}/{solution_graph.num_nodes} solutions reachable from H0"
         )
     # G_E holds exactly the links a serial canonical-order iTraversal run counts.
     traversed = ITraversal(graph, k, prep="off", jobs=1)
     traversed.enumerate()
-    links = graphs["itraversal"].num_links
+    links = graphs["full"].num_links
     assert links == traversed.stats.num_links, (links, traversed.stats.num_links)
 
 

@@ -4,7 +4,7 @@ from .biclique import enumerate_maximal_bicliques, is_biclique, maximum_biclique
 from .bruteforce import count_k_biplexes_bruteforce, enumerate_mbps_bruteforce
 from .faplexen import FaPlexenPipeline, InflationStats, enumerate_mbps_inflation
 from .imb import IMB, enumerate_mbps_imb
-from .kplex import enumerate_maximal_kplexes, is_kplex, is_maximal_kplex
+from .kplex import enumerate_maximal_kplexes, is_maximal_kplex
 from .quasi_biclique import (
     enumerate_maximal_quasi_bicliques,
     find_quasi_bicliques_greedy,
@@ -18,7 +18,6 @@ __all__ = [
     "IMB",
     "enumerate_mbps_imb",
     "enumerate_maximal_kplexes",
-    "is_kplex",
     "is_maximal_kplex",
     "FaPlexenPipeline",
     "InflationStats",

@@ -14,6 +14,10 @@ over, so the pipeline is exact.  Its weakness — the reason the paper's
 evaluation shows it running out of memory/time on all but the smallest
 datasets — is the inflation step itself, which produces ``Θ(|L|² + |R|²)``
 edges regardless of how sparse the input is.
+
+:data:`MEMORY_EDGE_BUDGET` is the one stand-in for the paper's 32 GB
+budget: a pipeline whose inflated graph would exceed it builds nothing,
+which the figure harness (:mod:`repro.bench.harness`) reports as *OUT*.
 """
 
 from __future__ import annotations
@@ -25,7 +29,12 @@ from typing import List, Optional
 from ..core.biplex import Biplex
 from ..graph.bipartite import BipartiteGraph
 from ..graph.inflate import inflate, inflated_edge_count, split_vertex_set
-from .kplex import enumerate_maximal_kplexes_with_status
+from .kplex import enumerate_maximal_kplexes
+
+#: Inflated edges a pipeline builds at most, the laptop-scale stand-in for
+#: the paper's 32 GB.  No default figure input lies near it: the largest
+#: dataset stand-in (google) inflates to 157,477 edges.
+MEMORY_EDGE_BUDGET = 2_000_000
 
 
 @dataclass
@@ -54,9 +63,10 @@ class FaPlexenPipeline:
         Biplex parameter.
     memory_edge_budget:
         The pipeline refuses to inflate graphs whose inflated edge count
-        exceeds this budget and reports ``truncated`` instead — this mirrors
-        the paper's *OUT* (out of 32 GB memory) outcomes for FaPlexen on
-        larger datasets without actually exhausting the machine.
+        exceeds this budget (default :data:`MEMORY_EDGE_BUDGET`) and
+        reports ``truncated`` instead — this mirrors the paper's *OUT* (out
+        of 32 GB memory) outcomes for FaPlexen on larger datasets without
+        actually exhausting the machine.
     max_results, time_limit:
         Optional limits forwarded to the plex enumerator.  When either cuts
         the search short, ``stats.truncated`` is set — capped runs never
@@ -67,7 +77,7 @@ class FaPlexenPipeline:
         self,
         graph: BipartiteGraph,
         k: int,
-        memory_edge_budget: int = 5_000_000,
+        memory_edge_budget: int = MEMORY_EDGE_BUDGET,
         max_results: Optional[int] = None,
         time_limit: Optional[float] = None,
     ) -> None:
@@ -91,7 +101,7 @@ class FaPlexenPipeline:
         self.stats.inflation_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        plexes, truncated = enumerate_maximal_kplexes_with_status(
+        plexes, truncated = enumerate_maximal_kplexes(
             inflated,
             self.k + 1,
             max_results=self.max_results,
@@ -114,7 +124,7 @@ def enumerate_mbps_inflation(
     k: int,
     max_results: Optional[int] = None,
     time_limit: Optional[float] = None,
-    memory_edge_budget: int = 5_000_000,
+    memory_edge_budget: int = MEMORY_EDGE_BUDGET,
 ) -> List[Biplex]:
     """Functional wrapper around :class:`FaPlexenPipeline`."""
     pipeline = FaPlexenPipeline(

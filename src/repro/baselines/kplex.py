@@ -17,6 +17,11 @@ The ``_fits`` / ``_add`` hot loop runs on per-vertex *non-neighbour masks*
 built from the graph's adjacency masks: the vertices of the current plex
 missed by a candidate are found with one ``&`` and a popcount instead of a
 membership scan, and only their (at most ``k``) bits are walked.
+
+:func:`enumerate_maximal_kplexes` is the one entry: it returns the plexes
+together with whether a ``max_results`` or ``time_limit`` cap cut the
+search, so no caller can take a cut list for a complete one.  The
+membership test is :meth:`~repro.graph.general.Graph.subgraph_is_kplex`.
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ def enumerate_maximal_kplexes(
     must_contain: Optional[int] = None,
     max_results: Optional[int] = None,
     time_limit: Optional[float] = None,
-) -> List[Set[int]]:
-    """Enumerate all maximal k-plexes of ``graph``.
+) -> Tuple[List[Set[int]], bool]:
+    """Enumerate the maximal k-plexes of ``graph``; return them and whether the search was cut.
 
     Parameters
     ----------
@@ -51,33 +56,14 @@ def enumerate_maximal_kplexes(
         When given, only maximal k-plexes containing this vertex are
         reported (they are still maximal w.r.t. the whole graph).
     max_results, time_limit:
-        Optional limits; when hit, the search stops and returns what was
-        found so far.  Use :func:`enumerate_maximal_kplexes_with_status`
-        when the caller needs to know whether a limit cut the search short.
+        Optional limits; when one is hit, the search stops.
 
     Returns
     -------
-    list of sets
-        Each maximal k-plex as a vertex set; no duplicates.
-    """
-    results, _ = enumerate_maximal_kplexes_with_status(
-        graph, k, must_contain=must_contain, max_results=max_results, time_limit=time_limit
-    )
-    return results
-
-
-def enumerate_maximal_kplexes_with_status(
-    graph: Graph,
-    k: int,
-    must_contain: Optional[int] = None,
-    max_results: Optional[int] = None,
-    time_limit: Optional[float] = None,
-) -> Tuple[List[Set[int]], bool]:
-    """Like :func:`enumerate_maximal_kplexes`, plus a truncation flag.
-
-    The second element is ``True`` exactly when the search stopped because
-    ``max_results`` or ``time_limit`` was hit, i.e. when the returned list
-    may be incomplete.
+    (list of sets, bool)
+        Each maximal k-plex found, as a vertex set, without duplicates;
+        and ``True`` exactly when ``max_results`` or ``time_limit`` stopped
+        the search, i.e. when the list may be incomplete.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -205,11 +191,6 @@ class _KPlexEnumerator:
     def _check_limits(self) -> None:
         if self.time_limit is not None and time.perf_counter() - self._start > self.time_limit:
             raise _SearchLimit
-
-
-def is_kplex(graph: Graph, vertex_set: Set[int], k: int) -> bool:
-    """Whether ``vertex_set`` induces a k-plex (convenience re-export)."""
-    return graph.subgraph_is_kplex(vertex_set, k)
 
 
 def is_maximal_kplex(graph: Graph, vertex_set: Set[int], k: int) -> bool:

@@ -1,32 +1,16 @@
 """Benchmark harness: timing utilities, per-figure experiment drivers, reporting."""
 
 from .experiments import EXPERIMENTS
-from .harness import (
-    ALGORITHM_RUNNERS,
-    Measurement,
-    bench_scale,
-    run_algorithms,
-    run_btraversal,
-    run_imb,
-    run_inflation,
-    run_itraversal,
-    scaled,
-    time_call,
-)
+from .harness import ALGORITHMS, Measurement, bench_scale, measure, scaled
 from .reporting import INF, OUT, format_seconds, format_table, pivot, print_table
 
 __all__ = [
     "EXPERIMENTS",
-    "ALGORITHM_RUNNERS",
+    "ALGORITHMS",
     "Measurement",
     "bench_scale",
     "scaled",
-    "time_call",
-    "run_algorithms",
-    "run_itraversal",
-    "run_btraversal",
-    "run_imb",
-    "run_inflation",
+    "measure",
     "INF",
     "OUT",
     "format_seconds",

@@ -10,16 +10,24 @@ exposes them as ``repro-mbp experiment <name>``.
 All workloads are scaled-down stand-ins of the paper's (see
 :mod:`repro.analysis.datasets`); the ``REPRO_BENCH_SCALE`` environment
 variable grows or shrinks them globally.
+
+Figures 7 and 9 share one sweep (``_timed_rows``): one row per point, one
+cell per algorithm of :data:`~repro.bench.harness.ALGORITHMS`, each timed
+and marked by :func:`~repro.bench.harness.measure`.  Figures 8(a) and
+8(b) share one delay row.  The Figure 11 drivers and the variants figure
+read their columns from
+:data:`~repro.core.solution_graph.FIG11_COLUMNS`.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.datasets import ALL_DATASETS, SMALL_DATASETS, load_dataset
 from ..analysis.fraud import FraudStudyConfig, run_fraud_detection_study
+from ..baselines.faplexen import FaPlexenPipeline
 from ..baselines.imb import IMB
 from ..core.btraversal import BTraversal
 from ..core.delay import measure_delay
@@ -28,14 +36,13 @@ from ..core.enum_almost_sat import (
     enum_local_solutions,
     enum_local_solutions_inflation,
 )
-from ..core.itraversal import ITraversal
-from ..core.solution_graph import link_passes
+from ..core.itraversal import ITraversal, TraversalFrontEnd
+from ..core.solution_graph import FIG11_COLUMNS, link_passes
+from ..core.traversal import TraversalConfig
 from ..graph.bipartite import BipartiteGraph, paper_example_graph
 from ..graph.generators import erdos_renyi_bipartite
-from .harness import run_algorithms, run_imb, run_itraversal, scaled
+from .harness import ALGORITHMS, measure, scaled, stats_truncated
 from .reporting import INF
-
-DEFAULT_ALGORITHMS = ("iMB", "FaPlexen", "bTraversal", "iTraversal")
 
 
 # --------------------------------------------------------------------- #
@@ -51,12 +58,33 @@ def experiment_table1() -> List[Dict[str, object]]:
 # --------------------------------------------------------------------- #
 # Figure 7 — running time on real datasets
 # --------------------------------------------------------------------- #
+def _timed_rows(
+    points: Iterable[Tuple[Dict[str, object], BipartiteGraph, int, int]],
+    algorithms: Sequence[str],
+    time_limit: float,
+) -> List[Dict[str, object]]:
+    """The sweep of Figures 7 and 9: one row per ``(head, graph, k, max_results)`` point.
+
+    Each row is ``head`` plus one cell per algorithm, in ``algorithms``
+    order.  ``points`` may be lazy, so each graph is loaded or generated
+    only when its row runs.
+    """
+    rows: List[Dict[str, object]] = []
+    for head, graph, k, max_results in points:
+        row = dict(head)
+        for name in algorithms:
+            build, cut = ALGORITHMS[name]
+            row[name] = measure(build(graph, k, max_results, time_limit), cut, max_results).display
+        rows.append(row)
+    return rows
+
+
 def experiment_fig7a(
     datasets: Sequence[str] = ALL_DATASETS,
     k: int = 1,
     max_results: Optional[int] = None,
     time_limit: float = 6.0,
-    algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
+    algorithms: Sequence[str] = tuple(ALGORITHMS),
 ) -> List[Dict[str, object]]:
     """Figure 7(a): running time of the four algorithms across datasets (k=1).
 
@@ -66,14 +94,8 @@ def experiment_fig7a(
     """
     if max_results is None:
         max_results = scaled(200)
-    rows: List[Dict[str, object]] = []
-    for name in datasets:
-        graph = load_dataset(name)
-        row: Dict[str, object] = {"dataset": name}
-        for measurement in run_algorithms(graph, k, list(algorithms), max_results, time_limit):
-            row[measurement.algorithm] = measurement.display
-        rows.append(row)
-    return rows
+    points = (({"dataset": name}, load_dataset(name), k, max_results) for name in datasets)
+    return _timed_rows(points, algorithms, time_limit)
 
 
 def experiment_fig7bc(
@@ -87,13 +109,8 @@ def experiment_fig7bc(
     if max_results is None:
         max_results = scaled(200)
     graph = load_dataset(dataset)
-    rows: List[Dict[str, object]] = []
-    for k in k_values:
-        row: Dict[str, object] = {"k": k}
-        for measurement in run_algorithms(graph, k, list(algorithms), max_results, time_limit):
-            row[measurement.algorithm] = measurement.display
-        rows.append(row)
-    return rows
+    points = (({"k": k}, graph, k, max_results) for k in k_values)
+    return _timed_rows(points, algorithms, time_limit)
 
 
 def experiment_fig7de(
@@ -105,13 +122,8 @@ def experiment_fig7de(
 ) -> List[Dict[str, object]]:
     """Figure 7(d)/(e): running time when varying the number of returned MBPs."""
     graph = load_dataset(dataset)
-    rows: List[Dict[str, object]] = []
-    for count in result_counts:
-        row: Dict[str, object] = {"num_results": count}
-        for measurement in run_algorithms(graph, k, list(algorithms), count, time_limit):
-            row[measurement.algorithm] = measurement.display
-        rows.append(row)
-    return rows
+    points = (({"num_results": count}, graph, k, count) for count in result_counts)
+    return _timed_rows(points, algorithms, time_limit)
 
 
 # --------------------------------------------------------------------- #
@@ -129,6 +141,29 @@ def _delay_graphs(max_left: int, max_right: int) -> Dict[str, BipartiteGraph]:
     return graphs
 
 
+def _delay_row(
+    head: Dict[str, object], graph: BipartiteGraph, k: int, time_limit: float
+) -> Dict[str, object]:
+    """One row of Figure 8: ``head`` plus each algorithm's delay on ``graph``.
+
+    Delay = max gap between consecutive outputs (including start→first and
+    last→termination), measured over a *complete* enumeration; a run that
+    takes longer than ``time_limit`` reads INF.
+    """
+    streams = {
+        "iMB": lambda: IMB(graph, k, time_limit=time_limit).run(),
+        "FaPlexen": lambda: iter(FaPlexenPipeline(graph, k, time_limit=time_limit).enumerate()),
+        "bTraversal": lambda: BTraversal(graph, k, time_limit=time_limit).run(),
+        "iTraversal": lambda: ITraversal(graph, k, output_order="alternate").run(),
+    }
+    row = dict(head)
+    for name, stream in streams.items():
+        start = time.perf_counter()
+        _, record = measure_delay(stream)
+        row[name] = INF if time.perf_counter() - start > time_limit else record.max_delay
+    return row
+
+
 def experiment_fig8a(
     k: int = 1,
     max_left: int = 8,
@@ -137,27 +172,13 @@ def experiment_fig8a(
 ) -> List[Dict[str, object]]:
     """Figure 8(a): empirical delay of the four algorithms on the small datasets.
 
-    Delay = max gap between consecutive outputs (including start→first and
-    last→termination), measured over a *complete* enumeration, which is why
-    the graphs are shrunk to ``max_left × max_right`` induced subgraphs.
+    The delay is measured over a complete enumeration, which is why the
+    graphs are shrunk to ``max_left × max_right`` induced subgraphs.
     """
-    rows: List[Dict[str, object]] = []
-    for name, graph in _delay_graphs(max_left, max_right).items():
-        row: Dict[str, object] = {"dataset": name}
-        row["iTraversal"] = _measure_algorithm_delay(
-            lambda: ITraversal(graph, k, output_order="alternate").run(), time_limit
-        )
-        row["iMB"] = _measure_algorithm_delay(
-            lambda: IMB(graph, k, time_limit=time_limit).run(), time_limit
-        )
-        row["FaPlexen"] = _measure_algorithm_delay(
-            lambda: _inflation_iterator(graph, k, time_limit), time_limit
-        )
-        row["bTraversal"] = _measure_algorithm_delay(
-            lambda: BTraversal(graph, k, time_limit=time_limit).run(), time_limit
-        )
-        rows.append(row)
-    return rows
+    return [
+        _delay_row({"dataset": name}, graph, k, time_limit)
+        for name, graph in _delay_graphs(max_left, max_right).items()
+    ]
 
 
 def experiment_fig8b(
@@ -169,38 +190,7 @@ def experiment_fig8b(
 ) -> List[Dict[str, object]]:
     """Figure 8(b): delay when varying k on the Divorce stand-in."""
     graph = load_dataset(dataset).induced_subgraph(range(max_left), range(max_right))
-    rows: List[Dict[str, object]] = []
-    for k in k_values:
-        row: Dict[str, object] = {"k": k}
-        row["iMB"] = _measure_algorithm_delay(
-            lambda: IMB(graph, k, time_limit=time_limit).run(), time_limit
-        )
-        row["bTraversal"] = _measure_algorithm_delay(
-            lambda: BTraversal(graph, k, time_limit=time_limit).run(), time_limit
-        )
-        row["FaPlexen"] = _measure_algorithm_delay(
-            lambda: _inflation_iterator(graph, k, time_limit), time_limit
-        )
-        row["iTraversal"] = _measure_algorithm_delay(
-            lambda: ITraversal(graph, k, output_order="alternate").run(), time_limit
-        )
-        rows.append(row)
-    return rows
-
-
-def _inflation_iterator(graph: BipartiteGraph, k: int, time_limit: float):
-    from ..baselines.faplexen import FaPlexenPipeline
-
-    pipeline = FaPlexenPipeline(graph, k, time_limit=time_limit)
-    return iter(pipeline.enumerate())
-
-
-def _measure_algorithm_delay(factory, time_limit: float) -> object:
-    start = time.perf_counter()
-    _, record = measure_delay(factory)
-    if time.perf_counter() - start > time_limit:
-        return INF
-    return record.max_delay
+    return [_delay_row({"k": k}, graph, k, time_limit) for k in k_values]
 
 
 # --------------------------------------------------------------------- #
@@ -222,16 +212,16 @@ def experiment_fig9a(
     """
     if max_results is None:
         max_results = scaled(200)
-    rows: List[Dict[str, object]] = []
-    for n in num_vertices_values:
-        n_left = n // 2
-        n_right = n - n_left
-        graph = erdos_renyi_bipartite(n_left, n_right, edge_density=edge_density, seed=seed)
-        row: Dict[str, object] = {"num_vertices": n}
-        for measurement in run_algorithms(graph, k, list(algorithms), max_results, time_limit):
-            row[measurement.algorithm] = measurement.display
-        rows.append(row)
-    return rows
+    points = (
+        (
+            {"num_vertices": n},
+            erdos_renyi_bipartite(n // 2, n - n // 2, edge_density=edge_density, seed=seed),
+            k,
+            max_results,
+        )
+        for n in num_vertices_values
+    )
+    return _timed_rows(points, algorithms, time_limit)
 
 
 def experiment_fig9b(
@@ -246,16 +236,18 @@ def experiment_fig9b(
     """Figure 9(b): running time on ER graphs when varying the edge density."""
     if max_results is None:
         max_results = scaled(200)
-    rows: List[Dict[str, object]] = []
     n_left = num_vertices // 2
     n_right = num_vertices - n_left
-    for density in edge_density_values:
-        graph = erdos_renyi_bipartite(n_left, n_right, edge_density=density, seed=seed)
-        row: Dict[str, object] = {"edge_density": density}
-        for measurement in run_algorithms(graph, k, list(algorithms), max_results, time_limit):
-            row[measurement.algorithm] = measurement.display
-        rows.append(row)
-    return rows
+    points = (
+        (
+            {"edge_density": density},
+            erdos_renyi_bipartite(n_left, n_right, edge_density=density, seed=seed),
+            k,
+            max_results,
+        )
+        for density in edge_density_values
+    )
+    return _timed_rows(points, algorithms, time_limit)
 
 
 # --------------------------------------------------------------------- #
@@ -326,6 +318,15 @@ def _mixed_window(side_size: int, window: int) -> List[int]:
     return list(range(low)) + list(range(side_size - high, side_size))
 
 
+def _link_row(head: Dict[str, object], graph: BipartiteGraph, k: int) -> Dict[str, object]:
+    """One row of Figure 11: ``head`` plus each column's links and link-pass seconds."""
+    row = dict(head)
+    for label, (links, seconds) in link_passes(graph, k).items():
+        row[f"{label}_links"] = links
+        row[f"{label}_time"] = seconds
+    return row
+
+
 def experiment_fig11ab(
     k: int = 1,
     max_left: int = 7,
@@ -339,14 +340,10 @@ def experiment_fig11ab(
     enumerated once; a ``<label>_time`` column times that column's link
     pass (:func:`~repro.core.solution_graph.link_passes`).
     """
-    rows: List[Dict[str, object]] = []
-    for name, graph in _solution_graph_inputs(max_left, max_right).items():
-        row: Dict[str, object] = {"dataset": name}
-        for label, (links, seconds) in link_passes(graph, k).items():
-            row[f"{label}_links"] = links
-            row[f"{label}_time"] = seconds
-        rows.append(row)
-    return rows
+    return [
+        _link_row({"dataset": name}, graph, k)
+        for name, graph in _solution_graph_inputs(max_left, max_right).items()
+    ]
 
 
 def experiment_fig11cd(
@@ -368,14 +365,7 @@ def experiment_fig11cd(
         graph = full.induced_subgraph(
             _mixed_window(full.n_left, max_left), _mixed_window(full.n_right, max_right)
         )
-    rows: List[Dict[str, object]] = []
-    for k in k_values:
-        row: Dict[str, object] = {"k": k}
-        for label, (links, seconds) in link_passes(graph, k).items():
-            row[f"{label}_links"] = links
-            row[f"{label}_time"] = seconds
-        rows.append(row)
-    return rows
+    return [_link_row({"k": k}, graph, k) for k in k_values]
 
 
 def experiment_variant_running_time(
@@ -384,29 +374,25 @@ def experiment_variant_running_time(
     max_right: int = 10,
     time_limit: float = 10.0,
 ) -> List[Dict[str, object]]:
-    """Figure 11(b) companion: end-to-end running time of the iTraversal variants.
+    """Figure 11(b) companion: end-to-end running time of the four traversals.
 
-    Matches the paper's protocol for Figure 11(b): every variant runs a
-    *complete* enumeration (no result cap) on the same small inputs used for
-    the link-count measurement, so the denser solution graphs translate
+    Matches the paper's protocol for Figure 11(b): every column of
+    :data:`~repro.core.solution_graph.FIG11_COLUMNS` runs a *complete*
+    enumeration (no result cap) on the same small inputs used for the
+    link-count measurement, so the denser solution graphs translate
     directly into longer running times.
     """
     rows: List[Dict[str, object]] = []
     for name, graph in _solution_graph_inputs(max_left, max_right).items():
         row: Dict[str, object] = {"dataset": name}
-        for variant, label in (
-            ("left-anchored-only", "iTraversal-ES-RS"),
-            ("no-exclusion", "iTraversal-ES"),
-            ("full", "iTraversal"),
-        ):
-            measurement = run_itraversal(graph, k, None, time_limit, variant=variant)
-            row[label] = measurement.display
-        # Figure 11 compares the frameworks with the *same* (refined)
-        # EnumAlmostSat implementation, as the paper does for fairness.
-        from .harness import run_btraversal
-
-        measurement = run_btraversal(graph, k, None, time_limit, local_enumeration="refined")
-        row["bTraversal"] = measurement.display
+        for variant, label in FIG11_COLUMNS:
+            # Every traversal, bTraversal included, runs the same refined
+            # EnumAlmostSat: the paper's fair comparison (Figure 7's
+            # bTraversal inflates instead).
+            config = TraversalConfig(
+                variant=variant, time_limit=time_limit, local_enumeration="refined"
+            )
+            row[label] = measure(TraversalFrontEnd(graph, k, config), stats_truncated).display
         rows.append(row)
     return rows
 
@@ -503,16 +489,16 @@ def experiment_anchor_ablation(
     """
     if max_results is None:
         max_results = scaled(200)
+    build, cut = ALGORITHMS["iTraversal"]
     rows: List[Dict[str, object]] = []
     for name in datasets:
         graph = load_dataset(name)
         swapped = graph.swap_sides()
         for k in k_values:
             row: Dict[str, object] = {"dataset": name, "k": k}
-            left = run_itraversal(graph, k, max_results, time_limit)
-            right = run_itraversal(swapped, k, max_results, time_limit)
-            row["left-anchored"] = left.display
-            row["right-anchored"] = right.display
+            for label, anchored in (("left-anchored", graph), ("right-anchored", swapped)):
+                run = build(anchored, k, max_results, time_limit)
+                row[label] = measure(run, cut, max_results).display
             rows.append(row)
     return rows
 

@@ -32,9 +32,13 @@ among the anchors of an expansion: each type's right sides and left
 removals are built once.
 
 Two reference implementations are included for testing and for the Figure 12
-baseline: a naive power-set enumeration and the *Inflation* variant that
-inflates the almost-satisfying graph and enumerates local maximal
-``(k+1)``-plexes of the resulting general graph.
+baseline: a naive power-set enumeration and the *Inflation* variant, which
+inflates the almost-satisfying graph with :func:`repro.graph.inflate.inflate`
+(the FaPlexen baseline's inflation) and enumerates its maximal
+``(k+1)``-plexes containing ``v``.  The inflation variant is also
+bTraversal's ``local_enumeration="inflation"`` (Figure 7's baseline); it
+reports whether its time cap cut the search, and the engine ends the run
+on a cut call rather than use a partial list.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from itertools import combinations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..graph.bipartite import BipartiteGraph
+from ..graph.inflate import inflate, split_vertex_set
 from ..graph.protocol import iter_bits, mask_of
 from .biplex import (
     Biplex,
@@ -480,55 +485,45 @@ def enum_local_solutions_naive(
 
 def enum_local_solutions_inflation(
     graph: BipartiteGraph,
-    left: Set[int],
-    right: Set[int],
+    left: Iterable[int],
+    right: Iterable[int],
     new_left_vertex: int,
     k: int,
     time_limit: Optional[float] = None,
-) -> List[Biplex]:
-    """The *Inflation* baseline for EnumAlmostSat (Figure 12).
+) -> Tuple[List[Biplex], bool]:
+    """The *Inflation* baseline for EnumAlmostSat: its local solutions, and whether it was cut.
 
-    The almost-satisfying graph is inflated into a general graph (cliques
-    within each side) and local maximal ``(k+1)``-plexes containing ``v``
-    are enumerated with the branch-and-bound k-plex enumerator.  The plexes
+    The almost-satisfying graph ``G[L ∪ {v}, R]`` is inflated into a
+    general graph (:func:`~repro.graph.inflate.inflate`: cliques within
+    each side) and its maximal ``(k+1)``-plexes containing ``v`` are
+    enumerated with the branch-and-bound k-plex enumerator.  The plexes
     translate back to exactly the local solutions of the almost-satisfying
-    graph.
+    graph.  The search forces ``v`` and branches over the other vertices
+    in ascending ids, left side first, so the local solutions come out in
+    one fixed order.
 
-    ``time_limit`` (seconds) truncates the underlying plex search: the
-    baseline is exponential in the almost-satisfying graph's size, which is
-    precisely the behaviour Figure 12 demonstrates, so benchmark drivers cap
-    each call instead of waiting for it.
+    ``time_limit`` (seconds) caps the plex search: the baseline is
+    exponential in the almost-satisfying graph's size, which is precisely
+    the behaviour Figure 12 demonstrates.  The second element is ``True``
+    when the cap cut the search, so the list may be incomplete: Figure 12
+    times capped calls, and the engine ends its run on a cut one.
     """
-    # Imported lazily to keep the baselines package optional at import time.
+    # Imported lazily: the baselines package imports the core package.
     from ..baselines.kplex import enumerate_maximal_kplexes
-    from ..graph.general import Graph
 
-    v = new_left_vertex
-    left_ids = sorted(left)
-    right_ids = sorted(right)
-    # Build the inflated graph of the almost-satisfying subgraph with compact
-    # ids: left vertices (including v) come first, then the right vertices.
-    local_left = left_ids + [v]
-    left_index = {vertex: index for index, vertex in enumerate(local_left)}
-    right_index = {vertex: len(local_left) + index for index, vertex in enumerate(right_ids)}
-    inflated = Graph(len(local_left) + len(right_ids))
-    for i in range(len(local_left)):
-        for j in range(i + 1, len(local_left)):
-            inflated.add_edge(i, j)
-    for i in range(len(right_ids)):
-        for j in range(i + 1, len(right_ids)):
-            inflated.add_edge(len(local_left) + i, len(local_left) + j)
-    right_mask = mask_of(right_ids)
-    for original_left in local_left:
-        for original_right in iter_bits(graph.adj_left_mask(original_left) & right_mask):
-            inflated.add_edge(left_index[original_left], right_index[original_right])
-
-    v_local = left_index[v]
+    almost_sat, left_ids, right_ids = graph.induced_subgraph_with_mapping(
+        [*left, new_left_vertex], right
+    )
+    plexes, cut = enumerate_maximal_kplexes(
+        inflate(almost_sat),
+        k + 1,
+        must_contain=left_ids.index(new_left_vertex),
+        time_limit=time_limit,
+    )
     solutions: List[Biplex] = []
-    for plex in enumerate_maximal_kplexes(
-        inflated, k + 1, must_contain=v_local, time_limit=time_limit
-    ):
-        chosen_left = {local_left[i] for i in plex if i < len(local_left)}
-        chosen_right = {right_ids[i - len(local_left)] for i in plex if i >= len(local_left)}
-        solutions.append(Biplex.of(chosen_left, chosen_right))
-    return solutions
+    for plex in plexes:
+        local_left, local_right = split_vertex_set(frozenset(plex), len(left_ids))
+        solutions.append(
+            Biplex.of((left_ids[i] for i in local_left), (right_ids[i] for i in local_right))
+        )
+    return solutions, cut

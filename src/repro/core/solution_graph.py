@@ -16,10 +16,13 @@ on real datasets) we build them explicitly:
   canonical candidate order (ascending ids).
 
 Each graph is one row of :data:`repro.core.traversal.VARIANTS` applied to
-the links out of every solution.  A serial iTraversal run applies the
-exclusion per expansion only (see
-:class:`~repro.core.traversal.TraversalConfig`), so ``G_E`` does not depend
-on the DFS order, and its links are exactly the ones a serial
+the links out of every solution, and :func:`build_solution_graph` names it
+by that row's key: ``"btraversal"`` (G), ``"left-anchored-only"`` (G_L),
+``"no-exclusion"`` (G_R) and ``"full"`` (G_E).  :data:`FIG11_COLUMNS`
+pairs each key with its Figure 11 label.  A serial iTraversal run applies
+the exclusion per expansion only (see
+:class:`~repro.core.traversal.TraversalConfig`), so ``G_E`` does not
+depend on the DFS order, and its links are exactly the ones a serial
 canonical-order run generates: ``num_links`` equals
 ``ITraversal(graph, k, prep="off", jobs=1).stats.num_links``.
 """
@@ -37,22 +40,15 @@ from .btraversal import BTraversal
 from .enum_almost_sat import enum_local_solutions
 from .traversal import VARIANTS
 
-#: Solution-graph names → the :data:`~repro.core.traversal.VARIANTS` row
-#: whose ``(left_anchored, right_shrinking, exclusion)`` flags keep its links.
-SOLUTION_GRAPHS = {
-    "btraversal": "btraversal",  # G
-    "left-anchored": "left-anchored-only",  # G_L
-    "right-shrinking": "no-exclusion",  # G_R
-    "itraversal": "full",  # G_E
-}
-
-#: Figure 11's columns, in its order: each solution graph and the
-#: algorithm whose links it counts.
+#: Figure 11's columns, in its order: each solution graph's
+#: :data:`~repro.core.traversal.VARIANTS` key and the label of the
+#: algorithm whose links it counts (G, G_L, G_R, G_E).  The one label table
+#: of the figure drivers and the examples.
 FIG11_COLUMNS = (
     ("btraversal", "bTraversal"),
-    ("left-anchored", "iTraversal-ES-RS"),
-    ("right-shrinking", "iTraversal-ES"),
-    ("itraversal", "iTraversal"),
+    ("left-anchored-only", "iTraversal-ES-RS"),
+    ("no-exclusion", "iTraversal-ES"),
+    ("full", "iTraversal"),
 )
 
 
@@ -189,12 +185,12 @@ def build_solution_graph(
 ) -> SolutionGraph:
     """Construct the explicit solution graph of one algorithm variant.
 
-    ``variant`` is one of:
+    ``variant`` is a key of :data:`~repro.core.traversal.VARIANTS`:
 
-    * ``"btraversal"``       — the full solution graph ``G``,
-    * ``"left-anchored"``    — ``G_L`` (drop non-left-anchored links),
-    * ``"right-shrinking"``  — ``G_R`` (additionally drop non-right-shrinking links),
-    * ``"itraversal"``       — ``G_E`` (additionally drop the links the
+    * ``"btraversal"``         — the full solution graph ``G``,
+    * ``"left-anchored-only"`` — ``G_L`` (drop non-left-anchored links),
+    * ``"no-exclusion"``       — ``G_R`` (additionally drop non-right-shrinking links),
+    * ``"full"``               — ``G_E`` (additionally drop the links the
       exclusion strategy prunes; the links a serial canonical-order
       iTraversal run generates).
 
@@ -202,15 +198,13 @@ def build_solution_graph(
     which is feasible only on small graphs — exactly the setting of
     Figure 11, which uses the four smallest datasets.
     """
-    if variant not in SOLUTION_GRAPHS:
+    if variant not in VARIANTS:
         raise ValueError(f"unknown solution-graph variant {variant!r}")
     solutions = BTraversal(graph, k).enumerate()
     result = SolutionGraph(nodes=list(solutions))
     swapped = graph.swap_sides()
     for solution in solutions:
-        result.links.extend(
-            _links_from_solution(graph, swapped, solution, k, SOLUTION_GRAPHS[variant])
-        )
+        result.links.extend(_links_from_solution(graph, swapped, solution, k, variant))
     return result
 
 
@@ -228,7 +222,7 @@ def link_passes(graph: BipartiteGraph, k: int) -> Dict[str, Tuple[int, float]]:
     for variant, label in FIG11_COLUMNS:
         start = time.perf_counter()
         links = sum(
-            len(_links_from_solution(graph, swapped, solution, k, SOLUTION_GRAPHS[variant]))
+            len(_links_from_solution(graph, swapped, solution, k, variant))
             for solution in solutions
         )
         passes[label] = (links, time.perf_counter() - start)

@@ -1022,9 +1022,17 @@ class ReverseSearchEngine:
             # excludes (the prefix over left ids is 0).
             graph, left, right, table = self._swapped, right, left, None
         if self.config.local_enumeration == "inflation":
-            found = enum_local_solutions_inflation(
-                graph, list(iter_bits(left)), list(iter_bits(right)), vertex, self.k
+            # The k-plex search gets what is left of the run's budget; a cut
+            # search ends the run, so a partial list is never used.
+            time_left = self.config.time_limit
+            if time_left is not None:
+                time_left -= time.perf_counter() - self._start_time
+            found, cut = enum_local_solutions_inflation(
+                graph, iter_bits(left), iter_bits(right), vertex, self.k, time_limit=time_left
             )
+            if cut:
+                self.stats.hit_time_limit = True
+                raise _LimitReached
         else:
             found = enum_local_solutions(
                 graph,

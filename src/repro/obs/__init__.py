@@ -3,11 +3,12 @@
 Three stdlib-only pieces (see ``ARCHITECTURE.md`` for the contracts):
 
 * :mod:`repro.obs.metrics` — the process-wide :class:`MetricsRegistry`
-  (counters, gauges, fixed-bucket histograms; deterministic snapshots)
-  of request- and run-scoped series: the HTTP layer, the query service's
+  (counters and fixed-bucket histograms; deterministic snapshots) of
+  request- and run-scoped series: the HTTP layer, the query service's
   request envelope, the parallel coordinator and the engine publish into
   it.  ``/v1/metrics`` serves its snapshot plus the service's own
-  counters (:func:`repro.service.status.service_series`);
+  counters and its one gauge
+  (:func:`repro.service.status.service_series`);
 * :mod:`repro.obs.tracing` — per-request ``trace_id`` plus a
   :class:`Trace` phase tree recorded through the :func:`span` context
   manager (a service query, the CLI's ``enumerate`` and ``query run``

@@ -1,4 +1,4 @@
-"""Process-wide metrics: counters, gauges and bounded histograms.
+"""Process-wide metrics: counters and bounded histograms.
 
 One :class:`MetricsRegistry` instance per process (``get_registry``)
 holds the request- and run-scoped series: the HTTP daemon, the query
@@ -6,8 +6,9 @@ service's request envelope, the parallel coordinator and the engine (via
 :func:`repro.obs.publish_run_stats`) publish into it.  Counts that a
 component already keeps (the hot-graph registry's, the session table's,
 the result cache's) are not copied here: ``/v1/metrics`` renders them
-from the service's ``stats()`` next to this registry's snapshot.  The
-design constraints, in order:
+from the service's ``stats()`` next to this registry's snapshot, the
+``service_sessions_live`` gauge in the snapshot's ``gauges`` section
+among them.  The design constraints, in order:
 
 * **stdlib only** — no client libraries, no exposition formats beyond
   JSON and a plain-text rendering;
@@ -72,11 +73,11 @@ class _Histogram:
 
 
 class MetricsRegistry:
-    """Thread-safe counters / gauges / fixed-bucket histograms.
+    """Thread-safe counters and fixed-bucket histograms.
 
     ``enabled=False`` turns every mutator into a single boolean check —
     the zero-cost-ish contract instrumented code relies on.  Readers
-    (:meth:`snapshot`, :meth:`render_text`) always work; on a disabled
+    (:meth:`snapshot`, :meth:`counter_value`) always work; on a disabled
     registry they see whatever was recorded while it was enabled.
     """
 
@@ -84,7 +85,6 @@ class MetricsRegistry:
         self.enabled = enabled
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
-        self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, _Histogram] = {}
 
     # ------------------------------------------------------------------ #
@@ -95,14 +95,6 @@ class MetricsRegistry:
         key = series_key(name, labels)
         with self._lock:
             self._counters[key] = self._counters.get(key, 0) + value
-
-    def gauge(self, name: str, value: float, **labels: object) -> None:
-        """Set a gauge series to its current value."""
-        if not self.enabled:
-            return
-        key = series_key(name, labels)
-        with self._lock:
-            self._gauges[key] = value
 
     def observe(
         self,
@@ -138,31 +130,26 @@ class MetricsRegistry:
         with self._lock:
             return {
                 "counters": {key: self._counters[key] for key in sorted(self._counters)},
-                "gauges": {key: self._gauges[key] for key in sorted(self._gauges)},
+                # Filled by QueryService.metrics (service_sessions_live).
+                "gauges": {},
                 "histograms": {
                     key: self._histograms[key].to_dict()
                     for key in sorted(self._histograms)
                 },
             }
 
-    def render_text(self) -> str:
-        """Plain-text rendering of :meth:`snapshot` (one series per line)."""
-        return render_snapshot_text(self.snapshot())
-
     def reset(self) -> None:
         """Drop every series (tests and long-lived daemons' admin use)."""
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
             self._histograms.clear()
 
 
 def render_snapshot_text(snapshot: dict) -> str:
     """Render a :meth:`MetricsRegistry.snapshot` document as plain text.
 
-    Module-level (not a method) so the CLI can re-render a snapshot it
-    fetched from a daemon's ``/v1/metrics`` endpoint without holding a
-    registry.
+    The daemon's ``/v1/metrics?format=text`` and the CLI, which re-renders
+    a snapshot it fetched from a daemon, both render through it.
     """
     lines: List[str] = []
     for key, value in snapshot.get("counters", {}).items():

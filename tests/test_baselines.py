@@ -17,7 +17,6 @@ from repro.baselines import (
     enumerate_mbps_inflation,
     find_quasi_bicliques_greedy,
     is_biclique,
-    is_kplex,
     is_maximal_kplex,
     is_quasi_biclique,
     maximum_biclique_greedy,
@@ -111,35 +110,36 @@ class TestKPlex:
 
     def test_triangle_one_plex_is_the_clique(self):
         graph = Graph(3, edges=[(0, 1), (1, 2), (0, 2)])
-        plexes = enumerate_maximal_kplexes(graph, 1)
-        assert plexes == [{0, 1, 2}]
+        assert enumerate_maximal_kplexes(graph, 1) == ([{0, 1, 2}], False)
 
     def test_path_two_plexes(self):
         graph = Graph(3, edges=[(0, 1), (1, 2)])
-        plexes = {frozenset(p) for p in enumerate_maximal_kplexes(graph, 1)}
+        plexes = {frozenset(p) for p in enumerate_maximal_kplexes(graph, 1)[0]}
         assert plexes == {frozenset({0, 1}), frozenset({1, 2})}
-        two_plexes = {frozenset(p) for p in enumerate_maximal_kplexes(graph, 2)}
+        two_plexes = {frozenset(p) for p in enumerate_maximal_kplexes(graph, 2)[0]}
         assert frozenset({0, 1, 2}) in two_plexes
 
     def test_all_outputs_are_maximal_kplexes(self):
         graph = Graph(5, edges=[(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (1, 3)])
         for k in (1, 2):
-            for plex in enumerate_maximal_kplexes(graph, k):
-                assert is_kplex(graph, plex, k)
+            for plex in enumerate_maximal_kplexes(graph, k)[0]:
+                assert graph.subgraph_is_kplex(plex, k)
                 assert is_maximal_kplex(graph, plex, k)
 
     def test_must_contain(self):
         graph = Graph(4, edges=[(0, 1), (1, 2), (2, 3)])
-        for plex in enumerate_maximal_kplexes(graph, 2, must_contain=0):
+        for plex in enumerate_maximal_kplexes(graph, 2, must_contain=0)[0]:
             assert 0 in plex
             assert is_maximal_kplex(graph, plex, 2)
 
     def test_empty_graph(self):
-        assert enumerate_maximal_kplexes(Graph(0), 1) == []
+        assert enumerate_maximal_kplexes(Graph(0), 1) == ([], False)
 
     def test_max_results(self):
         graph = Graph(4, edges=[(0, 1), (2, 3)])
-        assert len(enumerate_maximal_kplexes(graph, 1, max_results=1)) == 1
+        plexes, cut = enumerate_maximal_kplexes(graph, 1, max_results=1)
+        assert len(plexes) == 1
+        assert cut
 
     def test_reenumeration_restarts_the_clock(self):
         from repro.baselines.kplex import _KPlexEnumerator
@@ -247,7 +247,7 @@ class TestBaselineBackendEquivalence:
         for u, v in reversed(edges):
             grown.add_edge(v, u)
         for substrate in (graph, grown):
-            plexes = enumerate_maximal_kplexes(substrate, k)
+            plexes, _ = enumerate_maximal_kplexes(substrate, k)
             assert len(plexes) == len(expected)
             assert set(map(frozenset, plexes)) == expected
 

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from repro.bench import (
+    ALGORITHMS,
     EXPERIMENTS,
     INF,
     OUT,
@@ -13,13 +14,9 @@ from repro.bench import (
     bench_scale,
     format_seconds,
     format_table,
+    measure,
     pivot,
-    run_algorithms,
-    run_imb,
-    run_inflation,
-    run_itraversal,
     scaled,
-    time_call,
 )
 from repro.bench.experiments import (
     experiment_anchor_ablation,
@@ -35,7 +32,7 @@ from repro.bench.experiments import (
 from repro.cli import main
 from repro.core import BTraversal, build_solution_graph
 from repro.core.solution_graph import FIG11_COLUMNS
-from repro.graph import paper_example_graph, write_edge_list
+from repro.graph import BipartiteGraph, paper_example_graph, write_edge_list
 
 
 class TestReporting:
@@ -81,55 +78,43 @@ class TestHarness:
         monkeypatch.setenv("REPRO_BENCH_SCALE", "not-a-float")
         assert bench_scale() == 1.0
 
-    def test_time_call(self):
-        measurement = time_call(lambda: [1, 2, 3], label="demo")
-        assert measurement.algorithm == "demo"
-        assert measurement.num_solutions == 3
-        assert measurement.seconds >= 0
-
-    def test_time_call_counts_lazy_iterables(self):
-        # Generators must be materialised (inside the timed window) instead
-        # of silently reporting num_solutions=0.
-        def generator():
-            yield from range(4)
-
-        measurement = time_call(generator, label="lazy")
-        assert measurement.num_solutions == 4
-        assert measurement.seconds >= 0
-        assert time_call(lambda: iter((1, 2)), label="iter").num_solutions == 2
-        assert time_call(lambda: frozenset({1, 2, 3}), label="fs").num_solutions == 3
-        assert time_call(lambda: None, label="none").num_solutions == 0
-        assert time_call(lambda: 42, label="scalar").num_solutions == 0
-
     def test_display_without_seconds_or_marker(self):
         # A measurement that never produced a timing must not leak None into
         # the report tables; INF is the paper's "did not finish" marker.
-        assert Measurement(algorithm="x", seconds=None).display == INF
-        assert Measurement(algorithm="x", seconds=1.5).display == 1.5
-        assert Measurement(algorithm="x", seconds=None, marker=OUT).display == OUT
+        assert Measurement(seconds=None).display == INF
+        assert Measurement(seconds=1.5).display == 1.5
+        assert Measurement(seconds=None, marker=OUT).display == OUT
+
+    @staticmethod
+    def _measure(name, graph, k, max_results, time_limit):
+        build, cut = ALGORITHMS[name]
+        return measure(build(graph, k, max_results, time_limit), cut, max_results)
 
     def test_run_itraversal_measurement(self, example_graph):
-        measurement = run_itraversal(example_graph, 1, max_results=5, time_limit=10.0)
+        measurement = self._measure("iTraversal", example_graph, 1, 5, 10.0)
         assert measurement.marker is None
         assert measurement.num_solutions == 5
         assert isinstance(measurement.display, float)
 
     def test_run_imb_inf_marker(self, example_graph):
-        measurement = run_imb(example_graph, 1, max_results=None, time_limit=0.0)
+        measurement = self._measure("iMB", example_graph, 1, None, 0.0)
         assert measurement.marker == INF
         assert measurement.display == INF
 
-    def test_run_inflation_out_marker(self, example_graph):
-        measurement = run_inflation(
-            example_graph, 1, max_results=None, time_limit=5.0, memory_edge_budget=1
-        )
+    def test_run_inflation_out_marker(self):
+        # 2,100 left vertices inflate to 2,203,950 edges: over the one
+        # budget, so the pipeline builds nothing and reads OUT.
+        measurement = self._measure("FaPlexen", BipartiteGraph(2100, 1), 1, None, 5.0)
         assert measurement.marker == OUT
+        assert measurement.num_solutions == 0
 
-    def test_run_algorithms_order(self, example_graph):
-        measurements = run_algorithms(
-            example_graph, 1, ["iTraversal", "bTraversal"], max_results=5, time_limit=10.0
-        )
-        assert [m.algorithm for m in measurements] == ["iTraversal", "bTraversal"]
+    def test_faplexen_is_inf_only_when_cut_before_max_results(self, example_graph):
+        # 13 MBPs exist: a run stopped at its cap of 5 returned its first N.
+        capped = self._measure("FaPlexen", example_graph, 1, 5, 10.0)
+        assert (capped.marker, capped.num_solutions) == (None, 5)
+        assert isinstance(capped.display, float)
+        timed_out = self._measure("FaPlexen", example_graph, 1, 5, 0.0)
+        assert (timed_out.marker, timed_out.seconds) == (INF, None)
 
 
 class TestExperimentDrivers:
@@ -159,10 +144,11 @@ class TestExperimentDrivers:
     def test_fig7a_small_subset(self):
         rows = experiment_fig7a(
             datasets=("divorce",), max_results=20, time_limit=5.0,
-            algorithms=("bTraversal", "iTraversal"),
+            algorithms=("iTraversal", "bTraversal"),
         )
         assert len(rows) == 1
-        assert "iTraversal" in rows[0] and "bTraversal" in rows[0]
+        # One cell per algorithm, in the order asked for.
+        assert list(rows[0]) == ["dataset", "iTraversal", "bTraversal"]
 
     def test_fig7de_row_per_count(self):
         rows = experiment_fig7de(

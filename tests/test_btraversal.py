@@ -1,5 +1,7 @@
 """Tests for the bTraversal baseline."""
 
+import time
+
 import pytest
 
 from repro.baselines import enumerate_mbps_bruteforce
@@ -57,3 +59,33 @@ class TestBehaviour:
     def test_rejects_invalid_k(self, example_graph):
         with pytest.raises(ValueError):
             BTraversal(example_graph, 0)
+
+
+class TestInflation:
+    """bTraversal with the inflation EnumAlmostSat, Figure 7's baseline."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_uncapped_runs_equal_refined(self, seed):
+        graph = erdos_renyi_bipartite(5, 6, num_edges=15, seed=70 + seed)
+        for k in (1, 2, 3):
+            refined = BTraversal(graph, k).enumerate()
+            inflation = BTraversal(graph, k, local_enumeration="inflation").enumerate()
+            assert len(inflation) == len(refined)
+            assert set(inflation) == set(refined)
+
+    def test_time_limit_bounds_the_plex_search(self):
+        """Each k-plex search gets what is left of the budget; a cut one ends the run.
+
+        On this dense 40 × 40 graph the fifth almost-satisfying graph's
+        search alone runs for seconds (17.6 s in all when the search was
+        uncapped).
+        """
+        graph = erdos_renyi_bipartite(40, 40, num_edges=800, seed=1)
+        algorithm = BTraversal(
+            graph, 1, max_results=50, time_limit=0.2, local_enumeration="inflation", jobs=1
+        )
+        start = time.perf_counter()
+        solutions = algorithm.enumerate()
+        assert time.perf_counter() - start < 2.0
+        assert algorithm.stats.hit_time_limit
+        assert len(solutions) < 50

@@ -1,6 +1,7 @@
 """Tests for the EnumAlmostSat procedure and its refinement variants."""
 
 import hashlib
+import json
 import random
 from types import SimpleNamespace
 
@@ -114,10 +115,38 @@ class TestAgainstNaive:
         naive = set(
             enum_local_solutions_naive(graph, set(solution.left), set(solution.right), v, k)
         )
-        inflation = set(
-            enum_local_solutions_inflation(graph, set(solution.left), set(solution.right), v, k)
+        inflation, cut = enum_local_solutions_inflation(
+            graph, set(solution.left), set(solution.right), v, k
         )
-        assert inflation == naive
+        assert not cut
+        assert set(inflation) == naive
+
+    def test_inflation_variant_order_is_pinned(self):
+        """Every outside left anchor of capped runs' solutions: the ordered lists.
+
+        The digest pins the order the k-plex search emits the local
+        solutions in; building the almost-satisfying graph through
+        ``graph.inflate`` keeps it.
+        """
+        calls = []
+        for seed in range(6):
+            graph = erdos_renyi_bipartite(7, 8, num_edges=26, seed=300 + seed)
+            for k in (1, 2, 3):
+                run = ITraversal(graph, k, max_results=4, prep="off", jobs=1)
+                for solution in run.enumerate():
+                    for v in graph.left_vertices():
+                        if v in solution.left:
+                            continue
+                        found, cut = enum_local_solutions_inflation(
+                            graph, set(solution.left), set(solution.right), v, k
+                        )
+                        assert not cut
+                        locals_ = [[local.left_mask, local.right_mask] for local in found]
+                        calls.append([seed, k, v, locals_])
+        assert len(calls) == 264
+        assert sum(len(call[3]) for call in calls) == 1762
+        digest = hashlib.sha256(json.dumps(calls).encode()).hexdigest()
+        assert digest == "ca8e833c0a231475c07e1c73ea1dda7fa91f2df36fc9b0827c702728cd3d06fd"
 
 
 class TestSharedTable:

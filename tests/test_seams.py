@@ -13,6 +13,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +96,21 @@ class TestBenchmarkSeams:
 
 
 class TestImportFootprint:
+    def test_every_export_resolves(self):
+        """Each ``repro`` package's ``__all__`` names only what it defines."""
+        import repro
+
+        packages = ["repro"] + [
+            info.name
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if info.ispkg
+        ]
+        assert len(packages) == 10
+        for name in packages:
+            module = importlib.import_module(name)
+            missing = [symbol for symbol in module.__all__ if not hasattr(module, symbol)]
+            assert not missing, (name, missing)
+
     def test_package_imports_leave_numpy_out(self):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         probe = (

@@ -23,7 +23,7 @@ def solution_graphs():
     graph = paper_example_graph()
     return {
         variant: build_solution_graph(graph, 1, variant=variant)
-        for variant in ("btraversal", "left-anchored", "right-shrinking", "itraversal")
+        for variant in ("btraversal", "left-anchored-only", "no-exclusion", "full")
     }
 
 
@@ -41,13 +41,10 @@ class TestSolutionGraphConstruction:
         """Dropping links can only make the graphs sparser: G ≥ G_L ≥ G_R (Figure 3)."""
         assert (
             solution_graphs["btraversal"].num_links
-            >= solution_graphs["left-anchored"].num_links
-            >= solution_graphs["right-shrinking"].num_links
+            >= solution_graphs["left-anchored-only"].num_links
+            >= solution_graphs["no-exclusion"].num_links
         )
-        assert (
-            solution_graphs["right-shrinking"].num_links
-            >= solution_graphs["itraversal"].num_links
-        )
+        assert solution_graphs["no-exclusion"].num_links >= solution_graphs["full"].num_links
 
     def test_btraversal_graph_strongly_connected(self, solution_graphs):
         assert solution_graphs["btraversal"].is_strongly_connected()
@@ -56,23 +53,23 @@ class TestSolutionGraphConstruction:
         self, solution_graphs, example_graph
     ):
         h0 = ITraversal(example_graph, 1).initial_solution()
-        for variant in ("left-anchored", "right-shrinking"):
+        for variant in ("left-anchored-only", "no-exclusion"):
             solution_graph = solution_graphs[variant]
             reachable = solution_graph.reachable_from(h0)
             assert len(reachable) == solution_graph.num_nodes, variant
 
     def test_left_anchored_graph_not_strongly_connected(self, solution_graphs):
         """The paper remarks G_L loses strong connectivity (Section 3.3 Remarks)."""
-        assert not solution_graphs["left-anchored"].is_strongly_connected()
+        assert not solution_graphs["left-anchored-only"].is_strongly_connected()
 
     def test_right_shrinking_links_shrink_right_side(self, solution_graphs):
-        for source, target in solution_graphs["right-shrinking"].links:
+        for source, target in solution_graphs["no-exclusion"].links:
             assert target.right <= source.right
 
     def test_left_anchored_links_only_from_left_insertions(self, solution_graphs):
         # every link's target contains at least one left vertex outside the
         # source (the anchor vertex), unless the target equals the source.
-        for source, target in solution_graphs["left-anchored"].links:
+        for source, target in solution_graphs["left-anchored-only"].links:
             assert target != source
 
     def test_count_links_report(self, example_graph):
@@ -81,7 +78,7 @@ class TestSolutionGraphConstruction:
         assert counts["bTraversal"] >= counts["iTraversal-ES-RS"] >= counts["iTraversal-ES"]
 
     def test_out_degree_and_adjacency(self, solution_graphs):
-        graph = solution_graphs["right-shrinking"]
+        graph = solution_graphs["no-exclusion"]
         adjacency = graph.adjacency()
         total = sum(len(targets) for targets in adjacency.values())
         assert total == graph.num_links
@@ -104,8 +101,8 @@ class TestTraversedSolutionGraph:
         ],
     )
     def test_real_links(self, graph, k):
-        traversed = build_solution_graph(graph, k, variant="itraversal")
-        shrinking = build_solution_graph(graph, k, variant="right-shrinking")
+        traversed = build_solution_graph(graph, k, variant="full")
+        shrinking = build_solution_graph(graph, k, variant="no-exclusion")
         run = ITraversal(graph, k, prep="off", jobs=1)
         run.enumerate()
         assert traversed.num_links == run.stats.num_links
@@ -116,7 +113,7 @@ class TestTraversedSolutionGraph:
         assert not Counter(traversed.links) - Counter(shrinking.links)
 
     def test_no_self_loops_on_the_example(self, solution_graphs):
-        links = solution_graphs["itraversal"].links
+        links = solution_graphs["full"].links
         assert links and all(source != target for source, target in links)
 
 
