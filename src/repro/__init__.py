@@ -28,7 +28,6 @@ from .core import (
 )
 from .graph import (
     BipartiteGraph,
-    Side,
     erdos_renyi_bipartite,
     paper_example_graph,
     planted_biplex_graph,
@@ -44,7 +43,6 @@ __all__ = [
     "__version__",
     "Biplex",
     "BipartiteGraph",
-    "Side",
     "ITraversal",
     "BTraversal",
     "CursorError",

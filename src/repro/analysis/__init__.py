@@ -1,4 +1,4 @@
-"""Analysis layer: dataset registry, structure metrics, fraud-detection case study."""
+"""Analysis layer: dataset registry, classification metrics, fraud-detection case study."""
 
 from .datasets import (
     ALL_DATASETS,
@@ -16,13 +16,7 @@ from .fraud import (
     build_study_graph,
     run_fraud_detection_study,
 )
-from .metrics import (
-    ClassificationMetrics,
-    average_density,
-    classification_metrics,
-    covered_vertices,
-    subgraph_density,
-)
+from .metrics import ClassificationMetrics, classification_metrics
 
 __all__ = [
     "ALL_DATASETS",
@@ -39,7 +33,4 @@ __all__ = [
     "run_fraud_detection_study",
     "ClassificationMetrics",
     "classification_metrics",
-    "average_density",
-    "subgraph_density",
-    "covered_vertices",
 ]

@@ -108,7 +108,8 @@ def load_dataset(name: str, seed: Optional[int] = None) -> BipartiteGraph:
     """Generate the stand-in graph for dataset ``name``.
 
     The generation is deterministic for a given ``seed`` (defaulting to the
-    spec's seed), so repeated benchmark runs see identical graphs.
+    spec's seed), so repeated benchmark runs see identical graphs.  The
+    graph is handed out at epoch 0, like every other freshly built graph.
     """
     spec = get_spec(name)
     rng_seed = spec.seed if seed is None else seed
@@ -130,6 +131,8 @@ def load_dataset(name: str, seed: Optional[int] = None) -> BipartiteGraph:
     merged = planted
     for left_vertex, right_vertex in background.edges():
         merged.add_edge(left_vertex, right_vertex)
+    # The merge is construction, not mutation.
+    merged.reset_epoch()
     return merged
 
 

@@ -11,12 +11,12 @@ The study here runs on a scaled synthetic review graph generated by
 :func:`repro.graph.generators.review_graph_with_camouflage` in place of the
 Amazon review data; the attack protocol — a dense-ish random fraud block
 plus an equal number of camouflage reviews towards real products — is the
-paper's.
+paper's.  Every structure is scored on the one attacked graph, and
+:meth:`FraudStudyReport.rows` lays the cells out as Figure 13.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -25,7 +25,6 @@ from ..baselines.quasi_biclique import find_quasi_bicliques_greedy
 from ..core.biplex import Biplex
 from ..core.itraversal import ITraversal
 from ..graph.bipartite import BipartiteGraph
-from ..graph.butterfly import count_butterflies
 from ..graph.cores import alpha_beta_core
 from ..graph.generators import FraudInjection, review_graph_with_camouflage
 from .metrics import ClassificationMetrics, classification_metrics
@@ -118,15 +117,6 @@ class FraudStudyReport:
                 }
             )
         return rows
-
-    def best_f1_by_structure(self) -> Dict[str, float]:
-        """The best F1 each structure achieves over the probed thresholds."""
-        best: Dict[str, float] = {}
-        for result in self.results:
-            if not result.defined or result.f1 != result.f1:
-                continue
-            best[result.structure] = max(best.get(result.structure, 0.0), result.f1)
-        return best
 
 
 def build_study_graph(config: FraudStudyConfig) -> Tuple[BipartiteGraph, FraudInjection]:
@@ -264,119 +254,6 @@ def evaluate_quasi_biclique(
         metrics=_classify(structures, injection),
         num_structures=len(structures),
     )
-
-
-# --------------------------------------------------------------------- #
-# Streaming mode: camouflage edges arriving over time
-# --------------------------------------------------------------------- #
-@dataclass
-class StreamingBatchResult:
-    """State of the detector, recomputed on the mutated graph, after one edge batch."""
-
-    batch: int
-    epoch: int
-    edges_arrived: int
-    butterfly_count: int
-    core_users: int
-    core_products: int
-    metrics: ClassificationMetrics
-
-
-@dataclass
-class StreamingFraudReport:
-    """Outcome of :func:`run_streaming_fraud_study`."""
-
-    config: FraudStudyConfig
-    graph: BipartiteGraph
-    injection: FraudInjection
-    camouflage_edges: List[Tuple[int, int]]
-    alpha: int
-    beta: int
-    batches: List[StreamingBatchResult] = field(default_factory=list)
-
-
-def streaming_camouflage_edges(
-    config: FraudStudyConfig,
-) -> Tuple[BipartiteGraph, FraudInjection, List[Tuple[int, int]]]:
-    """The pre-attack graph plus the camouflage edges yet to arrive.
-
-    The generator draws the camouflage reviews *last* from its RNG, so the
-    same seed with ``n_camouflage_reviews=0`` reproduces the real + fake
-    reviews exactly; the camouflage set is the edge-wise difference of the
-    two constructions.  Returned sorted for determinism.
-    """
-    base_graph, injection = review_graph_with_camouflage(
-        n_real_users=config.n_real_users,
-        n_real_products=config.n_real_products,
-        n_real_reviews=config.n_real_reviews,
-        n_fake_users=config.n_fake_users,
-        n_fake_products=config.n_fake_products,
-        n_fake_reviews=config.n_fake_reviews,
-        n_camouflage_reviews=0,
-        seed=config.seed,
-    )
-    full_graph, _ = build_study_graph(config)
-    base_edges = set(base_graph.edges())
-    camouflage = sorted(edge for edge in full_graph.edges() if edge not in base_edges)
-    return base_graph, injection, camouflage
-
-
-def run_streaming_fraud_study(
-    config: Optional[FraudStudyConfig] = None,
-    num_batches: int = 5,
-    alpha: Optional[int] = None,
-    beta: Optional[int] = None,
-) -> StreamingFraudReport:
-    """The camouflage attack as a stream: edges arrive in ``num_batches`` waves.
-
-    Starts from the pre-attack review graph and applies the camouflage
-    edges batch by batch with :meth:`BipartiteGraph.apply_batch` (one
-    epoch per batch).  After each batch the butterfly count and the
-    (α, β)-core are recomputed on the mutated graph, and the core is
-    scored against the ground truth exactly like the static study's
-    (α, β)-core cell, showing how camouflage progressively drags real
-    products into the detector's net.
-    """
-    config = config or FraudStudyConfig()
-    if num_batches < 1:
-        raise ValueError("num_batches must be positive")
-    if alpha is None:
-        # The static study's middle θ_R probe: users must review ≥ α products.
-        values = sorted(config.theta_products_values)
-        alpha = values[len(values) // 2] if values else 5
-    if beta is None:
-        beta = config.theta_users
-    graph, injection, camouflage = streaming_camouflage_edges(config)
-    report = StreamingFraudReport(
-        config=config,
-        graph=graph,
-        injection=injection,
-        camouflage_edges=camouflage,
-        alpha=alpha,
-        beta=beta,
-    )
-    arrived = 0
-    chunk = math.ceil(len(camouflage) / num_batches) if camouflage else 1
-    for batch_number in range(num_batches):
-        batch = camouflage[batch_number * chunk : (batch_number + 1) * chunk]
-        graph.apply_batch(inserts=batch)
-        arrived += len(batch)
-        left_core, right_core = alpha_beta_core(graph, alpha, beta)
-        structures: List[Biplex] = []
-        if left_core or right_core:
-            structures = [Biplex.of(left_core, right_core)]
-        report.batches.append(
-            StreamingBatchResult(
-                batch=batch_number,
-                epoch=graph.epoch,
-                edges_arrived=arrived,
-                butterfly_count=count_butterflies(graph),
-                core_users=len(left_core),
-                core_products=len(right_core),
-                metrics=_classify(structures, injection),
-            )
-        )
-    return report
 
 
 def run_fraud_detection_study(

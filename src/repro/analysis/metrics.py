@@ -1,19 +1,14 @@
-"""Structure and classification metrics used by the case study and the docs.
+"""Classification metrics of the fraud-detection case study.
 
-The fraud-detection case study (Section 6.3) classifies vertices as fake or
+The case study (Section 6.3, Figure 13) classifies vertices as fake or
 real depending on whether they appear in any found cohesive subgraph, and
-reports precision, recall and F1.  The cohesiveness metrics mirror the
-paper's qualitative discussion (a k-biplex with small k is dense; an
-(α, β)-core can be large and sparse).
+reports precision, recall and F1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Set, Tuple
-
-from ..core.biplex import Biplex, biplex_edge_count
-from ..graph.bipartite import BipartiteGraph
+from typing import Set
 
 
 @dataclass(frozen=True)
@@ -60,27 +55,3 @@ def classification_metrics(predicted: Set, actual: Set) -> ClassificationMetrics
     false_negatives = len(actual - predicted)
     return ClassificationMetrics(true_positives, false_positives, false_negatives)
 
-
-def subgraph_density(graph: BipartiteGraph, biplex: Biplex) -> float:
-    """Edge density of the induced subgraph: edges / possible edges."""
-    possible = len(biplex.left) * len(biplex.right)
-    if possible == 0:
-        return 0.0
-    return biplex_edge_count(graph, biplex) / possible
-
-
-def average_density(graph: BipartiteGraph, biplexes: Sequence[Biplex]) -> float:
-    """Mean edge density over a collection of subgraphs (0 for an empty collection)."""
-    if not biplexes:
-        return 0.0
-    return sum(subgraph_density(graph, b) for b in biplexes) / len(biplexes)
-
-
-def covered_vertices(biplexes: Iterable[Biplex]) -> Tuple[Set[int], Set[int]]:
-    """Union of left and right vertex sets over a collection of subgraphs."""
-    left: Set[int] = set()
-    right: Set[int] = set()
-    for biplex in biplexes:
-        left |= biplex.left
-        right |= biplex.right
-    return left, right

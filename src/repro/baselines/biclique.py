@@ -45,21 +45,3 @@ def is_biclique(graph: BipartiteGraph, left, right) -> bool:
     """Whether every left-right pair of the induced subgraph is an edge."""
     return all(graph.has_edge(v, u) for v in left for u in right)
 
-
-def maximum_biclique_greedy(
-    graph: BipartiteGraph,
-    theta_left: int = 1,
-    theta_right: int = 1,
-    time_limit: Optional[float] = None,
-) -> Optional[Biplex]:
-    """A largest maximal biclique found by full enumeration (small graphs only).
-
-    Returns ``None`` if no biclique meets the size thresholds.
-    """
-    best: Optional[Biplex] = None
-    for candidate in enumerate_maximal_bicliques(
-        graph, theta_left=theta_left, theta_right=theta_right, time_limit=time_limit
-    ):
-        if best is None or candidate.size > best.size:
-            best = candidate
-    return best

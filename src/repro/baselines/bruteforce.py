@@ -42,18 +42,3 @@ def enumerate_mbps_bruteforce(graph: BipartiteGraph, k: int) -> List[Biplex]:
                         solutions.append(Biplex.of(left_set, right_set))
     return solutions
 
-
-def count_k_biplexes_bruteforce(graph: BipartiteGraph, k: int) -> int:
-    """Number of (not necessarily maximal) non-empty k-biplexes; used in tests."""
-    left_pool = list(graph.left_vertices())
-    right_pool = list(graph.right_vertices())
-    count = 0
-    for left_size in range(len(left_pool) + 1):
-        for left_subset in combinations(left_pool, left_size):
-            for right_size in range(len(right_pool) + 1):
-                for right_subset in combinations(right_pool, right_size):
-                    if not left_subset and not right_subset:
-                        continue
-                    if is_k_biplex(graph, set(left_subset), set(right_subset), k):
-                        count += 1
-    return count

@@ -46,11 +46,6 @@ class InflationStats:
     enumeration_seconds: float = 0.0
     truncated: bool = False
 
-    @property
-    def total_seconds(self) -> float:
-        """End-to-end wall-clock time of the pipeline."""
-        return self.inflation_seconds + self.enumeration_seconds
-
 
 class FaPlexenPipeline:
     """Maximal k-biplex enumeration via graph inflation + maximal (k+1)-plexes.
@@ -61,29 +56,27 @@ class FaPlexenPipeline:
         Input bipartite graph.
     k:
         Biplex parameter.
-    memory_edge_budget:
-        The pipeline refuses to inflate graphs whose inflated edge count
-        exceeds this budget (default :data:`MEMORY_EDGE_BUDGET`) and
-        reports ``truncated`` instead — this mirrors the paper's *OUT* (out
-        of 32 GB memory) outcomes for FaPlexen on larger datasets without
-        actually exhausting the machine.
     max_results, time_limit:
-        Optional limits forwarded to the plex enumerator.  When either cuts
-        the search short, ``stats.truncated`` is set — capped runs never
-        masquerade as complete enumerations.
+        Optional limits.  ``time_limit`` covers the whole pipeline: the
+        plex enumerator gets what the inflation left of it.  When either
+        cuts the search short, ``stats.truncated`` is set — capped runs
+        never masquerade as complete enumerations.
+
+    The pipeline refuses to inflate graphs whose inflated edge count
+    exceeds :data:`MEMORY_EDGE_BUDGET` and reports ``truncated`` instead —
+    this mirrors the paper's *OUT* (out of 32 GB memory) outcomes for
+    FaPlexen on larger datasets without actually exhausting the machine.
     """
 
     def __init__(
         self,
         graph: BipartiteGraph,
         k: int,
-        memory_edge_budget: int = MEMORY_EDGE_BUDGET,
         max_results: Optional[int] = None,
         time_limit: Optional[float] = None,
     ) -> None:
         self.graph = graph
         self.k = k
-        self.memory_edge_budget = memory_edge_budget
         self.max_results = max_results
         self.time_limit = time_limit
         self.stats = InflationStats()
@@ -93,19 +86,24 @@ class FaPlexenPipeline:
         self.stats = InflationStats()
         projected_edges = inflated_edge_count(self.graph)
         self.stats.inflated_edges = projected_edges
-        if projected_edges > self.memory_edge_budget:
+        if projected_edges > MEMORY_EDGE_BUDGET:
             self.stats.truncated = True
             return []
         start = time.perf_counter()
         inflated = inflate(self.graph)
         self.stats.inflation_seconds = time.perf_counter() - start
 
+        # The search gets what the inflation left of the budget; a budget
+        # already spent cuts it at its first check.
+        time_left = self.time_limit
+        if time_left is not None:
+            time_left -= self.stats.inflation_seconds
         start = time.perf_counter()
         plexes, truncated = enumerate_maximal_kplexes(
             inflated,
             self.k + 1,
             max_results=self.max_results,
-            time_limit=self.time_limit,
+            time_limit=time_left,
         )
         self.stats.enumeration_seconds = time.perf_counter() - start
         if truncated:
@@ -124,14 +122,6 @@ def enumerate_mbps_inflation(
     k: int,
     max_results: Optional[int] = None,
     time_limit: Optional[float] = None,
-    memory_edge_budget: int = MEMORY_EDGE_BUDGET,
 ) -> List[Biplex]:
     """Functional wrapper around :class:`FaPlexenPipeline`."""
-    pipeline = FaPlexenPipeline(
-        graph,
-        k,
-        memory_edge_budget=memory_edge_budget,
-        max_results=max_results,
-        time_limit=time_limit,
-    )
-    return pipeline.enumerate()
+    return FaPlexenPipeline(graph, k, max_results=max_results, time_limit=time_limit).enumerate()

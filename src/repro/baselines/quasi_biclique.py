@@ -8,20 +8,18 @@ break the relative thresholds — so maximal δ-QBs cannot be enumerated with
 reverse search, and exact enumeration is only feasible on tiny graphs.
 
 The paper uses δ-QBs as one of the competitor structures in the
-fraud-detection case study (Figure 13).  Accordingly this module provides:
-
-* an exact (exponential) enumerator for small graphs, used by the tests;
-* a greedy seed-and-expand *finder* for the case-study scale, which grows
-  δ-QBs from maximal k-biplex seeds.  It substitutes for exact mining: the
-  original study also relies on heuristic mining for δ-QBs, and the
-  precision/recall trade-off of the structure definition — many
-  disconnections allowed when the subgraph is large — is fully preserved.
+fraud-detection case study (Figure 13).  Accordingly this module provides
+the δ-QB predicate and a greedy seed-and-expand *finder* for the
+case-study scale, which grows δ-QBs from maximal k-biplex seeds.  It
+substitutes for exact mining: the original study also relies on heuristic
+mining for δ-QBs, and the precision/recall trade-off of the structure
+definition — many disconnections allowed when the subgraph is large — is
+fully preserved.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import Iterable, List, Optional, Set
 
 from ..core.biplex import Biplex
@@ -48,34 +46,6 @@ def is_quasi_biclique(
         if (left_mask & ~graph.adj_right_mask(u)).bit_count() > right_budget:
             return False
     return True
-
-
-def enumerate_maximal_quasi_bicliques(
-    graph: BipartiteGraph,
-    delta: float,
-    theta_left: int = 1,
-    theta_right: int = 1,
-) -> List[Biplex]:
-    """Exact enumeration of maximal δ-QBs meeting the size thresholds.
-
-    Exponential in the number of vertices — use only on small graphs (tests
-    and sanity checks).  Maximality is with respect to set inclusion among
-    δ-QBs satisfying the thresholds.
-    """
-    left_pool = list(graph.left_vertices())
-    right_pool = list(graph.right_vertices())
-    found: List[Biplex] = []
-    for left_size in range(theta_left, len(left_pool) + 1):
-        for left_subset in combinations(left_pool, left_size):
-            for right_size in range(theta_right, len(right_pool) + 1):
-                for right_subset in combinations(right_pool, right_size):
-                    if is_quasi_biclique(graph, left_subset, right_subset, delta):
-                        found.append(Biplex.of(left_subset, right_subset))
-    maximal: List[Biplex] = []
-    for candidate in found:
-        if not any(other != candidate and other.contains(candidate) for other in found):
-            maximal.append(candidate)
-    return maximal
 
 
 def quasi_biclique_seed_k(delta: float, theta_left: int, theta_right: int) -> int:

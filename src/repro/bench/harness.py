@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..baselines.faplexen import FaPlexenPipeline
+from ..baselines.faplexen import MEMORY_EDGE_BUDGET, FaPlexenPipeline
 from ..baselines.imb import IMB
 from ..core.btraversal import BTraversal
 from ..core.itraversal import ITraversal
@@ -134,7 +134,7 @@ def measure(
     solutions = run.enumerate()
     elapsed = time.perf_counter() - start
     marker: Optional[str] = None
-    if isinstance(run, FaPlexenPipeline) and run.stats.inflated_edges > run.memory_edge_budget:
+    if isinstance(run, FaPlexenPipeline) and run.stats.inflated_edges > MEMORY_EDGE_BUDGET:
         marker = OUT
     elif cut(run) and (max_results is None or len(solutions) < max_results):
         marker = INF

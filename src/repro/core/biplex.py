@@ -15,7 +15,7 @@ operations every enumeration algorithm builds on:
 from __future__ import annotations
 
 from typing import (
-    FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union,
+    FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union,
 )
 
 from ..graph.bipartite import BipartiteGraph
@@ -361,35 +361,3 @@ def arbitrary_initial_solution(graph: BipartiteGraph, k: int) -> Biplex:
             right_mask |= 1 << i
     return extend_to_maximal(graph, left_mask, right_mask, k)
 
-
-def violating_vertices(
-    graph: BipartiteGraph, left: Iterable[int], right: Iterable[int], k: int
-) -> Tuple[Set[int], Set[int]]:
-    """Vertices whose miss count exceeds ``k`` in the induced subgraph.
-
-    Returns ``(violating left vertices, violating right vertices)``; both
-    sets are empty exactly when the subgraph is a k-biplex.  Used by the
-    EnumAlmostSat implementation and by the verification helpers.
-    """
-    left_set = set(left)
-    right_set = set(right)
-    bad_left = {v for v in left_set if graph.missing_left(v, right_set) > k}
-    bad_right = {u for u in right_set if graph.missing_right(u, left_set) > k}
-    return bad_left, bad_right
-
-
-def biplex_edge_count(graph: BipartiteGraph, biplex: Biplex) -> int:
-    """Number of edges inside the induced subgraph of ``biplex``."""
-    return sum(
-        (graph.adj_left_mask(v) & biplex.right_mask).bit_count()
-        for v in iter_bits(biplex.left_mask)
-    )
-
-
-def iter_biplex_missing_pairs(
-    graph: BipartiteGraph, biplex: Biplex
-) -> Iterator[Tuple[int, int]]:
-    """Iterate over the missing (non-edge) pairs inside ``biplex``, in ascending order."""
-    for v in iter_bits(biplex.left_mask):
-        for u in iter_bits(biplex.right_mask & ~graph.adj_left_mask(v)):
-            yield (v, u)

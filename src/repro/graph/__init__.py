@@ -1,6 +1,6 @@
 """Graph substrates: bipartite graphs, general graphs, generators, cores, I/O."""
 
-from .bipartite import BipartiteGraph, Side, freeze, paper_example_graph, sorted_tuple
+from .bipartite import BipartiteGraph, paper_example_graph
 from .cores import alpha_beta_core
 from .general import Graph
 from .generators import (
@@ -11,20 +11,16 @@ from .generators import (
     power_law_bipartite,
     review_graph_with_camouflage,
 )
-from .inflate import inflate, inflated_edge_count, join_vertex_sets, split_vertex_set
+from .inflate import inflate, inflated_edge_count, split_vertex_set
 from .io import read_edge_list, read_konect, write_edge_list, write_konect
-from .protocol import BipartiteSubstrate, iter_bits, mask_of
+from .protocol import iter_bits, mask_of
 
 __all__ = [
     "BipartiteGraph",
-    "BipartiteSubstrate",
     "iter_bits",
     "mask_of",
-    "Side",
     "Graph",
     "FraudInjection",
-    "freeze",
-    "sorted_tuple",
     "paper_example_graph",
     "erdos_renyi_bipartite",
     "power_law_bipartite",
@@ -35,7 +31,6 @@ __all__ = [
     "inflate",
     "inflated_edge_count",
     "split_vertex_set",
-    "join_vertex_sets",
     "read_edge_list",
     "read_konect",
     "write_edge_list",

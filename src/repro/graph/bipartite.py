@@ -4,8 +4,9 @@ The paper works with an undirected, unweighted bipartite graph
 ``G = (L ∪ R, E)``.  Vertices on the two sides live in separate integer
 namespaces: left vertices are ``0 .. n_left - 1`` and right vertices are
 ``0 .. n_right - 1``.  Throughout the code base a vertex is therefore always
-qualified by the side it belongs to, either implicitly (an argument named
-``left_vertex``) or explicitly via the :class:`Side` enum.
+qualified by the side it belongs to: every query names its side
+(``neighbors_of_left``, ``adj_right_mask``, an argument named
+``left_vertex``).
 
 The structure is optimised for the access patterns of the enumeration
 algorithms:
@@ -28,27 +29,16 @@ Neighbour *sets* exist only at the API edge: each ``neighbors_of_*`` call
 builds a fresh ``set`` from the mask, for the set-query predicates of
 :mod:`repro.core.biplex`.
 
-See :mod:`repro.graph.protocol` for the substrate protocol.
+The side sizes are fixed at construction; mutation adds and removes edges
+only.  See :mod:`repro.graph.protocol` for the mask helpers.
 """
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Iterable, Iterator
-from typing import FrozenSet, List, Sequence, Set, Tuple
+from typing import List, Set, Tuple
 
 from .protocol import iter_bits, mask_of
-
-
-class Side(enum.Enum):
-    """Which side of the bipartite graph a vertex belongs to."""
-
-    LEFT = "left"
-    RIGHT = "right"
-
-    def other(self) -> "Side":
-        """Return the opposite side."""
-        return Side.RIGHT if self is Side.LEFT else Side.LEFT
 
 
 class BipartiteGraph:
@@ -157,14 +147,6 @@ class BipartiteGraph:
         """Iterate over all right-side vertex ids."""
         return range(self._n_right)
 
-    def vertices(self, side: Side) -> range:
-        """Iterate over all vertex ids of ``side``."""
-        return self.left_vertices() if side is Side.LEFT else self.right_vertices()
-
-    def side_size(self, side: Side) -> int:
-        """Number of vertices on ``side``."""
-        return self._n_left if side is Side.LEFT else self._n_right
-
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
@@ -225,31 +207,13 @@ class BipartiteGraph:
     def reset_epoch(self) -> None:
         """Re-zero the mutation counter.
 
-        For builders (the random-graph generators) that assemble a graph
-        through ``add_edge`` and then hand it out as a *fresh* object: the
-        assembly edges are construction, not mutation, so the published
-        graph should start at epoch 0 like a constructor-built one.
+        For builders (the random-graph generators, the dataset registry)
+        that assemble a graph through ``add_edge`` and then hand it out as a
+        *fresh* object: the assembly edges are construction, not mutation,
+        so the published graph should start at epoch 0 like a
+        constructor-built one.
         """
         self._epoch = 0
-
-    def add_left_vertex(self) -> int:
-        """Grow the left side by one isolated vertex; returns its new id.
-
-        Growth bumps the epoch: an isolated vertex is itself enumerable
-        content (any vertex set of size ≤ k on the other side tolerates it),
-        so cached results over the smaller graph are stale.
-        """
-        self._left_masks.append(0)
-        self._n_left += 1
-        self._epoch += 1
-        return self._n_left - 1
-
-    def add_right_vertex(self) -> int:
-        """Grow the right side by one isolated vertex; returns its new id."""
-        self._right_masks.append(0)
-        self._n_right += 1
-        self._epoch += 1
-        return self._n_right - 1
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -270,12 +234,6 @@ class BipartiteGraph:
         self._check_right(right_vertex)
         return set(iter_bits(self._right_masks[right_vertex]))
 
-    def neighbors(self, side: Side, vertex: int) -> Set[int]:
-        """Neighbours of ``vertex`` located on ``side``."""
-        if side is Side.LEFT:
-            return self.neighbors_of_left(vertex)
-        return self.neighbors_of_right(vertex)
-
     def adj_left_mask(self, left_vertex: int) -> int:
         """Bitmask over right ids: bit ``u`` is set iff ``(v, u)`` is an edge.
 
@@ -287,16 +245,6 @@ class BipartiteGraph:
         """Bitmask over left ids: bit ``v`` is set iff ``(v, u)`` is an edge."""
         return self._right_masks[right_vertex]
 
-    @property
-    def full_left_mask(self) -> int:
-        """Mask with one bit per left vertex (the left universe ``L``)."""
-        return (1 << self._n_left) - 1
-
-    @property
-    def full_right_mask(self) -> int:
-        """Mask with one bit per right vertex (the right universe ``R``)."""
-        return (1 << self._n_right) - 1
-
     def degree_of_left(self, left_vertex: int) -> int:
         """Degree of a left vertex."""
         self._check_left(left_vertex)
@@ -306,12 +254,6 @@ class BipartiteGraph:
         """Degree of a right vertex."""
         self._check_right(right_vertex)
         return self._right_masks[right_vertex].bit_count()
-
-    def degree(self, side: Side, vertex: int) -> int:
-        """Degree of ``vertex`` on ``side``."""
-        if side is Side.LEFT:
-            return self.degree_of_left(vertex)
-        return self.degree_of_right(vertex)
 
     # -- the Γ / δ primitives of Section 2 ----------------------------- #
     def gamma_left(self, left_vertex: int, right_subset: Iterable[int]) -> Set[int]:
@@ -323,16 +265,6 @@ class BipartiteGraph:
         """``Γ(u, L')``: members of ``left_subset`` adjacent to ``right_vertex``."""
         adjacency = self.neighbors_of_right(right_vertex)
         return {v for v in left_subset if v in adjacency}
-
-    def non_gamma_left(self, left_vertex: int, right_subset: Iterable[int]) -> Set[int]:
-        """``Γ̄(v, R')``: members of ``right_subset`` *not* adjacent to ``left_vertex``."""
-        adjacency = self.neighbors_of_left(left_vertex)
-        return {u for u in right_subset if u not in adjacency}
-
-    def non_gamma_right(self, right_vertex: int, left_subset: Iterable[int]) -> Set[int]:
-        """``Γ̄(u, L')``: members of ``left_subset`` *not* adjacent to ``right_vertex``."""
-        adjacency = self.neighbors_of_right(right_vertex)
-        return {v for v in left_subset if v not in adjacency}
 
     def missing_left(self, left_vertex: int, right_subset: Iterable[int]) -> int:
         """``δ̄(v, R')``: number of vertices of ``right_subset`` missed by ``left_vertex``."""
@@ -454,26 +386,3 @@ def paper_example_graph() -> BipartiteGraph:
     ]
     return BipartiteGraph(5, 5, edges=edges)
 
-
-def freeze(vertex_ids: Iterable[int]) -> FrozenSet[int]:
-    """Return an immutable, hashable vertex set."""
-    return frozenset(vertex_ids)
-
-
-def sorted_tuple(vertex_ids: Iterable[int]) -> Tuple[int, ...]:
-    """Return the canonical (sorted) tuple form of a vertex set."""
-    return tuple(sorted(vertex_ids))
-
-
-def subsets_within_budget(items: Sequence[int], budget: int) -> Iterator[Tuple[int, ...]]:
-    """Yield every subset of ``items`` of size at most ``budget``.
-
-    Subsets are produced in order of increasing size, which is the iteration
-    order required by the "refined enumeration on L: 2.0" pruning rule
-    (Section 4.4 of the paper).
-    """
-    from itertools import combinations
-
-    upper = min(budget, len(items))
-    for size in range(upper + 1):
-        yield from combinations(items, size)

@@ -13,18 +13,18 @@ uses it in two places:
   enumeration (Section 6.1, Figure 10; :mod:`repro.prep.reduce`).
 
 :class:`Peel` is the state every reduction runs on: the (α, β)-core here,
-the k-bitruss and bitruss numbers of :mod:`repro.graph.butterfly`, and the
-threshold reduction and bound cores of :mod:`repro.prep.reduce`.  It holds
-one adjacency mask per vertex, kept *live* (a peeled vertex or edge is
-cleared from both endpoints' masks), plus one alive mask per side, and
-builds at most one graph.  Both of its peels are order-independent, so any
-interleaving of its steps reaches the same fixpoint.
+and the threshold reduction of :mod:`repro.prep.reduce`, which alternates
+its core and bitruss peels.  It holds one adjacency mask per vertex, kept
+*live* (a peeled vertex or edge is cleared from both endpoints' masks),
+plus one alive mask per side, and builds at most one graph.  Both of its
+peels are order-independent, so any interleaving of its steps reaches the
+same fixpoint.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .bipartite import BipartiteGraph
 from .protocol import iter_bits
@@ -107,16 +107,14 @@ class Peel:
                 support[(v, u)] = count
         return support
 
-    def bitruss(self, t: int, supports: Optional[Dict[Edge, int]] = None) -> Dict[Edge, int]:
+    def bitruss(self, t: int) -> None:
         """Peel every edge in fewer than ``t`` butterflies, to the fixpoint.
 
-        ``supports`` (copied, never mutated) gives the live edges' counts
-        when the caller has them.  Removing an edge re-scores only the three
-        other edges of each butterfly it was in, so a butterfly is walked at
-        most once.  Returns the surviving edges' supports; vertices stay
-        alive, even when isolated.
+        Removing an edge re-scores only the three other edges of each
+        butterfly it was in, so a butterfly is walked at most once.
+        Vertices stay alive, even when isolated.
         """
-        support = dict(supports) if supports is not None else self.supports()
+        support = self.supports()
         left, right = self.left, self.right
         queue = deque(edge for edge, count in support.items() if count < t)
         while queue:
@@ -136,7 +134,6 @@ class Peel:
                         # Enqueue on the t -> t - 1 transition only.
                         if support[mate] == t - 1:
                             queue.append(mate)
-        return support
 
     def survivors(self) -> Tuple[List[int], List[int]]:
         """The alive left and right vertex ids, ascending."""

@@ -113,16 +113,6 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def non_neighbors_within(self, u: int, candidate_set: Iterable[int]) -> Set[int]:
-        """Members of ``candidate_set`` that are not adjacent to ``u`` (excluding ``u``)."""
-        adjacency = self.neighbors(u)
-        return {v for v in candidate_set if v != u and v not in adjacency}
-
-    def missing_within(self, u: int, candidate_set: Iterable[int]) -> int:
-        """Number of vertices of ``candidate_set`` (other than ``u``) missed by ``u``."""
-        adjacency = self.neighbors(u)
-        return sum(1 for v in candidate_set if v != u and v not in adjacency)
-
     def subgraph_is_kplex(self, vertex_set: Iterable[int], k: int) -> bool:
         """Whether the induced subgraph on ``vertex_set`` is a k-plex.
 

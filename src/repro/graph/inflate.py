@@ -59,8 +59,3 @@ def split_vertex_set(
     left = frozenset(v for v in vertex_set if v < n_left)
     right = frozenset(v - n_left for v in vertex_set if v >= n_left)
     return left, right
-
-
-def join_vertex_sets(left: FrozenSet[int], right: FrozenSet[int], n_left: int) -> FrozenSet[int]:
-    """Inverse of :func:`split_vertex_set`."""
-    return frozenset(left) | frozenset(n_left + u for u in right)

@@ -1,11 +1,9 @@
-"""The bipartite graph *substrate* protocol and bitmask helpers.
+"""Bitmask helpers shared by the graph classes and the algorithms.
 
-The enumeration algorithms never depend on a concrete graph class — they
-only use the query surface below: side sizes, neighbour sets, per-vertex
-adjacency masks and the Γ / δ̄ primitives of Section 2.
-:class:`~repro.graph.BipartiteGraph`, the one substrate, implements
-:class:`BipartiteSubstrate`; a side-swapped run works on its
-:meth:`~repro.graph.BipartiteGraph.swap_sides` copy.
+There is one bipartite graph class, :class:`~repro.graph.BipartiteGraph`;
+the enumeration algorithms use its side sizes, neighbour sets, per-vertex
+adjacency masks and the Γ / δ̄ primitives of Section 2, and a side-swapped
+run works on its :meth:`~repro.graph.BipartiteGraph.swap_sides` copy.
 
 Every vertex stores its adjacency once, as a Python-int *mask* whose set
 bits are the neighbour ids on the other side.  The hot paths (the
@@ -21,7 +19,7 @@ fresh ``set`` from the mask on each call.  The set-query predicates of
 behind ``verify``, the brute force and the naive EnumAlmostSat, so the
 differential tests compare mask code against independent set-query code.
 
-Orthogonal to the substrate sits the *preprocessing* axis
+Orthogonal to the graph class sits the *preprocessing* axis
 (:mod:`repro.prep`, selected via ``prep=`` / ``REPRO_PREP``): the engines
 hand the input to ``prepare()``, which may peel it down to the
 threshold-driven (α,β)-core / k-bitruss fixpoint and compute a degeneracy
@@ -40,7 +38,7 @@ prep mode       effect on the graph
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Protocol, Set, runtime_checkable
+from typing import Iterable, Iterator
 
 
 def default_backend() -> str:
@@ -51,46 +49,6 @@ def default_backend() -> str:
     the substrate next to their measurements.
     """
     return "bitset"
-
-
-@runtime_checkable
-class BipartiteSubstrate(Protocol):
-    """Query surface the enumeration algorithms require of a graph."""
-
-    @property
-    def n_left(self) -> int: ...
-
-    @property
-    def n_right(self) -> int: ...
-
-    @property
-    def num_edges(self) -> int: ...
-
-    def left_vertices(self) -> Iterable[int]: ...
-
-    def right_vertices(self) -> Iterable[int]: ...
-
-    def has_edge(self, left_vertex: int, right_vertex: int) -> bool: ...
-
-    def neighbors_of_left(self, left_vertex: int) -> Set[int]: ...
-
-    def neighbors_of_right(self, right_vertex: int) -> Set[int]: ...
-
-    def adj_left_mask(self, left_vertex: int) -> int:
-        """Bitmask over right ids: bit ``u`` is set iff ``(v, u)`` is an edge."""
-        ...
-
-    def adj_right_mask(self, right_vertex: int) -> int:
-        """Bitmask over left ids: bit ``v`` is set iff ``(v, u)`` is an edge."""
-        ...
-
-    def gamma_left(self, left_vertex: int, right_subset: Iterable[int]) -> Set[int]: ...
-
-    def gamma_right(self, right_vertex: int, left_subset: Iterable[int]) -> Set[int]: ...
-
-    def missing_left(self, left_vertex: int, right_subset: Iterable[int]) -> int: ...
-
-    def missing_right(self, right_vertex: int, left_subset: Iterable[int]) -> int: ...
 
 
 def mask_of(vertex_ids: Iterable[int]) -> int:

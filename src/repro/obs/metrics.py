@@ -14,8 +14,8 @@ among them.  The design constraints, in order:
   JSON and a plain-text rendering;
 * **cheap when disabled** — every mutator starts with one boolean check
   and returns; a disabled registry never allocates a series;
-* **deterministic output** — histograms use *fixed* bucket edges chosen
-  at registration (no dynamic rebucketing), and :meth:`snapshot` sorts
+* **deterministic output** — every histogram uses the one *fixed* table
+  of bucket edges (no dynamic rebucketing), and :meth:`snapshot` sorts
   every key, so two runs that perform the same operations produce
   byte-identical snapshots (bucket placement of wall-clock samples aside,
   the schema and series set are identical).
@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-#: Default histogram bucket edges for request latencies, in milliseconds.
+#: The bucket edges of every histogram series, in milliseconds.
 #: Fixed (never derived from the data) so snapshot schemas are stable.
 DEFAULT_LATENCY_BUCKETS_MS: Tuple[float, ...] = (
     1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
@@ -48,22 +48,23 @@ def series_key(name: str, labels: Dict[str, object]) -> str:
 
 
 class _Histogram:
-    __slots__ = ("edges", "counts", "count", "sum")
+    __slots__ = ("counts", "count", "sum")
 
-    def __init__(self, edges: Tuple[float, ...]) -> None:
-        self.edges = edges
+    def __init__(self) -> None:
         # One cumulative-style count per edge plus the overflow bucket.
-        self.counts = [0] * (len(edges) + 1)
+        self.counts = [0] * (len(DEFAULT_LATENCY_BUCKETS_MS) + 1)
         self.count = 0
         self.sum = 0.0
 
     def observe(self, value: float) -> None:
-        self.counts[bisect_left(self.edges, value)] += 1
+        self.counts[bisect_left(DEFAULT_LATENCY_BUCKETS_MS, value)] += 1
         self.count += 1
         self.sum += value
 
     def to_dict(self) -> dict:
-        buckets = {f"le_{edge:g}": count for edge, count in zip(self.edges, self.counts)}
+        buckets = {
+            f"le_{edge:g}": count for edge, count in zip(DEFAULT_LATENCY_BUCKETS_MS, self.counts)
+        }
         buckets["le_inf"] = self.counts[-1]
         return {
             "buckets": buckets,
@@ -96,18 +97,10 @@ class MetricsRegistry:
         with self._lock:
             self._counters[key] = self._counters.get(key, 0) + value
 
-    def observe(
-        self,
-        name: str,
-        value: float,
-        buckets: Optional[Iterable[float]] = None,
-        **labels: object,
-    ) -> None:
+    def observe(self, name: str, value: float, **labels: object) -> None:
         """Record ``value`` into a histogram series.
 
-        The bucket edges are fixed at the series' first observation
-        (``buckets`` defaults to :data:`DEFAULT_LATENCY_BUCKETS_MS`);
-        later ``buckets`` arguments are ignored — edges never move.
+        Every series buckets by :data:`DEFAULT_LATENCY_BUCKETS_MS`.
         """
         if not self.enabled:
             return
@@ -115,8 +108,7 @@ class MetricsRegistry:
         with self._lock:
             histogram = self._histograms.get(key)
             if histogram is None:
-                edges = tuple(buckets) if buckets is not None else DEFAULT_LATENCY_BUCKETS_MS
-                histogram = self._histograms[key] = _Histogram(edges)
+                histogram = self._histograms[key] = _Histogram()
             histogram.observe(value)
 
     # ------------------------------------------------------------------ #

@@ -32,7 +32,7 @@ Spans measure wall time with ``time.perf_counter`` and serialize as::
 
     {"name": "traverse", "elapsed_ms": 12.3, "children": [...]}
 
-(``children`` omitted when empty; ``meta`` merged in when present).
+(``children`` omitted when empty).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import secrets
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 
 def new_trace_id() -> str:
@@ -52,18 +52,15 @@ def new_trace_id() -> str:
 class Span:
     """One timed phase; children are sub-phases or grafted worker spans."""
 
-    __slots__ = ("name", "elapsed_ms", "children", "meta")
+    __slots__ = ("name", "elapsed_ms", "children")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.elapsed_ms: float = 0.0
         self.children: List[dict] = []
-        self.meta: Dict[str, object] = {}
 
     def to_dict(self) -> dict:
         document: dict = {"name": self.name, "elapsed_ms": round(self.elapsed_ms, 3)}
-        if self.meta:
-            document.update(self.meta)
         if self.children:
             document["children"] = self.children
         return document

@@ -24,10 +24,14 @@ from ..core.traversal import ReverseSearchEngine, TraversalStats
 #: amortise the queue/pickling round trip, small enough that the
 #: coordinator's max_results cancellation stays responsive.
 SOLUTION_BATCH_SIZE = 64
+#: Probes between two reads of the shared cancellation event.
+CANCEL_POLL_INTERVAL = 64
+#: Probes between two reads of the shared incumbent bound.
+BOUND_POLL_INTERVAL = 32
 
 
 class _ThrottledCancel:
-    """Poll a shared event only every ``interval`` probes.
+    """Poll a shared event only every :data:`CANCEL_POLL_INTERVAL` probes.
 
     The engine probes the cancellation hook on every time check (per
     reported solution and per Step-1 candidate); reading a
@@ -35,16 +39,15 @@ class _ThrottledCancel:
     free, so the probe is decimated.
     """
 
-    __slots__ = ("_event", "_interval", "_tick")
+    __slots__ = ("_event", "_tick")
 
-    def __init__(self, event, interval: int = 64) -> None:
+    def __init__(self, event) -> None:
         self._event = event
-        self._interval = interval
         self._tick = 0
 
     def __call__(self) -> bool:
         self._tick += 1
-        if self._tick % self._interval:
+        if self._tick % CANCEL_POLL_INTERVAL:
             return False
         return self._event.is_set()
 
@@ -53,24 +56,24 @@ class _SharedBound:
     """Cross-process incumbent size bound (solver-mode gossip).
 
     The engine consults :meth:`read` on its hot pruning paths, so the
-    shared ``multiprocessing.Value`` is only touched every ``interval``
-    probes and the last-seen bound is served in between — the bound is
-    monotone, so a stale read only means pruning a little less, never
-    wrongly.  :meth:`publish` max-merges immediately: a worker's improved
-    incumbent is exactly what lets the *other* workers prune.
+    shared ``multiprocessing.Value`` is only touched every
+    :data:`BOUND_POLL_INTERVAL` probes and the last-seen bound is served in
+    between — the bound is monotone, so a stale read only means pruning a
+    little less, never wrongly.  :meth:`publish` max-merges immediately: a
+    worker's improved incumbent is exactly what lets the *other* workers
+    prune.
     """
 
-    __slots__ = ("_value", "_interval", "_tick", "_cached")
+    __slots__ = ("_value", "_tick", "_cached")
 
-    def __init__(self, value, interval: int = 32) -> None:
+    def __init__(self, value) -> None:
         self._value = value
-        self._interval = interval
         self._tick = 0
         self._cached = value.value
 
     def read(self) -> int:
         self._tick += 1
-        if self._tick % self._interval == 0:
+        if self._tick % BOUND_POLL_INTERVAL == 0:
             self._cached = self._value.value
         return self._cached
 

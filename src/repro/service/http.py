@@ -57,6 +57,8 @@ from .sessions import SessionExpired
 
 #: Largest accepted request body (inline graphs included).
 MAX_BODY_BYTES = 16 * 1024 * 1024
+#: Threads that run requests off the event loop.
+EXECUTOR_WORKERS = 8
 
 _REASONS = {
     200: "OK",
@@ -78,7 +80,6 @@ class ServiceHTTPServer:
         service: Optional[QueryService] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        executor_workers: int = 8,
         rate_limit: Optional[float] = None,
         limiter: Optional[RateLimiter] = None,
     ) -> None:
@@ -90,7 +91,7 @@ class ServiceHTTPServer:
         # env > off.
         self._limiter = limiter if limiter is not None else limiter_from_env(rate_limit)
         self._executor = ThreadPoolExecutor(
-            max_workers=executor_workers, thread_name_prefix="repro-serve"
+            max_workers=EXECUTOR_WORKERS, thread_name_prefix="repro-serve"
         )
 
     # ------------------------------------------------------------------ #

@@ -16,9 +16,8 @@ from repro.graph import BipartiteGraph, Graph, mask_of
 #: that filled them.  The cross-checked suites run each case on a graph
 #: reached by every route (see :func:`via`):
 #:
-#: ``"set"``     rebuilt from an empty graph one ``add_edge`` at a time, in
-#:               shuffled order, each side grown by ``add_*_vertex`` only
-#:               when an edge first needs the id;
+#: ``"set"``     built edgeless on the final side sizes, then filled one
+#:               ``add_edge`` at a time, in shuffled order;
 #: ``"bitset"``  the graph as its constructor built it;
 #: ``"packed"``  reached from a denser graph by one ``apply_batch`` that
 #:               inserts the missing edges and deletes the surplus ones.
@@ -35,18 +34,10 @@ def via(route: str, graph: BipartiteGraph) -> BipartiteGraph:
     if route == "bitset":
         built = BipartiteGraph(n_left, n_right, edges)
     elif route == "set":
-        built = BipartiteGraph(0, 0)
+        built = BipartiteGraph(n_left, n_right)
         random.Random(len(edges)).shuffle(edges)
         for v, u in edges:
-            while built.n_left <= v:
-                built.add_left_vertex()
-            while built.n_right <= u:
-                built.add_right_vertex()
             built.add_edge(v, u)
-        while built.n_left < n_left:
-            built.add_left_vertex()
-        while built.n_right < n_right:
-            built.add_right_vertex()
     elif route == "packed":
         surplus = [
             (v, u) for v in range(n_left) for u in range(n_right) if not graph.has_edge(v, u)

@@ -9,21 +9,13 @@ contract now binds the whole package: nothing in it needs numpy.
 """
 
 import sys
-from itertools import combinations
 
 import pytest
 
 from graph_samples import PAPER_EDGES, ROUTES, assert_masks_match_edges, induced, swapped, via
 
 from repro.baselines import enumerate_mbps_bruteforce, enumerate_mbps_imb
-from repro.graph import (
-    BipartiteGraph,
-    BipartiteSubstrate,
-    Side,
-    erdos_renyi_bipartite,
-    iter_bits,
-    mask_of,
-)
+from repro.graph import BipartiteGraph, erdos_renyi_bipartite, iter_bits, mask_of
 from repro.graph.general import Graph
 
 #: More than 64 vertices on both sides: every mask spans several words.
@@ -34,8 +26,8 @@ WIDE_EDGES = frozenset(WIDE.edges())
 
 
 def _common_neighbors(graph, side):
-    """All-pairs common-neighbour counts from the masks."""
-    if side is Side.LEFT:
+    """All-pairs common-neighbour counts from the masks of ``side``."""
+    if side == "left":
         masks = [graph.adj_left_mask(v) for v in graph.left_vertices()]
     else:
         masks = [graph.adj_right_mask(u) for u in graph.right_vertices()]
@@ -75,34 +67,13 @@ class TestPackedBipartiteGraph:
                 assert graph.missing_left(v, subset) == len(subset) - restricted
 
     def test_common_neighbors_matrix(self, example_graph):
-        from repro.graph.butterfly import count_butterflies
-
-        common = _common_neighbors(example_graph, Side.LEFT)
+        common = _common_neighbors(example_graph, "left")
         for v1 in example_graph.left_vertices():
             for v2 in example_graph.left_vertices():
                 expected = len(
                     example_graph.neighbors_of_left(v1) & example_graph.neighbors_of_left(v2)
                 )
                 assert common[v1][v2] == expected
-        # A butterfly is a pair of left vertices and a pair of common neighbours.
-        pairs = combinations(example_graph.left_vertices(), 2)
-        assert count_butterflies(example_graph) == sum(
-            common[a][b] * (common[a][b] - 1) // 2 for a, b in pairs
-        )
-
-    def test_side_argument_forms(self, example_graph):
-        graph = example_graph
-        assert Side.LEFT.other() is Side.RIGHT and Side.RIGHT.other() is Side.LEFT
-        assert graph.vertices(Side.LEFT) == graph.left_vertices()
-        assert graph.vertices(Side.RIGHT) == graph.right_vertices()
-        assert graph.side_size(Side.LEFT) == graph.n_left
-        assert graph.side_size(Side.RIGHT) == graph.n_right
-        for v in graph.left_vertices():
-            assert graph.neighbors(Side.LEFT, v) == graph.neighbors_of_left(v)
-            assert graph.degree(Side.LEFT, v) == graph.adj_left_mask(v).bit_count()
-        for u in graph.right_vertices():
-            assert graph.neighbors(Side.RIGHT, u) == graph.neighbors_of_right(u)
-            assert graph.degree(Side.RIGHT, u) == graph.adj_right_mask(u).bit_count()
 
     def test_derived_graphs_stay_packed(self, example_graph):
         graph = via("packed", example_graph)
@@ -233,7 +204,7 @@ class TestArrayFallbackParity:
                 )
 
     def test_common_neighbors_matrix_bit_identical(self, example_graph):
-        for side in (Side.LEFT, Side.RIGHT):
+        for side in ("left", "right"):
             expected = _common_neighbors(example_graph, side)
             for route in ROUTES:
                 assert _common_neighbors(via(route, example_graph), side) == expected
@@ -243,22 +214,6 @@ class TestArrayFallbackParity:
                 assert common[u1][u2] == len(
                     example_graph.neighbors_of_right(u1) & example_graph.neighbors_of_right(u2)
                 )
-
-    def test_fallback_capabilities_and_lockstep(self):
-        """A graph grown vertex by vertex past one word keeps exact masks."""
-        graph = BipartiteGraph(0, 0)
-        for _ in range(70):
-            graph.add_left_vertex()
-        for _ in range(130):
-            graph.add_right_vertex()
-        assert isinstance(graph, BipartiteSubstrate)
-        assert graph.full_left_mask == (1 << 70) - 1
-        assert graph.full_right_mask == (1 << 130) - 1
-        assert graph.add_edge(3, 100) is True
-        assert graph.add_edge(3, 100) is False
-        assert graph.adj_left_mask(3) == 1 << 100 and graph.adj_right_mask(100) == 1 << 3
-        assert graph.remove_edge(3, 100) is True
-        assert not any(graph.adj_left_mask(v) for v in graph.left_vertices())
 
     def test_fallback_general_graph(self):
         edges = [(0, 1), (1, 69), (0, 69), (5, 68), (68, 2)]
@@ -331,12 +286,11 @@ class TestNumpyAbsentFallback:
         assert set(large) == set(filter_large(list(expected), 2, 2))
 
     def test_butterfly_and_cores_work_on_the_fallback(self, no_numpy, example_graph):
-        from repro.graph.butterfly import edge_butterfly_counts, k_bitruss
-        from repro.graph.cores import alpha_beta_core
+        from repro.graph.cores import Peel, alpha_beta_core
         from repro.prep import prepare
 
         graph = example_graph
-        supports = edge_butterfly_counts(graph)
+        supports = Peel(graph).supports()
         for v, u in graph.edges():
             assert supports[(v, u)] == sum(
                 1
@@ -344,8 +298,10 @@ class TestNumpyAbsentFallback:
                 for u2 in graph.neighbors_of_left(v) - {u}
                 if graph.has_edge(v2, u2)
             )
-        truss = k_bitruss(graph, 1)
-        assert all(count >= 1 for count in edge_butterfly_counts(truss).values())
+        peel = Peel(graph)
+        peel.bitruss(1)
+        truss = peel.compact()[0]
+        assert all(count >= 1 for count in Peel(truss).supports().values())
         left, right = alpha_beta_core(graph, 2, 2)
         assert all(len(graph.neighbors_of_left(v) & right) >= 2 for v in left)
         assert all(len(graph.neighbors_of_right(u) & left) >= 2 for u in right)

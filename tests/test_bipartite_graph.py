@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.graph import BipartiteGraph, Side, paper_example_graph
-from repro.graph.bipartite import freeze, sorted_tuple, subsets_within_budget
+from repro.graph import BipartiteGraph, paper_example_graph
 
 
 class TestConstruction:
@@ -81,22 +80,9 @@ class TestQueries:
         assert tiny_graph.degree_of_left(1) == 2
         assert tiny_graph.degree_of_right(2) == 1
 
-    def test_side_based_accessors(self, tiny_graph):
-        assert tiny_graph.neighbors(Side.LEFT, 0) == tiny_graph.neighbors_of_left(0)
-        assert tiny_graph.neighbors(Side.RIGHT, 1) == tiny_graph.neighbors_of_right(1)
-        assert tiny_graph.degree(Side.LEFT, 0) == 2
-        assert tiny_graph.side_size(Side.LEFT) == 2
-        assert tiny_graph.side_size(Side.RIGHT) == 3
-
-    def test_side_other(self):
-        assert Side.LEFT.other() is Side.RIGHT
-        assert Side.RIGHT.other() is Side.LEFT
-
     def test_gamma_and_non_gamma(self, tiny_graph):
         assert tiny_graph.gamma_left(0, {0, 1, 2}) == {0, 1}
-        assert tiny_graph.non_gamma_left(0, {0, 1, 2}) == {2}
         assert tiny_graph.gamma_right(1, {0, 1}) == {0, 1}
-        assert tiny_graph.non_gamma_right(0, {0, 1}) == {1}
 
     def test_missing_counts(self, tiny_graph):
         assert tiny_graph.missing_left(0, {0, 1, 2}) == 1
@@ -181,21 +167,3 @@ class TestPaperExample:
         for v in range(4):
             assert example_graph.missing_left(v, all_right) >= 2
 
-
-class TestHelpers:
-    def test_freeze_and_sorted_tuple(self):
-        assert freeze([3, 1, 1]) == frozenset({1, 3})
-        assert sorted_tuple({3, 1}) == (1, 3)
-
-    def test_subsets_within_budget(self):
-        subsets = list(subsets_within_budget([1, 2, 3], 2))
-        assert () in subsets
-        assert (1,) in subsets and (3,) in subsets
-        assert (1, 2) in subsets
-        assert (1, 2, 3) not in subsets
-        # ascending size order
-        sizes = [len(s) for s in subsets]
-        assert sizes == sorted(sizes)
-
-    def test_subsets_budget_larger_than_pool(self):
-        assert list(subsets_within_budget([1], 5)) == [(), (1,)]

@@ -15,7 +15,6 @@ from repro.core import (
     is_k_biplex,
     is_maximal_k_biplex,
 )
-from repro.core.biplex import biplex_edge_count, iter_biplex_missing_pairs, violating_vertices
 from repro.graph import BipartiteGraph, paper_example_graph
 
 
@@ -225,26 +224,3 @@ class TestInitialSolutions:
         assert set(h0.right) == set(empty_graph.right_vertices())
         assert set(h0.left) == set()
 
-
-class TestHelpers:
-    def test_violating_vertices(self, example_graph):
-        bad_left, bad_right = violating_vertices(
-            example_graph, [0, 3], [0, 1, 2, 3, 4], 1
-        )
-        assert 3 in bad_left
-        assert 0 in bad_right or bad_right == set() or isinstance(bad_right, set)
-
-    def test_violating_vertices_empty_for_biplex(self, example_graph):
-        bad_left, bad_right = violating_vertices(example_graph, [4], [0, 1, 2, 3, 4], 1)
-        assert bad_left == set()
-        assert bad_right == set()
-
-    def test_biplex_edge_count(self, example_graph):
-        biplex = Biplex.of([0, 1, 4], [0, 1, 2, 3])
-        count = biplex_edge_count(example_graph, biplex)
-        assert count == 3 * 4 - 2  # v0 misses u2, v1 misses u0
-
-    def test_missing_pairs(self, example_graph):
-        biplex = Biplex.of([0, 1, 4], [0, 1, 2, 3])
-        missing = set(iter_biplex_missing_pairs(example_graph, biplex))
-        assert missing == {(0, 2), (1, 0)}

@@ -1,4 +1,4 @@
-"""Tests for the general graph, inflation, cores, butterflies, generators and I/O."""
+"""Tests for the general graph, inflation, cores, butterfly supports, generators and I/O."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.graph import (
     erdos_renyi_bipartite,
     inflate,
     inflated_edge_count,
-    join_vertex_sets,
     planted_biplex_graph_with_blocks,
     power_law_bipartite,
     read_edge_list,
@@ -21,14 +20,7 @@ from repro.graph import (
     write_edge_list,
     write_konect,
 )
-from repro.graph.butterfly import (
-    _count_from_side,
-    _pivot_from_left,
-    bitruss_number,
-    count_butterflies,
-    edge_butterfly_counts,
-    k_bitruss,
-)
+from repro.graph.cores import Peel
 from repro.prep import reduce_for_thresholds
 
 
@@ -60,11 +52,6 @@ class TestGeneralGraph:
         assert not path.subgraph_is_kplex({0, 1, 2}, 1)
         assert path.subgraph_is_kplex({0, 1, 2}, 2)
 
-    def test_non_neighbors_within(self):
-        graph = Graph(4, edges=[(0, 1)])
-        assert graph.non_neighbors_within(0, {1, 2, 3}) == {2, 3}
-        assert graph.missing_within(0, {1, 2, 3}) == 2
-
 
 class TestInflation:
     def test_inflated_edge_count_formula(self, example_graph):
@@ -83,12 +70,13 @@ class TestInflation:
     def test_biplex_plex_correspondence(self, example_graph):
         inflated = inflate(example_graph)
         # H1 = ({v0, v1, v4}, {u0..u3}) is a 1-biplex <=> 2-plex in the inflation.
-        vertex_set = join_vertex_sets(frozenset({0, 1, 4}), frozenset({0, 1, 2, 3}), 5)
+        # Right vertex u has id 5 + u there.
+        vertex_set = frozenset({0, 1, 4} | {5 + u for u in (0, 1, 2, 3)})
         assert inflated.subgraph_is_kplex(vertex_set, 2)
 
     def test_split_and_join_roundtrip(self):
         left, right = frozenset({0, 2}), frozenset({1, 3})
-        joined = join_vertex_sets(left, right, 5)
+        joined = left | {5 + u for u in right}
         assert split_vertex_set(joined, 5) == (left, right)
 
 
@@ -174,61 +162,32 @@ class TestCores:
 
 
 class TestButterflies:
+    """The butterfly supports and the bitruss peel of :class:`Peel`, which
+    every thresholded plan runs."""
+
+    @staticmethod
+    def _bitruss(graph, t):
+        """The t-bitruss of ``graph``, through the peel prep runs."""
+        peel = Peel(graph)
+        peel.bitruss(t)
+        return peel.compact()[0]
+
     def test_single_butterfly(self):
         graph = BipartiteGraph(2, 2, edges=[(0, 0), (0, 1), (1, 0), (1, 1)])
-        assert count_butterflies(graph) == 1
-        assert all(count == 1 for count in edge_butterfly_counts(graph).values())
+        assert Peel(graph).supports() == dict.fromkeys(graph.edges(), 1)
 
     def test_no_butterflies_in_a_tree(self, tiny_graph):
-        assert count_butterflies(tiny_graph) == 0
+        assert set(Peel(tiny_graph).supports().values()) == {0}
 
     def test_counts_match_bruteforce_on_example(self, example_graph):
-        # Brute-force count of 2x2 complete subgraphs.
-        from itertools import combinations
-
-        expected = 0
-        for v1, v2 in combinations(range(example_graph.n_left), 2):
-            common = set(example_graph.neighbors_of_left(v1)) & set(
-                example_graph.neighbors_of_left(v2)
-            )
-            expected += len(common) * (len(common) - 1) // 2
-        assert count_butterflies(example_graph) == expected
+        # Each butterfly holds four edges.
+        supports = Peel(example_graph).supports()
+        assert sum(supports.values()) == 4 * self._pair_count(example_graph)
 
     def test_k_bitruss_edges_have_support(self, example_graph):
-        truss = k_bitruss(example_graph, 2)
-        support = edge_butterfly_counts(truss)
+        truss = self._bitruss(example_graph, 2)
+        support = Peel(truss).supports()
         assert all(count >= 2 for count in support.values()) or truss.num_edges == 0
-
-    def test_k_bitruss_zero_is_identity(self, example_graph):
-        assert k_bitruss(example_graph, 0).num_edges == example_graph.num_edges
-
-    def test_k_bitruss_rejects_negative(self, example_graph):
-        with pytest.raises(ValueError):
-            k_bitruss(example_graph, -1)
-
-    def test_bitruss_numbers_consistent(self, example_graph):
-        numbers = bitruss_number(example_graph)
-        for edge, number in numbers.items():
-            if number >= 1:
-                truss = k_bitruss(example_graph, number)
-                assert edge in set(truss.edges())
-
-    def test_bitruss_numbers_match_bruteforce_maxima(self):
-        # Dense 4x4 graph (complete minus a perfect matching): every edge's
-        # bitruss number must equal the largest k whose k-bitruss keeps it.
-        graph = BipartiteGraph(
-            4, 4, edges=[(v, u) for v in range(4) for u in range(4) if v != u]
-        )
-        numbers = bitruss_number(graph)
-        for edge in graph.edges():
-            expected = 0
-            for k in range(1, graph.num_edges + 1):
-                surviving = set(k_bitruss(graph, k).edges())
-                if edge in surviving:
-                    expected = k
-                else:
-                    break
-            assert numbers[edge] == expected, edge
 
     def test_incremental_peeling_matches_recompute(self):
         # The incremental support updates must peel exactly the edges the
@@ -236,7 +195,7 @@ class TestButterflies:
         def naive_k_bitruss(graph, k):
             working = graph.copy()
             while True:
-                support = edge_butterfly_counts(working)
+                support = self._naive_edge_supports(working)
                 to_remove = [edge for edge, count in support.items() if count < k]
                 if not to_remove:
                     return working
@@ -246,25 +205,17 @@ class TestButterflies:
         for seed in range(4):
             graph = erdos_renyi_bipartite(6, 6, num_edges=18 + seed * 4, seed=seed)
             for k in (1, 2, 3):
-                assert sorted(k_bitruss(graph, k).edges()) == sorted(
+                assert sorted(self._bitruss(graph, k).edges()) == sorted(
                     naive_k_bitruss(graph, k).edges()
                 )
 
-    def test_pivot_side_prefers_cheaper_wedges(self):
-        # A single left hub: all wedges are centred on the hub, so anchoring
-        # on the left (walking wedges centred on degree-1 right vertices) is
-        # the cheap direction — the old inverted branch picked the right side.
-        left_hub = BipartiteGraph(1, 8, edges=[(0, u) for u in range(8)])
-        assert _pivot_from_left(left_hub) is True
-        right_hub = BipartiteGraph(8, 1, edges=[(v, 0) for v in range(8)])
-        assert _pivot_from_left(right_hub) is False
-
     def test_count_identical_from_both_sides(self):
+        # The supports read the left masks; on the side-swapped graph they
+        # read the other side's, and must count the same butterflies.
         for seed in range(3):
             graph = erdos_renyi_bipartite(7, 4, num_edges=14 + seed, seed=seed)
-            expected = _count_from_side(graph, from_left=True)
-            assert _count_from_side(graph, from_left=False) == expected
-            assert count_butterflies(graph) == expected
+            swapped = Peel(graph.swap_sides()).supports()
+            assert {(v, u): count for (u, v), count in swapped.items()} == Peel(graph).supports()
 
     @staticmethod
     def _naive_edge_supports(graph):
@@ -298,9 +249,7 @@ class TestButterflies:
     def test_butterfly_backends_agree(self, route):
         for seed in range(3):
             graph = erdos_renyi_bipartite(6, 9, num_edges=20 + seed * 3, seed=seed)
-            routed = via(route, graph)
-            assert count_butterflies(routed) == self._pair_count(graph)
-            assert edge_butterfly_counts(routed) == self._naive_edge_supports(graph)
+            assert Peel(via(route, graph)).supports() == self._naive_edge_supports(graph)
 
     def test_edge_supports_match_naive_four_loop_all_backends(self):
         # The oracle is quartic, so it runs once per graph and the graph
@@ -314,16 +263,14 @@ class TestButterflies:
         for graph in cases:
             expected = self._naive_edge_supports(graph)
             for route in ROUTES:
-                assert edge_butterfly_counts(via(route, graph)) == expected, (route, graph)
+                assert Peel(via(route, graph)).supports() == expected, (route, graph)
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_butterfly_backends_agree_beyond_one_word(self, route):
         # Side sizes beyond 64 force multi-word masks.
         graph = erdos_renyi_bipartite(70, 130, num_edges=650, seed=17)
-        routed = via(route, graph)
         expected = self._pair_count(graph)
-        assert count_butterflies(routed) == expected
-        assert sum(edge_butterfly_counts(routed).values()) == 4 * expected
+        assert sum(Peel(via(route, graph)).supports().values()) == 4 * expected
 
 
 class TestBitsetGeneralGraph:

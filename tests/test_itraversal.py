@@ -193,9 +193,13 @@ class TestRightExtensible:
     @pytest.mark.parametrize("route", ROUTES)
     def test_matches_bruteforce_scan(self, k, route):
         import random
+        from itertools import chain, combinations
 
         from repro.core.traversal import ReverseSearchEngine, TraversalConfig
-        from repro.graph.bipartite import subsets_within_budget
+
+        def subsets(items, budget):
+            """Every subset of ``items`` of size at most ``budget``."""
+            return chain.from_iterable(combinations(items, size) for size in range(budget + 1))
 
         rng = random.Random(11)
         graphs = [
@@ -206,8 +210,8 @@ class TestRightExtensible:
         ]
         for graph in graphs:
             engine = ReverseSearchEngine(via(route, graph), k, TraversalConfig())
-            for left in subsets_within_budget(list(graph.left_vertices()), k + 1):
-                for right in subsets_within_budget(list(graph.right_vertices()), 2):
+            for left in subsets(graph.left_vertices(), k + 1):
+                for right in subsets(graph.right_vertices(), 2):
                     local = Biplex.of(left, right)
                     expected = self._bruteforce(graph, local, k)
                     assert engine._right_extensible(local) == expected

@@ -95,14 +95,6 @@ class TestEpochSemantics:
         assert graph.apply_batch(inserts=[(0, 0)], deletes=[(2, 2)]) == (0, 0)
         assert graph.epoch == 1
 
-    def test_vertex_growth_bumps_epoch(self):
-        graph = BipartiteGraph(2, 2, [(0, 0)])
-        assert graph.add_left_vertex() == 2
-        assert graph.add_right_vertex() == 2
-        assert graph.epoch == 2
-        assert graph.add_edge(2, 2)
-        assert graph.epoch == 3
-
     def test_copies_restart_at_epoch_zero(self):
         graph = BipartiteGraph(2, 2, [(0, 0)])
         graph.add_edge(1, 1)
@@ -153,15 +145,6 @@ class TestMutationDifferential:
                 got, _ = enumerate_mbps(graph, 1, mode=mode, **extra)
                 want, _ = enumerate_mbps(reference, 1, mode=mode, **extra)
                 assert got == want, f"{route} {mode} g{index}"
-
-    def test_grown_vertices_are_enumerable(self):
-        graph = BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-        v = graph.add_left_vertex()
-        u = graph.add_right_vertex()
-        graph.apply_batch(inserts=[(v, 0), (v, 1), (v, u), (0, u), (1, u)])
-        assert sorted(ITraversal(graph, 1).enumerate()) == sorted(
-            ITraversal(rebuilt(graph), 1).enumerate()
-        )
 
 
 # --------------------------------------------------------------------- #

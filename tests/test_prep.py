@@ -204,7 +204,7 @@ class TestOnePeel:
 
     def test_prepare_builds_one_graph_over_two_fixpoint_rounds(self, monkeypatch):
         from repro.graph import alpha_beta_core
-        from repro.graph.butterfly import k_bitruss
+        from repro.graph.cores import Peel
 
         graph = planted_biplex_graph(
             40, 40, block_left=6, block_right=6, k=1, background_edges=240, seed=1
@@ -214,7 +214,9 @@ class TestOnePeel:
         # One core + bitruss round is not the fixpoint: the bitruss peel
         # drops degrees below the core bounds again.
         core = graph.induced_subgraph(*alpha_beta_core(graph, alpha, beta))
-        truss = k_bitruss(core, bitruss_support_bound(k, theta, theta))
+        peel = Peel(core)
+        peel.bitruss(bitruss_support_bound(k, theta, theta))
+        truss = peel.compact()[0]
         left, right = alpha_beta_core(truss, alpha, beta)
         assert len(left) < core.n_left and len(right) < core.n_right
         plan, built = self._graphs_built(
@@ -225,13 +227,15 @@ class TestOnePeel:
         assert plan.removed_edges == graph.num_edges - plan.graph.num_edges > 0
 
     def test_bitruss_builds_at_most_one_graph(self, monkeypatch):
-        from repro.graph.butterfly import bitruss_number, k_bitruss
+        from repro.graph.cores import Peel
 
         graph = erdos_renyi_bipartite(12, 10, num_edges=60, seed=4)
-        truss, built = self._graphs_built(monkeypatch, lambda: k_bitruss(graph, 3))
-        assert built == 1 and 0 < truss.num_edges < graph.num_edges
-        numbers, built = self._graphs_built(monkeypatch, lambda: bitruss_number(graph))
-        assert built == 0 and max(numbers.values()) > 3
+        peel = Peel(graph)
+        # The peel builds nothing; compact builds the one graph.
+        _, built = self._graphs_built(monkeypatch, lambda: peel.bitruss(3))
+        assert built == 0 and 0 < peel.num_edges < graph.num_edges
+        (truss, _, _), built = self._graphs_built(monkeypatch, peel.compact)
+        assert built == 1 and truss.num_edges == peel.num_edges
 
 
 # --------------------------------------------------------------------- #

@@ -32,8 +32,7 @@ from repro.core.enum_almost_sat import (
     enum_local_solutions_naive,
 )
 from repro.graph import BipartiteGraph
-from repro.graph.butterfly import count_butterflies, edge_butterfly_counts, k_bitruss
-from repro.graph.cores import alpha_beta_core
+from repro.graph.cores import Peel, alpha_beta_core
 
 SETTINGS = settings(
     max_examples=15,
@@ -54,8 +53,8 @@ def bipartite_graphs(draw, max_left=5, max_right=5):
     return BipartiteGraph(n_left, n_right, edges=edges)
 
 
-#: Deliberately asymmetric side sizes: the butterfly pivot-side selection and
-#: the per-side core constraints only show their bugs off the diagonal.
+#: Deliberately asymmetric side sizes: the butterfly supports and the
+#: per-side core constraints only show their bugs off the diagonal.
 asymmetric_graphs = bipartite_graphs(max_left=7, max_right=3)
 
 
@@ -261,16 +260,17 @@ class TestCoreProperties:
     @SETTINGS
     @given(graph=asymmetric_graphs)
     def test_butterfly_count_matches_bruteforce_on_both_backends(self, graph):
-        expected = _bruteforce_butterflies(graph)
+        # Each butterfly holds four edges.
+        expected = 4 * _bruteforce_butterflies(graph)
         for route in ROUTES:
-            assert count_butterflies(via(route, graph)) == expected
+            assert sum(Peel(via(route, graph)).supports().values()) == expected
 
     @SETTINGS
     @given(graph=asymmetric_graphs)
     def test_edge_supports_match_bruteforce_on_both_backends(self, graph):
         expected = _bruteforce_edge_supports(graph)
         for route in ROUTES:
-            assert edge_butterfly_counts(via(route, graph)) == expected
+            assert Peel(via(route, graph)).supports() == expected
 
     @SETTINGS
     @given(graph=asymmetric_graphs, k=st.integers(min_value=1, max_value=3))
@@ -284,9 +284,11 @@ class TestCoreProperties:
             for v, u in weak:
                 expected.remove_edge(v, u)
         for route in ROUTES:
-            truss = k_bitruss(via(route, graph), k)
+            peel = Peel(via(route, graph))
+            peel.bitruss(k)
+            truss = peel.compact()[0]
             assert sorted(truss.edges()) == sorted(expected.edges())
-            assert all(count >= k for count in edge_butterfly_counts(truss).values())
+            assert all(count >= k for count in Peel(truss).supports().values())
 
     @SETTINGS
     @given(
